@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet ravet fuzz-smoke fmt check
+.PHONY: all build test race vet ravet fuzz-smoke bench-smoke fmt check
 
 all: check
 
@@ -30,8 +30,14 @@ ravet:
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzApplyWord -fuzztime=10s ./internal/ra/
 	$(GO) test -fuzz=FuzzZdbRoundtrip -fuzztime=10s ./internal/zdb/
+	$(GO) test -fuzz=FuzzHuffDecode -fuzztime=10s ./internal/zdb/
 	$(GO) test -fuzz=FuzzFrameDecode -fuzztime=10s ./internal/server/
 	$(GO) test -fuzz=FuzzSpillRoundtrip -fuzztime=10s ./internal/oocore/
+
+# The repository benchmark's own smoke test (bench/ is a separate module):
+# every workload, untraced and traced, at tiny sizes.
+bench-smoke:
+	cd bench && $(GO) test ./...
 
 fmt:
 	gofmt -l -w .

@@ -283,6 +283,44 @@ func TestCacheCompressedShard(t *testing.T) {
 	}
 	pp.Release()
 	pz.Release()
+
+	// The sequential sweep decoded every block once and hit on the rest;
+	// the flat twin has no block cache to count.
+	for _, si := range c.Snapshot() {
+		switch si.Key {
+		case "plain":
+			if si.BlockHits+si.BlockDecodes+si.BlockDuplicates != 0 {
+				t.Errorf("flat shard reports block-cache activity: %+v", si)
+			}
+		case "packed":
+			if si.BlockDecodes != uint64(z.Blocks()) || si.BlockHits != uint64(len(values)-z.Blocks()) || si.BlockDuplicates != 0 {
+				t.Errorf("packed shard: %d block hits, %d decodes, %d duplicates; want %d, %d, 0",
+					si.BlockHits, si.BlockDecodes, si.BlockDuplicates, len(values)-z.Blocks(), z.Blocks())
+			}
+		}
+	}
+
+	// The counters belong to the shard, not to one resident copy of it:
+	// under a budget that evicts on every release they keep adding up.
+	tight, err := NewCache(dir, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for round := uint64(1); round <= 2; round++ {
+		pin, err := tight.Acquire("packed")
+		if err != nil {
+			t.Fatal(err)
+		}
+		pin.Get(0)
+		pin.Get(1)
+		pin.Release()
+		for _, si := range tight.Snapshot() {
+			if si.Key == "packed" && (si.Loaded || si.BlockDecodes != round || si.BlockHits != round) {
+				t.Errorf("round %d: loaded=%v, %d block decodes, %d block hits; want evicted with %d and %d",
+					round, si.Loaded, si.BlockDecodes, si.BlockHits, round, round)
+			}
+		}
+	}
 }
 
 func TestCacheUnknownShard(t *testing.T) {

@@ -234,6 +234,9 @@ type forwarder struct {
 
 	mu    sync.Mutex
 	conns []net.Conn
+	held  chan struct{} // non-nil while client→backend bytes are held back
+
+	stalled chan struct{} // one send per chunk held back
 }
 
 func newForwarder(t *testing.T, backend string) *forwarder {
@@ -242,7 +245,7 @@ func newForwarder(t *testing.T, backend string) *forwarder {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f := &forwarder{l: l, backend: backend}
+	f := &forwarder{l: l, backend: backend, stalled: make(chan struct{}, 16)}
 	go f.loop()
 	t.Cleanup(func() { l.Close(); f.kill() })
 	return f
@@ -262,7 +265,7 @@ func (f *forwarder) loop() {
 		f.mu.Lock()
 		f.conns = append(f.conns, c, b)
 		f.mu.Unlock()
-		go func() { io.Copy(b, c); b.Close() }()
+		go func() { io.Copy(b, heldReader{c, f}); b.Close() }()
 		go func() { io.Copy(c, b); c.Close() }()
 	}
 }
@@ -275,6 +278,40 @@ func (f *forwarder) kill() {
 	}
 	f.conns = nil
 	f.mu.Unlock()
+}
+
+// hold makes the proxy sit on everything clients send from now on, so a
+// call stays pending; the returned func lets traffic flow again.
+func (f *forwarder) hold() (release func()) {
+	held := make(chan struct{})
+	f.mu.Lock()
+	f.held = held
+	f.mu.Unlock()
+	return func() {
+		f.mu.Lock()
+		f.held = nil
+		f.mu.Unlock()
+		close(held)
+	}
+}
+
+// heldReader is the client side of a proxied connection: while the proxy
+// is held, each chunk read is reported on stalled and waits for release.
+type heldReader struct {
+	net.Conn
+	f *forwarder
+}
+
+func (r heldReader) Read(p []byte) (int, error) {
+	n, err := r.Conn.Read(p)
+	r.f.mu.Lock()
+	held := r.f.held
+	r.f.mu.Unlock()
+	if n > 0 && held != nil {
+		r.f.stalled <- struct{}{}
+		<-held
+	}
+	return n, err
 }
 
 // TestClientReconnects severs an established connection mid-session; a
@@ -312,7 +349,10 @@ func TestClientReconnects(t *testing.T) {
 	}
 
 	// Without retries the same kill is a hard, typed failure — and the
-	// client stays failed rather than hanging.
+	// client stays failed rather than hanging. The proxy sits on the
+	// request so the call is pending when the sever lands (a client whose
+	// reader saw the sever first would simply redial on its next call),
+	// then lets traffic through again: a call that redialed would succeed.
 	plain, err := Dial(f.l.Addr().String())
 	if err != nil {
 		t.Fatal(err)
@@ -321,8 +361,13 @@ func TestClientReconnects(t *testing.T) {
 	if _, err := plain.Value(b); err != nil {
 		t.Fatalf("plain client first query: %v", err)
 	}
-	f.kill()
+	release := f.hold()
 	err = within(t, 10*time.Second, "no-retry post-kill call", func() error {
+		go func() {
+			<-f.stalled
+			f.kill()
+			release()
+		}()
 		_, err := plain.Value(b)
 		return err
 	})

@@ -132,11 +132,15 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 // shared with rabroker's /metrics: a "server" block of front-side
 // counters and a "clients" list of outbound resilience counters
 // (retries, reconnects, unknown replies per server.ClientStats) — empty
-// here, one entry per backend on a broker.
+// here, one entry per backend on a broker. A server adds "shards", the
+// per-shard counters of /shards, so one scrape carries the shard cache
+// and, for compressed shards, the decoded-block cache next to the
+// latencies they explain.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, map[string]any{
 		"server":  s.Metrics(),
 		"clients": []ClientStats{},
+		"shards":  s.cache.Snapshot(),
 	})
 }
 

@@ -18,6 +18,7 @@ import (
 	"retrograde/internal/nim"
 	"retrograde/internal/ra"
 	"retrograde/internal/search"
+	"retrograde/internal/zdb"
 )
 
 const testStones = 5
@@ -513,5 +514,65 @@ func TestPing(t *testing.T) {
 	s.Close()
 	if err := c.Ping(0); err == nil {
 		t.Error("ping succeeded against a closed server")
+	}
+}
+
+// TestCompressedShardCountersExported serves block-compressed rungs and
+// checks that the decoded-block cache is visible from outside: values
+// still agree with the ladder, and /metrics and /stats carry per-shard
+// block hits and decodes.
+func TestCompressedShardCountersExported(t *testing.T) {
+	dir := t.TempDir()
+	l := buildLadder(t)
+	for n := 0; n <= l.MaxStones(); n++ {
+		tab, err := db.Pack(fmt.Sprintf("awari-%d", n), l.Slice(n).ValueBits(), l.Result(n).Values)
+		if err != nil {
+			t.Fatal(err)
+		}
+		z, err := zdb.Compress(tab, 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := z.Save(filepath.Join(dir, fmt.Sprintf("awari-%d.radb", n))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s := startServer(t, dir, Config{})
+	c := dial(t, s)
+	top := l.Result(testStones).Values
+	for idx := uint64(0); idx < uint64(len(top)); idx += 97 {
+		got, err := c.Value(boardOf(testStones, idx))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != top[idx] {
+			t.Fatalf("value of position %d = %d, want %d", idx, got, top[idx])
+		}
+	}
+
+	var m struct {
+		Shards []ShardInfo `json:"shards"`
+	}
+	getJSON(t, "http://"+s.Addr()+"/metrics", &m)
+	if len(m.Shards) != testStones+1 {
+		t.Fatalf("/metrics lists %d shards, want %d", len(m.Shards), testStones+1)
+	}
+	var topShard ShardInfo
+	for _, si := range m.Shards {
+		if si.Key == fmt.Sprintf("awari-%d", testStones) {
+			topShard = si
+		}
+	}
+	if topShard.Version != 2 || topShard.BlockDecodes == 0 || topShard.BlockHits+topShard.BlockDecodes < uint64(len(top)/97) {
+		t.Errorf("/metrics top shard: %+v, want a v2 shard with block decodes counted", topShard)
+	}
+	resp, err := http.Get("http://" + s.Addr() + "/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if !strings.Contains(string(body), "blk decodes") {
+		t.Errorf("/stats shard table lacks the block-decode column:\n%s", body)
 	}
 }

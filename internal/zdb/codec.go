@@ -72,9 +72,7 @@ func packBits(dst []byte, vals []game.Value, base game.Value, width int) []byte 
 // adding base. It reports whether src held enough bits.
 func unpackBits(src []byte, n int, base game.Value, width int, out []game.Value) bool {
 	if width == 0 {
-		for i := 0; i < n; i++ {
-			out[i] = base
-		}
+		fillValues(out[:n], base)
 		return true
 	}
 	if len(src)*8 < n*width {
@@ -95,6 +93,22 @@ func unpackBits(src []byte, n int, base game.Value, width int, out []game.Value)
 		nbits -= width
 	}
 	return true
+}
+
+// fillValues sets every element of out to v.
+func fillValues(out []game.Value, v game.Value) {
+	// Short runs are the common case (awari runs average two to three
+	// entries); long ones double a filled prefix with copy.
+	head := out
+	if len(head) > 16 {
+		head = head[:16]
+	}
+	for i := range head {
+		head[i] = v
+	}
+	for filled := len(head); filled < len(out); filled *= 2 {
+		copy(out[filled:], out[:filled])
+	}
 }
 
 // widthFor returns the bits needed to store span (0 for span 0).
@@ -185,6 +199,38 @@ func encodeRLE(dst []byte, vals []game.Value) []byte {
 	return dst
 }
 
+// decodeRLE decodes (run length, value) uvarint pairs covering n values
+// into out[:n].
+func decodeRLE(src []byte, n int, bits int, out []game.Value) error {
+	for i := 0; i < n; {
+		var run, v uint64
+		if len(src) >= 2 && src[0]|src[1] < 0x80 {
+			// Both uvarints are single bytes: every run under 128 of a
+			// value under 128, which is nearly all of them.
+			run, v = uint64(src[0]), uint64(src[1])
+			src = src[2:]
+		} else {
+			var r1, r2 int
+			if run, r1 = binary.Uvarint(src); r1 <= 0 {
+				return fmt.Errorf("zdb: rle run length malformed at value %d", i)
+			}
+			if v, r2 = binary.Uvarint(src[r1:]); r2 <= 0 {
+				return fmt.Errorf("zdb: rle value malformed at value %d", i)
+			}
+			src = src[r1+r2:]
+		}
+		if run == 0 || run > uint64(n-i) {
+			return fmt.Errorf("zdb: rle run of %d overflows block (%d of %d decoded)", run, i, n)
+		}
+		if v >= 1<<bits {
+			return fmt.Errorf("zdb: rle value %d does not fit in %d bits", v, bits)
+		}
+		fillValues(out[i:i+int(run)], game.Value(v))
+		i += int(run)
+	}
+	return nil
+}
+
 // decodeBlock decodes an encoded block of n values into out[:n].
 func decodeBlock(src []byte, n int, bits int, codec, param uint8, out []game.Value) error {
 	switch codec {
@@ -204,28 +250,7 @@ func decodeBlock(src []byte, n int, bits int, codec, param uint8, out []game.Val
 			return fmt.Errorf("zdb: narrow block truncated (%d bytes for %d×%d bits)", len(src), n, param)
 		}
 	case codecRLE:
-		i := 0
-		for i < n {
-			run, r1 := binary.Uvarint(src)
-			if r1 <= 0 {
-				return fmt.Errorf("zdb: rle run length malformed at value %d", i)
-			}
-			v, r2 := binary.Uvarint(src[r1:])
-			if r2 <= 0 {
-				return fmt.Errorf("zdb: rle value malformed at value %d", i)
-			}
-			src = src[r1+r2:]
-			if run == 0 || run > uint64(n-i) {
-				return fmt.Errorf("zdb: rle run of %d overflows block (%d of %d decoded)", run, i, n)
-			}
-			if v >= 1<<bits {
-				return fmt.Errorf("zdb: rle value %d does not fit in %d bits", v, bits)
-			}
-			for k := uint64(0); k < run; k++ {
-				out[i] = game.Value(v)
-				i++
-			}
-		}
+		return decodeRLE(src, n, bits, out)
 	case codecHuff:
 		return decodeHuff(src, n, bits, out)
 	default:

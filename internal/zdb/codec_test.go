@@ -1,0 +1,284 @@
+package zdb
+
+import (
+	"encoding/binary"
+	"fmt"
+	"math/rand"
+	"strings"
+	"testing"
+
+	"retrograde/internal/game"
+)
+
+// awariBits is the entry width of the awari-shaped fixtures.
+const awariBits = 4
+
+// awariShaped returns n values shaped like an awari rung: 4-bit values
+// from a skewed distribution in short runs (mean about 2.5 entries), which
+// the Huffman codec wins, with every third block a plateau of long runs,
+// which RLE wins. Uniform values (what the benchmarks used before) select
+// neither codec and so never exercised their decoders.
+func awariShaped(n int, seed int64) []game.Value {
+	rng := rand.New(rand.NewSource(seed))
+	vals := make([]game.Value, n)
+	for i := 0; i < n; {
+		v := game.Value(0)
+		for v < 1<<awariBits-1 && rng.Float64() < 0.6 {
+			v++
+		}
+		stop := 0.4 // mean run 2.5
+		if (i/DefaultBlockLen)%3 == 2 {
+			stop = 1.0 / 64
+		}
+		run := 1
+		for rng.Float64() >= stop {
+			run++
+		}
+		for ; run > 0 && i < n; run-- {
+			vals[i] = v
+			i++
+		}
+	}
+	return vals
+}
+
+// encodeAs encodes vals with one named codec, bypassing the smallest-wins
+// selection, and returns the payload and the codec parameter.
+func encodeAs(tb testing.TB, codec uint8, vals []game.Value, bits int) ([]byte, uint8) {
+	tb.Helper()
+	switch codec {
+	case codecRaw:
+		return packBits(nil, vals, 0, bits), 0
+	case codecNarrow:
+		lo, hi := vals[0], vals[0]
+		for _, v := range vals {
+			if v < lo {
+				lo = v
+			}
+			if v > hi {
+				hi = v
+			}
+		}
+		width := widthFor(hi - lo)
+		return packBits(binary.LittleEndian.AppendUint16(nil, uint16(lo)), vals, lo, width), uint8(width)
+	case codecRLE:
+		return encodeRLE(nil, vals), 0
+	case codecHuff:
+		freqs := make([]uint32, 1<<bits)
+		for _, v := range vals {
+			freqs[v]++
+		}
+		for len(freqs) > 1 && freqs[len(freqs)-1] == 0 {
+			freqs = freqs[:len(freqs)-1]
+		}
+		return encodeHuff(nil, vals, huffLengths(freqs)), 0
+	}
+	tb.Fatalf("no codec %d", codec)
+	return nil, 0
+}
+
+// codecFixture returns one DefaultBlockLen block of awari-shaped values
+// for the codec under test: a plateau block for RLE (the blocks it wins),
+// a short-run block for the others.
+func codecFixture(codec uint8) []game.Value {
+	vals := awariShaped(3*DefaultBlockLen, 13)
+	if codec == codecRLE {
+		return vals[2*DefaultBlockLen:]
+	}
+	return vals[:DefaultBlockLen]
+}
+
+func TestDecodeEveryCodec(t *testing.T) {
+	for codec := uint8(0); codec < numCodecs; codec++ {
+		vals := codecFixture(codec)
+		for _, n := range []int{1, 2, 15, 16, 17, 63, 64, 65, 1000, len(vals)} {
+			enc, param := encodeAs(t, codec, vals[:n], awariBits)
+			got := make([]game.Value, n)
+			if err := decodeBlock(enc, n, awariBits, codec, param, got); err != nil {
+				t.Fatalf("%s n=%d: %v", codecName(codec), n, err)
+			}
+			for i := range got {
+				if got[i] != vals[i] {
+					t.Fatalf("%s n=%d: entry %d = %d, want %d", codecName(codec), n, i, got[i], vals[i])
+				}
+			}
+			if len(enc) == 0 {
+				continue
+			}
+			// One byte short must be an error (or, where the dropped byte
+			// held only padding, the same values), never a panic.
+			if err := decodeBlock(enc[:len(enc)-1], n, awariBits, codec, param, got); err == nil {
+				for i := range got {
+					if got[i] != vals[i] {
+						t.Fatalf("%s n=%d truncated: entry %d = %d, want %d", codecName(codec), n, i, got[i], vals[i])
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestUnpackBitsWidths crosses every width, 0 (a constant fill) to 16,
+// with lengths that end on and off byte boundaries.
+func TestUnpackBitsWidths(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for width := 0; width <= 16; width++ {
+		for _, n := range []int{1, 3, 7, 8, 9, 31, 64, 65, 257} {
+			vals := make([]game.Value, n)
+			base := game.Value(0)
+			if width < 16 {
+				base = 3
+			}
+			for i := range vals {
+				vals[i] = base
+				if width > 0 {
+					vals[i] += game.Value(rng.Intn(1 << width))
+				}
+			}
+			enc := packBits(nil, vals, base, width)
+			got := make([]game.Value, n)
+			if !unpackBits(enc, n, base, width, got) {
+				t.Fatalf("width %d n %d: reported truncated", width, n)
+			}
+			for i := range got {
+				if got[i] != vals[i] {
+					t.Fatalf("width %d n %d: entry %d = %d, want %d", width, n, i, got[i], vals[i])
+				}
+			}
+			if width > 0 && unpackBits(enc[:len(enc)-1], n, base, width, got) {
+				t.Fatalf("width %d n %d: accepted a payload one byte short", width, n)
+			}
+		}
+	}
+}
+
+// huffBlock assembles a Huffman payload from explicit code lengths and
+// bitstream bytes.
+func huffBlock(lens []uint8, body ...byte) []byte {
+	src := binary.LittleEndian.AppendUint16(nil, uint16(len(lens)-1))
+	for i := 0; i < len(lens); i += 2 {
+		b := lens[i]
+		if i+1 < len(lens) {
+			b |= lens[i+1] << 4
+		}
+		src = append(src, b)
+	}
+	return append(src, body...)
+}
+
+func TestHuffLengthTables(t *testing.T) {
+	const bits = 6
+	long := make([]uint8, 40) // one short code and 32 codes past the primary table
+	long[0] = 1
+	for i := 8; i < 40; i++ {
+		long[i] = 12
+	}
+	// An odd alphabet leaves a padding nibble; a stray value there must
+	// not be counted as a symbol's length.
+	padded := huffBlock([]uint8{1, 2, 2}, 0b0_10_11_0_00)
+	padded[3] |= 0xF0
+	cases := []struct {
+		name    string
+		src     []byte
+		n       int
+		want    []game.Value
+		wantErr string
+	}{
+		{"complete", huffBlock([]uint8{1, 2, 2}, 0b0_10_11_0_00), 4, []game.Value{0, 1, 2, 0}, ""},
+		{"padding-nibble", padded, 4, []game.Value{0, 1, 2, 0}, ""},
+		{"over-subscribed", huffBlock([]uint8{1, 1, 1}, 0), 2, nil, "over-subscribed"},
+		{"over-subscribed-by-one-15", huffBlock([]uint8{1, 1, 15}, 0), 1, nil, "over-subscribed"},
+		{"all-zero", huffBlock([]uint8{0, 0, 0, 0}, 0xFF), 1, nil, "no symbols"},
+		{"single-symbol", huffBlock([]uint8{0, 0, 1}, 0), 8, []game.Value{2, 2, 2, 2, 2, 2, 2, 2}, ""},
+		{"single-symbol-bad-bit", huffBlock([]uint8{0, 0, 1}, 0b0010_0000, 0, 0), 8, nil, "matches no symbol"},
+		{"single-symbol-exhausted", huffBlock([]uint8{0, 0, 1}, 0), 9, nil, "exhausted"},
+		{"long-codes", huffBlock(long, 0b0_1000000, 0b00000_0_10, 0b00000111, 0b11_000000), 4, []game.Value{0, 8, 0, 39}, ""},
+		{"long-code-cut-short", huffBlock(long, 0b0_1000000, 0b00000_0_10, 0b00000111), 4, nil, "exhausted"},
+		{"long-code-unassigned", huffBlock(long[:39], 0b1000_0001, 0b1111_0000, 0), 1, nil, "matches no symbol"},
+		{"truncated-header", []byte{3}, 1, nil, "shorter than its header"},
+		{"truncated-lengths", []byte{9, 0, 0x22}, 1, nil, "truncated in its length table"},
+		{"symbol-too-wide", huffBlock(make([]uint8, 1<<bits+1), 0), 1, nil, "does not fit in 6 bits"},
+	}
+	for _, c := range cases {
+		// The table path (decodeBlock) and the spill path (DecodeStream)
+		// must both see the same decoder.
+		for _, via := range []struct {
+			name   string
+			decode func([]byte, int, int, uint8, uint8, []game.Value) error
+		}{{"decodeBlock", decodeBlock}, {"DecodeStream", DecodeStream}} {
+			got := make([]game.Value, c.n)
+			err := via.decode(c.src, c.n, bits, codecHuff, 0, got)
+			if c.wantErr != "" {
+				if err == nil || !strings.Contains(err.Error(), c.wantErr) {
+					t.Errorf("%s via %s: error %v, want one containing %q", c.name, via.name, err, c.wantErr)
+				}
+				continue
+			}
+			if err != nil {
+				t.Errorf("%s via %s: %v", c.name, via.name, err)
+			} else if fmt.Sprint(got) != fmt.Sprint(c.want) {
+				t.Errorf("%s via %s: decoded %v, want %v", c.name, via.name, got, c.want)
+			}
+		}
+	}
+}
+
+// TestDecodeAllocatesNothing pins the miss path's contract: decoding a
+// block of any codec, and a cold Get through it, allocates nothing once
+// the table's buffers exist.
+func TestDecodeAllocatesNothing(t *testing.T) {
+	out := make([]game.Value, DefaultBlockLen)
+	for codec := uint8(0); codec < numCodecs; codec++ {
+		vals := codecFixture(codec)
+		enc, param := encodeAs(t, codec, vals, awariBits)
+		if a := testing.AllocsPerRun(20, func() {
+			if err := decodeBlock(enc, len(vals), awariBits, codec, param, out); err != nil {
+				t.Fatal(err)
+			}
+		}); a != 0 {
+			t.Errorf("decoding a %s block allocates %v times", codecName(codec), a)
+		}
+
+		// A two-block table of this codec alone, behind a one-block cache:
+		// alternating probes miss every time.
+		z := &Table{name: "allocs", size: uint64(2 * len(vals)), bits: awariBits, blockLen: len(vals), data: append(append([]byte{}, enc...), enc...)}
+		for b := 0; b < 2; b++ {
+			z.dir = append(z.dir, block{off: uint64(b * len(enc)), encLen: uint32(len(enc)), codec: codec, param: param})
+		}
+		z.SetHotBlocks(1)
+		z.Get(0)
+		i := uint64(0)
+		if a := testing.AllocsPerRun(20, func() {
+			i += uint64(len(vals)) + 1
+			if got := z.Get(i % z.size); got != vals[i%uint64(len(vals))] {
+				t.Fatalf("Get(%d) = %d, want %d", i%z.size, got, vals[i%uint64(len(vals))])
+			}
+		}); a != 0 {
+			t.Errorf("a cold Get of a %s block allocates %v times", codecName(codec), a)
+		}
+		// The first Get plus AllocsPerRun's warm-up call and 20 runs.
+		if st := z.Stats(); st.Hits != 0 || st.Decodes != 22 {
+			t.Errorf("%s: %+v, want 22 decodes and no hits", codecName(codec), st)
+		}
+	}
+}
+
+// BenchmarkDecodeBlock times one 4096-entry block per codec on the
+// awari-shaped fixture and reports ns/entry.
+func BenchmarkDecodeBlock(b *testing.B) {
+	for codec := uint8(0); codec < numCodecs; codec++ {
+		vals := codecFixture(codec)
+		enc, param := encodeAs(b, codec, vals, awariBits)
+		out := make([]game.Value, len(vals))
+		b.Run(codecName(codec), func(b *testing.B) {
+			b.ReportAllocs()
+			b.SetBytes(int64(len(enc)))
+			for i := 0; i < b.N; i++ {
+				if err := decodeBlock(enc, len(vals), awariBits, codec, param, out); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(vals)), "ns/entry")
+		})
+	}
+}

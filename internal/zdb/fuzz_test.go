@@ -68,3 +68,48 @@ func FuzzZdbRoundtrip(f *testing.F) {
 		}
 	})
 }
+
+// FuzzHuffDecode is the differential check of the table-driven Huffman
+// decoder against the bit-serial one it replaced (decodeHuffRef): for an
+// arbitrary code-length table, bitstream and value count, both return the
+// same values or both fail, and neither panics. The one sanctioned
+// difference is an over-subscribed length table, which the reference
+// decodes by first match and decodeHuff must reject.
+func FuzzHuffDecode(f *testing.F) {
+	f.Add([]byte{1, 2, 2}, []byte{0b0_10_11_0_00}, uint16(3))
+	f.Fuzz(func(t *testing.T, lens, body []byte, count uint16) {
+		if len(lens) == 0 || len(lens) > 1<<12 {
+			return
+		}
+		n := 1 + int(count)%(2*DefaultBlockLen)
+		kraft := 0 // in units of 2^-huffMaxLen
+		for i := range lens {
+			lens[i] &= 0xF
+			if lens[i] > 0 {
+				kraft += 1 << (huffMaxLen - lens[i])
+			}
+		}
+		src := huffBlock(lens, body...)
+		got := make([]game.Value, n)
+		err := decodeHuff(src, n, 16, got)
+		if kraft > 1<<huffMaxLen {
+			if err == nil {
+				t.Fatalf("over-subscribed length table %v decoded", lens)
+			}
+			return
+		}
+		want := make([]game.Value, n)
+		refErr := decodeHuffRef(src, n, 16, want)
+		if (err == nil) != (refErr == nil) {
+			t.Fatalf("lens %v body %x n %d: decodeHuff error %v, reference error %v", lens, body, n, err, refErr)
+		}
+		if err != nil {
+			return
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("lens %v body %x n %d: value %d = %d, reference %d", lens, body, n, i, got[i], want[i])
+			}
+		}
+	})
+}

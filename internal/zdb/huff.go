@@ -169,7 +169,159 @@ func encodeHuff(dst []byte, vals []game.Value, lens []uint8) []byte {
 	return dst
 }
 
-// decodeHuff decodes n values from src into out[:n].
+// huffTableBits caps the primary decode table at 2^10 entries (4 KiB of
+// uint32 on the stack). The table is rebuilt for every block and a block
+// holds only a few thousand symbols, so what a larger table, or one that
+// resolves two symbols per lookup, saves in the loop it spends on the
+// fill (measured; see DESIGN.md, key design decisions).
+const huffTableBits = 10
+
+// huffStackSyms is how many long-code symbols (codes longer than the
+// primary table) fit the decoder's stack scratch; awari alphabets
+// (≤ 64 symbols) never exceed it, so their decode allocates nothing.
+const huffStackSyms = 64
+
+// huffDecoder is the per-block decode state, built on the caller's stack.
+//
+// Codes of up to tbits bits resolve with one lookup in table, indexed by
+// the next tbits bits of the stream; an entry is symbol<<4 | length, and
+// length 0 marks a prefix that belongs to a longer code or to no code at
+// all. Those fall back to the canonical walk over lengths tbits+1..maxLen:
+// a code of length l is firstCode[l] + its rank among that length's
+// symbols, and syms lists the long codes' symbols in (length, symbol)
+// order, firstRank[l] being where length l starts.
+type huffDecoder struct {
+	table                       [1 << huffTableBits]uint32
+	count, firstCode, firstRank [huffMaxLen + 1]uint32
+	syms                        []uint16
+	tbits, maxLen               int
+}
+
+// init reads a block's packed code lengths (one nibble per symbol, low
+// nibble first), rejecting length tables that no prefix code can have,
+// and returns how many symbols have long codes: the caller sizes syms to
+// hold them before calling fill. (Keeping that buffer out of init is what
+// lets the caller's stack scratch stay on the stack.)
+func (d *huffDecoder) init(nibbles []byte, alpha int) (nLong int, err error) {
+	for _, b := range nibbles {
+		d.count[b&0xF]++
+		d.count[b>>4]++
+	}
+	if alpha%2 == 1 {
+		d.count[nibbles[len(nibbles)-1]>>4]-- // padding nibble past the last symbol
+	}
+	d.count[0] = 0 // absent symbols get no code
+	kraft := uint32(0)
+	for l := 1; l <= huffMaxLen; l++ {
+		if d.count[l] > 0 {
+			d.maxLen = l
+			kraft += d.count[l] << (huffMaxLen - l)
+		}
+	}
+	if d.maxLen == 0 {
+		return 0, fmt.Errorf("zdb: huffman length table has no symbols")
+	}
+	if kraft > 1<<huffMaxLen {
+		// The canonical codes would overflow their lengths and the table
+		// fill would run past the table.
+		return 0, fmt.Errorf("zdb: huffman length table is over-subscribed")
+	}
+	d.tbits = d.maxLen
+	if d.tbits > huffTableBits {
+		d.tbits = huffTableBits
+	}
+
+	code := uint32(0)
+	for l := 1; l <= d.maxLen; l++ {
+		code = (code + d.count[l-1]) << 1
+		d.firstCode[l] = code
+		if l > d.tbits {
+			d.firstRank[l] = uint32(nLong)
+			nLong += int(d.count[l])
+		}
+	}
+	return nLong, nil
+}
+
+// fill builds the primary table and the long-code symbol list.
+func (d *huffDecoder) fill(nibbles []byte, alpha int) {
+	next, longAt := d.firstCode, d.firstRank
+	for s := 0; s < alpha; s++ {
+		l := int(nibbles[s/2] >> (4 * (s & 1)) & 0xF)
+		switch {
+		case l == 0:
+		case l > d.tbits:
+			d.syms[longAt[l]] = uint16(s)
+			longAt[l]++
+		default:
+			lo := next[l] << (d.tbits - l)
+			next[l]++
+			fill := d.table[lo : lo+1<<(d.tbits-l)]
+			for k := range fill {
+				fill[k] = uint32(s)<<4 | uint32(l)
+			}
+		}
+	}
+}
+
+// decode fills out from the MSB-first bitstream body. The stream's next
+// bits sit MSB-aligned in a 64-bit reservoir that is topped up a word at
+// a time; the bits below the nb valid ones are either zero or already the
+// stream's true next bits, so refills may simply OR over them.
+func (d *huffDecoder) decode(body []byte, out []game.Value) error {
+	var acc uint64
+	nb, pos := uint(0), 0
+	shift := uint(64 - d.tbits)
+	for i := range out {
+		if nb < huffMaxLen {
+			if pos+8 <= len(body) {
+				acc |= binary.BigEndian.Uint64(body[pos:]) >> (nb & 63)
+				pos += int(63-nb) >> 3
+				nb |= 56
+			} else {
+				for nb <= 56 && pos < len(body) {
+					acc |= uint64(body[pos]) << ((56 - nb) & 63)
+					pos++
+					nb += 8
+				}
+			}
+		}
+		e := d.table[acc>>(shift&63)]
+		if e&0xF == 0 {
+			var err error
+			if e, err = d.longCode(acc, nb, i); err != nil {
+				return err
+			}
+		}
+		l := uint(e & 0xF)
+		if l > nb {
+			return fmt.Errorf("zdb: huffman bitstream exhausted at value %d", i)
+		}
+		out[i] = game.Value(e >> 4)
+		acc <<= l
+		nb -= l
+	}
+	return nil
+}
+
+// longCode resolves the code at the head of acc when the primary table
+// could not: a code longer than the table, or no code at all. It returns
+// a table-style entry; i is the value index, for the error.
+func (d *huffDecoder) longCode(acc uint64, nb uint, i int) (uint32, error) {
+	for l := d.tbits + 1; l <= d.maxLen; l++ {
+		if rank := uint32(acc>>(64-uint(l))) - d.firstCode[l]; rank < d.count[l] {
+			return uint32(d.syms[d.firstRank[l]+rank])<<4 | uint32(l), nil
+		}
+	}
+	if nb < uint(d.maxLen) {
+		return 0, fmt.Errorf("zdb: huffman bitstream exhausted at value %d", i)
+	}
+	return 0, fmt.Errorf("zdb: huffman code at value %d matches no symbol", i)
+}
+
+// decodeHuff decodes n values from src into out[:n]. It allocates only
+// for alphabets with more than huffStackSyms codes longer than the
+// primary table.
 func decodeHuff(src []byte, n int, bits int, out []game.Value) error {
 	if len(src) < 2 {
 		return fmt.Errorf("zdb: huffman block shorter than its header")
@@ -183,58 +335,16 @@ func decodeHuff(src []byte, n int, bits int, out []game.Value) error {
 	if len(src) < 2+lensBytes {
 		return fmt.Errorf("zdb: huffman block truncated in its length table")
 	}
-	lens := make([]uint8, alpha)
-	for i := range lens {
-		b := src[2+i/2]
-		if i%2 == 1 {
-			b >>= 4
-		}
-		lens[i] = b & 0xF
+	var d huffDecoder
+	nLong, err := d.init(src[2:2+lensBytes], alpha)
+	if err != nil {
+		return err
 	}
-	// Canonical decode tables: first code and first rank per length, and
-	// symbols sorted by (length, symbol).
-	var count [huffMaxLen + 1]uint16
-	for _, l := range lens {
-		count[l]++
+	var symStack [huffStackSyms]uint16
+	d.syms = symStack[:]
+	if nLong > huffStackSyms {
+		d.syms = make([]uint16, nLong)
 	}
-	count[0] = 0 // absent symbols get no code
-	var firstCode, firstRank [huffMaxLen + 2]uint16
-	code, rank := uint16(0), uint16(0)
-	for l := 1; l <= huffMaxLen; l++ {
-		code = (code + count[l-1]) << 1
-		firstCode[l] = code
-		firstRank[l] = rank
-		rank += count[l]
-	}
-	syms := make([]uint16, 0, alpha)
-	for l := uint8(1); l <= huffMaxLen; l++ {
-		for s, sl := range lens {
-			if sl == l {
-				syms = append(syms, uint16(s))
-			}
-		}
-	}
-	body := src[2+lensBytes:]
-	bitPos := 0
-	totalBits := len(body) * 8
-	for i := 0; i < n; i++ {
-		c := uint16(0)
-		matched := false
-		for l := 1; l <= huffMaxLen; l++ {
-			if bitPos >= totalBits {
-				return fmt.Errorf("zdb: huffman bitstream exhausted at value %d", i)
-			}
-			c = c<<1 | uint16(body[bitPos/8]>>(7-bitPos%8)&1)
-			bitPos++
-			if count[l] > 0 && c >= firstCode[l] && c-firstCode[l] < count[l] {
-				out[i] = game.Value(syms[firstRank[l]+c-firstCode[l]])
-				matched = true
-				break
-			}
-		}
-		if !matched {
-			return fmt.Errorf("zdb: huffman code at value %d matches no symbol", i)
-		}
-	}
-	return nil
+	d.fill(src[2:2+lensBytes], alpha)
+	return d.decode(src[2+lensBytes:], out[:n])
 }

@@ -60,9 +60,10 @@ type Table struct {
 
 	mu     sync.Mutex
 	hot    []hotBlock
-	hotCap int // 0 = defaultHotBlocks
-	free   [][]game.Value
+	hotCap int            // 0 = defaultHotBlocks
+	free   [][]game.Value // decoded-block buffers not in hot
 	clock  uint64
+	stats  Stats
 }
 
 // Compress builds a block-compressed copy of t using blockLen entries

@@ -2,6 +2,8 @@ package zdb
 
 import (
 	"bytes"
+	"fmt"
+	"hash/fnv"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -161,6 +163,44 @@ func TestAwariParity(t *testing.T) {
 		}
 		if v2.Bytes() >= v1.Bytes() && n >= 4 {
 			t.Errorf("rung %d: compressed %d bytes >= packed %d", n, v2.Bytes(), v1.Bytes())
+		}
+	}
+}
+
+// TestCompressGolden pins the bytes Compress writes for awari rungs 6..8,
+// so a codec change that alters the format (rather than only the speed
+// of reading it) fails here. The hashes are FNV-1a of WriteTo's output,
+// taken with the bit-serial decoders' commit checked out: files it wrote
+// are the files this commit writes, and TestAwariParity reads them back.
+func TestCompressGolden(t *testing.T) {
+	golden := map[string]uint64{
+		"awari-6/4096": 0x5b164d304009286a,
+		"awari-6/256":  0x2d5d76233c2620f3,
+		"awari-7/4096": 0x3fc217f53cbbf1cd,
+		"awari-7/256":  0xa25f8afa71857fae,
+		"awari-8/4096": 0x935d6d3572e1f9fc,
+		"awari-8/256":  0xcdd20f878da6d5bf,
+	}
+	cfg := ladder.Config{Rules: awari.Standard, Loop: awari.LoopOwnSide}
+	l, err := ladder.Build(cfg, 8, ra.Sequential{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for n := 6; n <= 8; n++ {
+		v1 := pack(t, l.Slice(n).Name(), l.Slice(n).ValueBits(), l.Result(n).Values)
+		for _, blockLen := range []int{DefaultBlockLen, 256} {
+			z, err := Compress(v1, blockLen)
+			if err != nil {
+				t.Fatal(err)
+			}
+			h := fnv.New64a()
+			if _, err := z.WriteTo(h); err != nil {
+				t.Fatal(err)
+			}
+			key := fmt.Sprintf("awari-%d/%d", n, blockLen)
+			if got := h.Sum64(); got != golden[key] {
+				t.Errorf("%s: Compress output hashes to %#016x, golden %#016x", key, got, golden[key])
+			}
 		}
 	}
 }
@@ -367,20 +407,19 @@ func BenchmarkZdbRandomGet(b *testing.B) {
 }
 
 // BenchmarkZdbColdGet measures the miss path: every Get decodes through
-// a single-block cache, exercising the pooled backing arrays.
+// a single-block cache, exercising the pooled backing arrays, on values
+// shaped like an awari rung so the blocks are Huffman and RLE ones.
 func BenchmarkZdbColdGet(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	vals := make([]game.Value, 256*1024)
-	for i := range vals {
-		vals[i] = game.Value(rng.Intn(40))
-	}
-	tab, err := db.Pack("bench", 6, vals)
+	tab, err := db.Pack("bench", awariBits, awariShaped(256*1024, 1))
 	if err != nil {
 		b.Fatal(err)
 	}
 	z, err := Compress(tab, DefaultBlockLen)
 	if err != nil {
 		b.Fatal(err)
+	}
+	if raw, narrow, rle, huff := z.CodecCounts(); huff == 0 || rle == 0 || raw+narrow != 0 {
+		b.Fatalf("fixture compressed to %d raw, %d narrow, %d rle, %d huff blocks; want only rle and huff", raw, narrow, rle, huff)
 	}
 	z.SetHotBlocks(1)
 	stride := uint64(DefaultBlockLen + 1) // new block almost every probe
