@@ -535,6 +535,25 @@ func (m *blockManager) prefetchUpcoming(touch []*block, cursor *int, k int) {
 	}
 }
 
+// visit runs one phase over the blocks of touch, in order: each block is
+// pinned, made resident and drained of its parked runs before fn works
+// on it, while the prefetcher reads ahead along the rest of the list.
+func (m *blockManager) visit(touch []*block, fn func(*block)) error {
+	cursor := 0
+	for k, b := range touch {
+		m.prefetchUpcoming(touch, &cursor, k)
+		m.pin(b)
+		if err := m.ensureResident(b); err != nil {
+			m.unpin(b)
+			return err
+		}
+		m.drainPending(b)
+		fn(b)
+		m.unpin(b)
+	}
+	return nil
+}
+
 // prefetchNextWave warms the blocks whose coming-wave frontier is
 // already visible (PeekWave) before BeginWave promotes it — the window
 // between the end-of-wave flush and the next expansion is spill-store

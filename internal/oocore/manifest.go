@@ -78,22 +78,6 @@ func countersFromWords(w [8]uint64) manifestCounters {
 	}
 }
 
-func statsWords(s *ra.WorkerStats) [9]uint64 {
-	return [9]uint64{
-		s.Positions, s.InitFinal, s.MovesGenerated,
-		s.Expanded, s.PredsGenerated, s.UpdatesApplied,
-		s.UpdatesStale, s.Finalized, s.LoopResolved,
-	}
-}
-
-func statsFromWords(w [9]uint64) ra.WorkerStats {
-	return ra.WorkerStats{
-		Positions: w[0], InitFinal: w[1], MovesGenerated: w[2],
-		Expanded: w[3], PredsGenerated: w[4], UpdatesApplied: w[5],
-		UpdatesStale: w[6], Finalized: w[7], LoopResolved: w[8],
-	}
-}
-
 // writeManifest writes the manifest atomically: crash-at-any-instant
 // leaves either the previous manifest or the complete new one.
 func writeManifest(path string, mf *manifest) error {
@@ -117,7 +101,7 @@ func writeManifest(path string, mf *manifest) error {
 			mb := &mf.blocks[i]
 			buf = buf[:0]
 			buf = binary.LittleEndian.AppendUint64(buf, mb.gen)
-			for _, w := range statsWords(&mb.stats) {
+			for _, w := range mb.stats.Words() {
 				buf = binary.LittleEndian.AppendUint64(buf, w)
 			}
 			for _, q := range [][]uint64{mb.queue, mb.next, mb.loopy} {
@@ -196,7 +180,7 @@ func readManifest(path string) (*manifest, error) {
 		for j := range words {
 			words[j] = r.u64()
 		}
-		mb.stats = statsFromWords(words)
+		mb.stats = ra.StatsFromWords(words)
 		mb.queue = r.u64s()
 		mb.next = r.u64s()
 		mb.loopy = r.u64s()

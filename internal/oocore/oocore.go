@@ -210,28 +210,14 @@ func (e Engine) solve(g game.Game) (*ra.Result, *blockManager, error) {
 	}
 
 	rt := newRouter(m)
-	var emitRun func(owner int, r ra.UpdateRun)
-	var emitUpd func(owner int, u ra.Update)
-	if kern == ra.KernelSWAR {
-		emitRun = func(owner int, run ra.UpdateRun) {
-			tb := m.blocks[owner]
-			if tb.w.StateResident() {
-				tb.w.ApplyRun(run)
-				tb.dirty = true
-				return
-			}
-			rt.addRun(owner, run)
+	emit := func(owner int, run ra.UpdateRun) {
+		tb := m.blocks[owner]
+		if tb.w.StateResident() {
+			tb.w.ApplyRun(run)
+			tb.dirty = true
+			return
 		}
-	} else {
-		emitUpd = func(owner int, u ra.Update) {
-			tb := m.blocks[owner]
-			if tb.w.StateResident() {
-				tb.w.Apply(u)
-				tb.dirty = true
-				return
-			}
-			rt.addUpdate(owner, u)
-		}
+		rt.addRun(owner, run)
 	}
 
 	every := e.CheckpointEvery
@@ -293,24 +279,13 @@ func (e Engine) solve(g game.Game) (*ra.Result, *blockManager, error) {
 				b.touchEpoch = m.epoch
 			}
 		}
-		cursor := 0
-		for k, b := range touch {
-			m.prefetchUpcoming(touch, &cursor, k)
-			m.pin(b)
-			if err := m.ensureResident(b); err != nil {
-				m.unpin(b)
-				return nil, m, err
-			}
-			m.drainPending(b)
+		if err := m.visit(touch, func(b *block) {
 			if queued[b.idx] > 0 {
-				if kern == ra.KernelSWAR {
-					b.w.ExpandRuns(0, emitRun)
-				} else {
-					b.w.ExpandLocal(0, b.w.Apply, emitUpd)
-				}
+				b.w.ExpandRuns(0, emit)
 				b.dirty = true
 			}
-			m.unpin(b)
+		}); err != nil {
+			return nil, m, err
 		}
 		rt.flushAll()
 		// Flush phase: drain the runs the router parked on non-resident
@@ -325,16 +300,8 @@ func (e Engine) solve(g game.Game) (*ra.Result, *blockManager, error) {
 				b.touchEpoch = m.epoch
 			}
 		}
-		cursor = 0
-		for k, b := range touch {
-			m.prefetchUpcoming(touch, &cursor, k)
-			m.pin(b)
-			if err := m.ensureResident(b); err != nil {
-				m.unpin(b)
-				return nil, m, err
-			}
-			m.drainPending(b)
-			m.unpin(b)
+		if err := m.visit(touch, func(*block) {}); err != nil {
+			return nil, m, err
 		}
 		// The wave barrier is where write-behind failures surface: a
 		// spill that failed since the last barrier aborts here — one wave
@@ -369,28 +336,17 @@ func (e Engine) solve(g game.Game) (*ra.Result, *blockManager, error) {
 
 	// Quiescence: resolve loops and assemble the result block by block in
 	// one residency pass each, prefetching along the block order.
-	var loops uint64
-	values := make([]game.Value, size)
-	loopBits := make([]uint64, (size+63)/64)
-	workers := make([]ra.WorkerStats, nb)
+	result := ra.NewResult(part, waves)
 	m.epoch++
 	for _, b := range m.blocks {
 		b.touchEpoch = m.epoch
 	}
-	cursor := 0
-	for k, b := range m.blocks {
-		m.prefetchUpcoming(m.blocks, &cursor, k)
-		m.pin(b)
-		if err := m.ensureResident(b); err != nil {
-			m.unpin(b)
-			return nil, m, err
-		}
-		loops += b.w.ResolveLoops()
+	if err := m.visit(m.blocks, func(b *block) {
+		b.w.ResolveLoops()
 		b.dirty = true
-		b.w.Fill(values)
-		b.w.FillLoop(loopBits)
-		workers[b.idx] = b.w.Stats
-		m.unpin(b)
+		result.Collect(b.w)
+	}); err != nil {
+		return nil, m, err
 	}
 	// Join the pipeline before touching the store's files: clear must not
 	// race an in-flight write, and a write error still has to fail the
@@ -404,14 +360,7 @@ func (e Engine) solve(g game.Game) (*ra.Result, *blockManager, error) {
 			return nil, m, err
 		}
 	}
-	return &ra.Result{
-		Values:        values,
-		Waves:         waves,
-		LoopPositions: loops,
-		Loop:          loopBits,
-		Workers:       workers,
-		Kernel:        kern.String(),
-	}, m, nil
+	return result, m, nil
 }
 
 // StoreInfo summarises an on-disk spill store — what rastats -spill

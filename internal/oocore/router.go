@@ -21,8 +21,8 @@ type router struct {
 	m   *blockManager
 	buf *combine.Buffer[ra.UpdateRun]
 	// open holds the run still being extended per destination (Count == 0
-	// when empty), so scalar per-update traffic and consecutive SWAR runs
-	// coalesce before they ever reach the combining buffer.
+	// when empty), so consecutive runs coalesce before they ever reach the
+	// combining buffer.
 	open []ra.UpdateRun
 }
 
@@ -32,22 +32,8 @@ func newRouter(m *blockManager) *router {
 	return r
 }
 
-// addUpdate routes one scalar update, extending the destination's open
-// run when the target is the next consecutive position with equal value.
-func (r *router) addUpdate(dst int, u ra.Update) {
-	o := &r.open[dst]
-	if o.Count > 0 {
-		if u.Target == o.Base+uint64(o.Count) && u.Value == o.Value {
-			o.Count++
-			return
-		}
-		r.buf.Add(dst, *o)
-	}
-	*o = ra.UpdateRun{Base: u.Target, Count: 1, Value: u.Value}
-}
-
-// addRun routes an already run-coalesced update batch (the SWAR expand
-// path), merging it into the destination's open run when contiguous.
+// addRun routes one update run, merging it into the destination's open
+// run when contiguous.
 func (r *router) addRun(dst int, run ra.UpdateRun) {
 	o := &r.open[dst]
 	if o.Count > 0 {

@@ -96,152 +96,49 @@ func (d AsyncDistributed) Solve(g game.Game) (*Result, error) {
 // report. The report's ProtocolMessages counts token passes and the
 // loop-phase coordination.
 func (d AsyncDistributed) SolveDetailed(g game.Game) (*Result, *SimReport, error) {
-	p := d.workers()
-	part, err := NewPartition(g.Size(), p, d.group())
+	sr, err := newSimRun(g, d.workers(), d.group(), d.combineSize(), d.Network, d.NetConfig, d.Cost, d.Compute)
 	if err != nil {
 		return nil, nil, err
 	}
-	kernel := sim.New()
-	netCfg := d.NetConfig
-	if netCfg.BitsPerSec == 0 {
-		netCfg = network.DefaultEthernet()
-	}
-	var net network.Network
-	switch d.Network {
-	case CrossbarNet:
-		net, err = network.NewCrossbar(kernel, netCfg)
-	default:
-		net, err = network.NewEthernet(kernel, netCfg)
-	}
-	if err != nil {
-		return nil, nil, err
-	}
-	cost := DefaultMessageCost()
-	if d.Cost != nil {
-		cost = *d.Cost
-	}
-	comp := DefaultComputeCosts()
-	if d.Compute != nil {
-		comp = *d.Compute
-	}
-	clu, err := cluster.New(kernel, net, cost, p)
-	if err != nil {
-		return nil, nil, err
-	}
-
-	run := &asyncRun{
-		g:       g,
-		part:    part,
-		clu:     clu,
-		comp:    comp,
-		combine: d.combineSize(),
-		chunk:   d.chunk(),
-		nodes:   make([]*asyncNode, p),
-	}
-	for i := 0; i < p; i++ {
-		run.nodes[i] = newAsyncNode(run, i)
+	run := &asyncRun{simRun: sr, chunk: d.chunk()}
+	for i := range sr.sims {
+		run.nodes = append(run.nodes, newAsyncNode(run, i))
 	}
 	for _, n := range run.nodes {
 		n.start()
 	}
-	duration := clu.Run()
-	if !run.finished {
-		return nil, nil, fmt.Errorf("ra: async run over %q stalled before completion", g.Name())
-	}
-	for i := 0; i < p; i++ {
-		if bu := clu.Node(i).BusyUntil(); bu > duration {
-			duration = bu
-		}
-	}
-
-	values := make([]game.Value, g.Size())
-	loopBits := make([]uint64, (g.Size()+63)/64)
-	stats := make([]WorkerStats, p)
-	var loops uint64
-	var comb combine.Stats
-	nodeStats := make([]cluster.NodeStats, p)
-	var localU, remoteU uint64
-	for i, n := range run.nodes {
-		n.w.Fill(values)
-		n.w.FillLoop(loopBits)
-		stats[i] = n.w.Stats
-		loops += n.w.Stats.LoopResolved
-		cs := n.buf.Stats()
-		comb.Items += cs.Items
-		comb.Flushes += cs.Flushes
-		comb.FullFlushes += cs.FullFlushes
-		comb.ForcedFlushes += cs.ForcedFlushes
-		if cs.MaxBatch > comb.MaxBatch {
-			comb.MaxBatch = cs.MaxBatch
-		}
-		nodeStats[i] = clu.Node(i).Stats()
-		localU += n.localUpdates
-		remoteU += n.remoteUpdates
-	}
-	report := &SimReport{
-		Duration:         duration,
-		Net:              net.Stats(),
-		Nodes:            nodeStats,
-		Combining:        comb,
-		DataMessages:     net.Stats().Messages - run.protocolMsgs,
-		ProtocolMessages: run.protocolMsgs,
-		LocalUpdates:     localU,
-		RemoteUpdates:    remoteU,
-		Events:           kernel.Events(),
-	}
-	result := &Result{
-		Values:        values,
-		Waves:         run.probes, // for async runs: Safra probe rounds
-		LoopPositions: loops,
-		Loop:          loopBits,
-		Workers:       stats,
-		Sim:           report,
-	}
-	return result, report, nil
+	// An async result's Waves are the Safra probe rounds.
+	return sr.solve("async", &run.probes)
 }
 
 type asyncRun struct {
-	g       game.Game
-	part    *Partition
-	clu     *cluster.Cluster
-	comp    ComputeCosts
-	combine int
-	chunk   int
-	nodes   []*asyncNode
+	*simRun
+	chunk int
+	nodes []*asyncNode
 
-	probes       int // Safra probe rounds completed
-	protocolMsgs uint64
-	dones        int
-	finished     bool
-	inEpilogue   bool
+	probes     int // Safra probe rounds completed
+	dones      int
+	inEpilogue bool
 }
 
 // asyncNode is one processor of the asynchronous engine, implementing
 // Safra's algorithm: a message counter (sent-received), a color (black
 // after receiving a message), and a circulating token.
 type asyncNode struct {
-	run  *asyncRun
-	node *cluster.Node
-	w    *Worker
-	buf  *combine.Buffer[Update]
+	simNode
+	run *asyncRun
 
 	scheduled bool // a work quantum is pending
 	counter   int64
 	black     bool
 	hasToken  bool
 	token     tokenMsg
-
-	localUpdates  uint64
-	remoteUpdates uint64
 }
 
 func newAsyncNode(run *asyncRun, id int) *asyncNode {
-	n := &asyncNode{
-		run:  run,
-		node: run.clu.Node(id),
-		w:    NewWorker(run.g, run.part, id),
-	}
-	n.buf = combine.MustNew(len(run.nodes), run.combine, func(dst int, batch []Update) {
+	n := &asyncNode{simNode: run.newNode(id), run: run}
+	run.sims[id] = &n.simNode
+	n.buf = combine.MustNew(len(run.sims), run.combine, func(dst int, batch []Update) {
 		if dst == id {
 			n.localUpdates += uint64(len(batch))
 			for _, u := range batch {

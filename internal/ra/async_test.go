@@ -37,6 +37,9 @@ func TestAsyncOutcomesMatchOnWDLGames(t *testing.T) {
 			if got.LoopPositions != want.LoopPositions {
 				t.Errorf("%s %s: loop positions %d vs %d", g.Name(), cfg.Name(), got.LoopPositions, want.LoopPositions)
 			}
+			if got.Kernel != want.Kernel {
+				t.Errorf("%s %s: result names kernel %q, want %q", g.Name(), cfg.Name(), got.Kernel, want.Kernel)
+			}
 		}
 	}
 }

@@ -15,22 +15,21 @@ import (
 // so it both validates the distributed engine and gives genuine wall-clock
 // speedups for building real databases.
 //
-// The hot path is allocation-free in steady state: batch backing arrays
-// are recycled between receiver and sender through a shared pool, and
-// updates a worker addresses to itself are applied inline (the
+// The transport carries run-encoded updates (UpdateRun) under either wave
+// kernel. The hot path is allocation-free in steady state: batch backing
+// arrays are recycled between receiver and sender through a shared pool,
+// and updates a worker addresses to itself are applied inline (the
 // self-delivery fast path) instead of round-tripping through a combining
 // buffer and channel.
 type Concurrent struct {
 	// Workers is the number of shards; 0 means GOMAXPROCS.
 	Workers int
-	// Batch is the number of updates combined into one channel send;
+	// Batch is the number of update runs combined into one channel send;
 	// 0 means 256, 1 disables batching (the unbatched ablation).
 	Batch int
 	// Group is the block-cyclic partition group size; 0 means 1 (cyclic).
 	Group uint64
-	// Config selects the wave kernel (auto by default). Under the SWAR
-	// kernel the transport carries run-encoded update batches (UpdateRun)
-	// instead of individual updates.
+	// Config selects the wave kernel (auto by default).
 	Config Config
 }
 
@@ -64,15 +63,13 @@ func (c Concurrent) group() uint64 {
 // drains, so incoming batches are consumed while expansion is in flight.
 const expandChunk = 512
 
-// waveMsg is one message on a worker's inbox: a batch of updates (scalar
-// kernel), a batch of run-encoded updates (SWAR kernel), or the
-// end-of-wave signal from one sender. The explicit done flag (rather than
-// a nil-slice sentinel) means a legitimately empty batch can never be
-// mistaken for end-of-wave.
+// waveMsg is one message on a worker's inbox: a batch of update runs or
+// the end-of-wave signal from one sender. The explicit done flag (rather
+// than a nil-slice sentinel) means a legitimately empty batch can never
+// be mistaken for end-of-wave.
 type waveMsg struct {
-	batch []Update
-	runs  []UpdateRun
-	done  bool
+	runs []UpdateRun
+	done bool
 }
 
 // waveWorker is one shard's transport state in the Concurrent engine:
@@ -85,79 +82,45 @@ type waveWorker struct {
 	p     int
 	w     *Worker
 	inbox []chan waveMsg   // all inboxes; ours is inbox[me]
-	free  chan []Update    // shared pool of recycled batch arrays
-	rfree chan []UpdateRun // shared pool of recycled run arrays (SWAR)
-	buf   *combine.Buffer[Update]
-	rbuf  *combine.Buffer[UpdateRun] // run transport (SWAR kernel only)
-	cap   int                        // batch capacity
+	free  chan []UpdateRun // shared pool of recycled batch arrays
+	buf   *combine.Buffer[UpdateRun]
 
-	applyFn  func(Update)                 // bound w.Apply, allocated once
-	addFn    func(owner int, u Update)    // bound buf.Add, allocated once
-	addRunFn func(owner int, r UpdateRun) // bound rbuf.Add (SWAR)
-	done     int                          // end-of-wave signals seen this wave
+	add  func(owner int, r UpdateRun) // bound buf.Add, allocated once
+	done int                          // end-of-wave signals seen this wave
 }
 
-func newWaveWorker(w *Worker, inbox []chan waveMsg, free chan []Update, rfree chan []UpdateRun, batch int) *waveWorker {
+func newWaveWorker(w *Worker, inbox []chan waveMsg, free chan []UpdateRun, batch int) *waveWorker {
 	ww := &waveWorker{
 		me:    w.ID(),
 		p:     len(inbox),
 		w:     w,
 		inbox: inbox,
 		free:  free,
-		rfree: rfree,
-		cap:   batch,
 	}
-	if w.Kernel() == KernelSWAR {
-		ww.rbuf = combine.MustNew(ww.p, batch, func(dst int, b []UpdateRun) {
-			ww.post(dst, waveMsg{runs: b})
-		})
-		ww.rbuf.SetAlloc(ww.allocRuns)
-		ww.addRunFn = ww.rbuf.Add
-	} else {
-		ww.buf = combine.MustNew(ww.p, batch, func(dst int, b []Update) {
-			ww.post(dst, waveMsg{batch: b})
-		})
-		ww.buf.SetAlloc(ww.alloc)
-		ww.applyFn = w.Apply
-		ww.addFn = ww.buf.Add
-	}
+	ww.buf = combine.MustNew(ww.p, batch, func(dst int, b []UpdateRun) {
+		ww.post(dst, waveMsg{runs: b})
+	})
+	ww.buf.SetAlloc(ww.alloc)
+	ww.add = ww.buf.Add
 	return ww
 }
 
 // alloc hands the combining buffer a recycled batch array when one is
 // available, allocating only while the pool warms up.
-func (ww *waveWorker) alloc() []Update {
+func (ww *waveWorker) alloc() []UpdateRun {
 	select {
 	case b := <-ww.free:
 		return b
 	default:
-		return make([]Update, 0, ww.cap)
+		return make([]UpdateRun, 0, ww.buf.Capacity())
 	}
 }
 
 // recycle returns a consumed batch array to the pool (dropping it if the
 // pool is full — the array is then ordinary garbage).
-func (ww *waveWorker) recycle(b []Update) {
+func (ww *waveWorker) recycle(b []UpdateRun) {
 	select {
 	case ww.free <- b[:0]:
-	default:
-	}
-}
-
-// allocRuns and recycleRuns are the run-array counterparts used by the
-// SWAR transport.
-func (ww *waveWorker) allocRuns() []UpdateRun {
-	select {
-	case b := <-ww.rfree:
-		return b
-	default:
-		return make([]UpdateRun, 0, ww.cap)
-	}
-}
-
-func (ww *waveWorker) recycleRuns(b []UpdateRun) {
-	select {
-	case ww.rfree <- b[:0]:
 	default:
 	}
 }
@@ -168,17 +131,10 @@ func (ww *waveWorker) apply(m waveMsg) {
 		ww.done++
 		return
 	}
-	if m.runs != nil {
-		for _, r := range m.runs {
-			ww.w.ApplyRun(r)
-		}
-		ww.recycleRuns(m.runs)
-		return
+	for _, r := range m.runs {
+		ww.w.ApplyRun(r)
 	}
-	for _, u := range m.batch {
-		ww.w.Apply(u)
-	}
-	ww.recycle(m.batch)
+	ww.recycle(m.runs)
 }
 
 // post delivers a message to dst, draining our own inbox whenever the
@@ -214,25 +170,10 @@ func (ww *waveWorker) drain() {
 // until all peers have signalled.
 func (ww *waveWorker) wave() {
 	ww.done = 0
-	if ww.rbuf != nil {
-		for {
-			k := ww.w.ExpandRuns(expandChunk, ww.addRunFn)
-			if k == 0 {
-				break
-			}
-			ww.drain()
-		}
-		ww.rbuf.FlushAll()
-	} else {
-		for {
-			k := ww.w.ExpandLocal(expandChunk, ww.applyFn, ww.addFn)
-			if k == 0 {
-				break
-			}
-			ww.drain()
-		}
-		ww.buf.FlushAll()
+	for ww.w.ExpandRuns(expandChunk, ww.add) > 0 {
+		ww.drain()
 	}
+	ww.buf.FlushAll()
 	for dst := 0; dst < ww.p; dst++ {
 		if dst == ww.me {
 			ww.done++
@@ -267,12 +208,10 @@ func (c Concurrent) Solve(g game.Game) (*Result, error) {
 	// after warm-up, waves move updates without allocating. Sized to hold
 	// every array that can circulate at once (all inbox slots plus every
 	// sender's partial per-destination batches), so recycles never drop.
-	// Only the pool matching the resolved kernel ever circulates arrays.
-	free := make(chan []Update, 5*p*p+p)
-	rfree := make(chan []UpdateRun, 5*p*p+p)
+	free := make(chan []UpdateRun, 5*p*p+p)
 	wws := make([]*waveWorker, p)
 	for i, w := range workers {
-		wws[i] = newWaveWorker(w, inbox, free, rfree, c.batch())
+		wws[i] = newWaveWorker(w, inbox, free, c.batch())
 	}
 
 	// Phase 1: initialisation, embarrassingly parallel.
@@ -317,42 +256,18 @@ func (c Concurrent) Solve(g game.Game) (*Result, error) {
 	}
 
 	// Phase 3: loop resolution, embarrassingly parallel.
-	var loops uint64
-	var mu sync.Mutex
 	for _, w := range workers {
 		wg.Add(1)
 		go func(w *Worker) {
 			defer wg.Done()
-			n := w.ResolveLoops()
-			mu.Lock()
-			loops += n
-			mu.Unlock()
+			w.ResolveLoops()
 		}(w)
 	}
 	wg.Wait()
 
-	values := make([]game.Value, g.Size())
-	loopBits := make([]uint64, (g.Size()+63)/64)
-	stats := make([]WorkerStats, p)
-	for i, w := range workers {
-		wg.Add(1)
-		go func(i int, w *Worker) {
-			defer wg.Done()
-			w.Fill(values)
-			stats[i] = w.Stats
-		}(i, w)
-	}
-	wg.Wait()
-	// Loop bitsets write shared words; fill sequentially.
+	r := NewResult(part, waves)
 	for _, w := range workers {
-		w.FillLoop(loopBits)
+		r.Collect(w)
 	}
-	return &Result{
-		Values:        values,
-		Waves:         waves,
-		LoopPositions: loops,
-		Loop:          loopBits,
-		Workers:       stats,
-		Kernel:        workers[0].Kernel().String(),
-	}, nil
+	return r, nil
 }

@@ -219,131 +219,138 @@ func (d Distributed) Solve(g game.Game) (*Result, error) {
 // simulation report (virtual time, traffic, combining factor). The same
 // report is attached to the Result's Sim field.
 func (d Distributed) SolveDetailed(g game.Game) (*Result, *SimReport, error) {
-	p := d.workers()
-	part, err := NewPartition(g.Size(), p, d.group())
+	sr, err := newSimRun(g, d.workers(), d.group(), d.combineSize(), d.Network, d.NetConfig, d.Cost, d.Compute)
 	if err != nil {
 		return nil, nil, err
 	}
+	run := &distRun{simRun: sr, protocol: d.Protocol}
+	for i := range sr.sims {
+		run.nodes = append(run.nodes, newDistNode(run, i))
+	}
+	for _, n := range run.nodes {
+		n.start()
+	}
+	return sr.solve("distributed", &run.waves)
+}
+
+// simRun is what a solve on the simulated cluster consists of whichever
+// engine drives it: the game and its partition, the machine (event
+// kernel, interconnect and nodes behind clu), the virtual cost of
+// compute, and per node the worker with its combining buffer. Distributed
+// and AsyncDistributed embed it and add their protocol state.
+type simRun struct {
+	g       game.Game
+	part    *Partition
+	clu     *cluster.Cluster
+	comp    ComputeCosts
+	combine int
+	sims    []*simNode // one per node, filled in by the engine's node constructor
+
+	protocolMsgs uint64
+	finished     bool
+}
+
+// simNode is the part of a simulated processor both engines share: the
+// cluster node, its worker and combining buffer, and the split of
+// generated updates by whether their target was local.
+type simNode struct {
+	node *cluster.Node
+	w    *Worker
+	buf  *combine.Buffer[Update]
+
+	localUpdates  uint64
+	remoteUpdates uint64
+}
+
+// newSimRun partitions g and builds the cluster; zero-valued overrides
+// pick the 1995 calibration (DefaultEthernet, DefaultMessageCost,
+// DefaultComputeCosts).
+func newSimRun(g game.Game, workers int, group uint64, combineSize int, kind NetworkKind, netCfg network.EthernetConfig, cost *cluster.CostModel, comp *ComputeCosts) (*simRun, error) {
+	part, err := NewPartition(g.Size(), workers, group)
+	if err != nil {
+		return nil, err
+	}
 	kernel := sim.New()
-	netCfg := d.NetConfig
 	if netCfg.BitsPerSec == 0 {
 		netCfg = network.DefaultEthernet()
 	}
 	var net network.Network
-	switch d.Network {
+	switch kind {
 	case CrossbarNet:
 		net, err = network.NewCrossbar(kernel, netCfg)
 	default:
 		net, err = network.NewEthernet(kernel, netCfg)
 	}
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	cost := DefaultMessageCost()
-	if d.Cost != nil {
-		cost = *d.Cost
+	msgCost := DefaultMessageCost()
+	if cost != nil {
+		msgCost = *cost
 	}
-	comp := DefaultComputeCosts()
-	if d.Compute != nil {
-		comp = *d.Compute
-	}
-	clu, err := cluster.New(kernel, net, cost, p)
+	clu, err := cluster.New(kernel, net, msgCost, workers)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
+	r := &simRun{g: g, part: part, clu: clu, comp: DefaultComputeCosts(), combine: combineSize, sims: make([]*simNode, workers)}
+	if comp != nil {
+		r.comp = *comp
+	}
+	return r, nil
+}
 
-	run := &distRun{
-		g:        g,
-		part:     part,
-		clu:      clu,
-		comp:     comp,
-		combine:  d.combineSize(),
-		protocol: d.Protocol,
-		nodes:    make([]*distNode, p),
-	}
-	for i := 0; i < p; i++ {
-		run.nodes[i] = newDistNode(run, i)
-	}
-	for _, n := range run.nodes {
-		n.start()
-	}
-	duration := clu.Run()
-	if !run.finished {
-		return nil, nil, fmt.Errorf("ra: distributed run over %q stalled before completion", g.Name())
-	}
-	// The run ends when the last CPU drains, which can extend past the
-	// last network event (e.g. the final loop-resolution compute).
-	for i := 0; i < p; i++ {
-		if bu := clu.Node(i).BusyUntil(); bu > duration {
-			duration = bu
-		}
-	}
+// newNode builds the shared part of node id; the engine's node embeds it
+// and records its address in sims.
+func (r *simRun) newNode(id int) simNode {
+	return simNode{node: r.clu.Node(id), w: NewWorker(r.g, r.part, id)}
+}
 
-	values := make([]game.Value, g.Size())
-	loopBits := make([]uint64, (g.Size()+63)/64)
-	stats := make([]WorkerStats, p)
-	var loops uint64
-	var comb combine.Stats
-	nodeStats := make([]cluster.NodeStats, p)
-	for i, n := range run.nodes {
-		n.w.Fill(values)
-		n.w.FillLoop(loopBits)
-		stats[i] = n.w.Stats
-		loops += n.w.Stats.LoopResolved
-		cs := n.buf.Stats()
-		comb.Items += cs.Items
-		comb.Flushes += cs.Flushes
-		comb.FullFlushes += cs.FullFlushes
-		comb.ForcedFlushes += cs.ForcedFlushes
-		if cs.MaxBatch > comb.MaxBatch {
-			comb.MaxBatch = cs.MaxBatch
-		}
-		nodeStats[i] = clu.Node(i).Stats()
+// solve drains the simulation the engine has set in motion and assembles
+// the result; *waves is read once the run has finished.
+func (r *simRun) solve(engine string, waves *int) (*Result, *SimReport, error) {
+	duration := r.clu.Run()
+	if !r.finished {
+		return nil, nil, fmt.Errorf("ra: %s run over %q stalled before completion", engine, r.g.Name())
 	}
-	var localU, remoteU uint64
-	for _, n := range run.nodes {
-		localU += n.localUpdates
-		remoteU += n.remoteUpdates
-	}
+	result := NewResult(r.part, *waves)
 	report := &SimReport{
-		Duration:         duration,
-		Net:              net.Stats(),
-		Nodes:            nodeStats,
-		Combining:        comb,
-		DataMessages:     net.Stats().Messages - run.protocolMsgs,
-		ProtocolMessages: run.protocolMsgs,
-		LocalUpdates:     localU,
-		RemoteUpdates:    remoteU,
-		Events:           kernel.Events(),
+		Net:              r.clu.Net.Stats(),
+		Nodes:            make([]cluster.NodeStats, len(r.sims)),
+		DataMessages:     r.clu.Net.Stats().Messages - r.protocolMsgs,
+		ProtocolMessages: r.protocolMsgs,
+		Events:           r.clu.Kernel.Events(),
 	}
-	result := &Result{
-		Values:        values,
-		Waves:         run.waves,
-		LoopPositions: loops,
-		Loop:          loopBits,
-		Workers:       stats,
-		Sim:           report,
+	for i, n := range r.sims {
+		// The run ends when the last CPU drains, which can extend past the
+		// last network event (e.g. the final loop-resolution compute).
+		duration = max(duration, n.node.BusyUntil())
+		result.Collect(n.w)
+		cs := n.buf.Stats()
+		report.Combining.Items += cs.Items
+		report.Combining.Flushes += cs.Flushes
+		report.Combining.FullFlushes += cs.FullFlushes
+		report.Combining.ForcedFlushes += cs.ForcedFlushes
+		report.Combining.MaxBatch = max(report.Combining.MaxBatch, cs.MaxBatch)
+		report.Nodes[i] = n.node.Stats()
+		report.LocalUpdates += n.localUpdates
+		report.RemoteUpdates += n.remoteUpdates
 	}
+	report.Duration = duration
+	result.Sim = report
 	return result, report, nil
 }
 
 // distRun is the shared coordination state of one distributed solve. The
 // simulation kernel is single-threaded, so no locking is needed.
 type distRun struct {
-	g        game.Game
-	part     *Partition
-	clu      *cluster.Cluster
-	comp     ComputeCosts
-	combine  int
+	*simRun
 	protocol Protocol
 	nodes    []*distNode
 
 	// Coordinator (node 0) state.
-	wave         int
-	phaseNow     phase
-	waves        int
-	protocolMsgs uint64
-	finished     bool
+	wave     int
+	phaseNow phase
+	waves    int
 }
 
 // doneParent returns where node id forwards its aggregated done-report,
@@ -380,28 +387,20 @@ func (r *distRun) doneExpected(id int) int {
 
 // distNode is one simulated processor running the worker state machine.
 type distNode struct {
+	simNode
 	run     *distRun
-	node    *cluster.Node
-	w       *Worker
-	buf     *combine.Buffer[Update]
 	waveNow int        // wave the node is currently in
 	stash   []batchMsg // batches that arrived ahead of their wave's goMsg
 
 	// Per-phase done aggregation (self + protocol children).
 	doneCount int
 	doneWork  uint64
-
-	localUpdates  uint64
-	remoteUpdates uint64
 }
 
 func newDistNode(run *distRun, id int) *distNode {
-	n := &distNode{
-		run:  run,
-		node: run.clu.Node(id),
-		w:    NewWorker(run.g, run.part, id),
-	}
-	n.buf = combine.MustNew(len(run.nodes), run.combine, func(dst int, batch []Update) {
+	n := &distNode{simNode: run.newNode(id), run: run}
+	run.sims[id] = &n.simNode
+	n.buf = combine.MustNew(len(run.sims), run.combine, func(dst int, batch []Update) {
 		if dst == id {
 			n.localUpdates += uint64(len(batch))
 		} else {

@@ -2,8 +2,10 @@ package ra
 
 import "retrograde/internal/game"
 
-// Engine solves a game by retrograde analysis. The three implementations
-// (Sequential, Concurrent, Distributed) compute bit-identical results.
+// Engine solves a game by retrograde analysis. Every implementation —
+// Sequential, Concurrent, Distributed and AsyncDistributed here,
+// remote.Engine and oocore.Engine in their own packages — drives the same
+// Worker and computes bit-identical results.
 type Engine interface {
 	// Name identifies the engine configuration for reports.
 	Name() string

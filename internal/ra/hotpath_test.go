@@ -25,7 +25,7 @@ func TestConcurrentPooledBatchReuse(t *testing.T) {
 }
 
 // BenchmarkPooledWaveTransport measures the steady-state allocation cost
-// of moving one update through the wave transport: pooled combining
+// of moving one update run through the wave transport: pooled combining
 // buffer -> channel -> receiver -> recycled back to the pool. After the
 // pool warms up this must be ~0 allocs/op.
 func BenchmarkPooledWaveTransport(b *testing.B) {
@@ -35,7 +35,7 @@ func BenchmarkPooledWaveTransport(b *testing.B) {
 	for i := range inbox {
 		inbox[i] = make(chan waveMsg, 4*p)
 	}
-	free := make(chan []Update, 5*p*p+p)
+	free := make(chan []UpdateRun, 5*p*p+p)
 	var wg sync.WaitGroup
 	for i := 0; i < p; i++ {
 		wg.Add(1)
@@ -43,27 +43,27 @@ func BenchmarkPooledWaveTransport(b *testing.B) {
 			defer wg.Done()
 			for m := range inbox[me] {
 				select {
-				case free <- m.batch[:0]:
+				case free <- m.runs[:0]:
 				default:
 				}
 			}
 		}(i)
 	}
-	buf := combine.MustNew(p, batch, func(dst int, bt []Update) {
-		inbox[dst] <- waveMsg{batch: bt}
+	buf := combine.MustNew(p, batch, func(dst int, bt []UpdateRun) {
+		inbox[dst] <- waveMsg{runs: bt}
 	})
-	buf.SetAlloc(func() []Update {
+	buf.SetAlloc(func() []UpdateRun {
 		select {
 		case bt := <-free:
 			return bt
 		default:
-			return make([]Update, 0, batch)
+			return make([]UpdateRun, 0, batch)
 		}
 	})
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		buf.Add(i%p, Update{Target: uint64(i)})
+		buf.Add(i%p, UpdateRun{Base: uint64(i), Count: 1})
 	}
 	b.StopTimer()
 	buf.FlushAll()

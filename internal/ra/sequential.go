@@ -33,21 +33,40 @@ func (r *Result) IsLoop(idx uint64) bool {
 	return r.Loop[idx/64]&(1<<(idx%64)) != 0
 }
 
+// NewResult allocates the result of a solve over part that quiesced after
+// waves propagation waves. It is complete once every worker of the
+// partition has been passed to Collect.
+func NewResult(part *Partition, waves int) *Result {
+	return &Result{
+		Values:  make([]game.Value, part.Size()),
+		Waves:   waves,
+		Loop:    make([]uint64, (part.Size()+63)/64),
+		Workers: make([]WorkerStats, part.Workers()),
+	}
+}
+
+// Collect folds one worker into the result: its values, loop set, work
+// counters and kernel. The worker must have resolved its loops and hold
+// its state in core — the only moment the out-of-core engine can offer a
+// block, which is why assembly is one worker at a time. Workers of one
+// solve share loop-bitset words, so Collect calls must not overlap.
+func (r *Result) Collect(w *Worker) {
+	w.Fill(r.Values)
+	w.FillLoop(r.Loop)
+	r.Workers[w.ID()] = w.Stats
+	r.LoopPositions += w.Stats.LoopResolved
+	r.Kernel = w.Kernel().String()
+}
+
 // Totals sums the per-worker statistics.
 func (r *Result) Totals() WorkerStats {
-	var t WorkerStats
-	for _, s := range r.Workers {
-		t.Positions += s.Positions
-		t.InitFinal += s.InitFinal
-		t.MovesGenerated += s.MovesGenerated
-		t.Expanded += s.Expanded
-		t.PredsGenerated += s.PredsGenerated
-		t.UpdatesApplied += s.UpdatesApplied
-		t.UpdatesStale += s.UpdatesStale
-		t.Finalized += s.Finalized
-		t.LoopResolved += s.LoopResolved
+	var t [statsWordCount]uint64
+	for i := range r.Workers {
+		for j, x := range r.Workers[i].Words() {
+			t[j] += x
+		}
 	}
-	return t
+	return StatsFromWords(t)
 }
 
 // SolveSequential runs retrograde analysis on a single scalar-kernel
@@ -75,29 +94,14 @@ func solveSequential(g game.Game, k Kernel) (*Result, error) {
 	if _, err := w.Init(); err != nil {
 		return nil, err
 	}
-	swar := w.Kernel() == KernelSWAR
 	waves := 0
 	for w.BeginWave() > 0 {
 		waves++
-		// Single shard: every edge is self-owned, so the self-delivery
-		// fast path applies each update inline.
-		if swar {
-			w.ExpandRuns(0, nil)
-		} else {
-			w.ExpandLocal(0, w.Apply, nil)
-		}
+		// Single shard: every edge is self-owned and applied inline.
+		w.ExpandRuns(0, nil)
 	}
-	loops := w.ResolveLoops()
-	values := make([]game.Value, g.Size())
-	w.Fill(values)
-	loopBits := make([]uint64, (g.Size()+63)/64)
-	w.FillLoop(loopBits)
-	return &Result{
-		Values:        values,
-		Waves:         waves,
-		LoopPositions: loops,
-		Loop:          loopBits,
-		Workers:       []WorkerStats{w.Stats},
-		Kernel:        w.Kernel().String(),
-	}, nil
+	w.ResolveLoops()
+	r := NewResult(part, waves)
+	r.Collect(w)
+	return r, nil
 }

@@ -109,11 +109,12 @@ const (
 const LaneBytesPerPosition = 1
 
 // UpdateRun is a run-length-encoded batch of updates: targets Base,
-// Base+1, ..., Base+Count-1 all receive the same source value. The SWAR
-// engines move runs instead of single updates between shards; a run of
-// Count 1 is an ordinary update. Runs never span a partition group
-// boundary, so a run's targets are contiguous in the owner's local index
-// space and the receiver can apply long runs a word at a time.
+// Base+1, ..., Base+Count-1 all receive the same source value. The
+// host-time engines (Sequential, Concurrent, out-of-core) move runs
+// between shards under either kernel; a run of Count 1 is an ordinary
+// update. Runs never span a partition group boundary, so a run's targets
+// are contiguous in the owner's local index space and the receiver can
+// apply long runs a word at a time.
 type UpdateRun struct {
 	Base  uint64
 	Count uint32
@@ -343,33 +344,22 @@ func (w *Worker) applyWord(local uint64, mv byte) {
 // covers (and with it the per-run scratch).
 const swarRunMax = laneChunk
 
-// ExpandRuns is the SWAR counterpart of ExpandLocal: it pops up to limit
-// finalized positions from the wave queue, generates their predecessors
-// run-batched through the game's batch expander, applies self-owned
-// updates inline through the lane kernel, and emits remote edges as
-// owner-grouped, run-coalesced UpdateRuns. limit <= 0 expands the whole
-// queue; the return value is the number of positions expanded. emit may
-// be nil when the worker owns the whole space.
-func (w *Worker) ExpandRuns(limit int, emit func(owner int, r UpdateRun)) int {
-	if w.lane == nil {
-		panic("ra: ExpandRuns needs a SWAR worker")
-	}
-	if limit <= 0 || limit > len(w.queue) {
-		limit = len(w.queue)
-	}
+// expandRunsSWAR is ExpandRuns under the SWAR kernel: predecessors are
+// generated run-batched through the game's batch expander and self-owned
+// updates go through the lane kernel.
+func (w *Worker) expandRunsSWAR(queue []uint64, emit func(owner int, r UpdateRun)) {
 	single := w.part.Workers() == 1
-	for done := 0; done < limit; {
+	for len(queue) > 0 {
 		// One maximal run: consecutive locals within one contiguity span
 		// (the queue is sorted at BeginWave), so the globals are
 		// consecutive too and the batch generator decodes incrementally.
-		start := done
-		l0 := w.queue[start]
+		l0 := queue[0]
 		k := 1
-		for done+k < limit && k < swarRunMax &&
-			w.queue[start+k] == l0+uint64(k) && (l0+uint64(k))%w.span != 0 {
+		for k < len(queue) && k < swarRunMax &&
+			queue[k] == l0+uint64(k) && (l0+uint64(k))%w.span != 0 {
 			k++
 		}
-		done += k
+		queue = queue[k:]
 		base := w.part.Global(w.me, l0)
 		if w.bExp != nil {
 			w.bExp.PredecessorsRun(base, k, func(i int, preds []uint64) {
@@ -384,12 +374,9 @@ func (w *Worker) ExpandRuns(limit int, emit func(owner int, r UpdateRun)) int {
 			}
 		}
 		if !single {
-			w.flushRemoteRuns(emit)
+			w.flushRemote(nil, emit)
 		}
 	}
-	w.queue = w.queue[limit:]
-	w.Stats.Expanded += uint64(limit)
-	return limit
 }
 
 // deliverPreds routes one expanded position's predecessor edges: self-
@@ -415,49 +402,6 @@ func (w *Worker) deliverPreds(local uint64, preds []uint64, single bool) {
 		w.runOwner = append(w.runOwner, int32(o))
 		w.ownerCnt[o]++
 	}
-}
-
-// flushRemoteRuns owner-groups the gathered remote edges (stable counting
-// sort, as in the scalar path) and emits them coalesced: consecutive
-// targets with equal values merge into one UpdateRun.
-func (w *Worker) flushRemoteRuns(emit func(owner int, r UpdateRun)) {
-	if len(w.runs) == 0 {
-		return
-	}
-	if cap(w.runSort) < len(w.runs) {
-		w.runSort = make([]Update, len(w.runs))
-	}
-	sorted := w.runSort[:len(w.runs)]
-	off := int32(0)
-	for o, c := range w.ownerCnt {
-		w.ownerOff[o] = off
-		off += c
-	}
-	for i, u := range w.runs {
-		o := w.runOwner[i]
-		sorted[w.ownerOff[o]] = u
-		w.ownerOff[o]++
-	}
-	start := int32(0)
-	for o, c := range w.ownerCnt {
-		if c == 0 {
-			continue
-		}
-		run := UpdateRun{Base: sorted[start].Target, Count: 1, Value: sorted[start].Value}
-		for _, u := range sorted[start+1 : start+c] {
-			if u.Target == run.Base+uint64(run.Count) && u.Value == run.Value {
-				run.Count++
-				continue
-			}
-			emit(o, run)
-			run = UpdateRun{Base: u.Target, Count: 1, Value: u.Value}
-		}
-		emit(o, run)
-		start += c
-		w.ownerCnt[o] = 0
-	}
-	w.runs = w.runs[:0]
-	w.runOwner = w.runOwner[:0]
 }
 
 // resolveLoopsSWAR is the SWAR loop-resolution pass: whole words of final

@@ -14,7 +14,7 @@ import (
 // awariRung builds the lookup chain for an awari rung by solving all
 // smaller rungs with the scalar sequential baseline, and returns the
 // rung's slice.
-func awariRung(t *testing.T, stones int, rules awari.Rules, loop awari.LoopRule) *awari.Slice {
+func awariRung(t testing.TB, stones int, rules awari.Rules, loop awari.LoopRule) *awari.Slice {
 	t.Helper()
 	results := make([]*Result, stones+1)
 	lookup := func(n int, idx uint64) game.Value { return results[n].Values[idx] }
@@ -48,9 +48,6 @@ func TestLaneLayout(t *testing.T) {
 	// fields roundtrip through the accessors instead of raw guesses.
 	for local := uint64(0); local < 16; local++ {
 		s := w.lane[local]
-		if got := w.counterAt(local); got != int32(s&laneCntField>>laneCntShift) {
-			t.Fatalf("counterAt(%d) = %d, lane byte %#x", local, got, s)
-		}
 		if got := w.finalAt(local); got != (s&laneFinalBit != 0) {
 			t.Fatalf("finalAt(%d) = %v, lane byte %#x", local, got, s)
 		}
@@ -191,7 +188,7 @@ func TestApplyRunScalarFallback(t *testing.T) {
 	for ; base+3 < g.Size(); base++ {
 		ok := true
 		for i := base; i < base+3; i++ {
-			if w1.finalAt(i) || w1.counterAt(i) < 1 {
+			if w1.finalAt(i) || stateCounter(w1.state[i]) < 1 {
 				ok = false
 				break
 			}

@@ -305,14 +305,15 @@ func (w *Worker) Refill() bool {
 
 // Expand pops up to limit finalized positions from the wave queue,
 // generates their predecessors, and emits one update per predecessor edge
-// through emit (including edges whose target the worker itself owns).
-// Within each grouping chunk, self-owned edges are emitted first and the
-// remaining edges are emitted in owner-grouped runs so consecutive
-// combine-buffer appends stay cache-local.
+// through emit (including edges whose target the worker itself owns) —
+// the wire engines' expansion, where an update is a message. Within each
+// grouping chunk, self-owned edges are emitted first and the remaining
+// edges are emitted in owner-grouped runs so consecutive combine-buffer
+// appends stay cache-local.
 // It returns the number of positions expanded; 0 means the wave queue is
 // empty. limit <= 0 expands the whole queue.
 func (w *Worker) Expand(limit int, emit func(owner int, u Update)) int {
-	return w.expand(limit, nil, emit)
+	return w.expand(limit, nil, emit, nil)
 }
 
 // ExpandLocal is Expand with the self-delivery fast path: updates whose
@@ -324,82 +325,77 @@ func (w *Worker) ExpandLocal(limit int, apply func(Update), emit func(owner int,
 	if apply == nil {
 		panic("ra: ExpandLocal needs an apply callback")
 	}
-	return w.expand(limit, apply, emit)
+	return w.expand(limit, apply, emit, nil)
 }
 
-// expand implements Expand/ExpandLocal. apply == nil routes self-owned
-// edges through emit (the historical Expand contract); otherwise they are
-// applied inline.
-func (w *Worker) expand(limit int, apply func(Update), emit func(owner int, u Update)) int {
+// ExpandRuns is the host-time engines' expansion: self-owned updates are
+// applied inline by the worker's own kernel and remote edges are emitted
+// as owner-grouped, run-coalesced UpdateRuns — under either kernel, so a
+// driver never asks which one it is running. emit may be nil when the
+// worker owns the whole space.
+func (w *Worker) ExpandRuns(limit int, emit func(owner int, r UpdateRun)) int {
+	return w.expand(limit, nil, nil, emit)
+}
+
+// expand is the one expansion loop behind Expand, ExpandLocal and
+// ExpandRuns. A self-owned edge goes to apply when that is set, to
+// emit(me) when only emit is set, and is otherwise applied inline;
+// remote edges are gathered per grouping chunk and flushed through emit
+// one by one, or through emitRuns coalesced when emit is nil.
+func (w *Worker) expand(limit int, apply func(Update), emit func(owner int, u Update), emitRuns func(owner int, r UpdateRun)) int {
 	if limit <= 0 || limit > len(w.queue) {
 		limit = len(w.queue)
 	}
-	p := w.part.Workers()
-	for done := 0; done < limit; {
-		n := limit - done
-		if p > 1 && n > groupChunk {
-			n = groupChunk
+	queue := w.queue[:limit]
+	single := w.part.Workers() == 1
+	if apply == nil && emit == nil && w.lane != nil {
+		// Inline application under SWAR has its own run-batched loop.
+		w.expandRunsSWAR(queue, emitRuns)
+		queue = nil
+	}
+	for len(queue) > 0 {
+		n := min(len(queue), groupChunk)
+		for _, local := range queue[:n] {
+			v := w.valueAt(local)
+			w.preds = w.g.Predecessors(w.part.Global(w.me, local), w.preds[:0])
+			w.Stats.PredsGenerated += uint64(len(w.preds))
+			for _, q := range w.preds {
+				u := Update{Target: q, Value: v}
+				o := w.me
+				if !single {
+					o = w.part.Owner(q)
+				}
+				switch {
+				case o != w.me:
+					w.runs = append(w.runs, u)
+					w.runOwner = append(w.runOwner, int32(o))
+					w.ownerCnt[o]++
+				case apply != nil:
+					apply(u)
+				case emit != nil:
+					emit(w.me, u)
+				default:
+					if !single {
+						q = w.part.Local(q)
+					}
+					w.applyState(q, v)
+				}
+			}
 		}
-		if p == 1 {
-			w.expandSingle(w.queue[done:done+limit], apply, emit)
-			done = limit
-			continue
-		}
-		w.expandChunkGrouped(w.queue[done:done+n], apply, emit)
-		done += n
+		w.flushRemote(emit, emitRuns)
+		queue = queue[n:]
 	}
 	w.queue = w.queue[limit:]
 	w.Stats.Expanded += uint64(limit)
 	return limit
 }
 
-// expandSingle is the single-shard path: every predecessor is self-owned,
-// so there is nothing to group.
-func (w *Worker) expandSingle(queue []uint64, apply func(Update), emit func(owner int, u Update)) {
-	for _, local := range queue {
-		global := w.part.Global(w.me, local)
-		v := w.valueAt(local)
-		w.preds = w.g.Predecessors(global, w.preds[:0])
-		w.Stats.PredsGenerated += uint64(len(w.preds))
-		for _, q := range w.preds {
-			u := Update{Target: q, Value: v}
-			if apply != nil {
-				apply(u)
-			} else {
-				emit(w.me, u)
-			}
-		}
-	}
-}
-
-// expandChunkGrouped expands one chunk of queue positions: self-owned
-// edges are dispatched immediately, remote edges are gathered and then
-// emitted in owner-grouped runs (stable counting sort by owner), so a
-// combining buffer sees long same-destination append runs.
-func (w *Worker) expandChunkGrouped(queue []uint64, apply func(Update), emit func(owner int, u Update)) {
-	w.runs = w.runs[:0]
-	w.runOwner = w.runOwner[:0]
-	for _, local := range queue {
-		global := w.part.Global(w.me, local)
-		v := w.valueAt(local)
-		w.preds = w.g.Predecessors(global, w.preds[:0])
-		w.Stats.PredsGenerated += uint64(len(w.preds))
-		for _, q := range w.preds {
-			u := Update{Target: q, Value: v}
-			o := w.part.Owner(q)
-			if o == w.me {
-				if apply != nil {
-					apply(u)
-				} else {
-					emit(w.me, u)
-				}
-				continue
-			}
-			w.runs = append(w.runs, u)
-			w.runOwner = append(w.runOwner, int32(o))
-			w.ownerCnt[o]++
-		}
-	}
+// flushRemote emits the remote edges gathered in runs grouped by owner
+// (stable counting sort), so a combining buffer sees long same-destination
+// append runs: one by one through emit, or — when emit is nil — through
+// emitRuns, consecutive targets with equal values merged into one
+// UpdateRun.
+func (w *Worker) flushRemote(emit func(owner int, u Update), emitRuns func(owner int, r UpdateRun)) {
 	if len(w.runs) == 0 {
 		return
 	}
@@ -417,13 +413,31 @@ func (w *Worker) expandChunkGrouped(queue []uint64, apply func(Update), emit fun
 		sorted[w.ownerOff[o]] = u
 		w.ownerOff[o]++
 	}
-	start := int32(0)
+	w.runs = w.runs[:0]
+	w.runOwner = w.runOwner[:0]
 	for o, c := range w.ownerCnt {
-		for _, u := range sorted[start : start+c] {
-			emit(o, u)
+		if c == 0 {
+			continue
 		}
-		start += c
+		// After placement ownerOff[o] is the end of o's segment.
+		seg := sorted[w.ownerOff[o]-c : w.ownerOff[o]]
 		w.ownerCnt[o] = 0
+		if emit != nil {
+			for _, u := range seg {
+				emit(o, u)
+			}
+			continue
+		}
+		run := UpdateRun{Base: seg[0].Target, Count: 1, Value: seg[0].Value}
+		for _, u := range seg[1:] {
+			if u.Target == run.Base+uint64(run.Count) && u.Value == run.Value {
+				run.Count++
+				continue
+			}
+			emitRuns(o, run)
+			run = UpdateRun{Base: u.Target, Count: 1, Value: u.Value}
+		}
+		emitRuns(o, run)
 	}
 }
 
@@ -440,16 +454,23 @@ func (w *Worker) Apply(u Update) {
 		w.applyLane(local, w.negv-byte(u.Value))
 		return
 	}
+	w.applyState(local, u.Value)
+}
+
+// applyState is Apply's scalar-kernel step on a local index: negamax the
+// successor value in, decrement the counter, finalize on exhaustion or
+// early cutoff.
+func (w *Worker) applyState(local uint64, successor game.Value) {
 	w.Stats.UpdatesApplied++
 	s := w.state[local]
 	if s&stateFinalBit != 0 {
 		w.Stats.UpdatesStale++
 		return
 	}
-	v := game.BetterOf(w.g, stateValue(s), w.g.MoverValue(u.Value))
+	v := game.BetterOf(w.g, stateValue(s), w.g.MoverValue(successor))
 	cnt := s >> stateCountShift & stateCountMask
 	if cnt == 0 {
-		panic(fmt.Sprintf("ra: worker %d position %d received more updates than successors", w.me, u.Target))
+		panic(fmt.Sprintf("ra: worker %d position %d received more updates than successors", w.me, w.part.Global(w.me, local)))
 	}
 	cnt--
 	w.state[local] = uint32(v) | cnt<<stateCountShift
@@ -494,14 +515,6 @@ func (w *Worker) valueAt(local uint64) game.Value {
 		return game.Value(w.lane[local] & laneValueMask)
 	}
 	return stateValue(w.state[local])
-}
-
-// counterAt returns the outstanding-successor counter of a local position.
-func (w *Worker) counterAt(local uint64) int32 {
-	if w.lane != nil {
-		return int32(w.lane[local] & laneCntField >> laneCntShift)
-	}
-	return stateCounter(w.state[local])
 }
 
 // finalAt reports whether a local position is final.

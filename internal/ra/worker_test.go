@@ -2,6 +2,7 @@ package ra
 
 import (
 	"errors"
+	"slices"
 	"testing"
 
 	"retrograde/internal/game"
@@ -351,6 +352,57 @@ func TestExpandLocalMatchesExpand(t *testing.T) {
 	for u, n := range remoteA {
 		if remoteB[u] != n {
 			t.Fatalf("remote edge %+v: %d vs %d", u, remoteB[u], n)
+		}
+	}
+
+	// The host-time carrier on the scalar kernel: ExpandRuns + ApplyRun
+	// must deliver, wave by wave, the same multiset of cross-shard updates
+	// as Expand + Apply and leave every shard in the same state.
+	var wire, host [3]*Worker
+	for i := range wire {
+		wire[i], host[i] = NewWorker(g, part, i), NewWorker(g, part, i)
+		mustInit(wire[i])
+		mustInit(host[i])
+	}
+	for wave := 1; ; wave++ {
+		total := 0
+		for i := range wire {
+			if n := wire[i].BeginWave(); n != host[i].BeginWave() {
+				t.Fatalf("wave %d shard %d: frontiers differ", wave, i)
+			} else {
+				total += n
+			}
+		}
+		if total == 0 {
+			break
+		}
+		sent := map[Update]int{}
+		for i := range wire {
+			wire[i].Expand(0, func(owner int, u Update) {
+				if owner != i {
+					sent[u]++
+				}
+				wire[owner].Apply(u)
+			})
+			host[i].ExpandRuns(0, func(owner int, r UpdateRun) {
+				if owner == i {
+					t.Fatalf("ExpandRuns emitted self-owned run %+v", r)
+				}
+				for k := uint64(0); k < uint64(r.Count); k++ {
+					sent[Update{Target: r.Base + k, Value: r.Value}]--
+				}
+				host[owner].ApplyRun(r)
+			})
+		}
+		for u, n := range sent {
+			if n != 0 {
+				t.Fatalf("wave %d: update %+v delivered %+d more times by Expand than by ExpandRuns", wave, u, n)
+			}
+		}
+	}
+	for i := range wire {
+		if !slices.Equal(wire[i].state, host[i].state) || wire[i].Stats != host[i].Stats {
+			t.Fatalf("shard %d: ExpandRuns+ApplyRun ended in a different state than Expand+Apply", i)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package remote
 
 import (
+	"bufio"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -12,13 +13,14 @@ import (
 	"retrograde/internal/ra"
 )
 
-// Distributed checkpointing rides on ra's per-worker checkpoint format:
-// each node serialises its own shard at the entry of a checkpoint wave —
-// the one moment its state is exactly "all waves < w complete, wave w
-// not started", before BeginWave and before stashed wave-w traffic is
-// applied — under a small mesh header (node count, wave, the
-// coordinator's productive-wave counter). Re-running wave w regenerates
-// every in-flight batch, so nothing on the wire needs saving.
+// Distributed checkpointing rides on ra's worker snapshot: each node
+// serialises its own shard at the entry of a checkpoint wave — the one
+// moment its state is exactly "all waves < w complete, wave w not
+// started", before BeginWave and before stashed wave-w traffic is
+// applied — under a small mesh header (node count, node id, partition
+// group, wave, the coordinator's productive-wave counter). Re-running
+// wave w regenerates every in-flight batch, so nothing on the wire needs
+// saving.
 //
 // Nodes reach a checkpoint wave at slightly different times, and a crash
 // can land between one node's write and another's; each node therefore
@@ -28,10 +30,24 @@ import (
 // checkpoint before it — so the newest wave present on every node is a
 // consistent global state, and resume picks exactly that.
 
-const (
-	meshCkptMagic   = "RMCP"
-	meshCkptVersion = 1
-)
+// meshHeader precedes the ra snapshot in every checkpoint file
+// (little-endian, fixed width). Version 2 replaced the body (a scalar-only
+// per-array format that carried its own shard header) with
+// ra.WriteSnapshot and moved the shard identity here; a version 1
+// directory fails the solve rather than being reinterpreted.
+type meshHeader struct {
+	Magic   [4]byte
+	Version uint32
+	Nodes   uint32 // mesh size
+	Node    uint32 // whose shard follows
+	Group   uint64 // partition group size
+	Wave    uint64 // the wave about to run
+	Waves   uint64 // coordinator's productive-wave counter
+}
+
+const meshCkptVersion = 2
+
+var meshCkptMagic = [4]byte{'R', 'M', 'C', 'P'}
 
 func ckptName(wave, node int) string {
 	return fmt.Sprintf("ckpt-w%08d-node-%03d.racp", wave, node)
@@ -50,15 +66,11 @@ func (e Engine) ckptEvery() int {
 func (n *node) writeCheckpoint(wave int) error {
 	path := filepath.Join(n.ckptDir, ckptName(wave, n.id))
 	err := ra.WriteFileAtomic(path, func(out io.Writer) error {
-		head := make([]byte, 0, 32)
-		head = append(head, meshCkptMagic...)
-		head = binary.LittleEndian.AppendUint32(head, meshCkptVersion)
-		head = binary.LittleEndian.AppendUint32(head, uint32(n.peers+1))
-		head = binary.LittleEndian.AppendUint64(head, uint64(n.waves))
-		if _, err := out.Write(head); err != nil {
+		head := meshHeader{meshCkptMagic, meshCkptVersion, uint32(n.peers + 1), uint32(n.id), n.group, uint64(wave), uint64(n.waves)}
+		if err := binary.Write(out, binary.LittleEndian, head); err != nil {
 			return err
 		}
-		return n.w.WriteCheckpoint(out, wave)
+		return n.w.WriteSnapshot(out)
 	})
 	if err != nil {
 		return fmt.Errorf("checkpoint at wave %d: %w", wave, err)
@@ -88,8 +100,9 @@ func listCheckpoints(dir string, node int) map[int]bool {
 
 // resumeState is a consistent global checkpoint loaded from disk.
 type resumeState struct {
-	wave    int // the wave to (re-)run first
-	waves   int // coordinator's productive-wave counter at that point
+	wave    int           // the wave to (re-)run first
+	waves   int           // coordinator's productive-wave counter at that point
+	part    *ra.Partition // the partition the checkpointed run used
 	workers []*ra.Worker
 }
 
@@ -136,34 +149,33 @@ func (st *resumeState) loadNode(path string, g game.Game, i, p int) error {
 		return err
 	}
 	defer f.Close()
-	head := make([]byte, 20)
-	if _, err := io.ReadFull(f, head); err != nil {
+	in := bufio.NewReader(f)
+	var head meshHeader
+	if err := binary.Read(in, binary.LittleEndian, &head); err != nil {
 		return err
 	}
-	if string(head[:4]) != meshCkptMagic {
-		return fmt.Errorf("bad mesh checkpoint magic %q", head[:4])
-	}
-	if v := binary.LittleEndian.Uint32(head[4:]); v != meshCkptVersion {
-		return fmt.Errorf("unsupported mesh checkpoint version %d", v)
-	}
-	if nodes := int(binary.LittleEndian.Uint32(head[8:])); nodes != p {
-		return fmt.Errorf("checkpoint is for %d nodes, engine has %d", nodes, p)
+	switch {
+	case head.Magic != meshCkptMagic:
+		return fmt.Errorf("bad mesh checkpoint magic %q", head.Magic[:])
+	case head.Version != meshCkptVersion:
+		return fmt.Errorf("unsupported mesh checkpoint version %d (this build reads version %d)", head.Version, meshCkptVersion)
+	case int(head.Nodes) != p:
+		return fmt.Errorf("checkpoint is for %d nodes, engine has %d", head.Nodes, p)
+	case int(head.Node) != i:
+		return fmt.Errorf("checkpoint holds node %d's shard, want node %d", head.Node, i)
+	case int(head.Wave) != st.wave:
+		return fmt.Errorf("checkpoint body is for wave %d, file name says %d", head.Wave, st.wave)
 	}
 	if i == 0 {
-		st.waves = int(binary.LittleEndian.Uint64(head[12:]))
+		st.waves = int(head.Waves)
+		if st.part, err = ra.NewPartition(g.Size(), p, head.Group); err != nil {
+			return err
+		}
+	} else if head.Group != st.part.Group() {
+		return fmt.Errorf("checkpoint partition group %d differs from node 0's %d", head.Group, st.part.Group())
 	}
-	w, wave, err := ra.ReadCheckpoint(g, f)
-	if err != nil {
-		return err
-	}
-	if wave != st.wave {
-		return fmt.Errorf("checkpoint body is for wave %d, file name says %d", wave, st.wave)
-	}
-	if w.ID() != i {
-		return fmt.Errorf("checkpoint holds node %d's shard, want node %d", w.ID(), i)
-	}
-	st.workers[i] = w
-	return nil
+	st.workers[i], err = ra.ReadSnapshot(g, st.part, i, in)
+	return err
 }
 
 // clearCheckpoints removes the solve's checkpoint files after a

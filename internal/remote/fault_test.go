@@ -3,7 +3,9 @@ package remote
 import (
 	"errors"
 	"net"
+	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -231,5 +233,35 @@ func TestCheckpointingFreshRunUnchanged(t *testing.T) {
 	}
 	if left, _ := filepath.Glob(filepath.Join(dir, "ckpt-*")); len(left) != 0 {
 		t.Errorf("successful solve left checkpoints behind: %v", left)
+	}
+}
+
+// TestParentVersionCheckpointsRefused: a checkpoint directory written by
+// the version 1 format (scalar-only shard bodies) must fail the solve
+// with an error naming the directory and the version — never a silent
+// fresh start, never a reinterpretation — and must be left in place.
+func TestParentVersionCheckpointsRefused(t *testing.T) {
+	g := ttt.New()
+	dir := t.TempDir()
+	e := Engine{Workers: 2, CheckpointDir: dir}
+	for i := 0; i < e.Workers; i++ {
+		// The version 1 mesh header, then the 40-byte header that began
+		// its shard body.
+		v1 := append([]byte("RMCP"), 1, 0, 0, 0, byte(e.Workers), 0, 0, 0, 3, 0, 0, 0, 0, 0, 0, 0)
+		v1 = append(v1, "RACP\x01\x00\x00\x00"...)
+		v1 = append(v1, make([]byte, 32)...)
+		if err := os.WriteFile(filepath.Join(dir, ckptName(4, i)), v1, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	_, err := solveWatchdog(t, e, g, 20*time.Second)
+	if err == nil {
+		t.Fatal("solve over version 1 checkpoints succeeded")
+	}
+	if msg := err.Error(); !strings.Contains(msg, dir) || !strings.Contains(msg, "version 1") {
+		t.Errorf("error %q does not name the directory and the unsupported version", msg)
+	}
+	if left, _ := filepath.Glob(filepath.Join(dir, "ckpt-*")); len(left) != e.Workers {
+		t.Errorf("refused solve disturbed the old checkpoints: %v", left)
 	}
 }

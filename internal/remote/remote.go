@@ -143,6 +143,9 @@ func (e Engine) SolveDetailed(g game.Game) (*ra.Result, *Report, error) {
 		if err != nil {
 			return nil, nil, fmt.Errorf("remote: resume: %w", err)
 		}
+		if resume != nil {
+			part = resume.part // the restored workers' shards follow it
+		}
 	}
 
 	// Bootstrap: every node listens on loopback, then the mesh is built
@@ -253,28 +256,15 @@ func (e Engine) SolveDetailed(g game.Game) (*ra.Result, *Report, error) {
 		clearCheckpoints(e.CheckpointDir)
 	}
 
-	values := make([]game.Value, g.Size())
-	loopBits := make([]uint64, (g.Size()+63)/64)
-	stats := make([]ra.WorkerStats, p)
-	var loops uint64
+	result := ra.NewResult(part, nodes[0].waves)
 	var rep Report
-	waves := nodes[0].waves
-	for i, n := range nodes {
-		n.w.Fill(values)
-		n.w.FillLoop(loopBits)
-		stats[i] = n.w.Stats
-		loops += n.w.Stats.LoopResolved
+	for _, n := range nodes {
+		result.Collect(n.w)
 		rep.Frames += n.framesSent.Load()
 		rep.Bytes += n.bytesSent.Load()
 		rep.DataFrames += n.dataFrames
 	}
-	return &ra.Result{
-		Values:        values,
-		Waves:         waves,
-		LoopPositions: loops,
-		Loop:          loopBits,
-		Workers:       stats,
-	}, &rep, nil
+	return result, &rep, nil
 }
 
 // event is a decoded frame plus its sender, serialized onto the node's
@@ -308,6 +298,7 @@ type node struct {
 	hb        time.Duration
 	ckptDir   string
 	ckptEvery int
+	group     uint64 // partition group size, recorded in checkpoints
 	resumed   bool
 	startWave int // the wave whose completion the initial done reports
 
@@ -345,6 +336,7 @@ func newNode(id int, g game.Game, part *ra.Partition, e Engine, conns []net.Conn
 		hb:        e.heartbeat(),
 		ckptDir:   e.CheckpointDir,
 		ckptEvery: e.ckptEvery(),
+		group:     part.Group(),
 	}
 	if resume != nil {
 		// The restored worker's state is "all waves before resume.wave

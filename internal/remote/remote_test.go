@@ -40,6 +40,9 @@ func TestTCPMatchesSequential(t *testing.T) {
 			if got.Waves != want.Waves {
 				t.Errorf("%s %s: waves %d, want %d", g.Name(), cfg.Name(), got.Waves, want.Waves)
 			}
+			if got.Kernel != want.Kernel {
+				t.Errorf("%s %s: result names kernel %q, want %q", g.Name(), cfg.Name(), got.Kernel, want.Kernel)
+			}
 			for i := range want.Values {
 				if got.Values[i] != want.Values[i] {
 					t.Fatalf("%s %s: values differ at %d", g.Name(), cfg.Name(), i)

@@ -17,7 +17,8 @@
 //     message-combining algorithm on a simulated 64-node Ethernet
 //     cluster, measured in deterministic virtual time), AsyncDistributed
 //     (barrier-free, Safra termination detection), TCP (real sockets)
-//     and Resumable (checkpoint/restart);
+//     and OutOfCore (state capped at a byte budget and spilled to disk,
+//     which also makes it the pause/resume and crash-restart engine);
 //   - bit-packed, checksummed database files;
 //   - the experiment harness that regenerates the paper's evaluation
 //     (see cmd/rabench and EXPERIMENTS.md).
@@ -50,6 +51,7 @@ import (
 	"retrograde/internal/game"
 	"retrograde/internal/kalah"
 	"retrograde/internal/ladder"
+	"retrograde/internal/oocore"
 	"retrograde/internal/ra"
 	"retrograde/internal/remote"
 	"retrograde/internal/search"
@@ -113,9 +115,13 @@ type (
 	AsyncDistributed = ra.AsyncDistributed
 	// SimReport describes a Distributed run: virtual time and traffic.
 	SimReport = ra.SimReport
-	// Resumable is the sequential engine with periodic checkpoints and
-	// resume-from-file, for long builds.
-	Resumable = ra.Resumable
+	// OutOfCore is the spill-block engine: resident state capped at
+	// MemLimit bytes, the rest zdb-compressed under Dir. Its manifests
+	// double as checkpoints — a rerun in the same Dir resumes after a
+	// crash or a StopAfterWaves pause (ErrPaused) — so with MemLimit at or
+	// above the in-core footprint it is the checkpoint/restart engine for
+	// long builds.
+	OutOfCore = oocore.Engine
 	// TCP is the engine over real sockets: the deployable counterpart to
 	// the simulated Distributed engine.
 	TCP = remote.Engine
@@ -129,7 +135,8 @@ const (
 	TreeProtocol    = ra.TreeProtocol
 )
 
-// ErrPaused is returned by Resumable.Solve when it stops at a checkpoint.
+// ErrPaused is returned by OutOfCore.Solve when it stops at a checkpoint
+// because StopAfterWaves was reached.
 var ErrPaused = ra.ErrPaused
 
 // Refine improves a finished database's cyclic positions to a fixpoint
