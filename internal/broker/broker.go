@@ -1,20 +1,19 @@
 // Package broker is the horizontal scale-out of the serving tier: one
 // logical endgame database served by a fleet of raserve backends behind
-// a single address. The broker speaks the same length-framed binary
-// batch protocol as raserve on the front (raquery and search probers
-// connect to it unchanged), consistent-hashes rungs across the backends
-// on the back, and treats the small hot rungs — the bottom of the
-// ladder every lookup path touches — as replicated on every backend.
-// Backends are health-checked two ways (the binary ping op and HTTP
-// /healthz); a dead backend is routed around with bounded failover, so
-// a kill -9 of one node degrades throughput instead of correctness.
+// a single address. The broker's front is raserve's — one
+// server.Frontend with the broker's routing as its handler — so raquery
+// and search probers connect to it unchanged, and drain, shedding, pings
+// and the front counters are the same code in both daemons. Behind it
+// the broker consistent-hashes rungs across the backends and treats the
+// small hot rungs — the bottom of the ladder every lookup path touches —
+// as replicated on every backend. Backends are health-checked two ways
+// (the binary ping op and HTTP /healthz); a dead backend is routed
+// around with bounded failover, so a kill -9 of one node degrades
+// throughput instead of correctness.
 package broker
 
 import (
-	"bufio"
-	"encoding/json"
 	"fmt"
-	"net"
 	"net/http"
 	"sync"
 	"sync/atomic"
@@ -54,10 +53,6 @@ type Config struct {
 	// FailAfter is how many consecutive failed checks mark a backend
 	// unhealthy (0 = 2). One success marks it healthy again.
 	FailAfter int
-	// WriteTimeout bounds each reply write on front connections (binary
-	// and HTTP), so a client that stops draining its socket cannot wedge
-	// a routing goroutine forever (0 = 60s).
-	WriteTimeout time.Duration
 	// MaxInflight bounds concurrently routed front batches; beyond it
 	// the broker sheds load with overload frames (0 = 256).
 	MaxInflight int
@@ -100,13 +95,6 @@ func (c Config) maxInflight() int {
 		return c.MaxInflight
 	}
 	return 256
-}
-
-func (c Config) writeTimeout() time.Duration {
-	if c.WriteTimeout > 0 {
-		return c.WriteTimeout
-	}
-	return 60 * time.Second
 }
 
 // backend is one raserve node behind the broker.
@@ -156,8 +144,8 @@ func (b *backend) clientStats() server.ClientStats {
 	return b.c.Stats()
 }
 
-// Broker fronts a fleet of raserve backends on one listener (binary
-// protocol + HTTP, sniffed like raserve's). Create one with Start; stop
+// Broker fronts a fleet of raserve backends behind one server.Frontend
+// (binary protocol + HTTP on one listener). Create one with Start; stop
 // it with Close.
 type Broker struct {
 	cfg      Config
@@ -166,35 +154,15 @@ type Broker struct {
 	order    []string // deduped Backends order, for round-robin
 	rr       atomic.Uint64
 
-	l       net.Listener
-	httpL   *server.HTTPListener
-	httpSrv *http.Server
+	front *server.Frontend
+	sem   chan struct{} // MaxInflight slots held by batches being routed
 
-	// admitMu orders admission against draining, exactly like
-	// server.Server: once draining is set no new batch enters inflight.
-	admitMu  sync.Mutex
-	draining bool
-	inflight sync.WaitGroup
-	sem      chan struct{}
+	stop      chan struct{}
+	wg        sync.WaitGroup // health loops
+	closeOnce sync.Once
 
-	connMu    sync.Mutex
-	conns     map[net.Conn]struct{}
-	connsTorn bool // Close has swept conns; late arrivals must self-close
-
-	stop chan struct{}
-	wg   sync.WaitGroup
-
-	m bmetrics
-}
-
-type bmetrics struct {
-	batches   stats.Histogram // batch sizes
-	latency   stats.Histogram // batch routing time, microseconds
-	queries   atomic.Uint64
-	overloads atomic.Uint64
 	failovers atomic.Uint64 // sub-batches answered by a non-first candidate
 	unrouted  atomic.Uint64 // queries every candidate failed
-	pings     atomic.Uint64
 }
 
 // Start launches a broker on addr (e.g. "127.0.0.1:0") over
@@ -214,7 +182,7 @@ func Start(addr string, cfg Config) (*Broker, error) {
 		return nil, fmt.Errorf("broker: no backends configured")
 	}
 	cfg.Backends = order
-	l, err := net.Listen("tcp", addr)
+	front, err := server.Listen(addr, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -223,10 +191,8 @@ func Start(addr string, cfg Config) (*Broker, error) {
 		ring:     NewRing(cfg.Vnodes, order...),
 		backends: map[string]*backend{},
 		order:    order,
-		l:        l,
-		httpL:    server.NewHTTPListener(l.Addr()),
+		front:    front,
 		sem:      make(chan struct{}, cfg.maxInflight()),
-		conns:    map[net.Conn]struct{}{},
 		stop:     make(chan struct{}),
 	}
 	for _, a := range order {
@@ -234,75 +200,38 @@ func Start(addr string, cfg Config) (*Broker, error) {
 		be.healthy.Store(true) // optimistic until checks say otherwise
 		br.backends[a] = be
 	}
-	br.httpSrv = &http.Server{
-		Handler:      br.httpMux(),
-		ReadTimeout:  30 * time.Second,
-		WriteTimeout: cfg.writeTimeout(),
-		IdleTimeout:  2 * time.Minute,
-	}
-	for _, a := range order {
+	for _, be := range br.backends {
 		br.wg.Add(1)
-		go br.healthLoop(br.backends[a])
+		go br.healthLoop(be)
 	}
-	br.wg.Add(1)
-	go br.acceptLoop()
-	br.wg.Add(1)
-	go func() {
-		defer br.wg.Done()
-		br.httpSrv.Serve(br.httpL) // returns once Close closes httpL
-	}()
+	front.Serve(br.route, br.httpMux())
 	return br, nil
 }
 
 // Addr returns the listener's address.
-func (br *Broker) Addr() string { return br.l.Addr().String() }
+func (br *Broker) Addr() string { return br.front.Addr() }
 
 // Ring returns the broker's placement ring (for status displays).
 func (br *Broker) Ring() *Ring { return br.ring }
 
-// Close shuts the broker down gracefully: stop accepting, answer
-// everything admitted, then tear down connections, health checkers and
-// backend clients.
+// Close shuts the broker down gracefully: the front end drains (new
+// batches are refused, everything admitted is answered), then the
+// health checkers stop and the backend clients close. Closing twice is
+// a no-op.
 func (br *Broker) Close() error {
-	br.admitMu.Lock()
-	if br.draining {
-		br.admitMu.Unlock()
-		return nil
-	}
-	br.draining = true
-	br.admitMu.Unlock()
-
-	err := br.l.Close() // acceptLoop exits
-	br.inflight.Wait()  // every admitted batch answered and written
-	close(br.stop)      // health loops exit
-	br.httpSrv.Close()
-	br.httpL.Close()
-	br.connMu.Lock()
-	br.connsTorn = true
-	for c := range br.conns {
-		c.Close()
-	}
-	br.connMu.Unlock()
-	br.wg.Wait()
-	for _, be := range br.backends {
-		be.mu.Lock()
-		if be.c != nil {
-			be.c.Close()
+	err := br.front.Close()
+	br.closeOnce.Do(func() {
+		close(br.stop) // health loops exit
+		br.wg.Wait()
+		for _, be := range br.backends {
+			be.mu.Lock()
+			if be.c != nil {
+				be.c.Close()
+			}
+			be.mu.Unlock()
 		}
-		be.mu.Unlock()
-	}
+	})
 	return err
-}
-
-// begin admits one batch; false means draining.
-func (br *Broker) begin() bool {
-	br.admitMu.Lock()
-	defer br.admitMu.Unlock()
-	if br.draining {
-		return false
-	}
-	br.inflight.Add(1)
-	return true
 }
 
 // Health checking. Each backend is probed two ways on every tick: the
@@ -390,22 +319,13 @@ func (br *Broker) healthyCount() int {
 // key is not a rung).
 func routeKey(q *server.Query) (string, int) {
 	if q.Kind == server.KindProbe {
-		if n, ok := rungOf(q.Shard); ok {
+		if n, ok := server.RungOf(q.Shard); ok {
 			return q.Shard, n
 		}
 		return q.Shard, -1
 	}
 	n := q.Board.Stones()
-	return fmt.Sprintf("awari-%d", n), n
-}
-
-// rungOf parses an "awari-<n>" shard key.
-func rungOf(shard string) (int, bool) {
-	var n int
-	if _, err := fmt.Sscanf(shard, "awari-%d", &n); err != nil || n < 0 {
-		return -1, false
-	}
-	return n, true
+	return server.RungKey(n), n
 }
 
 func (br *Broker) replicated(rung int) bool {
@@ -444,9 +364,16 @@ func (br *Broker) candidates(key string, replicated bool) []*backend {
 	return out
 }
 
-// route answers one front batch by fanning sub-batches out to the
-// fleet.
-func (br *Broker) route(qs []server.Query) []server.Answer {
+// route is the front end's handler: it answers one batch by fanning
+// sub-batches out to the fleet. Beyond MaxInflight concurrently routed
+// batches it sheds load instead.
+func (br *Broker) route(qs []server.Query) ([]server.Answer, error) {
+	select {
+	case br.sem <- struct{}{}:
+		defer func() { <-br.sem }()
+	default:
+		return nil, server.ErrOverloaded
+	}
 	answers := make([]server.Answer, len(qs))
 	type group struct {
 		replicated bool
@@ -471,7 +398,7 @@ func (br *Broker) route(qs []server.Query) []server.Answer {
 		}(key, g)
 	}
 	wg.Wait()
-	return answers
+	return answers, nil
 }
 
 // forward sends one sub-batch to its candidate backends in turn. The
@@ -493,7 +420,7 @@ func (br *Broker) forward(key string, replicated bool, idx []int, qs []server.Qu
 			as, err = c.Do(sub)
 			if err == nil {
 				if attempt > 0 {
-					br.m.failovers.Add(1)
+					br.failovers.Add(1)
 				}
 				be.batches.Add(1)
 				be.queries.Add(uint64(len(sub)))
@@ -506,148 +433,22 @@ func (br *Broker) forward(key string, replicated bool, idx []int, qs []server.Qu
 		be.errors.Add(1)
 		lastErr = err
 	}
-	br.m.unrouted.Add(uint64(len(idx)))
+	br.unrouted.Add(uint64(len(idx)))
 	msg := fmt.Sprintf("broker: no backend could answer %s (%d tried): %v", key, len(cands), lastErr)
 	for _, j := range idx {
 		answers[j] = server.Answer{Err: msg}
 	}
 }
 
-// Front side: the same sniffed single-listener surface as raserve.
-
-func (br *Broker) acceptLoop() {
-	defer br.wg.Done()
-	for {
-		c, err := br.l.Accept()
-		if err != nil {
-			return
-		}
-		br.wg.Add(1)
-		go br.serveConn(c)
-	}
-}
-
-func (br *Broker) serveConn(c net.Conn) {
-	defer br.wg.Done()
-	// Track before the first read: a connection accepted just as Close
-	// sweeps br.conns would otherwise be closed by nobody, and Close's
-	// wg.Wait() would hang on its blocked reader.
-	if !br.track(c) {
-		c.Close()
-		return
-	}
-	reader := bufio.NewReader(c)
-	first, err := reader.Peek(4)
-	if err != nil {
-		br.untrack(c)
-		c.Close()
-		return
-	}
-	if server.IsHTTP(first) {
-		br.untrack(c)
-		br.httpL.Deliver(&server.BufConn{Conn: c, R: reader})
-		return
-	}
-	defer br.untrack(c)
-	defer c.Close()
-
-	var wmu sync.Mutex
-	var pending sync.WaitGroup
-	defer pending.Wait()
-	for {
-		kind, body, err := server.ReadFrame(reader)
-		if err != nil {
-			return
-		}
-		if kind == server.FramePing {
-			id, err := server.FrameID(body)
-			if err != nil {
-				return
-			}
-			br.m.pings.Add(1)
-			wmu.Lock()
-			c.SetWriteDeadline(time.Now().Add(br.cfg.writeTimeout()))
-			c.Write(server.EncodePong(id))
-			wmu.Unlock()
-			continue
-		}
-		if kind != server.FrameQuery {
-			return
-		}
-		id, qs, err := server.DecodeQueries(body)
-		if err != nil {
-			return
-		}
-		overload := func() {
-			br.m.overloads.Add(1)
-			wmu.Lock()
-			c.SetWriteDeadline(time.Now().Add(br.cfg.writeTimeout()))
-			c.Write(server.EncodeOverload(id))
-			wmu.Unlock()
-		}
-		if !br.begin() {
-			overload()
-			continue
-		}
-		select {
-		case br.sem <- struct{}{}:
-		default:
-			br.inflight.Done()
-			overload()
-			continue
-		}
-		pending.Add(1)
-		go func() {
-			defer pending.Done()
-			defer br.inflight.Done()
-			defer func() { <-br.sem }()
-			start := time.Now()
-			br.m.batches.Observe(uint64(len(qs)))
-			br.m.queries.Add(uint64(len(qs)))
-			answers := br.route(qs)
-			br.m.latency.Observe(uint64(time.Since(start).Microseconds()))
-			wmu.Lock()
-			c.SetWriteDeadline(time.Now().Add(br.cfg.writeTimeout()))
-			c.Write(server.EncodeAnswers(id, answers))
-			wmu.Unlock()
-		}()
-	}
-}
-
-// track registers a live connection for teardown; false means Close
-// has already swept the set and the caller must close c itself.
-func (br *Broker) track(c net.Conn) bool {
-	br.connMu.Lock()
-	defer br.connMu.Unlock()
-	if br.connsTorn {
-		return false
-	}
-	br.conns[c] = struct{}{}
-	return true
-}
-
-func (br *Broker) untrack(c net.Conn) {
-	br.connMu.Lock()
-	delete(br.conns, c)
-	br.connMu.Unlock()
-}
-
 // Observability.
 
 // Metrics is the broker-wide snapshot behind /metrics.
 type Metrics struct {
-	Batches           uint64  `json:"batches"`
-	Queries           uint64  `json:"queries"`
-	Overloads         uint64  `json:"overloads"`
-	Failovers         uint64  `json:"failovers"`
-	Unrouted          uint64  `json:"unrouted"`
-	Pings             uint64  `json:"pings"`
-	Backends          int     `json:"backends"`
-	HealthyBackends   int     `json:"healthyBackends"`
-	LatencyMeanMicros float64 `json:"latencyMeanMicros"`
-	LatencyP50Micros  uint64  `json:"latencyP50Micros"`
-	LatencyP99Micros  uint64  `json:"latencyP99Micros"`
-	LatencyP999Micros uint64  `json:"latencyP999Micros"`
+	server.FrontMetrics
+	Failovers       uint64 `json:"failovers"`
+	Unrouted        uint64 `json:"unrouted"`
+	Backends        int    `json:"backends"`
+	HealthyBackends int    `json:"healthyBackends"`
 }
 
 // BackendMetrics is one backend's snapshot.
@@ -664,21 +465,14 @@ type BackendMetrics struct {
 	Client       server.ClientStats `json:"client"`
 }
 
-// Metrics snapshots the front-side counters.
+// Metrics snapshots the front-side and routing counters.
 func (br *Broker) Metrics() Metrics {
 	return Metrics{
-		Batches:           br.m.batches.Count(),
-		Queries:           br.m.queries.Load(),
-		Overloads:         br.m.overloads.Load(),
-		Failovers:         br.m.failovers.Load(),
-		Unrouted:          br.m.unrouted.Load(),
-		Pings:             br.m.pings.Load(),
-		Backends:          len(br.backends),
-		HealthyBackends:   br.healthyCount(),
-		LatencyMeanMicros: br.m.latency.Mean(),
-		LatencyP50Micros:  br.m.latency.Quantile(0.5),
-		LatencyP99Micros:  br.m.latency.Quantile(0.99),
-		LatencyP999Micros: br.m.latency.Quantile(0.999),
+		FrontMetrics:    br.front.Metrics(),
+		Failovers:       br.failovers.Load(),
+		Unrouted:        br.unrouted.Load(),
+		Backends:        len(br.backends),
+		HealthyBackends: br.healthyCount(),
 	}
 }
 
@@ -711,7 +505,7 @@ func (br *Broker) BackendsSnapshot() []BackendMetrics {
 func (br *Broker) Placement(maxRung int) map[string]string {
 	out := map[string]string{}
 	for n := 0; n <= maxRung; n++ {
-		key := fmt.Sprintf("awari-%d", n)
+		key := server.RungKey(n)
 		if br.replicated(n) {
 			out[key] = "all (replicated)"
 		} else {
@@ -763,14 +557,14 @@ func (br *Broker) httpMux() *http.ServeMux {
 		for i, bm := range backends {
 			clients[i] = bm.Client
 		}
-		writeJSON(w, map[string]any{
+		server.WriteJSON(w, map[string]any{
 			"server":   br.Metrics(),
 			"clients":  clients,
 			"backends": backends,
 		})
 	})
 	mux.HandleFunc("/backends", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, map[string]any{
+		server.WriteJSON(w, map[string]any{
 			"backends":  br.BackendsSnapshot(),
 			"placement": br.Placement(24),
 		})
@@ -782,11 +576,4 @@ func (br *Broker) httpMux() *http.ServeMux {
 		}
 	})
 	return mux
-}
-
-func writeJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v)
 }

@@ -2,6 +2,7 @@ package broker
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math/rand"
@@ -13,6 +14,7 @@ import (
 
 	"retrograde/internal/awari"
 	"retrograde/internal/db"
+	"retrograde/internal/game"
 	"retrograde/internal/ladder"
 	"retrograde/internal/ra"
 	"retrograde/internal/server"
@@ -407,5 +409,157 @@ func getJSON(t *testing.T, url string, into any) {
 	}
 	if err := json.NewDecoder(resp.Body).Decode(into); err != nil {
 		t.Fatalf("GET %s: decoding: %v", url, err)
+	}
+}
+
+// TestRouteKeyStrictRungs: only the canonical "awari-<n>" probe routes
+// as a rung (and so may be treated as replicated); near-miss shard names
+// keep their own ring owner.
+func TestRouteKeyStrictRungs(t *testing.T) {
+	if key, rung := routeKey(&server.Query{Kind: server.KindProbe, Shard: "awari-5"}); key != "awari-5" || rung != 5 {
+		t.Errorf("routeKey(awari-5) = %q, %d", key, rung)
+	}
+	if key, rung := routeKey(&server.Query{Kind: server.KindValue, Board: awari.Board{2, 1}}); key != "awari-3" || rung != 3 {
+		t.Errorf("routeKey(3-stone board) = %q, %d", key, rung)
+	}
+	for _, shard := range []string{"awari-5-sym", "awari-5x", "awari-5.radb", "awari-+5", "awari- 5", "awari-05", "awari-99999999"} {
+		if key, rung := routeKey(&server.Query{Kind: server.KindProbe, Shard: shard}); key != shard || rung != -1 {
+			t.Errorf("routeKey(%s) = %q, rung %d; want its own key and no rung", shard, key, rung)
+		}
+	}
+}
+
+// parkingBackend is a backend whose handler parks every batch probing
+// the shard "block" until released — a server.Frontend with a fake
+// owner, which is all a raserve is to the broker.
+type parkingBackend struct {
+	front   *server.Frontend
+	entered chan struct{} // one send per parked batch
+	release chan struct{} // closed to let parked batches finish
+}
+
+func startParkingBackend(t *testing.T) *parkingBackend {
+	t.Helper()
+	front, err := server.Listen("127.0.0.1:0", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := &parkingBackend{front: front, entered: make(chan struct{}, 16), release: make(chan struct{})}
+	mux := http.NewServeMux()
+	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) { fmt.Fprintln(w, "ok") })
+	front.Serve(func(qs []server.Query) ([]server.Answer, error) {
+		as := make([]server.Answer, len(qs))
+		for i, q := range qs {
+			if q.Shard == "block" {
+				p.entered <- struct{}{}
+				<-p.release
+			}
+			as[i] = server.Answer{Value: game.Value(q.Index), Pit: -1}
+		}
+		return as, nil
+	}, mux)
+	t.Cleanup(func() { front.Close() })
+	return p
+}
+
+// startOver launches a broker over one parking backend and a client to
+// the broker's front.
+func startOver(t *testing.T, p *parkingBackend, cfg Config) (*Broker, *server.Client) {
+	t.Helper()
+	cfg.Backends = []string{p.front.Addr()}
+	br, err := Start("127.0.0.1:0", cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { br.Close() })
+	c, err := server.DialConfig(br.Addr(), server.ClientConfig{Timeout: 10 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { c.Close() })
+	return br, c
+}
+
+func probe(shard string, idx uint64) []server.Query {
+	return []server.Query{{Kind: server.KindProbe, Shard: shard, Index: idx}}
+}
+
+// TestBrokerShedsBeyondMaxInflight: with one routing slot and a batch
+// parked in it, the next batch is shed at the client with ErrOverloaded
+// and counted; the parked one is still answered.
+func TestBrokerShedsBeyondMaxInflight(t *testing.T) {
+	p := startParkingBackend(t)
+	br, c := startOver(t, p, Config{MaxInflight: 1, ReplicateMax: -1})
+
+	parked := make(chan error, 1)
+	go func() {
+		as, err := c.Do(probe("block", 7))
+		if err == nil && as[0].Value != 7 {
+			err = fmt.Errorf("parked batch answered %+v, want value 7", as[0])
+		}
+		parked <- err
+	}()
+	<-p.entered
+	if _, err := c.Do(probe("quick", 1)); !errors.Is(err, server.ErrOverloaded) {
+		t.Errorf("batch beyond MaxInflight = %v, want ErrOverloaded", err)
+	}
+	if m := br.Metrics(); m.Overloads != 1 || m.Batches != 0 {
+		t.Errorf("overloads = %d, batches = %d; want 1 shed while the parked batch is still out", m.Overloads, m.Batches)
+	}
+	close(p.release)
+	if err := <-parked; err != nil {
+		t.Errorf("parked batch: %v", err)
+	}
+	if as, err := c.Do(probe("quick", 2)); err != nil || as[0].Value != 2 {
+		t.Errorf("batch after the slot freed = %+v, %v", as, err)
+	}
+}
+
+// TestBrokerCloseDrains: Close answers the batch in flight, refuses the
+// next, and is idempotent.
+func TestBrokerCloseDrains(t *testing.T) {
+	p := startParkingBackend(t)
+	br, c := startOver(t, p, Config{ReplicateMax: -1})
+
+	parked := make(chan error, 1)
+	go func() {
+		as, err := c.Do(probe("block", 7))
+		if err == nil && as[0].Value != 7 {
+			err = fmt.Errorf("in-flight batch answered %+v, want value 7", as[0])
+		}
+		parked <- err
+	}()
+	<-p.entered
+
+	closed := make(chan error, 1)
+	go func() { closed <- br.Close() }()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		_, err := c.Do(probe("quick", 1))
+		if errors.Is(err, server.ErrOverloaded) {
+			break // draining: refused, not routed
+		}
+		if err != nil || time.Now().After(deadline) {
+			t.Fatalf("broker never started refusing batches (last: %v)", err)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	select {
+	case err := <-closed:
+		t.Fatalf("Close returned %v with a batch still in flight", err)
+	default:
+	}
+	close(p.release)
+	if err := <-parked; err != nil {
+		t.Errorf("in-flight batch across Close: %v", err)
+	}
+	if err := <-closed; err != nil {
+		t.Errorf("Close = %v", err)
+	}
+	if err := br.Close(); err != nil {
+		t.Errorf("second Close = %v, want nil", err)
+	}
+	if _, err := server.Dial(br.Addr()); err == nil {
+		t.Error("dialing a closed broker succeeded")
 	}
 }

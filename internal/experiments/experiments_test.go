@@ -245,7 +245,7 @@ func TestRunAllQuick(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := sb.String()
-	for _, want := range []string{"E1:", "E2:", "E3:", "E4:", "E5:", "E6a:", "E6b:", "E7:", "E8:", "E9:", "E10:", "E11a:", "E11b:", "E12:", "E13:", "E14:", "E16:", "A1:", "A2:", "A3:", "A4:", "V1:"} {
+	for _, want := range []string{"E1:", "E2:", "E3:", "E4:", "E5:", "E6a:", "E6b:", "E7:", "E8:", "E9:", "E10:", "E11a:", "E11b:", "E12:", "E14:", "E16:", "A1:", "A2:", "A3:", "A4:", "V1:"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("RunAll output missing %q", want)
 		}
@@ -420,28 +420,6 @@ func TestV1Generality(t *testing.T) {
 	for r := 0; r < tbl.Rows(); r++ {
 		if strings.Contains(tbl.Cell(r, 6), "FAILED") {
 			t.Errorf("row %d oracle check: %s", r, tbl.Cell(r, 6))
-		}
-	}
-}
-
-// TestE13Broker runs the serving-tier drill at test scale: all three
-// scenarios must answer every batch with checksums identical to the
-// direct baseline, including the one that kills a backend mid-run.
-func TestE13Broker(t *testing.T) {
-	if testing.Short() {
-		t.Skip("serving-tier drill (real listeners) skipped in -short mode")
-	}
-	env := quickEnv(t)
-	tbl, err := E13Broker(env)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tbl.Rows() != 3 {
-		t.Fatalf("rows = %d, want 3", tbl.Rows())
-	}
-	for r := 0; r < tbl.Rows(); r++ {
-		if got := tbl.Cell(r, 6); got != "identical to direct" {
-			t.Errorf("row %d (%s) check: %q", r, tbl.Cell(r, 0), got)
 		}
 	}
 }

@@ -91,7 +91,6 @@ func RunAll(s Scale, w io.Writer, progress bool, csvDir, jsonPath string) error 
 		{"E15", E15OutOfCore},
 		{"E16", E16Writeback},
 		{"E12", E12Faults},
-		{"E13", E13Broker},
 		{"A1", A1Partition},
 		{"A2", A2Interconnect},
 		{"A3", A3Termination},

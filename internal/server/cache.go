@@ -153,7 +153,7 @@ func NewCache(dir string, budget uint64) (*Cache, error) {
 				entries: info.Entries, bits: info.Bits,
 				bytes: info.ServingBytes(), rawBytes: info.Bytes, version: info.Version,
 			}
-			if n, ok := awariRung(key); ok && info.Entries == awari.Size(n) {
+			if n, ok := RungOf(key); ok && info.Entries == awari.Size(n) {
 				rungs[n] = true
 			}
 		case strings.HasSuffix(name, ".rafy"):
@@ -179,14 +179,31 @@ func NewCache(dir string, budget uint64) (*Cache, error) {
 	return c, nil
 }
 
-// awariRung reports whether key names an awari ladder rung.
-func awariRung(key string) (int, bool) {
-	rest, ok := strings.CutPrefix(key, "awari-")
-	if !ok {
-		return 0, false
+// The shard key of awari rung n is "awari-<n>", n in canonical decimal:
+// the name rabuild writes, the cache discovers, queries probe and the
+// broker consistent-hashes. RungKey and RungOf are its one codec.
+
+var rungKeys = func() (keys [awari.MaxStones + 1]string) {
+	for n := range keys {
+		keys[n] = "awari-" + strconv.Itoa(n)
 	}
-	n, err := strconv.Atoi(rest)
-	if err != nil || n < 0 || n > awari.MaxStones {
+	return keys
+}()
+
+// RungKey returns the shard key of awari rung n.
+func RungKey(n int) string {
+	if n >= 0 && n < len(rungKeys) {
+		return rungKeys[n]
+	}
+	return "awari-" + strconv.Itoa(n) // no such rung; the lookup will say so
+}
+
+// RungOf reports which awari rung key names. Only RungKey's spelling of
+// a rung in [0, awari.MaxStones] is one: "awari-05", "awari-+5",
+// "awari-5-sym" and "awari-99999999" are ordinary shard names.
+func RungOf(key string) (int, bool) {
+	n, err := strconv.Atoi(strings.TrimPrefix(key, "awari-"))
+	if err != nil || n < 0 || n >= len(rungKeys) || rungKeys[n] != key {
 		return 0, false
 	}
 	return n, true
@@ -376,7 +393,7 @@ func load(e *entry) (*db.Table, *zdb.Table, *db.Family, error) {
 	if err != nil {
 		return nil, nil, nil, fmt.Errorf("server: loading shard %s: %w", e.key, err)
 	}
-	if n, ok := awariRung(e.key); ok && size != awari.Size(n) {
+	if n, ok := RungOf(e.key); ok && size != awari.Size(n) {
 		return nil, nil, nil, fmt.Errorf("server: %s holds %d entries, want %d", e.path, size, awari.Size(n))
 	}
 	return tab, ztab, nil, nil
@@ -431,7 +448,7 @@ func (c *Cache) AcquireAwari(n int) (awari.Lookup, func(), error) {
 	}
 	gets := make([]func(uint64) game.Value, n+1)
 	for i := 0; i <= n; i++ {
-		pin, err := c.Acquire(fmt.Sprintf("awari-%d", i))
+		pin, err := c.Acquire(RungKey(i))
 		if err != nil {
 			release()
 			return nil, nil, err

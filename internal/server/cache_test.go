@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 
+	"retrograde/internal/awari"
 	"retrograde/internal/db"
 	"retrograde/internal/game"
 	"retrograde/internal/zdb"
@@ -378,4 +379,60 @@ func TestCacheConcurrent(t *testing.T) {
 	if evictions == 0 {
 		t.Error("4 shards under a 2-shard budget never evicted")
 	}
+}
+
+// TestRungKeyCodec: a rung has exactly one shard key, RungKey's. Every
+// other spelling — what strconv.Atoi or fmt.Sscanf would wave through —
+// names an ordinary shard, so a stray file can neither be routed as a
+// rung nor extend the ladder past a rung nobody can acquire.
+func TestRungKeyCodec(t *testing.T) {
+	for _, tc := range []struct {
+		key  string
+		rung int
+		ok   bool
+	}{
+		{"awari-0", 0, true},
+		{"awari-5", 5, true},
+		{"awari-48", awari.MaxStones, true},
+		{"awari-49", 0, false},
+		{"awari-99999999", 0, false},
+		{"awari-05", 0, false},
+		{"awari-+5", 0, false},
+		{"awari- 5", 0, false},
+		{"awari--5", 0, false},
+		{"awari-5x", 0, false},
+		{"awari-5.radb", 0, false},
+		{"awari-5-sym", 0, false},
+		{"awari-", 0, false},
+		{"awari", 0, false},
+		{"kalah-5", 0, false},
+		{"5", 0, false},
+	} {
+		rung, ok := RungOf(tc.key)
+		if ok != tc.ok || rung != tc.rung {
+			t.Errorf("RungOf(%q) = %d, %v; want %d, %v", tc.key, rung, ok, tc.rung, tc.ok)
+		}
+		if ok && RungKey(rung) != tc.key {
+			t.Errorf("RungKey(%d) = %q, want %q", rung, RungKey(rung), tc.key)
+		}
+	}
+
+	// Rungs 0 and 1 plus a rung-2-sized table under a near-miss name: the
+	// ladder ends at 1, and what it claims to cover it can pin.
+	dir := t.TempDir()
+	writeTable(t, dir, "awari-0", int(awari.Size(0)))
+	writeTable(t, dir, "awari-1", int(awari.Size(1)))
+	writeTable(t, dir, "awari-02", int(awari.Size(2)))
+	c, err := NewCache(dir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := c.AwariMax(); got != 1 {
+		t.Errorf("AwariMax = %d with rungs 0, 1 and a stray awari-02; want 1", got)
+	}
+	_, release, err := c.AcquireAwari(c.AwariMax())
+	if err != nil {
+		t.Fatalf("AcquireAwari(AwariMax): %v", err)
+	}
+	release()
 }

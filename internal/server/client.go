@@ -177,7 +177,7 @@ func (c *Client) Close() error {
 func (c *Client) reader(conn net.Conn) {
 	br := bufio.NewReader(conn)
 	for {
-		kind, body, err := ReadFrame(br)
+		kind, body, err := readFrame(br)
 		if err != nil {
 			c.dropConn(conn, fmt.Errorf("server: connection lost: %w", err))
 			return
@@ -193,7 +193,7 @@ func (c *Client) reader(conn net.Conn) {
 			}
 		case FrameOverload, FramePong:
 			var err error
-			if id, err = FrameID(body); err != nil {
+			if id, err = frameID(body); err != nil {
 				c.dropConn(conn, err)
 				return
 			}

@@ -97,18 +97,18 @@ func TestClientCountsUnknownReplies(t *testing.T) {
 	release := make(chan struct{})
 	addr := fakeBinaryServer(t, func(c net.Conn, br *bufio.Reader) {
 		defer c.Close()
-		_, body, err := ReadFrame(br)
+		_, body, err := readFrame(br)
 		if err != nil {
 			return
 		}
-		id, _, err := DecodeQueries(body)
+		id, _, err := decodeQueries(body)
 		if err != nil {
 			return
 		}
 		<-release // answer only after the client gave up
-		c.Write(EncodeAnswers(id, []Answer{{Pit: -1}}))
+		c.Write(encodeAnswers(id, []Answer{{Pit: -1}}))
 		// And one the client never asked for.
-		c.Write(EncodeAnswers(id+1000, []Answer{{Pit: -1}}))
+		c.Write(encodeAnswers(id+1000, []Answer{{Pit: -1}}))
 	})
 	c, err := DialConfig(addr, ClientConfig{Timeout: 100 * time.Millisecond})
 	if err != nil {
@@ -142,11 +142,11 @@ func TestClientRetriesOverload(t *testing.T) {
 	addr := fakeBinaryServer(t, func(c net.Conn, br *bufio.Reader) {
 		defer c.Close()
 		for {
-			_, body, err := ReadFrame(br)
+			_, body, err := readFrame(br)
 			if err != nil {
 				return
 			}
-			id, qs, err := DecodeQueries(body)
+			id, qs, err := decodeQueries(body)
 			if err != nil {
 				return
 			}
@@ -154,12 +154,12 @@ func TestClientRetriesOverload(t *testing.T) {
 			if sheds > 0 {
 				sheds--
 				mu.Unlock()
-				c.Write(EncodeOverload(id))
+				c.Write(encodeOverload(id))
 				continue
 			}
 			answered++
 			mu.Unlock()
-			c.Write(EncodeAnswers(id, make([]Answer, len(qs))))
+			c.Write(encodeAnswers(id, make([]Answer, len(qs))))
 		}
 	})
 
@@ -198,15 +198,15 @@ func TestClientGiveUpNamesAttempts(t *testing.T) {
 	addr := fakeBinaryServer(t, func(c net.Conn, br *bufio.Reader) {
 		defer c.Close()
 		for {
-			_, body, err := ReadFrame(br)
+			_, body, err := readFrame(br)
 			if err != nil {
 				return
 			}
-			id, _, err := DecodeQueries(body)
+			id, _, err := decodeQueries(body)
 			if err != nil {
 				return
 			}
-			c.Write(EncodeOverload(id))
+			c.Write(encodeOverload(id))
 		}
 	})
 	c, err := DialConfig(addr, ClientConfig{Retries: 2, Backoff: time.Millisecond})

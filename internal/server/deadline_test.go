@@ -1,15 +1,17 @@
 package server
 
 import (
+	"errors"
 	"net"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
 
 // deadlineConn wraps an accepted connection and records whether every
 // reply write happened under an armed write deadline — the wedge-defence
-// regression guard for serveConn: a peer that stops draining its socket
+// regression guard for Frontend.serveConn: a peer that stops draining its socket
 // must not be able to park a reply goroutine forever.
 type deadlineConn struct {
 	net.Conn
@@ -53,7 +55,6 @@ func TestReplyWritesAreDeadlined(t *testing.T) {
 	var mu sync.Mutex
 	var conns []*deadlineConn
 	s := startServer(t, dir, Config{
-		WriteTimeout: 2 * time.Second,
 		WrapConn: func(c net.Conn) net.Conn {
 			d := &deadlineConn{Conn: c}
 			mu.Lock()
@@ -87,5 +88,66 @@ func TestReplyWritesAreDeadlined(t *testing.T) {
 	}
 	if total == 0 {
 		t.Fatal("no reply writes observed; the recorder is not in the path")
+	}
+}
+
+// tornWriteConn fails its first Write mid-frame — 4 bytes out, then an
+// error, the way an expiring write deadline lands — and behaves from
+// then on.
+type tornWriteConn struct {
+	net.Conn
+	torn atomic.Bool
+}
+
+func (c *tornWriteConn) Write(p []byte) (int, error) {
+	if len(p) > 4 && c.torn.CompareAndSwap(false, true) {
+		n, _ := c.Conn.Write(p[:4])
+		return n, errors.New("injected: write deadline expired mid-frame")
+	}
+	return c.Conn.Write(p)
+}
+
+// TestFailedReplyWriteClosesConn: a reply write that fails mid-frame
+// must cost the connection, not the framing. The first connection's
+// first reply is torn after its length header; the client has to see a
+// connection error — not wait on the half frame, not decode the next
+// reply as its tail — and the same Client must answer correctly again
+// after redialing.
+func TestFailedReplyWriteClosesConn(t *testing.T) {
+	dir := t.TempDir()
+	l := buildLadder(t)
+	saveRungs(t, l, dir)
+
+	var wrapped atomic.Int32
+	s := startServer(t, dir, Config{
+		WrapConn: func(c net.Conn) net.Conn {
+			if wrapped.Add(1) == 1 {
+				return &tornWriteConn{Conn: c}
+			}
+			return c
+		},
+	})
+	c, err := DialConfig(s.Addr(), ClientConfig{Timeout: 5 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	b := boardOf(testStones, 0)
+	start := time.Now()
+	if v, err := c.Value(b); err == nil {
+		t.Fatalf("value over a torn reply = %d, want a connection error", v)
+	} else if time.Since(start) > 4*time.Second {
+		t.Fatalf("torn reply surfaced only as a call timeout (%v): the connection was left open", err)
+	}
+	got, err := c.Value(b)
+	if err != nil {
+		t.Fatalf("call after the torn reply: %v", err)
+	}
+	if want := l.Value(b); got != want {
+		t.Errorf("value after reconnect = %d, ladder says %d", got, want)
+	}
+	if r := c.Stats().Reconnects; r != 1 {
+		t.Errorf("Reconnects = %d, want 1", r)
 	}
 }

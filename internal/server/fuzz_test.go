@@ -7,7 +7,7 @@ import (
 )
 
 // FuzzFrameDecode throws arbitrary bytes at the wire-facing decode path —
-// ReadFrame and the per-kind body decoders — which consume input straight
+// readFrame and the per-kind body decoders — which consume input straight
 // off public TCP sockets and therefore must never panic, whatever a
 // client sends.
 func FuzzFrameDecode(f *testing.F) {
@@ -17,7 +17,7 @@ func FuzzFrameDecode(f *testing.F) {
 	if q, err := EncodeQueries(42, []Query{{Kind: KindProbe, Shard: "s", Index: 99}}); err == nil {
 		f.Add(q)
 	}
-	f.Add(append(EncodePing(7), EncodeOverload(8)...))
+	f.Add(append(EncodePing(7), encodeOverload(8)...))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		defer func() {
 			if r := recover(); r != nil {
@@ -26,17 +26,17 @@ func FuzzFrameDecode(f *testing.F) {
 		}()
 		br := bufio.NewReader(bytes.NewReader(data))
 		for {
-			kind, body, err := ReadFrame(br)
+			kind, body, err := readFrame(br)
 			if err != nil {
 				return
 			}
 			switch kind {
 			case FrameQuery:
-				DecodeQueries(body)
+				decodeQueries(body)
 			case FrameReply:
 				DecodeAnswers(body)
 			case FramePing, FramePong, FrameOverload:
-				FrameID(body)
+				frameID(body)
 			}
 		}
 	})

@@ -12,8 +12,9 @@ import (
 // The HTTP surface shares the listener with the binary protocol: the
 // first bytes of each connection are sniffed (see sniff.go), and HTTP
 // method prefixes are handed to an embedded net/http server through a
-// channel-backed listener. Handlers go through the same begin/execute
-// path as binary batches, so backpressure and draining apply uniformly.
+// channel-backed listener — all of it inside Frontend. The query handlers
+// here go through Frontend.Do, the same entry as binary batches, so
+// admission, shedding and the counters apply uniformly.
 
 func (s *Server) httpMux() *http.ServeMux {
 	mux := http.NewServeMux()
@@ -32,12 +33,7 @@ func (s *Server) httpMux() *http.ServeMux {
 // submitHTTP admits and executes a single query for an HTTP handler,
 // translating queue pressure into 503s.
 func (s *Server) submitHTTP(w http.ResponseWriter, q Query) (Answer, bool) {
-	if !s.begin() {
-		http.Error(w, "overloaded", http.StatusServiceUnavailable)
-		return Answer{}, false
-	}
-	defer s.inflight.Done()
-	answers, err := s.execute([]Query{q})
+	answers, err := s.front.Do([]Query{q})
 	if err != nil {
 		http.Error(w, "overloaded", http.StatusServiceUnavailable)
 		return Answer{}, false
@@ -50,7 +46,9 @@ func (s *Server) submitHTTP(w http.ResponseWriter, q Query) (Answer, bool) {
 	return a, true
 }
 
-func writeJSON(w http.ResponseWriter, v any) {
+// WriteJSON sends v as an indented JSON response — the one encoder
+// behind raserve's and rabroker's JSON endpoints.
+func WriteJSON(w http.ResponseWriter, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
@@ -97,7 +95,7 @@ func (s *Server) handleBoard(kind byte) http.HandlerFunc {
 			}
 			resp["line"] = line
 		}
-		writeJSON(w, resp)
+		WriteJSON(w, resp)
 	}
 }
 
@@ -117,7 +115,7 @@ func (s *Server) handleProbe(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	writeJSON(w, map[string]any{"shard": shard, "index": idx, "value": a.Value})
+	WriteJSON(w, map[string]any{"shard": shard, "index": idx, "value": a.Value})
 }
 
 // handleStats renders the stats tables as text.
@@ -137,7 +135,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 // and, for compressed shards, the decoded-block cache next to the
 // latencies they explain.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, map[string]any{
+	WriteJSON(w, map[string]any{
 		"server":  s.Metrics(),
 		"clients": []ClientStats{},
 		"shards":  s.cache.Snapshot(),
@@ -146,5 +144,5 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 
 // handleShards lists discovered shards as JSON.
 func (s *Server) handleShards(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, s.cache.Snapshot())
+	WriteJSON(w, s.cache.Snapshot())
 }

@@ -24,7 +24,7 @@ import (
 // Frame types on the wire. Every frame is length(4, LE, excluding
 // itself) | type(1) | id(4, LE) | body — the framing idiom of
 // internal/remote, with a request id so clients can pipeline batches.
-// The types, together with ReadFrame and the Encode/Decode helpers, are
+// The types, together with readFrame and the Encode/Decode helpers, are
 // exported so other front ends speaking this protocol (the rabroker
 // serving tier) need no second implementation.
 const (
@@ -130,8 +130,8 @@ func EncodeQueries(id uint32, qs []Query) ([]byte, error) {
 	return buf, nil
 }
 
-// DecodeQueries parses a FrameQuery body (after the type byte).
-func DecodeQueries(body []byte) (id uint32, qs []Query, err error) {
+// decodeQueries parses a FrameQuery body (after the type byte).
+func decodeQueries(body []byte) (id uint32, qs []Query, err error) {
 	if len(body) < 6 {
 		return 0, nil, fmt.Errorf("server: truncated query frame")
 	}
@@ -192,8 +192,8 @@ func DecodeQueries(body []byte) (id uint32, qs []Query, err error) {
 	return id, qs, nil
 }
 
-// EncodeAnswers builds a FrameReply for the batch.
-func EncodeAnswers(id uint32, as []Answer) []byte {
+// encodeAnswers builds a FrameReply for the batch.
+func encodeAnswers(id uint32, as []Answer) []byte {
 	buf := make([]byte, 0, 16+8*len(as))
 	buf = append(buf, 0, 0, 0, 0)
 	buf = append(buf, FrameReply)
@@ -276,15 +276,15 @@ func DecodeAnswers(body []byte) (id uint32, as []Answer, err error) {
 	return id, as, nil
 }
 
-// EncodeOverload builds a FrameOverload.
-func EncodeOverload(id uint32) []byte { return encodeBare(FrameOverload, id) }
+// encodeOverload builds a FrameOverload.
+func encodeOverload(id uint32) []byte { return encodeBare(FrameOverload, id) }
 
 // EncodePing builds a FramePing: the cheapest possible health check, one
 // queue-bypassing round trip on an already-open binary connection.
 func EncodePing(id uint32) []byte { return encodeBare(FramePing, id) }
 
-// EncodePong builds a FramePong.
-func EncodePong(id uint32) []byte { return encodeBare(FramePong, id) }
+// encodePong builds a FramePong.
+func encodePong(id uint32) []byte { return encodeBare(FramePong, id) }
 
 // encodeBare builds a body-less frame: length | type | id.
 func encodeBare(kind byte, id uint32) []byte {
@@ -295,17 +295,17 @@ func encodeBare(kind byte, id uint32) []byte {
 	return buf
 }
 
-// FrameID extracts the request id from a frame body (the 4 bytes after
+// frameID extracts the request id from a frame body (the 4 bytes after
 // the type, present in every frame type).
-func FrameID(body []byte) (uint32, error) {
+func frameID(body []byte) (uint32, error) {
 	if len(body) < 4 {
 		return 0, fmt.Errorf("server: truncated frame: no request id")
 	}
 	return binary.LittleEndian.Uint32(body), nil
 }
 
-// ReadFrame reads one frame and returns its type and body (id included).
-func ReadFrame(r *bufio.Reader) (kind byte, body []byte, err error) {
+// readFrame reads one frame and returns its type and body (id included).
+func readFrame(r *bufio.Reader) (kind byte, body []byte, err error) {
 	var head [4]byte
 	if _, err := io.ReadFull(r, head[:]); err != nil {
 		return 0, nil, err

@@ -21,14 +21,14 @@ func TestQueryRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	kind, body, err := ReadFrame(bufio.NewReader(bytes.NewReader(frame)))
+	kind, body, err := readFrame(bufio.NewReader(bytes.NewReader(frame)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if kind != FrameQuery {
 		t.Fatalf("frame type = %d, want %d", kind, FrameQuery)
 	}
-	id, got, err := DecodeQueries(body)
+	id, got, err := decodeQueries(body)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,8 +47,8 @@ func TestAnswerRoundTrip(t *testing.T) {
 		{Err: "no database for 49 stones"},
 		{Value: 0, Pit: 0},
 	}
-	frame := EncodeAnswers(7, as)
-	kind, body, err := ReadFrame(bufio.NewReader(bytes.NewReader(frame)))
+	frame := encodeAnswers(7, as)
+	kind, body, err := readFrame(bufio.NewReader(bytes.NewReader(frame)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,8 +68,8 @@ func TestAnswerRoundTrip(t *testing.T) {
 }
 
 func TestOverloadRoundTrip(t *testing.T) {
-	frame := EncodeOverload(99)
-	kind, body, err := ReadFrame(bufio.NewReader(bytes.NewReader(frame)))
+	frame := encodeOverload(99)
+	kind, body, err := readFrame(bufio.NewReader(bytes.NewReader(frame)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +105,7 @@ func TestDecodeRejects(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := DecodeQueries(frame[5:]); err == nil {
+	if _, _, err := decodeQueries(frame[5:]); err == nil {
 		t.Error("board with a 49-stone pit accepted")
 	}
 	// Truncated bodies must error, not panic.
@@ -114,7 +114,7 @@ func TestDecodeRejects(t *testing.T) {
 		t.Fatal(err)
 	}
 	for cut := 5; cut < len(good); cut++ {
-		if _, _, err := DecodeQueries(good[5:cut]); err == nil {
+		if _, _, err := decodeQueries(good[5:cut]); err == nil {
 			t.Errorf("truncation at %d accepted", cut)
 		}
 	}
@@ -124,7 +124,7 @@ func TestDecodeRejects(t *testing.T) {
 	head[1] = 0xFF
 	head[2] = 0xFF
 	head[3] = 0x7F
-	if _, _, err := ReadFrame(bufio.NewReader(bytes.NewReader(head[:]))); err == nil {
+	if _, _, err := readFrame(bufio.NewReader(bytes.NewReader(head[:]))); err == nil {
 		t.Error("oversized frame accepted")
 	}
 }
@@ -136,16 +136,16 @@ func TestPingPongFrames(t *testing.T) {
 		kind  byte
 	}{
 		{"ping", EncodePing(77), FramePing},
-		{"pong", EncodePong(78), FramePong},
+		{"pong", encodePong(78), FramePong},
 	} {
-		kind, body, err := ReadFrame(bufio.NewReader(bytes.NewReader(tc.frame)))
+		kind, body, err := readFrame(bufio.NewReader(bytes.NewReader(tc.frame)))
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
 		if kind != tc.kind {
 			t.Fatalf("%s: frame type = %d, want %d", tc.name, kind, tc.kind)
 		}
-		id, err := FrameID(body)
+		id, err := frameID(body)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -153,7 +153,7 @@ func TestPingPongFrames(t *testing.T) {
 			t.Errorf("%s: id = %d, want %d", tc.name, id, want)
 		}
 	}
-	if _, err := FrameID([]byte{1, 2}); err == nil {
-		t.Error("FrameID accepted a truncated body")
+	if _, err := frameID([]byte{1, 2}); err == nil {
+		t.Error("frameID accepted a truncated body")
 	}
 }

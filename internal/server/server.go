@@ -1,24 +1,15 @@
 package server
 
 import (
-	"bufio"
-	"errors"
 	"fmt"
 	"net"
-	"net/http"
 	"runtime"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"retrograde/internal/awari"
 	"retrograde/internal/stats"
 )
-
-// ErrOverloaded is returned when the server sheds a batch: its bounded
-// queue is full, or it is draining for shutdown. Clients should back off
-// and retry rather than pile on.
-var ErrOverloaded = errors.New("server: overloaded")
 
 // Config parameterises a Server.
 type Config struct {
@@ -36,15 +27,6 @@ type Config struct {
 	// QueueDepth bounds the batch queue; a full queue sheds load with an
 	// overload response. 0 means 64.
 	QueueDepth int
-	// ReadTimeout, WriteTimeout and IdleTimeout bound the embedded HTTP
-	// server (request read, response write, keep-alive idle); zero means
-	// 30s, 60s and 2m. Binary-protocol connections are long-lived and may
-	// idle between batches, so ReadTimeout and IdleTimeout do not apply
-	// to them — but WriteTimeout bounds each reply write, so a peer that
-	// stops draining its socket cannot wedge a reply goroutine forever.
-	ReadTimeout  time.Duration
-	WriteTimeout time.Duration
-	IdleTimeout  time.Duration
 	// WrapConn, when non-nil, wraps every accepted connection — the
 	// fault-injection hook for internal/faultnet (see raserve -faults).
 	// Production setups leave it nil.
@@ -65,72 +47,26 @@ func (c Config) queueDepth() int {
 	return 64
 }
 
-func (c Config) readTimeout() time.Duration {
-	if c.ReadTimeout > 0 {
-		return c.ReadTimeout
-	}
-	return 30 * time.Second
-}
-
-func (c Config) writeTimeout() time.Duration {
-	if c.WriteTimeout > 0 {
-		return c.WriteTimeout
-	}
-	return 60 * time.Second
-}
-
-func (c Config) idleTimeout() time.Duration {
-	if c.IdleTimeout > 0 {
-		return c.IdleTimeout
-	}
-	return 2 * time.Minute
-}
-
 // job is one admitted batch travelling through the queue.
 type job struct {
 	queries []Query
 	answers []Answer
-	enq     time.Time
 	done    chan struct{}
 }
 
-// Server answers endgame-database queries over the binary protocol and
-// HTTP on one listener. Create one with Start; stop it with Close.
+// Server answers endgame-database queries: a shard cache, a bounded job
+// queue and a pool of workers behind a Frontend (binary protocol and
+// HTTP on one listener). Create one with Start; stop it with Close.
 type Server struct {
 	cfg   Config
 	cache *Cache
-	l     net.Listener
+	front *Frontend
 	jobs  chan *job
 
-	// admitMu orders request admission against draining: once draining
-	// is set under the mutex, no new request can enter inflight, so
-	// Close's inflight.Wait() covers every admitted request completely
-	// (including its response write).
-	admitMu  sync.Mutex
-	draining bool
-	inflight sync.WaitGroup
+	wg        sync.WaitGroup // workers
+	closeOnce sync.Once
 
-	connMu    sync.Mutex
-	conns     map[net.Conn]struct{}
-	connsTorn bool // Close has swept conns; late arrivals must self-close
-
-	httpL   *HTTPListener
-	httpSrv *http.Server
-
-	wg sync.WaitGroup // accept loop, workers, connection readers
-
-	m metrics
-}
-
-// metrics are the server-wide counters; per-shard counters live in the
-// cache.
-type metrics struct {
-	batches   stats.Histogram // batch sizes (queries per batch)
-	latency   stats.Histogram // batch service time, microseconds
-	queries   atomic.Uint64
-	overloads atomic.Uint64
-	errors    atomic.Uint64 // per-query failures
-	pings     atomic.Uint64 // binary-protocol liveness probes answered
+	queryErrors atomic.Uint64 // per-query failures
 }
 
 // Start discovers shards under cfg.Dir, listens on addr (e.g.
@@ -141,92 +77,49 @@ func Start(addr string, cfg Config) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	l, err := net.Listen("tcp", addr)
+	front, err := Listen(addr, cfg.WrapConn)
 	if err != nil {
 		return nil, err
 	}
 	s := &Server{
 		cfg:   cfg,
 		cache: cache,
-		l:     l,
+		front: front,
 		jobs:  make(chan *job, cfg.queueDepth()),
-		conns: map[net.Conn]struct{}{},
-		httpL: NewHTTPListener(l.Addr()),
-	}
-	s.httpSrv = &http.Server{
-		Handler:      s.httpMux(),
-		ReadTimeout:  cfg.readTimeout(),
-		WriteTimeout: cfg.writeTimeout(),
-		IdleTimeout:  cfg.idleTimeout(),
 	}
 	for i := 0; i < cfg.workers(); i++ {
 		s.wg.Add(1)
 		go s.worker()
 	}
-	s.wg.Add(1)
-	go s.acceptLoop()
-	s.wg.Add(1)
-	go func() {
-		defer s.wg.Done()
-		s.httpSrv.Serve(s.httpL) // returns once Close closes httpL
-	}()
+	front.Serve(s.execute, s.httpMux())
 	return s, nil
 }
 
 // Addr returns the listener's address (for addr ":0" setups).
-func (s *Server) Addr() string { return s.l.Addr().String() }
+func (s *Server) Addr() string { return s.front.Addr() }
 
 // Cache returns the shard cache (for statistics).
 func (s *Server) Cache() *Cache { return s.cache }
 
-// Close shuts the server down gracefully: it stops accepting, refuses
-// new batches with overload responses, serves and answers everything
-// already admitted, then tears the connections down.
+// Close shuts the server down gracefully: the front end drains (new
+// batches are refused with overload responses, everything admitted is
+// answered), then the workers stop. Closing twice is a no-op.
 func (s *Server) Close() error {
-	s.admitMu.Lock()
-	if s.draining {
-		s.admitMu.Unlock()
-		return nil
-	}
-	s.draining = true
-	s.admitMu.Unlock()
-
-	err := s.l.Close() // acceptLoop exits
-	s.inflight.Wait()  // every admitted batch answered and written
-	close(s.jobs)      // workers exit
-	s.httpSrv.Close()  // http connections torn down
-	s.httpL.Close()    // httpSrv.Serve returns
-	s.connMu.Lock()    // binary connections torn down, readers exit
-	s.connsTorn = true
-	for c := range s.conns {
-		c.Close()
-	}
-	s.connMu.Unlock()
-	s.wg.Wait()
+	err := s.front.Close()
+	s.closeOnce.Do(func() {
+		close(s.jobs) // nothing is in flight any more; workers exit
+		s.wg.Wait()
+	})
 	return err
 }
 
-// begin admits one request. When it returns true the caller holds an
-// inflight reference and must call s.inflight.Done() after fully
-// responding; false means the server is draining.
-func (s *Server) begin() bool {
-	s.admitMu.Lock()
-	defer s.admitMu.Unlock()
-	if s.draining {
-		return false
-	}
-	s.inflight.Add(1)
-	return true
-}
-
-// execute queues the batch and waits for its answers. The caller must
-// hold an inflight reference (see begin).
+// execute is the front end's handler: it queues the batch and waits for
+// its answers; a full queue sheds it.
 func (s *Server) execute(qs []Query) ([]Answer, error) {
-	j := &job{queries: qs, enq: time.Now(), done: make(chan struct{})}
+	j := &job{queries: qs, done: make(chan struct{})}
 	select {
 	case s.jobs <- j:
 	default:
-		s.m.overloads.Add(1)
 		return nil, ErrOverloaded
 	}
 	<-j.done
@@ -247,8 +140,6 @@ func (s *Server) worker() {
 // own shard. Pins guarantee concurrent evictions never race a lookup.
 func (s *Server) serveJob(j *job) {
 	j.answers = make([]Answer, len(j.queries))
-	s.m.batches.Observe(uint64(len(j.queries)))
-	s.m.queries.Add(uint64(len(j.queries)))
 
 	cover := s.cache.AwariMax()
 	maxN := -1
@@ -294,10 +185,9 @@ func (s *Server) serveJob(j *job) {
 			j.answers[i] = s.answerBoard(q, lookup)
 		}
 		if j.answers[i].Err != "" {
-			s.m.errors.Add(1)
+			s.queryErrors.Add(1)
 		}
 	}
-	s.m.latency.Observe(uint64(time.Since(j.enq).Microseconds()))
 }
 
 // probe answers a raw table lookup.
@@ -341,158 +231,25 @@ func (s *Server) answerBoard(q *Query, lookup awari.Lookup) Answer {
 	return a
 }
 
-// acceptLoop sniffs each connection's first bytes: HTTP methods go to
-// the embedded HTTP server, everything else speaks the binary protocol.
-func (s *Server) acceptLoop() {
-	defer s.wg.Done()
-	for {
-		c, err := s.l.Accept()
-		if err != nil {
-			return
-		}
-		if s.cfg.WrapConn != nil {
-			c = s.cfg.WrapConn(c)
-		}
-		s.wg.Add(1)
-		go s.serveConn(c)
-	}
-}
-
-func (s *Server) serveConn(c net.Conn) {
-	defer s.wg.Done()
-	// Track before the first read: a connection accepted just as Close
-	// sweeps s.conns would otherwise be closed by nobody, and Close's
-	// wg.Wait() would hang on its blocked reader.
-	if !s.track(c) {
-		c.Close()
-		return
-	}
-	br := bufio.NewReader(c)
-	first, err := br.Peek(4)
-	if err != nil {
-		s.untrack(c)
-		c.Close()
-		return
-	}
-	if IsHTTP(first) {
-		// Hand the connection (with its peeked bytes) to net/http; the
-		// HTTP server owns its lifecycle from here.
-		s.untrack(c)
-		s.httpL.Deliver(&BufConn{Conn: c, R: br})
-		return
-	}
-	defer s.untrack(c)
-	defer c.Close()
-
-	var wmu sync.Mutex // replies from concurrent batches interleave per frame
-	var pending sync.WaitGroup
-	defer pending.Wait()
-	for {
-		kind, body, err := ReadFrame(br)
-		if err != nil {
-			return
-		}
-		if kind == FramePing {
-			// Liveness probes bypass admission and the queue: a loaded or
-			// draining server is still alive, and health checkers must see
-			// that distinction.
-			id, err := FrameID(body)
-			if err != nil {
-				return
-			}
-			s.m.pings.Add(1)
-			wmu.Lock()
-			c.SetWriteDeadline(time.Now().Add(s.cfg.writeTimeout()))
-			c.Write(EncodePong(id))
-			wmu.Unlock()
-			continue
-		}
-		if kind != FrameQuery {
-			return
-		}
-		id, qs, err := DecodeQueries(body)
-		if err != nil {
-			return
-		}
-		if !s.begin() {
-			wmu.Lock()
-			c.SetWriteDeadline(time.Now().Add(s.cfg.writeTimeout()))
-			c.Write(EncodeOverload(id))
-			wmu.Unlock()
-			continue
-		}
-		// Each batch runs in its own goroutine so one connection can
-		// pipeline batches; the bounded queue is the backpressure.
-		pending.Add(1)
-		go func() {
-			defer pending.Done()
-			defer s.inflight.Done()
-			answers, err := s.execute(qs)
-			var frame []byte
-			if err != nil {
-				frame = EncodeOverload(id)
-			} else {
-				frame = EncodeAnswers(id, answers)
-			}
-			wmu.Lock()
-			c.SetWriteDeadline(time.Now().Add(s.cfg.writeTimeout()))
-			c.Write(frame)
-			wmu.Unlock()
-		}()
-	}
-}
-
-// track registers a live connection for teardown; false means Close
-// has already swept the set and the caller must close c itself.
-func (s *Server) track(c net.Conn) bool {
-	s.connMu.Lock()
-	defer s.connMu.Unlock()
-	if s.connsTorn {
-		return false
-	}
-	s.conns[c] = struct{}{}
-	return true
-}
-
-func (s *Server) untrack(c net.Conn) {
-	s.connMu.Lock()
-	delete(s.conns, c)
-	s.connMu.Unlock()
-}
-
 // ServerMetrics is the machine-readable request-path snapshot behind
 // /metrics: what a fleet dashboard scrapes, where /stats renders tables
 // for humans.
 type ServerMetrics struct {
-	Batches           uint64  `json:"batches"`
-	Queries           uint64  `json:"queries"`
-	Overloads         uint64  `json:"overloads"`
-	QueryErrors       uint64  `json:"queryErrors"`
-	Pings             uint64  `json:"pings"`
-	QueueDepth        int     `json:"queueDepth"`
-	LatencyMeanMicros float64 `json:"latencyMeanMicros"`
-	LatencyP50Micros  uint64  `json:"latencyP50Micros"`
-	LatencyP99Micros  uint64  `json:"latencyP99Micros"`
-	LatencyP999Micros uint64  `json:"latencyP999Micros"`
-	ResidentBytes     uint64  `json:"residentBytes"`
-	BudgetBytes       uint64  `json:"budgetBytes"`
+	FrontMetrics
+	QueryErrors   uint64 `json:"queryErrors"`
+	QueueDepth    int    `json:"queueDepth"`
+	ResidentBytes uint64 `json:"residentBytes"`
+	BudgetBytes   uint64 `json:"budgetBytes"`
 }
 
 // Metrics snapshots the server-wide counters.
 func (s *Server) Metrics() ServerMetrics {
 	return ServerMetrics{
-		Batches:           s.m.batches.Count(),
-		Queries:           s.m.queries.Load(),
-		Overloads:         s.m.overloads.Load(),
-		QueryErrors:       s.m.errors.Load(),
-		Pings:             s.m.pings.Load(),
-		QueueDepth:        len(s.jobs),
-		LatencyMeanMicros: s.m.latency.Mean(),
-		LatencyP50Micros:  s.m.latency.Quantile(0.5),
-		LatencyP99Micros:  s.m.latency.Quantile(0.99),
-		LatencyP999Micros: s.m.latency.Quantile(0.999),
-		ResidentBytes:     s.cache.Used(),
-		BudgetBytes:       s.cache.Budget(),
+		FrontMetrics:  s.front.Metrics(),
+		QueryErrors:   s.queryErrors.Load(),
+		QueueDepth:    len(s.jobs),
+		ResidentBytes: s.cache.Used(),
+		BudgetBytes:   s.cache.Budget(),
 	}
 }
 
@@ -515,16 +272,17 @@ func (s *Server) StatsTables() []*stats.Table {
 	}
 	shards.Note("resident %s of budget %s", stats.Bytes(s.cache.Used()), budget)
 
+	m := s.Metrics()
 	srv := stats.NewTable("server", "batches", "queries", "overloads", "query errors", "queue depth", "latency mean", "p50", "p99")
 	srv.Row(
-		stats.Count(s.m.batches.Count()),
-		stats.Count(s.m.queries.Load()),
-		stats.Count(s.m.overloads.Load()),
-		stats.Count(s.m.errors.Load()),
-		len(s.jobs),
-		fmt.Sprintf("%.0f µs", s.m.latency.Mean()),
-		fmt.Sprintf("%d µs", s.m.latency.Quantile(0.5)),
-		fmt.Sprintf("%d µs", s.m.latency.Quantile(0.99)),
+		stats.Count(m.Batches),
+		stats.Count(m.Queries),
+		stats.Count(m.Overloads),
+		stats.Count(m.QueryErrors),
+		m.QueueDepth,
+		fmt.Sprintf("%.0f µs", m.LatencyMeanMicros),
+		fmt.Sprintf("%d µs", m.LatencyP50Micros),
+		fmt.Sprintf("%d µs", m.LatencyP99Micros),
 	)
 	return []*stats.Table{shards, srv}
 }

@@ -2,6 +2,7 @@ package server
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math/rand"
@@ -10,9 +11,11 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"retrograde/internal/awari"
 	"retrograde/internal/db"
+	"retrograde/internal/faultnet"
 	"retrograde/internal/game"
 	"retrograde/internal/ladder"
 	"retrograde/internal/nim"
@@ -389,16 +392,38 @@ func TestEvictionStress(t *testing.T) {
 	}
 }
 
-// TestOverload fills the bounded queue directly and checks that the next
-// batch is shed, not buffered.
+// TestOverload fills the bounded queue of a worker-less server and
+// checks that the next batch is shed, not buffered — over the binary
+// protocol and over HTTP, which share the front end's entry and its
+// overload counter.
 func TestOverload(t *testing.T) {
-	s := &Server{jobs: make(chan *job, 1)}
-	s.jobs <- &job{} // queue full, no worker draining it
-	if _, err := s.execute([]Query{{Kind: KindValue}}); err != ErrOverloaded {
-		t.Errorf("execute on a full queue = %v, want ErrOverloaded", err)
+	front, err := Listen("127.0.0.1:0", nil)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if s.m.overloads.Load() != 1 {
-		t.Errorf("overloads = %d, want 1", s.m.overloads.Load())
+	defer front.Close()
+	s := &Server{front: front, jobs: make(chan *job, 1)}
+	s.jobs <- &job{} // queue full, no worker draining it
+	front.Serve(s.execute, s.httpMux())
+
+	c, err := Dial(front.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if _, err := c.Do([]Query{{Kind: KindValue}}); !errors.Is(err, ErrOverloaded) {
+		t.Errorf("batch against a full queue = %v, want ErrOverloaded", err)
+	}
+	resp, err := http.Get("http://" + front.Addr() + "/value?board=0,0,0,0,0,0,0,0,0,0,0,1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusServiceUnavailable {
+		t.Errorf("/value against a full queue = %d, want 503", resp.StatusCode)
+	}
+	if m := front.Metrics(); m.Overloads != 2 || m.Batches != 0 {
+		t.Errorf("overloads = %d, batches = %d; want 2 shed and none served", m.Overloads, m.Batches)
 	}
 }
 
@@ -416,18 +441,70 @@ func TestDrain(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if !s.begin() {
-		// Draining: new work is refused. (begin returning false is the
-		// contract every request path goes through.)
-	} else {
-		s.inflight.Done()
-		t.Error("begin succeeded on a closed server")
+	// Draining: the entry every request path goes through refuses new
+	// work, and says so in the counters.
+	if _, err := s.front.Do([]Query{{Kind: KindValue}}); err != ErrOverloaded {
+		t.Errorf("Do on a closed server = %v, want ErrOverloaded", err)
+	}
+	if m := s.Metrics(); m.Batches != 1 || m.Overloads != 1 {
+		t.Errorf("batches = %d, overloads = %d; want 1 served and 1 refused", m.Batches, m.Overloads)
 	}
 	if _, err := Dial(s.Addr()); err == nil {
 		t.Error("dialing a closed server succeeded")
 	}
 	if err := s.Close(); err != nil {
 		t.Errorf("second Close = %v, want nil", err)
+	}
+}
+
+// TestCloseFlushesAdmittedHTTPAnswer: net/http writes a response out
+// only after its handler has returned, so an HTTP answer is still on
+// its way when the batch behind it is done. Close must let it finish.
+// Every write on the wire is delayed to hold that window open.
+func TestCloseFlushesAdmittedHTTPAnswer(t *testing.T) {
+	dir := t.TempDir()
+	l := buildLadder(t)
+	saveRungs(t, l, dir)
+	s := startServer(t, dir, Config{
+		WrapConn: faultnet.Plan{Delay: 200 * time.Millisecond}.Wrapper(),
+	})
+
+	type result struct {
+		status int
+		body   []byte
+		err    error
+	}
+	got := make(chan result, 1)
+	go func() {
+		resp, err := http.Get("http://" + s.Addr() + "/value?board=0,0,0,0,2,1,1,0,0,0,0,1")
+		if err != nil {
+			got <- result{err: err}
+			return
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		got <- result{resp.StatusCode, body, err}
+	}()
+	for deadline := time.Now().Add(10 * time.Second); s.Metrics().Batches != 1; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the request never reached the server")
+		}
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	r := <-got
+	if r.err != nil || r.status != http.StatusOK {
+		t.Fatalf("GET /value across Close = %d, %v; want a complete 200", r.status, r.err)
+	}
+	var v struct {
+		Value game.Value `json:"value"`
+	}
+	if err := json.Unmarshal(r.body, &v); err != nil {
+		t.Fatalf("response cut mid-body: %v\n%s", err, r.body)
+	}
+	if want := l.Value(awari.Board{0, 0, 0, 0, 2, 1, 1, 0, 0, 0, 0, 1}); v.Value != want {
+		t.Errorf("value = %d, ladder says %d", v.Value, want)
 	}
 }
 

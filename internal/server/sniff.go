@@ -9,12 +9,11 @@ import (
 
 // One listener, two protocols: the first bytes of each accepted
 // connection decide whether it speaks HTTP or the length-framed binary
-// batch protocol. These helpers are exported so every front end of the
-// serving tier (raserve itself and the rabroker fan-out) shares one
-// single-port idiom instead of a second implementation.
+// batch protocol. Frontend is the only user of these helpers; raserve
+// and rabroker get the single-port idiom by serving through it.
 
-// IsHTTP reports whether the 4 peeked bytes start an HTTP request line.
-func IsHTTP(b []byte) bool {
+// isHTTP reports whether the 4 peeked bytes start an HTTP request line.
+func isHTTP(b []byte) bool {
 	switch string(b) {
 	case "GET ", "PUT ", "POST", "HEAD", "OPTI", "DELE", "PATC":
 		return true
@@ -22,33 +21,33 @@ func IsHTTP(b []byte) bool {
 	return false
 }
 
-// BufConn replays already-buffered (sniffed) bytes in front of the raw
+// bufConn replays already-buffered (sniffed) bytes in front of the raw
 // connection, so the receiving protocol handler sees the stream intact.
-type BufConn struct {
+type bufConn struct {
 	net.Conn
-	R *bufio.Reader
+	r *bufio.Reader
 }
 
-func (c *BufConn) Read(p []byte) (int, error) { return c.R.Read(p) }
+func (c *bufConn) Read(p []byte) (int, error) { return c.r.Read(p) }
 
-// HTTPListener adapts sniffed connections to a net.Listener: Deliver
-// feeds connections classified as HTTP, an embedded http.Server Accepts
+// httpListener adapts sniffed connections to a net.Listener: deliver
+// feeds connections classified as HTTP, the embedded http.Server Accepts
 // them.
-type HTTPListener struct {
+type httpListener struct {
 	ch   chan net.Conn
 	addr net.Addr
 	once sync.Once
 	done chan struct{}
 }
 
-// NewHTTPListener creates a listener reporting addr as its address.
-func NewHTTPListener(addr net.Addr) *HTTPListener {
-	return &HTTPListener{ch: make(chan net.Conn), addr: addr, done: make(chan struct{})}
+// newHTTPListener creates a listener reporting addr as its address.
+func newHTTPListener(addr net.Addr) *httpListener {
+	return &httpListener{ch: make(chan net.Conn), addr: addr, done: make(chan struct{})}
 }
 
-// Deliver hands one sniffed connection to the HTTP server; after Close
+// deliver hands one sniffed connection to the HTTP server; after Close
 // the connection is dropped.
-func (l *HTTPListener) Deliver(c net.Conn) {
+func (l *httpListener) deliver(c net.Conn) {
 	select {
 	case l.ch <- c:
 	case <-l.done:
@@ -56,7 +55,7 @@ func (l *HTTPListener) Deliver(c net.Conn) {
 	}
 }
 
-func (l *HTTPListener) Accept() (net.Conn, error) {
+func (l *httpListener) Accept() (net.Conn, error) {
 	select {
 	case c := <-l.ch:
 		return c, nil
@@ -65,9 +64,9 @@ func (l *HTTPListener) Accept() (net.Conn, error) {
 	}
 }
 
-func (l *HTTPListener) Close() error {
+func (l *httpListener) Close() error {
 	l.once.Do(func() { close(l.done) })
 	return nil
 }
 
-func (l *HTTPListener) Addr() net.Addr { return l.addr }
+func (l *httpListener) Addr() net.Addr { return l.addr }
