@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	rabuild -stones 9 -out dbs/                     # awari ladder 0..9, shared-memory engine
+//	rabuild -stones 9 -out dbs/                     # awari ladder 0..9, shared-memory engine, one shard per CPU
 //	rabuild -stones 9 -refine -out dbs/             # with cycle-value refinement
 //	rabuild -stones 9 -engine distributed -procs 64 # top rung on the simulated cluster
 //	rabuild -game nim -heaps 3 -max 7 -out dbs/     # a Nim database
@@ -73,7 +73,7 @@ func run() error {
 	maxHeap := flag.Int("max", 7, "nim: heap capacity")
 	board := flag.Int("board", 8, "krk: board size (4..8)")
 	engineName := flag.String("engine", "concurrent", "engine: sequential, concurrent, distributed, tcp, outofcore")
-	procs := flag.Int("procs", 8, "workers (concurrent) or simulated nodes (distributed)")
+	procs := flag.Int("procs", 0, "concurrent: shards, 0 = one per CPU (GOMAXPROCS); distributed/tcp: simulated or mesh nodes, 0 = 8")
 	combineSize := flag.Int("combine", 100, "distributed: updates per combined message (1 = off)")
 	memLimit := flag.Uint64("memlimit", 0, "resident state cap in bytes; >0 selects the out-of-core engine")
 	spillDir := flag.String("spilldir", "", "out-of-core spill directory (default <out>/spill)")
@@ -88,6 +88,12 @@ func run() error {
 	if *memLimit > 0 && *engineName == "concurrent" {
 		*engineName = "outofcore" // -memlimit alone selects the capped engine
 	}
+	// Shards are goroutines competing for real cores; nodes are simulated
+	// (or mesh peers), so their default does not follow the host.
+	nodes := *procs
+	if nodes == 0 {
+		nodes = 8
+	}
 	var engine ra.Engine
 	switch *engineName {
 	case "sequential":
@@ -95,9 +101,9 @@ func run() error {
 	case "concurrent":
 		engine = ra.Concurrent{Workers: *procs}
 	case "distributed":
-		engine = ra.Distributed{Workers: *procs, Combine: *combineSize}
+		engine = ra.Distributed{Workers: nodes, Combine: *combineSize}
 	case "tcp":
-		engine = remote.Engine{Workers: *procs, Batch: *combineSize}
+		engine = remote.Engine{Workers: nodes, Batch: *combineSize}
 	case "outofcore":
 		if *memLimit == 0 {
 			return fmt.Errorf("engine outofcore needs -memlimit > 0")

@@ -10,10 +10,16 @@ import (
 )
 
 // Concurrent is the shared-memory parallel engine: one goroutine per
-// shard, update batches carried over channels. It mirrors the distributed
-// algorithm (same waves, same combining) but with the host's real cores,
-// so it both validates the distributed engine and gives genuine wall-clock
-// speedups for building real databases.
+// shard for the whole solve, update batches carried over channels. It
+// mirrors the distributed algorithm (same waves, same combining) but with
+// the host's real cores, so it both validates the distributed engine and
+// gives genuine wall-clock speedups for building real databases.
+//
+// Shards are run-shaped: by default the position space is dealt in
+// blocks of consecutive positions (see group), because the batch move
+// generators and the word-parallel kernel amortise their work over runs
+// of consecutive indices. The wire engines deal cyclically instead —
+// their cost is messages, and cyclic dealing balances 64 nodes exactly.
 //
 // The transport carries run-encoded updates (UpdateRun) under either wave
 // kernel. The hot path is allocation-free in steady state: batch backing
@@ -27,7 +33,9 @@ type Concurrent struct {
 	// Batch is the number of update runs combined into one channel send;
 	// 0 means 256, 1 disables batching (the unbatched ablation).
 	Batch int
-	// Group is the block-cyclic partition group size; 0 means 1 (cyclic).
+	// Group is the block-cyclic partition group size; 0 derives a
+	// run-sized block from the size of the space (see group), 1 is the
+	// cyclic map.
 	Group uint64
 	// Config selects the wave kernel (auto by default).
 	Config Config
@@ -35,7 +43,11 @@ type Concurrent struct {
 
 // Name implements Engine.
 func (c Concurrent) Name() string {
-	return fmt.Sprintf("concurrent(p=%d,batch=%d)", c.workers(), c.batch())
+	group := "auto" // derived per game: Name does not know the size
+	if c.Group > 0 {
+		group = fmt.Sprint(c.Group)
+	}
+	return fmt.Sprintf("concurrent(p=%d,batch=%d,group=%s)", c.workers(), c.batch(), group)
 }
 
 func (c Concurrent) workers() int {
@@ -52,11 +64,27 @@ func (c Concurrent) batch() int {
 	return 256
 }
 
-func (c Concurrent) group() uint64 {
+// Derived block-cyclic group bounds. Every derived group is a power-of-two
+// multiple of minGroup, so shards never share a loop-bitset word and
+// assemble their part of the result in parallel.
+const (
+	maxGroup       = 4096 // the sweep's optimum on large spaces (EXPERIMENTS.md E7)
+	minGroup       = 64   // one loop-bitset word
+	groupsPerShard = 8    // below this the last, partial round of groups unbalances the shards
+)
+
+// group returns the partition group for a space of size positions over p
+// shards: the explicit Group when set, otherwise the largest derived
+// group that still deals every shard groupsPerShard groups.
+func (c Concurrent) group(size uint64, p int) uint64 {
 	if c.Group > 0 {
 		return c.Group
 	}
-	return 1
+	g := uint64(maxGroup)
+	for g > minGroup && size < groupsPerShard*g*uint64(p) {
+		g /= 2
+	}
+	return g
 }
 
 // expandChunk is how many queue positions a worker expands between inbox
@@ -72,11 +100,50 @@ type waveMsg struct {
 	done bool
 }
 
+// waveBarrier is the reusable all-shards rendezvous between the phases
+// of a solve. Every arrival contributes a count and every party leaves
+// with the sum, which is how the shards agree that a wave is empty (or
+// that an initialisation failed) without a coordinator.
+type waveBarrier struct {
+	mu      sync.Mutex
+	cond    sync.Cond
+	parties int
+	waiting int
+	acc     int // contributions of the generation in progress
+	total   int // sum of the last completed generation
+	gen     uint64
+}
+
+func newWaveBarrier(parties int) *waveBarrier {
+	b := &waveBarrier{parties: parties}
+	b.cond.L = &b.mu
+	return b
+}
+
+// sum blocks until all parties have arrived and returns the sum of their
+// contributions. total is only overwritten when the next generation
+// completes, which needs every party to have left this one.
+func (b *waveBarrier) sum(x int) int {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	b.acc += x
+	b.waiting++
+	if b.waiting == b.parties {
+		b.total, b.acc, b.waiting = b.acc, 0, 0
+		b.gen++
+		b.cond.Broadcast()
+		return b.total
+	}
+	for gen := b.gen; gen == b.gen; {
+		b.cond.Wait()
+	}
+	return b.total
+}
+
 // waveWorker is one shard's transport state in the Concurrent engine:
 // the worker itself plus the combining buffer, inbox and batch pool it
 // shares with its peers. All fields are touched only by the single
-// goroutine driving the shard during a wave; wave boundaries are
-// WaitGroup barriers.
+// goroutine driving the shard.
 type waveWorker struct {
 	me    int
 	p     int
@@ -85,17 +152,22 @@ type waveWorker struct {
 	free  chan []UpdateRun // shared pool of recycled batch arrays
 	buf   *combine.Buffer[UpdateRun]
 
-	add  func(owner int, r UpdateRun) // bound buf.Add, allocated once
-	done int                          // end-of-wave signals seen this wave
+	add   func(owner int, r UpdateRun) // bound buf.Add, allocated once
+	done  int                          // end-of-wave signals seen this wave
+	waves int
+
+	ph    *ShardPhases // this shard's clocks
+	clock phaseClock
 }
 
-func newWaveWorker(w *Worker, inbox []chan waveMsg, free chan []UpdateRun, batch int) *waveWorker {
+func newWaveWorker(w *Worker, inbox []chan waveMsg, free chan []UpdateRun, batch int, ph *ShardPhases) *waveWorker {
 	ww := &waveWorker{
 		me:    w.ID(),
 		p:     len(inbox),
 		w:     w,
 		inbox: inbox,
 		free:  free,
+		ph:    ph,
 	}
 	ww.buf = combine.MustNew(ww.p, batch, func(dst int, b []UpdateRun) {
 		ww.post(dst, waveMsg{runs: b})
@@ -125,7 +197,8 @@ func (ww *waveWorker) recycle(b []UpdateRun) {
 	}
 }
 
-// apply consumes one inbox message.
+// apply consumes one inbox message and charges it to the Apply clock;
+// the caller has charged everything before it.
 func (ww *waveWorker) apply(m waveMsg) {
 	if m.done {
 		ww.done++
@@ -135,17 +208,26 @@ func (ww *waveWorker) apply(m waveMsg) {
 		ww.w.ApplyRun(r)
 	}
 	ww.recycle(m.runs)
+	ww.clock.lap(&ww.ph.Apply)
 }
 
 // post delivers a message to dst, draining our own inbox whenever the
 // destination's is full. A blocked sender is therefore always a consuming
 // receiver, which rules out send-cycle deadlock.
 func (ww *waveWorker) post(dst int, m waveMsg) {
+	select {
+	case ww.inbox[dst] <- m:
+		return
+	default:
+	}
+	ww.clock.lap(&ww.ph.Expand)
 	for {
 		select {
 		case ww.inbox[dst] <- m:
+			ww.clock.lap(&ww.ph.Post)
 			return
 		case in := <-ww.inbox[ww.me]:
+			ww.clock.lap(&ww.ph.Post)
 			ww.apply(in)
 		}
 	}
@@ -156,6 +238,7 @@ func (ww *waveWorker) drain() {
 	for {
 		select {
 		case m := <-ww.inbox[ww.me]:
+			ww.clock.lap(&ww.ph.Expand)
 			ww.apply(m)
 		default:
 			return
@@ -169,7 +252,6 @@ func (ww *waveWorker) drain() {
 // then flush, signal end-of-wave to every peer, and consume the inbox
 // until all peers have signalled.
 func (ww *waveWorker) wave() {
-	ww.done = 0
 	for ww.w.ExpandRuns(expandChunk, ww.add) > 0 {
 		ww.drain()
 	}
@@ -181,27 +263,69 @@ func (ww *waveWorker) wave() {
 		}
 		ww.post(dst, waveMsg{done: true})
 	}
+	ww.clock.lap(&ww.ph.Expand)
 	for ww.done < ww.p {
-		ww.apply(<-ww.inbox[ww.me])
+		m := <-ww.inbox[ww.me]
+		ww.clock.lap(&ww.ph.Barrier) // waiting on the slowest peer's wave
+		ww.apply(m)
 	}
+}
+
+// solve drives the shard through the whole analysis: initialisation,
+// waves until every shard's queue is empty, loop resolution, and the
+// shard's part of the result. The one barrier per wave sits between
+// BeginWave and expansion: once a shard has every peer's end-of-wave
+// signal all updates of the wave have reached it, and no peer expands the
+// next wave before all have promoted their queues. Loop resolution and
+// the fill touch only the shard's own state and its own ranges of r.
+func (ww *waveWorker) solve(bar *waveBarrier, r *Result, fillLoop bool) error {
+	ww.clock = startPhaseClock()
+	_, err := ww.w.Init()
+	ww.clock.lap(&ww.ph.Init)
+	failed := 0
+	if err != nil {
+		failed = 1
+	}
+	failed = bar.sum(failed)
+	ww.clock.lap(&ww.ph.Barrier)
+	if failed > 0 {
+		return err
+	}
+	for {
+		ww.done = 0
+		n := ww.w.BeginWave()
+		ww.clock.lap(&ww.ph.Expand)
+		total := bar.sum(n)
+		ww.clock.lap(&ww.ph.Barrier)
+		if total == 0 {
+			break
+		}
+		ww.waves++
+		ww.wave()
+	}
+	ww.w.ResolveLoops()
+	ww.clock.lap(&ww.ph.Loops)
+	ww.w.Fill(r.Values)
+	if fillLoop {
+		ww.w.FillLoop(r.Loop)
+	}
+	ww.clock.lap(&ww.ph.Fill)
+	return nil
 }
 
 // Solve implements Engine.
 func (c Concurrent) Solve(g game.Game) (*Result, error) {
 	p := c.workers()
-	part, err := NewPartition(g.Size(), p, c.group())
+	part, err := NewPartition(g.Size(), p, c.group(g.Size(), p))
 	if err != nil {
 		return nil, err
 	}
-	workers := make([]*Worker, p)
+	r := NewResult(part, 0)
+	r.Phases = make([]ShardPhases, p)
 	// Inboxes are buffered so that senders rarely block; post drains its
 	// own inbox while blocked, so any buffer size is deadlock-free.
 	inbox := make([]chan waveMsg, p)
-	for i := range workers {
-		workers[i], err = NewWorkerKernel(g, part, i, c.Config.Kernel)
-		if err != nil {
-			return nil, err
-		}
+	for i := range inbox {
 		inbox[i] = make(chan waveMsg, 4*p)
 	}
 	// free is the shared emit/recycle pool of batch backing arrays;
@@ -210,64 +334,40 @@ func (c Concurrent) Solve(g game.Game) (*Result, error) {
 	// sender's partial per-destination batches), so recycles never drop.
 	free := make(chan []UpdateRun, 5*p*p+p)
 	wws := make([]*waveWorker, p)
-	for i, w := range workers {
-		wws[i] = newWaveWorker(w, inbox, free, c.batch())
+	for i := range wws {
+		w, err := NewWorkerKernel(g, part, i, c.Config.Kernel)
+		if err != nil {
+			return nil, err
+		}
+		wws[i] = newWaveWorker(w, inbox, free, c.batch(), &r.Phases[i])
 	}
 
-	// Phase 1: initialisation, embarrassingly parallel.
+	// Shards whose groups are whole bitset words own disjoint words of
+	// r.Loop and fill them themselves; any other explicit group shares
+	// words between shards, so those loop sets are folded in serially.
+	ownWords := part.Group()%minGroup == 0
+	bar := newWaveBarrier(p)
+	errs := make([]error, p)
 	var wg sync.WaitGroup
-	initErrs := make([]error, p)
-	for i, w := range workers {
+	for i, ww := range wws {
 		wg.Add(1)
-		go func(i int, w *Worker) {
+		go func() {
 			defer wg.Done()
-			_, initErrs[i] = w.Init()
-		}(i, w)
+			errs[i] = ww.solve(bar, r, ownWords)
+		}()
 	}
 	wg.Wait()
-	for _, e := range initErrs {
+	for _, e := range errs {
 		if e != nil {
 			return nil, e
 		}
 	}
-
-	// Phase 2: wave-synchronous propagation. Each wave, every shard runs
-	// one goroutine that interleaves expansion with draining its inbox
-	// and finishes when every peer's end-of-wave signal has arrived. A
-	// barrier separates waves.
-	waves := 0
-	for {
-		total := 0
-		for _, w := range workers {
-			total += w.BeginWave()
+	r.Waves = wws[0].waves
+	for _, ww := range wws {
+		if !ownWords {
+			ww.w.FillLoop(r.Loop)
 		}
-		if total == 0 {
-			break
-		}
-		waves++
-		for _, ww := range wws {
-			wg.Add(1)
-			go func(ww *waveWorker) {
-				defer wg.Done()
-				ww.wave()
-			}(ww)
-		}
-		wg.Wait()
-	}
-
-	// Phase 3: loop resolution, embarrassingly parallel.
-	for _, w := range workers {
-		wg.Add(1)
-		go func(w *Worker) {
-			defer wg.Done()
-			w.ResolveLoops()
-		}(w)
-	}
-	wg.Wait()
-
-	r := NewResult(part, waves)
-	for _, w := range workers {
-		r.Collect(w)
+		r.collectStats(ww.w)
 	}
 	return r, nil
 }

@@ -126,3 +126,60 @@ func TestSWARKernelParity(t *testing.T) {
 		compareResults(t, g.Name()+" auto", want, got)
 	}
 }
+
+// TestDerivedPartitionParity runs the shared-memory engine's run-shaped
+// partitions over the shapes that break block arithmetic: spaces smaller
+// than one group (rungs 0-2: 1, 12 and 78 positions), more shards than
+// groups (empty shards), sizes that are no multiple of the group, and
+// explicit groups on both sides of the loop-bitset word — 8 and 16 share
+// words between shards (loop sets folded in serially), 64 and the derived
+// group do not (every shard fills its own words in parallel, which is
+// what the race detector checks here). Values, waves, loop bitset and
+// summed work counters must equal the scalar sequential solve's — all
+// counters but UpdatesStale, which counts the updates that reach a
+// position after an early cutoff finalized it and so depends on the
+// order the updates of one wave arrive in.
+func TestDerivedPartitionParity(t *testing.T) {
+	lad, err := ladder.Build(ladder.Config{Rules: awari.Standard, Loop: awari.LoopOwnSide}, 7, ra.Sequential{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	scalar := ra.Config{Kernel: ra.KernelScalar}
+	orderFree := func(r *ra.Result) ra.WorkerStats {
+		s := r.Totals()
+		s.UpdatesStale = 0
+		return s
+	}
+	for n := 0; n <= lad.MaxStones(); n++ {
+		g := lad.Slice(n)
+		want := ra.SolveSequential(g)
+		for _, e := range []ra.Concurrent{
+			{Workers: 1},
+			{Workers: 2},
+			{Workers: 3},
+			{Workers: 4, Batch: 1},
+			{Workers: 7},
+			{Workers: 2, Config: scalar},
+			{Workers: 5, Config: scalar},
+			{Workers: 2, Group: 8},
+			{Workers: 3, Group: 16},
+			{Workers: 3, Group: 16, Config: scalar},
+			{Workers: 3, Group: 64},
+			{Workers: 2, Group: 1000}, // no multiple of 64, no divisor of any rung
+			{Workers: 2, Group: 1 << 20},
+		} {
+			label := g.Name() + " " + e.Name() + " " + e.Config.Kernel.String()
+			got, err := e.Solve(g)
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			compareResults(t, label, want, got)
+			if orderFree(got) != orderFree(want) {
+				t.Errorf("%s: summed work counters %+v, sequential %+v", label, got.Totals(), want.Totals())
+			}
+			if len(got.Phases) != e.Workers {
+				t.Errorf("%s: %d phase clocks for %d shards", label, len(got.Phases), e.Workers)
+			}
+		}
+	}
+}

@@ -219,7 +219,7 @@ func TestEngineNames(t *testing.T) {
 		want string
 	}{
 		{Sequential{}, "sequential"},
-		{Concurrent{Workers: 4, Batch: 8}, "concurrent(p=4,batch=8)"},
+		{Concurrent{Workers: 4, Batch: 8}, "concurrent(p=4,batch=8,group=auto)"},
 		{Distributed{Workers: 16, Combine: 10}, "distributed(p=16,combine=10,net=ethernet)"},
 		{Distributed{Workers: 2, Network: CrossbarNet}, "distributed(p=2,combine=100,net=crossbar)"},
 		{AsyncDistributed{Workers: 3}, "async(p=3,combine=100)"},

@@ -1,0 +1,92 @@
+package ra_test
+
+import (
+	"sync/atomic"
+	"testing"
+
+	"retrograde/internal/awari"
+	"retrograde/internal/game"
+	"retrograde/internal/ladder"
+	"retrograde/internal/ra"
+)
+
+// runCounter wraps an awari slice and counts the calls into its batch
+// generators and the positions they cover — work counters, so the run
+// shape of an engine can be asserted without a clock. The embedded slice
+// supplies the rest of the game (and the lane contract).
+type runCounter struct {
+	*awari.Slice
+	initCalls, initPos atomic.Uint64
+	predCalls, predPos atomic.Uint64
+	loopCalls, loopPos atomic.Uint64
+}
+
+func (c *runCounter) InitRun(base uint64, n int, out []game.InitStat) {
+	c.initCalls.Add(1)
+	c.initPos.Add(uint64(n))
+	c.Slice.InitRun(base, n, out)
+}
+
+func (c *runCounter) PredecessorsRun(base uint64, n int, visit func(i int, preds []uint64)) {
+	c.predCalls.Add(1)
+	c.predPos.Add(uint64(n))
+	c.Slice.PredecessorsRun(base, n, visit)
+}
+
+func (c *runCounter) LoopValuesRun(base uint64, n int, out []game.Value) {
+	c.loopCalls.Add(1)
+	c.loopPos.Add(uint64(n))
+	c.Slice.LoopValuesRun(base, n, out)
+}
+
+// TestConcurrentRunShape pins what makes the shared-memory engine fast on
+// real cores: by default its shards hand the batch generators long runs
+// of consecutive positions. The cyclic map (explicit Group: 1, the
+// default before the derived partition) degenerates to runs of one.
+func TestConcurrentRunShape(t *testing.T) {
+	const rung = 8 // 75,582 positions
+	lad, err := ladder.Build(ladder.Config{Rules: awari.Standard, Loop: awari.LoopOwnSide}, rung, ra.Sequential{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := lad.Result(rung)
+	size := lad.Slice(rung).Size()
+	if size < 64<<10 {
+		t.Fatalf("rung %d has %d positions, the test needs at least 64 Ki", rung, size)
+	}
+	solve := func(e ra.Concurrent) *runCounter {
+		c := &runCounter{Slice: lad.Slice(rung)}
+		got, err := e.Solve(c)
+		if err != nil {
+			t.Fatalf("%s: %v", e.Name(), err)
+		}
+		if got.Kernel != "swar" {
+			t.Fatalf("%s: kernel %q; only the SWAR kernel consults the batch generators", e.Name(), got.Kernel)
+		}
+		compareResults(t, e.Name(), want, got)
+		if c.initPos.Load() != size {
+			t.Errorf("%s: InitRun covered %d positions, want all %d", e.Name(), c.initPos.Load(), size)
+		}
+		return c
+	}
+	for _, p := range []int{2, 3, 4} {
+		e := ra.Concurrent{Workers: p}
+		c := solve(e)
+		if mean := c.initPos.Load() / c.initCalls.Load(); mean < 512 {
+			t.Errorf("%s: mean InitRun length %d, want >= 512", e.Name(), mean)
+		}
+		// Loop runs skip all-final stretches and predecessor runs follow
+		// the wave queue, so both are shorter; they must still be runs.
+		if mean := c.loopPos.Load() / c.loopCalls.Load(); mean < 512 {
+			t.Errorf("%s: mean LoopValuesRun length %d, want >= 512", e.Name(), mean)
+		}
+		cyc := solve(ra.Concurrent{Workers: p, Group: 1})
+		if cyc.initPos.Load() != cyc.initCalls.Load() || cyc.loopPos.Load() != cyc.loopCalls.Load() || cyc.predPos.Load() != cyc.predCalls.Load() {
+			t.Errorf("p=%d group=1: runs longer than one position on the cyclic map", p)
+		}
+		if c.predCalls.Load() >= cyc.predCalls.Load() {
+			t.Errorf("%s: %d PredecessorsRun calls, cyclic map makes %d; blocks must coalesce the wave queue",
+				e.Name(), c.predCalls.Load(), cyc.predCalls.Load())
+		}
+	}
+}

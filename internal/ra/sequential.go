@@ -1,6 +1,10 @@
 package ra
 
-import "retrograde/internal/game"
+import (
+	"time"
+
+	"retrograde/internal/game"
+)
 
 // Result is a finished retrograde analysis: the full value table plus
 // counters describing how the computation went.
@@ -23,6 +27,43 @@ type Result struct {
 	// Sim holds the simulation report when the Distributed engine
 	// produced this result; nil otherwise.
 	Sim *SimReport
+	// Phases is the wall-clock split of the solve, one entry per shard,
+	// filled by the engines of this package that run in host time
+	// (Sequential, Concurrent); nil otherwise.
+	Phases []ShardPhases
+}
+
+// ShardPhases is where one shard's goroutine spent a solve. The clocks
+// are consecutive intervals of one goroutine, so they sum to the shard's
+// wall time; a shard that finishes a phase early shows the difference as
+// Barrier.
+type ShardPhases struct {
+	Init    time.Duration // forward move generation and state packing
+	Expand  time.Duration // queue promotion, predecessor generation, inline and outbound updates
+	Apply   time.Duration // applying update runs received from peers
+	Post    time.Duration // blocked sending to a peer whose inbox is full
+	Barrier time.Duration // waiting for peers at a wave boundary
+	Loops   time.Duration // loop resolution
+	Fill    time.Duration // copying values and loop bits into the result
+}
+
+// phaseClock charges consecutive intervals of one goroutine's wall time
+// to the clocks of a ShardPhases. It is this package's only reader of the
+// wall clock: what it measures is reported beside the database and never
+// feeds values, queues or snapshots.
+type phaseClock struct{ mark time.Time }
+
+func startPhaseClock() phaseClock { return phaseClock{mark: wallNow()} }
+
+// lap charges the time since the previous lap (or the start) to phase.
+func (c *phaseClock) lap(phase *time.Duration) {
+	now := wallNow()
+	*phase += now.Sub(c.mark)
+	c.mark = now
+}
+
+func wallNow() time.Time {
+	return time.Now() //ravet:ignore detrand phase clocks are reported beside the result and never reach values, queues or snapshots
 }
 
 // Value returns the value of a position.
@@ -48,11 +89,19 @@ func NewResult(part *Partition, waves int) *Result {
 // Collect folds one worker into the result: its values, loop set, work
 // counters and kernel. The worker must have resolved its loops and hold
 // its state in core — the only moment the out-of-core engine can offer a
-// block, which is why assembly is one worker at a time. Workers of one
-// solve share loop-bitset words, so Collect calls must not overlap.
+// block, which is why assembly is one worker at a time. Collect calls
+// must not overlap: they share the counters, and workers share loop-
+// bitset words unless the partition group is a multiple of 64 (the
+// condition under which Concurrent lets every shard Fill and FillLoop
+// its own ranges in parallel and only folds the counters here).
 func (r *Result) Collect(w *Worker) {
 	w.Fill(r.Values)
 	w.FillLoop(r.Loop)
+	r.collectStats(w)
+}
+
+// collectStats is the part of Collect that is not per-position.
+func (r *Result) collectStats(w *Worker) {
 	r.Workers[w.ID()] = w.Stats
 	r.LoopPositions += w.Stats.LoopResolved
 	r.Kernel = w.Kernel().String()
@@ -91,17 +140,24 @@ func solveSequential(g game.Game, k Kernel) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	var ph ShardPhases
+	clock := startPhaseClock()
 	if _, err := w.Init(); err != nil {
 		return nil, err
 	}
+	clock.lap(&ph.Init)
 	waves := 0
 	for w.BeginWave() > 0 {
 		waves++
 		// Single shard: every edge is self-owned and applied inline.
 		w.ExpandRuns(0, nil)
 	}
+	clock.lap(&ph.Expand)
 	w.ResolveLoops()
+	clock.lap(&ph.Loops)
 	r := NewResult(part, waves)
 	r.Collect(w)
+	clock.lap(&ph.Fill)
+	r.Phases = []ShardPhases{ph}
 	return r, nil
 }

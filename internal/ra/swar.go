@@ -409,6 +409,7 @@ func (w *Worker) deliverPreds(local uint64, preds []uint64, single bool) {
 // values from the game's batch generator in one call.
 func (w *Worker) resolveLoopsSWAR() uint64 {
 	var resolved uint64
+	w.loopy = slices.Grow(w.loopy, w.unresolved())
 	n := uint64(len(w.lane))
 	for l0 := uint64(0); l0 < n; {
 		k := w.span - l0%w.span

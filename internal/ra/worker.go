@@ -2,6 +2,8 @@ package ra
 
 import (
 	"fmt"
+	"math/bits"
+	"slices"
 
 	"retrograde/internal/game"
 )
@@ -113,9 +115,14 @@ type Worker struct {
 	// under the scalar kernel.
 	lane  []byte
 	spec  game.LaneSpec
-	negv  byte   // lane negamax constant (spec.Neg)
-	finAt int    // lane value that finalizes early, -1 for none
-	span  uint64 // longest globally-contiguous local run (see NewWorkerKernel)
+	negv  byte // lane negamax constant (spec.Neg)
+	finAt int  // lane value that finalizes early, -1 for none
+
+	// span is the length of the runs of consecutive locals that are also
+	// consecutive globals: the partition group, or the whole shard when
+	// this worker owns the entire space. The batch generators amortise
+	// decoding over such runs and Fill copies them whole.
+	span uint64
 
 	// Batch generators of the game, when it provides them (SWAR kernel
 	// only; the scalar kernel always uses the per-position methods).
@@ -173,25 +180,20 @@ func NewWorkerKernel(g game.Game, part *Partition, me int, k Kernel) (*Worker, e
 		me:    me,
 		kern:  k,
 		finAt: -1,
+		span:  part.Group(),
 	}
 	w.Stats.Positions = n
 	if p := part.Workers(); p > 1 {
 		w.ownerCnt = make([]int32, p)
 		w.ownerOff = make([]int32, p)
+	} else {
+		w.span = max(n, 1)
 	}
 	if k == KernelSWAR {
 		w.spec, _ = LaneEligible(g)
 		w.negv = byte(w.spec.Neg)
 		w.finAt = w.spec.FinalizeAt
 		w.lane = make([]byte, n)
-		// Consecutive locals map to consecutive globals within a partition
-		// group — or across the whole shard when this worker owns the
-		// entire space. The batch generators amortise decoding over such
-		// runs, so the span bounds how much they can amortise.
-		w.span = part.Group()
-		if part.Workers() == 1 {
-			w.span = max(n, 1)
-		}
 		w.bInit, _ = g.(game.BatchIniter)
 		w.bExp, _ = g.(game.BatchExpander)
 		w.bLoop, _ = g.(game.BatchLooper)
@@ -489,6 +491,7 @@ func (w *Worker) ResolveLoops() uint64 {
 		return w.resolveLoopsSWAR()
 	}
 	var resolved uint64
+	w.loopy = slices.Grow(w.loopy, w.unresolved())
 	for local, s := range w.state {
 		if s&stateFinalBit != 0 {
 			continue
@@ -505,6 +508,28 @@ func (w *Worker) ResolveLoops() uint64 {
 	w.next = w.next[:0]
 	w.Stats.LoopResolved = resolved
 	return resolved
+}
+
+// unresolved counts the owned positions that are not final: after
+// quiescence, exactly the loop set. ResolveLoops sizes the set with it
+// up front — 79–94 % of an awari rung lands there, too much to grow by
+// doubling.
+func (w *Worker) unresolved() int {
+	n, i := 0, 0
+	for ; i+lanesPerWord <= len(w.lane); i += lanesPerWord {
+		n += lanesPerWord - bits.OnesCount64(w.laneWord(uint64(i))&laneHi)
+	}
+	for _, s := range w.lane[i:] {
+		if s&laneFinalBit == 0 {
+			n++
+		}
+	}
+	for _, s := range w.state {
+		if s&stateFinalBit == 0 {
+			n++
+		}
+	}
+	return n
 }
 
 // valueAt returns the current value of a local position under either
@@ -535,25 +560,47 @@ func (w *Worker) Value(global uint64) game.Value {
 	return w.valueAt(local)
 }
 
+// spanGlobal returns the global index of the first position of the k-th
+// contiguous span of the shard (locals [k*span, (k+1)*span)).
+func (w *Worker) spanGlobal(k uint64) uint64 {
+	return (k*uint64(w.part.Workers()) + uint64(w.me)) * w.span
+}
+
 // Fill copies the shard's values into the full-space destination slice,
-// which must have length Size of the game.
+// which must have length Size of the game, one contiguous span at a time.
+// Shards write disjoint elements, so the workers of one solve may Fill
+// concurrently.
 func (w *Worker) Fill(dst []game.Value) {
-	if w.lane != nil {
-		for local, s := range w.lane {
-			dst[w.part.Global(w.me, uint64(local))] = game.Value(s & laneValueMask)
+	n := w.ShardSize()
+	for k, l0 := uint64(0), uint64(0); l0 < n; k, l0 = k+1, l0+w.span {
+		l1 := min(l0+w.span, n)
+		out := dst[w.spanGlobal(k):][:l1-l0]
+		if w.lane != nil {
+			for i, s := range w.lane[l0:l1] {
+				out[i] = game.Value(s & laneValueMask)
+			}
+			continue
 		}
-		return
-	}
-	for local, s := range w.state {
-		dst[w.part.Global(w.me, uint64(local))] = stateValue(s)
+		for i, s := range w.state[l0:l1] {
+			out[i] = stateValue(s)
+		}
 	}
 }
 
 // FillLoop sets the bit of every loop-resolved position (global index) in
-// the bitset dst, which must have at least ceil(Size/64) words.
+// the bitset dst, which must have at least ceil(Size/64) words. Workers
+// of one solve write disjoint words only when the partition group is a
+// multiple of 64.
 func (w *Worker) FillLoop(dst []uint64) {
+	// The loop set ascends, so the span holding the current entry (locals
+	// from lo, globals from base) changes once per span, not per entry.
+	lo, base := uint64(0), w.spanGlobal(0)
 	for _, local := range w.loopy {
-		global := w.part.Global(w.me, local)
+		if local-lo >= w.span {
+			k := local / w.span
+			lo, base = k*w.span, w.spanGlobal(k)
+		}
+		global := base + local - lo
 		dst[global/64] |= 1 << (global % 64)
 	}
 }

@@ -241,6 +241,20 @@ func TestInitRejectsCounterOverflow(t *testing.T) {
 	}
 }
 
+// TestConcurrentInitError: an Init failure on one shard must end the
+// solve on every shard — the ones that initialised cleanly are waiting
+// for it at the first barrier.
+func TestConcurrentInitError(t *testing.T) {
+	g := hugeBranch{n: int(MaxSuccessors) + 1}
+	for _, p := range []int{1, 3} {
+		_, err := Concurrent{Workers: p, Group: 1}.Solve(g)
+		var ce *game.CounterOverflowError
+		if !errors.As(err, &ce) {
+			t.Fatalf("p=%d: Solve = %v, want CounterOverflowError", p, err)
+		}
+	}
+}
+
 // TestExpandOwnerGroupedRuns checks the grouped-emission contract: within
 // a grouping chunk, remote updates arrive in owner-grouped ascending
 // runs, self-owned updates arrive first, and the multiset of emitted
