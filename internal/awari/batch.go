@@ -5,9 +5,10 @@ import (
 	"retrograde/internal/index"
 )
 
-// This file implements the run-batched generators behind the bit-parallel
-// in-core kernels (game.BatchIniter, game.BatchExpander, game.BatchLooper,
-// game.LaneGame). The scalar methods decode every position from scratch
+// This file implements the run-batched generators every worker walks
+// under either kernel (game.BatchIniter, game.BatchExpander,
+// game.BatchLooper) and the lane contract of the bit-parallel kernel
+// (game.LaneGame). The scalar methods decode every position from scratch
 // (Unrank), rank every child — including internal children whose index the
 // init phase never needs — and verify every predecessor candidate with a
 // full forward Apply. The batched path amortises all of that over a run of
@@ -28,8 +29,8 @@ import (
 //     (predecessors) are ranked, through a flat local binomial table.
 //
 // Every generator is semantically identical to its scalar counterpart;
-// game.Validate cross-checks them position by position, and the SWAR
-// engines produce bit-identical databases from them.
+// game.Validate cross-checks them position by position, and the engines
+// produce bit-identical databases from either.
 
 // binoms is a flat copy of the binomial table covering rank computations
 // for up to MaxStones stones over Pits pits: binoms[n][k] = C(n, k).

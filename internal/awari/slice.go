@@ -150,19 +150,10 @@ func (s *Slice) Moves(idx uint64, buf []game.Move) []game.Move {
 			continue
 		}
 		rest := s.stones - captured
-		childIdx := spaces[rest].Rank(intPits(child))
-		v := s.lookup(rest, childIdx)
+		v := s.lookup(rest, Rank(child))
 		buf = append(buf, game.Move{Value: game.Value(s.stones) - v})
 	}
 	return buf
-}
-
-func intPits(b Board) []int {
-	pits := make([]int, Pits)
-	for i, c := range b {
-		pits[i] = int(c)
-	}
-	return pits
 }
 
 // Rank returns the board's position index within the space of its stone

@@ -145,6 +145,11 @@ func TestSliceMovesResolveCaptures(t *testing.T) {
 	if captureMove.Value != 6 {
 		t.Errorf("capture move value = %d, want 6", captureMove.Value)
 	}
+	// Ranking the captured child goes through a stack array.
+	idx, buf := sl.Index(board), make([]game.Move, 0, RowSize)
+	if allocs := testing.AllocsPerRun(100, func() { buf = sl.Moves(idx, buf[:0]) }); allocs != 0 {
+		t.Errorf("Moves allocates %v times per capturing position, want 0", allocs)
+	}
 }
 
 func TestSliceMovesInternalChild(t *testing.T) {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"runtime"
-	"strconv"
 	"time"
 
 	"retrograde/internal/ra"
@@ -13,23 +12,19 @@ import (
 
 // E14SWAR pins the bit-parallel wave kernel against the scalar baseline
 // of E10: for each in-core engine shape, one full solve of the headline
-// rung under each kernel, reported as positions per second per core. The
-// two kernels must produce bit-identical databases (same values, same
-// loop sets) — the table carries their common checksum, and the
-// experiment fails outright on a mismatch.
+// rung under each kernel, reported as positions per second per core and
+// resident state bytes per position. Both kernels walk the same run
+// generators, so the rates are expected to agree and the bytes to differ
+// 4×. The two kernels must produce bit-identical databases (same values,
+// same loop sets) — the table carries their common checksum, and the
+// experiment fails outright on a mismatch or on a solve that reports a
+// kernel other than the one it was asked for.
 func E14SWAR(env *Env) (*stats.Table, error) {
-	t, _, err := e14Table(env)
-	return t, err
-}
-
-// e14Table runs the comparison and also returns the smallest SWAR-over-
-// scalar speedup across engine shapes, for the CI smoke check.
-func e14Table(env *Env) (*stats.Table, float64, error) {
 	slice := env.Headline()
 	t := stats.NewTable(
 		fmt.Sprintf("E14: bit-parallel (SWAR) wave kernel vs scalar baseline (awari-%d, %s positions)",
 			env.Scale.Stones, stats.Count(slice.Size())),
-		"engine", "kernel", "wall ms", "pos/s/core", "speedup")
+		"engine", "kernel", "wall ms", "pos/s/core", "speedup", "state B/pos")
 	t.Kernel = "scalar+swar"
 	cores := runtime.GOMAXPROCS(0)
 	shapes := []struct {
@@ -44,7 +39,6 @@ func e14Table(env *Env) (*stats.Table, float64, error) {
 			return ra.Concurrent{Config: ra.Config{Kernel: k}}
 		}},
 	}
-	minSpeedup := 0.0
 	for _, shape := range shapes {
 		var scalarRate float64
 		var scalarSum uint64
@@ -56,14 +50,14 @@ func e14Table(env *Env) (*stats.Table, float64, error) {
 			for trial := 0; trial < 3; trial++ {
 				d := wallTime(func() { res, err = e.Solve(slice) })
 				if err != nil {
-					return nil, 0, fmt.Errorf("%s %v: %w", shape.name, k, err)
+					return nil, fmt.Errorf("%s %v: %w", shape.name, k, err)
 				}
 				if d < best {
 					best = d
 				}
 			}
 			if res.Kernel != k.String() {
-				return nil, 0, fmt.Errorf("%s: asked for kernel %v, got %q", shape.name, k, res.Kernel)
+				return nil, fmt.Errorf("%s: asked for kernel %v, got %q", shape.name, k, res.Kernel)
 			}
 			sum := dbChecksum(res)
 			rate := float64(slice.Size()) / best.Seconds() / float64(shape.cores)
@@ -72,24 +66,25 @@ func e14Table(env *Env) (*stats.Table, float64, error) {
 				scalarRate, scalarSum = rate, sum
 			default:
 				if sum != scalarSum {
-					return nil, 0, fmt.Errorf("%s: scalar and swar databases differ (checksums %016x vs %016x)",
+					return nil, fmt.Errorf("%s: scalar and swar databases differ (checksums %016x vs %016x)",
 						shape.name, scalarSum, sum)
 				}
 			}
-			speedup := rate / scalarRate
-			if k == ra.KernelSWAR && (minSpeedup == 0 || speedup < minSpeedup) {
-				minSpeedup = speedup
+			stateBytes, err := ra.InCoreStateBytes(slice, k)
+			if err != nil {
+				return nil, err
 			}
 			t.Row(shape.name, k.String(),
 				best.Milliseconds(),
 				stats.Count(uint64(rate)),
-				speedup)
+				rate/scalarRate,
+				stateBytes/slice.Size())
 		}
 		t.Note("%s: scalar and swar databases bit-identical (checksum %016x)", shape.name, scalarSum)
 	}
 	t.Note("wall ms is the best of 3 solves; pos/s/core divides by the engine's core count")
 	t.Note("SWAR lanes pack 8 positions per uint64 (4-bit value, 3-bit counter, final bit per byte)")
-	return t, minSpeedup, nil
+	return t, nil
 }
 
 // dbChecksum folds a solved database (values and loop bitset) into one
@@ -107,24 +102,22 @@ func dbChecksum(r *ra.Result) uint64 {
 }
 
 // E14Smoke is the CI guard: it builds a quick-scale environment, runs the
-// E14 comparison, renders the table to w, and fails if the SWAR kernel is
-// slower than the scalar kernel on any engine shape.
+// E14 comparison and renders the table to w. It fails when the two
+// kernels' databases differ or a solve ran under the wrong kernel; the
+// kernels share their generators, so their relative speed is reported,
+// not gated.
 func E14Smoke(s Scale, w io.Writer) error {
 	env, err := NewEnv(s, nil)
 	if err != nil {
 		return err
 	}
-	t, minSpeedup, err := e14Table(env)
+	t, err := E14SWAR(env)
 	if err != nil {
 		return err
 	}
 	if err := t.Render(w); err != nil {
 		return err
 	}
-	if minSpeedup < 1.0 {
-		return fmt.Errorf("E14 smoke: SWAR kernel regressed below scalar (min speedup %s)",
-			strconv.FormatFloat(minSpeedup, 'f', 2, 64))
-	}
-	fmt.Fprintf(w, "E14 smoke OK: min SWAR speedup %.2fx\n", minSpeedup)
+	fmt.Fprintln(w, "E14 smoke OK: scalar and swar databases bit-identical on every engine shape")
 	return nil
 }

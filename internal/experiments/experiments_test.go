@@ -426,7 +426,7 @@ func TestV1Generality(t *testing.T) {
 
 func TestE14SWAR(t *testing.T) {
 	env := quickEnv(t)
-	tbl, min, err := e14Table(env)
+	tbl, err := E14SWAR(env)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -437,9 +437,6 @@ func TestE14SWAR(t *testing.T) {
 		if k := tbl.Cell(r, 1); k != "scalar" && k != "swar" {
 			t.Errorf("row %d kernel column = %q", r, k)
 		}
-	}
-	if min <= 0 {
-		t.Errorf("min speedup = %v", min)
 	}
 	var sb strings.Builder
 	if err := tbl.Render(&sb); err != nil {

@@ -2,11 +2,14 @@ package game
 
 import "fmt"
 
-// This file defines the opt-in contracts behind the bit-parallel (SWAR)
-// in-core kernels. The scalar engine needs nothing beyond the Game
-// interface; a game that additionally satisfies LaneGame (and whose values
-// are narrow enough) lets the in-core engines pack many positions into one
-// machine word and run the wave loop branchlessly over whole words.
+// This file defines the opt-in contracts of the in-core engines: the lane
+// contract behind the bit-parallel (SWAR) kernel and the run generators
+// both kernels walk. An engine needs nothing beyond the Game interface; a
+// game that additionally satisfies LaneGame (and whose values are narrow
+// enough) lets the in-core engines pack many positions into one machine
+// word and run the wave loop branchlessly over whole words, and a game
+// that implements the Batch interfaces generates a run of sibling
+// positions for the price of decoding one.
 //
 // The lane layout itself (how value, counter and final flag share a lane)
 // belongs to package ra; what belongs here is the *semantic* contract the
@@ -67,7 +70,7 @@ type InitStat struct {
 
 // BatchIniter is an optional Game interface: games that can amortise
 // position decoding over a run of consecutive indices implement it, and
-// the SWAR kernels use it to initialise a whole shard run in one call.
+// workers of either kernel initialise a whole shard run in one call.
 // The semantics per position must be identical to Moves/TerminalValue.
 type BatchIniter interface {
 	// InitRun fills out[i] with the initialisation summary of position
@@ -86,11 +89,79 @@ type BatchExpander interface {
 }
 
 // BatchLooper is an optional Game interface: bulk loop values over a run
-// of consecutive indices, used by the SWAR loop-resolution pass. Must
-// agree with LoopValue per position.
+// of consecutive indices, used by the loop-resolution pass. Must agree
+// with LoopValue per position.
 type BatchLooper interface {
 	// LoopValuesRun fills out[i] with LoopValue(base+i) for i in [0, n).
 	LoopValuesRun(base uint64, n int, out []Value)
+}
+
+// Runs is the set of run generators a worker walks: the game's own batch
+// implementations where it has them, per-position adapters otherwise.
+type Runs struct {
+	BatchIniter
+	BatchExpander
+	BatchLooper
+}
+
+// RunsOf resolves g's run generators. The adapters carry scratch, so
+// every worker resolves its own.
+func RunsOf(g Game) Runs {
+	pp := &perPosition{g: g}
+	r := Runs{pp, pp, pp}
+	if b, ok := g.(BatchIniter); ok {
+		r.BatchIniter = b
+	}
+	if b, ok := g.(BatchExpander); ok {
+		r.BatchExpander = b
+	}
+	if b, ok := g.(BatchLooper); ok {
+		r.BatchLooper = b
+	}
+	return r
+}
+
+// perPosition adapts a Game's per-position methods to the Batch
+// interfaces: the generator of games without batch implementations, and
+// the reference Validate holds batch implementations to.
+type perPosition struct {
+	g     Game
+	moves []Move
+	preds []uint64
+}
+
+func (p *perPosition) InitRun(base uint64, n int, out []InitStat) {
+	for i := range out[:n] {
+		idx := base + uint64(i)
+		p.moves = p.g.Moves(idx, p.moves[:0])
+		s := InitStat{Moves: int32(len(p.moves)), Best: NoValue}
+		for _, m := range p.moves {
+			if m.Internal {
+				s.Internal++
+			} else {
+				s.Best = BetterOf(p.g, s.Best, m.Value)
+			}
+		}
+		if len(p.moves) == 0 {
+			s.Best = p.g.TerminalValue(idx)
+		}
+		out[i] = s
+	}
+}
+
+func (p *perPosition) PredecessorsRun(base uint64, n int, visit func(i int, preds []uint64)) {
+	for i := 0; i < n; i++ {
+		p.preds = p.g.Predecessors(base+uint64(i), p.preds[:0])
+		if len(p.preds) > 0 {
+			visit(i, p.preds)
+		}
+	}
+}
+
+func (p *perPosition) LoopValuesRun(base uint64, n int, out []Value) {
+	for i := range out[:n] {
+		out[i] = p.g.LoopValue(base + uint64(i))
+	}
 }
 
 // MaxPackedSuccessors is the largest internal-successor count the packed
@@ -124,7 +195,8 @@ func validateBatch(g Game) error {
 	if !hasInit && !hasExp && !hasLoop {
 		return nil
 	}
-	var moves []Move
+	ref := &perPosition{g: g}
+	var want [1]InitStat
 	var preds []uint64
 	stats := make([]InitStat, 0, 64)
 	loops := make([]Value, 0, 64)
@@ -149,21 +221,10 @@ func validateBatch(g Game) error {
 		}
 		for i := 0; i < runLen; i++ {
 			idx := base + uint64(i)
-			moves = g.Moves(idx, moves[:0])
 			if hasInit {
-				want := InitStat{Moves: int32(len(moves)), Best: NoValue}
-				for _, m := range moves {
-					if m.Internal {
-						want.Internal++
-					} else if want.Best == NoValue || g.Better(m.Value, want.Best) {
-						want.Best = m.Value
-					}
-				}
-				if len(moves) == 0 {
-					want.Best = g.TerminalValue(idx)
-				}
-				if stats[i] != want {
-					return fmt.Errorf("game %s: InitRun(%d) = %+v, scalar init gives %+v", g.Name(), idx, stats[i], want)
+				ref.InitRun(idx, 1, want[:])
+				if stats[i] != want[0] {
+					return fmt.Errorf("game %s: InitRun(%d) = %+v, scalar init gives %+v", g.Name(), idx, stats[i], want[0])
 				}
 			}
 			if hasLoop {

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"retrograde/internal/awari"
@@ -82,6 +83,23 @@ func TestOutOfCoreParityAwari(t *testing.T) {
 					t.Errorf("%s: zero peak resident bytes", label)
 				}
 			}
+		}
+		if n < lad.MaxStones() {
+			continue
+		}
+		// Run parity on the top rung at a 25 % cap: behind a wrapper that
+		// hides the batch generators the scalar blocks walk the per-
+		// position adapters, and must do the same work on every block.
+		var byWalk [2]*ra.Result
+		for i, walk := range []game.Game{g, struct{ game.Game }{g}} {
+			e := Engine{MemLimit: max(g.Size()*ra.StateBytesPerPosition/4, 1), Dir: t.TempDir(), Kernel: ra.KernelScalar}
+			if byWalk[i], _, err = e.SolveDetailed(walk); err != nil {
+				t.Fatalf("%s run parity: %v", g.Name(), err)
+			}
+			compareResults(t, g.Name()+" run parity", want, byWalk[i])
+		}
+		if !slices.Equal(byWalk[0].Workers, byWalk[1].Workers) {
+			t.Errorf("%s: work counters %+v, per-position walk %+v", g.Name(), byWalk[0].Workers, byWalk[1].Workers)
 		}
 	}
 }

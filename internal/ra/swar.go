@@ -4,17 +4,21 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/bits"
-	"slices"
 
 	"retrograde/internal/game"
 )
 
 // This file implements the bit-parallel (SWAR) in-core wave kernel: eight
 // positions' analysis state packed one byte each into uint64 words, with
-// the propagation primitives operating on whole words branchlessly. The
-// scalar uint32-per-position kernel (worker.go) remains the fallback for
-// wide-valued games and the parity oracle; both kernels produce
-// bit-identical databases (same values, same waves, same loop sets).
+// the propagation primitives operating on whole words branchlessly. What
+// is SWAR-specific is the state — the lane layout, applyLane, applyWord —
+// not the generation: Init, ExpandRuns and ResolveLoops (worker.go) walk
+// the same run generators under both kernels, so the kernels solve in
+// about the same time and SWAR's gain is 1 byte of resident state per
+// position instead of 4. The scalar uint32-per-position kernel remains the
+// fallback for wide-valued games and the parity oracle; both kernels
+// produce bit-identical databases (same values, same waves, same loop
+// sets).
 //
 // Lane layout, one byte per position:
 //
@@ -91,7 +95,7 @@ const (
 	laneFinalBit  byte = 0x80
 	laneMaxCnt         = 7
 	lanesPerWord       = 8
-	laneChunk          = 1024 // batch-generator scratch bound (positions)
+	laneChunk          = 1024 // run-generator scratch bound (positions), either kernel
 )
 
 // Broadcast masks for the word-parallel kernels.
@@ -169,70 +173,6 @@ func (w *Worker) laneWord(off uint64) uint64 {
 	return binary.LittleEndian.Uint64(w.lane[off:])
 }
 
-// initSWAR is the SWAR-kernel initialisation phase: it walks the shard in
-// partition-group runs, pulling per-position init summaries from the
-// game's batch generator when it has one, and packs the lane bytes.
-func (w *Worker) initSWAR() (uint64, error) {
-	var finals uint64
-	var moves []game.Move
-	n := uint64(len(w.lane))
-	for l0 := uint64(0); l0 < n; {
-		k := w.span - l0%w.span
-		if k > n-l0 {
-			k = n - l0
-		}
-		if k > laneChunk {
-			k = laneChunk
-		}
-		base := w.part.Global(w.me, l0)
-		if cap(w.initStats) < int(k) {
-			w.initStats = make([]game.InitStat, k)
-		}
-		st := w.initStats[:k]
-		if w.bInit != nil {
-			w.bInit.InitRun(base, int(k), st)
-		} else {
-			for i := uint64(0); i < k; i++ {
-				moves = w.g.Moves(base+i, moves[:0])
-				s := game.InitStat{Moves: int32(len(moves)), Best: game.NoValue}
-				for _, m := range moves {
-					if m.Internal {
-						s.Internal++
-					} else if s.Best == game.NoValue || w.g.Better(m.Value, s.Best) {
-						s.Best = m.Value
-					}
-				}
-				if len(moves) == 0 {
-					s.Best = w.g.TerminalValue(base + i)
-				}
-				st[i] = s
-			}
-		}
-		for i := uint64(0); i < k; i++ {
-			s := st[i]
-			w.Stats.MovesGenerated += uint64(s.Moves)
-			if s.Internal > laneMaxCnt {
-				return finals, &game.CounterOverflowError{Game: w.g.Name(), Position: base + i, Internal: int64(s.Internal), Max: laneMaxCnt}
-			}
-			v := byte(0)
-			if s.Best != game.NoValue {
-				v = byte(s.Best)
-			}
-			lane := v | byte(s.Internal)<<laneCntShift
-			local := l0 + i
-			if s.Moves == 0 || s.Internal == 0 || (s.Best != game.NoValue && int(s.Best) == w.finAt) {
-				lane |= laneFinalBit
-				w.next = append(w.next, local)
-				finals++
-			}
-			w.lane[local] = lane
-		}
-		l0 += k
-	}
-	w.Stats.InitFinal = finals
-	return finals, nil
-}
-
 // applyLane delivers one pre-negamaxed update (mv = Neg - successor
 // value) to an owned position's lane. The hot inner step of the SWAR
 // kernel's self-delivery and single-update paths.
@@ -259,24 +199,26 @@ func (w *Worker) applyLane(local uint64, mv byte) {
 	w.lane[local] = s
 }
 
-// ApplyRun delivers a run of same-valued updates to owned positions. Long
-// runs are applied a word (8 lanes) at a time with branchless max /
-// counter-decrement / finalize-detect; short runs and ragged edges go
-// through the per-lane path.
+// ApplyRun delivers a run of same-valued updates to owned positions: a
+// run never crosses a group boundary, so ownership is checked once and the
+// targets are consecutive locals. Under the SWAR kernel long runs are
+// applied a word (8 lanes) at a time with branchless max / counter-
+// decrement / finalize-detect; short runs and ragged edges go through the
+// per-lane path.
 func (w *Worker) ApplyRun(r UpdateRun) {
-	if w.lane == nil {
-		// Scalar worker: unroll the run into ordinary updates.
-		for i := uint32(0); i < r.Count; i++ {
-			w.Apply(Update{Target: r.Base + uint64(i), Value: r.Value})
-		}
-		return
-	}
 	if w.part.Owner(r.Base) != w.me {
 		panic(fmt.Sprintf("ra: worker %d received update run for %d owned by %d", w.me, r.Base, w.part.Owner(r.Base)))
 	}
-	mv := w.negv - byte(r.Value)
 	local := w.part.Local(r.Base)
 	count := uint64(r.Count)
+	if w.lane == nil {
+		for ; count > 0; count-- {
+			w.applyState(local, r.Value)
+			local++
+		}
+		return
+	}
+	mv := w.negv - byte(r.Value)
 	// Ragged head up to word alignment, then full words, then the tail.
 	for ; count > 0 && local%lanesPerWord != 0; count-- {
 		w.applyLane(local, mv)
@@ -338,144 +280,4 @@ func (w *Worker) applyWord(local uint64, mv byte) {
 	for m := newFin; m != 0; m &= m - 1 {
 		w.next = append(w.next, local+uint64(bits.TrailingZeros64(m)/lanesPerWord))
 	}
-}
-
-// swarRunMax bounds how many queue positions one batched predecessor call
-// covers (and with it the per-run scratch).
-const swarRunMax = laneChunk
-
-// expandRunsSWAR is ExpandRuns under the SWAR kernel: predecessors are
-// generated run-batched through the game's batch expander and self-owned
-// updates go through the lane kernel.
-func (w *Worker) expandRunsSWAR(queue []uint64, emit func(owner int, r UpdateRun)) {
-	single := w.part.Workers() == 1
-	for len(queue) > 0 {
-		// One maximal run: consecutive locals within one contiguity span
-		// (the queue is sorted at BeginWave), so the globals are
-		// consecutive too and the batch generator decodes incrementally.
-		l0 := queue[0]
-		k := 1
-		for k < len(queue) && k < swarRunMax &&
-			queue[k] == l0+uint64(k) && (l0+uint64(k))%w.span != 0 {
-			k++
-		}
-		queue = queue[k:]
-		base := w.part.Global(w.me, l0)
-		if w.bExp != nil {
-			w.bExp.PredecessorsRun(base, k, func(i int, preds []uint64) {
-				w.deliverPreds(l0+uint64(i), preds, single)
-			})
-		} else {
-			for i := 0; i < k; i++ {
-				w.preds = w.g.Predecessors(base+uint64(i), w.preds[:0])
-				if len(w.preds) > 0 {
-					w.deliverPreds(l0+uint64(i), w.preds, single)
-				}
-			}
-		}
-		if !single {
-			w.flushRemote(nil, emit)
-		}
-	}
-}
-
-// deliverPreds routes one expanded position's predecessor edges: self-
-// owned targets go through the lane kernel immediately, remote targets
-// are gathered for owner-grouped, run-coalesced emission.
-func (w *Worker) deliverPreds(local uint64, preds []uint64, single bool) {
-	w.Stats.PredsGenerated += uint64(len(preds))
-	mv := w.negv - w.lane[local]&laneValueMask
-	if single {
-		for _, q := range preds {
-			w.applyLane(q, mv)
-		}
-		return
-	}
-	v := game.Value(w.negv - mv)
-	for _, q := range preds {
-		o := w.part.Owner(q)
-		if o == w.me {
-			w.applyLane(w.part.Local(q), mv)
-			continue
-		}
-		w.runs = append(w.runs, Update{Target: q, Value: v})
-		w.runOwner = append(w.runOwner, int32(o))
-		w.ownerCnt[o]++
-	}
-}
-
-// resolveLoopsSWAR is the SWAR loop-resolution pass: whole words of final
-// lanes are skipped; runs containing undetermined lanes pull their loop
-// values from the game's batch generator in one call.
-func (w *Worker) resolveLoopsSWAR() uint64 {
-	var resolved uint64
-	w.loopy = slices.Grow(w.loopy, w.unresolved())
-	n := uint64(len(w.lane))
-	for l0 := uint64(0); l0 < n; {
-		k := w.span - l0%w.span
-		if k > n-l0 {
-			k = n - l0
-		}
-		if k > laneChunk {
-			k = laneChunk
-		}
-		// Fast scan: does the run contain any non-final lane?
-		any := false
-		i := uint64(0)
-		for ; i+lanesPerWord <= k; i += lanesPerWord {
-			if w.laneWord(l0+i)&laneHi != laneHi {
-				any = true
-				break
-			}
-		}
-		if !any {
-			for ; i < k; i++ {
-				if w.lane[l0+i]&laneFinalBit == 0 {
-					any = true
-					break
-				}
-			}
-		}
-		if !any {
-			l0 += k
-			continue
-		}
-		base := w.part.Global(w.me, l0)
-		if cap(w.loopVals) < int(k) {
-			w.loopVals = make([]game.Value, k)
-		}
-		lv := w.loopVals[:k]
-		if w.bLoop != nil {
-			w.bLoop.LoopValuesRun(base, int(k), lv)
-		} else {
-			for i := uint64(0); i < k; i++ {
-				lv[i] = w.g.LoopValue(base + i)
-			}
-		}
-		for i := uint64(0); i < k; i++ {
-			s := w.lane[l0+i]
-			if s&laneFinalBit != 0 {
-				continue
-			}
-			v := s & laneValueMask
-			if b := byte(lv[i]); b > v {
-				v = b
-			}
-			w.lane[l0+i] = s&^laneValueMask | v | laneFinalBit
-			w.loopy = append(w.loopy, l0+i)
-			resolved++
-		}
-		l0 += k
-	}
-	w.next = w.next[:0]
-	w.Stats.LoopResolved = resolved
-	return resolved
-}
-
-// sortQueue orders the wave queue by local index so ExpandRuns sees
-// maximal consecutive runs. Values and wave membership are order-
-// independent, so sorting keeps results bit-identical to the scalar
-// kernel's unsorted processing.
-func (w *Worker) sortQueue() {
-	slices.Sort(w.queue)
 }

@@ -120,15 +120,14 @@ type Worker struct {
 
 	// span is the length of the runs of consecutive locals that are also
 	// consecutive globals: the partition group, or the whole shard when
-	// this worker owns the entire space. The batch generators amortise
+	// this worker owns the entire space. The run generators amortise
 	// decoding over such runs and Fill copies them whole.
 	span uint64
 
-	// Batch generators of the game, when it provides them (SWAR kernel
-	// only; the scalar kernel always uses the per-position methods).
-	bInit game.BatchIniter
-	bExp  game.BatchExpander
-	bLoop game.BatchLooper
+	// gen holds the run generators Init, ExpandRuns and ResolveLoops walk
+	// under either kernel: the game's batch implementations, or per-
+	// position adapters for games without them.
+	gen game.Runs
 
 	queue []uint64 // local indices finalized in the previous wave, to expand
 	next  []uint64 // local indices finalized in the current wave
@@ -136,14 +135,12 @@ type Worker struct {
 
 	// Expansion scratch, reused across Expand calls so steady-state waves
 	// allocate nothing.
-	preds     []uint64        // predecessor buffer for one position
-	runs      []Update        // remote updates gathered for one grouping chunk
-	runOwner  []int32         // owner of each entry in runs
-	runSort   []Update        // counting-sort output (owner-grouped)
-	ownerCnt  []int32         // per-owner update count within a chunk
-	ownerOff  []int32         // per-owner placement cursor within a chunk
-	initStats []game.InitStat // SWAR init-run scratch
-	loopVals  []game.Value    // SWAR loop-run scratch
+	preds    []uint64 // predecessor buffer for one position
+	runs     []Update // remote updates gathered for one grouping chunk
+	runOwner []int32  // owner of each entry in runs
+	runSort  []Update // counting-sort output (owner-grouped)
+	ownerCnt []int32  // per-owner update count within a chunk
+	ownerOff []int32  // per-owner placement cursor within a chunk
 
 	Stats WorkerStats
 }
@@ -181,6 +178,7 @@ func NewWorkerKernel(g game.Game, part *Partition, me int, k Kernel) (*Worker, e
 		kern:  k,
 		finAt: -1,
 		span:  part.Group(),
+		gen:   game.RunsOf(g),
 	}
 	w.Stats.Positions = n
 	if p := part.Workers(); p > 1 {
@@ -194,9 +192,6 @@ func NewWorkerKernel(g game.Game, part *Partition, me int, k Kernel) (*Worker, e
 		w.negv = byte(w.spec.Neg)
 		w.finAt = w.spec.FinalizeAt
 		w.lane = make([]byte, n)
-		w.bInit, _ = g.(game.BatchIniter)
-		w.bExp, _ = g.(game.BatchExpander)
-		w.bLoop, _ = g.(game.BatchLooper)
 		return w, nil
 	}
 	w.state = make([]uint32, n)
@@ -215,48 +210,69 @@ func (w *Worker) ID() int { return w.me }
 // ShardSize returns the number of positions the worker owns.
 func (w *Worker) ShardSize() uint64 { return w.Stats.Positions }
 
-// Init runs the initialisation phase over the shard: it enumerates every
-// owned position's moves, records the outstanding-successor counters,
-// resolves positions that are terminal or whose resolved moves already
-// finalize them, and queues those for expansion. It returns the number of
-// positions finalized, and a *game.CounterOverflowError if any position's
-// internal branching exceeds the packed counter width.
+// runLen returns the length of the generator run starting at local l0:
+// to the end of its contiguity span or of the shard, at most laneChunk.
+func (w *Worker) runLen(l0 uint64) uint64 {
+	return min(w.span-l0%w.span, w.ShardSize()-l0, laneChunk)
+}
+
+// Init runs the initialisation phase over the shard: it walks the shard in
+// runs, pulls every position's move summary from the run generator,
+// records the outstanding-successor counters, resolves positions that are
+// terminal or whose resolved moves already finalize them, and queues those
+// for expansion. It returns the number of positions finalized, and a
+// *game.CounterOverflowError if any position's internal branching exceeds
+// the kernel's counter width.
 func (w *Worker) Init() (uint64, error) {
+	maxCnt := MaxSuccessors
 	if w.lane != nil {
-		return w.initSWAR()
+		maxCnt = laneMaxCnt
 	}
-	var moves []game.Move
 	var finals uint64
-	for local := uint64(0); local < uint64(len(w.state)); local++ {
-		global := w.part.Global(w.me, local)
-		moves = w.g.Moves(global, moves[:0])
-		w.Stats.MovesGenerated += uint64(len(moves))
-		if len(moves) == 0 {
-			w.state[local] = packState(w.g.TerminalValue(global), 0, false)
-			w.finalize(local)
-			finals++
-			continue
-		}
-		best := game.NoValue
-		internal := int32(0)
-		for _, m := range moves {
-			if m.Internal {
-				internal++
-			} else {
-				best = game.BetterOf(w.g, best, m.Value)
+	n := w.ShardSize()
+	buf := make([]game.InitStat, min(n, laneChunk))
+	for l0 := uint64(0); l0 < n; {
+		base := w.part.Global(w.me, l0)
+		st := buf[:w.runLen(l0)]
+		w.gen.InitRun(base, len(st), st)
+		for i, s := range st {
+			w.Stats.MovesGenerated += uint64(s.Moves)
+			if s.Internal > maxCnt {
+				return finals, &game.CounterOverflowError{Game: w.g.Name(), Position: base + uint64(i), Internal: int64(s.Internal), Max: int64(maxCnt)}
+			}
+			if w.initState(l0+uint64(i), s) {
+				finals++
 			}
 		}
-		if internal > MaxSuccessors {
-			return finals, &game.CounterOverflowError{Game: w.g.Name(), Position: global, Internal: int64(internal), Max: int64(MaxSuccessors)}
-		}
-		w.state[local] = packState(best, internal, false)
-		if internal == 0 || (best != game.NoValue && w.g.Finalizes(best)) {
-			w.finalize(local)
-			finals++
-		}
+		l0 += uint64(len(st))
 	}
 	w.Stats.InitFinal = finals
 	return finals, nil
+}
+
+// initState packs one init summary into the kernel's state word and
+// reports whether the position is final already (terminal, no internal
+// successor, or a resolved move that cuts off), queueing it if so.
+func (w *Worker) initState(local uint64, s game.InitStat) bool {
+	final := s.Internal == 0
+	if w.lane != nil {
+		v := byte(0)
+		if s.Best != game.NoValue {
+			v = byte(s.Best)
+			final = final || int(s.Best) == w.finAt
+		}
+		w.lane[local] = v | byte(s.Internal)<<laneCntShift
+		if final {
+			w.lane[local] |= laneFinalBit
+		}
+	} else {
+		final = final || (s.Best != game.NoValue && w.g.Finalizes(s.Best))
+		w.state[local] = packState(s.Best, s.Internal, final)
+	}
+	if final {
+		w.next = append(w.next, local)
+	}
+	return final
 }
 
 // mustInit is Init for the engines that run initialisation inside
@@ -271,27 +287,18 @@ func mustInit(w *Worker) uint64 {
 	return n
 }
 
-func (w *Worker) finalize(local uint64) {
-	w.state[local] |= stateFinalBit
-	w.next = append(w.next, local)
-}
-
 // Pending returns the number of positions finalized in the current wave
 // and not yet expanded.
 func (w *Worker) Pending() int { return len(w.next) + len(w.queue) }
 
 // BeginWave promotes the positions finalized during the previous wave to
 // the expansion queue of the new wave and returns how many there are.
-// Under the SWAR kernel the queue is sorted by local index so expansion
-// sees maximal consecutive runs; values are order-independent, so this
-// does not change results.
+// The queue is sorted by local index so ExpandRuns sees maximal
+// consecutive runs; values and wave membership are order-independent, so
+// this does not change results.
 func (w *Worker) BeginWave() int {
 	w.queue, w.next = w.next, w.queue[:0]
-	// Keyed on the kernel, not lane presence: the out-of-core engine calls
-	// BeginWave on workers whose state is currently spilled.
-	if w.kern == KernelSWAR {
-		w.sortQueue()
-	}
+	slices.Sort(w.queue)
 	return len(w.queue)
 }
 
@@ -308,14 +315,15 @@ func (w *Worker) Refill() bool {
 // Expand pops up to limit finalized positions from the wave queue,
 // generates their predecessors, and emits one update per predecessor edge
 // through emit (including edges whose target the worker itself owns) —
-// the wire engines' expansion, where an update is a message. Within each
-// grouping chunk, self-owned edges are emitted first and the remaining
-// edges are emitted in owner-grouped runs so consecutive combine-buffer
-// appends stay cache-local.
+// the wire engines' expansion, where an update is a message, so positions
+// are expanded one by one in queue order. Within each grouping chunk,
+// self-owned edges are emitted first and the remaining edges are emitted
+// in owner-grouped runs so consecutive combine-buffer appends stay
+// cache-local.
 // It returns the number of positions expanded; 0 means the wave queue is
 // empty. limit <= 0 expands the whole queue.
 func (w *Worker) Expand(limit int, emit func(owner int, u Update)) int {
-	return w.expand(limit, nil, emit, nil)
+	return w.expand(limit, nil, emit)
 }
 
 // ExpandLocal is Expand with the self-delivery fast path: updates whose
@@ -327,37 +335,31 @@ func (w *Worker) ExpandLocal(limit int, apply func(Update), emit func(owner int,
 	if apply == nil {
 		panic("ra: ExpandLocal needs an apply callback")
 	}
-	return w.expand(limit, apply, emit, nil)
+	return w.expand(limit, apply, emit)
 }
 
-// ExpandRuns is the host-time engines' expansion: self-owned updates are
-// applied inline by the worker's own kernel and remote edges are emitted
-// as owner-grouped, run-coalesced UpdateRuns — under either kernel, so a
-// driver never asks which one it is running. emit may be nil when the
-// worker owns the whole space.
-func (w *Worker) ExpandRuns(limit int, emit func(owner int, r UpdateRun)) int {
-	return w.expand(limit, nil, nil, emit)
-}
-
-// expand is the one expansion loop behind Expand, ExpandLocal and
-// ExpandRuns. A self-owned edge goes to apply when that is set, to
-// emit(me) when only emit is set, and is otherwise applied inline;
-// remote edges are gathered per grouping chunk and flushed through emit
-// one by one, or through emitRuns coalesced when emit is nil.
-func (w *Worker) expand(limit int, apply func(Update), emit func(owner int, u Update), emitRuns func(owner int, r UpdateRun)) int {
+// pop takes up to limit positions (limit <= 0: all of them) off the front
+// of the wave queue for expansion.
+func (w *Worker) pop(limit int) []uint64 {
 	if limit <= 0 || limit > len(w.queue) {
 		limit = len(w.queue)
 	}
-	queue := w.queue[:limit]
+	head := w.queue[:limit]
+	w.queue = w.queue[limit:]
+	w.Stats.Expanded += uint64(limit)
+	return head
+}
+
+// expand is the per-position expansion loop behind Expand and
+// ExpandLocal. A self-owned edge goes to apply when that is set and to
+// emit(me) otherwise; remote edges are gathered per grouping chunk and
+// flushed through emit one by one.
+func (w *Worker) expand(limit int, apply func(Update), emit func(owner int, u Update)) int {
+	queue := w.pop(limit)
 	single := w.part.Workers() == 1
-	if apply == nil && emit == nil && w.lane != nil {
-		// Inline application under SWAR has its own run-batched loop.
-		w.expandRunsSWAR(queue, emitRuns)
-		queue = nil
-	}
-	for len(queue) > 0 {
-		n := min(len(queue), groupChunk)
-		for _, local := range queue[:n] {
+	for rest := queue; len(rest) > 0; {
+		n := min(len(rest), groupChunk)
+		for _, local := range rest[:n] {
 			v := w.valueAt(local)
 			w.preds = w.g.Predecessors(w.part.Global(w.me, local), w.preds[:0])
 			w.Stats.PredsGenerated += uint64(len(w.preds))
@@ -369,27 +371,62 @@ func (w *Worker) expand(limit int, apply func(Update), emit func(owner int, u Up
 				}
 				switch {
 				case o != w.me:
-					w.runs = append(w.runs, u)
-					w.runOwner = append(w.runOwner, int32(o))
-					w.ownerCnt[o]++
+					w.gather(o, u)
 				case apply != nil:
 					apply(u)
-				case emit != nil:
-					emit(w.me, u)
 				default:
-					if !single {
-						q = w.part.Local(q)
-					}
-					w.applyState(q, v)
+					emit(w.me, u)
 				}
 			}
 		}
-		w.flushRemote(emit, emitRuns)
-		queue = queue[n:]
+		w.flushRemote(emit, nil)
+		rest = rest[n:]
 	}
-	w.queue = w.queue[limit:]
-	w.Stats.Expanded += uint64(limit)
-	return limit
+	return len(queue)
+}
+
+// ExpandRuns is the host-time engines' expansion: the sorted queue is cut
+// into maximal runs of consecutive locals within one contiguity span (so
+// the globals are consecutive too and the run generator decodes
+// incrementally), self-owned updates are applied inline by the worker's
+// own kernel and remote edges are emitted as owner-grouped, run-coalesced
+// UpdateRuns — under either kernel, so a driver never asks which one it
+// is running. emit may be nil when the worker owns the whole space.
+func (w *Worker) ExpandRuns(limit int, emit func(owner int, r UpdateRun)) int {
+	queue := w.pop(limit)
+	single := w.part.Workers() == 1
+	var l0 uint64
+	visit := func(i int, preds []uint64) {
+		w.Stats.PredsGenerated += uint64(len(preds))
+		v := w.valueAt(l0 + uint64(i))
+		for _, q := range preds {
+			if single {
+				w.applyAt(q, v)
+			} else if o := w.part.Owner(q); o != w.me {
+				w.gather(o, Update{Target: q, Value: v})
+			} else {
+				w.applyAt(w.part.Local(q), v)
+			}
+		}
+	}
+	for rest := queue; len(rest) > 0; {
+		l0 = rest[0]
+		k := 1
+		for k < len(rest) && k < laneChunk && rest[k] == l0+uint64(k) && (l0+uint64(k))%w.span != 0 {
+			k++
+		}
+		rest = rest[k:]
+		w.gen.PredecessorsRun(w.part.Global(w.me, l0), k, visit)
+		w.flushRemote(nil, emit)
+	}
+	return len(queue)
+}
+
+// gather holds back one edge to remote owner o for flushRemote.
+func (w *Worker) gather(o int, u Update) {
+	w.runs = append(w.runs, u)
+	w.runOwner = append(w.runOwner, int32(o))
+	w.ownerCnt[o]++
 }
 
 // flushRemote emits the remote edges gathered in runs grouped by owner
@@ -450,13 +487,17 @@ func (w *Worker) Apply(u Update) {
 	if w.part.Owner(u.Target) != w.me {
 		panic(fmt.Sprintf("ra: worker %d received update for %d owned by %d", w.me, u.Target, w.part.Owner(u.Target)))
 	}
-	local := w.part.Local(u.Target)
+	w.applyAt(w.part.Local(u.Target), u.Value)
+}
+
+// applyAt is Apply on a local index, by the worker's own kernel.
+func (w *Worker) applyAt(local uint64, successor game.Value) {
 	if w.lane != nil {
 		// MoverValue(v) == Neg - v under the lane contract.
-		w.applyLane(local, w.negv-byte(u.Value))
+		w.applyLane(local, w.negv-byte(successor))
 		return
 	}
-	w.applyState(local, u.Value)
+	w.applyState(local, successor)
 }
 
 // applyState is Apply's scalar-kernel step on a local index: negamax the
@@ -477,7 +518,8 @@ func (w *Worker) applyState(local uint64, successor game.Value) {
 	cnt--
 	w.state[local] = uint32(v) | cnt<<stateCountShift
 	if cnt == 0 || w.g.Finalizes(v) {
-		w.finalize(local)
+		w.state[local] |= stateFinalBit
+		w.next = append(w.next, local)
 		w.Stats.Finalized++
 	}
 }
@@ -485,47 +527,72 @@ func (w *Worker) applyState(local uint64, successor game.Value) {
 // ResolveLoops assigns values to every still-undetermined position: the
 // better of its best determined alternative and the game's loop value
 // (eternal-play score). Called once, after global propagation quiesces.
-// It returns the number of positions resolved.
+// Runs that are final throughout are skipped; the others pull their loop
+// values from the run generator in one call. It returns the number of
+// positions resolved.
 func (w *Worker) ResolveLoops() uint64 {
-	if w.lane != nil {
-		return w.resolveLoopsSWAR()
-	}
-	var resolved uint64
-	w.loopy = slices.Grow(w.loopy, w.unresolved())
-	for local, s := range w.state {
-		if s&stateFinalBit != 0 {
-			continue
+	n := w.ShardSize()
+	before := len(w.loopy)
+	// 79–94 % of an awari rung lands in the loop set, too much to grow by
+	// doubling.
+	w.loopy = slices.Grow(w.loopy, w.unresolved(0, n))
+	buf := make([]game.Value, min(n, laneChunk))
+	for l0 := uint64(0); l0 < n; {
+		lv := buf[:w.runLen(l0)]
+		if w.unresolved(l0, l0+uint64(len(lv))) > 0 {
+			w.gen.LoopValuesRun(w.part.Global(w.me, l0), len(lv), lv)
+			for i, v := range lv {
+				if local := l0 + uint64(i); w.resolveLoop(local, v) {
+					w.loopy = append(w.loopy, local)
+				}
+			}
 		}
-		global := w.part.Global(w.me, uint64(local))
-		v := game.BetterOf(w.g, stateValue(s), w.g.LoopValue(global))
-		w.state[local] = packState(v, stateCounter(s), true)
-		w.loopy = append(w.loopy, uint64(local))
-		resolved++
+		l0 += uint64(len(lv))
 	}
 	// Loop-resolved positions are not expanded: their predecessors are
 	// themselves loop positions (anything determinable was determined),
 	// so the next queue is cleared rather than propagated.
 	w.next = w.next[:0]
-	w.Stats.LoopResolved = resolved
-	return resolved
+	w.Stats.LoopResolved = uint64(len(w.loopy) - before)
+	return w.Stats.LoopResolved
 }
 
-// unresolved counts the owned positions that are not final: after
-// quiescence, exactly the loop set. ResolveLoops sizes the set with it
-// up front — 79–94 % of an awari rung lands there, too much to grow by
-// doubling.
-func (w *Worker) unresolved() int {
-	n, i := 0, 0
-	for ; i+lanesPerWord <= len(w.lane); i += lanesPerWord {
-		n += lanesPerWord - bits.OnesCount64(w.laneWord(uint64(i))&laneHi)
-	}
-	for _, s := range w.lane[i:] {
-		if s&laneFinalBit == 0 {
-			n++
+// resolveLoop finalizes a local position with the better of its value and
+// the loop value if it is still undetermined, and reports whether it was.
+func (w *Worker) resolveLoop(local uint64, loop game.Value) bool {
+	if w.lane != nil {
+		s := w.lane[local]
+		if s&laneFinalBit != 0 {
+			return false
 		}
+		w.lane[local] = s&^laneValueMask | max(s&laneValueMask, byte(loop)) | laneFinalBit
+		return true
 	}
-	for _, s := range w.state {
-		if s&stateFinalBit == 0 {
+	s := w.state[local]
+	if s&stateFinalBit != 0 {
+		return false
+	}
+	w.state[local] = packState(game.BetterOf(w.g, stateValue(s), loop), stateCounter(s), true)
+	return true
+}
+
+// unresolved counts the positions among locals [l0, l1) that are not
+// final: after quiescence, exactly the loop set.
+func (w *Worker) unresolved(l0, l1 uint64) int {
+	n := 0
+	if w.lane == nil {
+		for _, s := range w.state[l0:l1] {
+			if s&stateFinalBit == 0 {
+				n++
+			}
+		}
+		return n
+	}
+	for ; l0+lanesPerWord <= l1; l0 += lanesPerWord {
+		n += lanesPerWord - bits.OnesCount64(w.laneWord(l0)&laneHi)
+	}
+	for _, s := range w.lane[l0:l1] {
+		if s&laneFinalBit == 0 {
 			n++
 		}
 	}

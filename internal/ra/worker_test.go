@@ -228,16 +228,31 @@ func (hugeBranch) Finalizes(game.Value) bool          { return false }
 func (hugeBranch) LoopValue(uint64) game.Value        { return 0 }
 func (hugeBranch) ValueBits() int                     { return 16 }
 
-func TestInitRejectsCounterOverflow(t *testing.T) {
-	g := hugeBranch{n: int(MaxSuccessors) + 1}
-	w := NewWorker(g, Cyclic(g.Size(), 1), 0)
-	_, err := w.Init()
-	var ce *game.CounterOverflowError
-	if !errors.As(err, &ce) {
-		t.Fatalf("Init with > MaxSuccessors internal moves: err = %v, want CounterOverflowError", err)
+// hugeBranchBatch is hugeBranch with its own batch init generator, so
+// the overflowing count reaches Init through InitRun.
+type hugeBranchBatch struct{ hugeBranch }
+
+func (h hugeBranchBatch) InitRun(base uint64, n int, out []game.InitStat) {
+	for i := range out[:n] {
+		out[i] = game.InitStat{Best: game.NoValue}
+		if base+uint64(i) != 0 {
+			out[i] = game.InitStat{Moves: int32(h.n), Internal: int32(h.n), Best: game.NoValue}
+		}
 	}
-	if ce.Position != 1 || ce.Internal != int64(MaxSuccessors)+1 || ce.Max != int64(MaxSuccessors) {
-		t.Errorf("CounterOverflowError = %+v", ce)
+}
+
+func TestInitRejectsCounterOverflow(t *testing.T) {
+	huge := hugeBranch{n: int(MaxSuccessors) + 1}
+	for _, g := range []game.Game{huge, hugeBranchBatch{huge}} {
+		w := NewWorker(g, Cyclic(g.Size(), 1), 0)
+		_, err := w.Init()
+		var ce *game.CounterOverflowError
+		if !errors.As(err, &ce) {
+			t.Fatalf("%T: Init with > MaxSuccessors internal moves: err = %v, want CounterOverflowError", g, err)
+		}
+		if ce.Position != 1 || ce.Internal != int64(MaxSuccessors)+1 || ce.Max != int64(MaxSuccessors) {
+			t.Errorf("%T: CounterOverflowError = %+v", g, ce)
+		}
 	}
 }
 
