@@ -3,6 +3,7 @@ package oocore
 import (
 	"container/list"
 	"fmt"
+	"time"
 
 	"retrograde/internal/game"
 	"retrograde/internal/ra"
@@ -48,6 +49,37 @@ type SpillStats struct {
 	// Resumed reports whether the solve continued from an on-disk
 	// manifest instead of initialising from scratch.
 	Resumed bool
+
+	// Spill clocks: where this run's spill I/O time went (a resumed run
+	// starts them at zero; manifests do not carry them). Encode and write
+	// run on the writer goroutine, or inline on the engine thread when
+	// spilling is synchronous; read and decode on the prefetcher or in a
+	// demand load. StallTime is the engine thread blocked on the
+	// pipeline: waiting for a write-behind slot, for a prefetch to land,
+	// or for an in-flight write of a block it must read.
+	EncodeTime time.Duration
+	WriteTime  time.Duration
+	ReadTime   time.Duration
+	DecodeTime time.Duration
+	StallTime  time.Duration
+}
+
+// spillClock charges consecutive intervals of one goroutine's wall time
+// to the SpillStats clocks.
+type spillClock struct{ mark time.Time }
+
+func startSpillClock() spillClock { return spillClock{mark: spillNow()} }
+
+// lap charges the time since the previous lap (or the start) to d.
+func (c *spillClock) lap(d *time.Duration) {
+	now := spillNow()
+	*d += now.Sub(c.mark)
+	c.mark = now
+}
+
+// spillNow is this package's only reader of the wall clock.
+func spillNow() time.Time {
+	return time.Now() //ravet:ignore detrand spill clocks are reported in SpillStats and never reach block state, spill files or manifests
 }
 
 // block is one contiguous slice of the rung: a worker that is always
@@ -171,20 +203,24 @@ func (m *blockManager) startPipeline(depth, window int) {
 }
 
 // closePipeline quiesces and joins both pipeline goroutines, folding the
-// writer's byte counter into the stats. Idempotent; must run before the
-// store is cleared and before the manager's stats are read for the last
-// time.
+// writer's byte counter and both goroutines' clocks into the stats.
+// Idempotent; must run before the store is cleared and before the
+// manager's stats are read for the last time.
 func (m *blockManager) closePipeline() {
 	if m.pf != nil {
 		m.pf.close() // closes every outstanding job's done channel
 		for i := range m.pfJobs {
 			m.pfJobs[i] = nil
 		}
+		m.stats.ReadTime += m.pf.readTime
+		m.stats.DecodeTime += m.pf.decodeTime
 		m.pf = nil
 	}
 	if m.wb != nil {
 		m.wb.pending.Wait()
 		m.stats.SpillBytesWritten = m.wbBase + m.wb.bytesWritten
+		m.stats.EncodeTime += m.wb.encodeTime
+		m.stats.WriteTime += m.wb.writeTime
 		if m.wbErr == nil {
 			m.wbErr = m.wb.firstError()
 		}
@@ -315,9 +351,11 @@ func (m *blockManager) spill(b *block) error {
 		return m.spillSync(b)
 	}
 	n := int(b.w.ShardSize())
+	c := startSpillClock()
 	j, stalled := m.wb.acquire()
 	if stalled {
 		m.stats.WriteStalls++
+		c.lap(&m.stats.StallTime)
 	}
 	j.vals = growValues(j.vals, n)
 	j.meta = growValues(j.meta, n)
@@ -341,14 +379,17 @@ func (m *blockManager) spillSync(b *block) error {
 	n := b.w.ShardSize()
 	vals, meta := m.vals[:n], m.meta[:n]
 	b.w.PackState(vals, meta)
+	c := startSpillClock()
 	enc, err := encodeSpill(m.enc[:0], b.idx, m.kern, vals, meta)
 	if err != nil {
 		return err
 	}
 	m.enc = enc
+	c.lap(&m.stats.EncodeTime)
 	if err := m.store.write(b.idx, b.gen+1, enc, true); err != nil {
 		return err
 	}
+	c.lap(&m.stats.WriteTime)
 	old := b.gen
 	b.gen++
 	b.dirty = false
@@ -416,7 +457,9 @@ func (m *blockManager) load(b *block) error {
 	if m.pf != nil {
 		if j := m.pfJobs[b.idx]; j != nil {
 			m.pfJobs[b.idx] = nil
+			c := startSpillClock()
 			<-j.done
+			c.lap(&m.stats.StallTime)
 			hit, err := m.consumePrefetch(b, j)
 			m.pf.release(j)
 			if err != nil {
@@ -427,21 +470,25 @@ func (m *blockManager) load(b *block) error {
 			}
 		}
 	}
+	c := startSpillClock()
 	if m.wb != nil {
 		// Read-after-write fence: the generation we want may still be in
 		// the write-behind queue.
 		if err := m.wb.waitBlock(b.idx); err != nil {
 			return err
 		}
+		c.lap(&m.stats.StallTime)
 	}
 	data, path, err := m.store.read(b.idx, b.gen)
 	if err != nil {
 		return err
 	}
+	c.lap(&m.stats.ReadTime)
 	blk, kern, vals, meta, err := decodeSpill(path, data, m.vals, m.meta)
 	if err != nil {
 		return err
 	}
+	c.lap(&m.stats.DecodeTime)
 	m.vals, m.meta = vals, meta
 	if blk != b.idx {
 		return corrupt(path, "holds block %d, want %d", blk, b.idx)

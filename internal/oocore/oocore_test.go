@@ -1,10 +1,13 @@
 package oocore
 
 import (
+	"encoding/binary"
 	"errors"
+	"hash/crc64"
 	"os"
 	"path/filepath"
 	"slices"
+	"strings"
 	"testing"
 
 	"retrograde/internal/awari"
@@ -38,6 +41,18 @@ func compareResults(t *testing.T, label string, want, got *ra.Result) {
 	}
 	if got.LoopPositions != want.LoopPositions {
 		t.Errorf("%s: loop positions %d vs %d", label, want.LoopPositions, got.LoopPositions)
+	}
+}
+
+// checkSpillClocks requires the spill clocks to have run wherever the
+// counters say spill I/O happened.
+func checkSpillClocks(t *testing.T, label string, st SpillStats) {
+	t.Helper()
+	if st.Spilled > 0 && st.EncodeTime+st.WriteTime <= 0 {
+		t.Errorf("%s: %d spills but no encode or write time", label, st.Spilled)
+	}
+	if st.Reloaded > 0 && st.ReadTime+st.DecodeTime <= 0 {
+		t.Errorf("%s: %d reloads but no read or decode time", label, st.Reloaded)
 	}
 }
 
@@ -76,6 +91,7 @@ func TestOutOfCoreParityAwari(t *testing.T) {
 				}
 				label := g.Name() + " " + kern.String()
 				compareResults(t, label, want, got)
+				checkSpillClocks(t, label, st)
 				if frac >= 2 && st.Spilled == 0 && st.Blocks > 1 {
 					t.Errorf("%s cap=%d/%d: no spill traffic below the in-core footprint", label, cap, ic)
 				}
@@ -173,6 +189,7 @@ func TestOutOfCorePipelineParity(t *testing.T) {
 					t.Fatalf("%s cap=%d: %v", label, memCap, err)
 				}
 				compareResults(t, label, want, got)
+				checkSpillClocks(t, label, st)
 				if tc.nopf && (st.PrefetchIssued != 0 || st.PrefetchHits != 0) {
 					t.Errorf("%s: prefetch counters %d/%d with the prefetcher disabled", label, st.PrefetchIssued, st.PrefetchHits)
 				}
@@ -426,7 +443,7 @@ func TestSpillBlockRoundtrip(t *testing.T) {
 			meta[i] = game.Value(i%2 | i%16<<1)
 		}
 	}
-	enc, err := encodeSpill(nil, 42, ra.KernelScalar, vals, meta)
+	enc, err := encodeSpill(nil, 42, ra.KernelScalar, slices.Clone(vals), slices.Clone(meta))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -458,6 +475,100 @@ func TestSpillBlockRoundtrip(t *testing.T) {
 		if err == nil || !errors.As(err, &ce) {
 			t.Fatalf("bit flip at %d: err=%v, want CorruptSpillError", off, err)
 		}
+	}
+}
+
+// TestSpillLaneRoundtrip: every one of the 256 fused SWAR symbols must
+// survive encode → decode, in a block of distinct symbols (raw codec) and
+// in a skewed block that also holds all of them (Huffman), and must be a
+// lane RestoreState accepts and PackState gives back unchanged.
+func TestSpillLaneRoundtrip(t *testing.T) {
+	lad, err := ladder.Build(ladder.Config{Rules: awari.Standard, Loop: awari.LoopOwnSide}, 4, ra.Sequential{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := lad.Slice(4)
+	part, err := ra.NewPartition(g.Size(), int((g.Size()+255)/256), 256) // block 0 holds 256 positions
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := ra.NewWorkerKernel(g, part, 0, ra.KernelSWAR)
+	if err != nil {
+		t.Fatal(err)
+	}
+	skewed := make([]game.Value, 4096)
+	for i := range skewed {
+		skewed[i] = game.Value(i % 256)
+		if i >= 256 {
+			skewed[i] = game.Value(i * i % 7)
+		}
+	}
+	for _, syms := range [][]game.Value{skewed[:256], skewed} {
+		vals := make([]game.Value, len(syms))
+		meta := make([]game.Value, len(syms))
+		for i, s := range syms {
+			vals[i], meta[i] = s&0xF, s>>4
+		}
+		enc, err := encodeSpill(nil, 0, ra.KernelSWAR, slices.Clone(vals), slices.Clone(meta))
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, _, dv, dm, err := decodeSpill("lanes", enc, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(dv, vals) || !slices.Equal(dm, meta) {
+			t.Fatalf("%d-position lane block does not round-trip", len(syms))
+		}
+		if len(syms) != 256 {
+			continue
+		}
+		if err := w.RestoreState(dv, dm); err != nil {
+			t.Fatalf("decoded symbols are not valid lanes: %v", err)
+		}
+		pv, pm := make([]game.Value, 256), make([]game.Value, 256)
+		w.PackState(pv, pm)
+		if !slices.Equal(pv, vals) || !slices.Equal(pm, meta) {
+			t.Fatal("RestoreState → PackState changed a lane")
+		}
+	}
+
+	// A SWAR stream value outside a nibble is a packing bug, not a lane.
+	if _, err := encodeSpill(nil, 0, ra.KernelSWAR, []game.Value{3, 16}, []game.Value{1, 0}); err == nil {
+		t.Error("encodeSpill accepted a 5-bit SWAR value")
+	}
+}
+
+// TestSpillRejectsVersion1: a store left by a build that spilled in
+// format version 1 must fail the resume with a typed error naming the
+// version, never be decoded as version 2.
+func TestSpillRejectsVersion1(t *testing.T) {
+	g := ttt.New()
+	ic, _ := ra.InCoreStateBytes(g, ra.KernelAuto)
+	dir := t.TempDir()
+	if _, _, err := (Engine{MemLimit: ic / 4, Dir: dir, StopAfterWaves: 1}).SolveDetailed(g); !errors.Is(err, ra.ErrPaused) {
+		t.Fatalf("pause run: %v", err)
+	}
+	files, err := filepath.Glob(filepath.Join(dir, "block-*"+spillSuffix))
+	if err != nil || len(files) == 0 {
+		t.Fatalf("paused store has no block files (%v)", err)
+	}
+	for _, p := range files {
+		data, err := os.ReadFile(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		binary.LittleEndian.PutUint16(data[4:], 1)
+		body := len(data) - 8
+		binary.LittleEndian.PutUint64(data[body:], crc64.Checksum(data[:body], crcTab))
+		if err := os.WriteFile(p, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	_, _, err = Engine{MemLimit: ic / 4, Dir: dir}.SolveDetailed(g)
+	var ce *CorruptSpillError
+	if !errors.As(err, &ce) || !strings.Contains(err.Error(), "version 1") {
+		t.Fatalf("resume over version 1 spill files returned %v, want a CorruptSpillError naming version 1", err)
 	}
 }
 

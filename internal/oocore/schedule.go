@@ -18,6 +18,7 @@ package oocore
 
 import (
 	"sync"
+	"time"
 
 	"retrograde/internal/game"
 	"retrograde/internal/ra"
@@ -57,6 +58,9 @@ type prefetcher struct {
 	made   int // jobs allocated so far (engine goroutine only), ≤ window
 
 	wg sync.WaitGroup
+
+	// Reader-goroutine clocks, read by the engine only after close.
+	readTime, decodeTime time.Duration
 }
 
 func newPrefetcher(store *spillStore, wb *writeback, window int) *prefetcher {
@@ -118,13 +122,16 @@ func (p *prefetcher) fill(j *prefetchJob) error {
 			return err
 		}
 	}
+	c := startSpillClock()
 	data, path, err := p.store.read(j.block, j.gen)
 	j.path = path
 	if err != nil {
 		return err
 	}
+	c.lap(&p.readTime)
 	j.n = len(data)
 	j.blk, j.kern, j.vals, j.meta, err = decodeSpill(path, data, j.vals, j.meta)
+	c.lap(&p.decodeTime)
 	return err
 }
 

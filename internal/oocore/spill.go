@@ -15,12 +15,12 @@ import (
 	"retrograde/internal/zdb"
 )
 
-// Spill-block file format (little-endian). One file is one block's full
-// per-position state, kernel-independent (the two PackState streams),
-// each stream compressed with the zdb table codecs:
+// Spill-block file format, version 2 (little-endian). One file is one
+// block's full per-position state — PackState's value and meta streams,
+// reshaped per kernel as below — compressed with the zdb table codecs:
 //
 //	off  0  magic "RASB"
-//	off  4  version  u16
+//	off  4  version  u16  (2)
 //	off  6  kernel   u8   (ra.KernelScalar or ra.KernelSWAR)
 //	off  7  reserved u8   (zero)
 //	off  8  block    u32  (block index within the rung)
@@ -30,19 +30,34 @@ import (
 //	off 24  meta payload length u32
 //	off 28  values payload, then meta payload
 //	tail    crc64/ECMA over everything above, u64
+//
+// Under the SWAR kernel the values stream holds one 8-bit symbol per
+// position, value | meta<<4 — the lane byte's three fields (4-bit value,
+// 3-bit counter, final flag), so every symbol is a valid lane — and the
+// meta stream is empty (raw codec, parameter 0, no payload). Under the
+// scalar kernel both streams are 16 bits wide; values are stored as
+// value+1 mod 2^16, so game.NoValue, which every undecided position
+// carries, is symbol 0 instead of the top of a 65,536-symbol alphabet.
+// Version 1 spilled both kernels as two unrotated 16-bit streams; its
+// files are refused, not read.
 const (
 	spillMagic     = "RASB"
-	spillVersion   = 1
+	spillVersion   = 2
 	spillHeaderLen = 28
 	spillSuffix    = ".spill"
 	// spillMaxCount bounds the position count a header may claim before
 	// decode allocates, so a malformed file cannot provoke an arbitrary
 	// allocation. Far above any real block length (see autoBlockLen).
 	spillMaxCount = 1 << 22
-	// spillStreamBits is the full width of both state streams: values can
-	// be game.NoValue (0xFFFF) under the scalar kernel and meta carries a
-	// 15-bit counter plus the final flag.
-	spillStreamBits = 16
+	// scalarStreamBits is the width of both scalar streams: values span
+	// game.Value and meta carries a 15-bit counter plus the final flag.
+	scalarStreamBits = 16
+	// laneStreamBits is the width of the SWAR kernel's fused stream and
+	// laneMetaShift where its meta field starts: PackState's SWAR values
+	// are a lane's 4-bit value field, its meta a 3-bit counter above the
+	// final flag, so both fit a nibble.
+	laneStreamBits = 8
+	laneMetaShift  = 4
 )
 
 var crcTab = crc64.MakeTable(crc64.ECMA)
@@ -65,19 +80,37 @@ func corrupt(path, format string, args ...any) error {
 }
 
 // encodeSpill appends a complete spill-block file image for one block's
-// packed state streams to dst and returns the grown slice.
+// packed state streams to dst and returns the grown slice. It reshapes
+// the streams in place for the kernel's format (see above), so vals holds
+// the stored symbols afterwards; callers pass scratch they are done with.
 func encodeSpill(dst []byte, block int, kern ra.Kernel, vals, meta []game.Value) ([]byte, error) {
 	if len(vals) != len(meta) {
 		return nil, fmt.Errorf("oocore: state streams have %d/%d entries", len(vals), len(meta))
 	}
+	bits := scalarStreamBits
+	if kern == ra.KernelSWAR {
+		var wide game.Value
+		for i, m := range meta {
+			wide |= vals[i] | m
+			vals[i] |= m << laneMetaShift
+		}
+		if wide >= 1<<laneMetaShift {
+			return nil, fmt.Errorf("oocore: block %d has SWAR state wider than a lane (field bits %#x)", block, wide)
+		}
+		bits, meta = laneStreamBits, meta[:0]
+	} else {
+		for i := range vals {
+			vals[i]++ // game.NoValue wraps to symbol 0
+		}
+	}
 	head := len(dst)
 	dst = append(dst, make([]byte, spillHeaderLen)...)
-	dst, vCodec, vParam, err := zdb.EncodeStream(dst, vals, spillStreamBits)
+	dst, vCodec, vParam, err := zdb.EncodeStream(dst, vals, bits)
 	if err != nil {
 		return nil, fmt.Errorf("oocore: encoding block %d values: %w", block, err)
 	}
 	valsLen := len(dst) - head - spillHeaderLen
-	dst, mCodec, mParam, err := zdb.EncodeStream(dst, meta, spillStreamBits)
+	dst, mCodec, mParam, err := zdb.EncodeStream(dst, meta, scalarStreamBits)
 	if err != nil {
 		return nil, fmt.Errorf("oocore: encoding block %d meta: %w", block, err)
 	}
@@ -134,12 +167,28 @@ func decodeSpill(path string, data []byte, vals, meta []game.Value) (block int, 
 	vals = growValues(vals, count)
 	meta = growValues(meta, count)
 	vp := data[spillHeaderLen : spillHeaderLen+int(valsLen)]
-	if err := zdb.DecodeStream(vp, count, spillStreamBits, data[16], data[17], vals); err != nil {
+	mp := data[spillHeaderLen+int(valsLen) : body]
+	if kern == ra.KernelSWAR {
+		if len(mp) != 0 || data[18] != 0 || data[19] != 0 {
+			return fail(corrupt(path, "SWAR block carries a meta stream (codec %d, param %d, %d bytes)", data[18], data[19], len(mp)))
+		}
+		if err := zdb.DecodeStream(vp, count, laneStreamBits, data[16], data[17], vals); err != nil {
+			return fail(corrupt(path, "lane stream (%s): %v", zdb.CodecName(data[16]), err))
+		}
+		meta = meta[:len(vals)] // drops the bounds check below
+		for i, s := range vals {
+			vals[i], meta[i] = s&(1<<laneMetaShift-1), s>>laneMetaShift
+		}
+		return block, kern, vals, meta, nil
+	}
+	if err := zdb.DecodeStream(vp, count, scalarStreamBits, data[16], data[17], vals); err != nil {
 		return fail(corrupt(path, "values stream (%s): %v", zdb.CodecName(data[16]), err))
 	}
-	mp := data[spillHeaderLen+int(valsLen) : body]
-	if err := zdb.DecodeStream(mp, count, spillStreamBits, data[18], data[19], meta); err != nil {
+	if err := zdb.DecodeStream(mp, count, scalarStreamBits, data[18], data[19], meta); err != nil {
 		return fail(corrupt(path, "meta stream (%s): %v", zdb.CodecName(data[18]), err))
+	}
+	for i := range vals {
+		vals[i]-- // symbol 0 wraps back to game.NoValue
 	}
 	return block, kern, vals, meta, nil
 }

@@ -29,6 +29,7 @@ package oocore
 
 import (
 	"sync"
+	"time"
 
 	"retrograde/internal/game"
 	"retrograde/internal/ra"
@@ -79,10 +80,11 @@ type writeback struct {
 	inflight map[int]*inflightWrite // newest uncommitted write per block
 	firstErr error
 
-	// Writer-goroutine state. bytesWritten is read by the engine only
-	// after pending.Wait(), which orders the access.
-	enc          []byte
-	bytesWritten uint64
+	// Writer-goroutine state. bytesWritten and the clocks are read by the
+	// engine only after pending.Wait(), which orders the access.
+	enc                   []byte
+	bytesWritten          uint64
+	encodeTime, writeTime time.Duration
 }
 
 func newWriteback(store *spillStore, depth int) *writeback {
@@ -133,12 +135,15 @@ func (wb *writeback) run() {
 	for j := range wb.jobs {
 		err := wb.firstError()
 		if err == nil {
+			c := startSpillClock()
 			wb.enc, err = encodeSpill(wb.enc[:0], j.block, j.kern, j.vals, j.meta)
+			c.lap(&wb.encodeTime)
 			if err == nil {
 				// Not durable: the next manifest fence group-syncs the
 				// generations it pins (blockManager.syncPinned), which is
 				// where this file first needs to survive a crash.
 				err = wb.store.write(j.block, j.gen, wb.enc, false)
+				c.lap(&wb.writeTime)
 			}
 			if err == nil {
 				wb.bytesWritten += uint64(len(wb.enc))

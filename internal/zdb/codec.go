@@ -3,6 +3,8 @@ package zdb
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
+	"slices"
 
 	"retrograde/internal/game"
 )
@@ -123,15 +125,28 @@ func widthFor(span game.Value) int {
 
 // encodeBlock encodes vals with the smallest codec and appends the
 // payload to dst, returning the grown dst, the codec and its parameter.
-func encodeBlock(dst []byte, vals []game.Value, bits int) ([]byte, uint8, uint8) {
-	lo, hi := vals[0], vals[0]
-	for _, v := range vals[1:] {
-		if v < lo {
-			lo = v
+// Ties go to the earlier codec in raw, narrow, RLE, Huffman order. A value
+// wider than bits is an error.
+//
+// One pass finds the range, which also checks the width, and the run
+// count. The two entropy-style codecs are then sized only while a lower
+// bound says they can still win: Huffman spends at least one bit per
+// value after its header, RLE at least two bytes per run. Huffman is
+// sized first, so the RLE bound is checked against it too and the exact
+// RLE walk is skipped on the short-run blocks Huffman wins.
+func encodeBlock(dst []byte, vals []game.Value, bits int) ([]byte, uint8, uint8, error) {
+	lo, hi, runs := vals[0], vals[0], 1
+	for i := 1; i < len(vals); i++ {
+		v := vals[i]
+		lo = min(lo, v)
+		hi = max(hi, v)
+		if v != vals[i-1] {
+			runs++
 		}
-		if v > hi {
-			hi = v
-		}
+	}
+	if bits < 16 && hi >= 1<<bits {
+		i := slices.IndexFunc(vals, func(v game.Value) bool { return v >= 1<<bits })
+		return nil, 0, 0, fmt.Errorf("zdb: value %d at %d does not fit in %d bits", vals[i], i, bits)
 	}
 	width := widthFor(hi - lo)
 	rawLen := (len(vals)*bits + 7) / 8
@@ -141,30 +156,35 @@ func encodeBlock(dst []byte, vals []game.Value, bits int) ([]byte, uint8, uint8)
 	if narrowLen < bestLen {
 		best, bestLen = codecNarrow, narrowLen
 	}
-	if rleLen := rleSize(vals); rleLen < bestLen {
-		best, bestLen = codecRLE, rleLen
-	}
 	var lens []uint8
-	if lo != hi {
+	huffLen := math.MaxInt
+	if lo != hi && 2+(int(hi)+2)/2+(len(vals)+7)/8 < bestLen {
 		freqs := make([]uint32, int(hi)+1)
 		for _, v := range vals {
 			freqs[v]++
 		}
-		lens = huffLengths(freqs)
-		if hl := huffSize(lens, freqs); hl < bestLen {
-			best, bestLen = codecHuff, hl
+		if lens = huffLengths(freqs); lens != nil {
+			huffLen = huffSize(lens, freqs)
 		}
+	}
+	if 2*runs < bestLen && 2*runs <= huffLen {
+		if rleLen := rleSize(vals); rleLen < bestLen && rleLen <= huffLen {
+			best, bestLen = codecRLE, rleLen
+		}
+	}
+	if huffLen < bestLen {
+		best = codecHuff
 	}
 	switch best {
 	case codecNarrow:
 		dst = binary.LittleEndian.AppendUint16(dst, uint16(lo))
-		return packBits(dst, vals, lo, width), codecNarrow, uint8(width)
+		return packBits(dst, vals, lo, width), codecNarrow, uint8(width), nil
 	case codecRLE:
-		return encodeRLE(dst, vals), codecRLE, 0
+		return encodeRLE(dst, vals), codecRLE, 0, nil
 	case codecHuff:
-		return encodeHuff(dst, vals, lens), codecHuff, 0
+		return encodeHuff(dst, vals, lens), codecHuff, 0, nil
 	default:
-		return packBits(dst, vals, 0, bits), codecRaw, 0
+		return packBits(dst, vals, 0, bits), codecRaw, 0, nil
 	}
 }
 

@@ -118,6 +118,121 @@ func TestDecodeEveryCodec(t *testing.T) {
 	}
 }
 
+// sameEncoding reports how encodeBlock and the reference encoder differ
+// on vals, or "" when they pick the same codec and parameter and emit the
+// same bytes.
+func sameEncoding(vals []game.Value, bits int) (string, uint8) {
+	got, codec, param, err := encodeBlock([]byte{0xAA}, vals, bits)
+	want, refCodec, refParam := encodeBlockRef([]byte{0xAA}, vals, bits)
+	switch {
+	case err != nil:
+		return err.Error(), codec
+	case codec != refCodec || param != refParam:
+		return fmt.Sprintf("codec %s/%d, reference %s/%d", codecName(codec), param, codecName(refCodec), refParam), codec
+	case string(got) != string(want):
+		return fmt.Sprintf("%s payload differs (%d vs %d bytes)", codecName(codec), len(got), len(want)), codec
+	}
+	return "", codec
+}
+
+// TestEncodeBlockMatchesRef is the byte-identity gate of the one-pass
+// encoder: on random streams of every width from 1 to 16 bits, in shapes
+// that make each codec win, and on every block of the awari-shaped
+// fixture, it must choose what the reference chooses and emit the same
+// bytes — the property TestCompressGolden pins for whole tables.
+func TestEncodeBlockMatchesRef(t *testing.T) {
+	rng := rand.New(rand.NewSource(25))
+	var wins [numCodecs]int
+	for bits := 1; bits <= 16; bits++ {
+		top := 1<<bits - 1
+		for _, n := range []int{1, 2, 3, 7, 64, 257, DefaultBlockLen} {
+			for shape := 0; shape < 5; shape++ {
+				vals := make([]game.Value, n)
+				for i := range vals {
+					switch shape {
+					case 0: // uniform over the full width: raw or narrow
+						vals[i] = game.Value(rng.Intn(top + 1))
+					case 1: // a narrow band high in the range: narrow
+						vals[i] = game.Value(top - rng.Intn(top/8+1))
+					case 2: // long runs: RLE
+						if i == 0 || rng.Intn(40) == 0 {
+							vals[i] = game.Value(rng.Intn(top + 1))
+						} else {
+							vals[i] = vals[i-1]
+						}
+					case 3: // skewed, short runs: Huffman
+						v := 0
+						for v < top && rng.Float64() < 0.55 {
+							v++
+						}
+						vals[i] = game.Value(v)
+					case 4: // constant, one value at the top of the range
+						vals[i] = game.Value(top)
+					}
+				}
+				diff, codec := sameEncoding(vals, bits)
+				if diff != "" {
+					t.Fatalf("bits %d n %d shape %d: %s", bits, n, shape, diff)
+				}
+				wins[codec]++
+			}
+		}
+	}
+	vals := awariShaped(16*DefaultBlockLen, 7)
+	for b := 0; b < len(vals); b += DefaultBlockLen {
+		diff, codec := sameEncoding(vals[b:b+DefaultBlockLen], awariBits)
+		if diff != "" {
+			t.Fatalf("awari-shaped block %d: %s", b/DefaultBlockLen, diff)
+		}
+		wins[codec]++
+	}
+	for codec, n := range wins {
+		if n == 0 {
+			t.Errorf("no stream selected the %s codec; the differential check missed it", codecName(uint8(codec)))
+		}
+	}
+}
+
+// TestEncodeStreamWidth: the range the one pass finds is the width check,
+// so the first value wider than the stream must still be named.
+func TestEncodeStreamWidth(t *testing.T) {
+	if _, _, _, err := EncodeStream(nil, []game.Value{1, 2, 8, 9}, 3); err == nil || !strings.Contains(err.Error(), "value 8 at 2 does not fit in 3 bits") {
+		t.Errorf("3-bit stream holding 8: error %v", err)
+	}
+	for _, bits := range []int{0, 17} {
+		if _, _, _, err := EncodeStream(nil, []game.Value{1}, bits); err == nil {
+			t.Errorf("EncodeStream accepted width %d", bits)
+		}
+	}
+	if _, _, _, err := EncodeStream(nil, []game.Value{0xFFFF, 0}, 16); err != nil {
+		t.Errorf("16-bit stream: %v", err)
+	}
+}
+
+// TestEncodeBlockWideAlphabet:a block with more distinct values than
+// capped Huffman codes can name (over 1<<huffMaxLen, possible in a 16-bit
+// stream of a 65,536-entry spill block) must still encode and round-trip;
+// the multi-pass encoder looped forever flattening its frequencies.
+func TestEncodeBlockWideAlphabet(t *testing.T) {
+	vals := make([]game.Value, 1<<huffMaxLen+100)
+	for i := range vals {
+		vals[i] = game.Value(i * 7 % len(vals))
+	}
+	enc, codec, param, err := encodeBlock(nil, vals, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := make([]game.Value, len(vals))
+	if err := decodeBlock(enc, len(vals), 16, codec, param, got); err != nil {
+		t.Fatalf("%s: %v", codecName(codec), err)
+	}
+	for i := range got {
+		if got[i] != vals[i] {
+			t.Fatalf("%s: entry %d = %d, want %d", codecName(codec), i, got[i], vals[i])
+		}
+	}
+}
+
 // TestUnpackBitsWidths crosses every width, 0 (a constant fill) to 16,
 // with lengths that end on and off byte boundaries.
 func TestUnpackBitsWidths(t *testing.T) {

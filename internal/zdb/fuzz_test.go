@@ -69,6 +69,32 @@ func FuzzZdbRoundtrip(f *testing.F) {
 	})
 }
 
+// FuzzEncodeBlock is the differential check of the one-pass encoder
+// against the multi-pass one it replaced (encodeBlockRef): for an
+// arbitrary stream at any width from 1 to 16 bits, both choose the same
+// codec and parameter and emit the same bytes. Each value is two input
+// bytes masked to the width. Streams stop at 1<<huffMaxLen values, where
+// the reference never returns on an alphabet too wide for capped code
+// lengths (TestEncodeBlockWideAlphabet covers that case).
+func FuzzEncodeBlock(f *testing.F) {
+	f.Add([]byte{0, 1, 0, 1, 0, 2, 0, 3, 0, 3, 0, 3}, uint8(3))
+	f.Add(bytes.Repeat([]byte{0xFF, 0xFF}, 300), uint8(15))
+	f.Fuzz(func(t *testing.T, data []byte, width uint8) {
+		bits := 1 + int(width)%16
+		n := min(len(data)/2, 1<<huffMaxLen)
+		if n == 0 {
+			return
+		}
+		vals := make([]game.Value, n)
+		for i := range vals {
+			vals[i] = game.Value(uint16(data[2*i])|uint16(data[2*i+1])<<8) & game.Value(1<<bits-1)
+		}
+		if diff, _ := sameEncoding(vals, bits); diff != "" {
+			t.Fatalf("bits %d n %d: %s", bits, n, diff)
+		}
+	})
+}
+
 // FuzzHuffDecode is the differential check of the table-driven Huffman
 // decoder against the bit-serial one it replaced (decodeHuffRef): for an
 // arbitrary code-length table, bitstream and value count, both return the

@@ -3,6 +3,7 @@ package zdb
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sort"
 
 	"retrograde/internal/game"
@@ -24,11 +25,20 @@ import (
 const huffMaxLen = 15
 
 // huffLengths returns capped canonical code lengths for freqs (0 for
-// absent symbols). At least two symbols must be present.
+// absent symbols). At least two symbols must be present. It returns nil
+// when more than 1<<huffMaxLen are: no prefix code whose lengths fit the
+// cap has that many codes, and flattening would never converge.
 func huffLengths(freqs []uint32) []uint8 {
 	f := make([]uint64, len(freqs))
+	present := 0
 	for i, c := range freqs {
 		f[i] = uint64(c)
+		if c > 0 {
+			present++
+		}
+	}
+	if present > 1<<huffMaxLen {
+		return nil
 	}
 	for {
 		lens := huffBuild(f)
@@ -141,7 +151,12 @@ func huffSize(lens []uint8, freqs []uint32) int {
 	return 2 + (len(lens)+1)/2 + (bits+7)/8
 }
 
-// encodeHuff appends the canonical-Huffman encoding of vals to dst.
+// encodeHuff appends the canonical-Huffman encoding of vals to dst. Codes
+// collect in a 64-bit accumulator; after each code the pending bits (at
+// most 7 + 15) are stored MSB-first as one 8-byte word at the current
+// byte, and the position advances by the bytes they complete, so the loop
+// has no data-dependent branch. dst is grown for 15 bits per value plus
+// the last store's 8-byte overhang.
 func encodeHuff(dst []byte, vals []game.Value, lens []uint8) []byte {
 	codes := huffCanonical(lens)
 	dst = binary.LittleEndian.AppendUint16(dst, uint16(len(lens)-1))
@@ -152,21 +167,24 @@ func encodeHuff(dst []byte, vals []game.Value, lens []uint8) []byte {
 		}
 		dst = append(dst, b)
 	}
-	var acc uint32
-	nbits := 0
+	start := len(dst)
+	dst = slices.Grow(dst, (len(vals)*huffMaxLen+7)/8+8)
+	out := dst[start:cap(dst)]
+	pos := 0
+	var acc uint64
+	nbits := uint(0)
 	for _, v := range vals {
-		l := int(lens[v])
-		acc = acc<<l | uint32(codes[v])
+		l := uint(lens[v])
+		acc = acc<<(l&63) | uint64(codes[v])
 		nbits += l
-		for nbits >= 8 {
-			dst = append(dst, byte(acc>>(nbits-8)))
-			nbits -= 8
-		}
+		binary.BigEndian.PutUint64(out[pos:], acc<<((64-nbits)&63))
+		pos += int(nbits >> 3)
+		nbits &= 7
 	}
 	if nbits > 0 {
-		dst = append(dst, byte(acc<<(8-nbits)))
+		pos++
 	}
-	return dst
+	return dst[:start+pos]
 }
 
 // huffTableBits caps the primary decode table at 2^10 entries (4 KiB of

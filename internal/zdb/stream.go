@@ -22,13 +22,7 @@ func EncodeStream(dst []byte, vals []game.Value, bits int) (out []byte, codec, p
 	if bits < 1 || bits > 16 {
 		return nil, 0, 0, fmt.Errorf("zdb: stream width %d outside [1, 16]", bits)
 	}
-	for i, v := range vals {
-		if bits < 16 && v >= 1<<bits {
-			return nil, 0, 0, fmt.Errorf("zdb: stream value %d at %d does not fit in %d bits", v, i, bits)
-		}
-	}
-	out, codec, param = encodeBlock(dst, vals, bits)
-	return out, codec, param, nil
+	return encodeBlock(dst, vals, bits)
 }
 
 // DecodeStream decodes an EncodeStream payload of n values into out[:n].

@@ -96,7 +96,10 @@ func Compress(t *db.Table, blockLen int) (*Table, error) {
 		}
 		off := uint64(len(z.data))
 		var codec, param uint8
-		z.data, codec, param = encodeBlock(z.data, vals, z.bits)
+		var err error
+		if z.data, codec, param, err = encodeBlock(z.data, vals, z.bits); err != nil {
+			return nil, fmt.Errorf("zdb: compressing block %d of %s: %w", b, t.Name(), err)
+		}
 		enc := z.data[off:]
 		z.dir = append(z.dir, block{
 			off:    off,
