@@ -3,6 +3,7 @@ package oocore
 import (
 	"container/list"
 	"fmt"
+	"slices"
 	"time"
 
 	"retrograde/internal/game"
@@ -96,15 +97,23 @@ type block struct {
 	manifestGen uint64 // generation the last durable manifest pins; 0 = none
 	syncedGen   uint64 // newest generation known fsynced; 0 = none
 
-	// touchEpoch marks the last scheduling phase (wave expansion, flush,
-	// final assembly) whose touch set included this block; makeRoom
-	// prefers evicting blocks outside the current phase's set.
+	// touchEpoch marks the last residency pass (a wave, or the final
+	// assembly) whose touch set included this block; makeRoom prefers
+	// evicting blocks outside the current pass's set.
 	touchEpoch uint64
 
 	// pending holds update runs routed here while the state was not
-	// resident; drained (applied) as soon as the block is loaded again,
-	// and at the latest in the wave-end flush phase.
+	// resident; drained (applied) as soon as the block is loaded again —
+	// at the latest on its visit in the next wave, which touches every
+	// block with parked runs.
 	pending []ra.UpdateRun
+	// mark > 0 defers this wave's BeginWave to the block's visit: the
+	// first mark pending runs belong to the previous wave and land before
+	// the begin, the rest were parked during this one and land after it.
+	mark int
+	// queued is the size of this wave's expansion queue, known once the
+	// wave has begun on the block.
+	queued int
 }
 
 // blockManager owns residency: which blocks' state arrays are in core,
@@ -135,7 +144,7 @@ type blockManager struct {
 	pfJobs []*prefetchJob // outstanding prefetch per block; engine thread only
 	wbBase uint64         // SpillBytesWritten before this run's writer started
 	wbErr  error          // writer's sticky error, preserved across closePipeline
-	epoch  uint64         // current scheduling phase for touchEpoch marks
+	epoch  uint64         // current residency pass for touchEpoch marks
 
 	stats SpillStats
 }
@@ -293,31 +302,23 @@ func (m *blockManager) ensureResident(b *block) error {
 
 // makeRoom evicts resident unpinned blocks until need more bytes fit
 // under the budget. Eviction is frontier-aware: the first pass takes, in
-// LRU order, only blocks the current phase provably will not touch — not
-// in the phase's touch set, no parked runs, no already-known next-wave
-// frontier (PeekWave) — and only when those run out does plain LRU evict
-// blocks the wave may still want back. When only pinned blocks remain
-// the budget is allowed to overflow — the cache's pinned-overflow
-// policy — so any positive cap still makes progress.
+// LRU order, only blocks the current pass provably will not touch — not
+// in its touch set, no already-known next-wave frontier (PeekWave); a
+// resident block never holds parked runs — and only when those run out
+// does plain LRU evict blocks the wave may still want back. When only
+// pinned blocks remain the budget is allowed to overflow — the cache's
+// pinned-overflow policy — so any positive cap still makes progress.
 func (m *blockManager) makeRoom(need uint64) error {
-	for e := m.lru.Back(); e != nil && m.used+need > m.budget; {
-		b := e.Value.(*block)
-		e = e.Prev()
-		if b.pins > 0 || b.touchEpoch == m.epoch || len(b.pending) > 0 || b.w.PeekWave() > 0 {
-			continue
-		}
-		if err := m.evict(b); err != nil {
-			return err
-		}
-	}
-	for e := m.lru.Back(); e != nil && m.used+need > m.budget; {
-		b := e.Value.(*block)
-		e = e.Prev()
-		if b.pins > 0 {
-			continue
-		}
-		if err := m.evict(b); err != nil {
-			return err
+	for _, strict := range []bool{true, false} {
+		for e := m.lru.Back(); e != nil && m.used+need > m.budget; {
+			b := e.Value.(*block)
+			e = e.Prev()
+			if b.pins > 0 || strict && (b.touchEpoch == m.epoch || b.w.PeekWave() > 0) {
+				continue
+			}
+			if err := m.evict(b); err != nil {
+				return err
+			}
 		}
 	}
 	return nil
@@ -539,53 +540,51 @@ func (m *blockManager) consumePrefetch(b *block, j *prefetchJob) (bool, error) {
 }
 
 // prefetch opportunistically starts a background read of b's spilled
-// state. Skipped when b is resident, already in flight, never spilled,
-// or every prefetch buffer is busy — a hint, never a stall.
-func (m *blockManager) prefetch(b *block) {
-	if m.pf == nil || b.w.StateResident() || m.pfJobs[b.idx] != nil || b.gen == 0 {
-		return
+// state. Skipped when b is resident, already in flight or never spilled
+// — a hint, never a stall. It reports false only when every prefetch
+// buffer is busy (or the prefetcher is off).
+func (m *blockManager) prefetch(b *block) bool {
+	if m.pf == nil {
+		return false
+	}
+	if b.w.StateResident() || m.pfJobs[b.idx] != nil || b.gen == 0 {
+		return true
 	}
 	j := m.pf.tryAcquire()
 	if j == nil {
-		return
+		return false
 	}
 	j.block, j.gen = b.idx, b.gen
 	m.pf.submit(j)
 	m.pfJobs[b.idx] = j
 	m.stats.PrefetchIssued++
+	return true
 }
 
-// prefetchUpcoming advances the phase's read-ahead cursor past position
+// prefetchUpcoming advances the pass's read-ahead cursor past position
 // k in the touch order, issuing background reads for upcoming spilled
 // blocks as far as free prefetch buffers allow. The cursor never moves
-// backwards, so a full scan of the phase costs O(len(touch)) total.
+// backwards, so a full scan of the pass costs O(len(touch)) total.
 func (m *blockManager) prefetchUpcoming(touch []*block, cursor *int, k int) {
-	if m.pf == nil {
-		return
-	}
-	if *cursor < k+1 {
-		*cursor = k + 1
-	}
-	for *cursor < len(touch) {
-		b := touch[*cursor]
-		if !b.w.StateResident() && m.pfJobs[b.idx] == nil && b.gen != 0 {
-			j := m.pf.tryAcquire()
-			if j == nil {
-				return // window full; resume from the same block later
-			}
-			j.block, j.gen = b.idx, b.gen
-			m.pf.submit(j)
-			m.pfJobs[b.idx] = j
-			m.stats.PrefetchIssued++
-		}
+	*cursor = max(*cursor, k+1)
+	for *cursor < len(touch) && m.prefetch(touch[*cursor]) {
 		*cursor++
 	}
 }
 
-// visit runs one phase over the blocks of touch, in order: each block is
-// pinned, made resident and drained of its parked runs before fn works
-// on it, while the prefetcher reads ahead along the rest of the list.
-func (m *blockManager) visit(touch []*block, fn func(*block)) error {
+// visit runs one residency pass over the blocks of touch, reversed in
+// place when reverse is set. It opens a scheduling epoch whose touch set
+// is exactly these blocks; each is then pinned, made resident and
+// drained of its parked runs before fn works on it, while the
+// prefetcher reads ahead along the rest of the list.
+func (m *blockManager) visit(touch []*block, reverse bool, fn func(*block)) error {
+	m.epoch++
+	for _, b := range touch {
+		b.touchEpoch = m.epoch
+	}
+	if reverse {
+		slices.Reverse(touch)
+	}
 	cursor := 0
 	for k, b := range touch {
 		m.prefetchUpcoming(touch, &cursor, k)
@@ -601,14 +600,17 @@ func (m *blockManager) visit(touch []*block, fn func(*block)) error {
 	return nil
 }
 
-// prefetchNextWave warms the blocks whose coming-wave frontier is
-// already visible (PeekWave) before BeginWave promotes it — the window
-// between the end-of-wave flush and the next expansion is spill-store
-// idle time otherwise.
-func (m *blockManager) prefetchNextWave() {
-	for _, b := range m.blocks {
-		if b.w.PeekWave() > 0 {
-			m.prefetch(b)
+// prefetchNextWave warms, in the next pass's visit order, the blocks it
+// will visit — those whose frontier is already visible (PeekWave) and
+// those holding parked runs — while the wave barrier leaves the spill
+// store idle.
+func (m *blockManager) prefetchNextWave(reverse bool) {
+	for k := range m.blocks {
+		if reverse {
+			k = len(m.blocks) - 1 - k
+		}
+		if b := m.blocks[k]; (b.w.PeekWave() > 0 || len(b.pending) > 0) && !m.prefetch(b) {
+			return
 		}
 	}
 }
@@ -622,18 +624,30 @@ func (m *blockManager) notePending(n uint64) {
 }
 
 // drainPending applies every parked update run to b, which must be
-// resident. Order within a wave is irrelevant to the result (updates
+// resident. A deferred block (mark > 0) lands the previous wave's runs,
+// begins its wave, then lands this wave's — the in-core order on the
+// block. Order within a wave is irrelevant to the result (updates
 // commute), so parking and draining keeps the database bit-identical to
 // an in-core solve.
 func (m *blockManager) drainPending(b *block) {
 	if len(b.pending) == 0 {
 		return
 	}
-	for _, run := range b.pending {
-		b.w.ApplyRun(run)
+	if b.mark > 0 {
+		b.land(b.pending[:b.mark])
+		b.queued = b.w.BeginWave()
 	}
+	b.land(b.pending[b.mark:])
+	b.mark = 0
 	m.pendingRuns -= uint64(len(b.pending))
 	b.pending = b.pending[:0]
+}
+
+// land applies update runs to b's resident state.
+func (b *block) land(runs []ra.UpdateRun) {
+	for _, run := range runs {
+		b.w.ApplyRun(run)
+	}
 	b.dirty = true
 }
 

@@ -6,8 +6,11 @@
 // disk zdb-compressed when cold and reloaded on demand (LRU with pins,
 // the serving cache's policy). Cross-block updates that target a spilled
 // block are parked run-encoded and drained when the block is next
-// resident — updates within a wave commute, so the database, wave count
-// and loop set stay bit-identical to the in-core engines.
+// resident, at the latest on its visit in the next wave, whose begin it
+// defers until the previous wave's runs have landed — updates within a
+// wave commute, so the database, wave count and loop set stay
+// bit-identical to the in-core engines, while each wave loads every
+// block it touches at most once.
 //
 // Spills double as checkpoints: a periodic manifest pins one complete
 // generation of every block plus the solve's frontier, so an interrupted
@@ -249,60 +252,51 @@ func (e Engine) solve(g game.Game) (*ra.Result, *blockManager, error) {
 		return nil
 	}
 
-	// The wave loop of the sequential engine, lifted over blocks. Wave
-	// boundaries are global: every block's BeginWave runs before any
-	// block expands, and the router's flush is the end-of-wave barrier,
-	// so finalisation waves match the in-core engines exactly. Each phase
-	// first builds its touch list — the blocks it will provably visit, in
-	// visit order — which drives both sides of the scheduler: the
-	// prefetcher reads ahead along the list while the current block
-	// expands, and makeRoom evicts outside it.
-	queued := make([]int, nb)
+	// The wave loop of the sequential engine, lifted over blocks: one
+	// residency pass per wave. A block with no parked runs begins its wave
+	// up front (BeginWave only swaps queues, so its state need not be
+	// resident); a block with parked runs defers the begin to its visit,
+	// where drainPending lands the previous wave's runs, begins, then
+	// lands the runs parked on it earlier in this wave — per block the
+	// in-core order, and updates within a wave commute across blocks. The
+	// touch list drives both sides of the scheduler: the prefetcher reads
+	// ahead along it while the current block expands, and makeRoom evicts
+	// outside it. It alternates direction pass by pass, so each pass
+	// starts on the blocks the previous one left resident. A pass in
+	// which no block expands (every deferred block began empty) is not a
+	// wave: it only lands the last parked runs.
 	touch := make([]*block, 0, nb)
+	reverse := false
 	ran := 0
-	for {
-		total := 0
-		for i, b := range m.blocks {
-			queued[i] = b.w.BeginWave()
-			total += queued[i]
-		}
-		if total == 0 {
-			break
-		}
-		waves++
-		ran++
-		m.epoch++
+	for ; ; reverse = !reverse {
 		touch = touch[:0]
-		for i, b := range m.blocks {
-			if queued[i] > 0 || len(b.pending) > 0 {
+		for _, b := range m.blocks {
+			if b.mark = len(b.pending); b.mark == 0 {
+				b.queued = b.w.BeginWave()
+			}
+			if b.mark+b.queued > 0 {
 				touch = append(touch, b)
-				b.touchEpoch = m.epoch
 			}
 		}
-		if err := m.visit(touch, func(b *block) {
-			if queued[b.idx] > 0 {
+		if len(touch) == 0 {
+			break
+		}
+		expanded := false
+		if err := m.visit(touch, reverse, func(b *block) {
+			if b.queued > 0 {
 				b.w.ExpandRuns(0, emit)
 				b.dirty = true
+				expanded = true
 			}
 		}); err != nil {
 			return nil, m, err
 		}
 		rt.flushAll()
-		// Flush phase: drain the runs the router parked on non-resident
-		// blocks. A fresh epoch so the blocks expansion finished with
-		// (and the coming wave will not touch — PeekWave guards the rest)
-		// become eviction candidates.
-		m.epoch++
-		touch = touch[:0]
-		for _, b := range m.blocks {
-			if len(b.pending) > 0 {
-				touch = append(touch, b)
-				b.touchEpoch = m.epoch
-			}
+		if !expanded {
+			continue
 		}
-		if err := m.visit(touch, func(*block) {}); err != nil {
-			return nil, m, err
-		}
+		waves++
+		ran++
 		// The wave barrier is where write-behind failures surface: a
 		// spill that failed since the last barrier aborts here — one wave
 		// after a synchronous spill would have, with the store in the
@@ -310,38 +304,25 @@ func (e Engine) solve(g game.Game) (*ra.Result, *blockManager, error) {
 		if err := m.asyncErr(); err != nil {
 			return nil, m, err
 		}
-		checkpointed := false
-		if every > 0 && waves%every == 0 {
+		// A pause pins its wave with one manifest, periodic or not.
+		pause := e.StopAfterWaves > 0 && ran >= e.StopAfterWaves
+		if pause || every > 0 && waves%every == 0 {
 			if err := checkpoint(); err != nil {
 				return nil, m, err
 			}
-			checkpointed = true
 		}
-		if e.StopAfterWaves > 0 && ran >= e.StopAfterWaves {
-			// The periodic checkpoint above already pinned this wave;
-			// writing a second manifest back-to-back would double-count
-			// Checkpoints and churn a generation for nothing.
-			if !checkpointed {
-				if err := checkpoint(); err != nil {
-					return nil, m, err
-				}
-			}
+		if pause {
 			return nil, m, ra.ErrPaused
 		}
-		// Between the flush barrier and the next BeginWave the spill
-		// store is otherwise idle: warm the blocks whose next-wave
-		// frontier is already visible.
-		m.prefetchNextWave()
+		// Between the wave barrier and the next pass the spill store is
+		// otherwise idle: warm the blocks the next pass will visit.
+		m.prefetchNextWave(!reverse)
 	}
 
 	// Quiescence: resolve loops and assemble the result block by block in
-	// one residency pass each, prefetching along the block order.
+	// one residency pass each, continuing the sweep alternation.
 	result := ra.NewResult(part, waves)
-	m.epoch++
-	for _, b := range m.blocks {
-		b.touchEpoch = m.epoch
-	}
-	if err := m.visit(m.blocks, func(b *block) {
+	if err := m.visit(append(touch[:0], m.blocks...), reverse, func(b *block) {
 		b.w.ResolveLoops()
 		b.dirty = true
 		result.Collect(b.w)

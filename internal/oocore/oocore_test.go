@@ -3,6 +3,7 @@ package oocore
 import (
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"hash/crc64"
 	"os"
 	"path/filepath"
@@ -12,6 +13,7 @@ import (
 
 	"retrograde/internal/awari"
 	"retrograde/internal/game"
+	"retrograde/internal/kalah"
 	"retrograde/internal/ladder"
 	"retrograde/internal/nim"
 	"retrograde/internal/ra"
@@ -56,20 +58,52 @@ func checkSpillClocks(t *testing.T, label string, st SpillStats) {
 	}
 }
 
+// twoBlockEngines are the tightest capped configurations: 64-position
+// blocks under a cap that holds two of them, synchronous and pipelined.
+// Nearly every cross-block run parks, so on the last wave every frontier
+// block defers its begin and begins empty — the pass that must not count
+// as a wave.
+func twoBlockEngines(t *testing.T, g game.Game, kern ra.Kernel) []Engine {
+	ic, err := ra.InCoreStateBytes(g, kern)
+	if err != nil {
+		t.Fatal(err)
+	}
+	two := max(2*64*ic/g.Size(), 1)
+	return []Engine{
+		{MemLimit: two, Kernel: kern, BlockLen: 64},
+		{MemLimit: two, Kernel: kern, BlockLen: 64, Writeback: -1, NoPrefetch: true},
+	}
+}
+
 // TestOutOfCoreParityAwari is the acceptance gate over a cyclic,
 // SWAR-eligible game: every rung of an awari ladder must solve
 // bit-identically to the in-core sequential oracle under both kernels
 // and under memory caps down to a sliver of the in-core footprint, with
-// spill traffic actually happening once the cap is below the footprint.
+// spill traffic actually happening once the cap is below the footprint;
+// every rung up to 7 also solves at a two-block cap.
 func TestOutOfCoreParityAwari(t *testing.T) {
-	lad, err := ladder.Build(ladder.Config{Rules: awari.Standard, Loop: awari.LoopOwnSide}, 6,
+	lad, err := ladder.Build(ladder.Config{Rules: awari.Standard, Loop: awari.LoopOwnSide}, 7,
 		ra.Sequential{Config: ra.Config{Kernel: ra.KernelScalar}}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for n := 3; n <= lad.MaxStones(); n++ {
+	const top = 6 // the cap matrix and the run-parity check stop here
+	for n := 0; n <= lad.MaxStones(); n++ {
 		g := lad.Slice(n)
 		want := lad.Result(n)
+		// The scalar games cover the scalar kernel at a two-block cap.
+		for _, e := range twoBlockEngines(t, g, ra.KernelSWAR) {
+			e.Dir = t.TempDir()
+			label := fmt.Sprintf("%s two-block cap (writeback %d)", g.Name(), e.Writeback)
+			got, err := e.Solve(g)
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			compareResults(t, label, want, got)
+		}
+		if n < 3 || n > top {
+			continue
+		}
 		for _, kern := range []ra.Kernel{ra.KernelScalar, ra.KernelSWAR} {
 			ic, err := ra.InCoreStateBytes(g, kern)
 			if err != nil {
@@ -100,7 +134,7 @@ func TestOutOfCoreParityAwari(t *testing.T) {
 				}
 			}
 		}
-		if n < lad.MaxStones() {
+		if n != top {
 			continue
 		}
 		// Run parity on the top rung at a 25 % cap: behind a wrapper that
@@ -120,33 +154,63 @@ func TestOutOfCoreParityAwari(t *testing.T) {
 	}
 }
 
-// TestOutOfCoreParityScalarGames covers the scalar-kernel update path
-// (per-update routing with run coalescing) on wide-valued games.
-func TestOutOfCoreParityScalarGames(t *testing.T) {
-	for _, g := range []game.Game{ttt.New(), nim.MustNew(3, 4)} {
-		want, err := ra.Sequential{}.Solve(g)
-		if err != nil {
-			t.Fatal(err)
-		}
+// TestOutOfCoreResidencyPerWave bounds the block traffic of a capped
+// solve: each wave loads every block it touches at most once, and the
+// final assembly loads each block once more, so reloads never exceed
+// (waves+1) × blocks.
+func TestOutOfCoreResidencyPerWave(t *testing.T) {
+	lad, err := ladder.Build(ladder.Config{Rules: awari.Standard, Loop: awari.LoopOwnSide}, 10, ra.Sequential{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range []int{9, 10} {
+		g := lad.Slice(n)
 		ic, err := ra.InCoreStateBytes(g, ra.KernelAuto)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, cap := range []uint64{ic, ic/2 + 1, ic / 5} {
-			if cap == 0 {
-				cap = 1
-			}
-			e := Engine{MemLimit: cap, Dir: t.TempDir()}
+		got, st, err := Engine{MemLimit: ic / 4, Dir: t.TempDir()}.SolveDetailed(g)
+		if err != nil {
+			t.Fatalf("%s: %v", g.Name(), err)
+		}
+		compareResults(t, g.Name()+" at a 25% cap", lad.Result(n), got)
+		if bound := uint64(got.Waves+1) * uint64(st.Blocks); st.Reloaded > bound {
+			t.Errorf("%s: %d reloads over %d waves of %d blocks, want ≤ %d", g.Name(), st.Reloaded, got.Waves, st.Blocks, bound)
+		}
+	}
+}
+
+// TestOutOfCoreParityScalarGames covers the scalar-kernel update path
+// (per-update routing with run coalescing) on wide-valued games; kalah
+// would pick the SWAR kernel, so the kernel is pinned.
+func TestOutOfCoreParityScalarGames(t *testing.T) {
+	klad, err := kalah.BuildLadder(5, ra.Sequential{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, g := range []game.Game{ttt.New(), nim.MustNew(3, 4), klad.Slice(5)} {
+		want, err := ra.Sequential{}.Solve(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ic, err := ra.InCoreStateBytes(g, ra.KernelScalar)
+		if err != nil {
+			t.Fatal(err)
+		}
+		engines := []Engine{{MemLimit: ic}, {MemLimit: ic/2 + 1}, {MemLimit: max(ic/5, 1)}}
+		for _, e := range append(engines, twoBlockEngines(t, g, ra.KernelScalar)...) {
+			e.Dir, e.Kernel = t.TempDir(), ra.KernelScalar
+			label := fmt.Sprintf("%s cap=%d blockLen=%d writeback=%d", g.Name(), e.MemLimit, e.BlockLen, e.Writeback)
 			got, st, err := e.SolveDetailed(g)
 			if err != nil {
-				t.Fatalf("%s cap=%d: %v", g.Name(), cap, err)
+				t.Fatalf("%s: %v", label, err)
 			}
-			compareResults(t, g.Name(), want, got)
+			compareResults(t, label, want, got)
 			if got.Kernel != "scalar" {
-				t.Fatalf("%s: kernel %q, want scalar", g.Name(), got.Kernel)
+				t.Fatalf("%s: kernel %q, want scalar", label, got.Kernel)
 			}
-			if cap < ic && st.Spilled == 0 {
-				t.Errorf("%s cap=%d: no spill traffic below the in-core footprint %d", g.Name(), cap, ic)
+			if e.MemLimit < ic && st.Spilled == 0 {
+				t.Errorf("%s: no spill traffic below the in-core footprint %d", label, ic)
 			}
 		}
 	}
@@ -210,56 +274,76 @@ func TestOutOfCorePipelineParity(t *testing.T) {
 	}
 }
 
-// TestOutOfCorePauseResume drives a solve one wave at a time through
-// StopAfterWaves: every intermediate call must return ra.ErrPaused with
-// a durable manifest behind it, and the final call must complete to a
-// database bit-identical to the uninterrupted solve.
-func TestOutOfCorePauseResume(t *testing.T) {
-	g := ttt.New()
-	want, err := ra.Sequential{}.Solve(g)
+// awariSlice returns awari rung n over its in-core ladder.
+func awariSlice(t *testing.T, n int) game.Game {
+	t.Helper()
+	lad, err := ladder.Build(ladder.Config{Rules: awari.Standard, Loop: awari.LoopOwnSide}, n, ra.Sequential{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ic, _ := ra.InCoreStateBytes(g, ra.KernelAuto)
-	dir := t.TempDir()
-	e := Engine{MemLimit: ic / 3, Dir: dir, StopAfterWaves: 1}
-	var got *ra.Result
-	pauses := 0
-	var lastSpilled, lastCheckpoints uint64
-	for i := 0; i < want.Waves+2; i++ {
-		r, st, err := e.SolveDetailed(g)
-		if errors.Is(err, ra.ErrPaused) {
-			pauses++
-			if _, err := os.Stat(filepath.Join(dir, manifestName)); err != nil {
-				t.Fatalf("pause %d left no manifest: %v", pauses, err)
-			}
-			if pauses > 1 && !st.Resumed {
-				t.Fatalf("pause %d did not resume from the manifest", pauses)
-			}
-			// The v2 manifest carries the cumulative counters, so each
-			// resumed leg continues counting instead of starting over.
-			if st.Spilled < lastSpilled || st.Checkpoints < lastCheckpoints {
-				t.Fatalf("pause %d: counters went backwards: spilled %d→%d, checkpoints %d→%d",
-					pauses, lastSpilled, st.Spilled, lastCheckpoints, st.Checkpoints)
-			}
-			lastSpilled, lastCheckpoints = st.Spilled, st.Checkpoints
-			continue
-		}
+	return lad.Slice(n)
+}
+
+// TestOutOfCorePauseResume drives a solve one wave at a time through
+// StopAfterWaves: every intermediate call must return ra.ErrPaused with
+// a durable manifest behind it, and the final call must complete to a
+// database bit-identical to the uninterrupted solve. Some paused
+// manifests must carry parked runs, so resuming into a deferred begin is
+// exercised.
+func TestOutOfCorePauseResume(t *testing.T) {
+	for _, g := range []game.Game{ttt.New(), awariSlice(t, 6)} {
+		want, err := ra.Sequential{}.Solve(g)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got = r
-		break
-	}
-	if got == nil {
-		t.Fatalf("solve never completed after %d pauses", pauses)
-	}
-	if pauses != want.Waves {
-		t.Errorf("paused %d times, want one per wave = %d", pauses, want.Waves)
-	}
-	compareResults(t, "paused tictactoe", want, got)
-	if _, err := os.Stat(filepath.Join(dir, manifestName)); !errors.Is(err, os.ErrNotExist) {
-		t.Errorf("completed solve left the manifest behind (err=%v)", err)
+		ic, _ := ra.InCoreStateBytes(g, ra.KernelAuto)
+		dir := t.TempDir()
+		e := Engine{MemLimit: ic / 3, Dir: dir, StopAfterWaves: 1}
+		var got *ra.Result
+		pauses, parked := 0, 0
+		var lastSpilled, lastCheckpoints uint64
+		for i := 0; i < want.Waves+2; i++ {
+			r, st, err := e.SolveDetailed(g)
+			if errors.Is(err, ra.ErrPaused) {
+				pauses++
+				info, err := InspectDir(dir)
+				if err != nil || !info.HasManifest {
+					t.Fatalf("%s: pause %d left no manifest: %v", g.Name(), pauses, err)
+				}
+				if info.Pending > 0 {
+					parked++
+				}
+				if pauses > 1 && !st.Resumed {
+					t.Fatalf("%s: pause %d did not resume from the manifest", g.Name(), pauses)
+				}
+				// The v2 manifest carries the cumulative counters, so each
+				// resumed leg continues counting instead of starting over.
+				if st.Spilled < lastSpilled || st.Checkpoints < lastCheckpoints {
+					t.Fatalf("%s: pause %d: counters went backwards: spilled %d→%d, checkpoints %d→%d",
+						g.Name(), pauses, lastSpilled, st.Spilled, lastCheckpoints, st.Checkpoints)
+				}
+				lastSpilled, lastCheckpoints = st.Spilled, st.Checkpoints
+				continue
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			got = r
+			break
+		}
+		if got == nil {
+			t.Fatalf("%s: solve never completed after %d pauses", g.Name(), pauses)
+		}
+		if pauses != want.Waves {
+			t.Errorf("%s: paused %d times, want one per wave = %d", g.Name(), pauses, want.Waves)
+		}
+		if parked == 0 {
+			t.Errorf("%s: none of %d paused manifests carried parked runs", g.Name(), pauses)
+		}
+		compareResults(t, "paused "+g.Name(), want, got)
+		if _, err := os.Stat(filepath.Join(dir, manifestName)); !errors.Is(err, os.ErrNotExist) {
+			t.Errorf("%s: completed solve left the manifest behind (err=%v)", g.Name(), err)
+		}
 	}
 }
 
@@ -269,50 +353,60 @@ func TestOutOfCorePauseResume(t *testing.T) {
 // bit-identical database. This is the crash-consistency contract: the
 // manifest pins complete generations, everything newer is ignorable.
 func TestOutOfCoreCrashResume(t *testing.T) {
-	g := ttt.New()
-	want, err := ra.Sequential{}.Solve(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ic, _ := ra.InCoreStateBytes(g, ra.KernelAuto)
-	resumes := 0
-	for _, failAt := range []int{1, 7, 60, 120, 180} {
-		dir := t.TempDir()
-		crash := Engine{
-			MemLimit:        ic / 4,
-			Dir:             dir,
-			CheckpointEvery: 1,
-			failSpillAfter:  failAt,
-		}
-		_, _, err := crash.SolveDetailed(g)
-		if err == nil {
-			// The solve finished before the failpoint; later points only
-			// get farther away.
-			break
-		}
-		if !errors.Is(err, errSimulatedCrash) {
-			t.Fatalf("failAt=%d: crash run returned %v, want simulated crash", failAt, err)
-		}
-		// The contract: a manifest on disk means the run resumes from it;
-		// no manifest (crash before the first checkpoint) means a clean
-		// restart. Either way the database comes out bit-identical.
-		_, statErr := os.Stat(filepath.Join(dir, manifestName))
-		hadManifest := statErr == nil
-		resume := Engine{MemLimit: ic / 4, Dir: dir, CheckpointEvery: 1}
-		got, st, err := resume.SolveDetailed(g)
+	for _, g := range []game.Game{ttt.New(), awariSlice(t, 6)} {
+		want, err := ra.Sequential{}.Solve(g)
 		if err != nil {
-			t.Fatalf("failAt=%d: resume: %v", failAt, err)
+			t.Fatal(err)
 		}
-		if st.Resumed != hadManifest {
-			t.Errorf("failAt=%d: resumed=%v with manifest present=%v", failAt, st.Resumed, hadManifest)
+		ic, _ := ra.InCoreStateBytes(g, ra.KernelAuto)
+		resumes, parked := 0, 0
+		for _, failAt := range []int{1, 7, 60, 120, 180} {
+			dir := t.TempDir()
+			crash := Engine{
+				MemLimit:        ic / 4,
+				Dir:             dir,
+				CheckpointEvery: 1,
+				failSpillAfter:  failAt,
+			}
+			_, _, err := crash.SolveDetailed(g)
+			if err == nil {
+				// The solve finished before the failpoint; later points only
+				// get farther away.
+				break
+			}
+			if !errors.Is(err, errSimulatedCrash) {
+				t.Fatalf("%s failAt=%d: crash run returned %v, want simulated crash", g.Name(), failAt, err)
+			}
+			// The contract: a manifest on disk means the run resumes from it;
+			// no manifest (crash before the first checkpoint) means a clean
+			// restart. Either way the database comes out bit-identical.
+			info, err := InspectDir(dir)
+			if err != nil {
+				t.Fatalf("%s failAt=%d: store unreadable after crash: %v", g.Name(), failAt, err)
+			}
+			hadManifest := info.HasManifest
+			if info.Pending > 0 {
+				parked++
+			}
+			resume := Engine{MemLimit: ic / 4, Dir: dir, CheckpointEvery: 1}
+			got, st, err := resume.SolveDetailed(g)
+			if err != nil {
+				t.Fatalf("%s failAt=%d: resume: %v", g.Name(), failAt, err)
+			}
+			if st.Resumed != hadManifest {
+				t.Errorf("%s failAt=%d: resumed=%v with manifest present=%v", g.Name(), failAt, st.Resumed, hadManifest)
+			}
+			if st.Resumed {
+				resumes++
+			}
+			compareResults(t, "crash-resumed "+g.Name(), want, got)
 		}
-		if st.Resumed {
-			resumes++
+		if resumes == 0 {
+			t.Errorf("%s: no crash point landed after a checkpoint; the resume path went unexercised", g.Name())
 		}
-		compareResults(t, "crash-resumed tictactoe", want, got)
-	}
-	if resumes == 0 {
-		t.Error("no crash point landed after a checkpoint; the resume path went unexercised")
+		if parked == 0 {
+			t.Errorf("%s: no crash left a manifest with parked runs; resuming into a deferred begin went unexercised", g.Name())
+		}
 	}
 }
 

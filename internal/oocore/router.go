@@ -16,7 +16,7 @@ const routerBatch = 256
 // updates accumulate per destination as run-encoded batches; a batch
 // lands directly in the target worker when its state happens to be
 // resident and is parked on the block otherwise, to be drained on the
-// next load — at the latest in the wave-end flush.
+// next load — at the latest on the block's visit in the next wave.
 type router struct {
 	m   *blockManager
 	buf *combine.Buffer[ra.UpdateRun]
@@ -63,10 +63,7 @@ func (r *router) flushAll() {
 func (r *router) deliver(dst int, batch []ra.UpdateRun) {
 	b := r.m.blocks[dst]
 	if b.w.StateResident() {
-		for _, run := range batch {
-			b.w.ApplyRun(run)
-		}
-		b.dirty = true
+		b.land(batch)
 		return
 	}
 	b.pending = append(b.pending, batch...)

@@ -1,7 +1,7 @@
 package oocore
 
 // Frontier-aware block scheduling: the wave loop knows, before it
-// touches anything, exactly which blocks the coming phase will expand or
+// touches anything, exactly which blocks the coming pass will expand or
 // drain (the touch list) — and BeginWave's promotion makes the *next*
 // wave's frontier visible one wave early through Worker.PeekWave. The
 // prefetcher turns that knowledge into overlap: a tracked reader
