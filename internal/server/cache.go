@@ -51,22 +51,19 @@ type entry struct {
 	lruEl   *list.Element // non-nil while loaded
 
 	hits, misses, loads, evictions uint64
-	// zstats is the block-cache activity of this shard's evicted
-	// incarnations; the resident table's own counters come on top.
-	zstats zdb.Stats
+	// zlookups counts the point lookups of this shard's evicted
+	// incarnations; the resident table's own count comes on top.
+	zlookups uint64
 }
 
-// blockStats returns a compressed shard's decoded-block cache counters
-// across every load. Called with the cache mutex held.
-func (e *entry) blockStats() zdb.Stats {
-	st := e.zstats
+// lookups returns a compressed shard's point lookups across every load.
+// Called with the cache mutex held.
+func (e *entry) lookups() uint64 {
+	n := e.zlookups
 	if e.ztab != nil {
-		live := e.ztab.Stats()
-		st.Hits += live.Hits
-		st.Decodes += live.Decodes
-		st.Duplicates += live.Duplicates
+		n += e.ztab.Stats().Lookups
 	}
-	return st
+	return n
 }
 
 func (e *entry) loaded() bool { return e.table != nil || e.ztab != nil || e.fam != nil }
@@ -90,14 +87,9 @@ type ShardInfo struct {
 	Misses  uint64
 	Loads   uint64
 	Evicts  uint64
-	// Decoded-block cache activity of a compressed (v2) shard, zero
-	// otherwise: point lookups answered from an already decoded block,
-	// lookups that decoded one, and decodes dropped because a concurrent
-	// lookup installed the same block first. BlockHits/(BlockHits +
-	// BlockDecodes) is the share of lookups that cost no decode.
-	BlockHits       uint64
-	BlockDecodes    uint64
-	BlockDuplicates uint64
+	// Lookups counts the point lookups a compressed (v2) shard decoded,
+	// one entry each; zero for flat shards, whose lookups are array reads.
+	Lookups uint64
 }
 
 // Cache is the shard registry: databases discovered on disk, loaded on
@@ -249,13 +241,12 @@ func (c *Cache) Snapshot() []ShardInfo {
 		if e.kind == kindFamily {
 			kind = "family"
 		}
-		blocks := e.blockStats()
 		out = append(out, ShardInfo{
 			Key: e.key, Kind: kind, Entries: e.entries, Bits: e.bits,
 			Bytes: e.bytes, RawBytes: e.rawBytes, Version: e.version,
 			Loaded: e.loaded(), Pinned: e.refs,
 			Hits: e.hits, Misses: e.misses, Loads: e.loads, Evicts: e.evictions,
-			BlockHits: blocks.Hits, BlockDecodes: blocks.Decodes, BlockDuplicates: blocks.Duplicates,
+			Lookups: e.lookups(),
 		})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
@@ -366,7 +357,7 @@ func (c *Cache) Acquire(key string) (*Pin, error) {
 
 // load reads the shard from disk (no cache lock held) and validates
 // awari rung sizes the way cmd/raquery does. A v2 shard stays
-// compressed in core; its blocks decode on demand behind Get.
+// compressed in core; Get decodes one entry at a time.
 func load(e *entry) (*db.Table, *zdb.Table, *db.Family, error) {
 	if e.kind == kindFamily {
 		fam, err := db.LoadFamily(e.path)
@@ -418,7 +409,7 @@ func (c *Cache) evictLocked() {
 		}
 		c.lru.Remove(victim.lruEl)
 		victim.lruEl = nil
-		victim.zstats = victim.blockStats()
+		victim.zlookups = victim.lookups()
 		victim.table, victim.ztab, victim.fam = nil, nil, nil
 		victim.evictions++
 		c.used -= victim.bytes

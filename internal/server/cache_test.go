@@ -1,9 +1,15 @@
 package server
 
 import (
+	"bytes"
+	"encoding/binary"
 	"fmt"
+	"hash/crc32"
+	"hash/crc64"
 	"math/rand"
+	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 
@@ -285,18 +291,17 @@ func TestCacheCompressedShard(t *testing.T) {
 	pp.Release()
 	pz.Release()
 
-	// The sequential sweep decoded every block once and hit on the rest;
-	// the flat twin has no block cache to count.
+	// The sweep looked up every entry of the compressed shard; the flat
+	// twin's lookups are array reads and go uncounted.
 	for _, si := range c.Snapshot() {
 		switch si.Key {
 		case "plain":
-			if si.BlockHits+si.BlockDecodes+si.BlockDuplicates != 0 {
-				t.Errorf("flat shard reports block-cache activity: %+v", si)
+			if si.Lookups != 0 {
+				t.Errorf("flat shard counts point lookups: %+v", si)
 			}
 		case "packed":
-			if si.BlockDecodes != uint64(z.Blocks()) || si.BlockHits != uint64(len(values)-z.Blocks()) || si.BlockDuplicates != 0 {
-				t.Errorf("packed shard: %d block hits, %d decodes, %d duplicates; want %d, %d, 0",
-					si.BlockHits, si.BlockDecodes, si.BlockDuplicates, len(values)-z.Blocks(), z.Blocks())
+			if si.Lookups != uint64(len(values)) {
+				t.Errorf("packed shard: %d lookups, want %d", si.Lookups, len(values))
 			}
 		}
 	}
@@ -316,11 +321,66 @@ func TestCacheCompressedShard(t *testing.T) {
 		pin.Get(1)
 		pin.Release()
 		for _, si := range tight.Snapshot() {
-			if si.Key == "packed" && (si.Loaded || si.BlockDecodes != round || si.BlockHits != round) {
-				t.Errorf("round %d: loaded=%v, %d block decodes, %d block hits; want evicted with %d and %d",
-					round, si.Loaded, si.BlockDecodes, si.BlockHits, round, round)
+			if si.Key == "packed" && (si.Loaded || si.Lookups != 2*round) {
+				t.Errorf("round %d: loaded=%v, %d lookups; want evicted with %d",
+					round, si.Loaded, si.Lookups, 2*round)
 			}
 		}
+	}
+}
+
+// TestCacheRejectsUndecodableShard: a compressed shard whose checksums
+// all hold but one of whose blocks cannot decode must fail to load, so no
+// query reaches it; before the load-time check it loaded, and the first
+// lookup in that block panicked a server worker.
+func TestCacheRejectsUndecodableShard(t *testing.T) {
+	dir := t.TempDir()
+	values := make([]game.Value, 4096)
+	for i := range values {
+		values[i] = game.Value(i * i % 5) // short runs of skewed values → Huffman
+	}
+	tab, err := db.Pack("bad", 4, values)
+	if err != nil {
+		t.Fatal(err)
+	}
+	z, err := zdb.Compress(tab, 256)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if _, err := z.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	raw := buf.Bytes()
+	// The v2 layout: a 24-byte header, the name, blockLen/nBlocks/dataLen,
+	// 20-byte directory entries, the data, and the CRC-64 of all of that.
+	dirAt := 24 + len("bad") + 16
+	dataAt := dirAt + z.Blocks()*db.V2DirEntrySize
+	const b = 3
+	ent := raw[dirAt+b*db.V2DirEntrySize:]
+	if ent[16] != 3 { // codecHuff
+		t.Fatalf("block %d has codec %d, want Huffman", b, ent[16])
+	}
+	off := dataAt + int(binary.LittleEndian.Uint64(ent))
+	enc := raw[off : off+int(binary.LittleEndian.Uint32(ent[8:]))]
+	for i := 2; i < 2+(int(binary.LittleEndian.Uint16(enc))+2)/2; i++ {
+		enc[i] = 0x11 // every symbol a 1-bit code: an over-subscribed length table
+	}
+	binary.LittleEndian.PutUint32(ent[12:], crc32.ChecksumIEEE(enc))
+	binary.LittleEndian.PutUint64(raw[len(raw)-8:], crc64.Checksum(raw[:len(raw)-8], db.CRC64Table))
+	if err := os.WriteFile(filepath.Join(dir, "bad.radb"), raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	c, err := NewCache(dir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pin, err := c.Acquire("bad"); err == nil {
+		pin.Release()
+		t.Fatal("Acquire loaded a shard with an undecodable block")
+	} else if !strings.Contains(err.Error(), "block 3 ") {
+		t.Errorf("Acquire error %q does not name block 3", err)
 	}
 }
 

@@ -132,8 +132,8 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 // (retries, reconnects, unknown replies per server.ClientStats) — empty
 // here, one entry per backend on a broker. A server adds "shards", the
 // per-shard counters of /shards, so one scrape carries the shard cache
-// and, for compressed shards, the decoded-block cache next to the
-// latencies they explain.
+// and, for compressed shards, their point lookups next to the latencies
+// they explain.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	WriteJSON(w, map[string]any{
 		"server":  s.Metrics(),

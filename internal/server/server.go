@@ -256,7 +256,7 @@ func (s *Server) Metrics() ServerMetrics {
 // StatsTables renders the server's observability surface: per-shard
 // cache counters and the request-path summary.
 func (s *Server) StatsTables() []*stats.Table {
-	shards := stats.NewTable("shards", "shard", "kind", "fmt", "entries", "bits", "size", "raw", "state", "pins", "hits", "misses", "loads", "evictions", "blk hits", "blk decodes", "blk dups")
+	shards := stats.NewTable("shards", "shard", "kind", "fmt", "entries", "bits", "size", "raw", "state", "pins", "hits", "misses", "loads", "evictions", "lookups")
 	for _, si := range s.cache.Snapshot() {
 		state := "cold"
 		if si.Loaded {
@@ -264,7 +264,7 @@ func (s *Server) StatsTables() []*stats.Table {
 		}
 		shards.Row(si.Key, si.Kind, fmt.Sprintf("v%d", si.Version), stats.Count(si.Entries), si.Bits,
 			stats.Bytes(si.Bytes), stats.Bytes(si.RawBytes), state, si.Pinned, si.Hits, si.Misses, si.Loads, si.Evicts,
-			si.BlockHits, si.BlockDecodes, si.BlockDuplicates)
+			si.Lookups)
 	}
 	budget := "unlimited"
 	if s.cache.Budget() > 0 {

@@ -595,9 +595,8 @@ func TestPing(t *testing.T) {
 }
 
 // TestCompressedShardCountersExported serves block-compressed rungs and
-// checks that the decoded-block cache is visible from outside: values
-// still agree with the ladder, and /metrics and /stats carry per-shard
-// block hits and decodes.
+// checks that their point lookups are visible from outside: values still
+// agree with the ladder, and /metrics and /stats carry per-shard lookups.
 func TestCompressedShardCountersExported(t *testing.T) {
 	dir := t.TempDir()
 	l := buildLadder(t)
@@ -640,8 +639,8 @@ func TestCompressedShardCountersExported(t *testing.T) {
 			topShard = si
 		}
 	}
-	if topShard.Version != 2 || topShard.BlockDecodes == 0 || topShard.BlockHits+topShard.BlockDecodes < uint64(len(top)/97) {
-		t.Errorf("/metrics top shard: %+v, want a v2 shard with block decodes counted", topShard)
+	if topShard.Version != 2 || topShard.Lookups < uint64(len(top)/97) {
+		t.Errorf("/metrics top shard: %+v, want a v2 shard with lookups counted", topShard)
 	}
 	resp, err := http.Get("http://" + s.Addr() + "/stats")
 	if err != nil {
@@ -649,7 +648,7 @@ func TestCompressedShardCountersExported(t *testing.T) {
 	}
 	body, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
-	if !strings.Contains(string(body), "blk decodes") {
-		t.Errorf("/stats shard table lacks the block-decode column:\n%s", body)
+	if !strings.Contains(string(body), "lookups") {
+		t.Errorf("/stats shard table lacks the lookups column:\n%s", body)
 	}
 }

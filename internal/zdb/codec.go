@@ -219,36 +219,77 @@ func encodeRLE(dst []byte, vals []game.Value) []byte {
 	return dst
 }
 
+// rleRun parses the (run length, value) pair at the head of src, whose
+// run starts at value start of an n-value block, and returns the run, its
+// value and the rest of src.
+func rleRun(src []byte, start, n, bits int) (int, game.Value, []byte, error) {
+	var run, v uint64
+	if len(src) >= 2 && src[0]|src[1] < 0x80 {
+		// Both uvarints are single bytes: every run under 128 of a value
+		// under 128, which is nearly all of them.
+		run, v = uint64(src[0]), uint64(src[1])
+		src = src[2:]
+	} else {
+		var r1, r2 int
+		if run, r1 = binary.Uvarint(src); r1 <= 0 {
+			return 0, 0, nil, fmt.Errorf("zdb: rle run length malformed at value %d", start)
+		}
+		if v, r2 = binary.Uvarint(src[r1:]); r2 <= 0 {
+			return 0, 0, nil, fmt.Errorf("zdb: rle value malformed at value %d", start)
+		}
+		src = src[r1+r2:]
+	}
+	if run == 0 || run > uint64(n-start) {
+		return 0, 0, nil, fmt.Errorf("zdb: rle run of %d overflows block (%d of %d decoded)", run, start, n)
+	}
+	if v >= 1<<bits {
+		return 0, 0, nil, fmt.Errorf("zdb: rle value %d does not fit in %d bits", v, bits)
+	}
+	return int(run), game.Value(v), src, nil
+}
+
 // decodeRLE decodes (run length, value) uvarint pairs covering n values
 // into out[:n].
 func decodeRLE(src []byte, n int, bits int, out []game.Value) error {
 	for i := 0; i < n; {
-		var run, v uint64
-		if len(src) >= 2 && src[0]|src[1] < 0x80 {
-			// Both uvarints are single bytes: every run under 128 of a
-			// value under 128, which is nearly all of them.
-			run, v = uint64(src[0]), uint64(src[1])
-			src = src[2:]
-		} else {
-			var r1, r2 int
-			if run, r1 = binary.Uvarint(src); r1 <= 0 {
-				return fmt.Errorf("zdb: rle run length malformed at value %d", i)
-			}
-			if v, r2 = binary.Uvarint(src[r1:]); r2 <= 0 {
-				return fmt.Errorf("zdb: rle value malformed at value %d", i)
-			}
-			src = src[r1+r2:]
+		run, v, rest, err := rleRun(src, i, n, bits)
+		if err != nil {
+			return err
 		}
-		if run == 0 || run > uint64(n-i) {
-			return fmt.Errorf("zdb: rle run of %d overflows block (%d of %d decoded)", run, i, n)
-		}
-		if v >= 1<<bits {
-			return fmt.Errorf("zdb: rle value %d does not fit in %d bits", v, bits)
-		}
-		fillValues(out[i:i+int(run)], game.Value(v))
-		i += int(run)
+		fillValues(out[i:i+run], v)
+		src, i = rest, i+run
 	}
 	return nil
+}
+
+// rleAt returns value i of an RLE block of n values, walking the runs up
+// to the one that covers i without filling them.
+func rleAt(src []byte, i, n, bits int) (game.Value, error) {
+	for start := 0; ; {
+		run, v, rest, err := rleRun(src, start, n, bits)
+		if err != nil {
+			return 0, err
+		}
+		if start += run; i < start {
+			return v, nil
+		}
+		src = rest
+	}
+}
+
+// bitsAt returns the i-th width-bit field of an LSB-first packed stream,
+// reporting whether src holds it.
+func bitsAt(src []byte, i, width int) (game.Value, bool) {
+	bit := i * width
+	end := bit + width
+	if end > 8*len(src) {
+		return 0, false
+	}
+	var w uint32
+	for p := bit >> 3; p < (end+7)>>3; p++ {
+		w |= uint32(src[p]) << (8 * (p - bit>>3))
+	}
+	return game.Value(w >> (bit & 7) & (1<<width - 1)), true
 }
 
 // decodeBlock decodes an encoded block of n values into out[:n].

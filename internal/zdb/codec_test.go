@@ -88,34 +88,72 @@ func codecFixture(codec uint8) []game.Value {
 	return vals[:DefaultBlockLen]
 }
 
+// oneBlockTable returns a table holding one encoded block of n values,
+// seek index built.
+func oneBlockTable(tb testing.TB, enc []byte, n, bits int, codec, param uint8) *Table {
+	tb.Helper()
+	z := &Table{name: "one-block", size: uint64(n), bits: bits, blockLen: n, data: enc,
+		dir: []block{{encLen: uint32(len(enc)), codec: codec, param: param}}}
+	if err := z.index(); err != nil {
+		tb.Fatalf("%s n=%d: index: %v", codecName(codec), n, err)
+	}
+	return z
+}
+
+// TestDecodeEveryCodec decodes blocks of every codec and length, whole
+// and by point lookups at every entry. Lengths straddle the seek marks;
+// 5,000 entries pass the 4,369 at which 15-bit codes can put a mark past
+// what 16 bits address, and a wide alphabet does put them there.
 func TestDecodeEveryCodec(t *testing.T) {
-	for codec := uint8(0); codec < numCodecs; codec++ {
-		vals := codecFixture(codec)
-		for _, n := range []int{1, 2, 15, 16, 17, 63, 64, 65, 1000, len(vals)} {
-			enc, param := encodeAs(t, codec, vals[:n], awariBits)
-			got := make([]game.Value, n)
-			if err := decodeBlock(enc, n, awariBits, codec, param, got); err != nil {
-				t.Fatalf("%s n=%d: %v", codecName(codec), n, err)
+	check := func(codec uint8, vals []game.Value, bits int, enc []byte, param uint8) {
+		t.Helper()
+		n := len(vals)
+		got := make([]game.Value, n)
+		if err := decodeBlock(enc, n, bits, codec, param, got); err != nil {
+			t.Fatalf("%s n=%d: %v", codecName(codec), n, err)
+		}
+		z := oneBlockTable(t, enc, n, bits, codec, param)
+		for i := range got {
+			if got[i] != vals[i] {
+				t.Fatalf("%s n=%d: entry %d = %d, want %d", codecName(codec), n, i, got[i], vals[i])
 			}
+			if v := z.Get(uint64(i)); v != vals[i] {
+				t.Fatalf("%s n=%d: Get(%d) = %d, want %d", codecName(codec), n, i, v, vals[i])
+			}
+		}
+		if len(enc) == 0 {
+			return
+		}
+		// One byte short must be an error (or, where the dropped byte held
+		// only padding, the same values), never a panic.
+		if err := decodeBlock(enc[:len(enc)-1], n, bits, codec, param, got); err == nil {
 			for i := range got {
 				if got[i] != vals[i] {
-					t.Fatalf("%s n=%d: entry %d = %d, want %d", codecName(codec), n, i, got[i], vals[i])
-				}
-			}
-			if len(enc) == 0 {
-				continue
-			}
-			// One byte short must be an error (or, where the dropped byte
-			// held only padding, the same values), never a panic.
-			if err := decodeBlock(enc[:len(enc)-1], n, awariBits, codec, param, got); err == nil {
-				for i := range got {
-					if got[i] != vals[i] {
-						t.Fatalf("%s n=%d truncated: entry %d = %d, want %d", codecName(codec), n, i, got[i], vals[i])
-					}
+					t.Fatalf("%s n=%d truncated: entry %d = %d, want %d", codecName(codec), n, i, got[i], vals[i])
 				}
 			}
 		}
 	}
+	for codec := uint8(0); codec < numCodecs; codec++ {
+		vals := codecFixture(codec)
+		vals = append(vals, vals[:5000-len(vals)]...)
+		for _, n := range []int{1, 2, 15, 16, 17, 63, 64, 65, 127, 128, 129, 1000, DefaultBlockLen, 5000} {
+			enc, param := encodeAs(t, codec, vals[:n], awariBits)
+			check(codec, vals[:n], awariBits, enc, param)
+		}
+	}
+	// A complete code of 2^15 15-bit codes, all past the primary table:
+	// 5,000 values fill 75,000 bits, so the last marks sit past bit 65,535.
+	lens := make([]uint8, 1<<15)
+	for i := range lens {
+		lens[i] = 15
+	}
+	rng := rand.New(rand.NewSource(29))
+	wide := make([]game.Value, 5000)
+	for i := range wide {
+		wide[i] = game.Value(rng.Intn(len(lens)))
+	}
+	check(codecHuff, wide, 15, encodeHuff(nil, wide, lens), 0)
 }
 
 // sameEncoding reports how encodeBlock and the reference encoder differ
@@ -338,9 +376,8 @@ func TestHuffLengthTables(t *testing.T) {
 	}
 }
 
-// TestDecodeAllocatesNothing pins the miss path's contract: decoding a
-// block of any codec, and a cold Get through it, allocates nothing once
-// the table's buffers exist.
+// TestDecodeAllocatesNothing pins the decode paths' contract: decoding a
+// block of any codec, and a point Get in one, allocates nothing.
 func TestDecodeAllocatesNothing(t *testing.T) {
 	out := make([]game.Value, DefaultBlockLen)
 	for codec := uint8(0); codec < numCodecs; codec++ {
@@ -354,26 +391,19 @@ func TestDecodeAllocatesNothing(t *testing.T) {
 			t.Errorf("decoding a %s block allocates %v times", codecName(codec), a)
 		}
 
-		// A two-block table of this codec alone, behind a one-block cache:
-		// alternating probes miss every time.
-		z := &Table{name: "allocs", size: uint64(2 * len(vals)), bits: awariBits, blockLen: len(vals), data: append(append([]byte{}, enc...), enc...)}
-		for b := 0; b < 2; b++ {
-			z.dir = append(z.dir, block{off: uint64(b * len(enc)), encLen: uint32(len(enc)), codec: codec, param: param})
-		}
-		z.SetHotBlocks(1)
-		z.Get(0)
+		z := oneBlockTable(t, enc, len(vals), awariBits, codec, param)
 		i := uint64(0)
 		if a := testing.AllocsPerRun(20, func() {
-			i += uint64(len(vals)) + 1
-			if got := z.Get(i % z.size); got != vals[i%uint64(len(vals))] {
-				t.Fatalf("Get(%d) = %d, want %d", i%z.size, got, vals[i%uint64(len(vals))])
+			i = (i + 1013) % z.size
+			if got := z.Get(i); got != vals[i] {
+				t.Fatalf("Get(%d) = %d, want %d", i, got, vals[i])
 			}
 		}); a != 0 {
-			t.Errorf("a cold Get of a %s block allocates %v times", codecName(codec), a)
+			t.Errorf("a Get in a %s block allocates %v times", codecName(codec), a)
 		}
-		// The first Get plus AllocsPerRun's warm-up call and 20 runs.
-		if st := z.Stats(); st.Hits != 0 || st.Decodes != 22 {
-			t.Errorf("%s: %+v, want 22 decodes and no hits", codecName(codec), st)
+		// AllocsPerRun's warm-up call and 20 runs.
+		if st := z.Stats(); st.Lookups != 21 {
+			t.Errorf("%s: %+v, want 21 lookups", codecName(codec), st)
 		}
 	}
 }

@@ -11,7 +11,8 @@ import (
 // FuzzZdbRoundtrip drives the compressed-database codec from both ends:
 // arbitrary bytes fed to Read must error cleanly (never panic, never
 // return a corrupt table as valid), and a table built from arbitrary
-// values must survive Compress -> WriteTo -> Read -> Unpack bit-exactly.
+// values must survive Compress -> WriteTo -> Read -> Unpack bit-exactly,
+// and answer Get at every index with the value put in.
 func FuzzZdbRoundtrip(f *testing.F) {
 	f.Add([]byte("zdb1 not really a database"))
 	f.Add([]byte{})
@@ -65,6 +66,9 @@ func FuzzZdbRoundtrip(f *testing.F) {
 			if got[i] != values[i] {
 				t.Fatalf("value %d roundtripped to %d, want %d (blockLen %d)", i, got[i], values[i], blockLen)
 			}
+			if v := back.Get(uint64(i)); v != values[i] {
+				t.Fatalf("Get(%d) = %d, want %d (blockLen %d)", i, v, values[i], blockLen)
+			}
 		}
 	})
 }
@@ -100,7 +104,10 @@ func FuzzEncodeBlock(f *testing.F) {
 // arbitrary code-length table, bitstream and value count, both return the
 // same values or both fail, and neither panics. The one sanctioned
 // difference is an over-subscribed length table, which the reference
-// decodes by first match and decodeHuff must reject.
+// decodes by first match and decodeHuff must reject. The seek path is
+// checked against decodeHuff the same way: where it decodes, the
+// load-time walk succeeds and a point decode from its marks reproduces
+// every value; where it fails, the walk fails too.
 func FuzzHuffDecode(f *testing.F) {
 	f.Add([]byte{1, 2, 2}, []byte{0b0_10_11_0_00}, uint16(3))
 	f.Fuzz(func(t *testing.T, lens, body []byte, count uint16) {
@@ -124,6 +131,10 @@ func FuzzHuffDecode(f *testing.F) {
 			}
 			return
 		}
+		marks, walkErr := huffMarks(nil, src, n, 16)
+		if (err == nil) != (walkErr == nil) {
+			t.Fatalf("lens %v body %x n %d: decodeHuff error %v, seek-index walk error %v", lens, body, n, err, walkErr)
+		}
 		want := make([]game.Value, n)
 		refErr := decodeHuffRef(src, n, 16, want)
 		if (err == nil) != (refErr == nil) {
@@ -135,6 +146,9 @@ func FuzzHuffDecode(f *testing.F) {
 		for i := range want {
 			if got[i] != want[i] {
 				t.Fatalf("lens %v body %x n %d: value %d = %d, reference %d", lens, body, n, i, got[i], want[i])
+			}
+			if v, err := huffAt(src, 16, marks, i); err != nil || v != got[i] {
+				t.Fatalf("lens %v body %x n %d: point decode of value %d = %d, %v; want %d", lens, body, n, i, v, err, got[i])
 			}
 		}
 	})

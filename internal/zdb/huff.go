@@ -3,6 +3,7 @@ package zdb
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 
@@ -187,12 +188,20 @@ func encodeHuff(dst []byte, vals []game.Value, lens []uint8) []byte {
 	return dst[:start+pos]
 }
 
-// huffTableBits caps the primary decode table at 2^10 entries (4 KiB of
-// uint32 on the stack). The table is rebuilt for every block and a block
-// holds only a few thousand symbols, so what a larger table, or one that
-// resolves two symbols per lookup, saves in the loop it spends on the
-// fill (measured; see DESIGN.md, key design decisions).
+// huffTableBits caps the primary decode table of a whole-block decode at
+// 2^10 entries (4 KiB of uint32 on the stack). The table is rebuilt for
+// every block and a block holds only a few thousand symbols, so what a
+// larger table, or one that resolves two symbols per lookup, saves in the
+// loop it spends on the fill (measured; see DESIGN.md, key design
+// decisions).
 const huffTableBits = 10
+
+// huffPointBits caps the primary table of a point decode at 2^6 entries.
+// A point decode resolves at most markEvery symbols, so the table fill is
+// a large share of it and a small table wins although more codes take the
+// long-code walk (BenchmarkZdbColdGet swept 2^4..2^10; EXPERIMENTS.md,
+// E11d).
+const huffPointBits = 6
 
 // huffStackSyms is how many long-code symbols (codes longer than the
 // primary table) fit the decoder's stack scratch; awari alphabets
@@ -208,18 +217,47 @@ const huffStackSyms = 64
 // a code of length l is firstCode[l] + its rank among that length's
 // symbols, and syms lists the long codes' symbols in (length, symbol)
 // order, firstRank[l] being where length l starts.
+//
+// The caller points table (zeroed, a power of two long) and syms at its
+// own stack arrays before calling build: assigning them here would move
+// them to the heap.
 type huffDecoder struct {
-	table                       [1 << huffTableBits]uint32
+	table                       []uint32
 	count, firstCode, firstRank [huffMaxLen + 1]uint32
 	syms                        []uint16
 	tbits, maxLen               int
 }
 
+// build parses a Huffman block's header, checks it against the entry
+// width, and builds the decode tables. It returns the bitstream.
+func (d *huffDecoder) build(src []byte, bits int) ([]byte, error) {
+	if len(src) < 2 {
+		return nil, fmt.Errorf("zdb: huffman block shorter than its header")
+	}
+	maxSym := int(binary.LittleEndian.Uint16(src))
+	if maxSym >= 1<<bits {
+		return nil, fmt.Errorf("zdb: huffman symbol %d does not fit in %d bits", maxSym, bits)
+	}
+	alpha := maxSym + 1
+	lensBytes := (alpha + 1) / 2
+	if len(src) < 2+lensBytes {
+		return nil, fmt.Errorf("zdb: huffman block truncated in its length table")
+	}
+	nibbles := src[2 : 2+lensBytes]
+	nLong, err := d.init(nibbles, alpha)
+	if err != nil {
+		return nil, err
+	}
+	if nLong > len(d.syms) {
+		d.syms = make([]uint16, nLong)
+	}
+	d.fill(nibbles, alpha)
+	return src[2+lensBytes:], nil
+}
+
 // init reads a block's packed code lengths (one nibble per symbol, low
 // nibble first), rejecting length tables that no prefix code can have,
-// and returns how many symbols have long codes: the caller sizes syms to
-// hold them before calling fill. (Keeping that buffer out of init is what
-// lets the caller's stack scratch stay on the stack.)
+// and returns how many symbols have long codes.
 func (d *huffDecoder) init(nibbles []byte, alpha int) (nLong int, err error) {
 	for _, b := range nibbles {
 		d.count[b&0xF]++
@@ -245,8 +283,8 @@ func (d *huffDecoder) init(nibbles []byte, alpha int) (nLong int, err error) {
 		return 0, fmt.Errorf("zdb: huffman length table is over-subscribed")
 	}
 	d.tbits = d.maxLen
-	if d.tbits > huffTableBits {
-		d.tbits = huffTableBits
+	for 1<<d.tbits > len(d.table) {
+		d.tbits--
 	}
 
 	code := uint32(0)
@@ -282,14 +320,23 @@ func (d *huffDecoder) fill(nibbles []byte, alpha int) {
 	}
 }
 
-// decode fills out from the MSB-first bitstream body. The stream's next
-// bits sit MSB-aligned in a 64-bit reservoir that is topped up a word at
-// a time; the bits below the nb valid ones are either zero or already the
-// stream's true next bits, so refills may simply OR over them.
-func (d *huffDecoder) decode(body []byte, out []game.Value) error {
+// decode fills out from the MSB-first bitstream body, starting at bit
+// offset bit, and returns the bit offset just past the last value. The
+// stream's next bits sit MSB-aligned in a 64-bit reservoir that is topped
+// up a word at a time; the bits below the nb valid ones are either zero or
+// already the stream's true next bits, so refills may simply OR over them.
+// A start inside a byte preloads that byte less the bits before it.
+func (d *huffDecoder) decode(body []byte, bit uint, out []game.Value) (uint, error) {
 	var acc uint64
-	nb, pos := uint(0), 0
-	shift := uint(64 - d.tbits)
+	nb, pos := uint(0), int(bit>>3)
+	if skip := bit & 7; skip != 0 {
+		if pos >= len(body) {
+			return 0, fmt.Errorf("zdb: huffman bitstream exhausted at value 0")
+		}
+		acc, nb = uint64(body[pos])<<(56+skip), 8-skip
+		pos++
+	}
+	table, shift := d.table, uint(64-d.tbits)
 	for i := range out {
 		if nb < huffMaxLen {
 			if pos+8 <= len(body) {
@@ -304,22 +351,22 @@ func (d *huffDecoder) decode(body []byte, out []game.Value) error {
 				}
 			}
 		}
-		e := d.table[acc>>(shift&63)]
+		e := table[acc>>(shift&63)]
 		if e&0xF == 0 {
 			var err error
 			if e, err = d.longCode(acc, nb, i); err != nil {
-				return err
+				return 0, err
 			}
 		}
 		l := uint(e & 0xF)
 		if l > nb {
-			return fmt.Errorf("zdb: huffman bitstream exhausted at value %d", i)
+			return 0, fmt.Errorf("zdb: huffman bitstream exhausted at value %d", i)
 		}
 		out[i] = game.Value(e >> 4)
 		acc <<= l
 		nb -= l
 	}
-	return nil
+	return uint(pos)*8 - nb, nil
 }
 
 // longCode resolves the code at the head of acc when the primary table
@@ -341,28 +388,65 @@ func (d *huffDecoder) longCode(acc uint64, nb uint, i int) (uint32, error) {
 // for alphabets with more than huffStackSyms codes longer than the
 // primary table.
 func decodeHuff(src []byte, n int, bits int, out []game.Value) error {
-	if len(src) < 2 {
-		return fmt.Errorf("zdb: huffman block shorter than its header")
-	}
-	maxSym := int(binary.LittleEndian.Uint16(src))
-	if maxSym >= 1<<bits {
-		return fmt.Errorf("zdb: huffman symbol %d does not fit in %d bits", maxSym, bits)
-	}
-	alpha := maxSym + 1
-	lensBytes := (alpha + 1) / 2
-	if len(src) < 2+lensBytes {
-		return fmt.Errorf("zdb: huffman block truncated in its length table")
-	}
 	var d huffDecoder
-	nLong, err := d.init(src[2:2+lensBytes], alpha)
+	var table [1 << huffTableBits]uint32
+	var syms [huffStackSyms]uint16
+	d.table, d.syms = table[:], syms[:]
+	body, err := d.build(src, bits)
 	if err != nil {
 		return err
 	}
-	var symStack [huffStackSyms]uint16
-	d.syms = symStack[:]
-	if nLong > huffStackSyms {
-		d.syms = make([]uint16, nLong)
+	_, err = d.decode(body, 0, out[:n])
+	return err
+}
+
+// huffMarks decodes a Huffman block of n values one seek interval at a
+// time and appends the bit offset into its bitstream at which each
+// interval starts: the block's seek marks.
+func huffMarks(marks []uint32, src []byte, n, bits int) ([]uint32, error) {
+	var d huffDecoder
+	var table [1 << huffTableBits]uint32
+	var syms [huffStackSyms]uint16
+	d.table, d.syms = table[:], syms[:]
+	body, err := d.build(src, bits)
+	if err != nil {
+		return marks, err
 	}
-	d.fill(src[2:2+lensBytes], alpha)
-	return d.decode(src[2+lensBytes:], out[:n])
+	if uint64(len(body))*8 > math.MaxUint32 {
+		return marks, fmt.Errorf("zdb: huffman bitstream of %d bytes too long to index", len(body))
+	}
+	var vals [markEvery]game.Value
+	bit := uint(0)
+	for first := 0; first < n; first += markEvery {
+		marks = append(marks, uint32(bit))
+		if bit, err = d.decode(body, bit, vals[:min(markEvery, n-first)]); err != nil {
+			return marks, fmt.Errorf("zdb: values from %d: %w", first, err)
+		}
+	}
+	return marks, nil
+}
+
+// huffAt returns value i of a Huffman block whose seek marks are marks,
+// decoding from the mark at or before it: at most markEvery codes, through
+// a primary table of 2^huffPointBits entries. It allocates nothing for
+// the alphabets decodeHuff decodes without allocating.
+func huffAt(src []byte, bits int, marks []uint32, i int) (game.Value, error) {
+	k := i / markEvery
+	if k >= len(marks) {
+		return 0, fmt.Errorf("zdb: value %d has no seek mark", i)
+	}
+	var d huffDecoder
+	var table [1 << huffPointBits]uint32
+	var syms [huffStackSyms]uint16
+	d.table, d.syms = table[:], syms[:]
+	body, err := d.build(src, bits)
+	if err != nil {
+		return 0, err
+	}
+	var vals [markEvery]game.Value
+	out := vals[:i%markEvery+1]
+	if _, err := d.decode(body, uint(marks[k]), out); err != nil {
+		return 0, err
+	}
+	return out[len(out)-1], nil
 }

@@ -9,10 +9,10 @@
 // narrowed bit-width, run-length, canonical Huffman), holds the same
 // values in a fraction of the bytes. A block directory (offset, codec,
 // CRC per block) makes
-// the format randomly accessible: Get decodes only the block an index
-// falls in, through a small LRU of decoded blocks with pooled backing
-// arrays, so a server can keep shards compressed in core and still
-// answer point lookups without ever materialising a full table.
+// the format randomly accessible, and a seek index built at load (the bit
+// offset of every 128th entry of each Huffman block) lets Get decode only
+// the entry asked for, so a server can keep shards compressed in core and
+// still answer point lookups without ever materialising a block.
 package zdb
 
 import (
@@ -23,20 +23,17 @@ import (
 	"hash/crc64"
 	"io"
 	"os"
-	"sync"
+	"sync/atomic"
 
 	"retrograde/internal/db"
 	"retrograde/internal/game"
 )
 
 // DefaultBlockLen is the writer's default entries-per-block. 4K entries
-// keeps a decoded block at 8 KiB of values — small enough that a point
-// lookup inflates a sliver of the table, large enough that run-length
-// coding sees real runs.
+// keeps a whole-block decode (Unpack, Verify) at 8 KiB of values and is
+// large enough that run-length coding sees real runs; a point lookup
+// decodes at most 128 codes of a block whatever its length.
 const DefaultBlockLen = 4096
-
-// defaultHotBlocks is the default capacity of the decoded-block LRU.
-const defaultHotBlocks = 8
 
 // block is one directory entry.
 type block struct {
@@ -45,11 +42,12 @@ type block struct {
 	crc    uint32 // CRC-32 (IEEE) of the encoded bytes
 	codec  uint8
 	param  uint8
+	mark   uint32 // where the block's seek marks start in Table.marks
 }
 
 // Table is a block-compressed value table held compressed in memory.
-// The compressed payload is immutable; Get decodes through a small
-// internal cache of decoded blocks and is safe for concurrent callers.
+// The compressed payload and its seek index are immutable once built, so
+// Get is safe for concurrent callers without a lock.
 type Table struct {
 	name     string
 	size     uint64
@@ -57,13 +55,10 @@ type Table struct {
 	blockLen int
 	dir      []block
 	data     []byte
-
-	mu     sync.Mutex
-	hot    []hotBlock
-	hotCap int            // 0 = defaultHotBlocks
-	free   [][]game.Value // decoded-block buffers not in hot
-	clock  uint64
-	stats  Stats
+	// marks is the seek index: for each Huffman block, the bit offset into
+	// its bitstream of entries 0, markEvery, 2*markEvery, ...
+	marks   []uint32
+	lookups atomic.Uint64
 }
 
 // Compress builds a block-compressed copy of t using blockLen entries
@@ -108,6 +103,9 @@ func Compress(t *db.Table, blockLen int) (*Table, error) {
 			codec:  codec,
 			param:  param,
 		})
+	}
+	if err := z.index(); err != nil {
+		return nil, err
 	}
 	return z, nil
 }
@@ -162,8 +160,8 @@ func (t *Table) CodecCounts() (raw, narrow, rle, huff int) {
 	return
 }
 
-// Unpack streaming-decodes the whole table into a fresh value slice,
-// bypassing the block cache — the full-table inflate an engine wants.
+// Unpack streaming-decodes the whole table into a fresh value slice —
+// the full-table inflate an engine wants.
 func (t *Table) Unpack() ([]game.Value, error) {
 	out := make([]game.Value, t.size)
 	for b := range t.dir {
@@ -187,7 +185,7 @@ func (t *Table) Inflate() (*db.Table, error) {
 }
 
 // Verify checks every block's CRC and decodability, naming the first
-// corrupt block. It bypasses the block cache.
+// corrupt block.
 func (t *Table) Verify() error {
 	scratch := make([]game.Value, t.blockLen)
 	for b := range t.dir {
@@ -297,7 +295,8 @@ func (t *Table) Save(path string) error {
 }
 
 // Read deserialises a table written by WriteTo, verifying the file
-// checksum.
+// checksum and that every block decodes (an error names the first that
+// does not), and builds the seek index.
 func Read(r io.Reader) (*Table, error) {
 	t, crcErr, err := read(r)
 	if err != nil {
@@ -310,9 +309,9 @@ func Read(r io.Reader) (*Table, error) {
 }
 
 // read parses a v2 stream. Structural errors come back in err; a
-// parseable file whose checksum mismatches comes back with crcErr set,
-// so a verifier can still walk the block directory and name the corrupt
-// block.
+// parseable file whose checksum mismatches comes back with crcErr set and
+// no seek index, so a verifier can still walk the block directory and
+// name the corrupt block by its CRC.
 func read(r io.Reader) (t *Table, crcErr, err error) {
 	cr := &crcReader{r: r}
 	hdr := make([]byte, 24)
@@ -394,9 +393,12 @@ func read(r io.Reader) (t *Table, crcErr, err error) {
 		return nil, nil, fmt.Errorf("zdb: reading checksum: %w", err)
 	}
 	if got := binary.LittleEndian.Uint64(tail); got != want {
-		crcErr = fmt.Errorf("zdb: checksum mismatch: file %x, computed %x", got, want)
+		return t, fmt.Errorf("zdb: checksum mismatch: file %x, computed %x", got, want), nil
 	}
-	return t, crcErr, nil
+	if err := t.index(); err != nil {
+		return nil, nil, err
+	}
+	return t, nil, nil
 }
 
 // Load reads a table from a file.

@@ -212,7 +212,6 @@ func TestRandomAccessStorm(t *testing.T) {
 		vals[i] = game.Value(rng.Intn(200))
 	}
 	z := roundtrip(t, pack(t, "storm", 8, vals), 512)
-	z.SetHotBlocks(4) // 128 blocks through a 4-block cache
 	done := make(chan bool)
 	for w := 0; w < 8; w++ {
 		go func(seed int64) {
@@ -372,15 +371,11 @@ func TestEmptyAndTinyTables(t *testing.T) {
 	}
 }
 
-// BenchmarkZdbRandomGet is the acceptance benchmark: random access with
-// a warm block cache must be allocation-free in steady state.
-func BenchmarkZdbRandomGet(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	vals := make([]game.Value, 256*1024)
-	for i := range vals {
-		vals[i] = game.Value(rng.Intn(40))
-	}
-	tab, err := db.Pack("bench", 6, vals)
+// BenchmarkZdbGet is the point-lookup benchmark: Get at uniform random
+// indices of an awari-shaped table, which must allocate nothing.
+func BenchmarkZdbGet(b *testing.B) {
+	vals := awariShaped(256*1024, 1)
+	tab, err := db.Pack("bench", awariBits, vals)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -388,11 +383,7 @@ func BenchmarkZdbRandomGet(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	nBlocks := z.Blocks()
-	z.SetHotBlocks(nBlocks) // warm cache covers the working set
-	for i := uint64(0); i < z.Size(); i += DefaultBlockLen {
-		z.Get(i) // pre-decode every block
-	}
+	rng := rand.New(rand.NewSource(1))
 	idx := make([]uint64, 8192)
 	for i := range idx {
 		idx[i] = uint64(rng.Intn(len(vals)))
@@ -400,15 +391,15 @@ func BenchmarkZdbRandomGet(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if z.Get(idx[i%len(idx)]) != vals[idx[i%len(idx)]] {
+		if x := idx[i%len(idx)]; z.Get(x) != vals[x] {
 			b.Fatal("wrong value")
 		}
 	}
 }
 
-// BenchmarkZdbColdGet measures the miss path: every Get decodes through
-// a single-block cache, exercising the pooled backing arrays, on values
-// shaped like an awari rung so the blocks are Huffman and RLE ones.
+// BenchmarkZdbColdGet strides a block and one entry per probe, on values
+// shaped like an awari rung so the blocks are Huffman and RLE ones, and
+// the entries walk every offset from the seek marks.
 func BenchmarkZdbColdGet(b *testing.B) {
 	tab, err := db.Pack("bench", awariBits, awariShaped(256*1024, 1))
 	if err != nil {
@@ -421,7 +412,6 @@ func BenchmarkZdbColdGet(b *testing.B) {
 	if raw, narrow, rle, huff := z.CodecCounts(); huff == 0 || rle == 0 || raw+narrow != 0 {
 		b.Fatalf("fixture compressed to %d raw, %d narrow, %d rle, %d huff blocks; want only rle and huff", raw, narrow, rle, huff)
 	}
-	z.SetHotBlocks(1)
 	stride := uint64(DefaultBlockLen + 1) // new block almost every probe
 	b.ReportAllocs()
 	b.ResetTimer()
