@@ -74,15 +74,12 @@ func (d AsyncDistributed) Name() string {
 	return fmt.Sprintf("async(p=%d,combine=%d)", d.workers(), d.combineSize())
 }
 
-// Async protocol payloads (in addition to batchMsg/goMsg/doneMsg,
-// reused from the synchronous engine with wave == 0).
-type (
-	// tokenMsg is Safra's probe token.
-	tokenMsg struct {
-		count int64
-		black bool
-	}
-)
+// tokenMsg is Safra's probe token. Updates, the loop-phase go and done
+// reports travel as the wave protocol's Msg with wave 0.
+type tokenMsg struct {
+	count int64
+	black bool
+}
 
 const tokenMsgBytes = 16
 
@@ -108,7 +105,7 @@ func (d AsyncDistributed) SolveDetailed(g game.Game) (*Result, *SimReport, error
 		n.start()
 	}
 	// An async result's Waves are the Safra probe rounds.
-	return sr.solve("async", &run.probes)
+	return sr.solve("async", func() (int, bool) { return run.probes, run.finished })
 }
 
 type asyncRun struct {
@@ -119,6 +116,7 @@ type asyncRun struct {
 	probes     int // Safra probe rounds completed
 	dones      int
 	inEpilogue bool
+	finished   bool
 }
 
 // asyncNode is one processor of the asynchronous engine, implementing
@@ -136,7 +134,8 @@ type asyncNode struct {
 }
 
 func newAsyncNode(run *asyncRun, id int) *asyncNode {
-	n := &asyncNode{simNode: run.newNode(id), run: run}
+	link := simLink{run.clu.Node(id), run.simRun}
+	n := &asyncNode{simNode: simNode{link, &shard{w: NewWorker(run.g, run.part, id)}}, run: run}
 	run.sims[id] = &n.simNode
 	n.buf = combine.MustNew(len(run.sims), run.combine, func(dst int, batch []Update) {
 		if dst == id {
@@ -148,7 +147,7 @@ func newAsyncNode(run *asyncRun, id int) *asyncNode {
 		}
 		n.remoteUpdates += uint64(len(batch))
 		n.counter++
-		n.node.Send(dst, batchMsg{updates: batch}, len(batch)*UpdateWireBytes)
+		n.Send(dst, Msg{Kind: MsgBatch, Updates: batch})
 	})
 	n.node.SetHandler(n.handle)
 	return n
@@ -215,22 +214,25 @@ func (n *asyncNode) settle() {
 // handle processes one incoming message.
 func (n *asyncNode) handle(from int, payload any) {
 	switch m := payload.(type) {
-	case batchMsg:
-		n.counter--
-		n.black = true // Safra rule 1
-		n.node.Busy(n.run.comp.PerUpdate * sim.Time(len(m.updates)))
-		for _, u := range m.updates {
-			n.w.Apply(u)
-		}
-		n.settle()
 	case tokenMsg:
 		n.hasToken = true
 		n.token = m
 		n.maybePassToken()
-	case goMsg:
-		n.epilogue(m)
-	case doneMsg:
-		n.coordinatorEpilogueDone(m)
+	case Msg:
+		switch m.Kind {
+		case MsgBatch:
+			n.counter--
+			n.black = true // Safra rule 1
+			n.node.Busy(n.run.comp.PerUpdate * sim.Time(len(m.Updates)))
+			for _, u := range m.Updates {
+				n.w.Apply(u)
+			}
+			n.settle()
+		case MsgGo:
+			n.epilogue(m.Phase)
+		case MsgDone:
+			n.coordinatorEpilogueDone()
+		}
 	default:
 		panic(fmt.Sprintf("ra: async node %d received unknown payload %T", n.node.ID(), payload))
 	}
@@ -301,31 +303,26 @@ func (n *asyncNode) startEpilogue() {
 	run := n.run
 	run.inEpilogue = true
 	run.dones = 0
-	msg := goMsg{phase: phaseLoops}
 	if len(run.nodes) > 1 {
-		run.protocolMsgs++
-		n.node.Send(network.Broadcast, msg, goMsgBytes)
+		n.Broadcast(Msg{Kind: MsgGo, Phase: PhaseLoops})
 	}
-	n.epilogue(msg)
+	n.epilogue(PhaseLoops)
 }
 
-func (n *asyncNode) epilogue(m goMsg) {
-	switch m.phase {
-	case phaseLoops:
-		resolved := n.w.ResolveLoops()
-		n.node.Busy(n.run.comp.PerLoop * sim.Time(resolved))
-		if n.node.ID() == 0 {
-			n.coordinatorEpilogueDone(doneMsg{})
-			return
-		}
-		n.run.protocolMsgs++
-		n.node.Send(0, doneMsg{}, doneMsgBytes)
-	case phaseFinish:
-		// Nothing to do.
+func (n *asyncNode) epilogue(ph Phase) {
+	if ph != PhaseLoops {
+		return // finish: nothing to do
 	}
+	resolved := n.w.ResolveLoops()
+	n.node.Busy(n.run.comp.PerLoop * sim.Time(resolved))
+	if n.node.ID() == 0 {
+		n.coordinatorEpilogueDone()
+		return
+	}
+	n.Send(0, Msg{Kind: MsgDone})
 }
 
-func (n *asyncNode) coordinatorEpilogueDone(doneMsg) {
+func (n *asyncNode) coordinatorEpilogueDone() {
 	run := n.run
 	run.dones++
 	if run.dones < len(run.nodes) {
@@ -333,7 +330,6 @@ func (n *asyncNode) coordinatorEpilogueDone(doneMsg) {
 	}
 	run.finished = true
 	if len(run.nodes) > 1 {
-		run.protocolMsgs++
-		n.node.Send(network.Broadcast, goMsg{phase: phaseFinish}, goMsgBytes)
+		n.Broadcast(Msg{Kind: MsgGo, Phase: PhaseFinish})
 	}
 }

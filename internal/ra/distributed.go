@@ -173,37 +173,8 @@ func (d Distributed) Name() string {
 	return fmt.Sprintf("distributed(p=%d,combine=%d,net=%v)", d.workers(), d.combineSize(), d.Network)
 }
 
-// Message payloads of the wave protocol. The wire sizes are what a real
-// implementation would marshal.
-type (
-	// batchMsg carries combined updates to the owner of their targets,
-	// stamped with the wave that produced them.
-	batchMsg struct {
-		wave    int
-		updates []Update
-	}
-	// doneMsg reports phase completion to the coordinator: how much work
-	// the node did (positions expanded, or loop positions resolved).
-	doneMsg struct {
-		wave int
-		work uint64
-	}
-	// goMsg starts the next phase on all nodes.
-	goMsg struct {
-		wave  int
-		phase phase
-	}
-)
-
-type phase uint8
-
-const (
-	phaseInit phase = iota
-	phaseExpand
-	phaseLoops
-	phaseFinish
-)
-
+// Wire sizes of the simulated protocol messages: what a real
+// implementation would marshal for a done report and a go.
 const (
 	doneMsgBytes = 16
 	goMsgBytes   = 8
@@ -223,43 +194,86 @@ func (d Distributed) SolveDetailed(g game.Game) (*Result, *SimReport, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	run := &distRun{simRun: sr, protocol: d.Protocol}
-	for i := range sr.sims {
-		run.nodes = append(run.nodes, newDistNode(run, i))
+	nodes := make([]*Node, len(sr.sims))
+	for i := range nodes {
+		link := simLink{node: sr.clu.Node(i), run: sr}
+		n := NewNode(NewWorker(g, sr.part, i), link, NodeConfig{Protocol: d.Protocol, Combine: sr.combine, Chunk: 1, Costs: sr.comp})
+		sr.sims[i] = &simNode{link, &n.shard}
+		// The kernel has no error path: a protocol violation or an Init
+		// failure here is a bug, so it escalates.
+		link.node.SetHandler(func(_ int, payload any) { must(n.Deliver(payload.(Msg))) })
+		link.node.Start(func() { must(n.Start()) })
+		nodes[i] = n
 	}
-	for _, n := range run.nodes {
-		n.start()
-	}
-	return sr.solve("distributed", &run.waves)
+	return sr.solve("distributed", func() (int, bool) { return nodes[0].Waves(), nodes[0].Finished() })
 }
 
 // simRun is what a solve on the simulated cluster consists of whichever
 // engine drives it: the game and its partition, the machine (event
 // kernel, interconnect and nodes behind clu), the virtual cost of
-// compute, and per node the worker with its combining buffer. Distributed
-// and AsyncDistributed embed it and add their protocol state.
+// compute, and per node the worker with its combining buffer.
+// Distributed runs a Node on each cluster node; AsyncDistributed embeds
+// the run and adds its own protocol state.
 type simRun struct {
 	g       game.Game
 	part    *Partition
 	clu     *cluster.Cluster
 	comp    ComputeCosts
 	combine int
-	sims    []*simNode // one per node, filled in by the engine's node constructor
+	sims    []*simNode // one per node, filled in by the engine
 
 	protocolMsgs uint64
-	finished     bool
 }
 
 // simNode is the part of a simulated processor both engines share: the
-// cluster node, its worker and combining buffer, and the split of
-// generated updates by whether their target was local.
+// link to its cluster node, and its shard.
 type simNode struct {
-	node *cluster.Node
-	w    *Worker
-	buf  *combine.Buffer[Update]
+	simLink
+	*shard
+}
 
-	localUpdates  uint64
-	remoteUpdates uint64
+// simLink is a cluster node as the wave protocol's Transport. Every
+// simulated network delivers one sender's messages in send order (the
+// Ethernet bus is one FIFO queue, a crossbar serialises each source's
+// link), so a done report never overtakes the batches sent before it
+// and a simulated wave needs no sentinels; the message counts stay the
+// paper's.
+type simLink struct {
+	node *cluster.Node
+	run  *simRun
+}
+
+// Send implements Transport, declaring each message's wire size and
+// counting everything but batches as protocol traffic.
+func (l simLink) Send(dst int, m Msg) {
+	bytes := len(m.Updates) * UpdateWireBytes
+	if m.Kind != MsgBatch {
+		l.run.protocolMsgs++
+		bytes = goMsgBytes
+		if m.Kind == MsgDone {
+			bytes = doneMsgBytes
+		}
+	}
+	l.node.Send(dst, m, bytes)
+}
+
+// Broadcast implements Transport.
+func (l simLink) Broadcast(m Msg) { l.Send(network.Broadcast, m) }
+
+// Busy implements Transport.
+func (l simLink) Busy(d sim.Time) { l.node.Busy(d) }
+
+// Sentinels implements Transport: none, see simLink.
+func (simLink) Sentinels() int { return 0 }
+
+// BeginExpand implements Transport; a simulated node keeps no
+// checkpoints.
+func (simLink) BeginExpand(int) error { return nil }
+
+func must(err error) {
+	if err != nil {
+		panic(err)
+	}
 }
 
 // newSimRun partitions g and builds the cluster; zero-valued overrides
@@ -299,20 +313,16 @@ func newSimRun(g game.Game, workers int, group uint64, combineSize int, kind Net
 	return r, nil
 }
 
-// newNode builds the shared part of node id; the engine's node embeds it
-// and records its address in sims.
-func (r *simRun) newNode(id int) simNode {
-	return simNode{node: r.clu.Node(id), w: NewWorker(r.g, r.part, id)}
-}
-
 // solve drains the simulation the engine has set in motion and assembles
-// the result; *waves is read once the run has finished.
-func (r *simRun) solve(engine string, waves *int) (*Result, *SimReport, error) {
+// the result; status reports the result's wave count and whether the run
+// completed, once the simulation has drained.
+func (r *simRun) solve(engine string, status func() (waves int, finished bool)) (*Result, *SimReport, error) {
 	duration := r.clu.Run()
-	if !r.finished {
+	waves, finished := status()
+	if !finished {
 		return nil, nil, fmt.Errorf("ra: %s run over %q stalled before completion", engine, r.g.Name())
 	}
-	result := NewResult(r.part, *waves)
+	result := NewResult(r.part, waves)
 	report := &SimReport{
 		Net:              r.clu.Net.Stats(),
 		Nodes:            make([]cluster.NodeStats, len(r.sims)),
@@ -338,220 +348,4 @@ func (r *simRun) solve(engine string, waves *int) (*Result, *SimReport, error) {
 	report.Duration = duration
 	result.Sim = report
 	return result, report, nil
-}
-
-// distRun is the shared coordination state of one distributed solve. The
-// simulation kernel is single-threaded, so no locking is needed.
-type distRun struct {
-	*simRun
-	protocol Protocol
-	nodes    []*distNode
-
-	// Coordinator (node 0) state.
-	wave     int
-	phaseNow phase
-	waves    int
-}
-
-// doneParent returns where node id forwards its aggregated done-report,
-// or -1 for the root.
-func (r *distRun) doneParent(id int) int {
-	if id == 0 {
-		return -1
-	}
-	if r.protocol == TreeProtocol {
-		return (id - 1) / 2
-	}
-	return 0
-}
-
-// doneExpected returns how many done contributions node id aggregates
-// per phase: its own plus one per protocol child.
-func (r *distRun) doneExpected(id int) int {
-	n := 1
-	p := len(r.nodes)
-	if r.protocol == TreeProtocol {
-		if 2*id+1 < p {
-			n++
-		}
-		if 2*id+2 < p {
-			n++
-		}
-		return n
-	}
-	if id == 0 {
-		return p
-	}
-	return 1
-}
-
-// distNode is one simulated processor running the worker state machine.
-type distNode struct {
-	simNode
-	run     *distRun
-	waveNow int        // wave the node is currently in
-	stash   []batchMsg // batches that arrived ahead of their wave's goMsg
-
-	// Per-phase done aggregation (self + protocol children).
-	doneCount int
-	doneWork  uint64
-}
-
-func newDistNode(run *distRun, id int) *distNode {
-	n := &distNode{simNode: run.newNode(id), run: run}
-	run.sims[id] = &n.simNode
-	n.buf = combine.MustNew(len(run.sims), run.combine, func(dst int, batch []Update) {
-		if dst == id {
-			n.localUpdates += uint64(len(batch))
-		} else {
-			n.remoteUpdates += uint64(len(batch))
-		}
-		n.send(dst, batchMsg{wave: n.waveNow, updates: batch}, len(batch)*UpdateWireBytes)
-	})
-	n.node.SetHandler(n.deliver)
-	return n
-}
-
-// send routes a message, short-circuiting self-sends: a node "sending" to
-// itself just processes the payload locally without touching the network
-// (matching the paper, where local updates never hit the wire).
-func (n *distNode) send(dst int, payload any, bytes int) {
-	if dst == n.node.ID() {
-		n.deliver(n.node.ID(), payload)
-		return
-	}
-	n.node.Send(dst, payload, bytes)
-}
-
-func (n *distNode) start() {
-	n.node.Start(func() {
-		n.node.Busy(n.run.comp.PerInit * sim.Time(n.w.ShardSize()))
-		mustInit(n.w)
-		n.selfDone(0, 0)
-	})
-}
-
-// selfDone records this node's own phase completion into its aggregator.
-func (n *distNode) selfDone(wave int, work uint64) {
-	n.aggregateDone(doneMsg{wave: wave, work: work})
-}
-
-// aggregateDone folds one done contribution (own or from a protocol
-// child) into the aggregator; when all expected contributions are in, the
-// combined report moves up the done topology — or, at the root, decides
-// the next phase.
-func (n *distNode) aggregateDone(m doneMsg) {
-	if m.wave != n.waveNow {
-		panic(fmt.Sprintf("ra: node %d got done for wave %d during wave %d", n.node.ID(), m.wave, n.waveNow))
-	}
-	n.doneCount++
-	n.doneWork += m.work
-	if n.doneCount < n.run.doneExpected(n.node.ID()) {
-		return
-	}
-	work := n.doneWork
-	n.doneCount, n.doneWork = 0, 0
-	parent := n.run.doneParent(n.node.ID())
-	if parent < 0 {
-		n.decide(work)
-		return
-	}
-	n.run.protocolMsgs++
-	n.send(parent, doneMsg{wave: m.wave, work: work}, doneMsgBytes)
-}
-
-func (n *distNode) deliver(from int, payload any) {
-	switch m := payload.(type) {
-	case batchMsg:
-		if m.wave > n.waveNow {
-			// The batch outran this node's goMsg (possible on switched
-			// networks where the broadcast is per-receiver); hold it
-			// until the wave starts so level-synchrony is preserved.
-			n.stash = append(n.stash, m)
-			return
-		}
-		n.applyBatch(m)
-	case doneMsg:
-		n.aggregateDone(m)
-	case goMsg:
-		n.phase(m)
-	default:
-		panic(fmt.Sprintf("ra: node %d received unknown payload %T", n.node.ID(), payload))
-	}
-}
-
-func (n *distNode) applyBatch(m batchMsg) {
-	n.node.Busy(n.run.comp.PerUpdate * sim.Time(len(m.updates)))
-	for _, u := range m.updates {
-		n.w.Apply(u)
-	}
-}
-
-// decide runs on node 0 once every node's done-report has been folded
-// in: all update batches of the finished phase have been applied (FIFO
-// delivery), so the root can choose the next phase.
-func (n *distNode) decide(workSum uint64) {
-	run := n.run
-	var next goMsg
-	switch run.phaseNow {
-	case phaseInit:
-		next.phase = phaseExpand
-	case phaseExpand:
-		if workSum == 0 {
-			next.phase = phaseLoops
-		} else {
-			run.waves++
-			next.phase = phaseExpand
-		}
-	case phaseLoops:
-		run.finished = true
-		next.phase = phaseFinish
-	default:
-		panic("ra: coordinator in unexpected phase")
-	}
-	run.wave++
-	run.phaseNow = next.phase
-	next.wave = run.wave
-	if len(run.nodes) > 1 {
-		run.protocolMsgs++
-		n.send(network.Broadcast, next, goMsgBytes)
-	}
-	n.phase(next) // broadcasts skip the sender; deliver locally
-}
-
-// phase runs one protocol phase on this node.
-func (n *distNode) phase(m goMsg) {
-	run := n.run
-	n.waveNow = m.wave
-	switch m.phase {
-	case phaseExpand:
-		n.w.BeginWave()
-		// Apply any batches of this wave that outran the goMsg.
-		if len(n.stash) > 0 {
-			for _, b := range n.stash {
-				if b.wave != m.wave {
-					panic(fmt.Sprintf("ra: node %d stashed batch for wave %d, now in wave %d", n.node.ID(), b.wave, m.wave))
-				}
-				n.applyBatch(b)
-			}
-			n.stash = n.stash[:0]
-		}
-		expanded := uint64(0)
-		for {
-			k := n.w.Expand(1, func(owner int, u Update) { n.buf.Add(owner, u) })
-			if k == 0 {
-				break
-			}
-			n.node.Busy(run.comp.PerExpand)
-			expanded += uint64(k)
-		}
-		n.buf.FlushAll()
-		n.selfDone(m.wave, expanded)
-	case phaseLoops:
-		resolved := n.w.ResolveLoops()
-		n.node.Busy(run.comp.PerLoop * sim.Time(resolved))
-		n.selfDone(m.wave, resolved)
-	case phaseFinish:
-		// Nothing to do; the simulation drains.
-	}
 }

@@ -63,23 +63,24 @@ func (e Engine) ckptEvery() int {
 // writeCheckpoint persists this node's state at the entry of wave (about
 // to run; waves counts the coordinator's productive waves so far), then
 // prunes everything older than the previous checkpoint.
-func (n *node) writeCheckpoint(wave int) error {
-	path := filepath.Join(n.ckptDir, ckptName(wave, n.id))
+func (ep *endpoint) writeCheckpoint(wave int) error {
+	dir, every := ep.eng.CheckpointDir, ep.eng.ckptEvery()
+	path := filepath.Join(dir, ckptName(wave, ep.id))
 	err := ra.WriteFileAtomic(path, func(out io.Writer) error {
-		head := meshHeader{meshCkptMagic, meshCkptVersion, uint32(n.peers + 1), uint32(n.id), n.group, uint64(wave), uint64(n.waves)}
+		head := meshHeader{meshCkptMagic, meshCkptVersion, uint32(len(ep.conns)), uint32(ep.id), ep.group, uint64(wave), uint64(ep.node.Waves())}
 		if err := binary.Write(out, binary.LittleEndian, head); err != nil {
 			return err
 		}
-		return n.w.WriteSnapshot(out)
+		return ep.node.Worker().WriteSnapshot(out)
 	})
 	if err != nil {
 		return fmt.Errorf("checkpoint at wave %d: %w", wave, err)
 	}
 	// Keep this checkpoint and the previous one; anything older can no
 	// longer be the newest-on-every-node wave.
-	for w := range listCheckpoints(n.ckptDir, n.id) {
-		if w < wave-n.ckptEvery {
-			os.Remove(filepath.Join(n.ckptDir, ckptName(w, n.id)))
+	for w := range listCheckpoints(dir, ep.id) {
+		if w < wave-every {
+			os.Remove(filepath.Join(dir, ckptName(w, ep.id)))
 		}
 	}
 	return nil

@@ -51,18 +51,6 @@ func (e *NodeFailedError) Error() string {
 
 func (e *NodeFailedError) Unwrap() error { return e.Err }
 
-func phaseName(ph byte) string {
-	switch ph {
-	case phaseExpand:
-		return "expand"
-	case phaseLoops:
-		return "loops"
-	case phaseFinish:
-		return "finish"
-	}
-	return "init"
-}
-
 func (e Engine) timeout() time.Duration {
 	if e.Timeout > 0 {
 		return e.Timeout
@@ -83,18 +71,14 @@ func (e Engine) heartbeat() time.Duration {
 // heartbeats periodically enqueues a beat to every peer so that a
 // healthy but idle connection never trips the read deadline. Runs in its
 // own goroutine; stops when the node's run loop exits.
-func (n *node) heartbeats(interval time.Duration) {
+func (ep *endpoint) heartbeats(interval time.Duration) {
 	t := time.NewTicker(interval)
 	defer t.Stop()
 	for {
 		select {
 		case <-t.C:
-			for j, w := range n.writers {
-				if w != nil && j != n.id {
-					n.sendFrame(j, encodeCtl(frameHeartbeat, 0, 0, 0))
-				}
-			}
-		case <-n.quit:
+			ep.broadcastFrame(encodeCtl(frameHeartbeat, 0, 0, 0))
+		case <-ep.quit:
 			return
 		}
 	}

@@ -5,12 +5,15 @@
 // full mesh of sockets, with message combining batching updates per
 // destination — the algorithm as one would actually ship it.
 //
-// The engine runs its nodes as goroutines inside one process connected
-// over loopback (the wire protocol is process-agnostic; nothing but the
-// bootstrap assumes shared memory). TCP guarantees ordering only per
-// connection, so the wave barrier uses end-of-wave sentinels: a node has
-// seen every wave-w batch once the sentinel of every peer has arrived on
-// its connection, at which point it reports done to the coordinator.
+// Both engines run the same protocol node, ra.Node; this package is its
+// TCP transport. It runs the nodes as goroutines inside one process
+// connected over loopback (the wire protocol is process-agnostic; nothing
+// but the bootstrap assumes shared memory). TCP guarantees ordering only
+// per connection, so a node reports a wave done only once it has heard
+// the end-of-wave sentinel of every peer: by then every batch of the wave
+// addressed to it has arrived. What only a real wire needs — the
+// bootstrap, heartbeats and deadlines, the bye, and checkpoints at
+// expand-wave entry — lives here.
 package remote
 
 import (
@@ -25,26 +28,20 @@ import (
 	"sync/atomic"
 	"time"
 
-	"retrograde/internal/combine"
 	"retrograde/internal/game"
 	"retrograde/internal/ra"
+	"retrograde/internal/sim"
 )
 
-// Frame types on the wire.
+// Frame types on the wire. The first four carry the protocol's messages
+// and share ra.MsgKind's values.
 const (
-	frameBatch     byte = iota + 1 // combined updates
-	frameEOW                       // end-of-wave sentinel (per peer connection)
-	frameDone                      // phase completion report to the coordinator
-	frameGo                        // coordinator starts the next phase
-	frameHeartbeat                 // keep-alive so idle healthy conns never trip the deadline
-	frameBye                       // orderly shutdown notice; EOF without it means a crash
-)
-
-// Phases, mirroring the simulated engine's protocol.
-const (
-	phaseExpand byte = iota + 1
-	phaseLoops
-	phaseFinish
+	frameBatch     = byte(ra.MsgBatch)    // combined updates
+	frameEOW       = byte(ra.MsgSentinel) // end-of-wave sentinel (per peer connection)
+	frameDone      = byte(ra.MsgDone)     // phase completion report to the coordinator
+	frameGo        = byte(ra.MsgGo)       // coordinator starts the next phase
+	frameHeartbeat = frameGo + 1          // keep-alive so idle healthy conns never trip the deadline
+	frameBye       = frameGo + 2          // orderly shutdown notice; EOF without it means a crash
 )
 
 // Engine solves games over TCP. It implements ra.Engine.
@@ -148,91 +145,23 @@ func (e Engine) SolveDetailed(g game.Game) (*ra.Result, *Report, error) {
 		}
 	}
 
-	// Bootstrap: every node listens on loopback, then the mesh is built
-	// by having node i dial every node j > i; the dialer announces its id
-	// in a one-byte hello. Hellos carry a read deadline so a wedged
-	// bootstrap fails instead of hanging.
-	listeners := make([]net.Listener, p)
-	for i := range listeners {
-		l, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			return nil, nil, fmt.Errorf("remote: listen: %w", err)
-		}
-		listeners[i] = l
-		defer l.Close()
+	conns, err := e.bootstrap(p)
+	if err != nil {
+		return nil, nil, err
 	}
-	conns := make([][]net.Conn, p)
-	for i := range conns {
-		conns[i] = make([]net.Conn, p)
-	}
-	var bootstrap sync.WaitGroup
-	bootErr := make(chan error, p)
-	for i := 0; i < p; i++ {
-		// Accept connections from all lower-numbered nodes.
-		expect := i
-		bootstrap.Add(1)
-		go func(i, expect int) {
-			defer bootstrap.Done()
-			for k := 0; k < expect; k++ {
-				c, err := listeners[i].Accept()
-				if err != nil {
-					bootErr <- err
-					return
-				}
-				c.SetReadDeadline(time.Now().Add(e.timeout()))
-				var hello [1]byte
-				if _, err := io.ReadFull(c, hello[:]); err != nil {
-					bootErr <- err
-					return
-				}
-				c.SetReadDeadline(time.Time{})
-				if e.WrapConn != nil {
-					c = e.WrapConn(i, int(hello[0]), c)
-				}
-				conns[i][hello[0]] = c
-			}
-		}(i, expect)
-	}
-	for i := 0; i < p; i++ {
-		for j := i + 1; j < p; j++ {
-			c, err := net.DialTimeout("tcp", listeners[j].Addr().String(), e.timeout())
-			if err != nil {
-				return nil, nil, fmt.Errorf("remote: dial: %w", err)
-			}
-			// The hello byte is armed like the accept side's read of it: a
-			// peer that accepts but never drains must not wedge bootstrap.
-			c.SetWriteDeadline(time.Now().Add(e.timeout()))
-			if _, err := c.Write([]byte{byte(i)}); err != nil {
-				return nil, nil, err
-			}
-			c.SetWriteDeadline(time.Time{})
-			if e.WrapConn != nil {
-				c = e.WrapConn(i, j, c)
-			}
-			conns[i][j] = c
-		}
-	}
-	bootstrap.Wait()
-	select {
-	case err := <-bootErr:
-		return nil, nil, fmt.Errorf("remote: bootstrap: %w", err)
-	default:
-	}
-
-	nodes := make([]*node, p)
+	eps := make([]*endpoint, p)
 	errs := make(chan error, p)
 	var wg sync.WaitGroup
-	for i := 0; i < p; i++ {
-		nodes[i] = newNode(i, g, part, e, conns[i], resume)
-	}
-	for _, n := range nodes {
+	for i := range eps {
+		ep := newEndpoint(i, g, part, e, conns[i], resume)
+		eps[i] = ep
 		wg.Add(1)
-		go func(n *node) {
+		go func(ep *endpoint) {
 			defer wg.Done()
-			if err := n.run(); err != nil {
-				errs <- fmt.Errorf("remote: node %d: %w", n.id, err)
+			if err := ep.run(); err != nil {
+				errs <- fmt.Errorf("remote: node %d: %w", ep.id, err)
 			}
-		}(n)
+		}(ep)
 	}
 	wg.Wait()
 	close(errs)
@@ -256,67 +185,141 @@ func (e Engine) SolveDetailed(g game.Game) (*ra.Result, *Report, error) {
 		clearCheckpoints(e.CheckpointDir)
 	}
 
-	result := ra.NewResult(part, nodes[0].waves)
+	result := ra.NewResult(part, eps[0].node.Waves())
 	var rep Report
-	for _, n := range nodes {
-		result.Collect(n.w)
-		rep.Frames += n.framesSent.Load()
-		rep.Bytes += n.bytesSent.Load()
-		rep.DataFrames += n.dataFrames
+	for _, ep := range eps {
+		result.Collect(ep.node.Worker())
+		rep.Frames += ep.framesSent.Load()
+		rep.Bytes += ep.bytesSent.Load()
+		rep.DataFrames += ep.dataFrames
 	}
 	return result, &rep, nil
 }
 
-// event is a decoded frame plus its sender, serialized onto the node's
-// event channel by the per-connection reader goroutines.
+// bootstrap builds the full mesh over loopback: every node listens, and
+// node i dials every node j > i and announces its id in a one-byte hello.
+// conns[i][j] is node i's end of the connection to node j. On any error
+// every connection made so far is closed.
+func (e Engine) bootstrap(p int) ([][]net.Conn, error) {
+	conns := make([][]net.Conn, p)
+	listeners := make([]net.Listener, 0, p)
+	closeListeners := func() {
+		for _, l := range listeners {
+			l.Close()
+		}
+	}
+	defer closeListeners()
+	for i := range conns {
+		conns[i] = make([]net.Conn, p)
+		l, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			return nil, fmt.Errorf("remote: listen: %w", err)
+		}
+		listeners = append(listeners, l)
+	}
+	var accepting sync.WaitGroup
+	acceptErrs := make([]error, p)
+	for i, l := range listeners {
+		accepting.Add(1)
+		go func() {
+			defer accepting.Done()
+			acceptErrs[i] = acceptPeers(l, i, e.timeout(), conns[i])
+		}()
+	}
+	err := e.dialPeers(listeners, conns)
+	if err != nil {
+		closeListeners() // releases the accepts still waiting for a dial
+	}
+	accepting.Wait()
+	if err == nil {
+		err = errors.Join(acceptErrs...)
+	}
+	if err != nil {
+		for _, row := range conns {
+			for _, c := range row {
+				if c != nil {
+					c.Close()
+				}
+			}
+		}
+		return nil, fmt.Errorf("remote: bootstrap: %w", err)
+	}
+	return conns, nil
+}
+
+// dialPeers has every node i dial every node j > i and say hello.
+func (e Engine) dialPeers(listeners []net.Listener, conns [][]net.Conn) error {
+	for i := range conns {
+		for j := i + 1; j < len(conns); j++ {
+			c, err := net.DialTimeout("tcp", listeners[j].Addr().String(), e.timeout())
+			if err != nil {
+				return fmt.Errorf("dial node %d: %w", j, err)
+			}
+			conns[i][j] = c
+			// The hello byte is armed like the accept side's read of it: a
+			// peer that accepts but never drains must not wedge bootstrap.
+			c.SetWriteDeadline(time.Now().Add(e.timeout()))
+			if _, err := c.Write([]byte{byte(i)}); err != nil {
+				return fmt.Errorf("hello to node %d: %w", j, err)
+			}
+			c.SetWriteDeadline(time.Time{})
+		}
+	}
+	return nil
+}
+
+// acceptPeers accepts node i's connections from the i lower-numbered nodes
+// into conns, indexed by the id each announces in its hello. A hello is
+// read under the timeout, so a silent dialer fails the bootstrap instead
+// of wedging it; one naming no lower node, or a node already connected,
+// is refused and its connection closed. The caller closes conns on error.
+func acceptPeers(l net.Listener, i int, timeout time.Duration, conns []net.Conn) error {
+	for k := 0; k < i; k++ {
+		c, err := l.Accept()
+		if err != nil {
+			return err
+		}
+		c.SetReadDeadline(time.Now().Add(timeout))
+		var hello [1]byte
+		if _, err := io.ReadFull(c, hello[:]); err != nil {
+			c.Close()
+			return fmt.Errorf("node %d: reading hello: %w", i, err)
+		}
+		c.SetReadDeadline(time.Time{})
+		if id := int(hello[0]); id >= i || conns[id] != nil {
+			c.Close()
+			return fmt.Errorf("node %d: refused hello from id %d (want each of 0..%d once)", i, id, i-1)
+		}
+		conns[hello[0]] = c
+	}
+	return nil
+}
+
+// event is a decoded frame plus its sender, serialized onto the
+// endpoint's event channel by the per-connection reader goroutines.
 type event struct {
 	from    int
 	kind    byte
 	wave    int
-	phase   byte
+	phase   ra.Phase
 	work    uint64
 	updates []ra.Update
 	err     error
 }
 
-// pending holds traffic that arrived before its wave started on this node.
-type pending struct {
-	batches [][]ra.Update
-	eows    int
-}
-
-type node struct {
+// endpoint is one mesh node's side of the wire and its ra.Node's
+// Transport: the node's connections and their writers, the event channel
+// its readers feed, failure detection and checkpoints.
+type endpoint struct {
 	id      int
-	w       *ra.Worker
-	peers   int
+	node    *ra.Node
 	conns   []net.Conn
 	writers []*writer
 	events  chan event
-	buf     *combine.Buffer[ra.Update]
+	quit    chan struct{}
 
-	timeout   time.Duration
-	hb        time.Duration
-	ckptDir   string
-	ckptEvery int
-	group     uint64 // partition group size, recorded in checkpoints
-	resumed   bool
-	startWave int // the wave whose completion the initial done reports
-
-	waveNow  int
-	curPhase byte // the phase this node is currently in
-	stash    map[int]*pending
-	eows     int  // end-of-wave sentinels seen for waveNow
-	expanded bool // this node finished its own expansion for waveNow
-	work     uint64
-	reported bool
-	finished bool
-	quit     chan struct{}
-
-	// Coordinator state (node 0 only).
-	phaseNow  byte
-	doneCount int
-	doneWork  uint64
-	waves     int
+	eng   Engine
+	group uint64 // partition group size, recorded in checkpoints
 
 	// framesSent/bytesSent are atomic: the heartbeat goroutine sends
 	// concurrently with the run loop.
@@ -324,269 +327,140 @@ type node struct {
 	dataFrames            uint64
 }
 
-func newNode(id int, g game.Game, part *ra.Partition, e Engine, conns []net.Conn, resume *resumeState) *node {
-	n := &node{
-		id:        id,
-		peers:     len(conns) - 1,
-		conns:     conns,
-		events:    make(chan event, 4*len(conns)),
-		stash:     map[int]*pending{},
-		quit:      make(chan struct{}),
-		timeout:   e.timeout(),
-		hb:        e.heartbeat(),
-		ckptDir:   e.CheckpointDir,
-		ckptEvery: e.ckptEvery(),
-		group:     part.Group(),
+func newEndpoint(id int, g game.Game, part *ra.Partition, e Engine, conns []net.Conn, resume *resumeState) *endpoint {
+	ep := &endpoint{
+		id:     id,
+		conns:  conns,
+		events: make(chan event, 4*len(conns)),
+		quit:   make(chan struct{}),
+		eng:    e,
+		group:  part.Group(),
 	}
+	ep.writers = make([]*writer, len(conns))
+	for j, c := range conns {
+		if c == nil {
+			continue
+		}
+		if e.WrapConn != nil {
+			c = e.WrapConn(id, j, c)
+			conns[j] = c
+		}
+		ep.writers[j] = newWriter(c, e.timeout(), ep.peerFailed(j))
+	}
+	cfg := ra.NodeConfig{Combine: e.batch(), Chunk: 256}
+	var w *ra.Worker
 	if resume != nil {
 		// The restored worker's state is "all waves before resume.wave
-		// complete"; the initial done therefore reports resume.wave-1 and
-		// the coordinator replays resume.wave.
-		n.w = resume.workers[id]
-		n.resumed = true
-		n.startWave = resume.wave - 1
-		n.waveNow = n.startWave
-		n.waves = resume.waves
+		// complete"; the node therefore reports resume.wave-1 done and the
+		// coordinator replays resume.wave.
+		w = resume.workers[id]
+		cfg.Resumed, cfg.Wave, cfg.Waves = true, resume.wave-1, resume.waves
 	} else {
-		n.w = ra.NewWorker(g, part, id)
+		w = ra.NewWorker(g, part, id)
 	}
-	n.writers = make([]*writer, len(conns))
-	for j, c := range conns {
-		if c != nil {
-			n.writers[j] = newWriter(c, n.timeout, n.peerFailed(j))
-		}
-	}
-	n.buf = combine.MustNew(len(conns), e.batch(), func(dst int, b []ra.Update) {
-		if dst == id {
-			for _, u := range b {
-				n.w.Apply(u)
-			}
-			return
-		}
-		n.sendFrame(dst, encodeBatch(n.waveNow, b))
-		n.dataFrames++
-	})
-	return n
+	ep.node = ra.NewNode(w, ep, cfg)
+	return ep
 }
 
 // peerFailed returns a callback delivering a peer-failure cause to the
 // run loop (which wraps it with its phase and wave); used by the reader
 // and writer goroutines of peer j's connection.
-func (n *node) peerFailed(j int) func(error) {
+func (ep *endpoint) peerFailed(j int) func(error) {
 	return func(cause error) {
 		select {
-		case n.events <- event{from: j, err: cause}:
-		case <-n.quit:
+		case ep.events <- event{from: j, err: cause}:
+		case <-ep.quit:
 		}
 	}
 }
 
-// run is the node's main loop: read events until the finish phase.
-func (n *node) run() error {
-	for j, c := range n.conns {
-		if c == nil {
-			continue
+// run starts the node and feeds it every peer's frames until it finishes.
+func (ep *endpoint) run() error {
+	for j, c := range ep.conns {
+		if c != nil {
+			go ep.reader(j, c)
 		}
-		go n.reader(j, c)
 	}
-	if n.peers > 0 && n.hb > 0 {
-		go n.heartbeats(n.hb)
+	if hb := ep.eng.heartbeat(); len(ep.conns) > 1 && hb > 0 {
+		go ep.heartbeats(hb)
 	}
 	defer func() {
-		close(n.quit)
-		for _, w := range n.writers {
+		close(ep.quit)
+		for _, w := range ep.writers {
 			if w != nil {
 				w.close()
 			}
 		}
 	}()
 
-	// Initialisation, then act as if a wave-startWave phase completed
-	// (wave 0 on a fresh start, the checkpointed wave on resume).
-	if !n.resumed {
-		if _, err := n.w.Init(); err != nil {
+	if err := ep.node.Start(); err != nil {
+		return err
+	}
+	for !ep.node.Finished() {
+		ev := <-ep.events
+		if ev.err != nil {
+			return &NodeFailedError{Node: ev.from, Phase: ep.node.Phase().String(), Wave: ep.node.Wave(), Err: ev.err}
+		}
+		if err := ep.node.Deliver(ra.Msg{Kind: ra.MsgKind(ev.kind), Phase: ev.phase, Wave: ev.wave, Work: ev.work, Updates: ev.updates}); err != nil {
 			return err
 		}
 	}
-	n.phaseNow = 0
-	n.sendDone(n.startWave, 0)
-
-	for !n.finished {
-		ev := <-n.events
-		if ev.err != nil {
-			return &NodeFailedError{Node: ev.from, Phase: phaseName(n.curPhase), Wave: n.waveNow, Err: ev.err}
-		}
-		switch ev.kind {
-		case frameBatch:
-			if ev.wave > n.waveNow {
-				n.pendingFor(ev.wave).batches = append(n.pendingFor(ev.wave).batches, ev.updates)
-				continue
-			}
-			n.applyBatch(ev.updates)
-		case frameEOW:
-			if ev.wave > n.waveNow {
-				n.pendingFor(ev.wave).eows++
-				continue
-			}
-			n.eows++
-			n.maybeReport()
-		case frameDone:
-			n.coordinatorDone(ev.wave, ev.work)
-		case frameGo:
-			if err := n.phase(ev.wave, ev.phase); err != nil {
-				return err
-			}
-		}
-	}
+	// Announce the orderly shutdown before sockets start closing, so
+	// peers can tell this EOF from a crash.
+	ep.broadcastFrame(encodeCtl(frameBye, ep.node.Wave(), 0, 0))
 	return nil
 }
 
-func (n *node) pendingFor(wave int) *pending {
-	pd := n.stash[wave]
-	if pd == nil {
-		pd = &pending{}
-		n.stash[wave] = pd
-	}
-	return pd
-}
-
-func (n *node) applyBatch(updates []ra.Update) {
-	for _, u := range updates {
-		n.w.Apply(u)
-	}
-}
-
-// phase starts a new phase on this node; phaseFinish sets n.finished.
-func (n *node) phase(wave int, ph byte) error {
-	n.waveNow = wave
-	n.curPhase = ph
-	n.eows = 0
-	n.expanded = false
-	n.reported = false
-	n.work = 0
-	switch ph {
-	case phaseExpand:
-		// Entry of an expand wave is the one checkpoint-safe moment: all
-		// earlier waves are fully applied, this wave has not started, and
-		// its traffic (even the already-stashed part) will be regenerated
-		// by the re-run.
-		if n.ckptDir != "" && wave%n.ckptEvery == 0 {
-			if err := n.writeCheckpoint(wave); err != nil {
-				return err
-			}
-		}
-		n.w.BeginWave()
-		if pd := n.stash[wave]; pd != nil {
-			for _, b := range pd.batches {
-				n.applyBatch(b)
-			}
-			n.eows += pd.eows
-			delete(n.stash, wave)
-		}
-		expanded := uint64(0)
-		for {
-			k := n.w.Expand(256, func(owner int, u ra.Update) { n.buf.Add(owner, u) })
-			if k == 0 {
-				break
-			}
-			expanded += uint64(k)
-		}
-		n.buf.FlushAll()
-		// Sentinels: all wave-w batches to each peer precede this marker
-		// on the shared per-pair connection.
-		for j := range n.conns {
-			if j != n.id && n.conns[j] != nil {
-				n.sendFrame(j, encodeCtl(frameEOW, wave, 0, 0))
-			}
-		}
-		n.expanded = true
-		n.work = expanded
-		n.maybeReport()
-	case phaseLoops:
-		resolved := n.w.ResolveLoops()
-		n.expanded = true
-		n.work = resolved
-		n.eows = n.peers // no batches in this phase
-		n.maybeReport()
-	case phaseFinish:
-		// Announce the orderly shutdown before sockets start closing, so
-		// peers can tell this EOF from a crash.
-		for j := range n.conns {
-			if j != n.id && n.conns[j] != nil {
-				n.sendFrame(j, encodeCtl(frameBye, wave, 0, 0))
-			}
-		}
-		n.finished = true
-	default:
-		return fmt.Errorf("unknown phase %d", ph)
-	}
-	return nil
-}
-
-// maybeReport sends the done-report once this node has both finished its
-// own phase work and seen every peer's end-of-wave sentinel (so all
-// batches addressed to it have been applied).
-func (n *node) maybeReport() {
-	if n.reported || !n.expanded || n.eows < n.peers {
+// Send implements ra.Transport.
+func (ep *endpoint) Send(dst int, m ra.Msg) {
+	if m.Kind == ra.MsgBatch {
+		ep.dataFrames++
+		ep.sendFrame(dst, encodeBatch(m.Wave, m.Updates))
 		return
 	}
-	n.reported = true
-	n.sendDone(n.waveNow, n.work)
+	ep.sendFrame(dst, encodeCtl(byte(m.Kind), m.Wave, m.Phase, m.Work))
 }
 
-func (n *node) sendDone(wave int, work uint64) {
-	if n.id == 0 {
-		n.coordinatorDone(wave, work)
-		return
-	}
-	n.sendFrame(0, encodeCtl(frameDone, wave, 0, work))
-}
-
-// coordinatorDone runs on node 0.
-func (n *node) coordinatorDone(wave int, work uint64) {
-	if wave != n.waveNow && !(n.phaseNow == 0 && wave == n.startWave) {
-		// Done reports always follow the go that started their wave.
-		panic(fmt.Sprintf("remote: coordinator got done for wave %d in wave %d", wave, n.waveNow))
-	}
-	n.doneCount++
-	n.doneWork += work
-	if n.doneCount < n.peers+1 {
-		return
-	}
-	workSum := n.doneWork
-	n.doneCount, n.doneWork = 0, 0
-	var next byte
-	switch {
-	case n.phaseNow == 0:
-		next = phaseExpand
-	case n.phaseNow == phaseExpand && workSum > 0:
-		n.waves++
-		next = phaseExpand
-	case n.phaseNow == phaseExpand:
-		next = phaseLoops
-	case n.phaseNow == phaseLoops:
-		next = phaseFinish
-	default:
-		panic("remote: coordinator in unexpected phase")
-	}
-	n.phaseNow = next
-	nextWave := wave + 1
-	for j := range n.conns {
-		if j != n.id && n.conns[j] != nil {
-			n.sendFrame(j, encodeCtl(frameGo, nextWave, next, 0))
+// Broadcast implements ra.Transport.
+func (ep *endpoint) Broadcast(m ra.Msg) {
+	for j, w := range ep.writers {
+		if w != nil {
+			ep.Send(j, m)
 		}
 	}
-	// The coordinator participates too: run its own phase directly (an
-	// event-channel self-send could deadlock when the channel is full).
-	if err := n.phase(nextWave, next); err != nil {
-		panic(err) // unknown phase from our own encoder: unreachable
-	}
 }
 
-func (n *node) sendFrame(dst int, frame []byte) {
-	n.framesSent.Add(1)
-	n.bytesSent.Add(uint64(len(frame)))
-	n.writers[dst].enqueue(frame)
+// Busy implements ra.Transport: a real wire keeps no virtual clock.
+func (*endpoint) Busy(sim.Time) {}
+
+// Sentinels implements ra.Transport: TCP orders traffic only per
+// connection, so a wave is complete once every peer's sentinel is in.
+func (ep *endpoint) Sentinels() int { return len(ep.conns) - 1 }
+
+// BeginExpand implements ra.Transport. Entry of an expand wave is the one
+// checkpoint-safe moment: all earlier waves are fully applied, this wave
+// has not started, and its traffic (even the part that arrived early)
+// will be regenerated by the re-run.
+func (ep *endpoint) BeginExpand(wave int) error {
+	if ep.eng.CheckpointDir == "" || wave%ep.eng.ckptEvery() != 0 {
+		return nil
+	}
+	return ep.writeCheckpoint(wave)
+}
+
+func (ep *endpoint) sendFrame(dst int, frame []byte) {
+	ep.framesSent.Add(1)
+	ep.bytesSent.Add(uint64(len(frame)))
+	ep.writers[dst].enqueue(frame)
+}
+
+// broadcastFrame sends one control frame to every peer.
+func (ep *endpoint) broadcastFrame(frame []byte) {
+	for j, w := range ep.writers {
+		if w != nil {
+			ep.sendFrame(j, frame)
+		}
+	}
 }
 
 // reader decodes frames from one peer connection onto the event channel.
@@ -594,11 +468,11 @@ func (n *node) sendFrame(dst int, frame []byte) {
 // keep a healthy idle connection alive, so tripping it means the peer is
 // wedged. An EOF counts as orderly only after the peer's bye frame;
 // without one, the peer crashed.
-func (n *node) reader(from int, c net.Conn) {
+func (ep *endpoint) reader(from int, c net.Conn) {
 	br := bufio.NewReader(c)
 	sawBye := false
 	for {
-		c.SetReadDeadline(time.Now().Add(n.timeout))
+		c.SetReadDeadline(time.Now().Add(ep.eng.timeout()))
 		ev, err := readFrame(br)
 		if err != nil {
 			if errors.Is(err, io.EOF) && sawBye {
@@ -607,7 +481,7 @@ func (n *node) reader(from int, c net.Conn) {
 			if errors.Is(err, io.EOF) {
 				err = fmt.Errorf("connection closed without bye: %w", io.ErrUnexpectedEOF)
 			}
-			n.peerFailed(from)(err)
+			ep.peerFailed(from)(err)
 			return
 		}
 		switch ev.kind {
@@ -619,8 +493,8 @@ func (n *node) reader(from int, c net.Conn) {
 		}
 		ev.from = from
 		select {
-		case n.events <- ev:
-		case <-n.quit:
+		case ep.events <- ev:
+		case <-ep.quit:
 			return
 		}
 	}
@@ -645,7 +519,7 @@ func encodeBatch(wave int, updates []ra.Update) []byte {
 	return buf
 }
 
-func encodeCtl(kind byte, wave int, phase byte, work uint64) []byte {
+func encodeCtl(kind byte, wave int, phase ra.Phase, work uint64) []byte {
 	var body int
 	switch kind {
 	case frameDone:
@@ -661,7 +535,7 @@ func encodeCtl(kind byte, wave int, phase byte, work uint64) []byte {
 	case frameDone:
 		binary.LittleEndian.PutUint64(buf[9:], work)
 	case frameGo:
-		buf[9] = phase
+		buf[9] = byte(phase)
 	}
 	return buf
 }
@@ -682,11 +556,12 @@ func readFrame(r *bufio.Reader) (event, error) {
 	ev := event{kind: body[0], wave: int(binary.LittleEndian.Uint32(body[1:]))}
 	switch ev.kind {
 	case frameBatch:
-		count := binary.LittleEndian.Uint32(body[5:])
-		if uint32(len(body)) != 9+count*10 {
+		// The count is checked against the body in 64 bits: a 32-bit
+		// product wraps, and a tiny frame would pass for a huge batch.
+		if len(body) < 9 || uint64(len(body)) != 9+10*uint64(binary.LittleEndian.Uint32(body[5:])) {
 			return event{}, fmt.Errorf("remote: batch frame size mismatch")
 		}
-		ev.updates = make([]ra.Update, count)
+		ev.updates = make([]ra.Update, (len(body)-9)/10)
 		off := 9
 		for i := range ev.updates {
 			ev.updates[i].Target = binary.LittleEndian.Uint64(body[off:])
@@ -702,7 +577,7 @@ func readFrame(r *bufio.Reader) (event, error) {
 		if len(body) != 6 {
 			return event{}, fmt.Errorf("remote: go frame size mismatch")
 		}
-		ev.phase = body[5]
+		ev.phase = ra.Phase(body[5])
 	case frameEOW, frameHeartbeat, frameBye:
 		if len(body) != 5 {
 			return event{}, fmt.Errorf("remote: ctl frame size mismatch")

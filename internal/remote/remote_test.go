@@ -3,8 +3,12 @@ package remote
 import (
 	"bufio"
 	"bytes"
+	"errors"
+	"fmt"
 	"io"
 	"net"
+	"os"
+	"strings"
 	"testing"
 	"time"
 
@@ -16,6 +20,9 @@ import (
 	"retrograde/internal/ra"
 	"retrograde/internal/ttt"
 )
+
+// phaseLoops is the loops phase as the codec tests write it into go frames.
+const phaseLoops = ra.PhaseLoops
 
 // TestTCPMatchesSequential runs the TCP engine over real loopback sockets
 // and requires bit-identical databases with the sequential engine.
@@ -99,6 +106,20 @@ func TestTCPBatchingReducesFrames(t *testing.T) {
 	}
 }
 
+// TestTCPDataFramesPinned pins the update-carrying frames of one TCP
+// solve. Per destination, a wave's flushes are the ceiling of its updates
+// over the batch size whatever the send order, so the count is exact;
+// total frames are not pinned, because heartbeats depend on timing.
+func TestTCPDataFramesPinned(t *testing.T) {
+	_, rep, err := (Engine{Workers: 3, Batch: 8}).SolveDetailed(ttt.New())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.DataFrames != 235 {
+		t.Errorf("data frames %d, want %d", rep.DataFrames, 235)
+	}
+}
+
 // TestTCPSingleWorkerNoFrames: a 1-node run never touches the network.
 func TestTCPSingleWorkerNoFrames(t *testing.T) {
 	g := nim.MustNew(2, 5)
@@ -173,11 +194,69 @@ func TestReadFrameRejectsGarbage(t *testing.T) {
 		{6, 0, 0, 0, 99, 1, 0, 0, 0, 0}, // unknown frame type
 		append([]byte{14, 0, 0, 0, frameBatch, 1, 0, 0, 0}, []byte{9, 0, 0, 0, 1}...), // batch count/size mismatch
 		{6, 0, 0, 0, frameDone, 1, 0, 0, 0, 0},                                        // done frame too short
+		{5, 0, 0, 0, frameBatch, 1, 0, 0, 0},                                          // batch frame without a count
+		overflowBatchFrame,                                                            // count*10 wraps 32 bits to the body size
 	}
 	for i, data := range bad {
 		if _, err := readFrame(bufio.NewReader(bytes.NewReader(data))); err == nil || err == io.EOF {
 			t.Errorf("case %d: garbage accepted (err=%v)", i, err)
 		}
+	}
+}
+
+// TestAcceptPeersRejectsBadHello dials hellos that name no lower-numbered
+// node, or one already connected, at node 2's accept side: each must fail
+// with an error naming the id and close the refused connection, leaving
+// only well-introduced peers in conns for the bootstrap to close.
+func TestAcceptPeersRejectsBadHello(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		hellos []byte
+	}{
+		{"beyond the mesh", []byte{200}},
+		{"own id", []byte{2}},
+		{"repeated id", []byte{0, 0}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			l, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer l.Close()
+			conns := make([]net.Conn, 3)
+			accepted := make(chan error, 1)
+			go func() { accepted <- acceptPeers(l, 2, time.Second, conns) }()
+			var dialed []net.Conn
+			for _, h := range tc.hellos {
+				c, err := net.DialTimeout("tcp", l.Addr().String(), time.Second)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer c.Close()
+				c.SetDeadline(time.Now().Add(2 * time.Second))
+				if _, err := c.Write([]byte{h}); err != nil {
+					t.Fatal(err)
+				}
+				dialed = append(dialed, c)
+			}
+			err = <-accepted
+			bad := fmt.Sprintf("id %d", tc.hellos[len(tc.hellos)-1])
+			if err == nil || !strings.Contains(err.Error(), bad) {
+				t.Fatalf("acceptPeers = %v, want an error naming %s", err, bad)
+			}
+			var b [1]byte
+			if _, err := dialed[len(dialed)-1].Read(b[:]); err == nil || errors.Is(err, os.ErrDeadlineExceeded) {
+				t.Errorf("refused conn still open (read err %v)", err)
+			}
+			for id, c := range conns {
+				if c != nil {
+					c.Close()
+					if id >= 2 || len(tc.hellos) == 1 {
+						t.Errorf("conns[%d] holds a connection no good hello introduced", id)
+					}
+				}
+			}
+		})
 	}
 }
 
