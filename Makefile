@@ -35,6 +35,7 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzEncodeBlock -fuzztime=10s ./internal/zdb/
 	$(GO) test -fuzz=FuzzFrameDecode -fuzztime=10s ./internal/server/
 	$(GO) test -fuzz=FuzzSpillRoundtrip -fuzztime=10s ./internal/oocore/
+	$(GO) test -fuzz=FuzzManifestDecode -fuzztime=10s ./internal/oocore/
 	$(GO) test -fuzz=FuzzMeshFrame -fuzztime=10s ./internal/remote/
 
 # The repository benchmark's own smoke test (bench/ is a separate module):

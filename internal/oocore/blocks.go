@@ -669,7 +669,7 @@ func (m *blockManager) restore(mf *manifest, path string) error {
 		if mb.gen == 0 {
 			return corrupt(path, "block %d has no pinned spill generation", i)
 		}
-		for _, q := range [][]uint64{mb.queue, mb.next, mb.loopy} {
+		for _, q := range [][]uint64{mb.queue, mb.next} {
 			for _, l := range q {
 				if l >= n {
 					return corrupt(path, "block %d queues local index %d beyond shard size %d", i, l, n)
@@ -682,7 +682,7 @@ func (m *blockManager) restore(mf *manifest, path string) error {
 				return corrupt(path, "block %d pending run [%d,+%d) outside shard [%d,+%d)", i, run.Base, run.Count, base, n)
 			}
 		}
-		w.SetFrontier(mb.queue, mb.next, mb.loopy)
+		w.SetFrontier(mb.queue, mb.next)
 		w.Stats = mb.stats
 		b.w = w
 		b.gen = mb.gen
@@ -734,13 +734,12 @@ func (m *blockManager) manifestSnapshot(waves uint64) (*manifest, error) {
 		if b.gen == 0 {
 			return nil, fmt.Errorf("oocore: manifest snapshot of block %d with no spill generation", i)
 		}
-		queue, next, loopy := b.w.Frontier()
+		queue, next := b.w.Frontier()
 		mf.blocks[i] = manifestBlock{
 			gen:     b.gen,
 			stats:   b.w.Stats,
 			queue:   queue,
 			next:    next,
-			loopy:   loopy,
 			pending: b.pending,
 		}
 	}

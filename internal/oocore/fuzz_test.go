@@ -2,7 +2,9 @@ package oocore
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"hash/crc64"
 	"slices"
 	"testing"
 
@@ -73,6 +75,75 @@ func FuzzSpillRoundtrip(f *testing.F) {
 		for i := range dv {
 			if rv[i] != dv[i] || rm[i] != dm[i] {
 				t.Fatalf("roundtrip differs at %d", i)
+			}
+		}
+	})
+}
+
+// FuzzManifestDecode drives arbitrary bytes through the manifest decoder.
+// The contract under fuzz:
+//
+//   - decode never panics and never allocates past what the image can
+//     hold; every rejection is a typed *CorruptSpillError;
+//   - anything that decodes re-encodes to exactly the input.
+//
+// Each input is also tried with its last eight bytes replaced by the
+// right checksum, so mutations reach the checks behind the CRC. The seeds
+// are version 3 images of both kernels and one version 2 image, which
+// must be refused. They are hand-sized: the minimiser stalls on
+// kilobyte seeds.
+func FuzzManifestDecode(f *testing.F) {
+	reseal := func(data []byte) []byte {
+		body := data[:len(data)-8]
+		return binary.LittleEndian.AppendUint64(slices.Clone(body), crc64.Checksum(body, crcTab))
+	}
+	scalar := &manifest{
+		size: 100, kernel: ra.KernelScalar, blockLen: 64, waves: 3,
+		counters: manifestCounters{spilled: 4, reloaded: 2, bytesWritten: 900, bytesRead: 450, checkpoints: 1},
+		blocks: []manifestBlock{
+			{gen: 2, stats: ra.WorkerStats{Positions: 64, InitFinal: 5}, queue: []uint64{1, 7}, next: []uint64{9}},
+			{gen: 1, stats: ra.WorkerStats{Positions: 36}, pending: []ra.UpdateRun{{Base: 70, Count: 3, Value: 2}}},
+		},
+	}
+	swar := &manifest{
+		size: 40, kernel: ra.KernelSWAR, blockLen: 64, waves: 1,
+		blocks: []manifestBlock{{gen: 5, stats: ra.WorkerStats{Positions: 40, Finalized: 6}, next: []uint64{3}}},
+	}
+	for _, mf := range []*manifest{scalar, swar} {
+		enc := encodeManifest(mf)
+		f.Add(enc)
+		f.Add(enc[:len(enc)-9]) // truncated tail
+	}
+	// A plausible block count for a huge size, far beyond what the image
+	// holds, under a valid checksum: must be refused before allocating.
+	bomb := encodeManifest(scalar)
+	binary.LittleEndian.PutUint64(bomb[8:], 1<<40)
+	binary.LittleEndian.PutUint32(bomb[25:], 1<<31)
+	f.Add(reseal(bomb))
+	v2 := encodeManifestV2(scalar)
+	var ce *CorruptSpillError
+	if _, err := decodeManifest("v2", v2); !errors.As(err, &ce) {
+		f.Fatalf("version 2 seed decoded (err %v)", err)
+	}
+	f.Add(v2)
+	f.Add([]byte(manifestMagic))
+	f.Add([]byte("not a manifest at all"))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		inputs := [][]byte{data}
+		if len(data) >= 8 {
+			inputs = append(inputs, reseal(data))
+		}
+		for _, in := range inputs {
+			mf, err := decodeManifest("fuzz", in)
+			if err != nil {
+				if !errors.As(err, &ce) {
+					t.Fatalf("decode rejected input with untyped error %T: %v", err, err)
+				}
+				continue
+			}
+			if out := encodeManifest(mf); !bytes.Equal(out, in) {
+				t.Fatalf("accepted manifest is not a re-encode fixed point (%d bytes in, %d out)", len(in), len(out))
 			}
 		}
 	})

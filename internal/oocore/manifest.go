@@ -27,22 +27,24 @@ import (
 //	per block:
 //	  gen u64
 //	  worker stats (9 × u64, WorkerStats field order)
-//	  queue, next, loopy: count u64, then count × u64 local indices
+//	  queue, next: count u64, then count × u64 local indices
 //	  pending: count u64, then count × (base u64, count u32, value u16)
 //
 // v2 added the spill-counter words so a resumed solve reports cumulative
-// I/O traffic instead of restarting its counters from zero.
+// I/O traffic instead of restarting its counters from zero. v3 dropped the
+// loop-set list for the loop flag in the spilled state; v2 is refused, as
+// its stale counters on cutoff-final positions would read as loop flags.
 const (
 	manifestName    = "oocore.manifest"
 	manifestMagic   = "RAOM"
-	manifestVersion = 2
+	manifestVersion = 3
 )
 
 type manifestBlock struct {
-	gen                uint64
-	stats              ra.WorkerStats
-	queue, next, loopy []uint64
-	pending            []ra.UpdateRun
+	gen         uint64
+	stats       ra.WorkerStats
+	queue, next []uint64
+	pending     []ra.UpdateRun
 }
 
 // manifestCounters is the cumulative-I/O slice of SpillStats a resumed
@@ -82,49 +84,43 @@ func countersFromWords(w [8]uint64) manifestCounters {
 // leaves either the previous manifest or the complete new one.
 func writeManifest(path string, mf *manifest) error {
 	return ra.WriteFileAtomic(path, func(out io.Writer) error {
-		sw := &sumWriter{w: out}
-		buf := make([]byte, 0, 256)
-		buf = append(buf, manifestMagic...)
-		buf = binary.LittleEndian.AppendUint32(buf, manifestVersion)
-		buf = binary.LittleEndian.AppendUint64(buf, mf.size)
-		buf = append(buf, byte(mf.kernel))
-		buf = binary.LittleEndian.AppendUint64(buf, mf.blockLen)
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(mf.blocks)))
-		buf = binary.LittleEndian.AppendUint64(buf, mf.waves)
-		for _, w := range counterWords(&mf.counters) {
-			buf = binary.LittleEndian.AppendUint64(buf, w)
-		}
-		if _, err := sw.Write(buf); err != nil {
-			return err
-		}
-		for i := range mf.blocks {
-			mb := &mf.blocks[i]
-			buf = buf[:0]
-			buf = binary.LittleEndian.AppendUint64(buf, mb.gen)
-			for _, w := range mb.stats.Words() {
-				buf = binary.LittleEndian.AppendUint64(buf, w)
-			}
-			for _, q := range [][]uint64{mb.queue, mb.next, mb.loopy} {
-				buf = binary.LittleEndian.AppendUint64(buf, uint64(len(q)))
-				for _, l := range q {
-					buf = binary.LittleEndian.AppendUint64(buf, l)
-				}
-			}
-			buf = binary.LittleEndian.AppendUint64(buf, uint64(len(mb.pending)))
-			for _, run := range mb.pending {
-				buf = binary.LittleEndian.AppendUint64(buf, run.Base)
-				buf = binary.LittleEndian.AppendUint32(buf, run.Count)
-				buf = binary.LittleEndian.AppendUint16(buf, uint16(run.Value))
-			}
-			if _, err := sw.Write(buf); err != nil {
-				return err
-			}
-		}
-		var tail [8]byte
-		binary.LittleEndian.PutUint64(tail[:], sw.sum)
-		_, err := out.Write(tail[:])
+		_, err := out.Write(encodeManifest(mf))
 		return err
 	})
+}
+
+// encodeManifest lays out the manifest image, checksum included.
+func encodeManifest(mf *manifest) []byte {
+	buf := append(make([]byte, 0, 256), manifestMagic...)
+	buf = binary.LittleEndian.AppendUint32(buf, manifestVersion)
+	buf = binary.LittleEndian.AppendUint64(buf, mf.size)
+	buf = append(buf, byte(mf.kernel))
+	buf = binary.LittleEndian.AppendUint64(buf, mf.blockLen)
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(mf.blocks)))
+	buf = binary.LittleEndian.AppendUint64(buf, mf.waves)
+	for _, w := range counterWords(&mf.counters) {
+		buf = binary.LittleEndian.AppendUint64(buf, w)
+	}
+	for i := range mf.blocks {
+		mb := &mf.blocks[i]
+		buf = binary.LittleEndian.AppendUint64(buf, mb.gen)
+		for _, w := range mb.stats.Words() {
+			buf = binary.LittleEndian.AppendUint64(buf, w)
+		}
+		for _, q := range [][]uint64{mb.queue, mb.next} {
+			buf = binary.LittleEndian.AppendUint64(buf, uint64(len(q)))
+			for _, l := range q {
+				buf = binary.LittleEndian.AppendUint64(buf, l)
+			}
+		}
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(len(mb.pending)))
+		for _, run := range mb.pending {
+			buf = binary.LittleEndian.AppendUint64(buf, run.Base)
+			buf = binary.LittleEndian.AppendUint32(buf, run.Count)
+			buf = binary.LittleEndian.AppendUint16(buf, uint16(run.Value))
+		}
+	}
+	return binary.LittleEndian.AppendUint64(buf, crc64.Checksum(buf, crcTab))
 }
 
 // readManifest loads and fully validates a manifest. A missing file
@@ -135,6 +131,11 @@ func readManifest(path string) (*manifest, error) {
 	if err != nil {
 		return nil, err
 	}
+	return decodeManifest(path, data)
+}
+
+// decodeManifest validates a manifest image; path only names it in errors.
+func decodeManifest(path string, data []byte) (*manifest, error) {
 	if len(data) < 8 {
 		return nil, corrupt(path, "truncated: %d bytes", len(data))
 	}
@@ -172,6 +173,10 @@ func readManifest(path string) (*manifest, error) {
 	if nb == 0 || uint64(nb) > (mf.size+mf.blockLen-1)/mf.blockLen+1 {
 		return nil, corrupt(path, "implausible block count %d for size %d", nb, mf.size)
 	}
+	const minBlockBytes = 8 * (1 + 9 + 3) // gen, stats, three empty lists
+	if uint64(nb) > uint64(len(r.data)-r.off)/minBlockBytes {
+		return nil, corrupt(path, "%d blocks exceed the remaining %d bytes", nb, len(r.data)-r.off)
+	}
 	mf.blocks = make([]manifestBlock, nb)
 	for i := range mf.blocks {
 		mb := &mf.blocks[i]
@@ -183,7 +188,6 @@ func readManifest(path string) (*manifest, error) {
 		mb.stats = ra.StatsFromWords(words)
 		mb.queue = r.u64s()
 		mb.next = r.u64s()
-		mb.loopy = r.u64s()
 		mb.pending = r.runs()
 		if r.err != nil {
 			return nil, r.err
@@ -193,18 +197,6 @@ func readManifest(path string) (*manifest, error) {
 		return nil, corrupt(path, "%d trailing bytes", len(r.data)-r.off)
 	}
 	return mf, nil
-}
-
-// sumWriter mirrors the checkpoint writer: everything written through it
-// feeds the running crc64 that the caller appends last.
-type sumWriter struct {
-	w   io.Writer
-	sum uint64
-}
-
-func (s *sumWriter) Write(p []byte) (int, error) {
-	s.sum = crc64.Update(s.sum, crcTab, p)
-	return s.w.Write(p)
 }
 
 // byteReader cursors over a manifest body with sticky errors, so decode

@@ -682,7 +682,7 @@ func TestManifestRoundtrip(t *testing.T) {
 		},
 		blocks: []manifestBlock{
 			{gen: 3, stats: ra.WorkerStats{Positions: 256, Finalized: 9}, queue: []uint64{1, 2, 250}},
-			{gen: 1, stats: ra.WorkerStats{Positions: 256}, next: []uint64{0}, loopy: []uint64{5}},
+			{gen: 1, stats: ra.WorkerStats{Positions: 256}, next: []uint64{0, 5}},
 			{gen: 2, stats: ra.WorkerStats{Positions: 256}},
 			{gen: 7, stats: ra.WorkerStats{Positions: 232},
 				pending: []ra.UpdateRun{{Base: 768, Count: 12, Value: 3}}},
@@ -704,7 +704,7 @@ func TestManifestRoundtrip(t *testing.T) {
 	for i := range mf.blocks {
 		w, g := &mf.blocks[i], &got.blocks[i]
 		if w.gen != g.gen || w.stats != g.stats || len(w.queue) != len(g.queue) ||
-			len(w.next) != len(g.next) || len(w.loopy) != len(g.loopy) || len(w.pending) != len(g.pending) {
+			len(w.next) != len(g.next) || len(w.pending) != len(g.pending) {
 			t.Fatalf("block %d roundtrip: %+v vs %+v", i, w, g)
 		}
 	}
@@ -724,6 +724,75 @@ func TestManifestRoundtrip(t *testing.T) {
 		if err == nil || !errors.As(err, &ce) {
 			t.Fatalf("manifest flip at %d: err=%v, want CorruptSpillError", off, err)
 		}
+	}
+}
+
+// encodeManifestV2 lays mf out in the version 2 format, which carried a
+// loop-set list after each block's next queue (empty here, as it is at
+// every wave boundary before quiescence).
+func encodeManifestV2(mf *manifest) []byte {
+	le := binary.LittleEndian
+	buf := le.AppendUint32([]byte(manifestMagic), 2)
+	buf = le.AppendUint64(buf, mf.size)
+	buf = append(buf, byte(mf.kernel))
+	buf = le.AppendUint64(buf, mf.blockLen)
+	buf = le.AppendUint32(buf, uint32(len(mf.blocks)))
+	buf = le.AppendUint64(buf, mf.waves)
+	for _, w := range counterWords(&mf.counters) {
+		buf = le.AppendUint64(buf, w)
+	}
+	for _, mb := range mf.blocks {
+		buf = le.AppendUint64(buf, mb.gen)
+		for _, w := range mb.stats.Words() {
+			buf = le.AppendUint64(buf, w)
+		}
+		for _, q := range [][]uint64{mb.queue, mb.next, nil} {
+			buf = le.AppendUint64(buf, uint64(len(q)))
+			for _, l := range q {
+				buf = le.AppendUint64(buf, l)
+			}
+		}
+		buf = le.AppendUint64(buf, uint64(len(mb.pending)))
+		for _, run := range mb.pending {
+			buf = le.AppendUint64(buf, run.Base)
+			buf = le.AppendUint32(buf, run.Count)
+			buf = le.AppendUint16(buf, uint16(run.Value))
+		}
+	}
+	return le.AppendUint64(buf, crc64.Checksum(buf, crcTab))
+}
+
+// TestManifestRejectsVersion2: a store paused under the version 2
+// manifest must not resume. Its spilled blocks keep stale counters on
+// positions finalized by cutoff, which version 3 reads as loop flags, so
+// the refusal is a CorruptSpillError naming the version — never a
+// silent reinterpretation.
+func TestManifestRejectsVersion2(t *testing.T) {
+	g := ttt.New()
+	ic, _ := ra.InCoreStateBytes(g, ra.KernelAuto)
+	dir := t.TempDir()
+	e := Engine{MemLimit: ic / 4, Dir: dir, StopAfterWaves: 2}
+	if _, _, err := e.SolveDetailed(g); !errors.Is(err, ra.ErrPaused) {
+		t.Fatalf("pause run: %v", err)
+	}
+	path := filepath.Join(dir, manifestName)
+	mf, err := readManifest(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, encodeManifestV2(mf), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var ce *CorruptSpillError
+	if _, err := readManifest(path); !errors.As(err, &ce) || !strings.Contains(err.Error(), "version 2") {
+		t.Fatalf("reading a version 2 manifest returned %v, want a CorruptSpillError naming version 2", err)
+	}
+	e.StopAfterWaves = 0
+	if _, _, err := e.SolveDetailed(g); !errors.As(err, &ce) || !strings.Contains(err.Error(), "version 2") {
+		t.Fatalf("resume over a version 2 manifest returned %v, want a CorruptSpillError naming version 2", err)
+	}
+	if data, err := os.ReadFile(path); err != nil || !slices.Equal(data, encodeManifestV2(mf)) {
+		t.Errorf("refused resume disturbed the version 2 manifest (%v)", err)
 	}
 }
 

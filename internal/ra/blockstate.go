@@ -16,7 +16,7 @@ import (
 //	         value field under the scalar kernel, the lane value field
 //	         under SWAR — "no value yet" is NoValue resp. 0, each kernel's
 //	         own encoding)
-//	meta[i]  counter<<1 | final
+//	meta[i]  counter<<1 | final (final with counter ≠ 0: loop-resolved)
 //
 // The two streams compress independently (values are game-shaped, meta
 // collapses to long runs once a region settles), which is why they are
@@ -117,15 +117,15 @@ func (w *Worker) DropState() {
 func (w *Worker) PeekWave() int { return len(w.next) }
 
 // Frontier returns the worker's wave queues — positions finalized last
-// wave and not yet expanded, positions finalized this wave, and loop-
-// resolved positions — as local indices. The slices alias the worker's
-// own queues; callers must not mutate them.
-func (w *Worker) Frontier() (queue, next, loopy []uint64) {
-	return w.queue, w.next, w.loopy
+// wave and not yet expanded, and positions finalized this wave — as local
+// indices. The slices alias the worker's own queues; callers must not
+// mutate them.
+func (w *Worker) Frontier() (queue, next []uint64) {
+	return w.queue, w.next
 }
 
 // SetFrontier replaces the worker's wave queues, taking ownership of the
 // slices. The restore counterpart of Frontier.
-func (w *Worker) SetFrontier(queue, next, loopy []uint64) {
-	w.queue, w.next, w.loopy = queue, next, loopy
+func (w *Worker) SetFrontier(queue, next []uint64) {
+	w.queue, w.next = queue, next
 }

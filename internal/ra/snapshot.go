@@ -55,7 +55,8 @@ var crcTab = crc64.MakeTable(crc64.ECMA)
 //
 //	kernel u8, shard size u64
 //	PackState value stream, then meta stream: size × u16 each
-//	queue, next, loopy: count u64, then count × u64 local indices
+//	  (meta carries the loop flag: final with a nonzero counter)
+//	queue, next: count u64, then count × u64 local indices
 //	stats: 9 × u64 (WorkerStats.Words)
 //	crc64/ECMA over everything above
 func (w *Worker) WriteSnapshot(out io.Writer) error {
@@ -63,7 +64,7 @@ func (w *Worker) WriteSnapshot(out io.Writer) error {
 	vals := make([]game.Value, n)
 	meta := make([]game.Value, n)
 	w.PackState(vals, meta)
-	buf := make([]byte, 0, 9+4*n+8*uint64(3+len(w.queue)+len(w.next)+len(w.loopy)+statsWordCount+1))
+	buf := make([]byte, 0, 9+4*n+8*uint64(2+len(w.queue)+len(w.next)+statsWordCount+1))
 	buf = append(buf, byte(w.kern))
 	buf = binary.LittleEndian.AppendUint64(buf, n)
 	for _, stream := range [][]game.Value{vals, meta} {
@@ -71,7 +72,7 @@ func (w *Worker) WriteSnapshot(out io.Writer) error {
 			buf = binary.LittleEndian.AppendUint16(buf, uint16(v))
 		}
 	}
-	for _, q := range [][]uint64{w.queue, w.next, w.loopy} {
+	for _, q := range [][]uint64{w.queue, w.next} {
 		buf = binary.LittleEndian.AppendUint64(buf, uint64(len(q)))
 		for _, l := range q {
 			buf = binary.LittleEndian.AppendUint64(buf, l)
@@ -94,7 +95,7 @@ func (w *Worker) WriteSnapshot(out io.Writer) error {
 // a panic or an oversized allocation.
 func ReadSnapshot(g game.Game, part *Partition, me int, in io.Reader) (*Worker, error) {
 	n := part.ShardSize(me)
-	most := 9 + 4*n + 3*(8+8*n) + 8*statsWordCount + 8
+	most := 9 + 4*n + 2*(8+8*n) + 8*statsWordCount + 8
 	data, err := io.ReadAll(io.LimitReader(in, int64(most)))
 	if err != nil {
 		return nil, fmt.Errorf("ra: reading snapshot: %w", err)
@@ -120,7 +121,7 @@ func ReadSnapshot(g game.Game, part *Partition, me int, in io.Reader) (*Worker, 
 			stream[i] = game.Value(c.u16())
 		}
 	}
-	var queues [3][]uint64
+	var queues [2][]uint64
 	for i := range queues {
 		count := c.u64()
 		if count > n {
@@ -150,7 +151,7 @@ func ReadSnapshot(g game.Game, part *Partition, me int, in io.Reader) (*Worker, 
 	if err := w.RestoreState(vals, meta); err != nil {
 		return nil, err
 	}
-	w.SetFrontier(queues[0], queues[1], queues[2])
+	w.SetFrontier(queues[0], queues[1])
 	w.Stats = StatsFromWords(words)
 	return w, nil
 }

@@ -26,7 +26,7 @@ import (
 //	                    which is order-equivalent under the LaneSpec
 //	                    contract — see game/lanes.go)
 //	bits 4..6  counter (outstanding internal successors, <= 7)
-//	bit     7  final
+//	bit     7  final (with a nonzero counter: loop-resolved, see worker.go)
 //
 // Eligibility: the game implements game.LaneGame, its LaneSpec holds
 // (value-ordered, affine negamax, single finalizing value), its values fit
@@ -167,12 +167,6 @@ func resolveKernel(g game.Game, k Kernel) (Kernel, error) {
 	return 0, fmt.Errorf("ra: unknown kernel %v", k)
 }
 
-// laneWord reads the 8-lane word covering local byte offset off (which
-// must be word-aligned and in range).
-func (w *Worker) laneWord(off uint64) uint64 {
-	return binary.LittleEndian.Uint64(w.lane[off:])
-}
-
 // applyLane delivers one pre-negamaxed update (mv = Neg - successor
 // value) to an owned position's lane. The hot inner step of the SWAR
 // kernel's self-delivery and single-update paths.
@@ -192,7 +186,7 @@ func (w *Worker) applyLane(local uint64, mv byte) {
 	}
 	s = (s-laneCntOne)&^laneValueMask | v
 	if s&laneCntField == 0 || int(v) == w.finAt {
-		s |= laneFinalBit
+		s = v | laneFinalBit // counter cleared: not a loop flag
 		w.next = append(w.next, local)
 		w.Stats.Finalized++
 	}
@@ -236,8 +230,8 @@ func (w *Worker) ApplyRun(r UpdateRun) {
 
 // applyWord applies one update of pre-negamaxed value mv to each of the 8
 // lanes of the word at local (word-aligned): per-lane max with mv,
-// counter decrement, finalize on counter exhaustion or early cutoff —
-// all without branching on individual lanes.
+// counter decrement, finalize on counter exhaustion or early cutoff
+// (clearing the counter) — all without branching on individual lanes.
 func (w *Worker) applyWord(local uint64, mv byte) {
 	x := binary.LittleEndian.Uint64(w.lane[local:])
 	fin := x & laneHi // final bit per lane
@@ -274,7 +268,7 @@ func (w *Worker) applyWord(local uint64, mv byte) {
 		fv := x&laneVal8 ^ uint64(byte(w.finAt))*laneLo
 		newFin |= ^((fv | laneHi) - laneLo) & laneHi & live // lanes with value == finAt
 	}
-	x |= newFin
+	x = x&^(newFin>>1|newFin>>2|newFin>>3) | newFin // final, counter cleared
 	binary.LittleEndian.PutUint64(w.lane[local:], x)
 	w.Stats.Finalized += uint64(bits.OnesCount64(newFin))
 	for m := newFin; m != 0; m &= m - 1 {

@@ -2,7 +2,6 @@ package ra
 
 import (
 	"fmt"
-	"math/bits"
 	"slices"
 
 	"retrograde/internal/game"
@@ -32,7 +31,9 @@ const UpdateWireBytes = 10
 //	bit      31  final
 //
 // The value occupies the low bits so the common reads (Fill, Expand,
-// Value) are a mask, not a shift.
+// Value) are a mask, not a shift. A final counter is dead, so it is the
+// loop flag: only the loop rule finalizes without clearing it. Under both
+// kernels, final ∧ counter ≠ 0 ⇔ loop-resolved.
 const (
 	stateValueMask  uint32 = 0xFFFF
 	stateCountShift        = 16
@@ -131,7 +132,6 @@ type Worker struct {
 
 	queue []uint64 // local indices finalized in the previous wave, to expand
 	next  []uint64 // local indices finalized in the current wave
-	loopy []uint64 // local indices resolved by the loop rule
 
 	// Expansion scratch, reused across Expand calls so steady-state waves
 	// allocate nothing.
@@ -252,7 +252,7 @@ func (w *Worker) Init() (uint64, error) {
 
 // initState packs one init summary into the kernel's state word and
 // reports whether the position is final already (terminal, no internal
-// successor, or a resolved move that cuts off), queueing it if so.
+// successor, or a resolved move that cuts off: counter 0), queueing it.
 func (w *Worker) initState(local uint64, s game.InitStat) bool {
 	final := s.Internal == 0
 	if w.lane != nil {
@@ -263,10 +263,13 @@ func (w *Worker) initState(local uint64, s game.InitStat) bool {
 		}
 		w.lane[local] = v | byte(s.Internal)<<laneCntShift
 		if final {
-			w.lane[local] |= laneFinalBit
+			w.lane[local] = v | laneFinalBit
 		}
 	} else {
 		final = final || (s.Best != game.NoValue && w.g.Finalizes(s.Best))
+		if final {
+			s.Internal = 0
+		}
 		w.state[local] = packState(s.Best, s.Internal, final)
 	}
 	if final {
@@ -502,7 +505,7 @@ func (w *Worker) applyAt(local uint64, successor game.Value) {
 
 // applyState is Apply's scalar-kernel step on a local index: negamax the
 // successor value in, decrement the counter, finalize on exhaustion or
-// early cutoff.
+// early cutoff (clearing the counter, which is the loop flag once final).
 func (w *Worker) applyState(local uint64, successor game.Value) {
 	w.Stats.UpdatesApplied++
 	s := w.state[local]
@@ -516,12 +519,13 @@ func (w *Worker) applyState(local uint64, successor game.Value) {
 		panic(fmt.Sprintf("ra: worker %d position %d received more updates than successors", w.me, w.part.Global(w.me, local)))
 	}
 	cnt--
-	w.state[local] = uint32(v) | cnt<<stateCountShift
 	if cnt == 0 || w.g.Finalizes(v) {
-		w.state[local] |= stateFinalBit
+		w.state[local] = uint32(v) | stateFinalBit
 		w.next = append(w.next, local)
 		w.Stats.Finalized++
+		return
 	}
+	w.state[local] = uint32(v) | cnt<<stateCountShift
 }
 
 // ResolveLoops assigns values to every still-undetermined position: the
@@ -529,21 +533,18 @@ func (w *Worker) applyState(local uint64, successor game.Value) {
 // (eternal-play score). Called once, after global propagation quiesces.
 // Runs that are final throughout are skipped; the others pull their loop
 // values from the run generator in one call. It returns the number of
-// positions resolved.
+// positions resolved, which stay flagged in the state for FillLoop.
 func (w *Worker) ResolveLoops() uint64 {
 	n := w.ShardSize()
-	before := len(w.loopy)
-	// 79–94 % of an awari rung lands in the loop set, too much to grow by
-	// doubling.
-	w.loopy = slices.Grow(w.loopy, w.unresolved(0, n))
+	var resolved uint64
 	buf := make([]game.Value, min(n, laneChunk))
 	for l0 := uint64(0); l0 < n; {
 		lv := buf[:w.runLen(l0)]
-		if w.unresolved(l0, l0+uint64(len(lv))) > 0 {
+		if w.anyOpen(l0, l0+uint64(len(lv))) {
 			w.gen.LoopValuesRun(w.part.Global(w.me, l0), len(lv), lv)
 			for i, v := range lv {
-				if local := l0 + uint64(i); w.resolveLoop(local, v) {
-					w.loopy = append(w.loopy, local)
+				if w.resolveLoop(l0+uint64(i), v) {
+					resolved++
 				}
 			}
 		}
@@ -553,12 +554,13 @@ func (w *Worker) ResolveLoops() uint64 {
 	// themselves loop positions (anything determinable was determined),
 	// so the next queue is cleared rather than propagated.
 	w.next = w.next[:0]
-	w.Stats.LoopResolved = uint64(len(w.loopy) - before)
-	return w.Stats.LoopResolved
+	w.Stats.LoopResolved = resolved
+	return resolved
 }
 
 // resolveLoop finalizes a local position with the better of its value and
-// the loop value if it is still undetermined, and reports whether it was.
+// the loop value if it is still undetermined (keeping its counter, ≥ 1 when
+// open, as the loop flag), and reports whether it was.
 func (w *Worker) resolveLoop(local uint64, loop game.Value) bool {
 	if w.lane != nil {
 		s := w.lane[local]
@@ -576,27 +578,13 @@ func (w *Worker) resolveLoop(local uint64, loop game.Value) bool {
 	return true
 }
 
-// unresolved counts the positions among locals [l0, l1) that are not
-// final: after quiescence, exactly the loop set.
-func (w *Worker) unresolved(l0, l1 uint64) int {
-	n := 0
-	if w.lane == nil {
-		for _, s := range w.state[l0:l1] {
-			if s&stateFinalBit == 0 {
-				n++
-			}
-		}
-		return n
+// anyOpen reports whether any of locals [l0, l1) is not final: after
+// quiescence, whether the run holds part of the loop set.
+func (w *Worker) anyOpen(l0, l1 uint64) bool {
+	if w.lane != nil {
+		return slices.ContainsFunc(w.lane[l0:l1], func(s byte) bool { return s&laneFinalBit == 0 })
 	}
-	for ; l0+lanesPerWord <= l1; l0 += lanesPerWord {
-		n += lanesPerWord - bits.OnesCount64(w.laneWord(l0)&laneHi)
-	}
-	for _, s := range w.lane[l0:l1] {
-		if s&laneFinalBit == 0 {
-			n++
-		}
-	}
-	return n
+	return slices.ContainsFunc(w.state[l0:l1], func(s uint32) bool { return s&stateFinalBit == 0 })
 }
 
 // valueAt returns the current value of a local position under either
@@ -654,27 +642,34 @@ func (w *Worker) Fill(dst []game.Value) {
 	}
 }
 
+// loopAt reports whether a local position is loop-resolved: with the
+// value masked off, final plus any counter bit lies above the final bit.
+func (w *Worker) loopAt(local uint64) bool {
+	if w.lane != nil {
+		return w.lane[local]&^laneValueMask > laneFinalBit
+	}
+	return w.state[local]&^stateValueMask > stateFinalBit
+}
+
 // FillLoop sets the bit of every loop-resolved position (global index) in
-// the bitset dst, which must have at least ceil(Size/64) words. Workers
-// of one solve write disjoint words only when the partition group is a
-// multiple of 64.
+// the bitset dst, which must have at least ceil(Size/64) words, one
+// contiguous span at a time like Fill. Workers of one solve write
+// disjoint words only when the partition group is a multiple of 64.
 func (w *Worker) FillLoop(dst []uint64) {
-	// The loop set ascends, so the span holding the current entry (locals
-	// from lo, globals from base) changes once per span, not per entry.
-	lo, base := uint64(0), w.spanGlobal(0)
-	for _, local := range w.loopy {
-		if local-lo >= w.span {
-			k := local / w.span
-			lo, base = k*w.span, w.spanGlobal(k)
+	n := w.ShardSize()
+	for k, l0 := uint64(0), uint64(0); l0 < n; k, l0 = k+1, l0+w.span {
+		base := w.spanGlobal(k) - l0
+		for l := l0; l < min(l0+w.span, n); l++ {
+			if g := base + l; w.loopAt(l) {
+				dst[g/64] |= 1 << (g % 64)
+			}
 		}
-		global := base + local - lo
-		dst[global/64] |= 1 << (global % 64)
 	}
 }
 
-// WorkingSetBytes reports the worker's in-memory footprint during
-// analysis: the packed state array plus current queues. This is the
-// quantity the paper's ">600 MByte on a uniprocessor" claim is about.
+// WorkingSetBytes reports the worker's analysis-time footprint: the packed
+// state array (loop set included) plus queue capacity — the quantity the
+// paper's ">600 MByte on a uniprocessor" claim is about.
 func (w *Worker) WorkingSetBytes() uint64 {
 	state := uint64(len(w.state)) * StateBytesPerPosition
 	if w.lane != nil {

@@ -33,8 +33,10 @@ import (
 // meshHeader precedes the ra snapshot in every checkpoint file
 // (little-endian, fixed width). Version 2 replaced the body (a scalar-only
 // per-array format that carried its own shard header) with
-// ra.WriteSnapshot and moved the shard identity here; a version 1
-// directory fails the solve rather than being reinterpreted.
+// ra.WriteSnapshot and moved the shard identity here. Version 3 bodies keep
+// the loop flag in the state, not a list; a version 2 body's stale
+// counters would read as loop flags, so older directories fail the solve
+// rather than being reinterpreted.
 type meshHeader struct {
 	Magic   [4]byte
 	Version uint32
@@ -45,7 +47,7 @@ type meshHeader struct {
 	Waves   uint64 // coordinator's productive-wave counter
 }
 
-const meshCkptVersion = 2
+const meshCkptVersion = 3
 
 var meshCkptMagic = [4]byte{'R', 'M', 'C', 'P'}
 

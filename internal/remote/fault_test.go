@@ -1,7 +1,11 @@
 package remote
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
+	"fmt"
+	"hash/crc64"
 	"net"
 	"os"
 	"path/filepath"
@@ -237,31 +241,59 @@ func TestCheckpointingFreshRunUnchanged(t *testing.T) {
 }
 
 // TestParentVersionCheckpointsRefused: a checkpoint directory written by
-// the version 1 format (scalar-only shard bodies) must fail the solve
-// with an error naming the directory and the version — never a silent
-// fresh start, never a reinterpretation — and must be left in place.
+// an older format must fail the solve with an error naming the directory
+// and the version — never a silent fresh start, never a reinterpretation
+// — and must be left in place. Version 1 had scalar-only shard bodies;
+// version 2 bodies kept a loop-set list and stale counters on positions
+// finalized by cutoff, which version 3 would read as loop flags.
 func TestParentVersionCheckpointsRefused(t *testing.T) {
 	g := ttt.New()
-	dir := t.TempDir()
-	e := Engine{Workers: 2, CheckpointDir: dir}
-	for i := 0; i < e.Workers; i++ {
+	files := map[uint32]func(t *testing.T, e Engine, i int) []byte{
 		// The version 1 mesh header, then the 40-byte header that began
 		// its shard body.
-		v1 := append([]byte("RMCP"), 1, 0, 0, 0, byte(e.Workers), 0, 0, 0, 3, 0, 0, 0, 0, 0, 0, 0)
-		v1 = append(v1, "RACP\x01\x00\x00\x00"...)
-		v1 = append(v1, make([]byte, 32)...)
-		if err := os.WriteFile(filepath.Join(dir, ckptName(4, i)), v1, 0o644); err != nil {
-			t.Fatal(err)
-		}
+		1: func(_ *testing.T, e Engine, _ int) []byte {
+			v1 := append([]byte("RMCP"), 1, 0, 0, 0, byte(e.Workers), 0, 0, 0, 3, 0, 0, 0, 0, 0, 0, 0)
+			v1 = append(v1, "RACP\x01\x00\x00\x00"...)
+			return append(v1, make([]byte, 32)...)
+		},
+		// The version 2 mesh header, then a snapshot body as a run's
+		// first checkpoint left it: kernel, shard size, zero-filled
+		// state streams, three empty lists (queue, next, loop set), stats
+		// and checksum.
+		2: func(t *testing.T, e Engine, i int) []byte {
+			var buf bytes.Buffer
+			head := meshHeader{meshCkptMagic, 2, uint32(e.Workers), uint32(i), e.group(), 4, 3}
+			if err := binary.Write(&buf, binary.LittleEndian, head); err != nil {
+				t.Fatal(err)
+			}
+			n := ra.Cyclic(g.Size(), e.Workers).ShardSize(i)
+			body := binary.LittleEndian.AppendUint64([]byte{byte(ra.KernelScalar)}, n)
+			body = append(body, make([]byte, 4*n+3*8)...)
+			body = binary.LittleEndian.AppendUint64(body, n)
+			body = append(body, make([]byte, 8*8)...)
+			body = binary.LittleEndian.AppendUint64(body, crc64.Checksum(body, crc64.MakeTable(crc64.ECMA)))
+			return append(buf.Bytes(), body...)
+		},
 	}
-	_, err := solveWatchdog(t, e, g, 20*time.Second)
-	if err == nil {
-		t.Fatal("solve over version 1 checkpoints succeeded")
-	}
-	if msg := err.Error(); !strings.Contains(msg, dir) || !strings.Contains(msg, "version 1") {
-		t.Errorf("error %q does not name the directory and the unsupported version", msg)
-	}
-	if left, _ := filepath.Glob(filepath.Join(dir, "ckpt-*")); len(left) != e.Workers {
-		t.Errorf("refused solve disturbed the old checkpoints: %v", left)
+	for _, version := range []uint32{1, 2} {
+		t.Run(fmt.Sprintf("v%d", version), func(t *testing.T) {
+			dir := t.TempDir()
+			e := Engine{Workers: 2, CheckpointDir: dir}
+			for i := 0; i < e.Workers; i++ {
+				if err := os.WriteFile(filepath.Join(dir, ckptName(4, i)), files[version](t, e, i), 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			_, err := solveWatchdog(t, e, g, 20*time.Second)
+			if err == nil {
+				t.Fatalf("solve over version %d checkpoints succeeded", version)
+			}
+			if msg := err.Error(); !strings.Contains(msg, dir) || !strings.Contains(msg, fmt.Sprintf("version %d", version)) {
+				t.Errorf("error %q does not name the directory and the unsupported version", msg)
+			}
+			if left, _ := filepath.Glob(filepath.Join(dir, "ckpt-*")); len(left) != e.Workers {
+				t.Errorf("refused solve disturbed the old checkpoints: %v", left)
+			}
+		})
 	}
 }
