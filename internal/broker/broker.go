@@ -15,6 +15,7 @@ package broker
 import (
 	"fmt"
 	"net/http"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -39,8 +40,8 @@ type Config struct {
 	// Vnodes is the consistent-hash ring's virtual-node count per
 	// backend (0 = DefaultVnodes).
 	Vnodes int
-	// MaxAttempts bounds how many distinct backends one sub-batch may
-	// try before its queries fail (0 = 3, capped at the fleet size).
+	// MaxAttempts bounds how many distinct backends a per-backend
+	// sub-batch may try before failing (0 = 3, capped at the fleet size).
 	MaxAttempts int
 	// Client configures the retrying backend connections
 	// (server.DialConfig); its Retries apply per backend attempt, on
@@ -111,11 +112,13 @@ type backend struct {
 
 	batches   atomic.Uint64
 	queries   atomic.Uint64
-	errors    atomic.Uint64 // transport-level sub-batch failures
+	errors    atomic.Uint64 // per-backend sub-batches this backend failed to answer
 	checks    atomic.Uint64 // successful health checks
 	pingFails atomic.Uint64
 	httpFails atomic.Uint64
 }
+
+func (b *backend) String() string { return b.addr }
 
 // client returns the backend's connection, dialing on first use (and
 // after a failed initial dial). server.Client reconnects by itself once
@@ -161,7 +164,7 @@ type Broker struct {
 	wg        sync.WaitGroup // health loops
 	closeOnce sync.Once
 
-	failovers atomic.Uint64 // sub-batches answered by a non-first candidate
+	failovers atomic.Uint64 // per-backend sub-batches answered by a non-first candidate
 	unrouted  atomic.Uint64 // queries every candidate failed
 }
 
@@ -310,10 +313,10 @@ func (br *Broker) healthyCount() int {
 	return n
 }
 
-// Routing. Every query maps to a shard key: board queries to their
-// stone-count rung, probes to the named shard. A batch is split into
-// per-key sub-batches routed concurrently and reassembled in order, so
-// one front batch may fan out across the fleet.
+// Routing. Every query maps to a shard key (its stone-count rung, or a
+// probe's shard), every key to the backends to try. A batch is split into
+// one sub-batch per destination, not per key — the paper's combining, as
+// the cost is per message — routed concurrently and reassembled in order.
 
 // routeKey returns a query's shard key and its awari rung (-1 when the
 // key is not a rung).
@@ -332,21 +335,11 @@ func (br *Broker) replicated(rung int) bool {
 	return rung >= 0 && br.cfg.ReplicateMax >= 0 && rung <= br.cfg.ReplicateMax
 }
 
-// candidates returns the backends to try for a key, in order: the
-// ring's owner sequence (or, for a replicated key, a round-robin
-// rotation of the whole fleet), healthy backends first, bounded by
+// candidates returns the backends to try: order (a key's ring owners or a
+// round-robin rotation of the fleet) with healthy ones first, bounded by
 // MaxAttempts. Unhealthy backends stay in the tail — when everything is
 // marked down, trying one beats failing without trying.
-func (br *Broker) candidates(key string, replicated bool) []*backend {
-	var order []string
-	if replicated {
-		start := int(br.rr.Add(1)-1) % len(br.order)
-		for i := range br.order {
-			order = append(order, br.order[(start+i)%len(br.order)])
-		}
-	} else {
-		order = br.ring.Owners(key, len(br.order))
-	}
+func (br *Broker) candidates(order []string) []*backend {
 	healthy := make([]*backend, 0, len(order))
 	var down []*backend
 	for _, a := range order {
@@ -364,9 +357,55 @@ func (br *Broker) candidates(key string, replicated bool) []*backend {
 	return out
 }
 
-// route is the front end's handler: it answers one batch by fanning
-// sub-batches out to the fleet. Beyond MaxInflight concurrently routed
-// batches it sheds load instead.
+// subBatch is the queries of a batch (positions, keys) bound for cands.
+type subBatch struct {
+	cands []*backend
+	keys  []string
+	idx   []int
+}
+
+// split groups a batch by candidate sequence, computed once per key.
+// Replicated keys join a sub-batch headed to a healthy backend, and
+// rotate round-robin only when no such sub-batch exists.
+func (br *Broker) split(qs []server.Query) []*subBatch {
+	byKey := map[string]*subBatch{}
+	repl := &subBatch{}
+	var subs []*subBatch
+	for i := range qs {
+		key, rung := routeKey(&qs[i])
+		sb := byKey[key]
+		if sb == nil {
+			sb = repl
+			if !br.replicated(rung) {
+				cands := br.candidates(br.ring.Owners(key, len(br.order)))
+				if j := slices.IndexFunc(subs, func(s *subBatch) bool { return slices.Equal(s.cands, cands) }); j >= 0 {
+					sb = subs[j]
+				} else {
+					sb = &subBatch{cands: cands}
+					subs = append(subs, sb)
+				}
+			}
+			sb.keys = append(sb.keys, key)
+			byKey[key] = sb
+		}
+		sb.idx = append(sb.idx, i)
+	}
+	if len(repl.idx) > 0 {
+		if j := slices.IndexFunc(subs, func(s *subBatch) bool { return s.cands[0].healthy.Load() }); j >= 0 {
+			subs[j].keys = append(subs[j].keys, repl.keys...)
+			subs[j].idx = append(subs[j].idx, repl.idx...)
+		} else {
+			start := int(br.rr.Add(1)-1) % len(br.order)
+			repl.cands = br.candidates(slices.Concat(br.order[start:], br.order[:start]))
+			subs = append(subs, repl)
+		}
+	}
+	return subs
+}
+
+// route is the front end's handler: it answers one batch by sending one
+// sub-batch to each destination, the first from this goroutine. Beyond
+// MaxInflight concurrently routed batches it sheds load instead.
 func (br *Broker) route(qs []server.Query) ([]server.Answer, error) {
 	select {
 	case br.sem <- struct{}{}:
@@ -375,28 +414,13 @@ func (br *Broker) route(qs []server.Query) ([]server.Answer, error) {
 		return nil, server.ErrOverloaded
 	}
 	answers := make([]server.Answer, len(qs))
-	type group struct {
-		replicated bool
-		idx        []int
-	}
-	groups := map[string]*group{}
-	for i := range qs {
-		key, rung := routeKey(&qs[i])
-		g := groups[key]
-		if g == nil {
-			g = &group{replicated: br.replicated(rung)}
-			groups[key] = g
-		}
-		g.idx = append(g.idx, i)
-	}
+	subs := br.split(qs) // never empty: the protocol admits no empty batch
 	var wg sync.WaitGroup
-	for key, g := range groups {
+	for _, sb := range subs[1:] {
 		wg.Add(1)
-		go func(key string, g *group) {
-			defer wg.Done()
-			br.forward(key, g.replicated, g.idx, qs, answers)
-		}(key, g)
+		go func() { defer wg.Done(); br.forward(sb, qs, answers) }()
 	}
+	br.forward(subs[0], qs, answers)
 	wg.Wait()
 	return answers, nil
 }
@@ -405,15 +429,14 @@ func (br *Broker) route(qs []server.Query) ([]server.Answer, error) {
 // first backend that answers wins; per-query errors inside a successful
 // reply pass through untouched (a backend that lacks a rung says so
 // itself). Only when every candidate fails at the transport level do
-// the queries come back as broker errors.
-func (br *Broker) forward(key string, replicated bool, idx []int, qs []server.Query, answers []server.Answer) {
-	sub := make([]server.Query, len(idx))
-	for i, j := range idx {
+// the queries come back as broker errors, naming keys and backends.
+func (br *Broker) forward(sb *subBatch, qs []server.Query, answers []server.Answer) {
+	sub := make([]server.Query, len(sb.idx))
+	for i, j := range sb.idx {
 		sub[i] = qs[j]
 	}
-	cands := br.candidates(key, replicated)
 	var lastErr error
-	for attempt, be := range cands {
+	for attempt, be := range sb.cands {
 		c, err := be.client()
 		if err == nil {
 			var as []server.Answer
@@ -424,7 +447,7 @@ func (br *Broker) forward(key string, replicated bool, idx []int, qs []server.Qu
 				}
 				be.batches.Add(1)
 				be.queries.Add(uint64(len(sub)))
-				for i, j := range idx {
+				for i, j := range sb.idx {
 					answers[j] = as[i]
 				}
 				return
@@ -433,9 +456,9 @@ func (br *Broker) forward(key string, replicated bool, idx []int, qs []server.Qu
 		be.errors.Add(1)
 		lastErr = err
 	}
-	br.unrouted.Add(uint64(len(idx)))
-	msg := fmt.Sprintf("broker: no backend could answer %s (%d tried): %v", key, len(cands), lastErr)
-	for _, j := range idx {
+	br.unrouted.Add(uint64(len(sb.idx)))
+	msg := fmt.Sprintf("broker: no backend could answer %v (tried %v): %v", sb.keys, sb.cands, lastErr)
+	for _, j := range sb.idx {
 		answers[j] = server.Answer{Err: msg}
 	}
 }

@@ -9,6 +9,8 @@ import (
 	"net/http"
 	"path/filepath"
 	"reflect"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -49,10 +51,18 @@ func buildDBs(t *testing.T) (*ladder.Ladder, string) {
 	return l, dir
 }
 
-// startFleet launches n backends (each serving the full directory, as a
-// real fleet would for failover headroom) and a broker with cfg's
-// routing knobs. cfg.Backends is filled in.
+// startFleet launches n backends and a broker over them with cfg's
+// routing knobs.
 func startFleet(t *testing.T, n int, cfg Config) *fleet {
+	t.Helper()
+	f := startBackends(t, n)
+	f.broker = f.startBroker(t, cfg)
+	return f
+}
+
+// startBackends launches n backends, each serving the full directory as
+// a real fleet would for failover headroom, and no broker yet.
+func startBackends(t *testing.T, n int) *fleet {
 	t.Helper()
 	l, dir := buildDBs(t)
 	f := &fleet{ladder: l}
@@ -62,20 +72,51 @@ func startFleet(t *testing.T, n int, cfg Config) *fleet {
 			t.Fatal(err)
 		}
 		f.backends = append(f.backends, s)
+	}
+	t.Cleanup(func() {
+		for _, s := range f.backends {
+			s.Close()
+		}
+	})
+	return f
+}
+
+// startBroker launches a broker over the fleet's backends (cfg.Backends
+// is filled in); it closes before the backends do.
+func (f *fleet) startBroker(t *testing.T, cfg Config) *Broker {
+	t.Helper()
+	cfg.Backends = nil
+	for _, s := range f.backends {
 		cfg.Backends = append(cfg.Backends, s.Addr())
 	}
 	br, err := Start("127.0.0.1:0", cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	f.broker = br
-	t.Cleanup(func() {
-		br.Close()
-		for _, s := range f.backends {
-			s.Close()
+	t.Cleanup(func() { br.Close() })
+	return br
+}
+
+// spreadVnodes picks a ring vnode count at which the rungs
+// first..testStones land on both backends of a two-backend fleet, so
+// that a test can rely on each backend owning a sharded rung instead of
+// skipping on an unlucky port draw. owned[i] lists backend i's rungs.
+func (f *fleet) spreadVnodes(t *testing.T, first int) (vnodes int, owned [2][]int) {
+	t.Helper()
+	addrs := []string{f.backends[0].Addr(), f.backends[1].Addr()}
+	for vnodes = 1; vnodes <= 1000; vnodes++ {
+		r := NewRing(vnodes, addrs...)
+		owned = [2][]int{}
+		for n := first; n <= testStones; n++ {
+			i := slices.Index(addrs, r.Owner(server.RungKey(n)))
+			owned[i] = append(owned[i], n)
 		}
-	})
-	return f
+		if len(owned[0]) > 0 && len(owned[1]) > 0 {
+			return vnodes, owned
+		}
+	}
+	t.Fatalf("no vnode count up to 1000 spreads rungs %d..%d over both backends", first, testStones)
+	return 0, owned
 }
 
 func boardOf(n int, idx uint64) awari.Board {
@@ -178,19 +219,20 @@ func TestBrokerParity(t *testing.T) {
 	}
 }
 
-// killOne closes backend i and waits until the broker's health checks
-// notice.
-func (f *fleet) killOne(t *testing.T, i int) {
+// killOne closes backend i and waits until the health checks of every
+// broker in brs notice.
+func (f *fleet) killOne(t *testing.T, i int, brs ...*Broker) {
 	t.Helper()
 	f.backends[i].Close()
 	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		if f.broker.Metrics().HealthyBackends == len(f.backends)-1 {
-			return
+	for _, br := range brs {
+		for br.Metrics().HealthyBackends != len(f.backends)-1 {
+			if time.Now().After(deadline) {
+				t.Fatalf("broker never marked backend %d down", i)
+			}
+			time.Sleep(20 * time.Millisecond)
 		}
-		time.Sleep(20 * time.Millisecond)
 	}
-	t.Fatalf("broker never marked backend %d down", i)
 }
 
 func healthCfg() Config {
@@ -251,29 +293,27 @@ func TestBrokerSurvivesBackendDeath(t *testing.T) {
 }
 
 // TestBrokerShardedRungFailover: with replication off entirely, losing
-// the owner of a rung still answers through ring-order failover.
+// the owner of a rung still answers through ring-order failover; and a
+// batch that mixes the orphaned rung with the survivor's rungs and
+// replicated rungs is answered whole, its replicated queries still
+// tried on as many backends as ever.
 func TestBrokerShardedRungFailover(t *testing.T) {
+	f := startBackends(t, 2)
+	vnodes, owned := f.spreadVnodes(t, 3)
 	cfg := healthCfg()
+	cfg.Vnodes = vnodes
 	cfg.ReplicateMax = -1 // every rung single-owner
-	f := startFleet(t, 2, cfg)
+	f.broker = f.startBroker(t, cfg)
+	cfg.ReplicateMax = 2 // rungs 0..2 replicated, 3..testStones sharded
+	mixed := f.startBroker(t, cfg)
 	c, err := server.DialConfig(f.broker.Addr(), server.ClientConfig{Timeout: 5 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
 
-	// Find a rung owned by backend 1, then kill backend 1.
-	victim := -1
-	for n := 1; n <= testStones; n++ {
-		if f.broker.Ring().Owner(fmt.Sprintf("awari-%d", n)) == f.backends[1].Addr() {
-			victim = n
-			break
-		}
-	}
-	if victim < 0 {
-		t.Skip("backend 1 owns no rung at this vnode seed; nothing to fail over")
-	}
-	f.killOne(t, 1)
+	victim, survivor := owned[1][0], owned[0][0]
+	f.killOne(t, 1, f.broker, mixed)
 
 	b := boardOf(victim, 0)
 	v, err := c.Value(b)
@@ -286,10 +326,47 @@ func TestBrokerShardedRungFailover(t *testing.T) {
 	if m := f.broker.Metrics(); m.Unrouted != 0 {
 		t.Errorf("unrouted = %d, want 0", m.Unrouted)
 	}
+
+	var qs []server.Query
+	for _, n := range []int{victim, survivor, 1, victim, 2, survivor} {
+		for idx := uint64(0); idx < 3; idx++ {
+			qs = append(qs, server.Query{Kind: server.KindValue, Board: boardOf(n, idx%awari.Size(n))})
+		}
+	}
+	attempts := min(mixed.cfg.maxAttempts(), len(f.backends))
+	for _, sb := range mixed.split(qs) {
+		distinct := map[*backend]bool{}
+		for _, be := range sb.cands {
+			distinct[be] = true
+		}
+		if len(distinct) != attempts {
+			t.Errorf("sub-batch %v tries %v, want %d distinct backends", sb.keys, sb.cands, attempts)
+		}
+	}
+	mc, err := server.DialConfig(mixed.Addr(), server.ClientConfig{Timeout: 5 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mc.Close()
+	as, err := mc.Do(qs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, q := range qs {
+		if as[i].Err != "" {
+			t.Errorf("mixed batch, board %v: %s", q.Board, as[i].Err)
+		} else if want := f.ladder.Value(q.Board); as[i].Value != want {
+			t.Errorf("mixed batch, board %v: value %d, ladder says %d", q.Board, as[i].Value, want)
+		}
+	}
+	if m := mixed.Metrics(); m.Unrouted != 0 {
+		t.Errorf("mixed batch: unrouted = %d, want 0", m.Unrouted)
+	}
 }
 
 // TestBrokerAllBackendsDead: queries fail per-query (not by hanging or
-// tearing the connection), and /healthz flips to 503.
+// tearing the connection), /healthz flips to 503, and a failed query's
+// error names every key of its sub-batch and every backend tried.
 func TestBrokerAllBackendsDead(t *testing.T) {
 	f := startFleet(t, 2, healthCfg())
 	c, err := server.DialConfig(f.broker.Addr(), server.ClientConfig{Timeout: 5 * time.Second})
@@ -319,6 +396,106 @@ func TestBrokerAllBackendsDead(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Errorf("/healthz with a dead fleet = %d, want 503", resp.StatusCode)
+	}
+
+	// One query per rung: three sharded keys over two possible candidate
+	// sequences, and three replicated ones, so sub-batches carry several
+	// keys and each error must name them all.
+	var qs []server.Query
+	for n := 0; n <= testStones; n++ {
+		qs = append(qs, server.Query{Kind: server.KindValue, Board: boardOf(n, 0)})
+	}
+	if as, err = c.Do(qs); err != nil {
+		t.Fatalf("transport failed, want per-query errors: %v", err)
+	}
+	keysIn := map[string][]string{} // error text -> keys of the queries it failed
+	for n, a := range as {
+		keysIn[a.Err] = append(keysIn[a.Err], server.RungKey(n))
+	}
+	multiKey := false
+	for msg, keys := range keysIn {
+		if msg == "" {
+			t.Fatalf("query for %v succeeded against a dead fleet", keys)
+		}
+		for _, want := range append(keys, f.backends[0].Addr(), f.backends[1].Addr()) {
+			if !strings.Contains(msg, want) {
+				t.Errorf("error %q does not name %s", msg, want)
+			}
+		}
+		multiKey = multiKey || len(keys) > 1
+	}
+	if !multiKey {
+		t.Errorf("every sub-batch carried one key (%v); want keys combined per destination", keysIn)
+	}
+}
+
+// TestBrokerOneSubBatchPerBackend: the broker combines by destination.
+// A front batch spanning sharded rungs on both ring owners and
+// replicated rungs costs one backend round trip per distinct first
+// candidate — never more than the fleet size — and every answer is the
+// direct server's.
+func TestBrokerOneSubBatchPerBackend(t *testing.T) {
+	f := startBackends(t, 2)
+	vnodes, owned := f.spreadVnodes(t, 3)
+	br := f.startBroker(t, Config{ReplicateMax: 2, Vnodes: vnodes})
+	brokered, err := server.Dial(br.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer brokered.Close()
+	direct, err := server.Dial(f.backends[0].Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer direct.Close()
+
+	rng := rand.New(rand.NewSource(5))
+	board := func(n int) server.Query {
+		return server.Query{Kind: server.KindBestMove, Board: boardOf(n, uint64(rng.Int63n(int64(awari.Size(n)))))}
+	}
+	// Rung mixes: both owners plus replicated, one owner plus
+	// replicated, replicated only, and both owners alone.
+	mixes := [][]int{
+		{owned[0][0], owned[1][0], 1, 2},
+		{owned[1][0], 0, 2},
+		{0, 1, 2},
+		{owned[0][0], owned[1][0]},
+	}
+	want := uint64(0)
+	for round := 0; round < 40; round++ {
+		rungs := mixes[round%len(mixes)]
+		var qs []server.Query
+		for i := 0; i < 16; i++ {
+			qs = append(qs, board(rungs[i%len(rungs)]))
+		}
+		firsts := map[string]bool{}
+		for _, q := range qs {
+			if n := q.Board.Stones(); n > 2 {
+				firsts[br.Ring().Owner(server.RungKey(n))] = true
+			}
+		}
+		want += uint64(max(len(firsts), 1))
+
+		as, err := brokered.Do(qs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		das, err := direct.Do(qs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range qs {
+			if !reflect.DeepEqual(as[i], das[i]) {
+				t.Fatalf("board %v: brokered %+v, direct %+v", qs[i].Board, as[i], das[i])
+			}
+		}
+	}
+	got := uint64(0)
+	for _, bm := range br.BackendsSnapshot() {
+		got += bm.Batches
+	}
+	if got != want {
+		t.Errorf("backend batches = %d for 40 front batches, want %d (one per destination)", got, want)
 	}
 }
 

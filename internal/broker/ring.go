@@ -3,6 +3,7 @@ package broker
 import (
 	"fmt"
 	"hash/fnv"
+	"slices"
 	"sort"
 	"sync"
 )
@@ -147,14 +148,10 @@ func (r *Ring) Owners(key string, n int) []string {
 	kh := hashKey(key)
 	start := sort.Search(len(r.points), func(i int) bool { return r.points[i].h >= kh })
 	out := make([]string, 0, n)
-	seen := map[string]struct{}{}
 	for i := 0; i < len(r.points) && len(out) < n; i++ {
-		m := r.points[(start+i)%len(r.points)].member
-		if _, dup := seen[m]; dup {
-			continue
+		if m := r.points[(start+i)%len(r.points)].member; !slices.Contains(out, m) {
+			out = append(out, m)
 		}
-		seen[m] = struct{}{}
-		out = append(out, m)
 	}
 	return out
 }

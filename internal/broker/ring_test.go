@@ -150,3 +150,12 @@ func TestRingOwnersReplicaSet(t *testing.T) {
 		t.Error("empty ring returned an owner")
 	}
 }
+
+// TestRingOwnersAllocatesOnlyResult: Owners runs once per distinct key
+// of every routed batch, so its only allocation is the slice it returns.
+func TestRingOwnersAllocatesOnlyResult(t *testing.T) {
+	r := NewRing(0, "a", "b", "c", "d")
+	if n := testing.AllocsPerRun(100, func() { r.Owners("awari-13", 4) }); n != 1 {
+		t.Errorf("Owners allocates %v times per call, want 1 (its result)", n)
+	}
+}
