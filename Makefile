@@ -29,7 +29,6 @@ ravet:
 # Ten seconds per fuzz target — the CI smoke budget, not a soak.
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzApplyWord -fuzztime=10s ./internal/ra/
-	$(GO) test -fuzz=FuzzWorkerSnapshot -fuzztime=10s ./internal/ra/
 	$(GO) test -fuzz=FuzzZdbRoundtrip -fuzztime=10s ./internal/zdb/
 	$(GO) test -fuzz=FuzzHuffDecode -fuzztime=10s ./internal/zdb/
 	$(GO) test -fuzz=FuzzEncodeBlock -fuzztime=10s ./internal/zdb/

@@ -170,7 +170,7 @@ func E12Faults(env *Env) (*stats.Table, error) {
 			return nil, fmt.Errorf("resume after kill: %w", resErr)
 		}
 		t.Row("killed mid-run, resumed", resWall.Milliseconds(),
-			fmt.Sprintf("killed in %d ms, resumed from %d checkpoint files", killWall.Milliseconds(), len(left)),
+			fmt.Sprintf("killed in %d ms, resumed from %d checkpoint directories", killWall.Milliseconds(), len(left)),
 			check(res))
 	}
 

@@ -6,9 +6,10 @@ import (
 	"retrograde/internal/game"
 )
 
-// Block-state export/import: the hooks the out-of-core engine
-// (internal/oocore) uses to move a worker's per-position state between its
-// in-core representation and a compressed spill block. The wire shape is
+// Block-state export/import: the hooks internal/oocore's store — the
+// out-of-core engine's spill blocks and the TCP mesh's checkpoints — uses
+// to move a worker's per-position state between its in-core
+// representation and a compressed spill block. The wire shape is
 // kernel-independent — two uint16 streams per position — so a spilled
 // block re-encodes bit-identically whichever kernel produced it:
 //

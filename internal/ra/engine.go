@@ -1,6 +1,15 @@
 package ra
 
-import "retrograde/internal/game"
+import (
+	"errors"
+
+	"retrograde/internal/game"
+)
+
+// ErrPaused is returned by a solve that stopped early because its
+// StopAfterWaves budget was reached; the state left on disk continues the
+// run.
+var ErrPaused = errors.New("ra: analysis paused at a checkpoint")
 
 // Engine solves a game by retrograde analysis. Every implementation —
 // Sequential, Concurrent, Distributed and AsyncDistributed here,

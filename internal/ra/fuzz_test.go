@@ -2,12 +2,8 @@ package ra
 
 import (
 	"bytes"
-	"encoding/binary"
-	"hash/crc64"
 	"sort"
 	"testing"
-
-	"retrograde/internal/awari"
 )
 
 // FuzzApplyWord differentially tests the branchless 8-lane SWAR apply
@@ -106,66 +102,4 @@ func TestApplyWordUnderflowPanicsLikeApplyLane(t *testing.T) {
 			}
 		}()
 	}
-}
-
-// FuzzWorkerSnapshot drives arbitrary bytes through the snapshot reader.
-// The contract under fuzz:
-//
-//   - ReadSnapshot never panics and never allocates past what a valid
-//     snapshot of the shard needs, whatever the length fields claim;
-//   - anything it accepts re-serialises to exactly the input (write →
-//     read → write is a fixed point) under the kernel the stream named.
-//
-// Each input is also tried with its last eight bytes replaced by the
-// right checksum, so mutations reach the bounds checks behind the CRC.
-// The shard is six positions on purpose: the fuzzer's minimiser is
-// quadratic in the input length and stalls for its whole budget on
-// kilobyte seeds.
-func FuzzWorkerSnapshot(f *testing.F) {
-	g := awariRung(f, 1, awari.Standard, awari.LoopOwnSide)
-	part := Cyclic(g.Size(), 2)
-	reseal := func(data []byte) []byte {
-		body := data[:len(data)-8]
-		return binary.LittleEndian.AppendUint64(append([]byte(nil), body...), crc64.Checksum(body, crcTab))
-	}
-	for _, k := range []Kernel{KernelScalar, KernelSWAR} {
-		w, err := NewWorkerKernel(g, part, 1, k)
-		if err != nil {
-			f.Fatal(err)
-		}
-		mustInit(w)
-		data := snapshot(f, w)
-		f.Add(data)
-		f.Add(data[:len(data)-9]) // truncated tail
-		// A queue length far beyond the shard, under a valid checksum.
-		bomb := append([]byte(nil), data...)
-		binary.LittleEndian.PutUint64(bomb[9+4*w.ShardSize():], 1<<40)
-		f.Add(reseal(bomb))
-	}
-	f.Add([]byte{})
-	f.Add([]byte("not a snapshot at all"))
-
-	f.Fuzz(func(t *testing.T, data []byte) {
-		inputs := [][]byte{data}
-		if len(data) >= 8 {
-			inputs = append(inputs, reseal(data))
-		}
-		for _, in := range inputs {
-			w, err := ReadSnapshot(g, part, 1, bytes.NewReader(in))
-			if err != nil {
-				continue
-			}
-			out := snapshot(t, w)
-			if !bytes.Equal(out, in) {
-				t.Fatalf("accepted snapshot is not a re-encode fixed point (%d bytes in, %d out)", len(in), len(out))
-			}
-			again, err := ReadSnapshot(g, part, 1, bytes.NewReader(out))
-			if err != nil {
-				t.Fatalf("re-reading a re-encoded snapshot: %v", err)
-			}
-			if again.Kernel() != w.Kernel() {
-				t.Fatalf("re-encoded %v snapshot reads back as %v", w.Kernel(), again.Kernel())
-			}
-		}
-	})
 }

@@ -95,6 +95,28 @@ type WorkerStats struct {
 	LoopResolved   uint64 // positions resolved by the loop rule
 }
 
+// statsWordCount is the number of uint64 words WorkerStats serialises to.
+const statsWordCount = 9
+
+// Words returns the counters in their serialised order (declaration
+// order), the layout every durable format stores them in.
+func (s *WorkerStats) Words() [statsWordCount]uint64 {
+	return [statsWordCount]uint64{
+		s.Positions, s.InitFinal, s.MovesGenerated,
+		s.Expanded, s.PredsGenerated, s.UpdatesApplied,
+		s.UpdatesStale, s.Finalized, s.LoopResolved,
+	}
+}
+
+// StatsFromWords is the inverse of WorkerStats.Words.
+func StatsFromWords(w [statsWordCount]uint64) WorkerStats {
+	return WorkerStats{
+		Positions: w[0], InitFinal: w[1], MovesGenerated: w[2],
+		Expanded: w[3], PredsGenerated: w[4], UpdatesApplied: w[5],
+		UpdatesStale: w[6], Finalized: w[7], LoopResolved: w[8],
+	}
+}
+
 // Worker is the per-shard state machine of retrograde analysis. It holds
 // the shard's slice of the database and implements the two phases of the
 // algorithm: initialisation (forward move generation to count successors
@@ -206,6 +228,9 @@ func (w *Worker) Kernel() Kernel { return w.kern }
 
 // ID returns the worker's shard number.
 func (w *Worker) ID() int { return w.me }
+
+// Partition returns the partition the worker's shard was cut from.
+func (w *Worker) Partition() *Partition { return w.part }
 
 // ShardSize returns the number of positions the worker owns.
 func (w *Worker) ShardSize() uint64 { return w.Stats.Positions }

@@ -13,7 +13,10 @@
 // the end-of-wave sentinel of every peer: by then every batch of the wave
 // addressed to it has arrived. What only a real wire needs — the
 // bootstrap, heartbeats and deadlines, the bye, and checkpoints at
-// expand-wave entry — lives here.
+// expand-wave entry — lives here. A checkpoint is no format of its own:
+// each node saves its shard as a one-shard out-of-core store
+// (oocore.SaveShard), the spill files and manifest an out-of-core solve
+// writes.
 package remote
 
 import (
@@ -141,7 +144,7 @@ func (e Engine) SolveDetailed(g game.Game) (*ra.Result, *Report, error) {
 			return nil, nil, fmt.Errorf("remote: resume: %w", err)
 		}
 		if resume != nil {
-			part = resume.part // the restored workers' shards follow it
+			part = resume.workers[0].Partition() // the restored workers' shards follow it
 		}
 	}
 
@@ -318,8 +321,7 @@ type endpoint struct {
 	events  chan event
 	quit    chan struct{}
 
-	eng   Engine
-	group uint64 // partition group size, recorded in checkpoints
+	eng Engine
 
 	// framesSent/bytesSent are atomic: the heartbeat goroutine sends
 	// concurrently with the run loop.
@@ -334,7 +336,6 @@ func newEndpoint(id int, g game.Game, part *ra.Partition, e Engine, conns []net.
 		events: make(chan event, 4*len(conns)),
 		quit:   make(chan struct{}),
 		eng:    e,
-		group:  part.Group(),
 	}
 	ep.writers = make([]*writer, len(conns))
 	for j, c := range conns {
