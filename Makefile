@@ -32,6 +32,7 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzZdbRoundtrip -fuzztime=10s ./internal/zdb/
 	$(GO) test -fuzz=FuzzHuffDecode -fuzztime=10s ./internal/zdb/
 	$(GO) test -fuzz=FuzzEncodeBlock -fuzztime=10s ./internal/zdb/
+	$(GO) test -fuzz=FuzzSpaceCodec -fuzztime=10s ./internal/index/
 	$(GO) test -fuzz=FuzzFrameDecode -fuzztime=10s ./internal/server/
 	$(GO) test -fuzz=FuzzSpillRoundtrip -fuzztime=10s ./internal/oocore/
 	$(GO) test -fuzz=FuzzManifestDecode -fuzztime=10s ./internal/oocore/

@@ -1,6 +1,7 @@
 package awari
 
 import (
+	"slices"
 	"testing"
 
 	"retrograde/internal/game"
@@ -67,6 +68,40 @@ func TestBatchGeneratorsWithRealLookup(t *testing.T) {
 			sl := MustSlice(rules, loop, 6, rankEcho)
 			if err := game.Validate(sl); err != nil {
 				t.Errorf("rules %+v loop %v: %v", rules, loop, err)
+			}
+		}
+	}
+}
+
+// TestPredecessorsRunOrder pins the order, not just the multiset, of the
+// batch expander's predecessors: the wire engines expand each position as
+// a run of one, and the simulated engines' message counts and virtual time
+// depend on the order in which updates reach the combining buffers. Every
+// position of rungs 0..9 under every rule variant must list exactly the
+// sequence the scalar Predecessors returns.
+func TestPredecessorsRunOrder(t *testing.T) {
+	ruleSets := []Rules{
+		Standard,
+		{GrandSlam: GrandSlamForfeit},
+		{NoFeedObligation: true},
+		{GrandSlam: GrandSlamForfeit, NoFeedObligation: true},
+	}
+	var want []uint64
+	for _, rules := range ruleSets {
+		for n := 0; n <= 9; n++ {
+			sl := MustSlice(rules, LoopOwnSide, n, zeroLookup)
+			for idx := uint64(0); idx < sl.Size(); idx++ {
+				want = sl.Predecessors(idx, want[:0])
+				var got []uint64
+				sl.PredecessorsRun(idx, 1, func(i int, preds []uint64) {
+					if i != 0 {
+						t.Fatalf("rules %+v stones %d: run of one visited position %d", rules, n, i)
+					}
+					got = append(got, preds...)
+				})
+				if !slices.Equal(got, want) {
+					t.Fatalf("rules %+v stones %d position %d: PredecessorsRun lists %v, Predecessors %v", rules, n, idx, got, want)
+				}
 			}
 		}
 	}

@@ -81,6 +81,10 @@ type BatchIniter interface {
 // BatchExpander is an optional Game interface: bulk predecessor
 // generation over a run of consecutive indices. The multiset of indices
 // passed to visit for each position must equal Predecessors(base+i).
+// The wire engines expand each position through it as a run of one and
+// emit one message per index in the order listed, so the simulated
+// engines' message counts and virtual time follow that order; listing
+// them in Predecessors' order keeps those equal to a per-position walk.
 type BatchExpander interface {
 	// PredecessorsRun calls visit(i, preds) once for every i in [0, n)
 	// whose position base+i has at least one predecessor; preds is valid

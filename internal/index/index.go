@@ -10,8 +10,11 @@
 //
 // The bijection is the classic combinatorial number system: scanning pits
 // from last to first, a position's rank is the number of compositions that
-// are colexicographically smaller. Both directions run in O(k) table
-// lookups after a one-time binomial table build.
+// are colexicographically smaller. Equivalently, it is the reversed
+// combinatorial-number-system rank of the k-1 bar positions in the stars-
+// and-bars layout of the n stones over n+k-1 slots. Rank is O(k): one
+// table read per bar. Unrank is O(n + k): one table read per slot. Both
+// read a binomial table built once at package initialisation.
 package index
 
 import "fmt"
@@ -87,35 +90,38 @@ func (s *Space) Size() uint64 { return s.size }
 // exactly Pits non-negative entries summing to Stones; Rank panics
 // otherwise (an internal invariant violation, not a user input error).
 //
-// The encoding: process pits from index Pits-1 down to 1; with rem stones
-// still unplaced before pit i is read, placing c stones in pit i skips
-// C(rem - c + i - 1, i) ... accumulated via the standard "stars and bars
-// prefix count" identity sum_{j<c} C(rem-j+i-1, i-1) =
-// C(rem+i, i) - C(rem-c+i, i).
+// The encoding is stars and bars: lay the stones of pit 0, a bar, the
+// stones of pit 1, a bar, ... over Stones+Pits-1 slots. Bar i (1 <= i <
+// Pits) then sits at slot p_i = (stones in pits 0..i-1) + i-1, and the
+// colex rank is the reversed combinatorial-number-system rank of the bar
+// set: Size-1 - sum_i C(p_i, i).
 func (s *Space) Rank(pits []int) uint64 {
 	if len(pits) != s.Pits {
 		panic(fmt.Sprintf("index: Rank got %d pits, space has %d", len(pits), s.Pits))
 	}
-	var r uint64
-	rem := s.Stones
-	for i := s.Pits - 1; i >= 1; i-- {
-		c := pits[i]
-		if c < 0 || c > rem {
-			panic(fmt.Sprintf("index: Rank pit %d holds %d with %d remaining", i, c, rem))
+	var sum uint64
+	placed := 0
+	for i, c := range pits[:s.Pits-1] {
+		if c < 0 || c > s.Stones-placed {
+			panic(fmt.Sprintf("index: Rank pit %d holds %d with %d remaining", i, c, s.Stones-placed))
 		}
-		// Number of distributions of rem stones over pits 0..i that put
-		// fewer than c stones in pit i: C(rem+i, i) - C(rem-c+i, i).
-		r += Binomial(rem+i, i) - Binomial(rem-c+i, i)
-		rem -= c
+		placed += c
+		sum += binom[placed+i][i+1]
 	}
-	if pits[0] != rem {
-		panic(fmt.Sprintf("index: Rank pits sum mismatch, pit 0 holds %d, expected %d", pits[0], rem))
+	if last := pits[s.Pits-1]; last != s.Stones-placed {
+		panic(fmt.Sprintf("index: Rank pits sum mismatch, pit %d holds %d, expected %d", s.Pits-1, last, s.Stones-placed))
 	}
-	return r
+	return s.size - 1 - sum
 }
 
 // Unrank writes the distribution with the given rank into dst, which must
 // have length Pits. It panics if r >= Size.
+//
+// It decodes the bar set of Rank greedily from the top slot down: with k
+// bars still to place and t = Size-1-r of the rank left, slot p holds bar
+// k exactly when C(p, k) <= t. Each slot costs one table load and one
+// conditional subtract, and the walk visits all Stones+Pits-1 slots with
+// no data-dependent exit.
 func (s *Space) Unrank(r uint64, dst []int) {
 	if len(dst) != s.Pits {
 		panic(fmt.Sprintf("index: Unrank got %d pits, space has %d", len(dst), s.Pits))
@@ -123,20 +129,23 @@ func (s *Space) Unrank(r uint64, dst []int) {
 	if r >= s.size {
 		panic(fmt.Sprintf("index: Unrank rank %d out of range [0, %d)", r, s.size))
 	}
-	rem := s.Stones
-	for i := s.Pits - 1; i >= 1; i-- {
-		// Find the smallest c with C(rem+i, i) - C(rem-c+i, i) > r,
-		// i.e. the pit count whose prefix block contains r.
-		base := Binomial(rem+i, i)
-		c := 0
-		for base-Binomial(rem-c-1+i, i) <= r {
-			c++
+	t := s.size - 1 - r
+	k := s.Pits - 1
+	run := 0 // stones seen since the last bar: the count of pit k
+	for p := s.Stones + s.Pits - 2; p >= 0; p-- {
+		b := binom[p][k]
+		bar := 0
+		if b <= t {
+			bar = 1
 		}
-		r -= base - Binomial(rem-c+i, i)
-		dst[i] = c
-		rem -= c
+		t -= b & -uint64(bar)
+		// Stale until bar k is found; the bar's own slot writes the
+		// final count and moves on to pit k-1.
+		dst[k] = run
+		run = (run + 1) &^ -bar
+		k -= bar
 	}
-	dst[0] = rem
+	dst[0] = run
 }
 
 // CumulativeSpace ranks distributions of *at most* Stones stones: all

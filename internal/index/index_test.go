@@ -207,6 +207,8 @@ func TestRankPanicsOnBadInput(t *testing.T) {
 		{0, 5, -1},         // negative later pit
 		{1, 1, 1, 1},       // wrong length (long)
 		{0, 0, 0, 0, 0, 4}, // wrong length
+		{0, 0, 5},          // last pit too large
+		{3, 1, -1},         // last pit negative
 	}
 	for _, pits := range bad {
 		func() {
@@ -218,14 +220,21 @@ func TestRankPanicsOnBadInput(t *testing.T) {
 			s.Rank(pits)
 		}()
 	}
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("Unrank(Size()) did not panic")
-			}
+	for name, call := range map[string]func(){
+		"Unrank(Size())":     func() { s.Unrank(s.Size(), make([]int, 3)) },
+		"Unrank(MaxUint64)":  func() { s.Unrank(^uint64(0), make([]int, 3)) },
+		"Unrank into 2 pits": func() { s.Unrank(0, make([]int, 2)) },
+		"Unrank into 4 pits": func() { s.Unrank(0, make([]int, 4)) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s did not panic", name)
+				}
+			}()
+			call()
 		}()
-		s.Unrank(s.Size(), make([]int, 3))
-	}()
+	}
 }
 
 // TestQuickRankRoundTrip is a property-based round trip over random pit

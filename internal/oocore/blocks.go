@@ -336,11 +336,21 @@ func (m *blockManager) evict(b *block) error {
 			return err
 		}
 	}
+	m.drop(b)
+	return nil
+}
+
+// drop releases b's resident state and its budget charge. The state is
+// gone, not spilled: evict spills a dirty block first, and the final
+// pass drops a block once its values are collected, when nothing reads
+// the state again and no manifest will pin it. Either way no resident
+// state is left to differ from disk, so the block is clean.
+func (m *blockManager) drop(b *block) {
 	m.used -= b.w.StateBytes()
 	m.lru.Remove(b.elem)
 	b.elem = nil
 	b.w.DropState()
-	return nil
+	b.dirty = false
 }
 
 // spill moves b's state to the next on-disk generation. The block stays

@@ -324,12 +324,15 @@ func (e Engine) solve(g game.Game) (*ra.Result, *blockManager, error) {
 	}
 
 	// Quiescence: resolve loops and assemble the result block by block in
-	// one residency pass each, continuing the sweep alternation.
+	// one residency pass each, continuing the sweep alternation. A
+	// collected block is dropped at once: the pass never comes back to
+	// it, so spilling its state to make room for a later block would
+	// write a generation nothing reads.
 	result := ra.NewResult(part, waves)
 	if err := m.visit(append(touch[:0], m.blocks...), reverse, func(b *block) {
 		b.w.ResolveLoops()
-		b.dirty = true
 		result.Collect(b.w)
+		m.drop(b)
 	}); err != nil {
 		return nil, m, err
 	}

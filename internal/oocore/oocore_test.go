@@ -180,6 +180,57 @@ func TestOutOfCoreResidencyPerWave(t *testing.T) {
 	}
 }
 
+// TestFinalPassDropsCollectedBlocks checks that the final pass drops a
+// block once its values are collected instead of spilling it to make
+// room for the next one. Only ResolveLoops, which the final pass runs
+// just before Collect, flags a position as loop-resolved (final with a
+// counter left over), so at a two-block cap on awari-9 — where every
+// block but the last two leaves core again during that pass — no spill
+// generation the solve writes may hold such a position.
+func TestFinalPassDropsCollectedBlocks(t *testing.T) {
+	lad, err := ladder.Build(ladder.Config{Rules: awari.Standard, Loop: awari.LoopOwnSide}, 9, ra.Sequential{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := lad.Slice(9)
+	const blockLen = 4096
+	two := uint64(2 * blockLen * ra.StateBytesPerPosition)
+	for _, e := range []Engine{
+		{MemLimit: two, Kernel: ra.KernelScalar, BlockLen: blockLen},
+		{MemLimit: two, Kernel: ra.KernelScalar, BlockLen: blockLen, Writeback: -1, NoPrefetch: true},
+	} {
+		e.Dir, e.KeepStore = t.TempDir(), true
+		label := fmt.Sprintf("%s two-block cap (writeback %d)", g.Name(), e.Writeback)
+		got, st, err := e.SolveDetailed(g)
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		compareResults(t, label, lad.Result(9), got)
+		if got.LoopPositions == 0 || st.Spilled == 0 {
+			t.Fatalf("%s: %d loop positions, %d spills: the check below would be vacuous", label, got.LoopPositions, st.Spilled)
+		}
+		files, err := filepath.Glob(filepath.Join(e.Dir, "block-*"+spillSuffix))
+		if err != nil || len(files) == 0 {
+			t.Fatalf("%s: no spill files kept (%v)", label, err)
+		}
+		for _, path := range files {
+			data, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, _, _, meta, err := decodeSpill(path, data, nil, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, m := range meta {
+				if m&1 == 1 && m>>1 > 0 {
+					t.Fatalf("%s: %s holds loop-resolved position %d: a block was spilled after its Collect", label, filepath.Base(path), i)
+				}
+			}
+		}
+	}
+}
+
 // TestOutOfCoreParityScalarGames covers the scalar-kernel update path
 // (per-update routing with run coalescing) on wide-valued games; kalah
 // would pick the SWAR kernel, so the kernel is pinned.

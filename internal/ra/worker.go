@@ -155,9 +155,7 @@ type Worker struct {
 	queue []uint64 // local indices finalized in the previous wave, to expand
 	next  []uint64 // local indices finalized in the current wave
 
-	// Expansion scratch, reused across Expand calls so steady-state waves
-	// allocate nothing.
-	preds    []uint64 // predecessor buffer for one position
+	// Grouping scratch for remote edges, reused across expansion calls.
 	runs     []Update // remote updates gathered for one grouping chunk
 	runOwner []int32  // owner of each entry in runs
 	runSort  []Update // counting-sort output (owner-grouped)
@@ -379,33 +377,44 @@ func (w *Worker) pop(limit int) []uint64 {
 }
 
 // expand is the per-position expansion loop behind Expand and
-// ExpandLocal. A self-owned edge goes to apply when that is set and to
+// ExpandLocal. Each position goes through the run generator as a run of
+// one, so it is decoded and its un-moves verified the way ExpandRuns
+// does it. A self-owned edge goes to apply when that is set and to
 // emit(me) otherwise; remote edges are gathered per grouping chunk and
 // flushed through emit one by one.
+//
+// The emitted sequence — queue order, and within a position the order
+// the generator lists its predecessors — fixes which update fills which
+// combining buffer when, so the simulated engines' message counts and
+// virtual time depend on it. For awari it is the sequence the scalar
+// Predecessors walk emitted, pinned by this package's and awari's tests.
 func (w *Worker) expand(limit int, apply func(Update), emit func(owner int, u Update)) int {
 	queue := w.pop(limit)
 	single := w.part.Workers() == 1
+	var v game.Value
+	visit := func(_ int, preds []uint64) {
+		w.Stats.PredsGenerated += uint64(len(preds))
+		for _, q := range preds {
+			u := Update{Target: q, Value: v}
+			o := w.me
+			if !single {
+				o = w.part.Owner(q)
+			}
+			switch {
+			case o != w.me:
+				w.gather(o, u)
+			case apply != nil:
+				apply(u)
+			default:
+				emit(w.me, u)
+			}
+		}
+	}
 	for rest := queue; len(rest) > 0; {
 		n := min(len(rest), groupChunk)
 		for _, local := range rest[:n] {
-			v := w.valueAt(local)
-			w.preds = w.g.Predecessors(w.part.Global(w.me, local), w.preds[:0])
-			w.Stats.PredsGenerated += uint64(len(w.preds))
-			for _, q := range w.preds {
-				u := Update{Target: q, Value: v}
-				o := w.me
-				if !single {
-					o = w.part.Owner(q)
-				}
-				switch {
-				case o != w.me:
-					w.gather(o, u)
-				case apply != nil:
-					apply(u)
-				default:
-					emit(w.me, u)
-				}
-			}
+			v = w.valueAt(local)
+			w.gen.PredecessorsRun(w.part.Global(w.me, local), 1, visit)
 		}
 		w.flushRemote(emit, nil)
 		rest = rest[n:]

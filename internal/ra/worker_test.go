@@ -5,6 +5,7 @@ import (
 	"slices"
 	"testing"
 
+	"retrograde/internal/awari"
 	"retrograde/internal/game"
 	"retrograde/internal/nim"
 	"retrograde/internal/ttt"
@@ -432,6 +433,95 @@ func TestExpandLocalMatchesExpand(t *testing.T) {
 	for i := range wire {
 		if !slices.Equal(wire[i].state, host[i].state) || wire[i].Stats != host[i].Stats {
 			t.Fatalf("shard %d: ExpandRuns+ApplyRun ended in a different state than Expand+Apply", i)
+		}
+	}
+}
+
+// expandRef is the per-position expansion Expand ran before it went
+// through the run generator: the scalar Predecessors of each queued
+// position, self-owned edges emitted inline, remote edges gathered and
+// flushed owner-grouped per grouping chunk. It is kept only as the
+// reference TestExpandOrderMatchesPerPosition holds Expand to.
+func expandRef(w *Worker, limit int, emit func(owner int, u Update)) int {
+	queue := w.pop(limit)
+	var preds []uint64
+	for rest := queue; len(rest) > 0; {
+		n := min(len(rest), groupChunk)
+		for _, local := range rest[:n] {
+			v := w.valueAt(local)
+			preds = w.g.Predecessors(w.part.Global(w.me, local), preds[:0])
+			w.Stats.PredsGenerated += uint64(len(preds))
+			for _, q := range preds {
+				u := Update{Target: q, Value: v}
+				if o := w.part.Owner(q); o != w.me {
+					w.gather(o, u)
+				} else {
+					emit(w.me, u)
+				}
+			}
+		}
+		w.flushRemote(emit, nil)
+		rest = rest[n:]
+	}
+	return len(queue)
+}
+
+// TestExpandOrderMatchesPerPosition pins the exact (owner, update)
+// sequence Expand emits — not just its multiset — against the per-
+// position reference, wave by wave over a whole solve of awari rung 6 on
+// three cyclic shards. The simulated engines' message counts and virtual
+// time depend on this order.
+func TestExpandOrderMatchesPerPosition(t *testing.T) {
+	g := awariRung(t, 6, awari.Standard, awari.LoopOwnSide)
+	const p = 3
+	part := Cyclic(g.Size(), p)
+	var got, want [p]*Worker
+	for i := range got {
+		got[i], want[i] = NewWorker(g, part, i), NewWorker(g, part, i)
+		mustInit(got[i])
+		mustInit(want[i])
+	}
+	type edge struct {
+		owner int
+		u     Update
+	}
+	var gotSeq, wantSeq []edge
+	for wave := 1; ; wave++ {
+		total := 0
+		for i := range got {
+			if n := got[i].BeginWave(); n != want[i].BeginWave() {
+				t.Fatalf("wave %d shard %d: frontiers differ", wave, i)
+			} else {
+				total += n
+			}
+		}
+		if total == 0 {
+			break
+		}
+		for i := range got {
+			// Uneven limits cut the queue across grouping chunks.
+			for limit := 1; ; limit += 700 {
+				gotSeq, wantSeq = gotSeq[:0], wantSeq[:0]
+				n := got[i].Expand(limit, func(owner int, u Update) { gotSeq = append(gotSeq, edge{owner, u}) })
+				if m := expandRef(want[i], limit, func(owner int, u Update) { wantSeq = append(wantSeq, edge{owner, u}) }); n != m {
+					t.Fatalf("wave %d shard %d: Expand took %d positions, reference %d", wave, i, n, m)
+				}
+				if !slices.Equal(gotSeq, wantSeq) {
+					t.Fatalf("wave %d shard %d: Expand emitted %d edges in a different order than the per-position reference (%d)", wave, i, len(gotSeq), len(wantSeq))
+				}
+				for _, e := range gotSeq {
+					got[e.owner].Apply(e.u)
+					want[e.owner].Apply(e.u)
+				}
+				if n == 0 {
+					break
+				}
+			}
+		}
+	}
+	for i := range got {
+		if !slices.Equal(got[i].state, want[i].state) || got[i].Stats != want[i].Stats {
+			t.Fatalf("shard %d: Expand ended in a different state than the reference", i)
 		}
 	}
 }
