@@ -119,27 +119,6 @@ func BenchmarkE6Memory(b *testing.B) {
 	}
 }
 
-// BenchmarkE7SharedMemory regenerates the real goroutine speedup anchor.
-func BenchmarkE7SharedMemory(b *testing.B) {
-	e := env(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		t, err := experiments.E7SharedMemory(e)
-		renderDiscard(b, t, err)
-	}
-}
-
-// BenchmarkE10HotPath regenerates the hot-path cost table (packed state,
-// pooled batches, self-delivery).
-func BenchmarkE10HotPath(b *testing.B) {
-	e := env(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		t, err := experiments.E10HotPath(e)
-		renderDiscard(b, t, err)
-	}
-}
-
 // BenchmarkA1Partition regenerates the partition-map ablation.
 func BenchmarkA1Partition(b *testing.B) {
 	e := env(b)

@@ -9,11 +9,6 @@
 //	rabench -stones 10            # override the headline database
 //	rabench -json results.json    # also dump every table as JSON
 //	rabench -cpuprofile cpu.out   # profile the hot path with pprof
-//	rabench -smoke                # E14 kernel check only; exit 1 if the scalar and SWAR databases differ
-//	rabench -oocore               # E15 out-of-core cap sweep only; exit 1 on any
-//	                              # checksum divergence from the in-core oracle
-//	rabench -writeback            # E16 sync-vs-pipelined spill A/B only; exit 1
-//	                              # on any checksum divergence on either side
 package main
 
 import (
@@ -40,9 +35,6 @@ func run() int {
 	jsonPath := flag.String("json", "", "also write all tables as one JSON file")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := flag.String("memprofile", "", "write an allocation profile to this file on exit")
-	smoke := flag.Bool("smoke", false, "run only the E14 kernel comparison and fail if the scalar and SWAR databases differ")
-	oocoreRun := flag.Bool("oocore", false, "run only the E15 out-of-core cap sweep and fail on any divergence from the in-core oracle")
-	writebackRun := flag.Bool("writeback", false, "run only the E16 sync-vs-pipelined spill A/B and fail on any divergence from the in-core oracle")
 	flag.Parse()
 
 	var scale experiments.Scale
@@ -92,27 +84,6 @@ func run() int {
 				fmt.Fprintf(os.Stderr, "rabench: %v\n", err)
 			}
 		}()
-	}
-	if *smoke {
-		if err := experiments.E14Smoke(scale, os.Stdout); err != nil {
-			fmt.Fprintf(os.Stderr, "rabench: %v\n", err)
-			return 1
-		}
-		return 0
-	}
-	if *oocoreRun {
-		if err := experiments.E15Smoke(scale, os.Stdout, *jsonPath); err != nil {
-			fmt.Fprintf(os.Stderr, "rabench: %v\n", err)
-			return 1
-		}
-		return 0
-	}
-	if *writebackRun {
-		if err := experiments.E16Smoke(scale, os.Stdout, *jsonPath); err != nil {
-			fmt.Fprintf(os.Stderr, "rabench: %v\n", err)
-			return 1
-		}
-		return 0
 	}
 	if err := experiments.RunAll(scale, os.Stdout, !*quiet, *csvDir, *jsonPath); err != nil {
 		fmt.Fprintf(os.Stderr, "rabench: %v\n", err)

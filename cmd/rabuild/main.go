@@ -16,7 +16,8 @@
 // blocks spilled (zdb-compressed, checksummed) to -spilldir, which
 // defaults to <out>/spill. The database written is bit-identical to the
 // in-core engines'. A killed build resumes from the last spill-store
-// checkpoint when rerun with the same flags.
+// checkpoint when rerun with the same flags. -memlimit, -spilldir and
+// -syncspill are refused with any other -engine rather than ignored.
 //
 // For awari, all rungs 0..stones are built in order (each rung needs the
 // smaller ones) and each is saved as awari-<n>.radb. The chosen engine is
@@ -42,7 +43,7 @@ import (
 	"retrograde/internal/kalah"
 	"retrograde/internal/ladder"
 	"retrograde/internal/nim"
-	_ "retrograde/internal/oocore" // registers the out-of-core engine with ra
+	"retrograde/internal/oocore"
 	"retrograde/internal/ra"
 	"retrograde/internal/remote"
 	"retrograde/internal/stats"
@@ -88,6 +89,9 @@ func run() error {
 	if *memLimit > 0 && *engineName == "concurrent" {
 		*engineName = "outofcore" // -memlimit alone selects the capped engine
 	}
+	if *engineName != "outofcore" && (*memLimit > 0 || *spillDir != "" || *syncSpill) {
+		return fmt.Errorf("-memlimit, -spilldir and -syncspill apply only to the out-of-core engine, selected by -memlimit > 0; -engine %s would ignore them", *engineName)
+	}
 	// Shards are goroutines competing for real cores; nodes are simulated
 	// (or mesh peers), so their default does not follow the host.
 	nodes := *procs
@@ -112,7 +116,11 @@ func run() error {
 		if dir == "" {
 			dir = filepath.Join(*out, "spill")
 		}
-		engine = outOfCore{memLimit: *memLimit, dir: dir, sync: *syncSpill}
+		ooc := oocore.Engine{MemLimit: *memLimit, Dir: dir}
+		if *syncSpill {
+			ooc.Writeback, ooc.NoPrefetch = -1, true
+		}
+		engine = perGameSpill{ooc}
 	default:
 		return fmt.Errorf("unknown engine %q", *engineName)
 	}
@@ -143,28 +151,14 @@ func run() error {
 	return fmt.Errorf("unknown game %q", *gameName)
 }
 
-// outOfCore adapts the capped engine to ladder use: rungs differ in size,
-// so each game spills into its own subdirectory (keyed by game name) and
-// an interrupted build resumes whichever rung it died in.
-type outOfCore struct {
-	memLimit uint64
-	dir      string
-	sync     bool // spill synchronously: no write-behind, no prefetch
-}
+// perGameSpill adapts the capped engine to ladder use: rungs differ in
+// size, so each game spills into its own subdirectory of Dir (keyed by
+// game name) and an interrupted build resumes whichever rung it died in.
+type perGameSpill struct{ oocore.Engine }
 
-func (e outOfCore) Name() string { return fmt.Sprintf("out-of-core(cap=%d)", e.memLimit) }
-
-func (e outOfCore) Solve(g game.Game) (*ra.Result, error) {
-	inner, err := ra.NewEngine(ra.Config{
-		Engine:    ra.OutOfCore,
-		MemLimit:  e.memLimit,
-		SpillDir:  filepath.Join(e.dir, g.Name()),
-		SpillSync: e.sync,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return inner.Solve(g)
+func (e perGameSpill) Solve(g game.Game) (*ra.Result, error) {
+	e.Dir = filepath.Join(e.Dir, g.Name())
+	return e.Engine.Solve(g)
 }
 
 func buildAwari(stones int, loopName, slamName string, refine bool, engine ra.Engine, out, single string) error {

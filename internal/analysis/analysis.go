@@ -13,7 +13,8 @@
 //     error operands with %w; comparisons go through errors.Is) so the
 //     NodeFailedError/CounterOverflowError contracts keep working.
 //   - laneconst: the scalar packed-uint32 state layout and the SWAR
-//     byte-lane layout agree structurally (the E14 parity guarantee).
+//     byte-lane layout agree structurally (the guarantee
+//     TestSWARKernelParity checks).
 //   - detrand: deterministic solve/checksum paths (engines, codecs,
 //     faultnet schedules) stay deterministic: no wall clock, no global
 //     math/rand source, no side effects driven by map iteration order.

@@ -8,8 +8,9 @@ import (
 
 // DetRand keeps the deterministic solve/checksum paths deterministic.
 // Databases built by any engine, any kernel, on any machine must be
-// bit-identical (the E10/E14 parity guarantees), checkpoints must resume
-// bit-identically (E12), and faultnet schedules replay from a seed —
+// bit-identical (TestHotPathEngineParity, TestSWARKernelParity),
+// checkpoints must resume bit-identically (E12), and faultnet schedules
+// replay from a seed —
 // which forbids three nondeterminism sources in those packages:
 //
 //  1. the global math/rand source (process-seeded; rand.New(NewSource(s))

@@ -10,7 +10,8 @@ import (
 // LaneConst cross-checks the scalar packed-uint32 state layout constants
 // (worker.go) against the SWAR byte-lane layout constants (swar.go), so
 // the two bit layouts can never silently diverge — the structural half of
-// the E14 parity guarantee (bit-identical scalar and SWAR databases).
+// the guarantee TestSWARKernelParity checks (bit-identical scalar and
+// SWAR databases).
 //
 // The invariants are algebraic, so the analyzer recomputes them from the
 // constant values rather than comparing against hard-coded numbers:

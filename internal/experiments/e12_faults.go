@@ -19,7 +19,7 @@ import (
 // the 50-minute solve; this table is the deployable answer. Scenarios:
 // the fault-free hardened baseline (per-read deadlines plus heartbeats,
 // always on), the same solve with heartbeats disabled (isolating their
-// cost — the target is under 5% overhead on the wire path of E8/E10),
+// cost — the target is under 5% overhead on the wire path of E8),
 // checkpointing, a wire that shreds every frame into short reads and
 // writes, a wedged node (open socket, no bytes — the failure mode that
 // hangs an unhardened solve forever), and a node killed mid-run with the

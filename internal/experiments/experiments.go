@@ -1,9 +1,10 @@
 // Package experiments regenerates the paper's evaluation: one function
-// per table/figure (experiment ids E1–E7 and ablations A1–A3, defined in
-// DESIGN.md — the source text preserves only the abstract, so the ids are
-// this reproduction's, each mapped to an abstract claim). The functions
-// return render-ready tables; cmd/rabench prints them and bench_test.go
-// wraps them as benchmarks.
+// per table/figure (experiment ids E1–E6, E8, E9, E12, V1 and ablations
+// A1–A4, defined in DESIGN.md — the source text preserves only the
+// abstract, so the ids are this reproduction's, each mapped to an abstract
+// claim). The functions return render-ready tables; cmd/rabench prints
+// them and bench_test.go wraps them as benchmarks. Host wall-clock
+// timing with repeated runs lives in the bench module, not here.
 package experiments
 
 import (

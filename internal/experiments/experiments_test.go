@@ -151,17 +151,6 @@ func TestE6Memory(t *testing.T) {
 	}
 }
 
-func TestE7SharedMemory(t *testing.T) {
-	env := quickEnv(t)
-	tbl, err := E7SharedMemory(env)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tbl.Rows() < 1 {
-		t.Fatal("no rows")
-	}
-}
-
 func TestA1Partition(t *testing.T) {
 	env := quickEnv(t)
 	tbl, err := A1Partition(env)
@@ -195,44 +184,6 @@ func TestA3Termination(t *testing.T) {
 	}
 }
 
-func TestE11Compression(t *testing.T) {
-	env := quickEnv(t)
-	tables, err := E11Compression(env)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tables) != 2 {
-		t.Fatalf("tables = %d, want 2", len(tables))
-	}
-	perRung, serving := tables[0], tables[1]
-	// Every rung from 4 up must compress below its packed size.
-	for r := 4; r < perRung.Rows(); r++ {
-		ratio, err := strconv.ParseFloat(perRung.Cell(r, 6), 64)
-		if err != nil {
-			t.Fatalf("row %d ratio %q: %v", r, perRung.Cell(r, 6), err)
-		}
-		if ratio >= 1 {
-			t.Errorf("rung %s: compression ratio %.2f, want < 1", perRung.Cell(r, 0), ratio)
-		}
-	}
-	// The compressed ladder must hold strictly more rungs resident under
-	// the shared budget.
-	if serving.Rows() != 2 {
-		t.Fatalf("serving rows = %d, want 2", serving.Rows())
-	}
-	parse := func(cell string) int {
-		n, err := strconv.Atoi(strings.Fields(cell)[0])
-		if err != nil {
-			t.Fatalf("resident cell %q: %v", cell, err)
-		}
-		return n
-	}
-	v1, v2 := parse(serving.Cell(0, 2)), parse(serving.Cell(1, 2))
-	if v2 <= v1 {
-		t.Errorf("resident rungs: v2 %d, v1 %d — compression must hold strictly more", v2, v1)
-	}
-}
-
 // TestRunAllQuick smoke-tests the full harness at test scale.
 func TestRunAllQuick(t *testing.T) {
 	if testing.Short() {
@@ -245,7 +196,7 @@ func TestRunAllQuick(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := sb.String()
-	for _, want := range []string{"E1:", "E2:", "E3:", "E4:", "E5:", "E6a:", "E6b:", "E7:", "E8:", "E9:", "E10:", "E11a:", "E11b:", "E12:", "E14:", "E16:", "A1:", "A2:", "A3:", "A4:", "V1:"} {
+	for _, want := range []string{"E1:", "E2:", "E3:", "E4:", "E5:", "E6a:", "E6b:", "E8:", "E9:", "E12:", "A1:", "A2:", "A3:", "A4:", "V1:"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("RunAll output missing %q", want)
 		}
@@ -274,28 +225,25 @@ func TestRunAllQuick(t *testing.T) {
 		doc.Provenance.Analyzers < 6 || doc.Provenance.GoVersion == "" {
 		t.Errorf("provenance block = %+v", doc.Provenance)
 	}
-	tables := doc.Tables
-	ids := make(map[string]bool)
+	var ids []string
 	kernels := make(map[string]string)
-	for _, tb := range tables {
-		ids[tb.ID] = true
+	for _, tb := range doc.Tables {
+		ids = append(ids, tb.ID)
 		kernels[tb.ID] = tb.Kernel
 		if len(tb.Rows) == 0 {
 			t.Errorf("JSON table %s has no rows", tb.ID)
 		}
 	}
-	for _, want := range []string{"E1", "E10", "E14", "V1"} {
-		if !ids[want] {
-			t.Errorf("JSON output missing table %s", want)
-		}
+	// RunAll emits the paper's tables and nothing else: host wall-clock
+	// timing lives in the bench module, with repeated runs.
+	want := "E1 E2 E3 E4 E4b E5 E6a E6b E8 E12 A1 A2 A3 A4 E9 V1"
+	if got := strings.Join(ids, " "); got != want {
+		t.Errorf("JSON tables = %s, want %s", got, want)
 	}
-	// The hot-path tables must record which kernel produced them, so
-	// BENCH_*.json files stay comparable across kernel-default changes.
-	if kernels["E10"] != "scalar" {
-		t.Errorf("E10 kernel = %q, want scalar", kernels["E10"])
-	}
-	if kernels["E14"] != "scalar+swar" {
-		t.Errorf("E14 kernel = %q, want scalar+swar", kernels["E14"])
+	// Tables record which kernel produced them, so JSON documents stay
+	// comparable across kernel-default changes.
+	if kernels["E2"] != "scalar" {
+		t.Errorf("E2 kernel = %q, want scalar", kernels["E2"])
 	}
 }
 
@@ -421,28 +369,5 @@ func TestV1Generality(t *testing.T) {
 		if strings.Contains(tbl.Cell(r, 6), "FAILED") {
 			t.Errorf("row %d oracle check: %s", r, tbl.Cell(r, 6))
 		}
-	}
-}
-
-func TestE14SWAR(t *testing.T) {
-	env := quickEnv(t)
-	tbl, err := E14SWAR(env)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tbl.Rows() != 4 {
-		t.Fatalf("rows = %d, want 4 (2 engines x 2 kernels)", tbl.Rows())
-	}
-	for r := 0; r < tbl.Rows(); r++ {
-		if k := tbl.Cell(r, 1); k != "scalar" && k != "swar" {
-			t.Errorf("row %d kernel column = %q", r, k)
-		}
-	}
-	var sb strings.Builder
-	if err := tbl.Render(&sb); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(sb.String(), "bit-identical") {
-		t.Error("E14 table does not assert database bit-identity")
 	}
 }

@@ -84,12 +84,7 @@ func RunAll(s Scale, w io.Writer, progress bool, csvDir, jsonPath string) error 
 		}
 	}
 	for _, tf := range []tableFn{
-		{"E7", E7SharedMemory},
 		{"E8", E8RealWire},
-		{"E10", E10HotPath},
-		{"E14", E14SWAR},
-		{"E15", E15OutOfCore},
-		{"E16", E16Writeback},
 		{"E12", E12Faults},
 		{"A1", A1Partition},
 		{"A2", A2Interconnect},
@@ -102,16 +97,6 @@ func RunAll(s Scale, w io.Writer, progress bool, csvDir, jsonPath string) error 
 			return fmt.Errorf("%s: %w", tf.name, err)
 		}
 		if err := emit(tf.name, t); err != nil {
-			return err
-		}
-	}
-	logf("# E11 ...")
-	e11, err := E11Compression(env)
-	if err != nil {
-		return fmt.Errorf("E11: %w", err)
-	}
-	for i, t := range e11 {
-		if err := emit(fmt.Sprintf("E11%c", 'a'+i), t); err != nil {
 			return err
 		}
 	}

@@ -11,7 +11,7 @@ import (
 )
 
 // SpillStats describes how an out-of-core solve used the memory
-// hierarchy — the counters E15 sweeps against the memory cap.
+// hierarchy — the counters behind the bench module's oocore.* rows.
 type SpillStats struct {
 	// Blocks is how many state blocks the rung was split into.
 	Blocks int
@@ -390,8 +390,8 @@ func (m *blockManager) spill(b *block) error {
 }
 
 // spillSync is the synchronous spill path: encode and write inline on
-// the engine thread — the E15 baseline behavior, kept for the SpillSync
-// knob and as the A/B control the E16 experiment measures against.
+// the engine thread — the pre-pipeline behavior, kept as the A/B control
+// for Writeback < 0 (rabuild -syncspill; bench row oocore.syncspill_s).
 func (m *blockManager) spillSync(b *block) error {
 	n := b.w.ShardSize()
 	vals, meta := m.vals[:n], m.meta[:n]

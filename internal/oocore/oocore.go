@@ -37,17 +37,6 @@ import (
 // when the Engine does not pin one.
 const DefaultCheckpointEvery = 8
 
-func init() {
-	ra.RegisterOutOfCore(func(cfg ra.Config) ra.Engine {
-		e := Engine{MemLimit: cfg.MemLimit, Dir: cfg.SpillDir, Kernel: cfg.Kernel}
-		if cfg.SpillSync {
-			e.Writeback = -1
-			e.NoPrefetch = true
-		}
-		return e
-	})
-}
-
 // Engine is the out-of-core solver. MemLimit and Dir are required; the
 // zero values of everything else pick sensible defaults.
 type Engine struct {
@@ -81,8 +70,8 @@ type Engine struct {
 	// may have encode+write in flight behind the wave. 0 picks
 	// DefaultWritebackDepth; negative forces synchronous spilling (every
 	// eviction encodes and writes inline — the pre-pipeline behavior the
-	// E16 experiment measures against). The solve is bit-identical at
-	// any depth.
+	// bench row oocore.syncspill_s times). The solve is bit-identical at
+	// any depth (TestOutOfCorePipelineParity).
 	Writeback int
 	// NoPrefetch disables the frontier-aware prefetcher, leaving reloads
 	// demand-paged under pure LRU. The solve is bit-identical either
@@ -121,7 +110,7 @@ func autoBlockLen(size uint64) uint64 {
 	return bl
 }
 
-// SolveDetailed is Solve plus the spill counters E15/E16 report. On
+// SolveDetailed is Solve plus the spill counters the bench reports. On
 // ra.ErrPaused the returned stats describe the partial run; the result
 // is nil until a later call completes the solve.
 func (e Engine) SolveDetailed(g game.Game) (*ra.Result, SpillStats, error) {

@@ -271,9 +271,10 @@ func TestOutOfCoreParityScalarGames(t *testing.T) {
 // every pipeline configuration — write-behind + prefetch (the default),
 // each alone, and fully synchronous — must land on the same database as
 // the in-core oracle across caps, with counters consistent with the
-// configuration.
+// configuration. Awari runs at the engine's auto block size, so the
+// synchronous-vs-pipelined A/B covers the SWAR kernel's spill path.
 func TestOutOfCorePipelineParity(t *testing.T) {
-	for _, g := range []game.Game{ttt.New(), nim.MustNew(3, 4)} {
+	for _, g := range []game.Game{ttt.New(), nim.MustNew(3, 4), awariSlice(t, 6)} {
 		want, err := ra.Sequential{}.Solve(g)
 		if err != nil {
 			t.Fatal(err)
@@ -507,11 +508,18 @@ func TestOutOfCoreCrashWritesInFlight(t *testing.T) {
 	}
 }
 
-// TestOutOfCoreResumeMismatch: a manifest from a different configuration
-// must be rejected as corrupt, not silently reinterpreted.
+// TestOutOfCoreResumeMismatch: an engine missing its cap or its spill
+// directory must refuse to solve, and a manifest from a different
+// configuration must be rejected as corrupt, not silently reinterpreted.
 func TestOutOfCoreResumeMismatch(t *testing.T) {
 	g := ttt.New()
 	ic, _ := ra.InCoreStateBytes(g, ra.KernelAuto)
+	if _, err := (Engine{Dir: t.TempDir()}).Solve(g); err == nil {
+		t.Error("Solve accepted a zero MemLimit")
+	}
+	if _, err := (Engine{MemLimit: ic}).Solve(g); err == nil {
+		t.Error("Solve accepted an empty Dir")
+	}
 	dir := t.TempDir()
 	e := Engine{MemLimit: ic, Dir: dir, StopAfterWaves: 1, BlockLen: 128}
 	if _, _, err := e.SolveDetailed(g); !errors.Is(err, ra.ErrPaused) {
@@ -522,48 +530,6 @@ func TestOutOfCoreResumeMismatch(t *testing.T) {
 	var ce *CorruptSpillError
 	if !errors.As(err, &ce) {
 		t.Fatalf("mismatched resume returned %v, want CorruptSpillError", err)
-	}
-}
-
-// TestOutOfCoreViaConfig exercises the ra.Config front door: selecting
-// the engine through ra.NewEngine must work once oocore is imported, and
-// the config validation must reject incomplete configs.
-func TestOutOfCoreViaConfig(t *testing.T) {
-	g := nim.MustNew(2, 5)
-	want, err := ra.Sequential{}.Solve(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ic, _ := ra.InCoreStateBytes(g, ra.KernelAuto)
-	e, err := ra.NewEngine(ra.Config{Engine: ra.OutOfCore, MemLimit: ic / 2, SpillDir: t.TempDir()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := e.Solve(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	compareResults(t, "config front door", want, got)
-
-	if _, err := ra.NewEngine(ra.Config{Engine: ra.OutOfCore, SpillDir: t.TempDir()}); err == nil {
-		t.Error("NewEngine accepted a zero MemLimit")
-	}
-	if _, err := ra.NewEngine(ra.Config{Engine: ra.OutOfCore, MemLimit: 1}); err == nil {
-		t.Error("NewEngine accepted an empty SpillDir")
-	}
-
-	// Config.SpillSync must map to the fully synchronous engine — the
-	// A/B control rabuild -syncspill and the E16 baseline rely on.
-	se, err := ra.NewEngine(ra.Config{Engine: ra.OutOfCore, MemLimit: 1, SpillDir: t.TempDir(), SpillSync: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	oe, ok := se.(Engine)
-	if !ok {
-		t.Fatalf("out-of-core front door returned %T", se)
-	}
-	if oe.Writeback >= 0 || !oe.NoPrefetch {
-		t.Errorf("SpillSync mapped to Writeback=%d NoPrefetch=%v, want synchronous", oe.Writeback, oe.NoPrefetch)
 	}
 }
 

@@ -41,8 +41,8 @@ const (
 	// KernelAuto picks the SWAR kernel when the game is eligible and the
 	// scalar kernel otherwise. The default.
 	KernelAuto Kernel = iota
-	// KernelScalar forces the one-uint32-per-position kernel (the E10
-	// baseline and the parity oracle).
+	// KernelScalar forces the one-uint32-per-position kernel (the
+	// rung13-scalar bench baseline and the parity oracle).
 	KernelScalar
 	// KernelSWAR forces the bit-parallel kernel; worker construction
 	// fails for ineligible games instead of silently falling back.
@@ -61,28 +61,13 @@ func (k Kernel) String() string {
 	return fmt.Sprintf("Kernel(%d)", uint8(k))
 }
 
-// Config tunes the in-core engines (Sequential, Concurrent) and, through
-// NewEngine, selects the out-of-core tier. The distributed and simulated
-// engines do not take a Config: they keep the honest scalar per-message
-// path so the paper's traffic and wave numbers stay meaningful.
+// Config tunes the in-core engines (Sequential, Concurrent). The
+// distributed and simulated engines do not take a Config: they keep the
+// honest scalar per-message path so the paper's traffic and wave numbers
+// stay meaningful.
 type Config struct {
 	// Kernel selects the wave kernel; zero value is KernelAuto.
 	Kernel Kernel
-	// Engine selects the solving tier for NewEngine; zero value is
-	// InCore. The in-core engines ignore it.
-	Engine EngineKind
-	// MemLimit caps the out-of-core engine's resident block-state bytes.
-	// Required when Engine is OutOfCore; ignored in core.
-	MemLimit uint64
-	// SpillDir is the out-of-core engine's spill/checkpoint directory.
-	// Required when Engine is OutOfCore; ignored in core.
-	SpillDir string
-	// SpillSync forces the out-of-core engine's spill I/O synchronous:
-	// no write-behind pipeline, no frontier prefetch — every eviction
-	// encodes and writes inline and every reload is a demand read. The
-	// result is bit-identical either way; this knob exists for parity
-	// drills and A/B measurement (E16). Ignored in core.
-	SpillSync bool
 }
 
 // Lane field layout (one byte per position).
@@ -148,8 +133,11 @@ func LaneEligible(g game.Game) (game.LaneSpec, bool) {
 	return spec, true
 }
 
-// resolveKernel maps a Kernel request onto the concrete kernel for g.
-func resolveKernel(g game.Game, k Kernel) (Kernel, error) {
+// ResolveKernel maps a Kernel request onto the concrete kernel for g
+// (KernelAuto picks SWAR when the game is eligible) without building a
+// worker — the out-of-core engine needs the answer before it sizes
+// blocks.
+func ResolveKernel(g game.Game, k Kernel) (Kernel, error) {
 	switch k {
 	case KernelScalar:
 		return KernelScalar, nil
@@ -165,6 +153,21 @@ func resolveKernel(g game.Game, k Kernel) (Kernel, error) {
 		return KernelScalar, nil
 	}
 	return 0, fmt.Errorf("ra: unknown kernel %v", k)
+}
+
+// InCoreStateBytes returns the analysis-time working-set bytes a single
+// in-core worker would hold for g under kernel k — the baseline an
+// out-of-core memory cap is expressed against (and the quantity the
+// paper's ">600 MByte on a uniprocessor" claim is about).
+func InCoreStateBytes(g game.Game, k Kernel) (uint64, error) {
+	k, err := ResolveKernel(g, k)
+	if err != nil {
+		return 0, err
+	}
+	if k == KernelSWAR {
+		return g.Size() * LaneBytesPerPosition, nil
+	}
+	return g.Size() * StateBytesPerPosition, nil
 }
 
 // applyLane delivers one pre-negamaxed update (mv = Neg - successor

@@ -186,7 +186,7 @@ func NewWorkerKernel(g game.Game, part *Partition, me int, k Kernel) (*Worker, e
 	if part.Size() != g.Size() {
 		panic(fmt.Sprintf("ra: partition size %d != game size %d", part.Size(), g.Size()))
 	}
-	k, err := resolveKernel(g, k)
+	k, err := ResolveKernel(g, k)
 	if err != nil {
 		return nil, err
 	}

@@ -16,6 +16,8 @@ import (
 	"retrograde/internal/awari"
 	"retrograde/internal/db"
 	"retrograde/internal/game"
+	"retrograde/internal/ladder"
+	"retrograde/internal/ra"
 	"retrograde/internal/zdb"
 )
 
@@ -325,6 +327,64 @@ func TestCacheCompressedShard(t *testing.T) {
 				t.Errorf("round %d: loaded=%v, %d lookups; want evicted with %d",
 					round, si.Loaded, si.Lookups, 2*round)
 			}
+		}
+	}
+
+	// Compression stretches one serving budget over more of the search
+	// space: one byte short of the flat awari ladder 0..7, every
+	// compressed rung stays resident while the flat ladder must evict.
+	const top = 7
+	lad, err := ladder.Build(ladder.Config{Rules: awari.Standard, Loop: awari.LoopOwnSide}, top, ra.Sequential{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v1Dir, v2Dir := t.TempDir(), t.TempDir()
+	var v1Total uint64
+	for n := 0; n <= top; n++ {
+		name := fmt.Sprintf("awari-%d", n)
+		tab, err := db.Pack(name, lad.Slice(n).ValueBits(), lad.Result(n).Values)
+		if err != nil {
+			t.Fatal(err)
+		}
+		z, err := zdb.Compress(tab, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := tab.Save(filepath.Join(v1Dir, name+".radb")); err != nil {
+			t.Fatal(err)
+		}
+		if err := z.Save(filepath.Join(v2Dir, name+".radb")); err != nil {
+			t.Fatal(err)
+		}
+		v1Total += tab.Bytes()
+	}
+	for _, ld := range []struct {
+		dir        string
+		compressed bool
+	}{{v1Dir, false}, {v2Dir, true}} {
+		c, err := NewCache(ld.dir, v1Total-1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for n := 0; n <= top; n++ {
+			pin, err := c.Acquire(fmt.Sprintf("awari-%d", n))
+			if err != nil {
+				t.Fatal(err)
+			}
+			pin.Release()
+		}
+		resident, evicts := 0, uint64(0)
+		for _, si := range c.Snapshot() {
+			if si.Loaded {
+				resident++
+			}
+			evicts += si.Evicts
+		}
+		if ld.compressed && resident != top+1 {
+			t.Errorf("compressed ladder: %d of %d rungs resident under a %d-byte budget, want all", resident, top+1, v1Total-1)
+		}
+		if !ld.compressed && evicts == 0 {
+			t.Errorf("flat ladder: no eviction under a budget one byte short of its %d bytes", v1Total)
 		}
 	}
 }

@@ -267,36 +267,6 @@ type Provenance struct {
 	Analyzers  int    `json:"analyzers,omitempty"`
 	// GoVersion is filled by WriteJSON when left empty.
 	GoVersion string `json:"goVersion"`
-	// Spill carries the out-of-core spill counters when the producing run
-	// solved under a memory cap; nil for in-core runs.
-	Spill *Spill `json:"spill,omitempty"`
-}
-
-// Spill is the out-of-core traffic summary carried in result provenance:
-// enough to tell how hard a capped run leaned on the spill store without
-// re-running it.
-type Spill struct {
-	// Blocks is how many state blocks the rung was split into.
-	Blocks int `json:"blocks"`
-	// MemLimit is the resident-state cap in bytes.
-	MemLimit uint64 `json:"memLimit"`
-	// Spilled and Reloaded count block writes to and reads from the
-	// spill store.
-	Spilled  uint64 `json:"spilled"`
-	Reloaded uint64 `json:"reloaded"`
-	// BytesWritten and BytesRead are the compressed spill traffic in
-	// each direction.
-	BytesWritten uint64 `json:"bytesWritten"`
-	BytesRead    uint64 `json:"bytesRead,omitempty"`
-	// PeakResidentBytes is the resident block-state high-water mark.
-	PeakResidentBytes uint64 `json:"peakResidentBytes"`
-	// PrefetchIssued/PrefetchHits count the frontier prefetcher's
-	// background reads and the reloads they satisfied; WriteStalls counts
-	// evictions that waited for a write-behind slot. All zero for runs
-	// with the spill pipeline disabled.
-	PrefetchIssued uint64 `json:"prefetchIssued,omitempty"`
-	PrefetchHits   uint64 `json:"prefetchHits,omitempty"`
-	WriteStalls    uint64 `json:"writeStalls,omitempty"`
 }
 
 // documentJSON is the top-level shape of a WriteJSON file.
