@@ -118,7 +118,7 @@ func A4Asynchrony(env *Env) (*stats.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		asyncRes, asyncRep, err := (ra.AsyncDistributed{Workers: p}).SolveDetailed(env.Headline())
+		asyncRes, asyncRep, err := env.solveDistributed(ra.Distributed{Workers: p, Async: true})
 		if err != nil {
 			return nil, err
 		}

@@ -243,7 +243,7 @@ func TestEnginesAgree(t *testing.T) {
 	for _, e := range []ra.Engine{
 		ra.Concurrent{Workers: 3},
 		ra.Distributed{Workers: 4, Combine: 16},
-		ra.AsyncDistributed{Workers: 4},
+		ra.Distributed{Workers: 4, Async: true},
 	} {
 		got := buildLadder(t, 5, e)
 		for n := range want {

@@ -75,7 +75,7 @@ func TestMixedEngineLadder(t *testing.T) {
 }
 
 // TestAsyncAwariExactEquality: awari's capture-count values are
-// order-insensitive, so the asynchronous engine (Safra termination, no
+// order-insensitive, so the asynchronous mode (Safra termination, no
 // waves) must produce bit-identical databases.
 func TestAsyncAwariExactEquality(t *testing.T) {
 	cfg := Config{Rules: awari.Standard, Loop: awari.LoopOwnSide}
@@ -84,9 +84,9 @@ func TestAsyncAwariExactEquality(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, eng := range []ra.Engine{
-		ra.AsyncDistributed{Workers: 4, Combine: 16},
-		ra.AsyncDistributed{Workers: 7, Combine: 1},
-		ra.AsyncDistributed{Workers: 3, Chunk: 8, Network: ra.CrossbarNet},
+		ra.Distributed{Workers: 4, Combine: 16, Async: true},
+		ra.Distributed{Workers: 7, Combine: 1, Async: true},
+		ra.Distributed{Workers: 3, Network: ra.CrossbarNet, Protocol: ra.TreeProtocol, Async: true},
 	} {
 		got, err := Build(cfg, 6, eng, nil)
 		if err != nil {

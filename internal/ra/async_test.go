@@ -8,18 +8,20 @@ import (
 	"retrograde/internal/ttt"
 )
 
-// TestAsyncMatchesSequentialValuesOnScoreGames: awari-style score values
-// are order-insensitive, so the asynchronous engine must reproduce them
-// exactly. This file tests the WDL games; the awari equality test lives
-// in package ladder (which can build slices).
+// TestAsyncOutcomesMatchOnWDLGames: asynchrony reorders update
+// application, which WDL values' distance part notices, so only outcomes
+// and loop counts must match the sequential engine. Awari-style score
+// values are order-insensitive and must match exactly; that test lives in
+// package ladder (which can build slices).
 func TestAsyncOutcomesMatchOnWDLGames(t *testing.T) {
 	for _, g := range []game.Game{nim.MustNew(3, 4), ttt.New()} {
 		want := SolveSequential(g)
-		for _, cfg := range []AsyncDistributed{
-			{Workers: 1},
-			{Workers: 3, Combine: 8},
-			{Workers: 5, Chunk: 16},
-			{Workers: 8, Network: CrossbarNet},
+		for _, cfg := range []Distributed{
+			{Workers: 1, Async: true},
+			{Workers: 3, Combine: 8, Async: true},
+			{Workers: 5, Combine: 1, Async: true},
+			{Workers: 8, Network: CrossbarNet, Async: true},
+			{Workers: 6, Protocol: TreeProtocol, Async: true},
 		} {
 			got, err := cfg.Solve(g)
 			if err != nil {
@@ -48,7 +50,7 @@ func TestAsyncOutcomesMatchOnWDLGames(t *testing.T) {
 // runs give identical traces.
 func TestAsyncDeterministic(t *testing.T) {
 	g := nim.MustNew(3, 3)
-	cfg := AsyncDistributed{Workers: 4, Combine: 8}
+	cfg := Distributed{Workers: 4, Combine: 8, Async: true}
 	_, a, err := cfg.SolveDetailed(g)
 	if err != nil {
 		t.Fatal(err)
@@ -62,12 +64,12 @@ func TestAsyncDeterministic(t *testing.T) {
 	}
 }
 
-// TestAsyncTerminationDetection sanity-checks the Safra machinery: at
-// least two probe rounds, and no data message left unaccounted (the
-// engine would stall otherwise, failing the run).
+// TestAsyncProbeRounds sanity-checks the Safra machinery: at least two
+// probe rounds, and no data message left unaccounted (the engine would
+// stall otherwise, failing the run).
 func TestAsyncProbeRounds(t *testing.T) {
 	g := ttt.New()
-	res, rep, err := (AsyncDistributed{Workers: 6}).SolveDetailed(g)
+	res, rep, err := (Distributed{Workers: 6, Async: true}).SolveDetailed(g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +85,7 @@ func TestAsyncProbeRounds(t *testing.T) {
 	}
 }
 
-// TestAsyncNoBarriers: the async engine should send far fewer protocol
+// TestAsyncNoBarriers: the async mode should send far fewer protocol
 // messages than the synchronous engine on a wave-heavy workload.
 func TestAsyncNoBarriers(t *testing.T) {
 	g := ttt.New()
@@ -91,7 +93,7 @@ func TestAsyncNoBarriers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, async, err := (AsyncDistributed{Workers: 8}).SolveDetailed(g)
+	_, async, err := (Distributed{Workers: 8, Async: true}).SolveDetailed(g)
 	if err != nil {
 		t.Fatal(err)
 	}

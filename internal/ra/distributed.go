@@ -113,6 +113,17 @@ type SimReport struct {
 // system with message combining, run on the simulated cluster in virtual
 // time. The zero value solves with 8 nodes on the default 1995
 // Ethernet/cost calibration with a 100-update combining buffer.
+//
+// Async selects the barrier-free variant: every node expands its queue
+// continuously, applies updates as they arrive, and global quiescence is
+// detected with Safra's token ring before loop resolution runs as in the
+// synchronous protocol. Asynchrony changes when updates are applied, not
+// what they contain, so for order-insensitive value semantics (awari's
+// capture counts — any game whose Better/Finalizes depend only on the
+// value) the database is bit-identical to the synchronous engines'. WDL
+// games encode distance-to-end inside the value, and distances are only
+// exact under level-synchronous propagation: outcomes still agree, depths
+// may not. The test suite asserts exactly that split.
 type Distributed struct {
 	// Workers is the number of cluster nodes; 0 means 8.
 	Workers int
@@ -134,6 +145,9 @@ type Distributed struct {
 	// Compute overrides the per-work-item virtual costs; zero value
 	// means DefaultComputeCosts.
 	Compute *ComputeCosts
+	// Async drops the per-wave barrier (see above). An async result's
+	// Waves are the Safra probe rounds.
+	Async bool
 }
 
 // DefaultMessageCost models mid-90s RPC software overhead: about 2.5 ms
@@ -170,15 +184,22 @@ func (d Distributed) group() uint64 {
 
 // Name implements Engine.
 func (d Distributed) Name() string {
-	return fmt.Sprintf("distributed(p=%d,combine=%d,net=%v)", d.workers(), d.combineSize(), d.Network)
+	kind := "distributed"
+	if d.Async {
+		kind = "async"
+	}
+	return fmt.Sprintf("%s(p=%d,combine=%d,net=%v)", kind, d.workers(), d.combineSize(), d.Network)
 }
 
 // Wire sizes of the simulated protocol messages: what a real
-// implementation would marshal for a done report and a go.
+// implementation would marshal for a done report or a token, and a go.
 const (
 	doneMsgBytes = 16
 	goMsgBytes   = 8
 )
+
+// asyncChunk is how many positions an async node expands per Step.
+const asyncChunk = 64
 
 // Solve implements Engine. See SolveDetailed for the simulation report.
 func (d Distributed) Solve(g game.Game) (*Result, error) {
@@ -190,46 +211,64 @@ func (d Distributed) Solve(g game.Game) (*Result, error) {
 // simulation report (virtual time, traffic, combining factor). The same
 // report is attached to the Result's Sim field.
 func (d Distributed) SolveDetailed(g game.Game) (*Result, *SimReport, error) {
-	sr, err := newSimRun(g, d.workers(), d.group(), d.combineSize(), d.Network, d.NetConfig, d.Cost, d.Compute)
+	run, err := d.newSimRun(g)
 	if err != nil {
 		return nil, nil, err
 	}
-	nodes := make([]*Node, len(sr.sims))
-	for i := range nodes {
-		link := simLink{node: sr.clu.Node(i), run: sr}
-		n := NewNode(NewWorker(g, sr.part, i), link, NodeConfig{Protocol: d.Protocol, Combine: sr.combine, Chunk: 1, Costs: sr.comp})
-		sr.sims[i] = &simNode{link, &n.shard}
-		// The kernel has no error path: a protocol violation or an Init
-		// failure here is a bug, so it escalates.
-		link.node.SetHandler(func(_ int, payload any) { must(n.Deliver(payload.(Msg))) })
-		link.node.Start(func() { must(n.Start()) })
-		nodes[i] = n
+	cfg := NodeConfig{Protocol: d.Protocol, Combine: d.combineSize(), Chunk: 1, Costs: DefaultComputeCosts(), Async: d.Async}
+	if d.Compute != nil {
+		cfg.Costs = *d.Compute
 	}
-	return sr.solve("distributed", func() (int, bool) { return nodes[0].Waves(), nodes[0].Finished() })
+	if d.Async {
+		cfg.Chunk = asyncChunk
+	}
+	for i := range run.nodes {
+		run.start(NewWorker(g, run.part, i), cfg)
+	}
+	return run.solve(g, d.Name())
 }
 
-// simRun is what a solve on the simulated cluster consists of whichever
-// engine drives it: the game and its partition, the machine (event
-// kernel, interconnect and nodes behind clu), the virtual cost of
-// compute, and per node the worker with its combining buffer.
-// Distributed runs a Node on each cluster node; AsyncDistributed embeds
-// the run and adds its own protocol state.
+// simRun is a solve on the simulated cluster: the partition, the machine
+// (event kernel, interconnect and nodes behind clu), and a Node on each
+// cluster node.
 type simRun struct {
-	g       game.Game
-	part    *Partition
-	clu     *cluster.Cluster
-	comp    ComputeCosts
-	combine int
-	sims    []*simNode // one per node, filled in by the engine
+	part  *Partition
+	clu   *cluster.Cluster
+	nodes []*Node
 
 	protocolMsgs uint64
 }
 
-// simNode is the part of a simulated processor both engines share: the
-// link to its cluster node, and its shard.
-type simNode struct {
-	simLink
-	*shard
+// start installs a node for worker w as its cluster node's program.
+// Whenever an async node is runnable and no Step is pending, a Step is
+// scheduled for when its CPU frees up. The kernel has no error path: a
+// protocol violation or an Init failure here is a bug, so it escalates.
+func (r *simRun) start(w *Worker, cfg NodeConfig) {
+	cn := r.clu.Node(w.ID())
+	n := NewNode(w, simLink{node: cn, run: r}, cfg)
+	r.nodes[w.ID()] = n
+	stepping := false
+	var schedule func()
+	step := func() {
+		stepping = false
+		must(n.Step())
+		schedule()
+	}
+	schedule = func() {
+		if stepping || !n.Runnable() {
+			return
+		}
+		stepping = true
+		r.clu.Kernel.At(max(cn.BusyUntil(), r.clu.Kernel.Now()), step)
+	}
+	cn.SetHandler(func(_ int, payload any) {
+		must(n.Deliver(payload.(Msg)))
+		schedule()
+	})
+	cn.Start(func() {
+		must(n.Start())
+		schedule()
+	})
 }
 
 // simLink is a cluster node as the wave protocol's Transport. Every
@@ -250,7 +289,7 @@ func (l simLink) Send(dst int, m Msg) {
 	if m.Kind != MsgBatch {
 		l.run.protocolMsgs++
 		bytes = goMsgBytes
-		if m.Kind == MsgDone {
+		if m.Kind == MsgDone || m.Kind == MsgToken {
 			bytes = doneMsgBytes
 		}
 	}
@@ -277,19 +316,19 @@ func must(err error) {
 }
 
 // newSimRun partitions g and builds the cluster; zero-valued overrides
-// pick the 1995 calibration (DefaultEthernet, DefaultMessageCost,
-// DefaultComputeCosts).
-func newSimRun(g game.Game, workers int, group uint64, combineSize int, kind NetworkKind, netCfg network.EthernetConfig, cost *cluster.CostModel, comp *ComputeCosts) (*simRun, error) {
-	part, err := NewPartition(g.Size(), workers, group)
+// pick the 1995 calibration (DefaultEthernet, DefaultMessageCost).
+func (d Distributed) newSimRun(g game.Game) (*simRun, error) {
+	part, err := NewPartition(g.Size(), d.workers(), d.group())
 	if err != nil {
 		return nil, err
 	}
 	kernel := sim.New()
+	netCfg := d.NetConfig
 	if netCfg.BitsPerSec == 0 {
 		netCfg = network.DefaultEthernet()
 	}
 	var net network.Network
-	switch kind {
+	switch d.Network {
 	case CrossbarNet:
 		net, err = network.NewCrossbar(kernel, netCfg)
 	default:
@@ -299,41 +338,36 @@ func newSimRun(g game.Game, workers int, group uint64, combineSize int, kind Net
 		return nil, err
 	}
 	msgCost := DefaultMessageCost()
-	if cost != nil {
-		msgCost = *cost
+	if d.Cost != nil {
+		msgCost = *d.Cost
 	}
-	clu, err := cluster.New(kernel, net, msgCost, workers)
+	clu, err := cluster.New(kernel, net, msgCost, d.workers())
 	if err != nil {
 		return nil, err
 	}
-	r := &simRun{g: g, part: part, clu: clu, comp: DefaultComputeCosts(), combine: combineSize, sims: make([]*simNode, workers)}
-	if comp != nil {
-		r.comp = *comp
-	}
-	return r, nil
+	return &simRun{part: part, clu: clu, nodes: make([]*Node, d.workers())}, nil
 }
 
-// solve drains the simulation the engine has set in motion and assembles
-// the result; status reports the result's wave count and whether the run
-// completed, once the simulation has drained.
-func (r *simRun) solve(engine string, status func() (waves int, finished bool)) (*Result, *SimReport, error) {
+// solve drains the simulation and assembles the result of the run named
+// engine.
+func (r *simRun) solve(g game.Game, engine string) (*Result, *SimReport, error) {
 	duration := r.clu.Run()
-	waves, finished := status()
-	if !finished {
-		return nil, nil, fmt.Errorf("ra: %s run over %q stalled before completion", engine, r.g.Name())
+	if !r.nodes[0].Finished() {
+		return nil, nil, fmt.Errorf("ra: %s run over %q stalled before completion", engine, g.Name())
 	}
-	result := NewResult(r.part, waves)
+	result := NewResult(r.part, r.nodes[0].Waves())
 	report := &SimReport{
 		Net:              r.clu.Net.Stats(),
-		Nodes:            make([]cluster.NodeStats, len(r.sims)),
+		Nodes:            make([]cluster.NodeStats, len(r.nodes)),
 		DataMessages:     r.clu.Net.Stats().Messages - r.protocolMsgs,
 		ProtocolMessages: r.protocolMsgs,
 		Events:           r.clu.Kernel.Events(),
 	}
-	for i, n := range r.sims {
+	for i, n := range r.nodes {
 		// The run ends when the last CPU drains, which can extend past the
 		// last network event (e.g. the final loop-resolution compute).
-		duration = max(duration, n.node.BusyUntil())
+		cn := r.clu.Node(i)
+		duration = max(duration, cn.BusyUntil())
 		result.Collect(n.w)
 		cs := n.buf.Stats()
 		report.Combining.Items += cs.Items
@@ -341,7 +375,7 @@ func (r *simRun) solve(engine string, status func() (waves int, finished bool)) 
 		report.Combining.FullFlushes += cs.FullFlushes
 		report.Combining.ForcedFlushes += cs.ForcedFlushes
 		report.Combining.MaxBatch = max(report.Combining.MaxBatch, cs.MaxBatch)
-		report.Nodes[i] = n.node.Stats()
+		report.Nodes[i] = cn.Stats()
 		report.LocalUpdates += n.localUpdates
 		report.RemoteUpdates += n.remoteUpdates
 	}

@@ -12,9 +12,10 @@ import (
 var ErrPaused = errors.New("ra: analysis paused at a checkpoint")
 
 // Engine solves a game by retrograde analysis. Every implementation —
-// Sequential, Concurrent, Distributed and AsyncDistributed here,
-// remote.Engine and oocore.Engine in their own packages — drives the same
-// Worker and computes bit-identical results.
+// Sequential, Concurrent and Distributed (wave-synchronous or, with Async
+// set, barrier-free) here, remote.Engine and oocore.Engine in their own
+// packages — drives the same Worker and computes bit-identical results
+// (an async run's WDL depths excepted, see Distributed).
 type Engine interface {
 	// Name identifies the engine configuration for reports.
 	Name() string

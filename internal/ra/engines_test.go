@@ -222,7 +222,7 @@ func TestEngineNames(t *testing.T) {
 		{Concurrent{Workers: 4, Batch: 8}, "concurrent(p=4,batch=8,group=auto)"},
 		{Distributed{Workers: 16, Combine: 10}, "distributed(p=16,combine=10,net=ethernet)"},
 		{Distributed{Workers: 2, Network: CrossbarNet}, "distributed(p=2,combine=100,net=crossbar)"},
-		{AsyncDistributed{Workers: 3}, "async(p=3,combine=100)"},
+		{Distributed{Workers: 3, Async: true}, "async(p=3,combine=100,net=ethernet)"},
 	}
 	for _, c := range cases {
 		if got := c.e.Name(); got != c.want {

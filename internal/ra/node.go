@@ -15,6 +15,13 @@ import (
 // remote.Engine over a TCP mesh endpoint. The node makes every protocol
 // decision; the transport delivers messages, charges virtual time, and
 // says how many end-of-wave sentinels complete a wave.
+//
+// In async mode the same node drops the per-wave barrier: after Start it
+// stays in one expand phase, expanding a chunk per Step as its driver
+// schedules it and applying batches as they arrive, while a Safra token
+// ring detects global quiescence. Node 0 then decides the expand phase
+// done with no work, and loop resolution and finish run as in the
+// synchronous protocol.
 
 // Phase is one step of the wave protocol. Its values are also the phase
 // byte of the TCP engine's go frame.
@@ -54,12 +61,17 @@ const (
 	MsgDone
 	// MsgGo starts Phase as wave Wave.
 	MsgGo
+	// MsgToken is an async run's Safra probe token: Work is the count of
+	// batches sent minus received along the ring so far (two's
+	// complement), Black its colour.
+	MsgToken
 )
 
 // Msg is one message of the wave protocol.
 type Msg struct {
 	Kind    MsgKind
 	Phase   Phase
+	Black   bool
 	Wave    int
 	Work    uint64
 	Updates []Update
@@ -78,9 +90,10 @@ type Transport interface {
 	// node: one per peer where only each pair's traffic is ordered, none
 	// where a done report can never overtake the batches sent before it.
 	Sentinels() int
-	// BeginExpand runs at the entry of every expand wave, before the
-	// node's state moves into it: the one moment that state is exactly
-	// "every earlier wave applied". An error stops the node.
+	// BeginExpand runs at the entry of every expand wave of a synchronous
+	// node, before the node's state moves into it: the one moment that
+	// state is exactly "every earlier wave applied". An error stops the
+	// node.
 	BeginExpand(wave int) error
 }
 
@@ -92,8 +105,11 @@ type NodeConfig struct {
 	Combine int
 	// Chunk is how many positions one Expand call (and one Busy charge)
 	// covers; 1 stamps every batch after the compute of the positions
-	// expanded before it.
+	// expanded before it. In async mode it is one Step's quantum.
 	Chunk int
+	// Async drops the per-wave barrier: the node expands in Steps and
+	// detects quiescence with Safra's token ring (see Step).
+	Async bool
 	// Costs is the virtual compute charged through Transport.Busy.
 	Costs ComputeCosts
 	// Resumed starts from a worker restored at the entry of wave Wave+1:
@@ -103,21 +119,13 @@ type NodeConfig struct {
 	Wave, Waves int
 }
 
-// shard is a node's worker and combining buffer, with its flushed updates
-// split by whether their target was its own.
-type shard struct {
-	w   *Worker
-	buf *combine.Buffer[Update]
-
-	localUpdates  uint64
-	remoteUpdates uint64
-}
-
 // Node runs the wave protocol for one worker. It is not safe for
 // concurrent use: a transport calls Start once, then Deliver for every
-// message, from one goroutine (or one simulation kernel).
+// message (and, in async mode, Step), from one goroutine (or one
+// simulation kernel).
 type Node struct {
-	shard
+	w         *Worker
+	buf       *combine.Buffer[Update]
 	t         Transport
 	id, p     int
 	cfg       NodeConfig
@@ -135,12 +143,22 @@ type Node struct {
 	expect    int // done contributions per phase: own plus one per child
 	doneCount int // done contributions folded in for wave
 	doneWork  uint64
-	waves     int // productive expand waves (meaningful on node 0)
+	waves     int // productive expand waves, or async probe rounds (meaningful on node 0)
+
+	// Flushed updates, split by whether their target was this node's.
+	localUpdates  uint64
+	remoteUpdates uint64
+
+	// Safra's termination detection, in async mode.
+	balance  int64 // batches sent minus received
+	black    bool  // received a batch since last passing the token
+	hasToken bool
+	token    Msg
 }
 
 // NewNode returns the protocol node for worker w over transport t.
 func NewNode(w *Worker, t Transport, cfg NodeConfig) *Node {
-	n := &Node{shard: shard{w: w}, t: t, id: w.ID(), p: w.part.Workers(), cfg: cfg, sentinels: t.Sentinels(), wave: cfg.Wave, waves: cfg.Waves}
+	n := &Node{w: w, t: t, id: w.ID(), p: w.part.Workers(), cfg: cfg, sentinels: t.Sentinels(), wave: cfg.Wave, waves: cfg.Waves}
 	// Done reports go straight to node 0, or up a binary tree rooted there.
 	switch {
 	case cfg.Protocol == TreeProtocol:
@@ -160,6 +178,7 @@ func NewNode(w *Worker, t Transport, cfg NodeConfig) *Node {
 			return
 		}
 		n.remoteUpdates += uint64(len(batch))
+		n.balance++
 		n.t.Send(dst, Msg{Kind: MsgBatch, Wave: n.wave, Updates: batch})
 	})
 	return n
@@ -174,14 +193,17 @@ func (n *Node) Phase() Phase { return n.phase }
 // Wave returns the wave the node is in.
 func (n *Node) Wave() int { return n.wave }
 
-// Waves returns the coordinator's count of productive expand waves.
+// Waves returns the coordinator's count of productive expand waves, or
+// in async mode of Safra probe rounds.
 func (n *Node) Waves() int { return n.waves }
 
 // Finished reports whether the node has entered the finish phase.
 func (n *Node) Finished() bool { return n.phase == PhaseFinish }
 
 // Start initialises the worker (unless resumed) and reports the start
-// wave done.
+// wave done; an async node instead enters its one expand phase, node 0
+// holding the token. Both transports call Start before any Deliver, so
+// no async node needs an init barrier.
 func (n *Node) Start() error {
 	if !n.cfg.Resumed {
 		n.t.Busy(n.cfg.Costs.PerInit * sim.Time(n.w.ShardSize()))
@@ -189,8 +211,72 @@ func (n *Node) Start() error {
 			return err
 		}
 	}
+	if n.cfg.Async {
+		n.phase, n.hasToken = PhaseExpand, n.id == 0
+		return n.settle()
+	}
 	n.heard = n.sentinels // no batches before the first wave
 	return n.ownDone(0)
+}
+
+// Runnable reports whether an async node has local work for a Step.
+func (n *Node) Runnable() bool {
+	return n.cfg.Async && n.phase == PhaseExpand && n.w.Pending() > 0
+}
+
+// Step expands one chunk of an async node's queue, then settles.
+func (n *Node) Step() error {
+	n.w.Refill()
+	if k := n.w.Expand(n.cfg.Chunk, n.buf.Add); k > 0 {
+		n.t.Busy(n.cfg.Costs.PerExpand * sim.Time(k))
+	}
+	return n.settle()
+}
+
+// settle runs after an async node worked or received a batch. Once the
+// node has no local work it flushes its partial batches (self-addressed
+// ones can make new work) and, if still idle, takes part in termination
+// detection.
+func (n *Node) settle() error {
+	if n.w.Pending() == 0 {
+		n.buf.FlushAll()
+	}
+	if n.w.Pending() > 0 {
+		return nil
+	}
+	return n.passToken()
+}
+
+// passToken is Safra's rules 2 and 3, run by an idle node that holds the
+// token: node 0 ends the expand phase when a probe returns white with
+// the ring's balance at zero (every batch sent was received) and starts
+// a fresh probe otherwise; any other node forwards the token with its
+// balance and colour added.
+func (n *Node) passToken() error {
+	if !n.hasToken {
+		return nil
+	}
+	t := n.token
+	if n.id == 0 {
+		n.waves++
+		if n.waves > 1 && !n.black && !t.Black && t.Work+uint64(n.balance) == 0 {
+			return n.decide(0)
+		}
+		t = Msg{Kind: MsgToken}
+	} else {
+		t.Work += uint64(n.balance)
+		t.Black = t.Black || n.black
+	}
+	// The ring runs by descending id, per Safra's presentation. Passing
+	// the token whitens the node.
+	n.black = false
+	n.token = t
+	if n.p == 1 {
+		return n.passToken() // the token returns at once
+	}
+	n.hasToken = false
+	n.t.Send((n.id+n.p-1)%n.p, t)
+	return nil
 }
 
 // Deliver processes one message from a peer.
@@ -204,6 +290,11 @@ func (n *Node) Deliver(m Msg) error {
 			return nil
 		}
 		n.apply(m.Updates)
+		if n.cfg.Async {
+			n.balance--
+			n.black = true
+			return n.settle()
+		}
 	case MsgSentinel:
 		if m.Wave > n.wave {
 			n.earlyEOW++
@@ -215,6 +306,9 @@ func (n *Node) Deliver(m Msg) error {
 		return n.foldDone(m.Wave, m.Work)
 	case MsgGo:
 		return n.enter(m.Wave, m.Phase)
+	case MsgToken:
+		n.hasToken, n.token = true, m
+		return n.settle()
 	default:
 		return fmt.Errorf("ra: node %d got a message of unknown kind %d", n.id, m.Kind)
 	}

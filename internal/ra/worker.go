@@ -301,18 +301,6 @@ func (w *Worker) initState(local uint64, s game.InitStat) bool {
 	return final
 }
 
-// mustInit is Init for the engines that run initialisation inside
-// simulation or protocol callbacks with no error path of their own. A
-// counter overflow there is a game-construction bug (game.Validate and
-// the in-core engines report it as an error), so it escalates.
-func mustInit(w *Worker) uint64 {
-	n, err := w.Init()
-	if err != nil {
-		panic(err)
-	}
-	return n
-}
-
 // Pending returns the number of positions finalized in the current wave
 // and not yet expanded.
 func (w *Worker) Pending() int { return len(w.next) + len(w.queue) }
@@ -329,8 +317,9 @@ func (w *Worker) BeginWave() int {
 }
 
 // Refill promotes newly finalized positions into the expansion queue when
-// it has drained — the asynchronous engines' replacement for wave
-// boundaries. It reports whether the queue has work afterwards.
+// it has drained — an async Node's replacement for wave boundaries, run
+// at the top of every Step. It reports whether the queue has work
+// afterwards.
 func (w *Worker) Refill() bool {
 	if len(w.queue) == 0 && len(w.next) > 0 {
 		w.BeginWave()

@@ -11,6 +11,16 @@ import (
 	"retrograde/internal/ttt"
 )
 
+// mustInit is Init for tests that build workers by hand; a counter
+// overflow there is a bug in the test's game, so it escalates.
+func mustInit(w *Worker) uint64 {
+	n, err := w.Init()
+	if err != nil {
+		panic(err)
+	}
+	return n
+}
+
 func TestNewWorkerValidation(t *testing.T) {
 	g := nim.MustNew(2, 3)
 	part := Cyclic(g.Size(), 2)

@@ -23,6 +23,7 @@ func FuzzMeshFrame(f *testing.F) {
 	f.Add(append(encodeCtl(frameEOW, 9, 0, 0), encodeCtl(frameDone, 3, 0, 123456789)...))
 	f.Add(encodeCtl(frameGo, 5, ra.PhaseLoops, 0))
 	f.Add(overflowBatchFrame)
+	f.Add([]byte{5, 0, 0, 0, byte(ra.MsgToken), 1, 0, 0, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := bufio.NewReader(bytes.NewReader(data))
 		for off := 0; ; {

@@ -37,14 +37,16 @@ import (
 )
 
 // Frame types on the wire. The first four carry the protocol's messages
-// and share ra.MsgKind's values.
+// and share ra.MsgKind's values; the mesh runs no async mode, so
+// ra.MsgToken's value is no frame type and readFrame refuses it. The
+// mesh's own frames are numbered after the last MsgKind.
 const (
-	frameBatch     = byte(ra.MsgBatch)    // combined updates
-	frameEOW       = byte(ra.MsgSentinel) // end-of-wave sentinel (per peer connection)
-	frameDone      = byte(ra.MsgDone)     // phase completion report to the coordinator
-	frameGo        = byte(ra.MsgGo)       // coordinator starts the next phase
-	frameHeartbeat = frameGo + 1          // keep-alive so idle healthy conns never trip the deadline
-	frameBye       = frameGo + 2          // orderly shutdown notice; EOF without it means a crash
+	frameBatch     = byte(ra.MsgBatch)     // combined updates
+	frameEOW       = byte(ra.MsgSentinel)  // end-of-wave sentinel (per peer connection)
+	frameDone      = byte(ra.MsgDone)      // phase completion report to the coordinator
+	frameGo        = byte(ra.MsgGo)        // coordinator starts the next phase
+	frameHeartbeat = byte(ra.MsgToken) + 1 // keep-alive so idle healthy conns never trip the deadline
+	frameBye       = byte(ra.MsgToken) + 2 // orderly shutdown notice; EOF without it means a crash
 )
 
 // Engine solves games over TCP. It implements ra.Engine.

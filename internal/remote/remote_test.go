@@ -189,9 +189,10 @@ func TestFrameCodecRoundTrip(t *testing.T) {
 
 func TestReadFrameRejectsGarbage(t *testing.T) {
 	bad := [][]byte{
-		{0, 0, 0, 0},                    // zero-size frame
-		{255, 255, 255, 255},            // absurd size
-		{6, 0, 0, 0, 99, 1, 0, 0, 0, 0}, // unknown frame type
+		{0, 0, 0, 0},                                // zero-size frame
+		{255, 255, 255, 255},                        // absurd size
+		{6, 0, 0, 0, 99, 1, 0, 0, 0, 0},             // unknown frame type
+		{5, 0, 0, 0, byte(ra.MsgToken), 1, 0, 0, 0}, // async token: the mesh runs no async mode
 		append([]byte{14, 0, 0, 0, frameBatch, 1, 0, 0, 0}, []byte{9, 0, 0, 0, 1}...), // batch count/size mismatch
 		{6, 0, 0, 0, frameDone, 1, 0, 0, 0, 0},                                        // done frame too short
 		{5, 0, 0, 0, frameBatch, 1, 0, 0, 0},                                          // batch frame without a count

@@ -15,8 +15,8 @@
 //     Sequential (the paper's uniprocessor baseline), Concurrent (real
 //     goroutines with batched channel sends), Distributed (the paper's
 //     message-combining algorithm on a simulated 64-node Ethernet
-//     cluster, measured in deterministic virtual time), AsyncDistributed
-//     (barrier-free, Safra termination detection), TCP (real sockets)
+//     cluster, measured in deterministic virtual time; with Async set it
+//     drops the barriers for Safra termination detection), TCP (real sockets)
 //     and OutOfCore (state capped at a byte budget and spilled to disk,
 //     which also makes it the pause/resume and crash-restart engine);
 //   - bit-packed, checksummed database files;
@@ -108,11 +108,10 @@ type (
 	Sequential = ra.Sequential
 	// Concurrent is the shared-memory goroutine engine.
 	Concurrent = ra.Concurrent
-	// Distributed is the simulated-cluster engine of the paper.
+	// Distributed is the simulated-cluster engine of the paper;
+	// Distributed{Async: true} is its barrier-free variant: continuous
+	// expansion with Safra token-ring termination detection.
 	Distributed = ra.Distributed
-	// AsyncDistributed is the barrier-free variant: continuous expansion
-	// with Safra token-ring termination detection.
-	AsyncDistributed = ra.AsyncDistributed
 	// SimReport describes a Distributed run: virtual time and traffic.
 	SimReport = ra.SimReport
 	// OutOfCore is the spill-block engine: resident state capped at
