@@ -29,6 +29,7 @@ ravet:
 # Ten seconds per fuzz target — the CI smoke budget, not a soak.
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzApplyWord -fuzztime=10s ./internal/ra/
+	$(GO) test -fuzz=FuzzBatchGenerators -fuzztime=10s ./internal/awari/
 	$(GO) test -fuzz=FuzzZdbRoundtrip -fuzztime=10s ./internal/zdb/
 	$(GO) test -fuzz=FuzzHuffDecode -fuzztime=10s ./internal/zdb/
 	$(GO) test -fuzz=FuzzEncodeBlock -fuzztime=10s ./internal/zdb/

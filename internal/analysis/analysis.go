@@ -14,7 +14,8 @@
 //     NodeFailedError/CounterOverflowError contracts keep working.
 //   - laneconst: the scalar packed-uint32 state layout and the SWAR
 //     byte-lane layout agree structurally (the guarantee
-//     TestSWARKernelParity checks).
+//     TestSWARKernelParity checks), and awari's board words hold exactly
+//     RowSize pit bytes whose top bits stay clear.
 //   - detrand: deterministic solve/checksum paths (engines, codecs,
 //     faultnet schedules) stay deterministic: no wall clock, no global
 //     math/rand source, no side effects driven by map iteration order.
@@ -37,7 +38,7 @@ import (
 // Version identifies the ravet suite revision; recorded in benchmark
 // provenance blocks so result tables say what was verified. Bump it when
 // an analyzer is added, removed, or materially changes what it accepts.
-const Version = "ravet/1"
+const Version = "ravet/2"
 
 // Analyzer is one named check over a type-checked package.
 type Analyzer struct {

@@ -11,17 +11,21 @@ import (
 // (worker.go) against the SWAR byte-lane layout constants (swar.go), so
 // the two bit layouts can never silently diverge — the structural half of
 // the guarantee TestSWARKernelParity checks (bit-identical scalar and
-// SWAR databases).
+// SWAR databases). It also checks the board-word layout of the awari run
+// generators (one byte per pit, one uint64 per row).
 //
 // The invariants are algebraic, so the analyzer recomputes them from the
 // constant values rather than comparing against hard-coded numbers:
 // fields must tile (value at bit 0, counter directly above, final flag as
 // the top bit of the word), masks must match their shifts, the 64-bit
 // broadcast masks must be exact 8-lane replications of the byte
-// constants, and the two kernels must agree structurally.
+// constants, and the two kernels must agree structurally. A board word
+// must broadcast and mask exactly RowSize pit bytes, and MaxStones must
+// stay below 128 so no pit byte ever sets its top bit — the zero-byte and
+// borrow tests on board words rely on that.
 var LaneConst = &Analyzer{
 	Name: "laneconst",
-	Doc:  "scalar packed-state and SWAR lane layout constants must agree",
+	Doc:  "scalar packed-state, SWAR lane and awari board-word layout constants must agree",
 	Run:  runLaneConst,
 }
 
@@ -34,6 +38,10 @@ var laneConstSWAR = []string{
 	"laneCntOne", "laneFinalBit", "laneMaxCnt", "lanesPerWord",
 	"laneLo", "laneHi", "laneVal8", "laneCnt8", "laneCnt18",
 }
+
+// laneConstBoard is the board-word group; rowLo or rowMask marks a
+// package as using the layout.
+var laneConstBoard = []string{"rowLo", "rowMask", "RowSize", "MaxStones"}
 
 func runLaneConst(pass *Pass) error {
 	consts := map[string]uint64{}
@@ -62,7 +70,14 @@ func runLaneConst(pass *Pass) error {
 			anySWAR = true
 		}
 	}
-	if !anyScalar && !anySWAR {
+	anyBoard := false
+	for _, n := range laneConstBoard {
+		if v, ok := lookup(n); ok {
+			consts[n] = v
+			anyBoard = anyBoard || n == "rowLo" || n == "rowMask"
+		}
+	}
+	if !anyScalar && !anySWAR && !anyBoard {
 		return nil // not a kernel package
 	}
 
@@ -92,6 +107,9 @@ func runLaneConst(pass *Pass) error {
 	}
 	if anyScalar && anySWAR {
 		checkCrossKernel(report, consts)
+	}
+	if anyBoard && !missing(laneConstBoard, "board-word") {
+		checkBoardLayout(report, consts)
 	}
 	checkGameContract(pass, report, consts)
 	return nil
@@ -176,6 +194,27 @@ func checkSWARLayout(report reportf, c map[string]uint64) {
 		if want := pair.laneVal * rep; c[pair.broad] != want {
 			report(pair.broad, "%s %#x is not %s replicated into all 8 lanes (want %#x): the word-parallel and per-lane paths would diverge", pair.broad, c[pair.broad], pair.lane, want)
 		}
+	}
+}
+
+func checkBoardLayout(report reportf, c map[string]uint64) {
+	lanes := c["RowSize"]
+	if lanes == 0 || lanes > 8 {
+		report("RowSize", "RowSize %d pit bytes do not fit one uint64 row word", lanes)
+		return
+	}
+	var lo uint64
+	for k := range lanes {
+		lo |= 1 << (8 * k)
+	}
+	if c["rowLo"] != lo {
+		report("rowLo", "rowLo %#x is not 1 replicated into exactly the %d pit bytes of a row word (want %#x): row sums and capture tests would miss or invent pits", c["rowLo"], lanes, lo)
+	}
+	if want := lo * 0xFF; c["rowMask"] != want {
+		report("rowMask", "rowMask %#x does not cover exactly the %d pit bytes of a row word (want %#x)", c["rowMask"], lanes, want)
+	}
+	if c["MaxStones"] >= 128 {
+		report("MaxStones", "MaxStones %d is not below 128: a pit byte could set its top bit, which the board-word zero-byte and borrow tests read as a flag", c["MaxStones"])
 	}
 }
 

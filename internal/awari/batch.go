@@ -1,6 +1,9 @@
 package awari
 
 import (
+	"math/bits"
+	"sync"
+
 	"retrograde/internal/game"
 	"retrograde/internal/index"
 )
@@ -16,17 +19,20 @@ import (
 //
 //   - boards are decoded once per run and advanced with the O(1) colex
 //     successor rule instead of Unrank per position;
-//   - the board-reversal view r = p.Swapped() that predecessor generation
-//     works on is maintained alongside, so the expanded state per position
-//     is half of what decode-then-swap would touch;
-//   - sowing is a precomputed 12-byte pattern add (sowPat) instead of a
-//     stone-by-stone loop, and the landing pit and the pattern's
-//     opponent-row mass come from tables (lastPit, patOppSum);
-//   - predecessor candidates are verified arithmetically (capture test on
-//     the already-known post-sow board, feeding legality from row sums)
-//     instead of replaying the move;
+//   - a board is two row words (rows: one byte per pit, the mover's row
+//     in one uint64 and the opponent's in the other). No pit reaches 128
+//     stones, so byte-wise arithmetic cannot carry between pits: a sow is
+//     two word adds from a pattern table (sowAdd) plus a mask clearing
+//     the origin, a row sum is one multiply, the "2 or 3" capture test is
+//     a zero-byte test on the opponent word, and the perspective swap
+//     r = p.Swapped() is exchanging the two words;
+//   - predecessor candidates are un-sown by two word subtractions whose
+//     borrow shows in the pit bytes' top bits, and verified arithmetically
+//     (capture test on the already-known post-sow board, feeding legality
+//     from row sums) instead of replaying the move;
 //   - only boards that actually leave the slice (captures) or enter it
-//     (predecessors) are ranked, through a flat local binomial table.
+//     (predecessors) are ranked, from the row words' prefix sums through
+//     a flat local binomial table.
 //
 // Every generator is semantically identical to its scalar counterpart;
 // game.Validate cross-checks them position by position, and the engines
@@ -44,73 +50,127 @@ var binoms = func() [MaxStones + Pits][Pits]uint64 {
 	return t
 }()
 
-// Sowing tables, indexed [origin][stones]. sowPat is the delivery count
-// per pit (zero at the origin, which sowing skips); lastPit is the pit
-// receiving the final stone; patOppSum is the pattern's total delivery
-// into the opponent's row (pits 6..11).
-var sowPat [RowSize][MaxStones + 1][Pits]int8
-var lastPit [RowSize][MaxStones + 1]int8
-var patOppSum [RowSize][MaxStones + 1]int8
+// rows is a board as two row words, one byte per pit: rows[0] holds the
+// mover's pits 0..5, rows[1] the opponent's pits 6..11, pit RowSize*w+i
+// in byte i of word w. A board holds at most MaxStones < 128 stones, so
+// every byte keeps its top bit clear, and adding a sowing pattern to a
+// board cannot carry into the next pit.
+type rows [2]uint64
+
+// Row-word constants: rowMask covers exactly the RowSize pit bytes,
+// rowLo has a 1 in each of them and rowHi each one's top bit.
+const (
+	rowMask uint64 = 1<<(8*RowSize) - 1
+	rowLo   uint64 = rowMask / 0xFF
+	rowHi          = rowLo << 7
+)
+
+// rowSum returns the number of stones in one row word: the multiply
+// accumulates every pit byte into the top pit byte.
+func rowSum(w uint64) int { return int(byte(w * rowLo >> (8 * (RowSize - 1)))) }
+
+// toRows packs a Board into row words.
+func toRows(b *Board) rows {
+	var w rows
+	for i := Pits - 1; i >= 0; i-- {
+		w[i/RowSize] = w[i/RowSize]<<8 | uint64(b[i])
+	}
+	return w
+}
+
+// capturable flags, with the byte's top bit, every pit of a row word
+// holding 2 or 3 stones: clearing each byte's low bit maps {2, 3} to 2,
+// and the exact zero-byte test (no borrow crosses a byte, since every
+// byte stays below 128) then finds the bytes equal to 2.
+func capturable(w uint64) uint64 {
+	x := (w &^ rowLo) ^ rowLo<<1
+	return rowHi &^ ((x + (rowHi - rowLo)) | x)
+}
+
+// captureMask returns the bytes of an opponent row word, whose capturable
+// pits are capt, that a sow landing in the pit ending land (see sowLand)
+// captures: the run of capturable pits reaching down from the landing
+// pit, cut at the nearest pit below it that is not capturable. Zero when
+// nothing is captured, including when the sow landed in the mover's row
+// (land == 0).
+func captureMask(capt, land uint64) uint64 {
+	stop := land & rowHi &^ capt
+	return land &^ (1<<(64-bits.LeadingZeros64(stop)) - 1)
+}
+
+// Sowing tables, indexed [origin][stones]. sowAdd is the delivery count
+// per pit as row words (zero at the origin, which sowing skips), so a sow
+// is two word adds; sowLand covers the opponent-row bytes up to and
+// including the pit receiving the final stone, and is zero when the final
+// stone lands in the mover's row.
+var sowAdd [RowSize][MaxStones + 1]rows
+var sowLand [RowSize][MaxStones + 1]uint64
 
 func init() {
 	for o := 0; o < RowSize; o++ {
 		for s := 1; s <= MaxStones; s++ {
 			pit := o
-			last := o
-			var pat [Pits]int8
+			var pat Board
 			for i := 0; i < s; i++ {
 				pit = (pit + 1) % Pits
 				if pit == o {
 					pit = (pit + 1) % Pits
 				}
 				pat[pit]++
-				last = pit
 			}
-			sowPat[o][s] = pat
-			lastPit[o][s] = int8(last)
-			opp := int8(0)
-			for j := RowSize; j < Pits; j++ {
-				opp += pat[j]
+			sowAdd[o][s] = toRows(&pat)
+			if pit >= RowSize {
+				sowLand[o][s] = 1<<(8*(pit-RowSize+1)) - 1
 			}
-			patOppSum[o][s] = opp
 		}
 	}
 }
 
 // rankBoard ranks a board holding exactly stones stones, as
-// Space(stones).Rank but through the flat table and without validation —
-// callers construct boards whose pit sum is correct by arithmetic.
-func rankBoard(b *Board, stones int) uint64 {
-	var r uint64
-	rem := stones
-	for i := Pits - 1; i >= 1; i-- {
-		if rem == 0 {
-			break
-		}
-		c := int(b[i])
-		r += binoms[rem+i][i] - binoms[rem-c+i][i]
-		rem -= c
+// Space(stones).Rank but straight from the row words and without
+// validation — callers construct boards whose pit sum is correct by
+// arithmetic. The colex rank sums, over pits i = 1..11 with P_i the
+// stones in pits 0..i, C(P_i+i, i) - C(P_(i-1)+i, i); by Pascal's rule
+// that telescopes to C(n+11, 11) - 1 - sum over j = 0..10 of
+// C(P_j+j, j+1). One multiply per row word yields every prefix sum P_j at
+// once (byte j of the product), so the rank is eleven independent table
+// reads instead of a walk whose every step waits on the one before.
+func rankBoard(w rows, stones int) uint64 {
+	own := w[0] * rowLo                                   // byte j: P_j
+	opp := w[1]*rowLo + (own>>(8*(RowSize-1))&0xFF)*rowLo // byte j: P_(RowSize+j)
+	r := binoms[stones+Pits-1][Pits-1] - 1
+	for j := 0; j < RowSize; j++ {
+		r -= binoms[int(own>>(8*j)&0xFF)+j][j+1]
+	}
+	for j := 0; j < RowSize-1; j++ {
+		r -= binoms[int(opp>>(8*j)&0xFF)+RowSize+j][RowSize+j+1]
 	}
 	return r
 }
 
-// nextBoard advances b to the colex successor in its stone-count space:
-// rank(nextBoard(b)) == rank(b) + 1. Callers never step past the last
+// nextBoard advances w to the colex successor in its stone-count space:
+// rank(nextBoard(w)) == rank(w) + 1. Pit 0's stones move one pit up, one at
+// a time; once pit 0 is empty, the lowest nonempty pit j passes one stone
+// to pit j+1 and the rest back to pit 0. Callers never step past the last
 // composition (all stones in pit 11).
-func nextBoard(b *Board) {
-	if b[0] > 0 {
-		b[0]--
-		b[1]++
+func nextBoard(w *rows) {
+	if w[0]&0xFF != 0 {
+		w[0] += 0x100 - 1
 		return
 	}
-	for j := 1; ; j++ {
-		if b[j] > 0 {
-			b[0] = b[j] - 1
-			b[j] = 0
-			b[j+1]++
-			return
-		}
+	k := 0 // word holding the lowest nonempty pit
+	if w[0] == 0 {
+		k = 1
 	}
+	sh := bits.TrailingZeros64(w[k]) &^ 7
+	c := w[k] >> sh & 0xFF
+	w[k] &^= 0xFF << sh
+	if sh += 8; sh < 8*RowSize {
+		w[k] += 1 << sh
+	} else {
+		w[1]++ // pit 5 passes its stone across the row boundary to pit 6
+	}
+	w[0] |= c - 1
 }
 
 // Lanes implements game.LaneGame: awari's value algebra is a total numeric
@@ -132,65 +192,44 @@ func (s *Slice) Lanes() (game.LaneSpec, bool) {
 // database.
 func (s *Slice) InitRun(base uint64, n int, out []game.InitStat) {
 	b := s.Board(base)
+	w := toRows(&b)
 	for i := 0; i < n; i++ {
 		if i > 0 {
-			nextBoard(&b)
+			nextBoard(&w)
 		}
-		out[i] = s.initStat(&b)
+		out[i] = s.initStat(w)
 	}
 }
 
 // initStat computes one position's init summary: legal-move count,
 // internal-successor count, and the best resolved (capturing or terminal)
 // value.
-func (s *Slice) initStat(b *Board) game.InitStat {
-	opp := 0
-	for j := RowSize; j < Pits; j++ {
-		opp += int(b[j])
-	}
-	starved := !s.rules.NoFeedObligation && opp == 0
+func (s *Slice) initStat(w rows) game.InitStat {
+	starved := !s.rules.NoFeedObligation && w[1] == 0
+	forfeit := s.rules.GrandSlam == GrandSlamForfeit
 	stat := game.InitStat{Best: game.NoValue}
-	for from := 0; from < RowSize; from++ {
-		st := int(b[from])
-		if st == 0 {
-			continue
+	for todo := w[0]; todo != 0; {
+		sh := bits.TrailingZeros64(todo) &^ 7
+		todo &^= 0xFF << sh
+		from, st := sh/8, w[0]>>sh&0xFF
+		add := &sowAdd[from][st]
+		m := (w[0] + add[0]) &^ (0xFF << sh)
+		o := w[1] + add[1]
+		taken := captureMask(capturable(o), sowLand[from][st])
+		if forfeit && o&^taken == 0 {
+			taken = 0 // grand slam forfeited: the move stands, the stones remain
 		}
-		pat := &sowPat[from][st]
-		last := int(lastPit[from][st])
-		var r Board
-		for j := 0; j < Pits; j++ {
-			r[j] = b[j] + pat[j]
-		}
-		r[from] = 0
-		captured := 0
-		end := last
-		if last >= RowSize && (r[last] == 2 || r[last] == 3) {
-			for end >= RowSize && (r[end] == 2 || r[end] == 3) {
-				end--
-			}
-			for j := end + 1; j <= last; j++ {
-				captured += int(r[j])
-			}
-			if s.rules.GrandSlam == GrandSlamForfeit && opp+int(patOppSum[from][st])-captured == 0 {
-				captured = 0 // grand slam forfeited: the move stands, the stones remain
-				end = last
-			}
-		}
-		if starved && opp+int(patOppSum[from][st])-captured == 0 {
+		if starved && o&^taken == 0 {
 			continue // does not feed the starved opponent: illegal
 		}
 		stat.Moves++
-		if captured == 0 {
+		if taken == 0 {
 			stat.Internal++
 			continue
 		}
 		// Capture: the move resolves against the smaller database.
-		for j := end + 1; j <= last; j++ {
-			r[j] = 0
-		}
-		child := r.Swapped()
-		rest := s.stones - captured
-		mv := game.Value(s.stones) - s.lookup(rest, rankBoard(&child, rest))
+		rest := s.stones - rowSum(o&taken)
+		mv := game.Value(s.stones) - s.lookup(rest, rankBoard(rows{o &^ taken, m}, rest))
 		if stat.Best == game.NoValue || mv > stat.Best {
 			stat.Best = mv
 		}
@@ -198,7 +237,7 @@ func (s *Slice) initStat(b *Board) game.InitStat {
 	if stat.Moves == 0 {
 		// Terminal: a mover with an empty row forfeits the board, a mover
 		// who cannot feed a starved opponent captures everything.
-		if b.OwnStones() == 0 {
+		if w[0] == 0 {
 			stat.Best = 0
 		} else {
 			stat.Best = game.Value(s.stones)
@@ -207,78 +246,71 @@ func (s *Slice) initStat(b *Board) game.InitStat {
 	return stat
 }
 
-// PredecessorsRun implements game.BatchExpander. The swapped view r (the
-// post-move board from the previous mover's perspective) is maintained
-// incrementally across the run, and each un-sow candidate is verified
-// arithmetically: the sow is exact by construction, so validity reduces to
-// "no capture fires at the landing pit" plus feeding legality from row
-// sums — no forward Apply per candidate.
+// PredecessorsRun implements game.BatchExpander. It works on the swapped
+// view r of p (the post-move board from the previous mover's
+// perspective), which on row words is free, and verifies each un-sow
+// candidate arithmetically: the sow is exact by construction, so validity
+// reduces to "no capture fires at the landing pit" plus feeding legality
+// — no forward Apply per candidate.
 func (s *Slice) PredecessorsRun(base uint64, n int, visit func(i int, preds []uint64)) {
-	p := s.Board(base)
-	var preds []uint64
+	b := s.Board(base)
+	p := toRows(&b)
+	forfeit := s.rules.GrandSlam == GrandSlamForfeit
+	scratch := predScratch.Get().(*[]uint64)
+	preds := *scratch
 	for i := 0; i < n; i++ {
 		if i > 0 {
 			nextBoard(&p)
 		}
-		r := p.Swapped()
-		// r's opponent row (pits 6..11) is p's own row: its sum decides
-		// both capture forfeits and feeding legality below.
-		oppR := p.OwnStones()
+		// Feeding legality: a non-capturing move from a predecessor q
+		// leaves q's opponent row holding exactly p's own row (r's
+		// opponent row). So when p's own row is empty, q's opponent row
+		// was empty too and the move did not feed it: under the feeding
+		// obligation no candidate is legal. Otherwise every one is.
+		if !s.rules.NoFeedObligation && p[0] == 0 {
+			continue
+		}
+		r := rows{p[1], p[0]} // Board.Swapped: the rows trade places
+		capR := capturable(r[1])
 		preds = preds[:0]
 		for origin := 0; origin < RowSize; origin++ {
-			if r[origin] != 0 {
+			sh := 8 * origin
+			if r[0]>>sh&0xFF != 0 {
 				// Sowing empties the origin and (captures aside, but a
 				// capture would leave the database) nothing refills it.
 				continue
 			}
 			for st := 1; st <= s.stones; st++ {
-				pat := &sowPat[origin][st]
-				q := r
-				q[origin] = int8(st)
-				ok := true
-				for j := 0; j < Pits; j++ {
-					if q[j] -= pat[j]; q[j] < 0 {
-						ok = false
-						break
-					}
+				add := &sowAdd[origin][st]
+				q := rows{(r[0] | uint64(st)<<sh) - add[0], r[1] - add[1]}
+				if (q[0]|q[1])&rowHi != 0 {
+					// A pit went below zero; sowing patterns only grow
+					// with the stone count, so larger counts fail too.
+					break
 				}
-				if !ok {
-					break // sowing patterns only grow with the stone count
+				// The move q --origin--> r must not capture: walk back
+				// from the landing pit as the capture rule would.
+				taken := captureMask(capR, sowLand[origin][st])
+				if taken != 0 && (!forfeit || r[1]&^taken != 0) {
+					continue // capture fires and leaves the database
 				}
-				// The move q --origin--> r must not capture: walk back from
-				// the landing pit as the capture rule would.
-				last := int(lastPit[origin][st])
-				if last >= RowSize && (r[last] == 2 || r[last] == 3) {
-					if s.rules.GrandSlam != GrandSlamForfeit {
-						continue
-					}
-					captured := 0
-					end := last
-					for end >= RowSize && (r[end] == 2 || r[end] == 3) {
-						end--
-					}
-					for j := end + 1; j <= last; j++ {
-						captured += int(r[j])
-					}
-					if oppR != captured {
-						continue // capture fires and leaves the database
-					}
-					// Grand slam forfeited: the move stands without capture.
-				}
-				// Legality of playing origin on q: the feeding obligation
-				// binds only when q's opponent row is empty, and the move
-				// feeds exactly oppR stones.
-				if !s.rules.NoFeedObligation && oppR-int(patOppSum[origin][st]) <= 0 && oppR <= 0 {
-					continue
-				}
-				preds = append(preds, rankBoard(&q, s.stones))
+				// Otherwise no capture, or a grand slam forfeited: the
+				// move stands without capture.
+				preds = append(preds, rankBoard(q, s.stones))
 			}
 		}
 		if len(preds) > 0 {
 			visit(i, preds)
 		}
 	}
+	*scratch = preds
+	predScratch.Put(scratch)
 }
+
+// predScratch recycles PredecessorsRun's candidate lists: visit may use a
+// list only for the duration of its call, so a list is free again when
+// the run is done.
+var predScratch = sync.Pool{New: func() any { return new([]uint64) }}
 
 // LoopValuesRun implements game.BatchLooper.
 func (s *Slice) LoopValuesRun(base uint64, n int, out []game.Value) {
@@ -293,11 +325,12 @@ func (s *Slice) LoopValuesRun(base uint64, n int, out []game.Value) {
 		}
 	default: // LoopOwnSide
 		b := s.Board(base)
+		w := toRows(&b)
 		for i := 0; i < n; i++ {
 			if i > 0 {
-				nextBoard(&b)
+				nextBoard(&w)
 			}
-			out[i] = game.Value(b.OwnStones())
+			out[i] = game.Value(rowSum(w[0]))
 		}
 	}
 }

@@ -192,12 +192,6 @@ func TestSliceTerminalValue(t *testing.T) {
 // multiset inverse of the internal move relation, under both grand-slam
 // conventions and with the feeding obligation on and off.
 func TestValidateSlices(t *testing.T) {
-	ruleSets := []Rules{
-		Standard,
-		{GrandSlam: GrandSlamForfeit},
-		{NoFeedObligation: true},
-		{GrandSlam: GrandSlamForfeit, NoFeedObligation: true},
-	}
 	for _, rules := range ruleSets {
 		for n := 0; n <= 5; n++ {
 			sl := MustSlice(rules, LoopOwnSide, n, zeroLookup)
@@ -269,24 +263,6 @@ func TestPredecessorsNeverCapture(t *testing.T) {
 				t.Fatalf("predecessor %d of %d has %d stones", q, idx, sl.Board(q).Stones())
 			}
 		}
-	}
-}
-
-func BenchmarkSliceMoves(b_ *testing.B) {
-	sl := MustSlice(Standard, LoopOwnSide, 13, zeroLookup)
-	var moves []game.Move
-	b_.ReportAllocs()
-	for i := 0; i < b_.N; i++ {
-		moves = sl.Moves(uint64(i)%sl.Size(), moves[:0])
-	}
-}
-
-func BenchmarkSlicePredecessors(b_ *testing.B) {
-	sl := MustSlice(Standard, LoopOwnSide, 13, zeroLookup)
-	var preds []uint64
-	b_.ReportAllocs()
-	for i := 0; i < b_.N; i++ {
-		preds = sl.Predecessors(uint64(i)%sl.Size(), preds[:0])
 	}
 }
 
