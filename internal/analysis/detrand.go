@@ -28,7 +28,7 @@ import (
 var DetRand = &Analyzer{
 	Name:     "detrand",
 	Doc:      "no unseeded randomness, wall clock or map-order dependence in deterministic paths",
-	Packages: []string{"internal/ra", "internal/zdb", "internal/faultnet", "internal/game", "internal/oocore"},
+	Packages: []string{"internal/ra", "internal/zdb", "internal/faultnet", "internal/game", "internal/oocore", "internal/graphgame"},
 	Run:      runDetRand,
 }
 

@@ -19,8 +19,8 @@ func TestAwariEnginesAgree(t *testing.T) {
 		t.Fatal(err)
 	}
 	engines := []ra.Engine{
-		ra.Concurrent{Workers: 4, Batch: 64},
-		ra.Concurrent{Workers: 3, Batch: 1},
+		ra.Concurrent{Workers: 4},
+		ra.Concurrent{Workers: 3},
 		ra.Distributed{Workers: 4, Combine: 32},
 		ra.Distributed{Workers: 6, Combine: 1},
 		ra.Distributed{Workers: 5, Network: ra.CrossbarNet, Combine: 16},

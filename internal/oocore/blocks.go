@@ -3,7 +3,7 @@ package oocore
 import (
 	"container/list"
 	"fmt"
-	"slices"
+	"path/filepath"
 	"time"
 
 	"retrograde/internal/game"
@@ -109,22 +109,15 @@ type block struct {
 	touchEpoch uint64
 
 	// pending holds update runs routed here while the state was not
-	// resident; drained (applied) as soon as the block is loaded again —
-	// at the latest on its visit in the next wave, which touches every
-	// block with parked runs.
+	// resident; the driver lands them on the block's next visit, which
+	// comes in the next pass at the latest.
 	pending []ra.UpdateRun
-	// mark > 0 defers this wave's BeginWave to the block's visit: the
-	// first mark pending runs belong to the previous wave and land before
-	// the begin, the rest were parked during this one and land after it.
-	mark int
-	// queued is the size of this wave's expansion queue, known once the
-	// wave has begun on the block.
-	queued int
 }
 
 // blockManager owns residency: which blocks' state arrays are in core,
 // charged against an explicit byte budget with LRU eviction — the
-// serving cache's pin/budget policy turned to the solving side.
+// serving cache's pin/budget policy turned to the solving side, as the
+// ra.Residency of a host solve.
 type blockManager struct {
 	g      game.Game
 	part   *ra.Partition
@@ -152,6 +145,9 @@ type blockManager struct {
 	wbErr  error          // writer's sticky error, preserved across closePipeline
 	epoch  uint64         // current residency pass for touchEpoch marks
 
+	e         Engine // the checkpoint schedule: CheckpointEvery, StopAfterWaves
+	resumedAt int    // waves the manifest resumed from
+
 	stats SpillStats
 }
 
@@ -178,27 +174,28 @@ func newBlockManager(g game.Game, kern ra.Kernel, part *ra.Partition, budget uin
 	return m
 }
 
-// initFresh builds and initialises every block's worker, evicting ahead
-// of each construction so initialisation itself runs under the cap.
-func (m *blockManager) initFresh() error {
-	for _, b := range m.blocks {
-		need := m.part.ShardSize(b.idx) * m.bytesPerPosition()
-		if err := m.makeRoom(need); err != nil {
-			return err
-		}
-		w, err := ra.NewWorkerKernel(m.g, m.part, b.idx, m.kern)
-		if err != nil {
-			return err
-		}
-		b.w = w
-		m.charge(b)
-		b.elem = m.lru.PushFront(b)
-		if _, err := w.Init(); err != nil {
-			return err
-		}
-		b.dirty = true
+// Init implements ra.Residency: a block restored from the manifest comes
+// back as it was checkpointed; otherwise its worker is built and
+// initialised, evicting ahead of the construction so initialisation
+// itself runs under the cap.
+func (m *blockManager) Init(i int) (*ra.Worker, error) {
+	b := m.blocks[i]
+	if b.w != nil {
+		return b.w, nil
 	}
-	return nil
+	if err := m.makeRoom(m.part.ShardSize(i) * m.bytesPerPosition()); err != nil {
+		return nil, err
+	}
+	w, err := ra.NewWorkerKernel(m.g, m.part, i, m.kern)
+	if err != nil {
+		return nil, err
+	}
+	b.w = w
+	m.charge(b)
+	b.elem = m.lru.PushFront(b)
+	b.dirty = true
+	_, err = w.Init()
+	return w, err
 }
 
 // startPipeline brings up the async spill pipeline: a write-behind
@@ -275,9 +272,6 @@ func (m *blockManager) bytesPerPosition() uint64 {
 	}
 	return ra.StateBytesPerPosition
 }
-
-func (m *blockManager) pin(b *block)   { b.pins++ }
-func (m *blockManager) unpin(b *block) { b.pins-- }
 
 func (m *blockManager) charge(b *block) {
 	m.used += b.w.StateBytes()
@@ -561,41 +555,34 @@ func (m *blockManager) prefetch(b *block) bool {
 	return true
 }
 
-// prefetchUpcoming advances the pass's read-ahead cursor past position
-// k in the touch order, issuing background reads for upcoming spilled
-// blocks as far as free prefetch buffers allow. The cursor never moves
-// backwards, so a full scan of the pass costs O(len(touch)) total.
-func (m *blockManager) prefetchUpcoming(touch []*block, cursor *int, k int) {
-	*cursor = max(*cursor, k+1)
-	for *cursor < len(touch) && m.prefetch(touch[*cursor]) {
-		*cursor++
-	}
-}
-
-// visit runs one residency pass over the blocks of touch, reversed in
-// place when reverse is set. It opens a scheduling epoch whose touch set
-// is exactly these blocks; each is then pinned, made resident and
-// drained of its parked runs before fn works on it, while the
-// prefetcher reads ahead along the rest of the list.
-func (m *blockManager) visit(touch []*block, reverse bool, fn func(*block)) error {
+// Visit implements ra.Residency: one residency pass over the blocks of
+// order. It opens a scheduling epoch whose touch set is exactly these
+// blocks; each is then pinned and made resident before fn lands its
+// parked runs and works on it, while the prefetcher reads ahead along
+// the rest of the order and makeRoom evicts outside it.
+func (m *blockManager) Visit(order []int, fn func(int, []ra.UpdateRun)) error {
 	m.epoch++
-	for _, b := range touch {
-		b.touchEpoch = m.epoch
+	for _, i := range order {
+		m.blocks[i].touchEpoch = m.epoch
 	}
-	if reverse {
-		slices.Reverse(touch)
-	}
-	cursor := 0
-	for k, b := range touch {
-		m.prefetchUpcoming(touch, &cursor, k)
-		m.pin(b)
+	// The read-ahead cursor never moves backwards, so a pass issues its
+	// prefetches in O(len(order)) total, as far as free buffers allow.
+	ahead := 0
+	for k, i := range order {
+		for ahead = max(ahead, k+1); ahead < len(order) && m.prefetch(m.blocks[order[ahead]]); {
+			ahead++
+		}
+		b := m.blocks[i]
+		b.pins++
 		if err := m.ensureResident(b); err != nil {
-			m.unpin(b)
+			b.pins--
 			return err
 		}
-		m.drainPending(b)
-		fn(b)
-		m.unpin(b)
+		m.pendingRuns -= uint64(len(b.pending))
+		b.dirty = true
+		fn(i, b.pending)
+		b.pending = b.pending[:0]
+		b.pins--
 	}
 	return nil
 }
@@ -615,6 +602,26 @@ func (m *blockManager) prefetchNextWave(reverse bool) {
 	}
 }
 
+// Parked implements ra.Residency.
+func (m *blockManager) Parked(i int) int { return len(m.blocks[i].pending) }
+
+// Land implements ra.Residency: runs for a resident block are applied at
+// once, the others parked until the block's next visit. Order within a
+// wave is irrelevant to the result (updates commute), so parking keeps
+// the database bit-identical to an in-core solve.
+func (m *blockManager) Land(i int, runs []ra.UpdateRun) {
+	b := m.blocks[i]
+	if b.w.StateResident() {
+		for _, run := range runs {
+			b.w.ApplyRun(run)
+		}
+		b.dirty = true
+		return
+	}
+	b.pending = append(b.pending, runs...)
+	m.notePending(uint64(len(runs)))
+}
+
 // notePending accounts n update runs parked on a non-resident block.
 func (m *blockManager) notePending(n uint64) {
 	m.pendingRuns += n
@@ -623,32 +630,64 @@ func (m *blockManager) notePending(n uint64) {
 	}
 }
 
-// drainPending applies every parked update run to b, which must be
-// resident. A deferred block (mark > 0) lands the previous wave's runs,
-// begins its wave, then lands this wave's — the in-core order on the
-// block. Order within a wave is irrelevant to the result (updates
-// commute), so parking and draining keeps the database bit-identical to
-// an in-core solve.
-func (m *blockManager) drainPending(b *block) {
-	if len(b.pending) == 0 {
-		return
+// Drop implements ra.Residency: a collected block is dropped at once.
+// The final pass never comes back to it, so spilling its state to make
+// room for a later block would write a generation nothing reads.
+func (m *blockManager) Drop(i int) { m.drop(m.blocks[i]) }
+
+// WaveEnd implements ra.Residency. The wave barrier is where
+// write-behind failures surface: a spill that failed since the last
+// barrier aborts here — one wave after a synchronous spill would have,
+// with the store in the same resumable state (nothing superseded was
+// deleted). A pause pins its wave with one manifest, periodic or not.
+// Between the barrier and the next pass the spill store is otherwise
+// idle: the prefetcher warms the blocks the next pass will visit.
+func (m *blockManager) WaveEnd(waves int, reverse bool) error {
+	if err := m.asyncErr(); err != nil {
+		return err
 	}
-	if b.mark > 0 {
-		b.land(b.pending[:b.mark])
-		b.queued = b.w.BeginWave()
+	every := m.e.CheckpointEvery
+	if every == 0 {
+		every = DefaultCheckpointEvery
 	}
-	b.land(b.pending[b.mark:])
-	b.mark = 0
-	m.pendingRuns -= uint64(len(b.pending))
-	b.pending = b.pending[:0]
+	pause := m.e.StopAfterWaves > 0 && waves-m.resumedAt >= m.e.StopAfterWaves
+	if pause || every > 0 && waves%every == 0 {
+		if err := m.checkpoint(waves); err != nil {
+			return err
+		}
+	}
+	if pause {
+		return ra.ErrPaused
+	}
+	m.prefetchNextWave(reverse)
+	return nil
 }
 
-// land applies update runs to b's resident state.
-func (b *block) land(runs []ra.UpdateRun) {
-	for _, run := range runs {
-		b.w.ApplyRun(run)
+// checkpoint writes a durable manifest pinning the solve after waves
+// waves.
+func (m *blockManager) checkpoint(waves int) error {
+	if err := m.spillAllDirty(); err != nil {
+		return err
 	}
-	b.dirty = true
+	// Quiesce the write-behind queue, then group-fsync the generations
+	// this manifest will pin: write-behind spills defer their fsync to
+	// exactly this fence, so a manifest only ever names durable files.
+	if err := m.quiesce(); err != nil {
+		return err
+	}
+	if err := m.syncPinned(); err != nil {
+		return err
+	}
+	mf, err := m.manifestSnapshot(uint64(waves))
+	if err != nil {
+		return err
+	}
+	if err := writeManifest(filepath.Join(m.store.dir, ManifestName), mf); err != nil {
+		return err
+	}
+	m.retireManifestPins()
+	m.stats.Checkpoints++
+	return nil
 }
 
 // restore rebuilds every block from a validated manifest whose entries

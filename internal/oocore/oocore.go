@@ -2,15 +2,14 @@
 // analysis whose resident per-position state is capped at an explicit
 // byte budget, far below the rung's in-core footprint. The rung is split
 // into contiguous blocks, each backed by the ordinary worker state
-// machine; a block's state array is the unit of residency, spilled to
-// disk zdb-compressed when cold and reloaded on demand (LRU with pins,
-// the serving cache's policy). Cross-block updates that target a spilled
-// block are parked run-encoded and drained when the block is next
-// resident, at the latest on its visit in the next wave, whose begin it
-// defers until the previous wave's runs have landed — updates within a
-// wave commute, so the database, wave count and loop set stay
-// bit-identical to the in-core engines, while each wave loads every
-// block it touches at most once.
+// machine and solved by ra's host driver on one goroutine; this package
+// supplies only where a block's state lives (blockManager, an
+// ra.Residency). A block's state array is the unit of residency, spilled
+// to disk zdb-compressed when cold and reloaded on demand (LRU with pins,
+// the serving cache's policy). Updates for a spilled block are parked and
+// land on its next visit, so the database, wave count and loop set stay
+// bit-identical to the in-core engines, while each wave loads every block
+// it touches at most once.
 //
 // Spills double as checkpoints: a periodic manifest pins one complete
 // generation of every block plus the solve's frontier, so an interrupted
@@ -160,9 +159,8 @@ func (e Engine) solve(g game.Game) (*ra.Result, *blockManager, error) {
 	}
 	m.stats.InCoreBytes = inCore
 
+	m.e = e
 	mpath := filepath.Join(e.Dir, ManifestName)
-	waves := 0
-	resumed := false
 	mf, err := readManifest(mpath)
 	switch {
 	case err == nil:
@@ -176,8 +174,7 @@ func (e Engine) solve(g game.Game) (*ra.Result, *blockManager, error) {
 		if err := m.restore(mf, mpath); err != nil {
 			return nil, m, err
 		}
-		waves = int(mf.waves)
-		resumed = true
+		m.resumedAt = int(mf.waves)
 	case errors.Is(err, os.ErrNotExist):
 	default:
 		return nil, m, err
@@ -185,9 +182,9 @@ func (e Engine) solve(g game.Game) (*ra.Result, *blockManager, error) {
 
 	// The pipeline comes up after a resume has seeded the cumulative
 	// counters (so the writer's byte count folds on top of them) and
-	// before initFresh, whose under-cap evictions are the first spills
-	// worth overlapping. The deferred shutdown joins both goroutines and
-	// folds the counters on every exit path.
+	// before the blocks' initialisation, whose under-cap evictions are
+	// the first spills worth overlapping. The deferred shutdown joins both
+	// goroutines and folds the counters on every exit path.
 	depth := e.Writeback
 	if depth == 0 {
 		depth = DefaultWritebackDepth
@@ -199,130 +196,8 @@ func (e Engine) solve(g game.Game) (*ra.Result, *blockManager, error) {
 	m.startPipeline(depth, window)
 	defer m.closePipeline()
 
-	if !resumed {
-		if err := m.initFresh(); err != nil {
-			return nil, m, err
-		}
-	}
-
-	rt := newRouter(m)
-	emit := func(owner int, run ra.UpdateRun) {
-		tb := m.blocks[owner]
-		if tb.w.StateResident() {
-			tb.w.ApplyRun(run)
-			tb.dirty = true
-			return
-		}
-		rt.addRun(owner, run)
-	}
-
-	every := e.CheckpointEvery
-	if every == 0 {
-		every = DefaultCheckpointEvery
-	}
-	checkpoint := func() error {
-		if err := m.spillAllDirty(); err != nil {
-			return err
-		}
-		// Quiesce the write-behind queue, then group-fsync the generations
-		// this manifest will pin: write-behind spills defer their fsync to
-		// exactly this fence, so a manifest only ever names durable files.
-		if err := m.quiesce(); err != nil {
-			return err
-		}
-		if err := m.syncPinned(); err != nil {
-			return err
-		}
-		mf, err := m.manifestSnapshot(uint64(waves))
-		if err != nil {
-			return err
-		}
-		if err := writeManifest(mpath, mf); err != nil {
-			return err
-		}
-		m.retireManifestPins()
-		m.stats.Checkpoints++
-		return nil
-	}
-
-	// The wave loop of the sequential engine, lifted over blocks: one
-	// residency pass per wave. A block with no parked runs begins its wave
-	// up front (BeginWave only swaps queues, so its state need not be
-	// resident); a block with parked runs defers the begin to its visit,
-	// where drainPending lands the previous wave's runs, begins, then
-	// lands the runs parked on it earlier in this wave — per block the
-	// in-core order, and updates within a wave commute across blocks. The
-	// touch list drives both sides of the scheduler: the prefetcher reads
-	// ahead along it while the current block expands, and makeRoom evicts
-	// outside it. It alternates direction pass by pass, so each pass
-	// starts on the blocks the previous one left resident. A pass in
-	// which no block expands (every deferred block began empty) is not a
-	// wave: it only lands the last parked runs.
-	touch := make([]*block, 0, nb)
-	reverse := false
-	ran := 0
-	for ; ; reverse = !reverse {
-		touch = touch[:0]
-		for _, b := range m.blocks {
-			if b.mark = len(b.pending); b.mark == 0 {
-				b.queued = b.w.BeginWave()
-			}
-			if b.mark+b.queued > 0 {
-				touch = append(touch, b)
-			}
-		}
-		if len(touch) == 0 {
-			break
-		}
-		expanded := false
-		if err := m.visit(touch, reverse, func(b *block) {
-			if b.queued > 0 {
-				b.w.ExpandRuns(0, emit)
-				b.dirty = true
-				expanded = true
-			}
-		}); err != nil {
-			return nil, m, err
-		}
-		rt.flushAll()
-		if !expanded {
-			continue
-		}
-		waves++
-		ran++
-		// The wave barrier is where write-behind failures surface: a
-		// spill that failed since the last barrier aborts here — one wave
-		// after a synchronous spill would have, with the store in the
-		// same resumable state (nothing superseded was deleted).
-		if err := m.asyncErr(); err != nil {
-			return nil, m, err
-		}
-		// A pause pins its wave with one manifest, periodic or not.
-		pause := e.StopAfterWaves > 0 && ran >= e.StopAfterWaves
-		if pause || every > 0 && waves%every == 0 {
-			if err := checkpoint(); err != nil {
-				return nil, m, err
-			}
-		}
-		if pause {
-			return nil, m, ra.ErrPaused
-		}
-		// Between the wave barrier and the next pass the spill store is
-		// otherwise idle: warm the blocks the next pass will visit.
-		m.prefetchNextWave(!reverse)
-	}
-
-	// Quiescence: resolve loops and assemble the result block by block in
-	// one residency pass each, continuing the sweep alternation. A
-	// collected block is dropped at once: the pass never comes back to
-	// it, so spilling its state to make room for a later block would
-	// write a generation nothing reads.
-	result := ra.NewResult(part, waves)
-	if err := m.visit(append(touch[:0], m.blocks...), reverse, func(b *block) {
-		b.w.ResolveLoops()
-		result.Collect(b.w)
-		m.drop(b)
-	}); err != nil {
+	result, err := ra.HostSolve(part, m, m.resumedAt)
+	if err != nil {
 		return nil, m, err
 	}
 	// Join the pipeline before touching the store's files: clear must not

@@ -157,7 +157,8 @@ func TestOutOfCoreParityAwari(t *testing.T) {
 // TestOutOfCoreResidencyPerWave bounds the block traffic of a capped
 // solve: each wave loads every block it touches at most once, and the
 // final assembly loads each block once more, so reloads never exceed
-// (waves+1) × blocks.
+// (waves+1) × blocks. The solve runs on the host driver's one goroutine,
+// whose phase clocks it reports.
 func TestOutOfCoreResidencyPerWave(t *testing.T) {
 	lad, err := ladder.Build(ladder.Config{Rules: awari.Standard, Loop: awari.LoopOwnSide}, 10, ra.Sequential{}, nil)
 	if err != nil {
@@ -176,6 +177,9 @@ func TestOutOfCoreResidencyPerWave(t *testing.T) {
 		compareResults(t, g.Name()+" at a 25% cap", lad.Result(n), got)
 		if bound := uint64(got.Waves+1) * uint64(st.Blocks); st.Reloaded > bound {
 			t.Errorf("%s: %d reloads over %d waves of %d blocks, want ≤ %d", g.Name(), st.Reloaded, got.Waves, st.Blocks, bound)
+		}
+		if len(got.Phases) != 1 || got.Phases[0].Init <= 0 || got.Phases[0].Expand <= 0 || got.Phases[0].Fill <= 0 {
+			t.Errorf("%s: phase clocks %+v, want one goroutine's with init, expand and fill time", g.Name(), got.Phases)
 		}
 	}
 }
@@ -913,6 +917,50 @@ func TestAutoBlockLen(t *testing.T) {
 	} {
 		if got := autoBlockLen(tc.size); got != tc.want {
 			t.Errorf("autoBlockLen(%d) = %d, want %d", tc.size, got, tc.want)
+		}
+	}
+}
+
+// TestOutOfCoreSchedulePinned pins the out-of-core visit order through
+// its counters. Every counter below follows from the order in which a
+// capped solve visits, begins, spills and reloads its blocks, so a driver
+// change that keeps the database but moves the schedule fails here. The
+// counters are the same with write-behind spilling and prefetch as with
+// synchronous, demand-paged spilling.
+func TestOutOfCoreSchedulePinned(t *testing.T) {
+	if testing.Short() {
+		t.Skip("solves awari-10 twice per kernel")
+	}
+	g := awariSlice(t, 10)
+	type pin struct {
+		kern                       ra.Kernel
+		blocks, waves              int
+		spilled, reloaded, written uint64
+	}
+	for _, want := range []pin{
+		{ra.KernelSWAR, 32, 44, 989, 958, 5_224_321},
+		{ra.KernelScalar, 32, 44, 989, 958, 6_570_339},
+	} {
+		ic, err := ra.InCoreStateBytes(g, want.kern)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range []Engine{
+			{MemLimit: ic / 4, Kernel: want.kern},
+			{MemLimit: ic / 4, Kernel: want.kern, Writeback: -1, NoPrefetch: true},
+		} {
+			e.Dir = t.TempDir()
+			label := fmt.Sprintf("%s %v (writeback %d)", g.Name(), want.kern, e.Writeback)
+			r, st, err := e.SolveDetailed(g)
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			got := pin{want.kern, st.Blocks, r.Waves, st.Spilled, st.Reloaded, st.SpillBytesWritten}
+			if got != want {
+				t.Errorf("%s: blocks %d, waves %d, spilled %d, reloaded %d, written %d B; pinned %d, %d, %d, %d, %d B",
+					label, got.blocks, got.waves, got.spilled, got.reloaded, got.written,
+					want.blocks, want.waves, want.spilled, want.reloaded, want.written)
+			}
 		}
 	}
 }

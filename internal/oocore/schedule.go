@@ -1,8 +1,9 @@
 package oocore
 
-// Frontier-aware block scheduling: the wave loop knows, before it
-// touches anything, exactly which blocks the coming pass will expand or
-// drain (the touch list) — and BeginWave's promotion makes the *next*
+// Frontier-aware block scheduling: the host driver hands every pass's
+// visit order to Visit before it touches anything, so the residency
+// knows exactly which blocks the pass will expand or land runs on (the
+// touch set) — and BeginWave's promotion makes the *next*
 // wave's frontier visible one wave early through Worker.PeekWave. The
 // prefetcher turns that knowledge into overlap: a tracked reader
 // goroutine pulls the next needed blocks off the spill store and decodes

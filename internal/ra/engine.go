@@ -24,9 +24,10 @@ type Engine interface {
 }
 
 // Sequential is the single-worker baseline engine — the paper's
-// uniprocessor measurement. The zero value picks the wave kernel
-// automatically (bit-parallel for eligible games, scalar otherwise);
-// Config pins one explicitly.
+// uniprocessor measurement: the host driver with one goroutine holding
+// one shard. The zero value picks the wave kernel automatically
+// (bit-parallel for eligible games, scalar otherwise); Config pins one
+// explicitly.
 type Sequential struct {
 	Config Config
 }
@@ -36,5 +37,5 @@ func (Sequential) Name() string { return "sequential" }
 
 // Solve implements Engine.
 func (s Sequential) Solve(g game.Game) (*Result, error) {
-	return solveSequential(g, s.Config.Kernel)
+	return solveInCore(g, Cyclic(g.Size(), 1), s.Config.Kernel, hostBatch)
 }

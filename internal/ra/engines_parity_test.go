@@ -32,10 +32,10 @@ func TestHotPathEngineParity(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", g.Name(), err)
 		}
-		for _, cfg := range []ra.Concurrent{
-			{Workers: 3, Batch: 1}, // unbatched ablation
-			{Workers: 4},           // pooled default
-			{Workers: 9, Batch: 8}, // many shards, tiny batches: heavy pool churn
+		for _, cfg := range []ra.Engine{
+			ra.Batched{Concurrent: ra.Concurrent{Workers: 3}, Batch: 1}, // unbatched ablation
+			ra.Concurrent{Workers: 4},                                   // pooled default
+			ra.Batched{Concurrent: ra.Concurrent{Workers: 9}, Batch: 8}, // many shards, tiny batches: heavy pool churn
 		} {
 			got, err := cfg.Solve(g)
 			if err != nil {

@@ -54,9 +54,7 @@ func TestScalarRunParity(t *testing.T) {
 		{ra.Distributed{Workers: 4}, true},
 	}
 	for _, p := range []int{2, 3} {
-		for _, group := range []uint64{0, 1, 64} {
-			shapes = append(shapes, shape{ra.Concurrent{Workers: p, Group: group, Config: scalar}, false})
-		}
+		shapes = append(shapes, shape{ra.Concurrent{Workers: p, Config: scalar}, false})
 	}
 	for _, g := range games {
 		for _, s := range shapes {

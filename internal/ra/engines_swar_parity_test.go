@@ -1,8 +1,8 @@
 // Scalar-vs-SWAR parity: the bit-parallel kernel must produce databases
 // bit-identical to the scalar kernel — same values, same loop sets, same
-// wave counts — across games, engines, shard counts and partition group
-// sizes. Ladder-building games live in packages that import ra, so this
-// is an external test.
+// wave counts — across games, engines, shard counts and batch sizes.
+// Ladder-building games live in packages that import ra, so this is an
+// external test.
 package ra_test
 
 import (
@@ -43,9 +43,8 @@ func compareResults(t *testing.T, label string, want, got *ra.Result) {
 
 // TestSWARKernelParity is the acceptance gate of the bit-parallel kernel:
 // for every lane-eligible game the SWAR Sequential engine and SWAR
-// Concurrent engines (various shard counts, batch sizes and partition
-// groups, exercising the run-encoded transport) must match the scalar
-// baseline exactly.
+// Concurrent engines (various shard counts and batch sizes, exercising
+// the run-encoded transport) must match the scalar baseline exactly.
 func TestSWARKernelParity(t *testing.T) {
 	scalar := ra.Config{Kernel: ra.KernelScalar}
 	swar := ra.Config{Kernel: ra.KernelSWAR}
@@ -69,9 +68,9 @@ func TestSWARKernelParity(t *testing.T) {
 			}
 			for _, e := range []ra.Engine{
 				ra.Sequential{Config: swar},
-				ra.Concurrent{Workers: 3, Batch: 4, Config: swar},
-				ra.Concurrent{Workers: 4, Group: 64, Config: swar},
-				ra.Concurrent{Workers: 2, Batch: 1, Group: 8, Config: swar},
+				ra.Batched{Concurrent: ra.Concurrent{Workers: 3, Config: swar}, Batch: 4},
+				ra.Concurrent{Workers: 4, Config: swar},
+				ra.Batched{Concurrent: ra.Concurrent{Workers: 2, Config: swar}, Batch: 1},
 			} {
 				got, err := e.Solve(g)
 				if err != nil {
@@ -96,7 +95,7 @@ func TestSWARKernelParity(t *testing.T) {
 		want := lad.Result(n)
 		for _, e := range []ra.Engine{
 			ra.Sequential{Config: swar},
-			ra.Concurrent{Workers: 3, Group: 16, Config: swar},
+			ra.Concurrent{Workers: 3, Config: swar},
 		} {
 			got, err := e.Solve(g)
 			if err != nil {
@@ -130,15 +129,14 @@ func TestSWARKernelParity(t *testing.T) {
 // TestDerivedPartitionParity runs the shared-memory engine's run-shaped
 // partitions over the shapes that break block arithmetic: spaces smaller
 // than one group (rungs 0-2: 1, 12 and 78 positions), more shards than
-// groups (empty shards), sizes that are no multiple of the group, and
-// explicit groups on both sides of the loop-bitset word — 8 and 16 share
-// words between shards (loop sets folded in serially), 64 and the derived
-// group do not (every shard fills its own words in parallel, which is
-// what the race detector checks here). Values, waves, loop bitset and
-// summed work counters must equal the scalar sequential solve's — all
-// counters but UpdatesStale, which counts the updates that reach a
-// position after an early cutoff finalized it and so depends on the
-// order the updates of one wave arrive in.
+// groups (empty shards) and sizes that are no multiple of the group.
+// Every derived group is whole loop-bitset words, so every shard fills
+// its own words in parallel, which is what the race detector checks
+// here. Values, waves, loop bitset and summed work counters must equal
+// the scalar sequential solve's — all counters but UpdatesStale, which
+// counts the updates that reach a position after an early cutoff
+// finalized it and so depends on the order the updates of one wave
+// arrive in.
 func TestDerivedPartitionParity(t *testing.T) {
 	lad, err := ladder.Build(ladder.Config{Rules: awari.Standard, Loop: awari.LoopOwnSide}, 7, ra.Sequential{}, nil)
 	if err != nil {
@@ -153,20 +151,15 @@ func TestDerivedPartitionParity(t *testing.T) {
 	for n := 0; n <= lad.MaxStones(); n++ {
 		g := lad.Slice(n)
 		want := ra.SolveSequential(g)
-		for _, e := range []ra.Concurrent{
-			{Workers: 1},
-			{Workers: 2},
-			{Workers: 3},
-			{Workers: 4, Batch: 1},
-			{Workers: 7},
-			{Workers: 2, Config: scalar},
-			{Workers: 5, Config: scalar},
-			{Workers: 2, Group: 8},
-			{Workers: 3, Group: 16},
-			{Workers: 3, Group: 16, Config: scalar},
-			{Workers: 3, Group: 64},
-			{Workers: 2, Group: 1000}, // no multiple of 64, no divisor of any rung
-			{Workers: 2, Group: 1 << 20},
+		for _, e := range []ra.Batched{
+			{Concurrent: ra.Concurrent{Workers: 1}, Batch: 256},
+			{Concurrent: ra.Concurrent{Workers: 2}, Batch: 256},
+			{Concurrent: ra.Concurrent{Workers: 3}, Batch: 256},
+			{Concurrent: ra.Concurrent{Workers: 4}, Batch: 1},
+			{Concurrent: ra.Concurrent{Workers: 7}, Batch: 256},
+			{Concurrent: ra.Concurrent{Workers: 16}, Batch: 256},
+			{Concurrent: ra.Concurrent{Workers: 2, Config: scalar}, Batch: 256},
+			{Concurrent: ra.Concurrent{Workers: 5, Config: scalar}, Batch: 256},
 		} {
 			label := g.Name() + " " + e.Name() + " " + e.Config.Kernel.String()
 			got, err := e.Solve(g)

@@ -1,6 +1,7 @@
 package ra
 
 import (
+	"fmt"
 	"testing"
 
 	"retrograde/internal/chess"
@@ -47,24 +48,27 @@ func oracleGames() []game.Game {
 }
 
 // TestConcurrentMatchesSequential runs the shared-memory engine across
-// worker counts, batch sizes and partition shapes and requires
-// bit-identical databases.
+// worker counts and batch sizes and requires bit-identical databases.
 func TestConcurrentMatchesSequential(t *testing.T) {
 	for _, g := range oracleGames() {
 		want := SolveSequential(g)
-		for _, cfg := range []Concurrent{
-			{Workers: 1},
-			{Workers: 2},
-			{Workers: 3, Batch: 1},
-			{Workers: 4, Batch: 16},
-			{Workers: 7, Batch: 1000, Group: 64},
-			{Workers: 16},
+		for _, cfg := range []struct {
+			workers, batch int
+		}{
+			{1, hostBatch},
+			{2, hostBatch},
+			{3, 1},
+			{4, 16},
+			{7, 1000},
+			{16, hostBatch},
 		} {
-			got, err := cfg.Solve(g)
+			e := Concurrent{Workers: cfg.workers}
+			label := fmt.Sprintf("%s %s batch=%d", g.Name(), e.Name(), cfg.batch)
+			got, err := e.solve(g, cfg.batch)
 			if err != nil {
-				t.Fatalf("%s %s: %v", g.Name(), cfg.Name(), err)
+				t.Fatalf("%s: %v", label, err)
 			}
-			sameResult(t, g.Name()+" "+cfg.Name(), want, got)
+			sameResult(t, label, want, got)
 		}
 	}
 }
@@ -219,7 +223,7 @@ func TestEngineNames(t *testing.T) {
 		want string
 	}{
 		{Sequential{}, "sequential"},
-		{Concurrent{Workers: 4, Batch: 8}, "concurrent(p=4,batch=8,group=auto)"},
+		{Concurrent{Workers: 4}, "concurrent(p=4)"},
 		{Distributed{Workers: 16, Combine: 10}, "distributed(p=16,combine=10,net=ethernet)"},
 		{Distributed{Workers: 2, Network: CrossbarNet}, "distributed(p=2,combine=100,net=crossbar)"},
 		{Distributed{Workers: 3, Async: true}, "async(p=3,combine=100,net=ethernet)"},

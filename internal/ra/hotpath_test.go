@@ -16,7 +16,7 @@ func TestConcurrentPooledBatchReuse(t *testing.T) {
 	g := ttt.New()
 	want := SolveSequential(g)
 	for round := 0; round < 8; round++ {
-		got, err := (Concurrent{Workers: 4, Batch: 2}).Solve(g)
+		got, err := Concurrent{Workers: 4}.solve(g, 2)
 		if err != nil {
 			t.Fatal(err)
 		}

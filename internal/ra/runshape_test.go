@@ -40,9 +40,8 @@ func (c *runCounter) LoopValuesRun(base uint64, n int, out []game.Value) {
 }
 
 // TestConcurrentRunShape pins what makes the shared-memory engine fast on
-// real cores: by default its shards hand the batch generators long runs
-// of consecutive positions. The cyclic map (explicit Group: 1, the
-// default before the derived partition) degenerates to runs of one.
+// real cores: its shards hand the batch generators long runs of
+// consecutive positions.
 func TestConcurrentRunShape(t *testing.T) {
 	const rung = 8 // 75,582 positions
 	lad, err := ladder.Build(ladder.Config{Rules: awari.Standard, Loop: awari.LoopOwnSide}, rung, ra.Sequential{}, nil)
@@ -77,16 +76,13 @@ func TestConcurrentRunShape(t *testing.T) {
 		}
 		// Loop runs skip all-final stretches and predecessor runs follow
 		// the wave queue, so both are shorter; they must still be runs.
+		// A wave queue rarely holds neighbours, yet blocks coalesce a
+		// quarter of it (a cyclic map would make every run one position).
 		if mean := c.loopPos.Load() / c.loopCalls.Load(); mean < 512 {
 			t.Errorf("%s: mean LoopValuesRun length %d, want >= 512", e.Name(), mean)
 		}
-		cyc := solve(ra.Concurrent{Workers: p, Group: 1})
-		if cyc.initPos.Load() != cyc.initCalls.Load() || cyc.loopPos.Load() != cyc.loopCalls.Load() || cyc.predPos.Load() != cyc.predCalls.Load() {
-			t.Errorf("p=%d group=1: runs longer than one position on the cyclic map", p)
-		}
-		if c.predCalls.Load() >= cyc.predCalls.Load() {
-			t.Errorf("%s: %d PredecessorsRun calls, cyclic map makes %d; blocks must coalesce the wave queue",
-				e.Name(), c.predCalls.Load(), cyc.predCalls.Load())
+		if pos, calls := c.predPos.Load(), c.predCalls.Load(); 4*pos < 5*calls {
+			t.Errorf("%s: %d PredecessorsRun calls for %d positions, want runs of 1.25 on average", e.Name(), calls, pos)
 		}
 	}
 }

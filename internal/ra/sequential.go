@@ -27,16 +27,17 @@ type Result struct {
 	// Sim holds the simulation report when the Distributed engine
 	// produced this result; nil otherwise.
 	Sim *SimReport
-	// Phases is the wall-clock split of the solve, one entry per shard,
-	// filled by the engines of this package that run in host time
-	// (Sequential, Concurrent); nil otherwise.
+	// Phases is the wall-clock split of the solve, one entry per
+	// goroutine of the host driver (Sequential, Concurrent and the
+	// out-of-core engine); nil for the wire engines.
 	Phases []ShardPhases
 }
 
-// ShardPhases is where one shard's goroutine spent a solve. The clocks
-// are consecutive intervals of one goroutine, so they sum to the shard's
-// wall time; a shard that finishes a phase early shows the difference as
-// Barrier.
+// ShardPhases is where one goroutine of the host driver spent a solve.
+// The clocks are consecutive intervals of that goroutine, so they sum to
+// its wall time; a goroutine that finishes a phase early shows the
+// difference as Barrier. Time an out-of-core residency spends loading a
+// block is charged to the phase that asked for it.
 type ShardPhases struct {
 	Init    time.Duration // forward move generation and state packing
 	Expand  time.Duration // queue promotion, predecessor generation, inline and outbound updates
@@ -88,12 +89,10 @@ func NewResult(part *Partition, waves int) *Result {
 
 // Collect folds one worker into the result: its values, loop set, work
 // counters and kernel. The worker must have resolved its loops and hold
-// its state in core — the only moment the out-of-core engine can offer a
-// block, which is why assembly is one worker at a time. Collect calls
-// must not overlap: they share the counters, and workers share loop-
-// bitset words unless the partition group is a multiple of 64 (the
-// condition under which Concurrent lets every shard Fill and FillLoop
-// its own ranges in parallel and only folds the counters here).
+// its state in core. Collect calls must not overlap: they share the
+// counters, and loop-bitset words unless the group is a multiple of 64 —
+// the condition under which the host driver's goroutines Fill and
+// FillLoop their shards in parallel and fold only the counters here.
 func (r *Result) Collect(w *Worker) {
 	w.Fill(r.Values)
 	w.FillLoop(r.Loop)
@@ -124,40 +123,11 @@ func (r *Result) Totals() WorkerStats {
 // configurable front door; this function stays pinned to the scalar
 // kernel so baselines remain comparable across PRs.
 func SolveSequential(g game.Game) *Result {
-	r, err := solveSequential(g, KernelScalar)
+	r, err := Sequential{Config: Config{Kernel: KernelScalar}}.Solve(g)
 	if err != nil {
 		// KernelScalar never fails to construct; Init errors are game-
 		// construction bugs (game.Validate reports them as errors).
 		panic(err)
 	}
 	return r
-}
-
-// solveSequential runs the single-worker solve under the given kernel.
-func solveSequential(g game.Game, k Kernel) (*Result, error) {
-	part := Cyclic(g.Size(), 1)
-	w, err := NewWorkerKernel(g, part, 0, k)
-	if err != nil {
-		return nil, err
-	}
-	var ph ShardPhases
-	clock := startPhaseClock()
-	if _, err := w.Init(); err != nil {
-		return nil, err
-	}
-	clock.lap(&ph.Init)
-	waves := 0
-	for w.BeginWave() > 0 {
-		waves++
-		// Single shard: every edge is self-owned and applied inline.
-		w.ExpandRuns(0, nil)
-	}
-	clock.lap(&ph.Expand)
-	w.ResolveLoops()
-	clock.lap(&ph.Loops)
-	r := NewResult(part, waves)
-	r.Collect(w)
-	clock.lap(&ph.Fill)
-	r.Phases = []ShardPhases{ph}
-	return r, nil
 }

@@ -273,7 +273,7 @@ func TestInitRejectsCounterOverflow(t *testing.T) {
 func TestConcurrentInitError(t *testing.T) {
 	g := hugeBranch{n: int(MaxSuccessors) + 1}
 	for _, p := range []int{1, 3} {
-		_, err := Concurrent{Workers: p, Group: 1}.Solve(g)
+		_, err := Concurrent{Workers: p}.Solve(g)
 		var ce *game.CounterOverflowError
 		if !errors.As(err, &ce) {
 			t.Fatalf("p=%d: Solve = %v, want CounterOverflowError", p, err)
