@@ -30,6 +30,7 @@ ravet:
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzApplyWord -fuzztime=10s ./internal/ra/
 	$(GO) test -fuzz=FuzzBatchGenerators -fuzztime=10s ./internal/awari/
+	$(GO) test -fuzz=FuzzTableRead -fuzztime=10s ./internal/db/
 	$(GO) test -fuzz=FuzzZdbRoundtrip -fuzztime=10s ./internal/zdb/
 	$(GO) test -fuzz=FuzzHuffDecode -fuzztime=10s ./internal/zdb/
 	$(GO) test -fuzz=FuzzEncodeBlock -fuzztime=10s ./internal/zdb/

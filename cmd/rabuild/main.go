@@ -80,7 +80,6 @@ func run() error {
 	spillDir := flag.String("spilldir", "", "out-of-core spill directory (default <out>/spill)")
 	syncSpill := flag.Bool("syncspill", false, "out-of-core: disable write-behind spilling and frontier prefetch (synchronous A/B control; bit-identical output)")
 	out := flag.String("out", ".", "output directory for .radb files")
-	single := flag.String("single", "", "awari: additionally write all rungs into one .rafy family file")
 	compress := flag.Bool("compress", false, "write block-compressed v2 .radb files")
 	block := flag.Int("block", 0, "v2 block length in entries (0 = default)")
 	flag.Parse()
@@ -130,7 +129,7 @@ func run() error {
 
 	switch *gameName {
 	case "awari":
-		return buildAwari(*stones, *loopRule, *grandSlam, *refine, engine, *out, *single)
+		return buildAwari(*stones, *loopRule, *grandSlam, *refine, engine, *out)
 	case "nim":
 		g, err := nim.New(*heaps, *maxHeap)
 		if err != nil {
@@ -161,7 +160,7 @@ func (e perGameSpill) Solve(g game.Game) (*ra.Result, error) {
 	return e.Engine.Solve(g)
 }
 
-func buildAwari(stones int, loopName, slamName string, refine bool, engine ra.Engine, out, single string) error {
+func buildAwari(stones int, loopName, slamName string, refine bool, engine ra.Engine, out string) error {
 	var loop awari.LoopRule
 	switch loopName {
 	case "own-side":
@@ -173,14 +172,12 @@ func buildAwari(stones int, loopName, slamName string, refine bool, engine ra.En
 	default:
 		return fmt.Errorf("unknown loop rule %q", loopName)
 	}
-	rules := awari.Standard
-	switch slamName {
-	case "allowed":
-	case "forfeit":
-		rules.GrandSlam = awari.GrandSlamForfeit
-	default:
-		return fmt.Errorf("unknown grand-slam rule %q", slamName)
+	slam, err := awari.ParseGrandSlam(slamName)
+	if err != nil {
+		return err
 	}
+	rules := awari.Standard
+	rules.GrandSlam = slam
 	cfg := ladder.Config{Rules: rules, Loop: loop, Refine: refine}
 	start := time.Now()
 	l, err := ladder.Build(cfg, stones, engine, func(n int, r *ra.Result) {
@@ -201,22 +198,6 @@ func buildAwari(stones int, loopName, slamName string, refine bool, engine ra.En
 		return err
 	}
 	fmt.Printf("built %d databases in %v (wall) with %s\n", l.MaxStones()+1, time.Since(start).Round(time.Millisecond), engine.Name())
-	if single != "" {
-		bits := 1
-		for 1<<bits <= stones {
-			bits++
-		}
-		fam, err := db.PackFamily("awari", awari.Pits, stones, bits, func(total int) []game.Value {
-			return l.Result(total).Values
-		})
-		if err != nil {
-			return err
-		}
-		if err := fam.Save(single); err != nil {
-			return err
-		}
-		fmt.Printf("family file: %s (%s for all %d rungs)\n", single, stats.Bytes(fam.Bytes()), stones+1)
-	}
 	return nil
 }
 

@@ -26,22 +26,17 @@ package main
 
 import (
 	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
 	"math/rand"
 	"os"
-	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"retrograde/internal/awari"
-	"retrograde/internal/db"
-	"retrograde/internal/game"
 	"retrograde/internal/server"
 	"retrograde/internal/stats"
-	"retrograde/internal/zdb"
 )
 
 func main() {
@@ -119,10 +114,15 @@ func run() error {
 
 	var lookup awari.Lookup
 	if o.verifyDir != "" {
-		var err error
-		if lookup, err = loadLocal(o.verifyDir, o.stones); err != nil {
-			return err
+		cache, err := server.NewCache(o.verifyDir, 0)
+		if err != nil {
+			return fmt.Errorf("-verify: %w", err)
 		}
+		var release func()
+		if lookup, release, err = cache.AcquireAwari(o.stones); err != nil {
+			return fmt.Errorf("-verify: %w", err)
+		}
+		defer release()
 	}
 
 	clients := make([]*server.Client, o.conns)
@@ -360,34 +360,4 @@ func printReport(r *report) {
 		t.Note("client rode out %d retries, %d reconnects", r.Client.Retries, r.Client.Reconnects)
 	}
 	t.Render(os.Stdout)
-}
-
-// loadLocal opens rungs 1..stones for value verification, sniffing v1
-// vs v2 (block-compressed) per file.
-func loadLocal(dir string, stones int) (awari.Lookup, error) {
-	gets := make([]func(uint64) game.Value, stones+1)
-	for n := 1; n <= stones; n++ {
-		path := filepath.Join(dir, fmt.Sprintf("awari-%d.radb", n))
-		info, err := db.Stat(path)
-		if err != nil {
-			if errors.Is(err, os.ErrNotExist) {
-				return nil, fmt.Errorf("-verify: %s missing (need rungs 1..%d)", path, stones)
-			}
-			return nil, err
-		}
-		if info.Version == db.Version2 {
-			z, err := zdb.Load(path)
-			if err != nil {
-				return nil, err
-			}
-			gets[n] = z.Get
-		} else {
-			t, err := db.Load(path)
-			if err != nil {
-				return nil, err
-			}
-			gets[n] = t.Get
-		}
-	}
-	return func(n int, idx uint64) game.Value { return gets[n](idx) }, nil
 }

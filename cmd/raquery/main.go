@@ -8,9 +8,10 @@
 //
 // The board lists pits 0..11 from the mover's perspective (0..5 mover's
 // row, 6..11 opponent's). Databases awari-0.radb .. awari-<n>.radb for
-// the board's stone count must exist in -db. Both plain (v1) and
-// block-compressed (v2) files are accepted; the version is sniffed from
-// the header, so a directory may mix the two.
+// the board's stone count must exist in -db; they are opened through the
+// server's shard cache, the same code raserve answers from. Both plain
+// (v1) and block-compressed (v2) files are accepted; the version is read
+// from each header, so a directory may mix the two.
 //
 // With -server the same questions are answered by a running raserve
 // instead of local files, through the retrying client — reconnecting
@@ -27,18 +28,13 @@
 package main
 
 import (
-	"errors"
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
 	"time"
 
 	"retrograde/internal/awari"
-	"retrograde/internal/db"
-	"retrograde/internal/game"
 	"retrograde/internal/server"
-	"retrograde/internal/zdb"
 )
 
 func main() {
@@ -50,7 +46,6 @@ func main() {
 
 func run() error {
 	dir := flag.String("db", ".", "directory holding awari-<n>.radb files")
-	family := flag.String("family", "", "single .rafy family file (overrides -db)")
 	boardSpec := flag.String("board", "", "comma-separated pit counts, mover first (12 values)")
 	line := flag.Int("line", 0, "play out this many optimal plies")
 	slamName := flag.String("grandslam", "allowed", "grand-slam rule the databases were built with")
@@ -66,55 +61,36 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	rules := awari.Standard
-	if *slamName == "forfeit" {
-		rules.GrandSlam = awari.GrandSlamForfeit
+	slam, err := awari.ParseGrandSlam(*slamName)
+	if err != nil {
+		return err
 	}
+	rules := awari.Standard
+	rules.GrandSlam = slam
 
 	if *serverAddr != "" {
-		return queryServer(*serverAddr, board, *line, *count, *retries, *timeout)
+		return queryServer(*serverAddr, rules, board, *line, *count, *retries, *timeout)
 	}
 
 	stones := board.Stones()
-	var lookup awari.Lookup
-	if *family != "" {
-		fam, err := db.LoadFamily(*family)
-		if err != nil {
-			return err
-		}
-		if fam.Pits() != awari.Pits || fam.MaxTotal() < stones {
-			return fmt.Errorf("%s covers %d pits up to %d stones; board needs %d", *family, fam.Pits(), fam.MaxTotal(), stones)
-		}
-		lookup = func(n int, idx uint64) game.Value { return fam.Get(n, idx) }
-	} else {
-		gets := make([]func(uint64) game.Value, stones+1)
-		for n := 0; n <= stones; n++ {
-			path := filepath.Join(*dir, fmt.Sprintf("awari-%d.radb", n))
-			get, size, err := loadRung(path)
-			if err != nil {
-				if errors.Is(err, os.ErrNotExist) {
-					return fmt.Errorf("the %d-stone rung is missing (%s does not exist; the board needs rungs 0..%d).\nBuild the ladder with:\n  rabuild -stones %d -out %s",
-						n, path, stones, stones, *dir)
-				}
-				return fmt.Errorf("loading the %d-stone database: %w", n, err)
-			}
-			if size != awari.Size(n) {
-				return fmt.Errorf("awari-%d.radb holds %d entries, want %d", n, size, awari.Size(n))
-			}
-			gets[n] = get
-		}
-		lookup = func(n int, idx uint64) game.Value { return gets[n](idx) }
+	cache, err := server.NewCache(*dir, 0)
+	if err != nil {
+		return err
 	}
-
-	cur := board
-	return play(rules, cur, lookup, *line)
+	lookup, release, err := cache.AcquireAwari(stones)
+	if err != nil {
+		return fmt.Errorf("%w\nBuild the ladder with:\n  rabuild -stones %d -out %s", err, stones, *dir)
+	}
+	defer release()
+	return play(rules, board, lookup, *line)
 }
 
 // queryServer answers from a running raserve through the retrying
 // client. With count > 1 the same query streams repeatedly — a drill
 // workload whose exit status says whether the client rode out whatever
-// happened to the server in between.
-func queryServer(addr string, board awari.Board, line, count, retries int, timeout time.Duration) error {
+// happened to the server in between. The optimal line is replayed under
+// rules, the -grandslam rules the server was started with.
+func queryServer(addr string, rules awari.Rules, board awari.Board, line, count, retries int, timeout time.Duration) error {
 	c, err := server.DialConfig(addr, server.ClientConfig{Retries: retries, Timeout: timeout})
 	if err != nil {
 		return err
@@ -147,7 +123,7 @@ func queryServer(addr string, board awari.Board, line, count, retries int, timeo
 			}
 			cur := board
 			for ply, p := range moves {
-				cur, _ = awari.Standard.Apply(cur, int(p))
+				cur, _ = rules.Apply(cur, int(p))
 				v, err := c.Value(cur)
 				if err != nil {
 					return err
@@ -160,27 +136,6 @@ func queryServer(addr string, board awari.Board, line, count, retries int, timeo
 		fmt.Printf("client: %d reconnects, %d unknown replies\n", st.Reconnects, st.UnknownReplies)
 	}
 	return nil
-}
-
-// loadRung sniffs the on-disk version and returns a random-access getter
-// for either format.
-func loadRung(path string) (get func(uint64) game.Value, size uint64, err error) {
-	info, err := db.Stat(path)
-	if err != nil {
-		return nil, 0, err
-	}
-	if info.Version == db.Version2 {
-		z, err := zdb.Load(path)
-		if err != nil {
-			return nil, 0, err
-		}
-		return z.Get, z.Size(), nil
-	}
-	t, err := db.Load(path)
-	if err != nil {
-		return nil, 0, err
-	}
-	return t.Get, t.Size(), nil
 }
 
 func play(rules awari.Rules, cur awari.Board, lookup awari.Lookup, line int) error {

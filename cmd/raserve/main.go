@@ -6,9 +6,11 @@
 //
 //	raserve -db dbs/ -listen :7101 -mem 256MiB
 //
-// The server discovers every *.radb table and *.rafy family in -db at
-// startup (headers only), loads shards on first use, and evicts them
-// LRU when the resident set exceeds -mem. One listener answers both the
+// The server discovers every *.radb table in -db at startup (headers
+// only), loads shards on first use in whichever format the header names
+// (flat v1 or block-compressed v2), and evicts them LRU when the
+// resident set exceeds -mem. A retired .rafy family file in -db is
+// refused at startup. One listener answers both the
 // binary batch protocol (see internal/server) and plain HTTP:
 //
 //	curl 'localhost:7101/value?board=0,0,0,0,2,1,1,0,0,0,0,2'
@@ -44,7 +46,7 @@ func main() {
 }
 
 func run() error {
-	dir := flag.String("db", ".", "directory holding *.radb and *.rafy databases")
+	dir := flag.String("db", ".", "directory holding *.radb databases")
 	listen := flag.String("listen", "127.0.0.1:7101", "address to listen on")
 	mem := flag.String("mem", "0", "shard-cache memory budget, e.g. 512MiB (0 = unlimited)")
 	workers := flag.Int("workers", 0, "query worker goroutines (0 = GOMAXPROCS)")
@@ -57,10 +59,12 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	rules := awari.Standard
-	if *slamName == "forfeit" {
-		rules.GrandSlam = awari.GrandSlamForfeit
+	slam, err := awari.ParseGrandSlam(*slamName)
+	if err != nil {
+		return err
 	}
+	rules := awari.Standard
+	rules.GrandSlam = slam
 	plan, err := faultnet.Parse(*faults)
 	if err != nil {
 		return err
@@ -89,7 +93,7 @@ func run() error {
 	}
 	fmt.Println()
 	for _, si := range s.Cache().Snapshot() {
-		fmt.Printf("  %-20s %8s  %12d entries  %10d bytes\n", si.Key, si.Kind, si.Entries, si.Bytes)
+		fmt.Printf("  %-20s v%d  %12d entries  %10d bytes\n", si.Key, si.Version, si.Entries, si.Bytes)
 	}
 	fmt.Printf("listening on %s (binary protocol + HTTP)\n", s.Addr())
 

@@ -150,30 +150,20 @@ func spillReport(dir string) error {
 // the v1-equivalent packed payload size, the stored payload size, and a
 // codec-mix summary ("-" for v1 files).
 func loadValues(path string) (values []game.Value, packed, fileBytes uint64, codecs string, err error) {
-	info, err := db.Stat(path)
+	r, err := zdb.Open(path)
 	if err != nil {
 		return nil, 0, 0, "", err
 	}
-	if info.Version == db.Version2 {
-		z, err := zdb.Load(path)
-		if err != nil {
+	codecs = "-"
+	switch t := r.(type) {
+	case *zdb.Table:
+		if values, err = t.Unpack(); err != nil {
 			return nil, 0, 0, "", err
 		}
-		values, err = z.Unpack()
-		if err != nil {
-			return nil, 0, 0, "", err
-		}
-		raw, narrow, rle, huff := z.CodecCounts()
-		return values, z.RawBytes(), z.Bytes(),
-			fmt.Sprintf("r%d n%d l%d h%d", raw, narrow, rle, huff), nil
+		raw, narrow, rle, huff := t.CodecCounts()
+		codecs = fmt.Sprintf("r%d n%d l%d h%d", raw, narrow, rle, huff)
+	case *db.Table:
+		values = t.Unpack()
 	}
-	table, err := db.Load(path)
-	if err != nil {
-		return nil, 0, 0, "", err
-	}
-	values = make([]game.Value, table.Size())
-	for i := range values {
-		values[i] = table.Get(uint64(i))
-	}
-	return values, table.Bytes(), table.Bytes(), "-", nil
+	return values, db.PackedBytes(r.Size(), r.Bits()), r.Bytes(), codecs, nil
 }

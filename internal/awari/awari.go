@@ -104,6 +104,18 @@ func (r GrandSlamRule) String() string {
 	return fmt.Sprintf("GrandSlamRule(%d)", uint8(r))
 }
 
+// ParseGrandSlam returns the rule String names: "allowed" or "forfeit".
+// Any other name is an error, so a misspelt flag cannot select the
+// wrong rule set.
+func ParseGrandSlam(name string) (GrandSlamRule, error) {
+	for _, r := range []GrandSlamRule{GrandSlamAllowed, GrandSlamForfeit} {
+		if name == r.String() {
+			return r, nil
+		}
+	}
+	return 0, fmt.Errorf("awari: unknown grand-slam rule %q (want allowed or forfeit)", name)
+}
+
 // Rules collects the variant switches of the awari family. The zero value
 // is the standard awari rule set.
 type Rules struct {

@@ -217,6 +217,25 @@ func TestGrandSlamForfeitOnlyWhenRowEmptied(t *testing.T) {
 	}
 }
 
+func TestParseGrandSlam(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		want GrandSlamRule
+		ok   bool
+	}{
+		{"allowed", GrandSlamAllowed, true},
+		{"forfeit", GrandSlamForfeit, true},
+		{"forfiet", 0, false},
+		{"Forfeit", 0, false},
+		{"", 0, false},
+	} {
+		got, err := ParseGrandSlam(tc.name)
+		if (err == nil) != tc.ok || got != tc.want {
+			t.Errorf("ParseGrandSlam(%q) = %v, %v; want %v, ok %v", tc.name, got, err, tc.want, tc.ok)
+		}
+	}
+}
+
 func TestMoveListBasic(t *testing.T) {
 	r := Standard
 	board := b(1, 0, 2, 0, 0, 3, 1, 1, 1, 1, 1, 1)

@@ -10,9 +10,11 @@ package db
 import (
 	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc64"
 	"io"
+	"math"
 	"os"
 
 	"retrograde/internal/game"
@@ -31,11 +33,23 @@ const MaxValueBits = 16
 
 // NewTable returns a zeroed table of size entries of bits bits each.
 func NewTable(name string, size uint64, bits int) (*Table, error) {
-	if bits < 1 || bits > MaxValueBits {
-		return nil, fmt.Errorf("db: value bits %d out of range [1, %d]", bits, MaxValueBits)
+	if err := checkShape(size, bits); err != nil {
+		return nil, err
 	}
-	words := (size*uint64(bits) + 63) / 64
-	return &Table{name: name, size: size, bits: bits, words: make([]uint64, words)}, nil
+	return &Table{name: name, size: size, bits: bits, words: make([]uint64, PackedBytes(size, bits)/8)}, nil
+}
+
+// checkShape rejects an entry width out of range and an entry count whose
+// packed length overflows, so PackedBytes is exact for every shape that
+// passes.
+func checkShape(size uint64, bits int) error {
+	if bits < 1 || bits > MaxValueBits {
+		return fmt.Errorf("db: value bits %d out of range [1, %d]", bits, MaxValueBits)
+	}
+	if size > (math.MaxUint64-63)/uint64(bits) {
+		return fmt.Errorf("db: %d entries of %d bits overflow a packed table", size, bits)
+	}
+	return nil
 }
 
 // Name returns the table's identifier (usually the game name).
@@ -145,7 +159,25 @@ const (
 
 	fileMagic   = Magic
 	fileVersion = Version1
+	// familyMagic signs the retired .rafy family format.
+	familyMagic = "RAFY"
 )
+
+// ErrFamilyRetired refuses the retired .rafy family format, which packed
+// every rung of a ladder into one flat table that could not be
+// compressed. The per-rung files hold the same values.
+var ErrFamilyRetired = errors.New("the .rafy family format is retired; per-rung awari-<n>.radb files (rabuild -out) serve the same queries")
+
+// checkMagic accepts the RADB signature and names the retired family's.
+func checkMagic(sig []byte) error {
+	switch string(sig) {
+	case fileMagic:
+		return nil
+	case familyMagic:
+		return fmt.Errorf("db: %w", ErrFamilyRetired)
+	}
+	return fmt.Errorf("db: bad magic %q", sig)
+}
 
 // CRC64Table is the checksum polynomial every on-disk format shares.
 var CRC64Table = crc64.MakeTable(crc64.ECMA)
@@ -178,14 +210,24 @@ func (t *Table) WriteTo(w io.Writer) (int64, error) {
 }
 
 // Read deserialises a table written by WriteTo.
-func Read(r io.Reader) (*Table, error) {
+func Read(r io.Reader) (*Table, error) { return read(r, -1) }
+
+// readChunk is how many value words read takes from the stream at a
+// time. A header claiming more entries than the stream holds then fails
+// at the stream's end, not in one allocation of the claimed size.
+const readChunk = 1 << 13
+
+// read parses a v1 stream of avail bytes (-1 when unknown). A known
+// length is checked against the header before the words are allocated,
+// which are then allocated once.
+func read(r io.Reader, avail int64) (*Table, error) {
 	cr := &countingCRCReader{r: r}
 	hdr := make([]byte, 24)
 	if _, err := io.ReadFull(cr, hdr); err != nil {
 		return nil, fmt.Errorf("db: reading header: %w", err)
 	}
-	if string(hdr[:4]) != fileMagic {
-		return nil, fmt.Errorf("db: bad magic %q", hdr[:4])
+	if err := checkMagic(hdr[:4]); err != nil {
+		return nil, err
 	}
 	if v := binary.LittleEndian.Uint32(hdr[4:]); v != fileVersion {
 		if v == Version2 {
@@ -199,23 +241,35 @@ func Read(r io.Reader) (*Table, error) {
 		return nil, fmt.Errorf("db: implausible name length %d", nameLen)
 	}
 	size := binary.LittleEndian.Uint64(hdr[16:])
+	if err := checkShape(size, bits); err != nil {
+		return nil, err
+	}
 	name := make([]byte, nameLen)
 	if _, err := io.ReadFull(cr, name); err != nil {
 		return nil, fmt.Errorf("db: reading name: %w", err)
 	}
-	t, err := NewTable(string(name), size, bits)
-	if err != nil {
-		return nil, err
+	nWords := PackedBytes(size, bits) / 8
+	prealloc := min(nWords, readChunk)
+	if avail >= 0 {
+		if need := 24 + uint64(nameLen) + 8*nWords + 8; need > uint64(avail) {
+			return nil, fmt.Errorf("db: header claims %d entries of %d bits (%d bytes), file holds %d", size, bits, need, avail)
+		}
+		prealloc = nWords
 	}
-	buf := make([]byte, 8)
-	for i := range t.words {
-		if _, err := io.ReadFull(cr, buf); err != nil {
+	t := &Table{name: string(name), size: size, bits: bits, words: make([]uint64, 0, prealloc)}
+	buf := make([]byte, 8*min(nWords, readChunk)+8)
+	for rest := nWords; rest > 0; {
+		k := min(rest, readChunk)
+		if _, err := io.ReadFull(cr, buf[:8*k]); err != nil {
 			return nil, fmt.Errorf("db: reading words: %w", err)
 		}
-		t.words[i] = binary.LittleEndian.Uint64(buf)
+		for i := uint64(0); i < k; i++ {
+			t.words = append(t.words, binary.LittleEndian.Uint64(buf[8*i:]))
+		}
+		rest -= k
 	}
 	wantCRC := cr.crc
-	if _, err := io.ReadFull(cr.r, buf); err != nil {
+	if _, err := io.ReadFull(cr.r, buf[:8]); err != nil {
 		return nil, fmt.Errorf("db: reading checksum: %w", err)
 	}
 	if got := binary.LittleEndian.Uint64(buf); got != wantCRC {
@@ -249,7 +303,11 @@ func Load(path string) (*Table, error) {
 		return nil, err
 	}
 	defer f.Close()
-	return Read(bufio.NewReader(f))
+	fi, err := f.Stat()
+	if err != nil {
+		return nil, err
+	}
+	return read(bufio.NewReader(f), fi.Size())
 }
 
 type countingCRCWriter struct {

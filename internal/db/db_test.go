@@ -2,7 +2,9 @@ package db
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
+	"os"
 	"path/filepath"
 	"testing"
 	"testing/quick"
@@ -168,6 +170,25 @@ func TestReadRejectsGarbage(t *testing.T) {
 		if _, err := Read(bytes.NewReader(data)); err == nil {
 			t.Errorf("case %d: Read accepted garbage", i)
 		}
+	}
+}
+
+// TestReadFamilyRejectsGarbage checks Read and Load refuse a retired
+// .rafy family by name, and a cut family header as garbage.
+func TestReadFamilyRejectsGarbage(t *testing.T) {
+	fam := familyFile(t)
+	if _, err := Read(bytes.NewReader(fam)); !errors.Is(err, ErrFamilyRetired) {
+		t.Errorf("Read of a family: %v, want ErrFamilyRetired", err)
+	}
+	path := filepath.Join(t.TempDir(), "awari.rafy")
+	if err := os.WriteFile(path, fam, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Load(path); !errors.Is(err, ErrFamilyRetired) {
+		t.Errorf("Load of a family: %v, want ErrFamilyRetired", err)
+	}
+	if _, err := Read(bytes.NewReader(fam[:3])); err == nil || errors.Is(err, ErrFamilyRetired) {
+		t.Errorf("Read of a cut family header: %v, want a header error", err)
 	}
 }
 

@@ -6,8 +6,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-
-	"retrograde/internal/index"
 )
 
 // Info describes a stored table without its values — everything a server
@@ -40,15 +38,6 @@ func (i Info) ServingBytes() uint64 {
 	return i.Bytes
 }
 
-// FamilyInfo describes a stored family without its values.
-type FamilyInfo struct {
-	Info
-	// Pits is the board's pit count.
-	Pits int
-	// MaxTotal is the largest rung stored.
-	MaxTotal int
-}
-
 // Stat reads a .radb file's header only — no value words are loaded, so
 // it is cheap enough to run over a whole database directory. The file's
 // checksum is not verified (that happens on Load).
@@ -61,63 +50,28 @@ func Stat(path string) (Info, error) {
 	return readInfo(bufio.NewReader(f))
 }
 
-// StatFamily reads a .rafy file's headers only, like Stat.
-func StatFamily(path string) (FamilyInfo, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return FamilyInfo{}, err
-	}
-	defer f.Close()
-	br := bufio.NewReader(f)
-	hdr := make([]byte, 16)
-	if _, err := io.ReadFull(br, hdr); err != nil {
-		return FamilyInfo{}, fmt.Errorf("db: reading family header: %w", err)
-	}
-	if string(hdr[:4]) != familyMagic {
-		return FamilyInfo{}, fmt.Errorf("db: bad family magic %q", hdr[:4])
-	}
-	if v := binary.LittleEndian.Uint32(hdr[4:]); v != familyVersion {
-		return FamilyInfo{}, fmt.Errorf("db: unsupported family version %d", v)
-	}
-	fi := FamilyInfo{
-		Pits:     int(binary.LittleEndian.Uint32(hdr[8:])),
-		MaxTotal: int(binary.LittleEndian.Uint32(hdr[12:])),
-	}
-	cs, err := index.NewCumulativeSpace(fi.Pits, fi.MaxTotal)
-	if err != nil {
-		return FamilyInfo{}, err
-	}
-	if fi.Info, err = readInfo(br); err != nil {
-		return FamilyInfo{}, err
-	}
-	if fi.Entries != cs.Size() {
-		return FamilyInfo{}, fmt.Errorf("db: family table holds %d entries, want %d", fi.Entries, cs.Size())
-	}
-	return fi, nil
-}
-
 // readInfo parses a table header from r, mirroring Read's validation.
 func readInfo(r io.Reader) (Info, error) {
 	hdr := make([]byte, 24)
 	if _, err := io.ReadFull(r, hdr); err != nil {
 		return Info{}, fmt.Errorf("db: reading header: %w", err)
 	}
-	if string(hdr[:4]) != fileMagic {
-		return Info{}, fmt.Errorf("db: bad magic %q", hdr[:4])
+	if err := checkMagic(hdr[:4]); err != nil {
+		return Info{}, err
 	}
 	version := int(binary.LittleEndian.Uint32(hdr[4:]))
 	if version != Version1 && version != Version2 {
 		return Info{}, fmt.Errorf("db: unsupported version %d", version)
 	}
 	bits := int(binary.LittleEndian.Uint32(hdr[8:]))
-	if bits < 1 || bits > MaxValueBits {
-		return Info{}, fmt.Errorf("db: value bits %d out of range [1, %d]", bits, MaxValueBits)
-	}
 	nameLen := binary.LittleEndian.Uint32(hdr[12:])
 	if nameLen > 4096 {
 		return Info{}, fmt.Errorf("db: implausible name length %d", nameLen)
 	}
 	size := binary.LittleEndian.Uint64(hdr[16:])
+	if err := checkShape(size, bits); err != nil {
+		return Info{}, err
+	}
 	name := make([]byte, nameLen)
 	if _, err := io.ReadFull(r, name); err != nil {
 		return Info{}, fmt.Errorf("db: reading name: %w", err)

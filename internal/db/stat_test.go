@@ -1,11 +1,13 @@
 package db
 
 import (
+	"bytes"
+	"errors"
+	"os"
 	"path/filepath"
 	"testing"
 
 	"retrograde/internal/game"
-	"retrograde/internal/index"
 )
 
 func TestStat(t *testing.T) {
@@ -34,31 +36,29 @@ func TestStat(t *testing.T) {
 	}
 }
 
+// familyFile returns a file of the retired .rafy family format: a RAFY
+// header (version 1, 12 pits, rungs 0..4) around a v1 table.
+func familyFile(t *testing.T) []byte {
+	t.Helper()
+	tab, err := Pack("awari", 3, make([]game.Value, 1820))
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf := bytes.NewBufferString("RAFY\x01\x00\x00\x00\x0c\x00\x00\x00\x04\x00\x00\x00")
+	if _, err := tab.WriteTo(buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestStatFamily checks Stat refuses a retired .rafy family by name.
 func TestStatFamily(t *testing.T) {
-	dir := t.TempDir()
-	fam, err := PackFamily("fam", 3, 4, 3, func(total int) []game.Value {
-		vs := make([]game.Value, index.MustSpace(3, total).Size())
-		for i := range vs {
-			vs[i] = game.Value(total)
-		}
-		return vs
-	})
-	if err != nil {
+	path := filepath.Join(t.TempDir(), "awari.rafy")
+	if err := os.WriteFile(path, familyFile(t), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(dir, "fam.rafy")
-	if err := fam.Save(path); err != nil {
-		t.Fatal(err)
-	}
-	info, err := StatFamily(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if info.Pits != 3 || info.MaxTotal != 4 {
-		t.Errorf("StatFamily = %+v, want 3 pits up to 4 stones", info)
-	}
-	if info.Bytes != fam.Bytes() {
-		t.Errorf("StatFamily bytes = %d, loaded family holds %d", info.Bytes, fam.Bytes())
+	if _, err := Stat(path); !errors.Is(err, ErrFamilyRetired) {
+		t.Errorf("Stat of a family file: %v, want ErrFamilyRetired", err)
 	}
 }
 

@@ -147,92 +147,3 @@ func (s *Space) Unrank(r uint64, dst []int) {
 	}
 	dst[0] = run
 }
-
-// CumulativeSpace ranks distributions of *at most* Stones stones: all
-// smaller totals first, ordered by total, then by Space rank within a
-// total. Retrograde analysis for awari builds one Space at a time, but
-// tools that address a whole family of databases (for example a file
-// holding databases for totals 0..n) use the cumulative index.
-type CumulativeSpace struct {
-	Pits   int
-	Stones int
-	// offset[t] is the index of the first distribution with total t.
-	offset []uint64
-	spaces []*Space
-}
-
-// NewCumulativeSpace returns the codec covering totals 0..stones.
-func NewCumulativeSpace(pits, stones int) (*CumulativeSpace, error) {
-	if pits < 1 || pits > MaxPits {
-		return nil, fmt.Errorf("index: pits %d out of range [1, %d]", pits, MaxPits)
-	}
-	if stones < 0 || stones > MaxStones {
-		return nil, fmt.Errorf("index: stones %d out of range [0, %d]", stones, MaxStones)
-	}
-	cs := &CumulativeSpace{
-		Pits:   pits,
-		Stones: stones,
-		offset: make([]uint64, stones+2),
-		spaces: make([]*Space, stones+1),
-	}
-	var off uint64
-	for t := 0; t <= stones; t++ {
-		cs.offset[t] = off
-		cs.spaces[t] = MustSpace(pits, t)
-		off += cs.spaces[t].Size()
-	}
-	cs.offset[stones+1] = off
-	return cs, nil
-}
-
-// Size returns the total number of distributions with totals 0..Stones,
-// which equals C(Stones+Pits, Pits).
-func (cs *CumulativeSpace) Size() uint64 { return cs.offset[cs.Stones+1] }
-
-// Offset returns the index of the first distribution with the given total.
-func (cs *CumulativeSpace) Offset(total int) uint64 {
-	if total < 0 || total > cs.Stones {
-		panic(fmt.Sprintf("index: Offset total %d out of range [0, %d]", total, cs.Stones))
-	}
-	return cs.offset[total]
-}
-
-// Space returns the per-total codec for the given total.
-func (cs *CumulativeSpace) Space(total int) *Space {
-	if total < 0 || total > cs.Stones {
-		panic(fmt.Sprintf("index: Space total %d out of range [0, %d]", total, cs.Stones))
-	}
-	return cs.spaces[total]
-}
-
-// Rank maps a distribution (any total 0..Stones) to its cumulative index.
-func (cs *CumulativeSpace) Rank(pits []int) uint64 {
-	t := 0
-	for _, c := range pits {
-		t += c
-	}
-	if t > cs.Stones {
-		panic(fmt.Sprintf("index: CumulativeSpace.Rank total %d exceeds %d", t, cs.Stones))
-	}
-	return cs.offset[t] + cs.spaces[t].Rank(pits)
-}
-
-// Unrank writes the distribution with the given cumulative index into dst
-// and returns its total stone count.
-func (cs *CumulativeSpace) Unrank(r uint64, dst []int) int {
-	if r >= cs.Size() {
-		panic(fmt.Sprintf("index: CumulativeSpace.Unrank rank %d out of range [0, %d)", r, cs.Size()))
-	}
-	// Binary search over offsets for the total containing r.
-	lo, hi := 0, cs.Stones
-	for lo < hi {
-		mid := (lo + hi + 1) / 2
-		if cs.offset[mid] <= r {
-			lo = mid
-		} else {
-			hi = mid - 1
-		}
-	}
-	cs.spaces[lo].Unrank(r-cs.offset[lo], dst)
-	return lo
-}

@@ -259,53 +259,6 @@ func TestQuickRankRoundTrip(t *testing.T) {
 	}
 }
 
-func TestCumulativeSpace(t *testing.T) {
-	cs, err := NewCumulativeSpace(3, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Size of totals 0..4 over 3 pits = C(7, 3) = 35.
-	if cs.Size() != 35 {
-		t.Fatalf("Size() = %d, want 35", cs.Size())
-	}
-	var sum uint64
-	for tot := 0; tot <= 4; tot++ {
-		if cs.Offset(tot) != sum {
-			t.Fatalf("Offset(%d) = %d, want %d", tot, cs.Offset(tot), sum)
-		}
-		sum += cs.Space(tot).Size()
-	}
-	// Full round trip over every cumulative rank.
-	pits := make([]int, 3)
-	for r := uint64(0); r < cs.Size(); r++ {
-		tot := cs.Unrank(r, pits)
-		got := 0
-		for _, c := range pits {
-			got += c
-		}
-		if got != tot {
-			t.Fatalf("rank %d: reported total %d, pits sum %d", r, tot, got)
-		}
-		if back := cs.Rank(pits); back != r {
-			t.Fatalf("rank %d: Rank(Unrank) = %d", r, back)
-		}
-	}
-}
-
-func TestCumulativeSpaceValidation(t *testing.T) {
-	if _, err := NewCumulativeSpace(0, 4); err == nil {
-		t.Error("NewCumulativeSpace(0, 4) succeeded, want error")
-	}
-	if _, err := NewCumulativeSpace(3, MaxStones+1); err == nil {
-		t.Error("NewCumulativeSpace over-stones succeeded, want error")
-	}
-	cs, _ := NewCumulativeSpace(12, 48)
-	// C(60, 12) distributions of at most 48 stones over 12 pits.
-	if want := Binomial(60, 12); cs.Size() != want {
-		t.Fatalf("Size() = %d, want %d", cs.Size(), want)
-	}
-}
-
 func BenchmarkRank(b *testing.B) {
 	s := MustSpace(12, 13)
 	pits := make([]int, 12)

@@ -1,11 +1,9 @@
 package ladder
 
 import (
-	"path/filepath"
 	"testing"
 
 	"retrograde/internal/awari"
-	"retrograde/internal/db"
 	"retrograde/internal/game"
 	"retrograde/internal/ra"
 )
@@ -223,32 +221,5 @@ func TestOnRungCallback(t *testing.T) {
 	}
 	if len(rungs) != 4 || rungs[0] != 0 || rungs[3] != 3 {
 		t.Errorf("callback rungs = %v", rungs)
-	}
-}
-
-// TestFamilyFileMatchesLadder packs a real awari ladder into the
-// single-file family format and checks every value round-trips.
-func TestFamilyFileMatchesLadder(t *testing.T) {
-	l := buildStandard(t, 6)
-	fam, err := db.PackFamily("awari", awari.Pits, 6, 3, func(total int) []game.Value {
-		return l.Result(total).Values
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "awari.rafy")
-	if err := fam.Save(path); err != nil {
-		t.Fatal(err)
-	}
-	back, err := db.LoadFamily(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for n := 0; n <= 6; n++ {
-		for idx := uint64(0); idx < awari.Size(n); idx++ {
-			if back.Get(n, idx) != l.Lookup(n, idx) {
-				t.Fatalf("rung %d idx %d mismatch", n, idx)
-			}
-		}
 	}
 }

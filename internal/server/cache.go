@@ -16,19 +16,12 @@ import (
 	"retrograde/internal/zdb"
 )
 
-// Shard kinds.
-const (
-	kindTable  byte = iota // a single .radb table
-	kindFamily             // a .rafy family (a whole mancala ladder)
-)
-
 // entry is one discovered shard. Refcounts, state and counters are
 // protected by the cache mutex; the loaded table is immutable once
 // published, so queries read it without any lock.
 type entry struct {
 	key  string
 	path string
-	kind byte
 
 	// Header metadata, known before any load (db.Stat). For a
 	// block-compressed (v2) shard, bytes is the compressed in-core
@@ -39,15 +32,11 @@ type entry struct {
 	bytes    uint64
 	rawBytes uint64
 	version  int
-	pits     int // families only
-	maxT     int // families only
 
 	// Mutable, under Cache.mu.
 	refs    int
 	loading chan struct{} // non-nil while a load is in flight
-	table   *db.Table
-	ztab    *zdb.Table
-	fam     *db.Family
+	r       zdb.Reader    // non-nil while loaded
 	lruEl   *list.Element // non-nil while loaded
 
 	hits, misses, loads, evictions uint64
@@ -60,18 +49,15 @@ type entry struct {
 // Called with the cache mutex held.
 func (e *entry) lookups() uint64 {
 	n := e.zlookups
-	if e.ztab != nil {
-		n += e.ztab.Stats().Lookups
+	if z, ok := e.r.(*zdb.Table); ok {
+		n += z.Stats().Lookups
 	}
 	return n
 }
 
-func (e *entry) loaded() bool { return e.table != nil || e.ztab != nil || e.fam != nil }
-
 // ShardInfo is a point-in-time snapshot of one shard, for /stats.
 type ShardInfo struct {
 	Key     string
-	Kind    string
 	Entries uint64
 	Bits    int
 	// Bytes is what residency costs: the compressed footprint for a v2
@@ -104,27 +90,25 @@ type Cache struct {
 	lru     *list.List // front = most recently used; loaded entries only
 	used    uint64
 
-	awariMax    int    // rungs 0..awariMax are contiguously on disk (-1: none)
-	awariFamily string // key of an awari .rafy family, if discovered
-	awariFamMax int
+	awariMax int // rungs 0..awariMax are contiguously on disk (-1: none)
 }
 
-// NewCache scans dir for *.radb and *.rafy shards (headers only — no
-// values are loaded) and returns a cache bounded by budget bytes of
-// resident shard data (0 = unlimited). Block-compressed (v2) shards
-// stay compressed in core and are charged their compressed footprint,
-// so the same budget holds more of the ladder.
+// NewCache scans dir for *.radb shards (headers only — no values are
+// loaded) and returns a cache bounded by budget bytes of resident shard
+// data (0 = unlimited). Block-compressed (v2) shards stay compressed in
+// core and are charged their compressed footprint, so the same budget
+// holds more of the ladder. A retired .rafy family file is refused by
+// name rather than skipped, which would quietly serve fewer rungs.
 func NewCache(dir string, budget uint64) (*Cache, error) {
 	names, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, err
 	}
 	c := &Cache{
-		budget:      budget,
-		entries:     map[string]*entry{},
-		lru:         list.New(),
-		awariMax:    -1,
-		awariFamMax: -1,
+		budget:   budget,
+		entries:  map[string]*entry{},
+		lru:      list.New(),
+		awariMax: -1,
 	}
 	rungs := map[int]bool{}
 	for _, de := range names {
@@ -141,7 +125,7 @@ func NewCache(dir string, budget uint64) (*Cache, error) {
 			}
 			key := strings.TrimSuffix(name, ".radb")
 			c.entries[key] = &entry{
-				key: key, path: path, kind: kindTable,
+				key: key, path: path,
 				entries: info.Entries, bits: info.Bits,
 				bytes: info.ServingBytes(), rawBytes: info.Bytes, version: info.Version,
 			}
@@ -149,20 +133,7 @@ func NewCache(dir string, budget uint64) (*Cache, error) {
 				rungs[n] = true
 			}
 		case strings.HasSuffix(name, ".rafy"):
-			info, err := db.StatFamily(path)
-			if err != nil {
-				return nil, fmt.Errorf("server: %s: %w", name, err)
-			}
-			key := strings.TrimSuffix(name, ".rafy")
-			c.entries[key] = &entry{
-				key: key, path: path, kind: kindFamily,
-				entries: info.Entries, bits: info.Bits,
-				bytes: info.Bytes, rawBytes: info.Bytes, version: info.Version,
-				pits: info.Pits, maxT: info.MaxTotal,
-			}
-			if info.Pits == awari.Pits && (c.awariFamily == "" || info.MaxTotal > c.awariFamMax) {
-				c.awariFamily, c.awariFamMax = key, info.MaxTotal
-			}
+			return nil, fmt.Errorf("server: %s: %w", name, db.ErrFamilyRetired)
 		}
 	}
 	for rungs[c.awariMax+1] {
@@ -202,14 +173,8 @@ func RungOf(key string) (int, bool) {
 }
 
 // AwariMax returns the largest stone count n such that every rung 0..n
-// is answerable — through a family file or contiguous per-rung tables.
-// -1 means no awari databases were discovered.
-func (c *Cache) AwariMax() int {
-	if c.awariFamMax > c.awariMax {
-		return c.awariFamMax
-	}
-	return c.awariMax
-}
+// is on disk. -1 means no awari databases were discovered.
+func (c *Cache) AwariMax() int { return c.awariMax }
 
 // Budget returns the configured memory budget (0 = unlimited).
 func (c *Cache) Budget() uint64 { return c.budget }
@@ -237,14 +202,10 @@ func (c *Cache) Snapshot() []ShardInfo {
 	defer c.mu.Unlock()
 	out := make([]ShardInfo, 0, len(c.entries))
 	for _, e := range c.entries {
-		kind := "table"
-		if e.kind == kindFamily {
-			kind = "family"
-		}
 		out = append(out, ShardInfo{
-			Key: e.key, Kind: kind, Entries: e.entries, Bits: e.bits,
+			Key: e.key, Entries: e.entries, Bits: e.bits,
 			Bytes: e.bytes, RawBytes: e.rawBytes, Version: e.version,
-			Loaded: e.loaded(), Pinned: e.refs,
+			Loaded: e.r != nil, Pinned: e.refs,
 			Hits: e.hits, Misses: e.misses, Loads: e.loads, Evicts: e.evictions,
 			Lookups: e.lookups(),
 		})
@@ -260,39 +221,11 @@ type Pin struct {
 	e *entry
 }
 
-// Table returns the pinned flat table (nil for family and compressed
-// shards).
-func (p *Pin) Table() *db.Table { return p.e.table }
-
-// Compressed returns the pinned block-compressed table (nil for flat
-// and family shards).
-func (p *Pin) Compressed() *zdb.Table { return p.e.ztab }
-
-// Family returns the pinned family (nil for table shards).
-func (p *Pin) Family() *db.Family { return p.e.fam }
-
 // Entries returns the shard's entry count.
 func (p *Pin) Entries() uint64 { return p.e.entries }
 
-// Get returns entry idx of a table shard, flat or compressed. It panics
-// on family shards (use Family) — callers check the kind first.
-func (p *Pin) Get(idx uint64) game.Value {
-	if p.e.ztab != nil {
-		return p.e.ztab.Get(idx)
-	}
-	return p.e.table.Get(idx)
-}
-
-// lookup returns the shard's point-lookup function (nil for families).
-func (p *Pin) lookup() func(uint64) game.Value {
-	switch {
-	case p.e.ztab != nil:
-		return p.e.ztab.Get
-	case p.e.table != nil:
-		return p.e.table.Get
-	}
-	return nil
-}
+// Get returns entry idx of the shard, flat or compressed.
+func (p *Pin) Get(idx uint64) game.Value { return p.e.r.Get(idx) }
 
 // Release unpins the shard. Each Pin must be released exactly once.
 func (p *Pin) Release() {
@@ -318,7 +251,7 @@ func (c *Cache) Acquire(key string) (*Pin, error) {
 	}
 	for {
 		switch {
-		case e.loaded():
+		case e.r != nil:
 			e.refs++
 			e.hits++
 			c.lru.MoveToFront(e.lruEl)
@@ -334,7 +267,7 @@ func (c *Cache) Acquire(key string) (*Pin, error) {
 			e.loading = make(chan struct{})
 			c.mu.Unlock()
 
-			tab, ztab, fam, err := load(e)
+			r, err := load(e)
 
 			c.mu.Lock()
 			close(e.loading)
@@ -343,7 +276,7 @@ func (c *Cache) Acquire(key string) (*Pin, error) {
 				c.mu.Unlock()
 				return nil, err
 			}
-			e.table, e.ztab, e.fam = tab, ztab, fam
+			e.r = r
 			e.loads++
 			e.refs++
 			e.lruEl = c.lru.PushFront(e)
@@ -355,39 +288,18 @@ func (c *Cache) Acquire(key string) (*Pin, error) {
 	}
 }
 
-// load reads the shard from disk (no cache lock held) and validates
-// awari rung sizes the way cmd/raquery does. A v2 shard stays
-// compressed in core; Get decodes one entry at a time.
-func load(e *entry) (*db.Table, *zdb.Table, *db.Family, error) {
-	if e.kind == kindFamily {
-		fam, err := db.LoadFamily(e.path)
-		if err != nil {
-			return nil, nil, nil, fmt.Errorf("server: loading shard %s: %w", e.key, err)
-		}
-		return nil, nil, fam, nil
-	}
-	var size uint64
-	var tab *db.Table
-	var ztab *zdb.Table
-	var err error
-	if e.version == db.Version2 {
-		ztab, err = zdb.Load(e.path)
-		if ztab != nil {
-			size = ztab.Size()
-		}
-	} else {
-		tab, err = db.Load(e.path)
-		if tab != nil {
-			size = tab.Size()
-		}
-	}
+// load reads the shard from disk in either format (no cache lock
+// held) and checks an awari rung's size. A v2 shard stays compressed in
+// core; Get decodes one entry at a time.
+func load(e *entry) (zdb.Reader, error) {
+	r, err := zdb.Open(e.path)
 	if err != nil {
-		return nil, nil, nil, fmt.Errorf("server: loading shard %s: %w", e.key, err)
+		return nil, fmt.Errorf("server: loading shard %s: %w", e.key, err)
 	}
-	if n, ok := RungOf(e.key); ok && size != awari.Size(n) {
-		return nil, nil, nil, fmt.Errorf("server: %s holds %d entries, want %d", e.path, size, awari.Size(n))
+	if n, ok := RungOf(e.key); ok && r.Size() != awari.Size(n) {
+		return nil, fmt.Errorf("server: %s holds %d entries, want %d", e.path, r.Size(), awari.Size(n))
 	}
-	return tab, ztab, nil, nil
+	return r, nil
 }
 
 // evictLocked drops least-recently-used unpinned shards until usage fits
@@ -410,26 +322,18 @@ func (c *Cache) evictLocked() {
 		c.lru.Remove(victim.lruEl)
 		victim.lruEl = nil
 		victim.zlookups = victim.lookups()
-		victim.table, victim.ztab, victim.fam = nil, nil, nil
+		victim.r = nil
 		victim.evictions++
 		c.used -= victim.bytes
 	}
 }
 
-// AcquireAwari pins everything needed to answer boards of up to n
-// stones — the family shard when one covers n, else rungs 0..n — and
-// returns a lookup over the pinned set plus a release for all pins.
+// AcquireAwari pins rungs 0..n, everything needed to answer boards of
+// up to n stones, and returns a lookup over the pinned set plus a
+// release for all pins.
 func (c *Cache) AcquireAwari(n int) (awari.Lookup, func(), error) {
-	if n < 0 || n > c.AwariMax() {
-		return nil, nil, fmt.Errorf("server: no awari database for %d stones (have 0..%d)", n, c.AwariMax())
-	}
-	if c.awariFamily != "" && c.awariFamMax >= n {
-		pin, err := c.Acquire(c.awariFamily)
-		if err != nil {
-			return nil, nil, err
-		}
-		fam := pin.Family()
-		return fam.Get, pin.Release, nil
+	if n < 0 || n > c.awariMax {
+		return nil, nil, fmt.Errorf("server: no awari database for %d stones (have 0..%d)", n, c.awariMax)
 	}
 	pins := make([]*Pin, 0, n+1)
 	release := func() {
@@ -445,7 +349,7 @@ func (c *Cache) AcquireAwari(n int) (awari.Lookup, func(), error) {
 			return nil, nil, err
 		}
 		pins = append(pins, pin)
-		gets[i] = pin.lookup()
+		gets[i] = pin.e.r.Get
 	}
 	lookup := func(stones int, idx uint64) game.Value {
 		return gets[stones](idx)

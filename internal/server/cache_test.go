@@ -54,8 +54,8 @@ func TestCacheLRUBudget(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if pin.Table().Get(7) != 7 {
-			t.Errorf("shard %s entry 7 = %d, want 7", key, pin.Table().Get(7))
+		if pin.Get(7) != 7 {
+			t.Errorf("shard %s entry 7 = %d, want 7", key, pin.Get(7))
 		}
 		pin.Release()
 		if c.Used() > c.Budget() {
@@ -112,7 +112,7 @@ func TestCachePinnedNotEvicted(t *testing.T) {
 	if c.Used() != 2*size {
 		t.Errorf("resident %d bytes, want %d (both pinned)", c.Used(), 2*size)
 	}
-	if pa.Table() == nil || pb.Table() == nil {
+	if pa.e.r == nil || pb.e.r == nil {
 		t.Fatal("a pinned shard lost its table")
 	}
 	pa.Release()
@@ -120,7 +120,7 @@ func TestCachePinnedNotEvicted(t *testing.T) {
 	if c.Used() > c.Budget() {
 		t.Errorf("resident %d bytes exceeds budget %d after release", c.Used(), c.Budget())
 	}
-	if pb.Table() == nil {
+	if pb.e.r == nil {
 		t.Error("still-pinned shard b was evicted")
 	}
 	pb.Release()
@@ -165,7 +165,7 @@ func TestCacheEvictionSkipsPinned(t *testing.T) {
 			}
 		}
 	}
-	if pa.Table().Get(3) != 3 {
+	if pa.Get(3) != 3 {
 		t.Error("pinned shard a unreadable after eviction pass")
 	}
 	pa.Release()
@@ -279,8 +279,8 @@ func TestCacheCompressedShard(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pz.Compressed() == nil {
-		t.Fatal("v2 pin has no compressed table")
+	if _, ok := pz.e.r.(*zdb.Table); !ok {
+		t.Fatalf("v2 pin holds %T, want a compressed table", pz.e.r)
 	}
 	for idx := uint64(0); idx < uint64(len(values)); idx++ {
 		if got, want := pz.Get(idx), pp.Get(idx); got != want {
@@ -481,7 +481,7 @@ func TestCacheConcurrent(t *testing.T) {
 					return
 				}
 				idx := uint64(rng.Intn(512))
-				if got := pin.Table().Get(idx); got != game.Value(idx%200) {
+				if got := pin.Get(idx); got != game.Value(idx%200) {
 					t.Errorf("%s[%d] = %d, want %d", key, idx, got, idx%200)
 				}
 				pin.Release()

@@ -135,9 +135,9 @@ func (s *Server) worker() {
 }
 
 // serveJob answers a batch in one pass: the awari shards the batch needs
-// are pinned once (family file, or rungs 0..maxN), every board query in
-// the batch is answered against that pinned set, and probes pin their
-// own shard. Pins guarantee concurrent evictions never race a lookup.
+// are pinned once (rungs 0..maxN), every board query in the batch is
+// answered against that pinned set, and probes pin their own shard. Pins
+// guarantee concurrent evictions never race a lookup.
 func (s *Server) serveJob(j *job) {
 	j.answers = make([]Answer, len(j.queries))
 
@@ -197,9 +197,6 @@ func (s *Server) probe(q *Query) Answer {
 		return Answer{Err: err.Error()}
 	}
 	defer pin.Release()
-	if pin.Family() != nil {
-		return Answer{Err: fmt.Sprintf("server: shard %q is a family; probe its per-rung tables", q.Shard)}
-	}
 	if q.Index >= pin.Entries() {
 		return Answer{Err: fmt.Sprintf("server: index %d out of range [0, %d) in shard %q", q.Index, pin.Entries(), q.Shard)}
 	}
@@ -256,13 +253,13 @@ func (s *Server) Metrics() ServerMetrics {
 // StatsTables renders the server's observability surface: per-shard
 // cache counters and the request-path summary.
 func (s *Server) StatsTables() []*stats.Table {
-	shards := stats.NewTable("shards", "shard", "kind", "fmt", "entries", "bits", "size", "raw", "state", "pins", "hits", "misses", "loads", "evictions", "lookups")
+	shards := stats.NewTable("shards", "shard", "fmt", "entries", "bits", "size", "raw", "state", "pins", "hits", "misses", "loads", "evictions", "lookups")
 	for _, si := range s.cache.Snapshot() {
 		state := "cold"
 		if si.Loaded {
 			state = "loaded"
 		}
-		shards.Row(si.Key, si.Kind, fmt.Sprintf("v%d", si.Version), stats.Count(si.Entries), si.Bits,
+		shards.Row(si.Key, fmt.Sprintf("v%d", si.Version), stats.Count(si.Entries), si.Bits,
 			stats.Bytes(si.Bytes), stats.Bytes(si.RawBytes), state, si.Pinned, si.Hits, si.Misses, si.Loads, si.Evicts,
 			si.Lookups)
 	}

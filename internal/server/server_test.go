@@ -7,6 +7,7 @@ import (
 	"io"
 	"math/rand"
 	"net/http"
+	"os"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -177,33 +178,21 @@ func TestLineIsOptimal(t *testing.T) {
 	}
 }
 
-// TestFamilyShard serves the same queries from a single .rafy family.
+// TestFamilyShard checks a retired .rafy family file in the database
+// directory is refused by name: skipping it would quietly serve fewer
+// rungs than the directory seems to hold.
 func TestFamilyShard(t *testing.T) {
 	dir := t.TempDir()
-	l := buildLadder(t)
-	fam, err := db.PackFamily("awari", awari.Pits, testStones, l.Slice(testStones).ValueBits(), func(total int) []game.Value {
-		return l.Result(total).Values
-	})
-	if err != nil {
+	saveRungs(t, buildLadder(t), dir)
+	if err := os.WriteFile(filepath.Join(dir, "awari.rafy"), []byte("RAFY"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := fam.Save(filepath.Join(dir, "awari.rafy")); err != nil {
-		t.Fatal(err)
+	_, err := NewCache(dir, 0)
+	if !errors.Is(err, db.ErrFamilyRetired) || !strings.Contains(err.Error(), "awari.rafy") {
+		t.Fatalf("NewCache with a .rafy file: %v, want it refused by name", err)
 	}
-	s := startServer(t, dir, Config{})
-	c := dial(t, s)
-	if got := s.Cache().AwariMax(); got != testStones {
-		t.Fatalf("AwariMax = %d, want %d from the family", got, testStones)
-	}
-	for n := 0; n <= testStones; n++ {
-		idx := awari.Size(n) - 1
-		got, err := c.Value(boardOf(n, idx))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if want := l.Lookup(n, idx); got != want {
-			t.Errorf("rung %d idx %d: family serves %d, ladder holds %d", n, idx, got, want)
-		}
+	if _, err := Start("127.0.0.1:0", Config{Dir: dir}); err == nil {
+		t.Fatal("Start served a directory holding a .rafy file")
 	}
 }
 

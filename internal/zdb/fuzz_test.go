@@ -10,7 +10,8 @@ import (
 
 // FuzzZdbRoundtrip drives the compressed-database codec from both ends:
 // arbitrary bytes fed to Read must error cleanly (never panic, never
-// return a corrupt table as valid), and a table built from arbitrary
+// return a corrupt table as valid, and a table it accepts answers Get at
+// its first and last entries), and a table built from arbitrary
 // values must survive Compress -> WriteTo -> Read -> Unpack bit-exactly,
 // and answer Get at every index with the value put in.
 func FuzzZdbRoundtrip(f *testing.F) {
@@ -18,6 +19,7 @@ func FuzzZdbRoundtrip(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(bytes.Repeat([]byte{0x00}, 64))
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 0, 1, 2, 3, 4, 5, 6, 7, 0, 9, 9, 9, 9})
+	f.Add(ceilOverflowFile)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// Corrupt-input safety: whatever Read makes of the bytes, it must
 		// not panic; an error is the expected outcome for garbage.
@@ -27,7 +29,10 @@ func FuzzZdbRoundtrip(f *testing.F) {
 					t.Fatalf("Read panicked on %d input bytes: %v", len(data), r)
 				}
 			}()
-			Read(bytes.NewReader(data))
+			if z, err := Read(bytes.NewReader(data)); err == nil && z.Size() > 0 {
+				z.Get(0)
+				z.Get(z.Size() - 1)
+			}
 		}()
 
 		if len(data) == 0 {

@@ -13,6 +13,10 @@
 // offset of every 128th entry of each Huffman block) lets Get decode only
 // the entry asked for, so a server can keep shards compressed in core and
 // still answer point lookups without ever materialising a block.
+//
+// Open is the one reader for both on-disk formats: it returns a flat
+// *db.Table for a version-1 file and a *Table for a version-2 one,
+// behind the Reader interface.
 package zdb
 
 import (
@@ -23,6 +27,7 @@ import (
 	"hash/crc64"
 	"io"
 	"os"
+	"slices"
 	"sync/atomic"
 
 	"retrograde/internal/db"
@@ -187,7 +192,7 @@ func (t *Table) Inflate() (*db.Table, error) {
 // Verify checks every block's CRC and decodability, naming the first
 // corrupt block.
 func (t *Table) Verify() error {
-	scratch := make([]game.Value, t.blockLen)
+	scratch := make([]game.Value, min(uint64(t.blockLen), t.size))
 	for b := range t.dir {
 		enc := t.encoded(b)
 		if got := crc32.ChecksumIEEE(enc); got != t.dir[b].crc {
@@ -297,22 +302,33 @@ func (t *Table) Save(path string) error {
 // Read deserialises a table written by WriteTo, verifying the file
 // checksum and that every block decodes (an error names the first that
 // does not), and builds the seek index.
-func Read(r io.Reader) (*Table, error) {
-	t, crcErr, err := read(r)
+func Read(r io.Reader) (*Table, error) { return strict(read(r, -1)) }
+
+// strict refuses a table whose checksum mismatched.
+func strict(t *Table, crcErr, err error) (*Table, error) {
+	if err == nil {
+		err = crcErr
+	}
 	if err != nil {
 		return nil, err
-	}
-	if crcErr != nil {
-		return nil, crcErr
 	}
 	return t, nil
 }
 
-// read parses a v2 stream. Structural errors come back in err; a
-// parseable file whose checksum mismatches comes back with crcErr set and
-// no seek index, so a verifier can still walk the block directory and
-// name the corrupt block by its CRC.
-func read(r io.Reader) (t *Table, crcErr, err error) {
+// readChunk bounds what read allocates ahead of what a stream of unknown
+// length has supplied: readChunk bytes of block data, and directory
+// entries for readChunk bytes of directory. A header claiming more than
+// the stream holds then fails at the stream's end, not in an allocation
+// of the claimed size.
+const readChunk = 1 << 16
+
+// read parses a v2 stream of avail bytes (-1 when unknown; a known
+// length is checked against the header's claims before allocating for
+// them). Structural errors come back in err; a parseable file whose
+// checksum mismatches comes back with crcErr set and no seek index, so a
+// verifier can still walk the block directory and name the corrupt block
+// by its CRC.
+func read(r io.Reader, avail int64) (t *Table, crcErr, err error) {
 	cr := &crcReader{r: r}
 	hdr := make([]byte, 24)
 	if _, err := io.ReadFull(cr, hdr); err != nil {
@@ -350,14 +366,27 @@ func read(r io.Reader) (t *Table, crcErr, err error) {
 	if blockLen < 1 {
 		return nil, nil, fmt.Errorf("zdb: block length %d must be positive", blockLen)
 	}
-	if want := (size + uint64(blockLen) - 1) / uint64(blockLen); uint64(nBlocks) != want {
-		return nil, nil, fmt.Errorf("zdb: %d blocks for %d entries of %d, want %d", nBlocks, size, blockLen, want)
+	blocks := size / uint64(blockLen) // ceil without overflowing
+	if size%uint64(blockLen) != 0 {
+		blocks++
+	}
+	if uint64(nBlocks) != blocks {
+		return nil, nil, fmt.Errorf("zdb: %d blocks for %d entries of %d, want %d", nBlocks, size, blockLen, blocks)
+	}
+	// Bytes the file needs beyond the block data: header, directory, crc.
+	frame := 24 + uint64(nameLen) + 16 + uint64(nBlocks)*db.V2DirEntrySize + 8
+	dirCap, dataCap := min(uint64(nBlocks), readChunk/db.V2DirEntrySize), min(dataLen, readChunk)
+	if avail >= 0 {
+		if frame > uint64(avail) || dataLen > uint64(avail)-frame {
+			return nil, nil, fmt.Errorf("zdb: header claims %d blocks of %d data bytes, file holds %d bytes", nBlocks, dataLen, avail)
+		}
+		dirCap, dataCap = uint64(nBlocks), dataLen
 	}
 	t = &Table{name: string(name), size: size, bits: bits, blockLen: blockLen}
-	t.dir = make([]block, nBlocks)
+	t.dir = make([]block, 0, dirCap)
 	ent := make([]byte, db.V2DirEntrySize)
 	next := uint64(0)
-	for i := range t.dir {
+	for i := 0; i < int(nBlocks); i++ {
 		if _, err := io.ReadFull(cr, ent); err != nil {
 			return nil, nil, fmt.Errorf("zdb: reading directory entry %d: %w", i, err)
 		}
@@ -378,14 +407,18 @@ func read(r io.Reader) (t *Table, crcErr, err error) {
 		if next > dataLen {
 			return nil, nil, fmt.Errorf("zdb: directory entry %d overruns data section (%d > %d)", i, next, dataLen)
 		}
-		t.dir[i] = b
+		t.dir = append(t.dir, b)
 	}
 	if next != dataLen {
 		return nil, nil, fmt.Errorf("zdb: directory covers %d bytes of a %d-byte data section", next, dataLen)
 	}
-	t.data = make([]byte, dataLen)
-	if _, err := io.ReadFull(cr, t.data); err != nil {
-		return nil, nil, fmt.Errorf("zdb: reading data: %w", err)
+	t.data = make([]byte, 0, dataCap)
+	for n := uint64(0); n < dataLen; n = uint64(len(t.data)) {
+		k := min(dataLen-n, readChunk)
+		t.data = slices.Grow(t.data, int(k))[:n+k]
+		if _, err := io.ReadFull(cr, t.data[n:]); err != nil {
+			return nil, nil, fmt.Errorf("zdb: reading data: %w", err)
+		}
 	}
 	want := cr.crc
 	tail := make([]byte, 8)
@@ -402,25 +435,59 @@ func read(r io.Reader) (t *Table, crcErr, err error) {
 }
 
 // Load reads a table from a file.
-func Load(path string) (*Table, error) {
+func Load(path string) (*Table, error) { return strict(readFile(path)) }
+
+// readFile parses the file at path, whose length bounds what its header
+// may claim.
+func readFile(path string) (t *Table, crcErr, err error) {
 	f, err := os.Open(path)
+	if err != nil {
+		return nil, nil, err
+	}
+	defer f.Close()
+	fi, err := f.Stat()
+	if err != nil {
+		return nil, nil, err
+	}
+	return read(bufio.NewReader(f), fi.Size())
+}
+
+// Reader is a random-access value table in either on-disk format: a
+// flat *db.Table (v1) or a block-compressed *Table (v2).
+type Reader interface {
+	Name() string
+	Size() uint64
+	Bits() int
+	// Bytes is the in-core footprint: packed words for v1, compressed
+	// blocks and directory for v2.
+	Bytes() uint64
+	Get(idx uint64) game.Value
+}
+
+// Open reads the database at path in the format its header names — the
+// one reader for every .radb file, so a directory may mix the formats.
+func Open(path string) (Reader, error) {
+	info, err := db.Stat(path)
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close()
-	return Read(bufio.NewReader(f))
+	var r Reader
+	if info.Version == db.Version2 {
+		r, err = Load(path)
+	} else {
+		r, err = db.Load(path)
+	}
+	if err != nil {
+		return nil, err // not r: a nil table in a non-nil Reader
+	}
+	return r, nil
 }
 
 // VerifyFile loads path leniently and checks every block CRC, so a
 // corrupt file is reported with its first corrupt block rather than
 // only the whole-file checksum. A fully clean file is returned.
 func VerifyFile(path string) (*Table, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	t, crcErr, err := read(bufio.NewReader(f))
+	t, crcErr, err := readFile(path)
 	if err != nil {
 		return nil, err
 	}

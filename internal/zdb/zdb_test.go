@@ -2,11 +2,14 @@ package zdb
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"hash/crc64"
 	"hash/fnv"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -419,5 +422,156 @@ func BenchmarkZdbColdGet(b *testing.B) {
 	for n := 0; n < b.N; n++ {
 		z.Get(i % z.Size())
 		i += stride
+	}
+}
+
+// TestOpenSniffsVersion opens the same values stored flat (v1) and
+// block-compressed (v2) and checks both answer every index alike; and
+// that headers Open cannot serve — a bad magic, an unknown version, a
+// truncated header and a retired .rafy family — are errors.
+func TestOpenSniffsVersion(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	vals := make([]game.Value, 3*DefaultBlockLen+17)
+	for i := range vals {
+		if i%500 < 300 {
+			vals[i] = 2
+		} else {
+			vals[i] = game.Value(rng.Intn(16))
+		}
+	}
+	tab := pack(t, "sniff", 4, vals)
+	z, err := Compress(tab, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	v1, v2 := filepath.Join(dir, "v1.radb"), filepath.Join(dir, "v2.radb")
+	if err := tab.Save(v1); err != nil {
+		t.Fatal(err)
+	}
+	if err := z.Save(v2); err != nil {
+		t.Fatal(err)
+	}
+	r1, err := Open(v1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r2, err := Open(v2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := r1.(*db.Table); !ok {
+		t.Errorf("Open(v1) = %T, want *db.Table", r1)
+	}
+	if _, ok := r2.(*Table); !ok {
+		t.Errorf("Open(v2) = %T, want *zdb.Table", r2)
+	}
+	if r1.Name() != r2.Name() || r1.Size() != r2.Size() || r1.Bits() != r2.Bits() || r2.Bytes() >= r1.Bytes() {
+		t.Errorf("v1 %q %d×%d %d B, v2 %q %d×%d %d B", r1.Name(), r1.Size(), r1.Bits(), r1.Bytes(),
+			r2.Name(), r2.Size(), r2.Bits(), r2.Bytes())
+	}
+	for i := uint64(0); i < r1.Size(); i++ {
+		if a, b := r1.Get(i), r2.Get(i); a != b || a != vals[i] {
+			t.Fatalf("entry %d: v1 %d, v2 %d, want %d", i, a, b, vals[i])
+		}
+	}
+
+	good, err := os.ReadFile(v1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v3 := bytes.Clone(good)
+	v3[4] = 3
+	family := []byte("RAFY\x01\x00\x00\x00\x0c\x00\x00\x00\x04\x00\x00\x00")
+	for _, tc := range []struct {
+		name string
+		data []byte
+		want string
+	}{
+		{"magic", append([]byte("RADX"), good[4:]...), "bad magic"},
+		{"version", v3, "unsupported version 3"},
+		{"truncated", good[:10], "reading header"},
+		{"family", append(family, good...), "family format is retired"},
+	} {
+		path := filepath.Join(dir, tc.name+".radb")
+		if err := os.WriteFile(path, tc.data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if r, err := Open(path); err == nil || r != nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: Open = %v, %v; want an error containing %q", tc.name, r, err, tc.want)
+		}
+	}
+}
+
+// v2File returns a v2 file of the given header fields and no directory
+// or data, with a valid checksum, whatever the header claims.
+func v2File(bits uint32, size uint64, blockLen, nBlocks uint32, dataLen uint64) []byte {
+	b := []byte(db.Magic)
+	b = binary.LittleEndian.AppendUint32(b, db.Version2)
+	b = binary.LittleEndian.AppendUint32(b, bits)
+	b = binary.LittleEndian.AppendUint32(b, 0)
+	b = binary.LittleEndian.AppendUint64(b, size)
+	b = binary.LittleEndian.AppendUint32(b, blockLen)
+	b = binary.LittleEndian.AppendUint32(b, nBlocks)
+	b = binary.LittleEndian.AppendUint64(b, dataLen)
+	return binary.LittleEndian.AppendUint64(b, crc64.Checksum(b, db.CRC64Table))
+}
+
+// ceilOverflowFile claims 2^64-100 one-bit entries in blocks of 2^32-1:
+// size+blockLen-1 wraps, so a reader rounding up that way expects no
+// blocks, accepts none, and its first Get indexes past them.
+var ceilOverflowFile = v2File(1, ^uint64(0)-99, ^uint32(0), 0, 0)
+
+// TestHeaderClaimsBounded checks a v2 header cannot make the reader
+// accept a table it cannot answer, or allocate for blocks and data the
+// stream does not hold.
+func TestHeaderClaimsBounded(t *testing.T) {
+	if _, err := Read(bytes.NewReader(ceilOverflowFile)); err == nil {
+		t.Error("Read accepted a block count that only matches after overflow")
+	}
+	// 2^20 claimed blocks in a 48-byte stream: the directory must fail
+	// at the stream's end, having allocated a bounded prefix of it.
+	claim := v2File(4, 1<<20*DefaultBlockLen, DefaultBlockLen, 1<<20, 1<<40)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := Read(bytes.NewReader(claim))
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("Read accepted a directory the stream does not hold")
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > 1<<20 {
+		t.Errorf("Read allocated %d bytes for a %d-byte stream", got, len(claim))
+	}
+	dir := t.TempDir()
+	// One entry in a block of 2^22: verifying it needs one value of
+	// scratch, not a block's worth.
+	z, err := Compress(pack(t, "one", 4, []game.Value{3}), 1<<22)
+	if err != nil {
+		t.Fatal(err)
+	}
+	one := filepath.Join(dir, "one.radb")
+	if err := z.Save(one); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&before)
+	_, err = VerifyFile(one)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > 1<<20 {
+		t.Errorf("VerifyFile allocated %d bytes for a one-entry table", got)
+	}
+	for name, data := range map[string][]byte{
+		"blocks": claim,
+		"data":   v2File(4, 1, 1, 1, ^uint64(0)),
+	} {
+		path := filepath.Join(dir, name+".radb")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Load(path); err == nil || !strings.Contains(err.Error(), "file holds") {
+			t.Errorf("%s: Load = %v, want the claim checked against the file length", name, err)
+		}
 	}
 }
