@@ -19,10 +19,13 @@
 // checkpoint when rerun with the same flags. -memlimit, -spilldir and
 // -syncspill are refused with any other -engine rather than ignored.
 //
-// For awari, all rungs 0..stones are built in order (each rung needs the
-// smaller ones) and each is saved as awari-<n>.radb. The chosen engine is
+// For awari, all rungs 0..stones are built and each is saved as
+// awari-<n>.radb, in order. A capture takes at least two stones, so rung n
+// reads only rungs 0..n-2: with -engine sequential, concurrent or
+// distributed, rung n+1 is solved alongside rung n. The tcp and capped
+// engines solve one rung at a time (see perGameSpill). The chosen engine is
 // used for every rung; with -engine distributed the tool also prints the
-// virtual-time report of the top rung.
+// virtual-time report of every rung.
 //
 // With -compress, databases are written in the block-compressed v2
 // format (see internal/zdb): same .radb extension, smaller files, still
@@ -76,7 +79,7 @@ func run() error {
 	engineName := flag.String("engine", "concurrent", "engine: sequential, concurrent, distributed, tcp, outofcore")
 	procs := flag.Int("procs", 0, "concurrent: shards, 0 = one per CPU (GOMAXPROCS); distributed/tcp: simulated or mesh nodes, 0 = 8")
 	combineSize := flag.Int("combine", 100, "distributed: updates per combined message (1 = off)")
-	memLimit := flag.Uint64("memlimit", 0, "resident state cap in bytes; >0 selects the out-of-core engine")
+	memLimit := flag.Uint64("memlimit", 0, "resident state cap in bytes; >0 selects the out-of-core engine, which solves one rung at a time, so the cap bounds the whole build")
 	spillDir := flag.String("spilldir", "", "out-of-core spill directory (default <out>/spill)")
 	syncSpill := flag.Bool("syncspill", false, "out-of-core: disable write-behind spilling and frontier prefetch (synchronous A/B control; bit-identical output)")
 	out := flag.String("out", ".", "output directory for .radb files")
@@ -153,6 +156,9 @@ func run() error {
 // perGameSpill adapts the capped engine to ladder use: rungs differ in
 // size, so each game spills into its own subdirectory of Dir (keyed by
 // game name) and an interrupted build resumes whichever rung it died in.
+// Being no ra engine, it is called one rung at a time (ladder.Build
+// overlaps rungs only under the reentrant ra engines), so a capped ladder
+// never holds two rungs' capped state and the cap bounds the whole build.
 type perGameSpill struct{ oocore.Engine }
 
 func (e perGameSpill) Solve(g game.Game) (*ra.Result, error) {

@@ -23,7 +23,7 @@ import (
 var NakedGo = &Analyzer{
 	Name:     "nakedgo",
 	Doc:      "goroutines in engine/server code must be tied to a WaitGroup, channel or context",
-	Packages: []string{"internal/ra", "internal/remote", "internal/server", "internal/broker", "internal/oocore"},
+	Packages: []string{"internal/ra", "internal/remote", "internal/server", "internal/broker", "internal/oocore", "internal/ladder"},
 	Run:      runNakedGo,
 }
 

@@ -17,9 +17,11 @@
 // The n-stone database contains every distribution of exactly n stones
 // over the 12 pits — C(n+11, 11) positions. Captures remove stones from
 // the board, moving play into a smaller database; non-capturing moves stay
-// within the same database. Databases are therefore built in increasing
-// order of n, and the value of an n-stone position is the number of stones
-// (0..n) the player to move captures from the board under optimal play.
+// within the same database. A capture takes at least two stones, so the
+// n-stone database reads only databases of at most n-2 stones (see
+// internal/ladder, which builds rungs n and n+1 side by side). The value of
+// an n-stone position is the number of stones (0..n) the player to move
+// captures from the board under optimal play.
 package awari
 
 import (

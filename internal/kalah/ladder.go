@@ -15,7 +15,10 @@ type Ladder struct {
 }
 
 // BuildLadder constructs Kalah databases for totals 0..maxStones with the
-// engine. onRung, if non-nil, observes progress.
+// engine. onRung, if non-nil, observes progress. Unlike awari's ladder,
+// the rungs are solved strictly one after another: banking a single stone
+// moves play into rung n-1, so no rung can start before the one below it
+// is finished.
 func BuildLadder(maxStones int, engine ra.Engine, onRung func(stones int, r *ra.Result)) (*Ladder, error) {
 	if maxStones < 0 || maxStones > MaxStones {
 		return nil, fmt.Errorf("kalah: maxStones %d out of range [0, %d]", maxStones, MaxStones)

@@ -1,11 +1,15 @@
 // Package ladder builds families of awari endgame databases.
 //
-// The n-stone database consults every smaller database through capture
-// moves, so databases must be built in increasing order of n — the
-// "ladder". Each rung is an independent retrograde analysis (solved by any
-// ra.Engine); the finished rungs provide the lookup for the next one.
-// This mirrors the paper's methodology: the headline measurements are for
-// a single large rung, with all smaller rungs precomputed.
+// The n-stone database consults smaller databases through capture moves —
+// the "ladder". A capture takes at least two stones, so rung n reads only
+// rungs 0..n-2: rung n+1 does not wait for rung n, and Build solves the two
+// side by side. Each rung is an independent retrograde analysis (solved by
+// any ra.Engine); the finished rungs provide the lookup for the ones above.
+// Two rungs are in flight only under the engines this package knows to be
+// reentrant (ra.Sequential, ra.Concurrent, ra.Distributed); any other
+// engine is called one rung at a time. This mirrors the paper's
+// methodology: the headline measurements are for a single large rung, with
+// all smaller rungs precomputed.
 package ladder
 
 import (
@@ -38,30 +42,91 @@ type Ladder struct {
 
 // Build constructs databases for totals 0..maxStones, solving every rung
 // with engine. The per-rung results (including work statistics) are
-// retained. onRung, if non-nil, is called after each rung completes.
+// retained. onRung, if non-nil, is called after each rung completes, in
+// order 0..maxStones and from the caller's goroutine. When the engine is
+// reentrant (see the package doc), rung n+1 starts as soon as rung n-1 is
+// stored, refined and reported, and is solved alongside rung n; any other
+// engine solves rung n+1 only after rung n is reported, so onRung never
+// runs beside its Solve. Build returns only after every rung it started
+// has finished.
 func Build(cfg Config, maxStones int, engine ra.Engine, onRung func(stones int, r *ra.Result)) (*Ladder, error) {
 	if maxStones < 0 || maxStones > awari.MaxStones {
 		return nil, fmt.Errorf("ladder: maxStones %d out of range [0, %d]", maxStones, awari.MaxStones)
 	}
-	l := &Ladder{cfg: cfg, results: make([]*ra.Result, 0, maxStones+1)}
-	for n := 0; n <= maxStones; n++ {
-		r, err := l.SolveRung(n, engine)
-		if err != nil {
-			return nil, fmt.Errorf("ladder: rung %d: %w", n, err)
+	// Rungs in flight read rungs at least two below them while the caller
+	// stores the one between, so the tables are allocated at full length
+	// and never appended to.
+	l := &Ladder{cfg: cfg, results: make([]*ra.Result, maxStones+1)}
+	if cfg.Refine {
+		l.refined = make([]ra.RefineStats, maxStones+1)
+	}
+	depth := lookahead(engine)
+	rungs := make([]chan solved, maxStones+1)
+	start := func(n int) {
+		if n > maxStones {
+			return
 		}
-		l.results = append(l.results, r)
-		if cfg.Refine {
-			st := ra.Refine(l.Slice(n), r, cfg.RefineSweeps)
-			if !st.Converged {
-				return nil, fmt.Errorf("ladder: rung %d: refinement did not converge within %d sweeps", n, st.Sweeps)
+		ch := make(chan solved, 1)
+		rungs[n] = ch
+		go func() {
+			r, err := l.solve(n, engine)
+			ch <- solved{r, err}
+		}()
+	}
+	for n := 0; n < depth; n++ {
+		start(n)
+	}
+	for n := 0; n <= maxStones; n++ {
+		out := <-rungs[n]
+		if out.err == nil {
+			out.err = l.store(n, out.r)
+		}
+		if out.err != nil {
+			// The rungs above n still in flight finish before Build returns.
+			for _, ch := range rungs[n+1:] {
+				if ch != nil {
+					<-ch
+				}
 			}
-			l.refined = append(l.refined, st)
+			return nil, fmt.Errorf("ladder: rung %d: %w", n, out.err)
 		}
 		if onRung != nil {
-			onRung(n, r)
+			onRung(n, out.r)
 		}
+		start(n + depth)
 	}
 	return l, nil
+}
+
+// solved is one rung's outcome, handed from its solving goroutine to Build.
+type solved struct {
+	r   *ra.Result
+	err error
+}
+
+// lookahead is the number of rungs Build keeps in flight under engine: two
+// for the ra engines whose Solve is reentrant, one for any other, since a
+// foreign engine may hold a single-goroutine tracer, a memory cap sized for
+// one rung or a shared checkpoint directory.
+func lookahead(engine ra.Engine) int {
+	switch engine.(type) {
+	case ra.Sequential, ra.Concurrent, ra.Distributed:
+		return 2
+	}
+	return 1
+}
+
+// store records rung n, refining it first when the ladder refines.
+func (l *Ladder) store(n int, r *ra.Result) error {
+	if l.cfg.Refine {
+		st := ra.Refine(l.Slice(n), r, l.cfg.RefineSweeps)
+		if !st.Converged {
+			return fmt.Errorf("refinement did not converge within %d sweeps", st.Sweeps)
+		}
+		l.refined[n] = st
+	}
+	l.results[n] = r
+	return nil
 }
 
 // RefineStats returns the refinement statistics of a rung; the zero value
@@ -80,6 +145,12 @@ func (l *Ladder) SolveRung(n int, engine ra.Engine) (*ra.Result, error) {
 	if n > len(l.results) {
 		return nil, fmt.Errorf("ladder: rung %d requires rungs 0..%d first", n, n-1)
 	}
+	return l.solve(n, engine)
+}
+
+// solve solves rung n against the ladder's lookup, which must already hold
+// rungs 0..n-2.
+func (l *Ladder) solve(n int, engine ra.Engine) (*ra.Result, error) {
 	slice, err := awari.NewSlice(l.cfg.Rules, l.cfg.Loop, n, l.Lookup)
 	if err != nil {
 		return nil, err

@@ -187,7 +187,10 @@ type (
 )
 
 // BuildLadder constructs awari databases for totals 0..maxStones, solving
-// each rung with the engine. onRung, if non-nil, observes progress.
+// each rung with the engine. onRung, if non-nil, observes progress in
+// rung order. Under Sequential, Concurrent and Distributed two rungs are
+// solved at once (a capture takes at least two stones, so rung n+1 does
+// not read rung n); any other engine is called one rung at a time.
 func BuildLadder(cfg LadderConfig, maxStones int, e Engine, onRung func(stones int, r *Result)) (*Ladder, error) {
 	return ladder.Build(cfg, maxStones, e, onRung)
 }
