@@ -72,7 +72,7 @@ func run() error {
 	stones := flag.Int("stones", 8, "awari: build databases for 0..stones stones")
 	loopRule := flag.String("loop", "own-side", "awari loop rule: own-side, even-split, zero")
 	grandSlam := flag.String("grandslam", "allowed", "awari grand-slam rule: allowed, forfeit")
-	refine := flag.Bool("refine", false, "awari: refine cyclic values to a best-move fixpoint")
+	refine := flag.Bool("refine", false, "awari: refine cyclic values to a best-move fixpoint (refused with -loop zero, where it does not converge)")
 	heaps := flag.Int("heaps", 3, "nim: number of heaps")
 	maxHeap := flag.Int("max", 7, "nim: heap capacity")
 	board := flag.Int("board", 8, "krk: board size (4..8)")

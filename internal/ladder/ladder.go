@@ -26,7 +26,9 @@ type Config struct {
 	Loop  awari.LoopRule
 	// Refine applies ra.Refine to every rung after it is solved, so that
 	// cyclic positions are consistent with their best moves (see
-	// DESIGN.md). Higher rungs then consult the refined values.
+	// DESIGN.md). Higher rungs then consult the refined values. Build
+	// refuses it under awari.LoopZero, where the sweep does not converge
+	// from rung 2 up.
 	Refine bool
 	// RefineSweeps bounds refinement sweeps per rung; <= 0 uses the
 	// ra.Refine default budget.
@@ -52,6 +54,9 @@ type Ladder struct {
 func Build(cfg Config, maxStones int, engine ra.Engine, onRung func(stones int, r *ra.Result)) (*Ladder, error) {
 	if maxStones < 0 || maxStones > awari.MaxStones {
 		return nil, fmt.Errorf("ladder: maxStones %d out of range [0, %d]", maxStones, awari.MaxStones)
+	}
+	if cfg.Refine && cfg.Loop == awari.LoopZero {
+		return nil, fmt.Errorf("ladder: Refine is not supported under LoopZero: the refinement sweep does not converge from rung 2 up")
 	}
 	// Rungs in flight read rungs at least two below them while the caller
 	// stores the one between, so the tables are allocated at full length

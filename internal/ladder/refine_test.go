@@ -1,6 +1,7 @@
 package ladder
 
 import (
+	"strings"
 	"testing"
 
 	"retrograde/internal/awari"
@@ -32,6 +33,20 @@ func TestRefinedLadderConverges(t *testing.T) {
 	}
 	if !anyRefined {
 		t.Error("refinement never raised a cyclic value on rungs 0..7; the extension is dead code")
+	}
+}
+
+// TestRefineRefusedUnderLoopZero: the refinement sweep does not converge
+// under the zero loop rule, so Build refuses the pair by name before it
+// solves any rung instead of failing partway up the ladder.
+func TestRefineRefusedUnderLoopZero(t *testing.T) {
+	solved := 0
+	_, err := Build(Config{Rules: awari.Standard, Loop: awari.LoopZero, Refine: true}, 4, ra.Sequential{}, func(int, *ra.Result) { solved++ })
+	if err == nil || !strings.Contains(err.Error(), "LoopZero") || !strings.Contains(err.Error(), "Refine") {
+		t.Fatalf("Build(LoopZero, Refine) = %v, want an error naming LoopZero and Refine", err)
+	}
+	if solved != 0 {
+		t.Errorf("Build solved %d rungs before refusing", solved)
 	}
 }
 

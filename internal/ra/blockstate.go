@@ -25,8 +25,8 @@ import (
 
 // StateResident reports whether the worker's per-position state is in
 // core. A worker whose state was released by DropState keeps its queues,
-// stats and identity; only PackState, Init, Expand*, Apply*, ResolveLoops
-// and Fill need residency.
+// stats and identity; only PackState, Init, the expansion loop, the Apply
+// family, ResolveLoops and Fill need residency.
 func (w *Worker) StateResident() bool { return w.state != nil || w.lane != nil }
 
 // StateBytes returns the in-core footprint of the worker's per-position
@@ -99,11 +99,14 @@ func (w *Worker) RestoreState(vals, meta []game.Value) error {
 }
 
 // DropState releases the worker's per-position state array (after the
-// caller has spilled it via PackState). Queues, stats, kernel identity
-// and partition wiring survive; RestoreState brings the state back.
+// caller has spilled it via PackState) and its expansion's gather
+// scratch, which is empty between expansion calls. Queues, stats, kernel
+// identity and partition wiring survive; RestoreState brings the state
+// back.
 func (w *Worker) DropState() {
 	w.state = nil
 	w.lane = nil
+	w.runs, w.runOwner, w.runSort = nil, nil, nil
 }
 
 // PeekWave returns the number of positions finalized in the current

@@ -223,7 +223,8 @@ func (d Distributed) SolveDetailed(g game.Game) (*Result, *SimReport, error) {
 		cfg.Chunk = asyncChunk
 	}
 	for i := range run.nodes {
-		run.start(NewWorker(g, run.part, i), cfg)
+		w, _ := NewWorkerKernel(g, run.part, i, KernelAuto) // Auto cannot fail
+		run.start(w, cfg)
 	}
 	return run.solve(g, d.Name())
 }

@@ -1,8 +1,10 @@
-// Run parity under the scalar kernel: a worker walks the game's batch
-// generators when it has them and per-position adapters otherwise, and
-// the two walks must be indistinguishable — same database and the same
-// work counters on every shard, because the simulated cluster charges
-// virtual time from those counters.
+// Run parity: a worker walks the game's batch generators when it has them
+// and per-position adapters otherwise, and the two walks must be
+// indistinguishable — same database and the same work counters on every
+// shard, because the simulated cluster charges virtual time from those
+// counters. The host engines run scalar; the simulated cluster runs the
+// auto kernel, so its row also crosses kernels (the per-position walk
+// hides the lane contract and runs scalar).
 package ra_test
 
 import (
@@ -44,17 +46,20 @@ func TestScalarRunParity(t *testing.T) {
 
 	type shape struct {
 		engine ra.Engine
+		kernel string // of the batch walk; the per-position walk hides the lane contract
 		// Concurrent shards drain their inboxes while they expand, so how
 		// many updates of a wave reach a position after its early cutoff
 		// depends on goroutine timing; every other counter does not.
 		timingFree bool
 	}
 	shapes := []shape{
-		{ra.Sequential{Config: scalar}, true},
-		{ra.Distributed{Workers: 4}, true},
+		{ra.Sequential{Config: scalar}, "scalar", true},
+		// The wire engines run the auto kernel: SWAR on every awari and
+		// kalah rung here.
+		{ra.Distributed{Workers: 4}, "swar", true},
 	}
 	for _, p := range []int{2, 3} {
-		shapes = append(shapes, shape{ra.Concurrent{Workers: p, Config: scalar}, false})
+		shapes = append(shapes, shape{ra.Concurrent{Workers: p, Config: scalar}, "scalar", false})
 	}
 	for _, g := range games {
 		for _, s := range shapes {
@@ -67,8 +72,8 @@ func TestScalarRunParity(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: %v", label, err)
 			}
-			if got.Kernel != "scalar" {
-				t.Fatalf("%s: kernel %q, want scalar", label, got.Kernel)
+			if got.Kernel != s.kernel {
+				t.Fatalf("%s: kernel %q, want %s", label, got.Kernel, s.kernel)
 			}
 			compareResults(t, label, want, got)
 			for i := range want.Workers {

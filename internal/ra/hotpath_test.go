@@ -78,7 +78,7 @@ func BenchmarkPooledWaveTransport(b *testing.B) {
 // read-modify-write.
 func BenchmarkWorkerApply(b *testing.B) {
 	g := hugeBranch{n: 1}
-	w := NewWorker(g, Cyclic(g.Size(), 1), 0)
+	w := scalarWorker(g, Cyclic(g.Size(), 1), 0)
 	w.Init()
 	local := w.part.Local(1)
 	b.ReportAllocs()

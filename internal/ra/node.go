@@ -103,9 +103,10 @@ type NodeConfig struct {
 	Protocol Protocol
 	// Combine is the combining-buffer capacity in updates per batch.
 	Combine int
-	// Chunk is how many positions one Expand call (and one Busy charge)
-	// covers; 1 stamps every batch after the compute of the positions
-	// expanded before it. In async mode it is one Step's quantum.
+	// Chunk is how many queue positions one call of the worker's
+	// expansion loop (and one Busy charge) covers; 1 stamps every batch
+	// after the compute of the positions expanded before it. In async
+	// mode it is one Step's quantum.
 	Chunk int
 	// Async drops the per-wave barrier: the node expands in Steps and
 	// detects quiescence with Safra's token ring (see Step).
@@ -227,7 +228,7 @@ func (n *Node) Runnable() bool {
 // Step expands one chunk of an async node's queue, then settles.
 func (n *Node) Step() error {
 	n.w.Refill()
-	if k := n.w.Expand(n.cfg.Chunk, n.buf.Add); k > 0 {
+	if k := n.w.expandUpdates(n.cfg.Chunk, n.buf.Add); k > 0 {
 		n.t.Busy(n.cfg.Costs.PerExpand * sim.Time(k))
 	}
 	return n.settle()
@@ -342,7 +343,7 @@ func (n *Node) enter(wave int, ph Phase) error {
 		n.heard, n.earlyEOW = n.earlyEOW, 0
 		expanded := uint64(0)
 		for {
-			k := n.w.Expand(n.cfg.Chunk, n.buf.Add)
+			k := n.w.expandUpdates(n.cfg.Chunk, n.buf.Add)
 			if k == 0 {
 				break
 			}

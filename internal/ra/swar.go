@@ -61,10 +61,10 @@ func (k Kernel) String() string {
 	return fmt.Sprintf("Kernel(%d)", uint8(k))
 }
 
-// Config tunes the in-core engines (Sequential, Concurrent). The
-// distributed and simulated engines do not take a Config: they keep the
-// honest scalar per-message path so the paper's traffic and wave numbers
-// stay meaningful.
+// Config tunes the in-core engines (Sequential, Concurrent). The wire
+// engines (Distributed, in either mode, and remote.Engine) take no Config:
+// they run the auto kernel, which never touches their per-update message
+// path, so the paper's traffic and wave numbers stay meaningful.
 type Config struct {
 	// Kernel selects the wave kernel; zero value is KernelAuto.
 	Kernel Kernel
@@ -99,9 +99,10 @@ const LaneBytesPerPosition = 1
 
 // UpdateRun is a run-length-encoded batch of updates: targets Base,
 // Base+1, ..., Base+Count-1 all receive the same source value. The
-// host-time engines (Sequential, Concurrent, out-of-core) move runs
-// between shards under either kernel; a run of Count 1 is an ordinary
-// update. Runs never span a partition group boundary, so a run's targets
+// expansion loop emits runs under either kernel; the host-time engines
+// (Sequential, Concurrent, out-of-core) move them between shards, and a
+// wire node unrolls them into its per-update messages. A run of Count 1
+// is an ordinary update. Runs never span a partition group boundary, so a run's targets
 // are contiguous in the owner's local index space and the receiver can
 // apply long runs a word at a time.
 type UpdateRun struct {

@@ -179,8 +179,8 @@ func TestApplyWordUnderflowPanics(t *testing.T) {
 func TestApplyRunScalarFallback(t *testing.T) {
 	g := awariRung(t, 5, awari.Standard, awari.LoopOwnSide)
 	part := Cyclic(g.Size(), 1)
-	w1 := NewWorker(g, part, 0)
-	w2 := NewWorker(g, part, 0)
+	w1 := scalarWorker(g, part, 0)
+	w2 := scalarWorker(g, part, 0)
 	mustInit(w1)
 	mustInit(w2)
 	// Find three consecutive live positions with spare counters.

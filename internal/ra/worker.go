@@ -30,10 +30,10 @@ const UpdateWireBytes = 10
 //	bits 16..30  counter (outstanding internal successors, 15 bits)
 //	bit      31  final
 //
-// The value occupies the low bits so the common reads (Fill, Expand,
-// Value) are a mask, not a shift. A final counter is dead, so it is the
-// loop flag: only the loop rule finalizes without clearing it. Under both
-// kernels, final ∧ counter ≠ 0 ⇔ loop-resolved.
+// The value occupies the low bits so the common reads (Fill, the
+// expansion loop, Value) are a mask, not a shift. A final counter is
+// dead, so it is the loop flag: only the loop rule finalizes without
+// clearing it. Under both kernels, final ∧ counter ≠ 0 ⇔ loop-resolved.
 const (
 	stateValueMask  uint32 = 0xFFFF
 	stateCountShift        = 16
@@ -163,17 +163,6 @@ type Worker struct {
 	ownerOff []int32  // per-owner placement cursor within a chunk
 
 	Stats WorkerStats
-}
-
-// NewWorker creates the shard state for worker me of the partition under
-// the scalar kernel — the configuration every wire-level engine
-// (distributed, simulated, remote) uses.
-func NewWorker(g game.Game, part *Partition, me int) *Worker {
-	w, err := NewWorkerKernel(g, part, me, KernelScalar)
-	if err != nil {
-		panic(err) // KernelScalar construction cannot fail
-	}
-	return w
 }
 
 // NewWorkerKernel creates the shard state for worker me under the given
@@ -327,30 +316,32 @@ func (w *Worker) Refill() bool {
 	return len(w.queue) > 0
 }
 
-// Expand pops up to limit finalized positions from the wave queue,
-// generates their predecessors, and emits one update per predecessor edge
-// through emit (including edges whose target the worker itself owns) —
-// the wire engines' expansion, where an update is a message, so positions
-// are expanded one by one in queue order. Within each grouping chunk,
-// self-owned edges are emitted first and the remaining edges are emitted
-// in owner-grouped runs so consecutive combine-buffer appends stay
-// cache-local.
-// It returns the number of positions expanded; 0 means the wave queue is
-// empty. limit <= 0 expands the whole queue.
-func (w *Worker) Expand(limit int, emit func(owner int, u Update)) int {
-	return w.expand(limit, nil, emit)
-}
-
-// ExpandLocal is Expand with the self-delivery fast path: updates whose
-// target the worker itself owns are handed to apply inline (typically
-// the worker's own Apply) instead of being emitted, so they never round-
-// trip through a combining buffer. emit may be nil when the worker owns
-// the whole position space (single-shard partitions never emit).
+// ExpandLocal is the one expansion loop with every edge carried as a
+// single Update: self-owned ones to apply (typically the worker's own
+// Apply), the others to emit, in the order a wire node's combining buffer
+// receives them. emit may be nil when the worker owns the whole position
+// space (single-shard partitions never emit).
 func (w *Worker) ExpandLocal(limit int, apply func(Update), emit func(owner int, u Update)) int {
 	if apply == nil {
 		panic("ra: ExpandLocal needs an apply callback")
 	}
-	return w.expand(limit, apply, emit)
+	return w.expandUpdates(limit, func(owner int, u Update) {
+		if owner == w.me {
+			apply(u)
+		} else {
+			emit(owner, u)
+		}
+	})
+}
+
+// expandUpdates is a wire node's expansion: expandRuns with self-owned
+// edges emitted too, and every run unrolled into single updates for add.
+func (w *Worker) expandUpdates(limit int, add func(owner int, u Update)) int {
+	return w.expandRuns(limit, true, func(owner int, r UpdateRun) {
+		for t := r.Base; t < r.Base+uint64(r.Count); t++ {
+			add(owner, Update{Target: t, Value: r.Value})
+		}
+	})
 }
 
 // pop takes up to limit positions (limit <= 0: all of them) off the front
@@ -365,60 +356,31 @@ func (w *Worker) pop(limit int) []uint64 {
 	return head
 }
 
-// expand is the per-position expansion loop behind Expand and
-// ExpandLocal. Each position goes through the run generator as a run of
-// one, so it is decoded and its un-moves verified the way ExpandRuns
-// does it. A self-owned edge goes to apply when that is set and to
-// emit(me) otherwise; remote edges are gathered per grouping chunk and
-// flushed through emit one by one.
-//
-// The emitted sequence — queue order, and within a position the order
-// the generator lists its predecessors — fixes which update fills which
-// combining buffer when, so the simulated engines' message counts and
-// virtual time depend on it. For awari it is the sequence the scalar
-// Predecessors walk emitted, pinned by this package's and awari's tests.
-func (w *Worker) expand(limit int, apply func(Update), emit func(owner int, u Update)) int {
-	queue := w.pop(limit)
-	single := w.part.Workers() == 1
-	var v game.Value
-	visit := func(_ int, preds []uint64) {
-		w.Stats.PredsGenerated += uint64(len(preds))
-		for _, q := range preds {
-			u := Update{Target: q, Value: v}
-			o := w.me
-			if !single {
-				o = w.part.Owner(q)
-			}
-			switch {
-			case o != w.me:
-				w.gather(o, u)
-			case apply != nil:
-				apply(u)
-			default:
-				emit(w.me, u)
-			}
-		}
-	}
-	for rest := queue; len(rest) > 0; {
-		n := min(len(rest), groupChunk)
-		for _, local := range rest[:n] {
-			v = w.valueAt(local)
-			w.gen.PredecessorsRun(w.part.Global(w.me, local), 1, visit)
-		}
-		w.flushRemote(emit, nil)
-		rest = rest[n:]
-	}
-	return len(queue)
+// ExpandRuns is the host-time engines' expansion: expandRuns with self-
+// owned updates applied inline by the worker's own kernel and remote edges
+// emitted as owner-grouped, run-coalesced UpdateRuns — under either
+// kernel, so a driver never asks which one it is running. emit may be nil
+// when the worker owns the whole space.
+func (w *Worker) ExpandRuns(limit int, emit func(owner int, r UpdateRun)) int {
+	return w.expandRuns(limit, false, emit)
 }
 
-// ExpandRuns is the host-time engines' expansion: the sorted queue is cut
-// into maximal runs of consecutive locals within one contiguity span (so
-// the globals are consecutive too and the run generator decodes
-// incrementally), self-owned updates are applied inline by the worker's
-// own kernel and remote edges are emitted as owner-grouped, run-coalesced
-// UpdateRuns — under either kernel, so a driver never asks which one it
-// is running. emit may be nil when the worker owns the whole space.
-func (w *Worker) ExpandRuns(limit int, emit func(owner int, r UpdateRun)) int {
+// expandRuns is the one expansion loop of every engine. It pops up to
+// limit positions off the sorted queue and cuts them into maximal runs of
+// consecutive locals within one contiguity span, so the globals are
+// consecutive too and the run generator decodes incrementally. A self-
+// owned edge is applied inline, or emitted as a run of one when
+// emitSelf is set (a wire node routes it through its combining buffer,
+// which charges it as an applied update). Remote edges are gathered and
+// flushed owner-grouped once per grouping chunk of queue positions.
+//
+// The emitted sequence — queue order, and within a position the order
+// the generator lists its predecessors, with each chunk's remote edges
+// after its self-owned ones — fixes which update fills which combining
+// buffer when, so the simulated engines' message counts and virtual time
+// depend on it. For awari it is the sequence the scalar Predecessors walk
+// emitted, pinned by this package's and awari's tests.
+func (w *Worker) expandRuns(limit int, emitSelf bool, emit func(owner int, r UpdateRun)) int {
 	queue := w.pop(limit)
 	single := w.part.Workers() == 1
 	var l0 uint64
@@ -426,24 +388,37 @@ func (w *Worker) ExpandRuns(limit int, emit func(owner int, r UpdateRun)) int {
 		w.Stats.PredsGenerated += uint64(len(preds))
 		v := w.valueAt(l0 + uint64(i))
 		for _, q := range preds {
-			if single {
+			if !single {
+				if o := w.part.Owner(q); o != w.me {
+					w.gather(o, Update{Target: q, Value: v})
+					continue
+				}
+			}
+			switch {
+			case emitSelf:
+				emit(w.me, UpdateRun{Base: q, Count: 1, Value: v})
+			case single: // the whole space is owned: globals are locals
 				w.applyAt(q, v)
-			} else if o := w.part.Owner(q); o != w.me {
-				w.gather(o, Update{Target: q, Value: v})
-			} else {
+			default:
 				w.applyAt(w.part.Local(q), v)
 			}
 		}
 	}
 	for rest := queue; len(rest) > 0; {
-		l0 = rest[0]
-		k := 1
-		for k < len(rest) && k < laneChunk && rest[k] == l0+uint64(k) && (l0+uint64(k))%w.span != 0 {
-			k++
+		// A run never crosses a grouping chunk: the chunk's remote edges
+		// flush at its end.
+		chunk := rest[:min(len(rest), groupChunk)]
+		rest = rest[len(chunk):]
+		for len(chunk) > 0 {
+			l0 = chunk[0]
+			k := 1
+			for k < len(chunk) && chunk[k] == l0+uint64(k) && (l0+uint64(k))%w.span != 0 {
+				k++
+			}
+			chunk = chunk[k:]
+			w.gen.PredecessorsRun(w.part.Global(w.me, l0), k, visit)
 		}
-		rest = rest[k:]
-		w.gen.PredecessorsRun(w.part.Global(w.me, l0), k, visit)
-		w.flushRemote(nil, emit)
+		w.flushRemote(emit)
 	}
 	return len(queue)
 }
@@ -456,11 +431,10 @@ func (w *Worker) gather(o int, u Update) {
 }
 
 // flushRemote emits the remote edges gathered in runs grouped by owner
-// (stable counting sort), so a combining buffer sees long same-destination
-// append runs: one by one through emit, or — when emit is nil — through
-// emitRuns, consecutive targets with equal values merged into one
-// UpdateRun.
-func (w *Worker) flushRemote(emit func(owner int, u Update), emitRuns func(owner int, r UpdateRun)) {
+// (stable counting sort), consecutive targets with equal values merged
+// into one UpdateRun, so a combining buffer sees long same-destination
+// append runs.
+func (w *Worker) flushRemote(emit func(owner int, r UpdateRun)) {
 	if len(w.runs) == 0 {
 		return
 	}
@@ -487,22 +461,16 @@ func (w *Worker) flushRemote(emit func(owner int, u Update), emitRuns func(owner
 		// After placement ownerOff[o] is the end of o's segment.
 		seg := sorted[w.ownerOff[o]-c : w.ownerOff[o]]
 		w.ownerCnt[o] = 0
-		if emit != nil {
-			for _, u := range seg {
-				emit(o, u)
-			}
-			continue
-		}
 		run := UpdateRun{Base: seg[0].Target, Count: 1, Value: seg[0].Value}
 		for _, u := range seg[1:] {
 			if u.Target == run.Base+uint64(run.Count) && u.Value == run.Value {
 				run.Count++
 				continue
 			}
-			emitRuns(o, run)
+			emit(o, run)
 			run = UpdateRun{Base: u.Target, Count: 1, Value: u.Value}
 		}
-		emitRuns(o, run)
+		emit(o, run)
 	}
 }
 

@@ -21,13 +21,23 @@ func mustInit(w *Worker) uint64 {
 	return n
 }
 
+// scalarWorker builds worker me under the scalar kernel, which every game
+// can run, so construction cannot fail.
+func scalarWorker(g game.Game, part *Partition, me int) *Worker {
+	w, err := NewWorkerKernel(g, part, me, KernelScalar)
+	if err != nil {
+		panic(err)
+	}
+	return w
+}
+
 func TestNewWorkerValidation(t *testing.T) {
 	g := nim.MustNew(2, 3)
 	part := Cyclic(g.Size(), 2)
 	for _, f := range []func(){
-		func() { NewWorker(g, part, -1) },
-		func() { NewWorker(g, part, 2) },
-		func() { NewWorker(g, Cyclic(g.Size()+1, 2), 0) }, // size mismatch
+		func() { scalarWorker(g, part, -1) },
+		func() { scalarWorker(g, part, 2) },
+		func() { scalarWorker(g, Cyclic(g.Size()+1, 2), 0) }, // size mismatch
 	} {
 		func() {
 			defer func() {
@@ -38,7 +48,7 @@ func TestNewWorkerValidation(t *testing.T) {
 			f()
 		}()
 	}
-	w := NewWorker(g, part, 1)
+	w := scalarWorker(g, part, 1)
 	if w.ID() != 1 {
 		t.Errorf("ID() = %d", w.ID())
 	}
@@ -50,7 +60,7 @@ func TestNewWorkerValidation(t *testing.T) {
 func TestWorkerInitCounts(t *testing.T) {
 	g := nim.MustNew(2, 3) // 16 positions; only (0,0) is terminal
 	part := Cyclic(g.Size(), 1)
-	w := NewWorker(g, part, 0)
+	w := scalarWorker(g, part, 0)
 	finals, err := w.Init()
 	if err != nil {
 		t.Fatalf("Init: %v", err)
@@ -77,7 +87,7 @@ func TestWorkerInitCounts(t *testing.T) {
 func TestWorkerPeekWave(t *testing.T) {
 	g := nim.MustNew(2, 3)
 	part := Cyclic(g.Size(), 1)
-	w := NewWorker(g, part, 0)
+	w := scalarWorker(g, part, 0)
 	finals, err := w.Init()
 	if err != nil {
 		t.Fatalf("Init: %v", err)
@@ -100,31 +110,31 @@ func TestWorkerPeekWave(t *testing.T) {
 func TestWorkerExpandLimit(t *testing.T) {
 	g := ttt.New()
 	part := Cyclic(g.Size(), 1)
-	w := NewWorker(g, part, 0)
+	w := scalarWorker(g, part, 0)
 	w.Init()
 	n := w.BeginWave()
 	if n == 0 {
 		t.Fatal("no wave to expand")
 	}
 	var emitted int
-	k := w.Expand(1, func(owner int, u Update) { emitted++ })
+	k := w.expandUpdates(1, func(owner int, u Update) { emitted++ })
 	if k != 1 {
-		t.Fatalf("Expand(1) = %d", k)
+		t.Fatalf("expandUpdates(1) = %d", k)
 	}
 	// The rest of the queue remains.
-	rest := w.Expand(0, func(owner int, u Update) {})
+	rest := w.expandUpdates(0, func(owner int, u Update) {})
 	if rest != n-1 {
-		t.Errorf("Expand(0) after Expand(1) = %d, want %d", rest, n-1)
+		t.Errorf("expandUpdates(0) after expandUpdates(1) = %d, want %d", rest, n-1)
 	}
-	if w.Expand(0, func(owner int, u Update) {}) != 0 {
-		t.Error("Expand on an empty queue did not return 0")
+	if w.expandUpdates(0, func(owner int, u Update) {}) != 0 {
+		t.Error("expandUpdates on an empty queue did not return 0")
 	}
 }
 
 func TestWorkerApplyPanics(t *testing.T) {
 	g := nim.MustNew(2, 3)
 	part := Cyclic(g.Size(), 2)
-	w := NewWorker(g, part, 0)
+	w := scalarWorker(g, part, 0)
 	w.Init()
 	// Update for a position owned by the other shard.
 	defer func() {
@@ -138,7 +148,7 @@ func TestWorkerApplyPanics(t *testing.T) {
 func TestWorkerValuePanicsBeforeFinal(t *testing.T) {
 	g := nim.MustNew(2, 3)
 	part := Cyclic(g.Size(), 1)
-	w := NewWorker(g, part, 0)
+	w := scalarWorker(g, part, 0)
 	w.Init()
 	// Position (3,3) is not final right after init.
 	idx := g.Index([]int{3, 3})
@@ -153,7 +163,7 @@ func TestWorkerValuePanicsBeforeFinal(t *testing.T) {
 func TestWorkerWorkingSetBytes(t *testing.T) {
 	g := nim.MustNew(2, 3)
 	part := Cyclic(g.Size(), 1)
-	w := NewWorker(g, part, 0)
+	w := scalarWorker(g, part, 0)
 	// 16 positions, one packed word each; queues empty before Init.
 	if ws := w.WorkingSetBytes(); ws != 16*StateBytesPerPosition {
 		t.Errorf("WorkingSetBytes() = %d, want %d", ws, 16*StateBytesPerPosition)
@@ -205,7 +215,7 @@ func TestPackedStateLayout(t *testing.T) {
 	}
 	// A fresh worker holds NoValue, zero counter, not final.
 	g := nim.MustNew(2, 3)
-	w := NewWorker(g, Cyclic(g.Size(), 1), 0)
+	w := scalarWorker(g, Cyclic(g.Size(), 1), 0)
 	if w.state[0] != uint32(game.NoValue) {
 		t.Errorf("fresh state word = %#x, want %#x", w.state[0], uint32(game.NoValue))
 	}
@@ -255,7 +265,7 @@ func (h hugeBranchBatch) InitRun(base uint64, n int, out []game.InitStat) {
 func TestInitRejectsCounterOverflow(t *testing.T) {
 	huge := hugeBranch{n: int(MaxSuccessors) + 1}
 	for _, g := range []game.Game{huge, hugeBranchBatch{huge}} {
-		w := NewWorker(g, Cyclic(g.Size(), 1), 0)
+		w := scalarWorker(g, Cyclic(g.Size(), 1), 0)
 		_, err := w.Init()
 		var ce *game.CounterOverflowError
 		if !errors.As(err, &ce) {
@@ -291,7 +301,7 @@ func TestExpandOwnerGroupedRuns(t *testing.T) {
 	part := Cyclic(g.Size(), p)
 	ws := make([]*Worker, p)
 	for i := range ws {
-		ws[i] = NewWorker(g, part, i)
+		ws[i] = scalarWorker(g, part, i)
 		ws[i].Init()
 	}
 	for i, w := range ws {
@@ -301,37 +311,34 @@ func TestExpandOwnerGroupedRuns(t *testing.T) {
 			target uint64
 		}
 		got := map[edge]int{}
-		lastOwner := -1
-		selfPhase := true
-		var order []int
-		w.Expand(0, func(owner int, u Update) {
-			got[edge{owner, u.Target}]++
-			if owner == i {
-				if !selfPhase && lastOwner != i {
-					// self emits may interleave between chunks but never
-					// after a remote run within the same chunk resumes
+		// One call per grouping chunk, so every chunk's order is checked:
+		// self-owned edges first, then remote ones in ascending owner runs.
+		for {
+			var order []int
+			n := w.expandUpdates(groupChunk, func(owner int, u Update) {
+				got[edge{owner, u.Target}]++
+				if owner == i {
+					if len(order) > 0 {
+						t.Fatalf("worker %d: self-owned edge %d after a remote run in one chunk", i, u.Target)
+					}
 					return
 				}
-				return
-			}
-			selfPhase = false
-			if owner != lastOwner {
-				order = append(order, owner)
-				lastOwner = owner
-			}
-		})
-		// Owner runs are ascending within each chunk; with a queue
-		// smaller than the chunk size this means globally ascending.
-		if w.Stats.Expanded <= groupChunk {
+				if len(order) == 0 || order[len(order)-1] != owner {
+					order = append(order, owner)
+				}
+			})
 			for j := 1; j < len(order); j++ {
 				if order[j] <= order[j-1] {
 					t.Fatalf("worker %d: remote owner runs not ascending: %v", i, order)
 				}
 			}
+			if n == 0 {
+				break
+			}
 		}
 		// The emitted multiset matches Predecessors exactly.
 		want := map[edge]int{}
-		w2 := NewWorker(g, part, i)
+		w2 := scalarWorker(g, part, i)
 		w2.Init()
 		w2.BeginWave()
 		var preds []uint64
@@ -354,19 +361,19 @@ func TestExpandOwnerGroupedRuns(t *testing.T) {
 }
 
 // TestExpandLocalMatchesExpand checks that the self-delivery fast path
-// carries exactly the self-owned edges Expand would have emitted.
+// carries exactly the self-owned edges a wire node's expansion emits.
 func TestExpandLocalMatchesExpand(t *testing.T) {
 	g := ttt.New()
 	part := Cyclic(g.Size(), 3)
-	a := NewWorker(g, part, 0)
-	b := NewWorker(g, part, 0)
+	a := scalarWorker(g, part, 0)
+	b := scalarWorker(g, part, 0)
 	a.Init()
 	b.Init()
 	a.BeginWave()
 	b.BeginWave()
 	countA := map[Update]int{}
 	remoteA := map[Update]int{}
-	a.Expand(0, func(owner int, u Update) {
+	a.expandUpdates(0, func(owner int, u Update) {
 		if owner == 0 {
 			countA[u]++
 		} else {
@@ -397,10 +404,11 @@ func TestExpandLocalMatchesExpand(t *testing.T) {
 
 	// The host-time carrier on the scalar kernel: ExpandRuns + ApplyRun
 	// must deliver, wave by wave, the same multiset of cross-shard updates
-	// as Expand + Apply and leave every shard in the same state.
+	// as a wire node's expansion + Apply and leave every shard in the
+	// same state.
 	var wire, host [3]*Worker
 	for i := range wire {
-		wire[i], host[i] = NewWorker(g, part, i), NewWorker(g, part, i)
+		wire[i], host[i] = scalarWorker(g, part, i), scalarWorker(g, part, i)
 		mustInit(wire[i])
 		mustInit(host[i])
 	}
@@ -418,7 +426,7 @@ func TestExpandLocalMatchesExpand(t *testing.T) {
 		}
 		sent := map[Update]int{}
 		for i := range wire {
-			wire[i].Expand(0, func(owner int, u Update) {
+			wire[i].expandUpdates(0, func(owner int, u Update) {
 				if owner != i {
 					sent[u]++
 				}
@@ -436,22 +444,23 @@ func TestExpandLocalMatchesExpand(t *testing.T) {
 		}
 		for u, n := range sent {
 			if n != 0 {
-				t.Fatalf("wave %d: update %+v delivered %+d more times by Expand than by ExpandRuns", wave, u, n)
+				t.Fatalf("wave %d: update %+v delivered %+d more times by the wire expansion than by ExpandRuns", wave, u, n)
 			}
 		}
 	}
 	for i := range wire {
 		if !slices.Equal(wire[i].state, host[i].state) || wire[i].Stats != host[i].Stats {
-			t.Fatalf("shard %d: ExpandRuns+ApplyRun ended in a different state than Expand+Apply", i)
+			t.Fatalf("shard %d: ExpandRuns+ApplyRun ended in a different state than the wire expansion+Apply", i)
 		}
 	}
 }
 
-// expandRef is the per-position expansion Expand ran before it went
-// through the run generator: the scalar Predecessors of each queued
-// position, self-owned edges emitted inline, remote edges gathered and
-// flushed owner-grouped per grouping chunk. It is kept only as the
-// reference TestExpandOrderMatchesPerPosition holds Expand to.
+// expandRef is the per-position expansion the wire engines ran before
+// they went through the run generator: the scalar Predecessors of each
+// queued position, self-owned edges emitted inline, remote edges gathered
+// and flushed owner-grouped per grouping chunk. It is kept only as the
+// reference TestExpandOrderMatchesPerPosition holds the one expansion
+// loop to.
 func expandRef(w *Worker, limit int, emit func(owner int, u Update)) int {
 	queue := w.pop(limit)
 	var preds []uint64
@@ -470,68 +479,78 @@ func expandRef(w *Worker, limit int, emit func(owner int, u Update)) int {
 				}
 			}
 		}
-		w.flushRemote(emit, nil)
+		w.flushRemote(func(owner int, r UpdateRun) {
+			for t := r.Base; t < r.Base+uint64(r.Count); t++ {
+				emit(owner, Update{Target: t, Value: r.Value})
+			}
+		})
 		rest = rest[n:]
 	}
 	return len(queue)
 }
 
 // TestExpandOrderMatchesPerPosition pins the exact (owner, update)
-// sequence Expand emits — not just its multiset — against the per-
-// position reference, wave by wave over a whole solve of awari rung 6 on
-// three cyclic shards. The simulated engines' message counts and virtual
-// time depend on this order.
+// sequence a wire node's expansion emits — not just its multiset —
+// against the per-position reference, wave by wave over a whole solve of
+// awari rung 6 on three cyclic shards, under both kernels. The simulated
+// engines' message counts and virtual time depend on this order.
 func TestExpandOrderMatchesPerPosition(t *testing.T) {
 	g := awariRung(t, 6, awari.Standard, awari.LoopOwnSide)
 	const p = 3
 	part := Cyclic(g.Size(), p)
-	var got, want [p]*Worker
-	for i := range got {
-		got[i], want[i] = NewWorker(g, part, i), NewWorker(g, part, i)
-		mustInit(got[i])
-		mustInit(want[i])
-	}
 	type edge struct {
 		owner int
 		u     Update
 	}
-	var gotSeq, wantSeq []edge
-	for wave := 1; ; wave++ {
-		total := 0
+	for _, kern := range []Kernel{KernelScalar, KernelSWAR} {
+		var got, want [p]*Worker
 		for i := range got {
-			if n := got[i].BeginWave(); n != want[i].BeginWave() {
-				t.Fatalf("wave %d shard %d: frontiers differ", wave, i)
-			} else {
-				total += n
+			var err error
+			if got[i], err = NewWorkerKernel(g, part, i, kern); err != nil {
+				t.Fatal(err)
 			}
+			want[i], _ = NewWorkerKernel(g, part, i, kern)
+			mustInit(got[i])
+			mustInit(want[i])
 		}
-		if total == 0 {
-			break
-		}
-		for i := range got {
-			// Uneven limits cut the queue across grouping chunks.
-			for limit := 1; ; limit += 700 {
-				gotSeq, wantSeq = gotSeq[:0], wantSeq[:0]
-				n := got[i].Expand(limit, func(owner int, u Update) { gotSeq = append(gotSeq, edge{owner, u}) })
-				if m := expandRef(want[i], limit, func(owner int, u Update) { wantSeq = append(wantSeq, edge{owner, u}) }); n != m {
-					t.Fatalf("wave %d shard %d: Expand took %d positions, reference %d", wave, i, n, m)
-				}
-				if !slices.Equal(gotSeq, wantSeq) {
-					t.Fatalf("wave %d shard %d: Expand emitted %d edges in a different order than the per-position reference (%d)", wave, i, len(gotSeq), len(wantSeq))
-				}
-				for _, e := range gotSeq {
-					got[e.owner].Apply(e.u)
-					want[e.owner].Apply(e.u)
-				}
-				if n == 0 {
-					break
+		var gotSeq, wantSeq []edge
+		for wave := 1; ; wave++ {
+			total := 0
+			for i := range got {
+				if n := got[i].BeginWave(); n != want[i].BeginWave() {
+					t.Fatalf("%v wave %d shard %d: frontiers differ", kern, wave, i)
+				} else {
+					total += n
 				}
 			}
+			if total == 0 {
+				break
+			}
+			for i := range got {
+				// Uneven limits cut the queue across grouping chunks.
+				for limit := 1; ; limit += 700 {
+					gotSeq, wantSeq = gotSeq[:0], wantSeq[:0]
+					n := got[i].expandUpdates(limit, func(owner int, u Update) { gotSeq = append(gotSeq, edge{owner, u}) })
+					if m := expandRef(want[i], limit, func(owner int, u Update) { wantSeq = append(wantSeq, edge{owner, u}) }); n != m {
+						t.Fatalf("%v wave %d shard %d: expansion took %d positions, reference %d", kern, wave, i, n, m)
+					}
+					if !slices.Equal(gotSeq, wantSeq) {
+						t.Fatalf("%v wave %d shard %d: expansion emitted %d edges in a different order than the per-position reference (%d)", kern, wave, i, len(gotSeq), len(wantSeq))
+					}
+					for _, e := range gotSeq {
+						got[e.owner].Apply(e.u)
+						want[e.owner].Apply(e.u)
+					}
+					if n == 0 {
+						break
+					}
+				}
+			}
 		}
-	}
-	for i := range got {
-		if !slices.Equal(got[i].state, want[i].state) || got[i].Stats != want[i].Stats {
-			t.Fatalf("shard %d: Expand ended in a different state than the reference", i)
+		for i := range got {
+			if !slices.Equal(got[i].state, want[i].state) || !slices.Equal(got[i].lane, want[i].lane) || got[i].Stats != want[i].Stats {
+				t.Fatalf("%v shard %d: expansion ended in a different state than the reference", kern, i)
+			}
 		}
 	}
 }
@@ -543,7 +562,7 @@ func TestWorkerShardedEquivalence(t *testing.T) {
 	g := ttt.New()
 	want := SolveSequential(g)
 	part := Cyclic(g.Size(), 2)
-	ws := []*Worker{NewWorker(g, part, 0), NewWorker(g, part, 1)}
+	ws := []*Worker{scalarWorker(g, part, 0), scalarWorker(g, part, 1)}
 	for _, w := range ws {
 		w.Init()
 	}
@@ -556,7 +575,7 @@ func TestWorkerShardedEquivalence(t *testing.T) {
 			break
 		}
 		for _, w := range ws {
-			w.Expand(0, func(owner int, u Update) { ws[owner].Apply(u) })
+			w.expandUpdates(0, func(owner int, u Update) { ws[owner].Apply(u) })
 		}
 	}
 	for _, w := range ws {

@@ -12,8 +12,10 @@ import (
 	"testing"
 	"time"
 
+	"retrograde/internal/awari"
 	"retrograde/internal/faultnet"
 	"retrograde/internal/game"
+	"retrograde/internal/ladder"
 	"retrograde/internal/nim"
 	"retrograde/internal/oocore"
 	"retrograde/internal/ra"
@@ -225,23 +227,57 @@ func resumeToEnd(t *testing.T, e Engine, g game.Game) {
 	}
 }
 
+// checkpointInput is one game the kill-and-resume drills solve, with the
+// kernel its mesh runs and therefore checkpoints.
+type checkpointInput struct {
+	g      game.Game
+	kernel ra.Kernel
+}
+
+// checkpointInputs are tic-tac-toe, whose 16-bit values run the scalar
+// kernel, and awari rung 5 (its lower rungs looked up from a sequential
+// ladder), which runs SWAR: a mesh checkpoint stores either kernel's
+// state.
+func checkpointInputs(t *testing.T) []checkpointInput {
+	t.Helper()
+	lad, err := ladder.Build(ladder.Config{Rules: awari.Standard, Loop: awari.LoopOwnSide}, 5, ra.Sequential{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return []checkpointInput{{ttt.New(), ra.KernelScalar}, {lad.Slice(5), ra.KernelSWAR}}
+}
+
+// requireKernel fails unless every worker restored from a checkpoint
+// runs kernel want.
+func requireKernel(t *testing.T, st *resumeState, want ra.Kernel) {
+	t.Helper()
+	for i, w := range st.workers {
+		if w.Kernel() != want {
+			t.Fatalf("restored worker %d runs the %v kernel, want %v", i, w.Kernel(), want)
+		}
+	}
+}
+
 // TestKilledSolveResumesBitIdentical kills a checkpointing solve partway
 // through with a mid-frame connection cut, then re-runs it in the same
 // directory: the second run must resume from the newest wave every node
-// checkpointed and produce the same database as the sequential engine.
+// checkpointed, under the kernel it was saved with, and produce the same
+// database as the sequential engine.
 func TestKilledSolveResumesBitIdentical(t *testing.T) {
-	g := ttt.New()
-	base := Engine{Workers: 3, Batch: 32, CheckpointDir: t.TempDir(), CheckpointEvery: 1}
-	st := killedMidSolve(t, base, g, 0)
-	t.Logf("resuming from wave %d", st.wave)
+	for _, in := range checkpointInputs(t) {
+		base := Engine{Workers: 3, Batch: 32, CheckpointDir: t.TempDir(), CheckpointEvery: 1}
+		st := killedMidSolve(t, base, in.g, 0)
+		requireKernel(t, st, in.kernel)
+		t.Logf("%s: resuming from wave %d", in.g.Name(), st.wave)
 
-	// A mesh of a different size must refuse these checkpoints rather
-	// than silently recompute or corrupt them.
-	mismatched := Engine{Workers: base.Workers + 1, CheckpointDir: base.CheckpointDir}
-	if _, err := mismatched.Solve(g); err == nil {
-		t.Error("resume with a different node count was accepted")
+		// A mesh of a different size must refuse these checkpoints rather
+		// than silently recompute or corrupt them.
+		mismatched := Engine{Workers: base.Workers + 1, CheckpointDir: base.CheckpointDir}
+		if _, err := mismatched.Solve(in.g); err == nil {
+			t.Errorf("%s: resume with a different node count was accepted", in.g.Name())
+		}
+		resumeToEnd(t, base, in.g)
 	}
-	resumeToEnd(t, base, g)
 }
 
 // newestCommitted returns the newest wave any node committed and a node
@@ -300,7 +336,10 @@ func TestPartlyCommittedWaveNeverChosen(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		w := ra.NewWorker(g, part, 0)
+		w, err := ra.NewWorkerKernel(g, part, 0, ra.KernelScalar)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if _, err := w.Init(); err != nil {
 			t.Fatal(err)
 		}
@@ -352,12 +391,14 @@ func TestPartlyCommittedWaveNeverChosen(t *testing.T) {
 // a later wave — after it has saved over checkpoint directories the first
 // run committed — and requires the second resume to finish bit-identical.
 func TestKillResumeKillResume(t *testing.T) {
-	g := ttt.New()
-	base := Engine{Workers: 3, Batch: 32, CheckpointDir: t.TempDir(), CheckpointEvery: 1}
-	first := killedMidSolve(t, base, g, 0)
-	second := killedMidSolve(t, base, g, first.wave)
-	t.Logf("killed at waves %d and %d", first.wave, second.wave)
-	resumeToEnd(t, base, g)
+	for _, in := range checkpointInputs(t) {
+		base := Engine{Workers: 3, Batch: 32, CheckpointDir: t.TempDir(), CheckpointEvery: 1}
+		first := killedMidSolve(t, base, in.g, 0)
+		second := killedMidSolve(t, base, in.g, first.wave)
+		requireKernel(t, second, in.kernel)
+		t.Logf("%s: killed at waves %d and %d", in.g.Name(), first.wave, second.wave)
+		resumeToEnd(t, base, in.g)
+	}
 }
 
 // TestCheckpointingFreshRunUnchanged: with a checkpoint directory but no

@@ -359,7 +359,7 @@ func newEndpoint(id int, g game.Game, part *ra.Partition, e Engine, conns []net.
 		w = resume.workers[id]
 		cfg.Resumed, cfg.Wave, cfg.Waves = true, resume.wave-1, resume.waves
 	} else {
-		w = ra.NewWorker(g, part, id)
+		w, _ = ra.NewWorkerKernel(g, part, id, ra.KernelAuto) // Auto cannot fail
 	}
 	ep.node = ra.NewNode(w, ep, cfg)
 	return ep

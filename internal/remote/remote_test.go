@@ -65,7 +65,7 @@ func TestTCPMatchesSequential(t *testing.T) {
 }
 
 // TestTCPAwariLadder builds awari over TCP, the full paper workload with
-// captures, the feeding rule and loop resolution.
+// captures, the feeding rule and loop resolution, on the SWAR kernel.
 func TestTCPAwariLadder(t *testing.T) {
 	cfg := ladder.Config{Rules: awari.Standard, Loop: awari.LoopOwnSide}
 	want, err := ladder.Build(cfg, 6, ra.Sequential{}, nil)
@@ -77,6 +77,9 @@ func TestTCPAwariLadder(t *testing.T) {
 		t.Fatal(err)
 	}
 	for n := 0; n <= 6; n++ {
+		if k := got.Result(n).Kernel; k != "swar" {
+			t.Errorf("rung %d ran the %s kernel, want swar", n, k)
+		}
 		a, b := want.Result(n).Values, got.Result(n).Values
 		for i := range a {
 			if a[i] != b[i] {
