@@ -131,9 +131,10 @@ type blockManager struct {
 
 	pendingRuns uint64 // current total across all blocks' pending lists
 
-	// Codec scratch, sized to the largest shard so steady-state spill and
-	// reload traffic allocates nothing. Used by the synchronous paths
-	// only; the async pipeline carries its own pooled buffers.
+	// Codec scratch, grown to the largest shard on first use so
+	// steady-state spill and reload traffic allocates nothing; meta stays
+	// empty under SWAR. Used by the synchronous paths only; the async
+	// pipeline carries its own pooled buffers.
 	vals, meta []game.Value
 	enc        []byte
 
@@ -162,9 +163,6 @@ func newBlockManager(g game.Game, kern ra.Kernel, part *ra.Partition, budget uin
 		blocks: make([]*block, nb),
 		lru:    list.New(),
 	}
-	maxShard := part.ShardSize(0) // block 0 is never the ragged tail
-	m.vals = make([]game.Value, maxShard)
-	m.meta = make([]game.Value, maxShard)
 	for i := range m.blocks {
 		m.blocks[i] = &block{idx: i}
 	}
@@ -183,7 +181,7 @@ func (m *blockManager) Init(i int) (*ra.Worker, error) {
 	if b.w != nil {
 		return b.w, nil
 	}
-	if err := m.makeRoom(m.part.ShardSize(i) * m.bytesPerPosition()); err != nil {
+	if err := m.makeRoom(m.part.ShardSize(i) * m.kern.BytesPerPosition()); err != nil {
 		return nil, err
 	}
 	w, err := ra.NewWorkerKernel(m.g, m.part, i, m.kern)
@@ -264,13 +262,6 @@ func (m *blockManager) asyncErr() error {
 		}
 	}
 	return m.wbErr
-}
-
-func (m *blockManager) bytesPerPosition() uint64 {
-	if m.kern == ra.KernelSWAR {
-		return ra.LaneBytesPerPosition
-	}
-	return ra.StateBytesPerPosition
 }
 
 func (m *blockManager) charge(b *block) {
@@ -361,16 +352,13 @@ func (m *blockManager) spill(b *block) error {
 	if m.wb == nil {
 		return m.spillSync(b)
 	}
-	n := int(b.w.ShardSize())
 	c := startSpillClock()
 	j, stalled := m.wb.acquire()
 	if stalled {
 		m.stats.WriteStalls++
 		c.lap(&m.stats.StallTime)
 	}
-	j.vals = growValues(j.vals, n)
-	j.meta = growValues(j.meta, n)
-	b.w.PackState(j.vals, j.meta)
+	j.vals, j.meta = b.w.PackState(j.vals, j.meta)
 	j.block, j.kern, j.gen = b.idx, m.kern, b.gen+1
 	j.removeGen = 0
 	if b.gen != 0 && b.gen != b.manifestGen {
@@ -387,11 +375,9 @@ func (m *blockManager) spill(b *block) error {
 // the engine thread — the pre-pipeline behavior, kept as the A/B control
 // for Writeback < 0 (rabuild -syncspill; bench row oocore.syncspill_s).
 func (m *blockManager) spillSync(b *block) error {
-	n := b.w.ShardSize()
-	vals, meta := m.vals[:n], m.meta[:n]
-	b.w.PackState(vals, meta)
+	m.vals, m.meta = b.w.PackState(m.vals, m.meta)
 	c := startSpillClock()
-	enc, err := encodeSpill(m.enc[:0], b.idx, m.kern, vals, meta)
+	enc, err := encodeSpill(m.enc[:0], b.idx, m.kern, m.vals, m.meta)
 	if err != nil {
 		return err
 	}

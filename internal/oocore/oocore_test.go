@@ -558,7 +558,7 @@ func TestSpillBlockRoundtrip(t *testing.T) {
 			meta[i] = game.Value(i%2 | i%16<<1)
 		}
 	}
-	enc, err := encodeSpill(nil, 42, ra.KernelScalar, slices.Clone(vals), slices.Clone(meta))
+	enc, err := encodeSpill(nil, 42, ra.KernelScalar, vals, meta)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -593,10 +593,11 @@ func TestSpillBlockRoundtrip(t *testing.T) {
 	}
 }
 
-// TestSpillLaneRoundtrip: every one of the 256 fused SWAR symbols must
-// survive encode → decode, in a block of distinct symbols (raw codec) and
-// in a skewed block that also holds all of them (Huffman), and must be a
-// lane RestoreState accepts and PackState gives back unchanged.
+// TestSpillLaneRoundtrip: every one of the 256 SWAR symbols (value |
+// final<<4 | counter<<5) must survive encode → decode, in a block of
+// distinct symbols (raw codec) and in a skewed block that also holds all
+// of them (Huffman), and must be a lane RestoreState accepts and
+// PackState gives back unchanged.
 func TestSpillLaneRoundtrip(t *testing.T) {
 	lad, err := ladder.Build(ladder.Config{Rules: awari.Standard, Loop: awari.LoopOwnSide}, 4, ra.Sequential{}, nil)
 	if err != nil {
@@ -619,12 +620,7 @@ func TestSpillLaneRoundtrip(t *testing.T) {
 		}
 	}
 	for _, syms := range [][]game.Value{skewed[:256], skewed} {
-		vals := make([]game.Value, len(syms))
-		meta := make([]game.Value, len(syms))
-		for i, s := range syms {
-			vals[i], meta[i] = s&0xF, s>>4
-		}
-		enc, err := encodeSpill(nil, 0, ra.KernelSWAR, slices.Clone(vals), slices.Clone(meta))
+		enc, err := encodeSpill(nil, 0, ra.KernelSWAR, syms, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -632,7 +628,7 @@ func TestSpillLaneRoundtrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !slices.Equal(dv, vals) || !slices.Equal(dm, meta) {
+		if !slices.Equal(dv, syms) || len(dm) != 0 {
 			t.Fatalf("%d-position lane block does not round-trip", len(syms))
 		}
 		if len(syms) != 256 {
@@ -641,16 +637,21 @@ func TestSpillLaneRoundtrip(t *testing.T) {
 		if err := w.RestoreState(dv, dm); err != nil {
 			t.Fatalf("decoded symbols are not valid lanes: %v", err)
 		}
-		pv, pm := make([]game.Value, 256), make([]game.Value, 256)
-		w.PackState(pv, pm)
-		if !slices.Equal(pv, vals) || !slices.Equal(pm, meta) {
+		if pv, pm := w.PackState(nil, nil); !slices.Equal(pv, syms) || len(pm) != 0 {
 			t.Fatal("RestoreState → PackState changed a lane")
 		}
 	}
 
-	// A SWAR stream value outside a nibble is a packing bug, not a lane.
+	// A SWAR symbol wider than a byte, or a meta stream beside the SWAR
+	// symbols, is a packing bug, not a lane.
+	if _, err := encodeSpill(nil, 0, ra.KernelSWAR, []game.Value{3, 256}, nil); err == nil {
+		t.Error("encodeSpill accepted a 9-bit SWAR symbol")
+	}
 	if _, err := encodeSpill(nil, 0, ra.KernelSWAR, []game.Value{3, 16}, []game.Value{1, 0}); err == nil {
-		t.Error("encodeSpill accepted a 5-bit SWAR value")
+		t.Error("encodeSpill accepted a meta stream for a SWAR block")
+	}
+	if err := w.RestoreState(append(slices.Clone(skewed[:255]), 256), nil); err == nil {
+		t.Error("RestoreState accepted a 9-bit SWAR symbol")
 	}
 }
 

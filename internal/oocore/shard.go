@@ -108,9 +108,7 @@ func SaveShard(dir string, w *ra.Worker, wave, waves uint64) error {
 	if prev, err := readManifest(mpath); err == nil && prev.blocks[0].shard == me {
 		old = prev.blocks[0].gen
 	}
-	n := w.ShardSize()
-	vals, meta := make([]game.Value, n), make([]game.Value, n)
-	w.PackState(vals, meta)
+	vals, meta := w.PackState(nil, nil)
 	enc, err := encodeSpill(nil, me, w.Kernel(), vals, meta)
 	if err != nil {
 		return err

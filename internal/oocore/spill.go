@@ -16,8 +16,8 @@ import (
 )
 
 // Spill-block file format, version 2 (little-endian). One file is one
-// block's full per-position state — PackState's value and meta streams,
-// reshaped per kernel as below — compressed with the zdb table codecs:
+// block's full per-position state — the symbol streams
+// ra.Worker.PackState returns — compressed with the zdb table codecs:
 //
 //	off  0  magic "RASB"
 //	off  4  version  u16  (2)
@@ -31,15 +31,13 @@ import (
 //	off 28  values payload, then meta payload
 //	tail    crc64/ECMA over everything above, u64
 //
-// Under the SWAR kernel the values stream holds one 8-bit symbol per
-// position, value | meta<<4 — the lane byte's three fields (4-bit value,
-// 3-bit counter, final flag), so every symbol is a valid lane — and the
-// meta stream is empty (raw codec, parameter 0, no payload). Under the
-// scalar kernel both streams are 16 bits wide; values are stored as
-// value+1 mod 2^16, so game.NoValue, which every undecided position
-// carries, is symbol 0 instead of the top of a 65,536-symbol alphabet.
-// Version 1 spilled both kernels as two unrotated 16-bit streams; its
-// files are refused, not read.
+// Which symbol a position is belongs to the kernel's layout and is
+// defined at PackState; the format owns the header, the codec choice,
+// the stream framing and the checksum. Under the SWAR kernel the values
+// stream holds one 8-bit symbol per position and the meta stream is
+// empty (raw codec, parameter 0, no payload). Under the scalar kernel
+// both streams are 16 bits wide. Version 1 spilled both kernels as two
+// 16-bit streams of other symbols; its files are refused, not read.
 const (
 	spillMagic     = "RASB"
 	spillVersion   = 2
@@ -49,16 +47,21 @@ const (
 	// decode allocates, so a malformed file cannot provoke an arbitrary
 	// allocation. Far above any real block length (see autoBlockLen).
 	spillMaxCount = 1 << 22
-	// scalarStreamBits is the width of both scalar streams: values span
-	// game.Value and meta carries a 15-bit counter plus the final flag.
+	// scalarStreamBits is the width of both scalar streams and
+	// swarStreamBits of the SWAR kernel's one stream.
 	scalarStreamBits = 16
-	// laneStreamBits is the width of the SWAR kernel's fused stream and
-	// laneMetaShift where its meta field starts: PackState's SWAR values
-	// are a lane's 4-bit value field, its meta a 3-bit counter above the
-	// final flag, so both fit a nibble.
-	laneStreamBits = 8
-	laneMetaShift  = 4
+	swarStreamBits   = 8
 )
+
+// streamShape returns the width of a block's values stream and the
+// number of symbols its meta stream holds, for a block of count
+// positions spilled by kernel kern.
+func streamShape(kern ra.Kernel, count int) (bits, metaCount int) {
+	if kern == ra.KernelSWAR {
+		return swarStreamBits, 0
+	}
+	return scalarStreamBits, count
+}
 
 var crcTab = crc64.MakeTable(crc64.ECMA)
 
@@ -80,28 +83,12 @@ func corrupt(path, format string, args ...any) error {
 }
 
 // encodeSpill appends a complete spill-block file image for one block's
-// packed state streams to dst and returns the grown slice. It reshapes
-// the streams in place for the kernel's format (see above), so vals holds
-// the stored symbols afterwards; callers pass scratch they are done with.
+// symbol streams, as PackState returns them, to dst and returns the
+// grown slice.
 func encodeSpill(dst []byte, block int, kern ra.Kernel, vals, meta []game.Value) ([]byte, error) {
-	if len(vals) != len(meta) {
-		return nil, fmt.Errorf("oocore: state streams have %d/%d entries", len(vals), len(meta))
-	}
-	bits := scalarStreamBits
-	if kern == ra.KernelSWAR {
-		var wide game.Value
-		for i, m := range meta {
-			wide |= vals[i] | m
-			vals[i] |= m << laneMetaShift
-		}
-		if wide >= 1<<laneMetaShift {
-			return nil, fmt.Errorf("oocore: block %d has SWAR state wider than a lane (field bits %#x)", block, wide)
-		}
-		bits, meta = laneStreamBits, meta[:0]
-	} else {
-		for i := range vals {
-			vals[i]++ // game.NoValue wraps to symbol 0
-		}
+	bits, metaCount := streamShape(kern, len(vals))
+	if len(meta) != metaCount {
+		return nil, fmt.Errorf("oocore: %v block %d has %d meta symbols for %d positions", kern, block, len(meta), len(vals))
 	}
 	head := len(dst)
 	dst = append(dst, make([]byte, spillHeaderLen)...)
@@ -129,10 +116,11 @@ func encodeSpill(dst []byte, block int, kern ra.Kernel, vals, meta []game.Value)
 	return binary.LittleEndian.AppendUint64(dst, crc), nil
 }
 
-// decodeSpill parses one spill-block file image back into the two state
-// streams, reusing vals/meta as scratch (grown when too small). Every
-// malformed input — truncation, bad framing, checksum mismatch, codec
-// garbage — returns a *CorruptSpillError; decode never panics.
+// decodeSpill parses one spill-block file image back into the symbol
+// streams RestoreState takes, reusing vals/meta as scratch (grown when
+// too small). Every malformed input — truncation, bad framing, checksum
+// mismatch, codec garbage — returns a *CorruptSpillError; decode never
+// panics.
 func decodeSpill(path string, data []byte, vals, meta []game.Value) (block int, kern ra.Kernel, outVals, outMeta []game.Value, err error) {
 	fail := func(e error) (int, ra.Kernel, []game.Value, []game.Value, error) {
 		return 0, 0, vals, meta, e
@@ -164,31 +152,19 @@ func decodeSpill(path string, data []byte, vals, meta []game.Value) (block int, 
 	if got, want := crc64.Checksum(data[:body], crcTab), binary.LittleEndian.Uint64(data[body:]); got != want {
 		return fail(corrupt(path, "checksum mismatch: computed %016x, stored %016x", got, want))
 	}
+	bits, metaCount := streamShape(kern, count)
 	vals = growValues(vals, count)
-	meta = growValues(meta, count)
+	meta = growValues(meta, metaCount)
 	vp := data[spillHeaderLen : spillHeaderLen+int(valsLen)]
 	mp := data[spillHeaderLen+int(valsLen) : body]
-	if kern == ra.KernelSWAR {
-		if len(mp) != 0 || data[18] != 0 || data[19] != 0 {
-			return fail(corrupt(path, "SWAR block carries a meta stream (codec %d, param %d, %d bytes)", data[18], data[19], len(mp)))
-		}
-		if err := zdb.DecodeStream(vp, count, laneStreamBits, data[16], data[17], vals); err != nil {
-			return fail(corrupt(path, "lane stream (%s): %v", zdb.CodecName(data[16]), err))
-		}
-		meta = meta[:len(vals)] // drops the bounds check below
-		for i, s := range vals {
-			vals[i], meta[i] = s&(1<<laneMetaShift-1), s>>laneMetaShift
-		}
-		return block, kern, vals, meta, nil
+	if metaCount == 0 && (len(mp) != 0 || data[18] != 0 || data[19] != 0) {
+		return fail(corrupt(path, "%v block carries a meta stream (codec %d, param %d, %d bytes)", kern, data[18], data[19], len(mp)))
 	}
-	if err := zdb.DecodeStream(vp, count, scalarStreamBits, data[16], data[17], vals); err != nil {
+	if err := zdb.DecodeStream(vp, count, bits, data[16], data[17], vals); err != nil {
 		return fail(corrupt(path, "values stream (%s): %v", zdb.CodecName(data[16]), err))
 	}
-	if err := zdb.DecodeStream(mp, count, scalarStreamBits, data[18], data[19], meta); err != nil {
+	if err := zdb.DecodeStream(mp, metaCount, scalarStreamBits, data[18], data[19], meta); err != nil {
 		return fail(corrupt(path, "meta stream (%s): %v", zdb.CodecName(data[18]), err))
-	}
-	for i := range vals {
-		vals[i]-- // symbol 0 wraps back to game.NoValue
 	}
 	return block, kern, vals, meta, nil
 }

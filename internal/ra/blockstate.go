@@ -2,6 +2,7 @@ package ra
 
 import (
 	"fmt"
+	"slices"
 
 	"retrograde/internal/game"
 )
@@ -9,17 +10,20 @@ import (
 // Block-state export/import: the hooks internal/oocore's store — the
 // out-of-core engine's spill blocks and the TCP mesh's checkpoints — uses
 // to move a worker's per-position state between its in-core
-// representation and a compressed spill block. The wire shape is
-// kernel-independent — two uint16 streams per position — so a spilled
-// block re-encodes bit-identically whichever kernel produced it:
+// representation and a compressed spill block. PackState and
+// RestoreState produce and consume exactly the symbols the block stores,
+// one pass each way, so the store encodes opaque streams and the
+// kernel's layout has this one home:
 //
-//	vals[i]  the position's current value representation (the packed word's
-//	         value field under the scalar kernel, the lane value field
-//	         under SWAR — "no value yet" is NoValue resp. 0, each kernel's
-//	         own encoding)
-//	meta[i]  counter<<1 | final (final with counter ≠ 0: loop-resolved)
+//	SWAR    vals[i]  value | final<<4 | counter<<5: the lane byte with its
+//	                 final flag moved below the counter, one 8-bit symbol
+//	                 per position; meta is not used
+//	scalar  vals[i]  value+1 mod 2^16, so NoValue, which every undecided
+//	                 position carries, is symbol 0
+//	        meta[i]  counter<<1 | final
 //
-// The two streams compress independently (values are game-shaped, meta
+// Under both kernels final with counter ≠ 0 means loop-resolved. The two
+// scalar streams compress independently (values are game-shaped, meta
 // collapses to long runs once a region settles), which is why they are
 // not interleaved.
 
@@ -31,68 +35,61 @@ func (w *Worker) StateResident() bool { return w.state != nil || w.lane != nil }
 
 // StateBytes returns the in-core footprint of the worker's per-position
 // state when resident: what residency costs an out-of-core memory budget.
-func (w *Worker) StateBytes() uint64 {
-	if w.kern == KernelSWAR {
-		return w.ShardSize() * LaneBytesPerPosition
-	}
-	return w.ShardSize() * StateBytesPerPosition
-}
+func (w *Worker) StateBytes() uint64 { return w.ShardSize() * w.kern.BytesPerPosition() }
 
-// PackState copies the worker's per-position state into the two streams,
-// which must both have length ShardSize. The worker's state must be
-// resident.
-func (w *Worker) PackState(vals, meta []game.Value) {
-	n := w.ShardSize()
-	if uint64(len(vals)) != n || uint64(len(meta)) != n {
-		panic(fmt.Sprintf("ra: PackState streams have %d/%d entries, want %d", len(vals), len(meta), n))
-	}
+// PackState writes the worker's per-position state as its stored symbols
+// (above) and returns the two streams: ShardSize symbols in vals, and
+// ShardSize in meta under the scalar kernel or none under SWAR. It
+// reuses the backing arrays of vals and meta, growing them when too
+// small. The worker's state must be resident.
+func (w *Worker) PackState(vals, meta []game.Value) (outVals, outMeta []game.Value) {
 	if !w.StateResident() {
 		panic("ra: PackState on a worker whose state is not resident")
 	}
+	n := int(w.ShardSize())
+	vals = slices.Grow(vals[:0], n)[:n]
 	if w.lane != nil {
 		for i, s := range w.lane {
-			vals[i] = game.Value(s & laneValueMask)
-			meta[i] = game.Value(s&laneCntField>>laneCntShift<<1 | s>>7)
+			vals[i] = game.Value(s&laneValueMask | s>>7<<laneValueBits | s&laneCntField<<1)
 		}
-		return
+		return vals, meta[:0]
 	}
+	meta = slices.Grow(meta[:0], n)[:n]
 	for i, s := range w.state {
-		vals[i] = stateValue(s)
+		vals[i] = stateValue(s) + 1
 		meta[i] = game.Value(stateCounter(s))<<1 | game.Value(s>>31)
 	}
+	return vals, meta
 }
 
-// RestoreState reallocates the worker's per-position state from the two
-// streams written by PackState (same kernel, same shard). It returns an
-// error when a stream value does not fit the kernel's packed layout —
-// the signature of a corrupt or foreign spill block.
+// RestoreState reallocates the worker's per-position state from the
+// streams PackState returns (same kernel, same shard). It returns an
+// error when a stream has the wrong length or a SWAR symbol does not fit
+// a lane byte — the signature of a corrupt or foreign spill block. Every
+// pair of 16-bit scalar symbols is a valid state.
 func (w *Worker) RestoreState(vals, meta []game.Value) error {
-	n := w.ShardSize()
-	if uint64(len(vals)) != n || uint64(len(meta)) != n {
-		return fmt.Errorf("ra: RestoreState streams have %d/%d entries, want %d", len(vals), len(meta), n)
+	n, metaLen := w.ShardSize(), w.ShardSize()
+	if w.kern == KernelSWAR {
+		metaLen = 0
+	}
+	if uint64(len(vals)) != n || uint64(len(meta)) != metaLen {
+		return fmt.Errorf("ra: RestoreState streams have %d/%d entries, want %d/%d", len(vals), len(meta), n, metaLen)
 	}
 	if w.kern == KernelSWAR {
 		lane := make([]byte, n)
-		for i := range vals {
-			v, cnt := vals[i], meta[i]>>1
-			if v > game.Value(laneValueMask) {
-				return fmt.Errorf("ra: restored value %d does not fit the %d-bit lane value field", v, laneValueBits)
+		for i, v := range vals {
+			if v > 0xFF {
+				return fmt.Errorf("ra: restored symbol %#x does not fit a lane byte", v)
 			}
-			if cnt > laneMaxCnt {
-				return fmt.Errorf("ra: restored counter %d exceeds the lane maximum %d", cnt, laneMaxCnt)
-			}
-			lane[i] = byte(v) | byte(cnt)<<laneCntShift | byte(meta[i]&1)<<7
+			s := byte(v)
+			lane[i] = s&laneValueMask | s>>(laneValueBits+1)<<laneCntShift | s>>laneValueBits&1<<7
 		}
 		w.lane = lane
 		return nil
 	}
 	state := make([]uint32, n)
-	for i := range vals {
-		cnt := int32(meta[i] >> 1)
-		if cnt > MaxSuccessors {
-			return fmt.Errorf("ra: restored counter %d exceeds the packed maximum %d", cnt, MaxSuccessors)
-		}
-		state[i] = packState(vals[i], cnt, meta[i]&1 == 1)
+	for i, v := range vals {
+		state[i] = packState(v-1, int32(meta[i]>>1), meta[i]&1 == 1)
 	}
 	w.state = state
 	return nil

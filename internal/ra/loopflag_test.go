@@ -17,7 +17,7 @@ import (
 // loop-set list: under both kernels a position is loop-resolved exactly
 // when it is final with a nonzero counter. Hand-driven solves of awari
 // rungs 0..9 and kalah rungs 0..5, on one shard and on three block-cyclic
-// shards, check through PackState (meta = counter<<1 | final) that
+// shards, check through PackState's symbols (counter<<1 | final) that
 //   - after init and after every wave no final position holds a counter;
 //   - the loop set ResolveLoops leaves behind, read back by FillLoop, is
 //     exactly the set of positions still open at quiescence, its
@@ -76,13 +76,17 @@ func checkLoopFlag(t *testing.T, label string, g game.Game, part *ra.Partition, 
 		ws[i] = w
 	}
 	var vals, meta []game.Value
-	// eachMeta calls f with every position's global index and meta word.
+	// eachMeta calls f with every position's global index and its
+	// counter<<1 | final, read from the stored symbols: the scalar meta
+	// symbol, or the SWAR symbol above its 4-bit value.
 	eachMeta := func(f func(global uint64, m game.Value)) {
 		for i, w := range ws {
-			n := w.ShardSize()
-			vals, meta = slices.Grow(vals[:0], int(n))[:n], slices.Grow(meta[:0], int(n))[:n]
-			w.PackState(vals, meta)
-			for l, m := range meta {
+			vals, meta = w.PackState(vals, meta)
+			for l, v := range vals {
+				m := v >> 4
+				if k == ra.KernelScalar {
+					m = meta[l]
+				}
 				f(part.Global(i, uint64(l)), m)
 			}
 		}

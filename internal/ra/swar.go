@@ -97,6 +97,16 @@ const (
 // the scalar kernel).
 const LaneBytesPerPosition = 1
 
+// BytesPerPosition returns the resident analysis-time state per owned
+// position under resolved kernel k: LaneBytesPerPosition under SWAR,
+// StateBytesPerPosition under scalar.
+func (k Kernel) BytesPerPosition() uint64 {
+	if k == KernelSWAR {
+		return LaneBytesPerPosition
+	}
+	return StateBytesPerPosition
+}
+
 // UpdateRun is a run-length-encoded batch of updates: targets Base,
 // Base+1, ..., Base+Count-1 all receive the same source value. The
 // expansion loop emits runs under either kernel; the host-time engines
@@ -165,10 +175,7 @@ func InCoreStateBytes(g game.Game, k Kernel) (uint64, error) {
 	if err != nil {
 		return 0, err
 	}
-	if k == KernelSWAR {
-		return g.Size() * LaneBytesPerPosition, nil
-	}
-	return g.Size() * StateBytesPerPosition, nil
+	return g.Size() * k.BytesPerPosition(), nil
 }
 
 // applyLane delivers one pre-negamaxed update (mv = Neg - successor

@@ -662,9 +662,9 @@ func (w *Worker) FillLoop(dst []uint64) {
 // state array (loop set included) plus queue capacity — the quantity the
 // paper's ">600 MByte on a uniprocessor" claim is about.
 func (w *Worker) WorkingSetBytes() uint64 {
-	state := uint64(len(w.state)) * StateBytesPerPosition
-	if w.lane != nil {
-		state = uint64(len(w.lane)) * LaneBytesPerPosition
+	var state uint64
+	if w.StateResident() {
+		state = w.StateBytes()
 	}
 	return state + uint64(cap(w.queue)+cap(w.next))*8
 }
