@@ -238,22 +238,32 @@ type simRun struct {
 	nodes []*Node
 
 	protocolMsgs uint64
+	err          error // the first node error; solve returns it
 }
 
 // start installs a node for worker w as its cluster node's program.
 // Whenever an async node is runnable and no Step is pending, a Step is
-// scheduled for when its CPU frees up. The kernel has no error path: a
-// protocol violation or an Init failure here is a bug, so it escalates.
+// scheduled for when its CPU frees up. The first Start, Step or Deliver
+// error on any node (an Init failure, a protocol violation) is the run's:
+// every later event is dropped, so the simulation drains and solve
+// returns that error.
 func (r *simRun) start(w *Worker, cfg NodeConfig) {
 	cn := r.clu.Node(w.ID())
 	n := NewNode(w, simLink{node: cn, run: r}, cfg)
 	r.nodes[w.ID()] = n
 	stepping := false
 	var schedule func()
+	run := func(f func() error) {
+		if r.err != nil {
+			return
+		}
+		if r.err = f(); r.err == nil {
+			schedule()
+		}
+	}
 	step := func() {
 		stepping = false
-		must(n.Step())
-		schedule()
+		run(n.Step)
 	}
 	schedule = func() {
 		if stepping || !n.Runnable() {
@@ -263,13 +273,9 @@ func (r *simRun) start(w *Worker, cfg NodeConfig) {
 		r.clu.Kernel.At(max(cn.BusyUntil(), r.clu.Kernel.Now()), step)
 	}
 	cn.SetHandler(func(_ int, payload any) {
-		must(n.Deliver(payload.(Msg)))
-		schedule()
+		run(func() error { return n.Deliver(payload.(Msg)) })
 	})
-	cn.Start(func() {
-		must(n.Start())
-		schedule()
-	})
+	cn.Start(func() { run(n.Start) })
 }
 
 // simLink is a cluster node as the wave protocol's Transport. Every
@@ -310,12 +316,6 @@ func (simLink) Sentinels() int { return 0 }
 // checkpoints.
 func (simLink) BeginExpand(int) error { return nil }
 
-func must(err error) {
-	if err != nil {
-		panic(err)
-	}
-}
-
 // newSimRun partitions g and builds the cluster; zero-valued overrides
 // pick the 1995 calibration (DefaultEthernet, DefaultMessageCost).
 func (d Distributed) newSimRun(g game.Game) (*simRun, error) {
@@ -353,6 +353,9 @@ func (d Distributed) newSimRun(g game.Game) (*simRun, error) {
 // engine.
 func (r *simRun) solve(g game.Game, engine string) (*Result, *SimReport, error) {
 	duration := r.clu.Run()
+	if r.err != nil {
+		return nil, nil, r.err
+	}
 	if !r.nodes[0].Finished() {
 		return nil, nil, fmt.Errorf("ra: %s run over %q stalled before completion", engine, g.Name())
 	}

@@ -15,6 +15,7 @@ import (
 	"retrograde/internal/awari"
 	"retrograde/internal/faultnet"
 	"retrograde/internal/game"
+	"retrograde/internal/graphgame"
 	"retrograde/internal/ladder"
 	"retrograde/internal/nim"
 	"retrograde/internal/oocore"
@@ -215,7 +216,7 @@ func killedMidSolve(t *testing.T, e Engine, g game.Game, after int) *resumeState
 
 // resumeToEnd finishes the solve e left in its directory and requires
 // the sequential engine's database and a cleared directory.
-func resumeToEnd(t *testing.T, e Engine, g game.Game) {
+func resumeToEnd(t *testing.T, e Engine, g game.Game) *ra.Result {
 	t.Helper()
 	got, err := solveWatchdog(t, e, g, 20*time.Second)
 	if err != nil {
@@ -225,26 +226,55 @@ func resumeToEnd(t *testing.T, e Engine, g game.Game) {
 	if left, _ := filepath.Glob(filepath.Join(e.CheckpointDir, "ckpt-*")); len(left) != 0 {
 		t.Errorf("successful solve left checkpoints behind: %v", left)
 	}
+	return got
 }
 
 // checkpointInput is one game the kill-and-resume drills solve, with the
-// kernel its mesh runs and therefore checkpoints.
+// kernel its mesh runs and therefore checkpoints. A random graph's
+// resumed solve is also held to the reference solver.
 type checkpointInput struct {
 	g      game.Game
 	kernel ra.Kernel
+	graph  bool
 }
 
 // checkpointInputs are tic-tac-toe, whose 16-bit values run the scalar
-// kernel, and awari rung 5 (its lower rungs looked up from a sequential
-// ladder), which runs SWAR: a mesh checkpoint stores either kernel's
-// state.
+// kernel, awari rung 5 (its lower rungs looked up from a sequential
+// ladder), which runs SWAR, and a seeded random graph of each kernel: a
+// mesh checkpoint stores either kernel's state.
 func checkpointInputs(t *testing.T) []checkpointInput {
 	t.Helper()
 	lad, err := ladder.Build(ladder.Config{Rules: awari.Standard, Loop: awari.LoopOwnSide}, 5, ra.Sequential{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return []checkpointInput{{ttt.New(), ra.KernelScalar}, {lad.Slice(5), ra.KernelSWAR}}
+	return []checkpointInput{
+		{ttt.New(), ra.KernelScalar, false},
+		{lad.Slice(5), ra.KernelSWAR, false},
+		{graphgame.New(2, graphgame.Shape{Size: 3000, Neg: 7, MaxInternal: 2, Cutoff: true}), ra.KernelSWAR, true},
+		{graphgame.New(4, graphgame.Shape{Size: 3000, Neg: 200, MaxInternal: 2, Cutoff: true}), ra.KernelScalar, true},
+	}
+}
+
+// resumeChecked finishes in's solve from the checkpoints in e's
+// directory (resumeToEnd) and holds a random graph's result to the
+// reference solver: values, loop set and waves.
+func resumeChecked(t *testing.T, e Engine, in checkpointInput) {
+	t.Helper()
+	got := resumeToEnd(t, e, in.g)
+	if !in.graph {
+		return
+	}
+	want := graphgame.Solve(in.g)
+	if got.Waves != want.Waves {
+		t.Errorf("%s: resumed solve ran %d waves, reference %d", in.g.Name(), got.Waves, want.Waves)
+	}
+	for p, v := range want.Values {
+		if got.Values[p] != v || got.IsLoop(uint64(p)) != want.Loop[p] {
+			t.Fatalf("%s: resumed position %d has value %d (loop %v), reference %d (loop %v)",
+				in.g.Name(), p, got.Values[p], got.IsLoop(uint64(p)), v, want.Loop[p])
+		}
+	}
 }
 
 // requireKernel fails unless every worker restored from a checkpoint
@@ -276,7 +306,7 @@ func TestKilledSolveResumesBitIdentical(t *testing.T) {
 		if _, err := mismatched.Solve(in.g); err == nil {
 			t.Errorf("%s: resume with a different node count was accepted", in.g.Name())
 		}
-		resumeToEnd(t, base, in.g)
+		resumeChecked(t, base, in)
 	}
 }
 
@@ -397,7 +427,7 @@ func TestKillResumeKillResume(t *testing.T) {
 		second := killedMidSolve(t, base, in.g, first.wave)
 		requireKernel(t, second, in.kernel)
 		t.Logf("%s: killed at waves %d and %d", in.g.Name(), first.wave, second.wave)
-		resumeToEnd(t, base, in.g)
+		resumeChecked(t, base, in)
 	}
 }
 

@@ -170,17 +170,19 @@ func (e Engine) SolveDetailed(g game.Game) (*ra.Result, *Report, error) {
 	}
 	wg.Wait()
 	close(errs)
-	// When the mesh unwinds, secondary nodes report the cascade (their
-	// peers' sockets closing); prefer the error that names a failed node.
+	// A node that fails on its own (an Init error, a protocol violation)
+	// closes its sockets, and the other nodes report that cascade as a
+	// NodeFailedError naming it: prefer the node's own error, the cause.
+	// When every error names a failed peer — a crash or a wedge — return
+	// one of those.
 	var firstErr error
 	for err := range errs {
+		var nf *NodeFailedError
+		if !errors.As(err, &nf) {
+			return nil, nil, err
+		}
 		if firstErr == nil {
 			firstErr = err
-		}
-		var nf *NodeFailedError
-		if errors.As(err, &nf) {
-			firstErr = err
-			break
 		}
 	}
 	if firstErr != nil {
