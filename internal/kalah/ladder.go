@@ -41,6 +41,8 @@ func BuildLadder(maxStones int, engine ra.Engine, onRung func(stones int, r *ra.
 	return l, nil
 }
 
+// lookupOrNil is the lower-rung lookup rung n is wired to: nil for rung
+// 0, which has no lower rung.
 func (l *Ladder) lookupOrNil(n int) Lookup {
 	if n == 0 {
 		return nil
@@ -62,14 +64,7 @@ func (l *Ladder) Result(stones int) *ra.Result { return l.results[stones] }
 
 // Slice returns the game.Game view of one rung, wired to the ladder.
 func (l *Ladder) Slice(stones int) *Slice {
-	return MustSlice(stones, l.lookupOrNilFor(stones))
-}
-
-func (l *Ladder) lookupOrNilFor(stones int) Lookup {
-	if stones == 0 {
-		return nil
-	}
-	return l.Lookup
+	return MustSlice(stones, l.lookupOrNil(stones))
 }
 
 // Value returns the database value of a board.
