@@ -72,10 +72,7 @@ func TestCheckpointRoundTripMidAnalysis(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		raw := ra.StateBytesPerPosition
-		if k == ra.KernelSWAR {
-			raw = ra.LaneBytesPerPosition
-		}
+		raw := k.BytesPerPosition()
 		if perPos := float64(fi.Size()) / float64(g.Size()); perPos >= float64(raw) {
 			t.Errorf("%v: spill file is %.2f B/position, not below the raw %d", k, perPos, raw)
 		}
