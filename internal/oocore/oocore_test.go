@@ -408,60 +408,75 @@ func TestOutOfCorePauseResume(t *testing.T) {
 // generations on disk — and requires the resumed solve to land on the
 // bit-identical database. This is the crash-consistency contract: the
 // manifest pins complete generations, everything newer is ignorable.
+// Awari also runs with synchronous spilling, whose failing spill returns
+// the error itself.
 func TestOutOfCoreCrashResume(t *testing.T) {
-	for _, g := range []game.Game{ttt.New(), awariSlice(t, 6)} {
+	type input struct {
+		name string
+		g    game.Game
+		sync bool
+	}
+	awari6 := awariSlice(t, 6)
+	for _, in := range []input{
+		{"ttt", ttt.New(), false},
+		{"awari-6", awari6, false},
+		// Synchronous spilling fails the spill that hits the failpoint
+		// itself, on the engine thread.
+		{"awari-6 synchronous", awari6, true},
+	} {
+		g := in.g
 		want, err := ra.Sequential{}.Solve(g)
 		if err != nil {
 			t.Fatal(err)
 		}
 		ic, _ := ra.InCoreStateBytes(g, ra.KernelAuto)
+		engine := func(dir string, failAt int) Engine {
+			e := Engine{MemLimit: ic / 4, Dir: dir, CheckpointEvery: 1, failSpillAfter: failAt}
+			if in.sync {
+				e.Writeback, e.NoPrefetch = -1, true
+			}
+			return e
+		}
 		resumes, parked := 0, 0
 		for _, failAt := range []int{1, 7, 60, 120, 180} {
 			dir := t.TempDir()
-			crash := Engine{
-				MemLimit:        ic / 4,
-				Dir:             dir,
-				CheckpointEvery: 1,
-				failSpillAfter:  failAt,
-			}
-			_, _, err := crash.SolveDetailed(g)
+			_, _, err := engine(dir, failAt).SolveDetailed(g)
 			if err == nil {
 				// The solve finished before the failpoint; later points only
 				// get farther away.
 				break
 			}
 			if !errors.Is(err, errSimulatedCrash) {
-				t.Fatalf("%s failAt=%d: crash run returned %v, want simulated crash", g.Name(), failAt, err)
+				t.Fatalf("%s failAt=%d: crash run returned %v, want simulated crash", in.name, failAt, err)
 			}
 			// The contract: a manifest on disk means the run resumes from it;
 			// no manifest (crash before the first checkpoint) means a clean
 			// restart. Either way the database comes out bit-identical.
 			info, err := InspectDir(dir)
 			if err != nil {
-				t.Fatalf("%s failAt=%d: store unreadable after crash: %v", g.Name(), failAt, err)
+				t.Fatalf("%s failAt=%d: store unreadable after crash: %v", in.name, failAt, err)
 			}
 			hadManifest := info.HasManifest
 			if info.Pending > 0 {
 				parked++
 			}
-			resume := Engine{MemLimit: ic / 4, Dir: dir, CheckpointEvery: 1}
-			got, st, err := resume.SolveDetailed(g)
+			got, st, err := engine(dir, 0).SolveDetailed(g)
 			if err != nil {
-				t.Fatalf("%s failAt=%d: resume: %v", g.Name(), failAt, err)
+				t.Fatalf("%s failAt=%d: resume: %v", in.name, failAt, err)
 			}
 			if st.Resumed != hadManifest {
-				t.Errorf("%s failAt=%d: resumed=%v with manifest present=%v", g.Name(), failAt, st.Resumed, hadManifest)
+				t.Errorf("%s failAt=%d: resumed=%v with manifest present=%v", in.name, failAt, st.Resumed, hadManifest)
 			}
 			if st.Resumed {
 				resumes++
 			}
-			compareResults(t, "crash-resumed "+g.Name(), want, got)
+			compareResults(t, "crash-resumed "+in.name, want, got)
 		}
 		if resumes == 0 {
-			t.Errorf("%s: no crash point landed after a checkpoint; the resume path went unexercised", g.Name())
+			t.Errorf("%s: no crash point landed after a checkpoint; the resume path went unexercised", in.name)
 		}
 		if parked == 0 {
-			t.Errorf("%s: no crash left a manifest with parked runs; resuming into a deferred begin went unexercised", g.Name())
+			t.Errorf("%s: no crash left a manifest with parked runs; resuming into a deferred begin went unexercised", in.name)
 		}
 	}
 }

@@ -41,7 +41,8 @@ func spillDigest(t *testing.T, dir string) string {
 // TestSpillImagePinned pins the bytes of every spill file a capped solve
 // leaves behind, completed (KeepStore) and paused after three waves, for
 // an awari rung under each kernel and for tic-tac-toe, and of a one-shard
-// store written by SaveShard. Spill format version 2 is a durable
+// store written by SaveShard. Pipelined and synchronous spilling
+// (Writeback < 0, NoPrefetch) must leave the same bytes. Spill format version 2 is a durable
 // format: a change to how a position's state becomes a stored symbol, to
 // the codec choice or to the framing changes these digests, and a store
 // written by one build must resume under the next.
@@ -62,18 +63,26 @@ func TestSpillImagePinned(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		completed := Engine{MemLimit: ic / 4, Dir: t.TempDir(), Kernel: want.kern, KeepStore: true}
-		if _, err := completed.Solve(want.g); err != nil {
-			t.Fatalf("%s: %v", want.name, err)
-		}
-		paused := Engine{MemLimit: ic / 4, Dir: t.TempDir(), Kernel: want.kern, StopAfterWaves: 3}
-		if _, err := paused.Solve(want.g); !errors.Is(err, ra.ErrPaused) {
-			t.Fatalf("%s: paused solve returned %v, want ra.ErrPaused", want.name, err)
-		}
-		gotCompleted, gotPaused := spillDigest(t, completed.Dir), spillDigest(t, paused.Dir)
-		if gotCompleted != want.completed || gotPaused != want.paused {
-			t.Errorf("%s: spill digests completed %s, paused %s; pinned %s, %s",
-				want.name, gotCompleted, gotPaused, want.completed, want.paused)
+		for _, mode := range []struct {
+			name       string
+			writeback  int
+			noPrefetch bool
+		}{{"pipelined", 0, false}, {"synchronous", -1, true}} {
+			completed := Engine{MemLimit: ic / 4, Dir: t.TempDir(), Kernel: want.kern, KeepStore: true,
+				Writeback: mode.writeback, NoPrefetch: mode.noPrefetch}
+			if _, err := completed.Solve(want.g); err != nil {
+				t.Fatalf("%s %s: %v", want.name, mode.name, err)
+			}
+			paused := Engine{MemLimit: ic / 4, Dir: t.TempDir(), Kernel: want.kern, StopAfterWaves: 3,
+				Writeback: mode.writeback, NoPrefetch: mode.noPrefetch}
+			if _, err := paused.Solve(want.g); !errors.Is(err, ra.ErrPaused) {
+				t.Fatalf("%s %s: paused solve returned %v, want ra.ErrPaused", want.name, mode.name, err)
+			}
+			gotCompleted, gotPaused := spillDigest(t, completed.Dir), spillDigest(t, paused.Dir)
+			if gotCompleted != want.completed || gotPaused != want.paused {
+				t.Errorf("%s %s: spill digests completed %s, paused %s; pinned %s, %s",
+					want.name, mode.name, gotCompleted, gotPaused, want.completed, want.paused)
+			}
 		}
 	}
 
