@@ -117,7 +117,9 @@ type block struct {
 // blockManager owns residency: which blocks' state arrays are in core,
 // charged against an explicit byte budget with LRU eviction — the
 // serving cache's pin/budget policy turned to the solving side, as the
-// ra.Residency of a host solve.
+// ra.Residency of a host solve. Every spill goes through the
+// writeback's write step (commit) and every load through its read step
+// (fetch) and then reload, the one restore step.
 type blockManager struct {
 	g      game.Game
 	part   *ra.Partition
@@ -131,20 +133,16 @@ type blockManager struct {
 
 	pendingRuns uint64 // current total across all blocks' pending lists
 
-	// Codec scratch, grown to the largest shard on first use so
-	// steady-state spill and reload traffic allocates nothing; meta stays
-	// empty under SWAR. Used by the synchronous paths only; the async
-	// pipeline carries its own pooled buffers.
-	vals, meta []game.Value
-	enc        []byte
-
-	// Spill pipeline; both nil when the engine runs synchronously.
+	// Spill pipeline. wb commits every spill, inline when spilling is
+	// synchronous; pf is nil when prefetch is off. demand is the read job
+	// a load fetches into when no prefetch has it, its buffers grown to
+	// the largest shard on first use.
 	wb     *writeback
 	pf     *prefetcher
-	pfJobs []*prefetchJob // outstanding prefetch per block; engine thread only
-	wbBase uint64         // SpillBytesWritten before this run's writer started
-	wbErr  error          // writer's sticky error, preserved across closePipeline
-	epoch  uint64         // current residency pass for touchEpoch marks
+	pfJobs []*readJob // outstanding prefetch per block; engine thread only
+	demand readJob
+	wbBase uint64 // SpillBytesWritten before this run's writer started
+	epoch  uint64 // current residency pass for touchEpoch marks
 
 	e         Engine // the checkpoint schedule: CheckpointEvery, StopAfterWaves
 	resumedAt int    // waves the manifest resumed from
@@ -196,72 +194,45 @@ func (m *blockManager) Init(i int) (*ra.Worker, error) {
 	return w, err
 }
 
-// startPipeline brings up the async spill pipeline: a write-behind
-// queue of depth jobs (depth ≤ 0 keeps spilling synchronous) and a
-// prefetch window of window reads (window ≤ 0 keeps loads demand-only).
-// Called after a resume has seeded the cumulative counters, so the
-// writer's byte count folds on top of the manifest's.
+// startPipeline brings up the spill pipeline: a write-behind queue of
+// depth jobs (depth ≤ 0 commits every spill inline) and a prefetch
+// window of window reads (window ≤ 0 keeps loads demand-only). Called
+// after a resume has seeded the cumulative counters, so the writer's
+// byte count folds on top of the manifest's.
 func (m *blockManager) startPipeline(depth, window int) {
-	if depth > 0 {
-		m.wbBase = m.stats.SpillBytesWritten
-		m.wb = newWriteback(m.store, depth)
-	}
+	m.wbBase = m.stats.SpillBytesWritten
+	m.wb = newWriteback(m.store, depth)
+	m.pfJobs = make([]*readJob, len(m.blocks))
 	if window > 0 {
-		m.pf = newPrefetcher(m.store, m.wb, window)
-		m.pfJobs = make([]*prefetchJob, len(m.blocks))
+		m.pf = newPrefetcher(m.wb, window)
 	}
 }
 
-// closePipeline quiesces and joins both pipeline goroutines, folding the
-// writer's byte counter and both goroutines' clocks into the stats.
-// Idempotent; must run before the store is cleared and before the
-// manager's stats are read for the last time.
+// closePipeline joins both pipeline goroutines, folding the writer's
+// byte counter and both goroutines' clocks into the stats. Idempotent;
+// must run before the store is cleared and before the manager's stats
+// are read for the last time. The writer's sticky error stays readable
+// (wb.firstError), so the final check still sees a last-wave failure.
 func (m *blockManager) closePipeline() {
 	if m.pf != nil {
 		m.pf.close() // closes every outstanding job's done channel
-		for i := range m.pfJobs {
-			m.pfJobs[i] = nil
-		}
+		clear(m.pfJobs)
 		m.stats.ReadTime += m.pf.readTime
 		m.stats.DecodeTime += m.pf.decodeTime
 		m.pf = nil
 	}
-	if m.wb != nil {
-		m.wb.pending.Wait()
-		m.stats.SpillBytesWritten = m.wbBase + m.wb.bytesWritten
-		m.stats.EncodeTime += m.wb.encodeTime
-		m.stats.WriteTime += m.wb.writeTime
-		if m.wbErr == nil {
-			m.wbErr = m.wb.firstError()
-		}
-		m.wb.close()
-		m.wb = nil
-	}
+	m.wb.close()
+	m.stats.SpillBytesWritten = m.wbBase + m.wb.bytesWritten
+	m.stats.EncodeTime, m.stats.WriteTime = m.wb.encodeTime, m.wb.writeTime
 }
 
 // quiesce waits until every write-behind job has committed, folds the
-// writer's counters, and returns the pipeline's first error — the
+// writer's byte counter, and returns the pipeline's first error — the
 // durability fence a manifest write stands behind.
 func (m *blockManager) quiesce() error {
-	if m.wb == nil {
-		return nil
-	}
 	err := m.wb.barrier()
 	m.stats.SpillBytesWritten = m.wbBase + m.wb.bytesWritten
 	return err
-}
-
-// asyncErr is the non-blocking end-of-wave check: a spill that failed
-// since the last wave surfaces here, without draining the queue. It
-// keeps answering after closePipeline, so the final check still sees a
-// last-wave failure.
-func (m *blockManager) asyncErr() error {
-	if m.wb != nil {
-		if err := m.wb.firstError(); err != nil {
-			return err
-		}
-	}
-	return m.wbErr
 }
 
 func (m *blockManager) charge(b *block) {
@@ -338,20 +309,18 @@ func (m *blockManager) drop(b *block) {
 	b.dirty = false
 }
 
-// spill moves b's state to the next on-disk generation. The block stays
-// resident and is clean afterwards; the superseded generation is deleted
-// unless the last durable manifest still pins it.
+// spill moves b's state to the next on-disk generation: it packs the
+// state into a pooled job and submits it to the write step. The block
+// stays resident and is clean afterwards; the superseded generation is
+// deleted unless the last durable manifest still pins it.
 //
-// With the write-behind pipeline up, spill only packs the state into a
-// pooled job and returns — encode, write and the superseded-generation
-// delete happen on the writer goroutine, and a failure surfaces at the
-// next wave barrier (asyncErr) or manifest fence (quiesce). b.gen
-// advances at submit: the generation may still be in flight, which is
-// why every read path takes the writeback's waitBlock fence first.
+// With the write-behind pipeline up, the writer goroutine commits the
+// job after spill returns, and a failure surfaces at the next wave
+// barrier or manifest fence (quiesce). b.gen advances at submit: the
+// generation may still be in flight, which is why the read step waits on
+// the writeback's fence first. Synchronous spilling (Writeback < 0)
+// commits inline: the write is durable and its error is spill's.
 func (m *blockManager) spill(b *block) error {
-	if m.wb == nil {
-		return m.spillSync(b)
-	}
 	c := startSpillClock()
 	j, stalled := m.wb.acquire()
 	if stalled {
@@ -364,38 +333,15 @@ func (m *blockManager) spill(b *block) error {
 	if b.gen != 0 && b.gen != b.manifestGen {
 		j.removeGen = b.gen
 	}
-	m.wb.submit(j)
-	b.gen++
-	b.dirty = false
-	m.stats.Spilled++
-	return nil
-}
-
-// spillSync is the synchronous spill path: encode and write inline on
-// the engine thread — the pre-pipeline behavior, kept as the A/B control
-// for Writeback < 0 (rabuild -syncspill; bench row oocore.syncspill_s).
-func (m *blockManager) spillSync(b *block) error {
-	m.vals, m.meta = b.w.PackState(m.vals, m.meta)
-	c := startSpillClock()
-	enc, err := encodeSpill(m.enc[:0], b.idx, m.kern, m.vals, m.meta)
-	if err != nil {
+	if err := m.wb.submit(j); err != nil {
 		return err
 	}
-	m.enc = enc
-	c.lap(&m.stats.EncodeTime)
-	if err := m.store.write(b.idx, b.gen+1, enc, true); err != nil {
-		return err
-	}
-	c.lap(&m.stats.WriteTime)
-	old := b.gen
 	b.gen++
 	b.dirty = false
-	b.syncedGen = b.gen
-	if old != 0 && old != b.manifestGen {
-		m.store.remove(b.idx, old)
+	if m.wb.inline {
+		b.syncedGen = b.gen
 	}
 	m.stats.Spilled++
-	m.stats.SpillBytesWritten += uint64(len(enc))
 	return nil
 }
 
@@ -446,77 +392,52 @@ func (m *blockManager) retireManifestPins() {
 	}
 }
 
+// load brings b's current generation back into core: from its
+// prefetch when one of that generation was issued, otherwise by
+// running the read step on demand.
 func (m *blockManager) load(b *block) error {
 	// Once the write-behind pipeline has failed, the generation this load
 	// wants may never have reached the disk — surface the original write
 	// error, not the confusing missing-file read error it would cause.
-	if err := m.asyncErr(); err != nil {
+	if err := m.wb.firstError(); err != nil {
 		return err
 	}
-	if m.pf != nil {
-		if j := m.pfJobs[b.idx]; j != nil {
-			m.pfJobs[b.idx] = nil
-			c := startSpillClock()
-			<-j.done
-			c.lap(&m.stats.StallTime)
-			hit, err := m.consumePrefetch(b, j)
-			m.pf.release(j)
-			if err != nil {
+	if j := m.pfJobs[b.idx]; j != nil {
+		m.pfJobs[b.idx] = nil
+		c := startSpillClock()
+		<-j.done
+		c.lap(&m.stats.StallTime)
+		defer m.pf.release(j)
+		// A stale generation (the block was respilled after the hint was
+		// issued — cannot happen today because respilling requires a
+		// load, which consumes the hint first, but guarded regardless) is
+		// a miss, served by the demand read below.
+		if j.gen == b.gen {
+			if err := m.reload(b, j); err != nil {
 				return err
 			}
-			if hit {
-				return nil
-			}
+			m.stats.PrefetchHits++
+			return nil
 		}
 	}
-	c := startSpillClock()
-	if m.wb != nil {
-		// Read-after-write fence: the generation we want may still be in
-		// the write-behind queue.
-		if err := m.wb.waitBlock(b.idx); err != nil {
-			return err
-		}
-		c.lap(&m.stats.StallTime)
-	}
-	data, path, err := m.store.read(b.idx, b.gen)
-	if err != nil {
-		return err
-	}
-	c.lap(&m.stats.ReadTime)
-	blk, kern, vals, meta, err := decodeSpill(path, data, m.vals, m.meta)
-	if err != nil {
-		return err
-	}
-	c.lap(&m.stats.DecodeTime)
-	m.vals, m.meta = vals, meta
-	if err := restoreState(b.w, path, blk, kern, vals, meta); err != nil {
-		return err
-	}
-	m.stats.Reloaded++
-	m.stats.SpillBytesRead += uint64(len(data))
-	return nil
+	j := &m.demand
+	j.block, j.gen = b.idx, b.gen
+	m.wb.fetch(j)
+	m.stats.StallTime += j.fence
+	m.stats.ReadTime += j.read
+	m.stats.DecodeTime += j.decode
+	return m.reload(b, j)
 }
 
-// consumePrefetch validates a completed prefetch and restores it into
-// b. A stale generation (the block was respilled after the hint was
-// issued — cannot happen today because respilling requires a load, which
-// consumes the hint first, but guarded regardless) is a miss, not an
-// error; everything else a demand load would reject is rejected here
-// with the same CorruptSpillError shape.
-func (m *blockManager) consumePrefetch(b *block, j *prefetchJob) (bool, error) {
-	if j.gen != b.gen {
-		return false, nil
-	}
-	if j.err != nil {
-		return false, j.err
-	}
-	if err := restoreState(b.w, j.path, j.blk, j.kern, j.vals, j.meta); err != nil {
-		return false, err
+// reload is the restore step of every load, prefetched or demand:
+// restore the fetched image into b and count the reload.
+func (m *blockManager) reload(b *block, j *readJob) error {
+	if err := restoreState(b.w, j); err != nil {
+		return err
 	}
 	m.stats.Reloaded++
-	m.stats.PrefetchHits++
 	m.stats.SpillBytesRead += uint64(j.n)
-	return true, nil
+	return nil
 }
 
 // prefetch opportunistically starts a background read of b's spilled
@@ -629,7 +550,7 @@ func (m *blockManager) Drop(i int) { m.drop(m.blocks[i]) }
 // Between the barrier and the next pass the spill store is otherwise
 // idle: the prefetcher warms the blocks the next pass will visit.
 func (m *blockManager) WaveEnd(waves int, reverse bool) error {
-	if err := m.asyncErr(); err != nil {
+	if err := m.wb.firstError(); err != nil {
 		return err
 	}
 	every := m.e.CheckpointEvery

@@ -14,8 +14,10 @@ import (
 // files holding the per-position streams, pinned by a manifest holding
 // the rest. The out-of-core engine keeps every shard of its partition in
 // one store; SaveShard and RestoreShard keep one worker — a TCP-mesh
-// node's shard — as a store of one shard, so both engines restore
-// through restoreWorker and restoreState and nothing else.
+// node's shard — as a store of one shard, so both engines write and read
+// spill files through the same write step (writeback.commit) and read
+// step (writeback.fetch), and restore through restoreWorker and
+// restoreState and nothing else.
 
 // restoreWorker rebuilds the worker of manifest entry mb under part with
 // its state left on disk, after the checks every resume runs before it
@@ -64,19 +66,22 @@ func entryOf(w *ra.Worker, gen uint64, pending []ra.UpdateRun) manifestBlock {
 	return manifestBlock{shard: w.ID(), gen: gen, stats: w.Stats, queue: queue, next: next, pending: pending}
 }
 
-// restoreState checks a decoded spill image — block, kernel, length —
-// against the worker it is loaded into, then restores it.
-func restoreState(w *ra.Worker, path string, blk int, kern ra.Kernel, vals, meta []game.Value) error {
+// restoreState checks a fetched spill image — the read's error, then
+// block, kernel, length — against the worker it is loaded into, then
+// restores it.
+func restoreState(w *ra.Worker, j *readJob) error {
 	switch {
-	case blk != w.ID():
-		return corrupt(path, "holds block %d, want %d", blk, w.ID())
-	case kern != w.Kernel():
-		return corrupt(path, "written by the %v kernel, want %v", kern, w.Kernel())
-	case uint64(len(vals)) != w.ShardSize():
-		return corrupt(path, "holds %d positions, want %d", len(vals), w.ShardSize())
+	case j.err != nil:
+		return j.err
+	case j.blk != w.ID():
+		return corrupt(j.path, "holds block %d, want %d", j.blk, w.ID())
+	case j.kern != w.Kernel():
+		return corrupt(j.path, "written by the %v kernel, want %v", j.kern, w.Kernel())
+	case uint64(len(j.vals)) != w.ShardSize():
+		return corrupt(j.path, "holds %d positions, want %d", len(j.vals), w.ShardSize())
 	}
-	if err := w.RestoreState(vals, meta); err != nil {
-		return corrupt(path, "%v", err)
+	if err := w.RestoreState(j.vals, j.meta); err != nil {
+		return corrupt(j.path, "%v", err)
 	}
 	return nil
 }
@@ -108,12 +113,11 @@ func SaveShard(dir string, w *ra.Worker, wave, waves uint64) error {
 	if prev, err := readManifest(mpath); err == nil && prev.blocks[0].shard == me {
 		old = prev.blocks[0].gen
 	}
-	vals, meta := w.PackState(nil, nil)
-	enc, err := encodeSpill(nil, me, w.Kernel(), vals, meta)
-	if err != nil {
-		return err
-	}
-	if err := store.write(me, old+1, enc, true); err != nil {
+	wb := newWriteback(store, 0)
+	j, _ := wb.acquire()
+	j.vals, j.meta = w.PackState(nil, nil)
+	j.block, j.kern, j.gen = me, w.Kernel(), old+1
+	if err := wb.submit(j); err != nil {
 		return err
 	}
 	if err := syncDir(dir); err != nil {
@@ -158,15 +162,9 @@ func RestoreShard(dir string, g game.Game) (w *ra.Worker, wave, waves uint64, er
 	if w, err = restoreWorker(g, part, mf.kernel, mb, mpath); err != nil {
 		return nil, 0, 0, err
 	}
-	data, path, err := (&spillStore{dir: dir}).read(mb.shard, mb.gen)
-	if err != nil {
-		return nil, 0, 0, err
-	}
-	blk, kern, vals, meta, err := decodeSpill(path, data, nil, nil)
-	if err != nil {
-		return nil, 0, 0, err
-	}
-	if err := restoreState(w, path, blk, kern, vals, meta); err != nil {
+	j := &readJob{block: mb.shard, gen: mb.gen}
+	newWriteback(&spillStore{dir: dir}, 0).fetch(j)
+	if err := restoreState(w, j); err != nil {
 		return nil, 0, 0, err
 	}
 	return w, mf.wave, mf.waves, nil

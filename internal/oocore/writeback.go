@@ -1,28 +1,35 @@
 package oocore
 
-// Write-behind spilling: the eviction path packs a block's state into a
-// pooled job and returns immediately; a dedicated writer goroutine
-// encodes the job with the zdb codecs, writes the spill file atomically
-// and only then deletes the generation it supersedes. This takes the
-// whole encode+fsync+rename cost off the wave's critical path — the
-// paper's pipelined send/receive discipline, applied to the memory
-// hierarchy instead of the network.
+// The spill store's two I/O steps. Every spill-file write — an evicted
+// block, a checkpoint's dirty block, a mesh node's shard — runs commit:
+// encode with the zdb codecs, write the file atomically, and only then
+// delete the generation it supersedes. Every spill-file read — a
+// prefetch, a demand load, a shard restore — runs fetch: wait out any
+// in-flight write of the block, read, decode.
+//
+// Write-behind: the eviction path packs a block's state into a pooled
+// job and returns immediately; a dedicated writer goroutine commits it.
+// This takes the whole encode+write+rename cost off the wave's critical
+// path — the paper's pipelined send/receive discipline, applied to the
+// memory hierarchy instead of the network. With Writeback < 0 (and for a
+// shard store) the same commit runs inline on the caller's goroutine
+// and fsyncs each file before its rename.
 //
 // Correctness rules the pipeline preserves:
 //
 //   - Generation ordering. The queue is FIFO and drained by one writer,
 //     so successive generations of the same block commit in order, and
 //     a superseded file is deleted only after its replacement is
-//     durable. A crash at any instant leaves every manifest-pinned
+//     written. A crash at any instant leaves every manifest-pinned
 //     generation intact.
 //   - Read-after-write. A block whose newest generation is still in
-//     flight is registered in the in-flight map; loads (demand or
-//     prefetch) wait for that write to commit before touching the disk.
+//     flight is registered in the in-flight map; fetch waits for that
+//     write to commit before touching the disk.
 //   - Error surfacing. The first write error is sticky: the writer
 //     turns into a sink (remaining jobs complete without writing) and
-//     the engine observes the error at the next wave barrier — exactly
-//     where a synchronous spill would have failed, one wave earlier.
-//     Nothing is deleted after a failure, so resume still finds the
+//     the engine observes the error at the next wave barrier; an inline
+//     commit returns it from the failing spill itself. Nothing is
+//     deleted after a failure, so resume still finds the
 //     manifest-pinned store.
 //   - Quiescence. A manifest may pin a generation only after every
 //     queued write has committed; barrier() is that fence.
@@ -64,14 +71,16 @@ type inflightWrite struct {
 	done chan struct{}
 }
 
-// writeback owns the write-behind half of the spill pipeline: a bounded
-// job queue drained by one tracked writer goroutine.
+// writeback owns the store's write step and its read-after-write fence:
+// a bounded job queue drained by one tracked writer goroutine, or, when
+// inline, no queue and no goroutine at all.
 type writeback struct {
-	store *spillStore
-	jobs  chan *spillJob
-	free  chan *spillJob
-	depth int
-	made  int // jobs allocated so far (engine goroutine only), ≤ depth
+	store  *spillStore
+	inline bool // the submitting goroutine commits each job, durably
+	jobs   chan *spillJob
+	free   chan *spillJob
+	depth  int
+	made   int // jobs allocated so far (engine goroutine only), ≤ depth
 
 	pending sync.WaitGroup // outstanding jobs; Wait is the quiesce fence
 	wg      sync.WaitGroup // the writer goroutine itself
@@ -80,29 +89,32 @@ type writeback struct {
 	inflight map[int]*inflightWrite // newest uncommitted write per block
 	firstErr error
 
-	// Writer-goroutine state. bytesWritten and the clocks are read by the
+	// Committer state. bytesWritten and the clocks are read by the
 	// engine only after pending.Wait(), which orders the access.
 	enc                   []byte
 	bytesWritten          uint64
 	encodeTime, writeTime time.Duration
 }
 
+// newWriteback starts a write-behind queue of depth jobs; depth ≤ 0
+// makes the writeback inline: one job, committed by submit itself.
 func newWriteback(store *spillStore, depth int) *writeback {
-	wb := &writeback{
-		store:    store,
-		depth:    depth,
-		jobs:     make(chan *spillJob, depth),
-		free:     make(chan *spillJob, depth),
-		inflight: make(map[int]*inflightWrite, depth),
+	wb := &writeback{store: store, inline: depth <= 0, depth: max(depth, 1)}
+	wb.free = make(chan *spillJob, wb.depth)
+	wb.inflight = make(map[int]*inflightWrite, wb.depth)
+	if !wb.inline {
+		wb.jobs = make(chan *spillJob, wb.depth)
+		wb.wg.Add(1)
+		go wb.run()
 	}
-	wb.wg.Add(1)
-	go wb.run()
 	return wb
 }
 
 // acquire returns a job with reusable buffers, blocking when all depth
 // jobs are in flight. stalled reports whether it had to wait — the
 // write-stall counter's signal that eviction outran the spill store.
+// An inline writeback's one job is back in the pool when submit
+// returns, so it never stalls.
 func (wb *writeback) acquire() (j *spillJob, stalled bool) {
 	select {
 	case j = <-wb.free:
@@ -116,44 +128,31 @@ func (wb *writeback) acquire() (j *spillJob, stalled bool) {
 	return <-wb.free, true
 }
 
-// submit hands a filled job to the writer. The jobs channel holds depth
-// entries and at most depth jobs exist, so the send never blocks.
-func (wb *writeback) submit(j *spillJob) {
+// submit hands a filled job to the writer and returns nil, or, inline,
+// commits it and returns the commit's error. The jobs channel holds
+// depth entries and at most depth jobs exist, so the send never blocks.
+func (wb *writeback) submit(j *spillJob) error {
+	if wb.inline {
+		err := wb.commit(j)
+		wb.free <- j
+		return err
+	}
 	j.rec = &inflightWrite{done: make(chan struct{})}
 	wb.pending.Add(1)
 	wb.mu.Lock()
 	wb.inflight[j.block] = j.rec
 	wb.mu.Unlock()
 	wb.jobs <- j
+	return nil
 }
 
-// run is the writer goroutine: encode, write, retire the superseded
-// generation, publish the outcome. It exits when the jobs channel is
+// run is the writer goroutine: commit, publish the outcome to the
+// job's waiters, recycle the job. It exits when the jobs channel is
 // closed and drained.
 func (wb *writeback) run() {
 	defer wb.wg.Done()
 	for j := range wb.jobs {
-		err := wb.firstError()
-		if err == nil {
-			c := startSpillClock()
-			wb.enc, err = encodeSpill(wb.enc[:0], j.block, j.kern, j.vals, j.meta)
-			c.lap(&wb.encodeTime)
-			if err == nil {
-				// Not durable: the next manifest fence group-syncs the
-				// generations it pins (blockManager.syncPinned), which is
-				// where this file first needs to survive a crash.
-				err = wb.store.write(j.block, j.gen, wb.enc, false)
-				c.lap(&wb.writeTime)
-			}
-			if err == nil {
-				wb.bytesWritten += uint64(len(wb.enc))
-				if j.removeGen != 0 {
-					wb.store.remove(j.block, j.removeGen)
-				}
-			} else {
-				wb.fail(err)
-			}
-		}
+		err := wb.commit(j)
 		rec := j.rec
 		rec.err = err
 		wb.mu.Lock()
@@ -165,6 +164,75 @@ func (wb *writeback) run() {
 		wb.pending.Done()
 		wb.free <- j // cap == depth and at most depth jobs exist: never blocks
 	}
+}
+
+// commit is the write step: encode j's streams, write generation j.gen,
+// delete the generation it supersedes. After the first failure it
+// writes nothing and returns that failure. Only an inline writeback
+// fsyncs: write-behind generations need to be durable only by the next
+// manifest fence, where blockManager.syncPinned syncs the generations
+// the manifest pins.
+func (wb *writeback) commit(j *spillJob) error {
+	if err := wb.firstError(); err != nil {
+		return err
+	}
+	c := startSpillClock()
+	enc, err := encodeSpill(wb.enc[:0], j.block, j.kern, j.vals, j.meta)
+	c.lap(&wb.encodeTime)
+	if err == nil {
+		wb.enc = enc
+		err = wb.store.write(j.block, j.gen, enc, wb.inline)
+		c.lap(&wb.writeTime)
+	}
+	if err != nil {
+		wb.fail(err)
+		return err
+	}
+	wb.bytesWritten += uint64(len(enc))
+	if j.removeGen != 0 {
+		wb.store.remove(j.block, j.removeGen)
+	}
+	return nil
+}
+
+// readJob carries one block read through the read step: the request,
+// then the decoded streams and what the read cost.
+type readJob struct {
+	block int
+	gen   uint64 // generation to read
+
+	// Set by fetch.
+	path                string
+	vals, meta          []game.Value
+	blk                 int       // block index the file claims
+	kern                ra.Kernel // kernel the file claims
+	n                   int       // compressed bytes read
+	err                 error
+	fence, read, decode time.Duration
+
+	done chan struct{} // closed once a prefetched job is fetched
+}
+
+// fetch is the read step: wait out any in-flight write of j's block,
+// then read generation j.gen and decode it into j's buffers, timing
+// each stage. Safe from any goroutine.
+func (wb *writeback) fetch(j *readJob) {
+	j.fence, j.read, j.decode = 0, 0, 0
+	c := startSpillClock()
+	j.err = wb.waitBlock(j.block)
+	c.lap(&j.fence)
+	if j.err != nil {
+		return
+	}
+	var data []byte
+	data, j.path, j.err = wb.store.read(j.block, j.gen)
+	c.lap(&j.read)
+	if j.err != nil {
+		return
+	}
+	j.n = len(data)
+	j.blk, j.kern, j.vals, j.meta, j.err = decodeSpill(j.path, data, j.vals, j.meta)
+	c.lap(&j.decode)
 }
 
 // waitBlock blocks until any in-flight write of the block has committed
@@ -205,9 +273,12 @@ func (wb *writeback) firstError() error {
 	return wb.firstErr
 }
 
-// close drains the queue and joins the writer goroutine. Idempotent via
-// the caller (blockManager.closePipeline); must not race submit.
+// close drains the queue and joins the writer goroutine. Idempotent;
+// must not race submit.
 func (wb *writeback) close() {
-	close(wb.jobs)
-	wb.wg.Wait()
+	if wb.jobs != nil {
+		close(wb.jobs)
+		wb.wg.Wait()
+		wb.jobs = nil
+	}
 }
