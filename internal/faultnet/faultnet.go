@@ -197,8 +197,10 @@ func (timeoutError) Temporary() bool { return true }
 
 // step advances the schedule by one operation of up to n bytes and
 // returns how many bytes may cross (0 with cut=true once the budget is
-// spent) plus any delay to apply first.
-func (c *conn) step(n int) (allowed int, delay time.Duration, cut bool) {
+// spent) plus any delay to apply first. A write's bytes are charged
+// here, before they cross; a read's are charged by spend with the bytes
+// it actually read.
+func (c *conn) step(n int, write bool) (allowed int, delay time.Duration, cut bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.ops++
@@ -212,15 +214,38 @@ func (c *conn) step(n int) (allowed int, delay time.Duration, cut bool) {
 		return 0, delay, true
 	}
 	allowed = n
-	if c.plan.CutAfter > 0 && int64(allowed) >= c.budget {
-		allowed = int(c.budget)
-		c.cut = true
-		cut = true
-	}
 	if c.plan.CutAfter > 0 {
-		c.budget -= int64(allowed)
+		allowed = int(min(int64(n), c.budget))
+		if write {
+			cut = c.charge(allowed)
+		}
 	}
 	return allowed, delay, cut
+}
+
+// spend charges got bytes a read returned and reports how many of them
+// the reader may keep and whether they spent the budget. A concurrent
+// write may have spent part of the budget meanwhile: bytes read past it
+// are dropped, as a cut drops them.
+func (c *conn) spend(got int) (kept int, cut bool) {
+	if c.plan.CutAfter <= 0 || got == 0 {
+		return got, false
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.cut {
+		return 0, true
+	}
+	kept = int(min(int64(got), c.budget))
+	return kept, c.charge(kept)
+}
+
+// charge takes n bytes off the budget and reports whether that spent
+// it, which is the cut. The caller holds mu.
+func (c *conn) charge(n int) bool {
+	c.budget -= int64(n)
+	c.cut = c.budget <= 0
+	return c.cut
 }
 
 // shortRead picks this Read's cap under MaxRead.
@@ -239,15 +264,19 @@ func (c *conn) shortRead(n int) int {
 
 func (c *conn) Read(p []byte) (int, error) {
 	n := c.shortRead(len(p))
-	allowed, delay, cut := c.step(n)
+	allowed, delay, cut := c.step(n, false)
 	if delay > 0 {
 		time.Sleep(delay)
 	}
 	if allowed > 0 {
 		got, err := c.Conn.Read(p[:allowed])
-		if cut && err == nil && got == allowed && !c.plan.Wedge {
+		got, cut = c.spend(got)
+		if cut && !c.plan.Wedge {
 			// The remaining bytes of whatever frame this was are gone.
 			c.Conn.Close()
+		}
+		if cut && got == 0 && err == nil {
+			err = fmt.Errorf("read: %w", ErrCut)
 		}
 		return got, err
 	}
@@ -271,7 +300,7 @@ func (c *conn) Write(p []byte) (int, error) {
 		if c.plan.MaxWrite > 0 && chunk > c.plan.MaxWrite {
 			chunk = c.plan.MaxWrite
 		}
-		allowed, delay, cut := c.step(chunk)
+		allowed, delay, cut := c.step(chunk, true)
 		if delay > 0 {
 			time.Sleep(delay)
 		}

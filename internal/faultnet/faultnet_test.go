@@ -118,6 +118,38 @@ func TestCutMidStream(t *testing.T) {
 	}
 }
 
+// TestCutChargesBytesRead: a read is charged the bytes it returned, not
+// the buffer it was handed, so a reader with a large buffer (a bufio
+// reader's 4 KiB) gets every byte up to the budget and the cut lands at
+// exactly CutAfter bytes.
+func TestCutChargesBytesRead(t *testing.T) {
+	c, peer := pipe(t, Plan{CutAfter: 100})
+	buf := make([]byte, 4096)
+	var got []byte
+	readTo := func(total int) {
+		t.Helper()
+		for len(got) < total {
+			n, err := c.Read(buf)
+			got = append(got, buf[:n]...)
+			if err != nil {
+				t.Fatalf("read after %d bytes: %v", len(got), err)
+			}
+		}
+	}
+	for _, chunk := range []int{50, 40, 30} {
+		if _, err := peer.Write(bytes.Repeat([]byte{byte(chunk)}, chunk)); err != nil {
+			t.Fatal(err)
+		}
+		readTo(min(len(got)+chunk, 100))
+	}
+	if len(got) != 100 {
+		t.Fatalf("read %d bytes before the cut, want 100", len(got))
+	}
+	if n, err := c.Read(buf); !errors.Is(err, ErrCut) {
+		t.Fatalf("read past the budget: n=%d err=%v, want ErrCut", n, err)
+	}
+}
+
 // TestWedgeHonorsDeadline: a wedged read blocks, then fails with a
 // net.Error timeout once the read deadline passes — the same shape a
 // silent peer produces on a real stack.
