@@ -41,6 +41,7 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzMeshFrame -fuzztime=10s ./internal/remote/
 	$(GO) test -fuzz=FuzzHostEnginesOnGraph -fuzztime=10s ./internal/graphgame/
 	$(GO) test -fuzz=FuzzWireEnginesOnGraph -fuzztime=10s ./internal/graphgame/
+	$(GO) test -fuzz=FuzzMeshEngineOnGraph -fuzztime=10s ./internal/remote/
 
 # The repository benchmark's own smoke test (bench/ is a separate module):
 # every workload, untraced and traced, at tiny sizes.

@@ -3,8 +3,12 @@ package remote
 import (
 	"bufio"
 	"bytes"
+	"fmt"
 	"testing"
+	"time"
 
+	"retrograde/internal/game"
+	"retrograde/internal/graphgame"
 	"retrograde/internal/ra"
 )
 
@@ -39,6 +43,37 @@ func FuzzMeshFrame(f *testing.F) {
 				t.Fatalf("frame at offset %d of %x re-encodes as %x", off, data, again)
 			}
 			off += len(again)
+		}
+	})
+}
+
+// FuzzMeshEngineOnGraph is the TCP mesh's differential oracle: the mesh
+// on one to four nodes, with its default batching and with three-update
+// frames (so a wave's updates cross in many frames), must solve a random
+// graph to the reference solver's values, loop set and wave count.
+// Graphs stay below about 600 positions so each loopback solve is quick.
+func FuzzMeshEngineOnGraph(f *testing.F) {
+	f.Add(uint64(1), uint16(300), uint8(7), uint8(7), true)
+	f.Add(uint64(2), uint16(599), uint8(3), uint8(7), true)
+	f.Add(uint64(3), uint16(500), uint8(15), uint8(4), false)
+	f.Add(uint64(4), uint16(400), uint8(0), uint8(2), true)
+	f.Add(uint64(5), uint16(560), uint8(200), uint8(11), true)
+	f.Add(uint64(6), uint16(450), uint8(40), uint8(3), false)
+	f.Add(uint64(7), uint16(1), uint8(7), uint8(7), true)
+	f.Add(uint64(8), uint16(129), uint8(1), uint8(1), false)
+	f.Fuzz(func(t *testing.T, seed uint64, size uint16, neg, maxInternal uint8, cutoff bool) {
+		s := graphgame.Shape{Size: 1 + int(size)%600, Neg: game.Value(neg), MaxInternal: int(maxInternal) % 12, Cutoff: cutoff}
+		g := graphgame.New(seed, s)
+		want := graphgame.Solve(g)
+		for p := 1; p <= 4; p++ {
+			for _, batch := range []int{0, 3} {
+				e := Engine{Workers: p, Batch: batch}
+				got, err := solveWatchdog(t, e, g, 30*time.Second)
+				if err != nil {
+					t.Fatalf("%s %s: %v", g.Name(), e.Name(), err)
+				}
+				matchesReference(t, fmt.Sprintf("%s %s batch %d", g.Name(), e.Name(), batch), want, got)
+			}
 		}
 	})
 }
