@@ -31,7 +31,6 @@ func run() int {
 	scaleName := flag.String("scale", "default", "experiment scale: quick, default, large")
 	stones := flag.Int("stones", 0, "override the headline awari database (stone count)")
 	quiet := flag.Bool("quiet", false, "suppress progress lines")
-	csvDir := flag.String("csv", "", "also write each table as CSV into this directory")
 	jsonPath := flag.String("json", "", "also write all tables as one JSON file")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := flag.String("memprofile", "", "write an allocation profile to this file on exit")
@@ -51,12 +50,6 @@ func run() int {
 	}
 	if *stones > 0 {
 		scale.Stones = *stones
-	}
-	if *csvDir != "" {
-		if err := os.MkdirAll(*csvDir, 0o755); err != nil {
-			fmt.Fprintf(os.Stderr, "rabench: %v\n", err)
-			return 1
-		}
 	}
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
@@ -85,7 +78,7 @@ func run() int {
 			}
 		}()
 	}
-	if err := experiments.RunAll(scale, os.Stdout, !*quiet, *csvDir, *jsonPath); err != nil {
+	if err := experiments.RunAll(scale, os.Stdout, !*quiet, *jsonPath); err != nil {
 		fmt.Fprintf(os.Stderr, "rabench: %v\n", err)
 		return 1
 	}

@@ -182,8 +182,6 @@ func checkMagic(sig []byte) error {
 // CRC64Table is the checksum polynomial every on-disk format shares.
 var CRC64Table = crc64.MakeTable(crc64.ECMA)
 
-var crcTable = CRC64Table
-
 // WriteTo serialises the table. It implements io.WriterTo.
 func (t *Table) WriteTo(w io.Writer) (int64, error) {
 	cw := &countingCRCWriter{w: w}
@@ -278,22 +276,17 @@ func read(r io.Reader, avail int64) (*Table, error) {
 	return t, nil
 }
 
-// Save writes the table to a file.
+// Save writes the table to a file through WriteFileAtomic, without an
+// fsync: a crash mid-save leaves the previous file intact, never a
+// truncated one.
 func (t *Table) Save(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	bw := bufio.NewWriter(f)
-	if _, err := t.WriteTo(bw); err != nil {
-		f.Close()
-		return err
-	}
-	if err := bw.Flush(); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
+	return WriteFileAtomic(path, false, func(w io.Writer) error {
+		bw := bufio.NewWriter(w)
+		if _, err := t.WriteTo(bw); err != nil {
+			return err
+		}
+		return bw.Flush()
+	})
 }
 
 // Load reads a table from a file.
@@ -317,7 +310,7 @@ type countingCRCWriter struct {
 }
 
 func (c *countingCRCWriter) Write(p []byte) (int, error) {
-	c.crc = crc64.Update(c.crc, crcTable, p)
+	c.crc = crc64.Update(c.crc, CRC64Table, p)
 	n, err := c.w.Write(p)
 	c.n += int64(n)
 	return n, err
@@ -330,6 +323,6 @@ type countingCRCReader struct {
 
 func (c *countingCRCReader) Read(p []byte) (int, error) {
 	n, err := c.r.Read(p)
-	c.crc = crc64.Update(c.crc, crcTable, p[:n])
+	c.crc = crc64.Update(c.crc, CRC64Table, p[:n])
 	return n, err
 }

@@ -7,13 +7,13 @@ import (
 
 // E2Sequential reproduces the paper's uniprocessor baseline ("one machine
 // took 40 hours"): sequential retrograde analysis per database rung, with
-// real wall-clock throughput of this implementation and the virtual time
-// of the same run on one simulated 1995-era node. The virtual column is
-// the baseline of the E3 speedups.
+// the virtual time of the same run on one simulated 1995-era node. The
+// virtual column is the baseline of the E3 speedups. Host timing of the
+// same scalar solve lives in the bench module (rung13-scalar).
 func E2Sequential(env *Env) (*stats.Table, error) {
 	t := stats.NewTable(
 		"E2: sequential baseline per rung",
-		"stones", "positions", "waves", "loop pos", "wall ms", "pos/s (host)", "virtual 1995 time")
+		"stones", "positions", "waves", "loop pos", "virtual 1995 time")
 	t.Kernel = "scalar" // SolveSequential is pinned to the scalar kernel
 	lo := env.Scale.Stones - 3
 	if lo < 1 {
@@ -21,8 +21,7 @@ func E2Sequential(env *Env) (*stats.Table, error) {
 	}
 	for n := lo; n <= env.Scale.Stones; n++ {
 		slice := env.Ladder.Slice(n)
-		var res *ra.Result
-		wall := wallTime(func() { res = ra.SolveSequential(slice) })
+		res := ra.SolveSequential(slice)
 		vres, vrep, err := ra.Distributed{Workers: 1}.SolveDetailed(slice)
 		if err != nil {
 			return nil, err
@@ -34,13 +33,10 @@ func E2Sequential(env *Env) (*stats.Table, error) {
 				break
 			}
 		}
-		posPerSec := float64(slice.Size()) / wall.Seconds()
 		t.Row(n,
 			stats.Count(slice.Size()),
 			res.Waves,
 			stats.Count(res.LoopPositions),
-			wall.Milliseconds(),
-			stats.Count(uint64(posPerSec)),
 			vrep.Duration.String())
 	}
 	t.Note("virtual time uses the calibrated 1995 cost model (see EXPERIMENTS.md); the paper's 40-hour run is a ~19-stone database under this model")

@@ -10,20 +10,16 @@ import (
 
 // E8RealWire runs the algorithm over real TCP sockets (package remote):
 // message combining measured on an actual wire rather than the simulated
-// one. Frame and byte counts are exact; wall-clock times depend on the
-// host. The databases are cross-checked against the sequential engine.
+// one. Frame and byte counts are exact. The databases are cross-checked
+// against the sequential engine.
 func E8RealWire(env *Env) (*stats.Table, error) {
 	slice := env.Headline()
 	want := ra.SolveSequential(slice)
 	t := stats.NewTable(
 		fmt.Sprintf("E8: real TCP mesh (awari-%d, 4 nodes over loopback)", env.Scale.Stones),
-		"updates/frame", "wall ms", "data frames", "wire bytes", "check")
+		"updates/frame", "data frames", "wire bytes", "check")
 	for _, batch := range []int{1, 16, 256, 4096} {
-		eng := remote.Engine{Workers: 4, Batch: batch}
-		var res *ra.Result
-		var rep *remote.Report
-		var err error
-		wall := wallTime(func() { res, rep, err = eng.SolveDetailed(slice) })
+		res, rep, err := remote.Engine{Workers: 4, Batch: batch}.SolveDetailed(slice)
 		if err != nil {
 			return nil, err
 		}
@@ -35,7 +31,6 @@ func E8RealWire(env *Env) (*stats.Table, error) {
 			}
 		}
 		t.Row(batch,
-			wall.Milliseconds(),
 			stats.Count(rep.DataFrames),
 			stats.Bytes(rep.Bytes),
 			check)

@@ -9,7 +9,6 @@ package experiments
 
 import (
 	"fmt"
-	"time"
 
 	"retrograde/internal/awari"
 	"retrograde/internal/ladder"
@@ -89,11 +88,4 @@ func (e *Env) Headline() *awari.Slice { return e.Ladder.Slice(e.Scale.Stones) }
 // solveDistributed runs the headline rung on the simulated cluster.
 func (e *Env) solveDistributed(cfg ra.Distributed) (*ra.Result, *ra.SimReport, error) {
 	return cfg.SolveDetailed(e.Headline())
-}
-
-// wallTime measures fn's wall-clock duration.
-func wallTime(fn func()) time.Duration {
-	start := time.Now()
-	fn()
-	return time.Since(start)
 }

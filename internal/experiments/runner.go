@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 
 	"retrograde/internal/analysis"
 	"retrograde/internal/ra"
@@ -12,29 +11,16 @@ import (
 )
 
 // RunAll builds the environment and regenerates every experiment table at
-// the given scale, rendering them to w. With csvDir non-empty, each table
-// is additionally written as <csvDir>/<id>.csv for plotting; with jsonPath
-// non-empty, all tables are also written as one JSON document. It is the
-// whole of cmd/rabench.
-func RunAll(s Scale, w io.Writer, progress bool, csvDir, jsonPath string) error {
+// the given scale, rendering them to w. With jsonPath non-empty, all
+// tables are also written as one JSON document. Every table is a function
+// of the games and the cost model alone, so without progress lines the
+// output is byte-identical from run to run (results/rabench-*.txt pin
+// it). It is the whole of cmd/rabench.
+func RunAll(s Scale, w io.Writer, progress bool, jsonPath string) error {
 	var collected []stats.NamedTable
 	emit := func(id string, t *stats.Table) error {
-		if err := t.Render(w); err != nil {
-			return err
-		}
 		collected = append(collected, stats.NamedTable{ID: id, Table: t})
-		if csvDir == "" {
-			return nil
-		}
-		f, err := os.Create(filepath.Join(csvDir, id+".csv"))
-		if err != nil {
-			return err
-		}
-		if err := t.RenderCSV(f); err != nil {
-			f.Close()
-			return err
-		}
-		return f.Close()
+		return t.Render(w)
 	}
 	logf := func(format string, args ...any) {
 		if progress {

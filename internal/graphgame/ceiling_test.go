@@ -21,7 +21,7 @@ import (
 // reference solver's values, loop set and waves.
 func TestScalarCounterCeiling(t *testing.T) {
 	if testing.Short() {
-		t.Skip("solves graphs of about two million edges under four engines")
+		t.Skip("solves two graphs of about half a million edges each under four engines")
 	}
 	for _, tc := range []struct {
 		seed  uint64

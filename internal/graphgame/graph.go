@@ -22,7 +22,8 @@ type Shape struct {
 	// better, and MoverValue(v) == Neg - v.
 	Neg game.Value
 	// MaxInternal bounds the internal moves of one position; a sixth of
-	// the non-terminal positions have exactly this many.
+	// the non-terminal positions have exactly this many, the rest at most
+	// min(MaxInternal, 16).
 	MaxInternal int
 	// Cutoff makes Neg, the best value, finalize a position at once.
 	Cutoff bool
@@ -68,7 +69,10 @@ func New(seed uint64, s Shape) game.Game {
 		if r.IntN(8) == 0 {
 			continue // terminal
 		}
-		internal := r.IntN(s.MaxInternal + 1)
+		// An ordinary position has at most 16 internal moves, so a
+		// ceiling-wide shape stays a few thousand edges; shapes up to 16
+		// draw exactly as they always have.
+		internal := r.IntN(min(s.MaxInternal, 16) + 1)
 		if r.IntN(6) == 0 {
 			internal = s.MaxInternal
 		}

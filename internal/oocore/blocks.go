@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"time"
 
+	"retrograde/internal/db"
 	"retrograde/internal/game"
 	"retrograde/internal/ra"
 )
@@ -377,7 +378,7 @@ func (m *blockManager) syncPinned() error {
 			b.syncedGen = b.gen
 		}
 	}
-	return syncDir(m.store.dir)
+	return db.SyncDir(m.store.dir)
 }
 
 // retireManifestPins moves the manifest pin of every block to its current

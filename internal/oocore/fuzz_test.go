@@ -8,6 +8,7 @@ import (
 	"slices"
 	"testing"
 
+	"retrograde/internal/db"
 	"retrograde/internal/game"
 	"retrograde/internal/ra"
 )
@@ -93,7 +94,7 @@ func FuzzSpillRoundtrip(f *testing.F) {
 func FuzzManifestDecode(f *testing.F) {
 	reseal := func(data []byte) []byte {
 		body := data[:len(data)-8]
-		return binary.LittleEndian.AppendUint64(slices.Clone(body), crc64.Checksum(body, crcTab))
+		return binary.LittleEndian.AppendUint64(slices.Clone(body), crc64.Checksum(body, db.CRC64Table))
 	}
 	scalar := &manifest{
 		size: 100, kernel: ra.KernelScalar, shards: 2, group: 64, waves: 3,

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 
+	"retrograde/internal/db"
 	"retrograde/internal/game"
 	"retrograde/internal/ra"
 )
@@ -87,14 +88,14 @@ func countersFromWords(w [8]uint64) SpillCounters {
 // either the previous manifest or the complete new one, and once it
 // returns the new one survives a power loss.
 func writeManifest(path string, mf *manifest) error {
-	err := writeFileAtomic(path, true, func(out io.Writer) error {
+	err := db.WriteFileAtomic(path, true, func(out io.Writer) error {
 		_, err := out.Write(encodeManifest(mf))
 		return err
 	})
 	if err != nil {
 		return err
 	}
-	return syncDir(filepath.Dir(path))
+	return db.SyncDir(filepath.Dir(path))
 }
 
 // encodeManifest lays out the manifest image, checksum included.
@@ -131,7 +132,7 @@ func encodeManifest(mf *manifest) []byte {
 			buf = le.AppendUint16(buf, uint16(run.Value))
 		}
 	}
-	return le.AppendUint64(buf, crc64.Checksum(buf, crcTab))
+	return le.AppendUint64(buf, crc64.Checksum(buf, db.CRC64Table))
 }
 
 // readManifest loads and fully validates a manifest. A missing file
@@ -151,7 +152,7 @@ func decodeManifest(path string, data []byte) (*manifest, error) {
 		return nil, corrupt(path, "truncated: %d bytes", len(data))
 	}
 	body := data[:len(data)-8]
-	if got, want := crc64.Checksum(body, crcTab), binary.LittleEndian.Uint64(data[len(data)-8:]); got != want {
+	if got, want := crc64.Checksum(body, db.CRC64Table), binary.LittleEndian.Uint64(data[len(data)-8:]); got != want {
 		return nil, corrupt(path, "checksum mismatch: computed %016x, stored %016x", got, want)
 	}
 	r := &byteReader{data: body, path: path}

@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"retrograde/internal/awari"
+	"retrograde/internal/db"
 	"retrograde/internal/game"
 	"retrograde/internal/kalah"
 	"retrograde/internal/ladder"
@@ -691,7 +692,7 @@ func TestSpillRejectsVersion1(t *testing.T) {
 		}
 		binary.LittleEndian.PutUint16(data[4:], 1)
 		body := len(data) - 8
-		binary.LittleEndian.PutUint64(data[body:], crc64.Checksum(data[:body], crcTab))
+		binary.LittleEndian.PutUint64(data[body:], crc64.Checksum(data[:body], db.CRC64Table))
 		if err := os.WriteFile(p, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
@@ -803,7 +804,7 @@ func encodeManifestOld(mf *manifest, version uint32) []byte {
 			buf = le.AppendUint16(buf, uint16(run.Value))
 		}
 	}
-	return le.AppendUint64(buf, crc64.Checksum(buf, crcTab))
+	return le.AppendUint64(buf, crc64.Checksum(buf, db.CRC64Table))
 }
 
 // TestManifestRejectsVersion2: a store paused under manifest version 2

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 
+	"retrograde/internal/db"
 	"retrograde/internal/game"
 	"retrograde/internal/ra"
 )
@@ -100,7 +101,7 @@ func SaveShard(dir string, w *ra.Worker, wave, waves uint64) error {
 		return errors.New("oocore: a shard store is saved at the entry of an expand wave, never wave 0")
 	}
 	if err := os.Mkdir(dir, 0o755); err == nil {
-		if err := syncDir(filepath.Dir(dir)); err != nil {
+		if err := db.SyncDir(filepath.Dir(dir)); err != nil {
 			return err
 		}
 	} else if !errors.Is(err, os.ErrExist) {
@@ -120,7 +121,7 @@ func SaveShard(dir string, w *ra.Worker, wave, waves uint64) error {
 	if err := wb.submit(j); err != nil {
 		return err
 	}
-	if err := syncDir(dir); err != nil {
+	if err := db.SyncDir(dir); err != nil {
 		return err
 	}
 	mf := &manifest{

@@ -3,7 +3,6 @@ package oocore
 import (
 	"bytes"
 	"errors"
-	"io"
 	"os"
 	"path/filepath"
 	"testing"
@@ -154,61 +153,5 @@ func TestCheckpointDetectsCorruption(t *testing.T) {
 	os.Remove(mpath)
 	if _, _, _, err := RestoreShard(dir, g); !errors.Is(err, os.ErrNotExist) {
 		t.Errorf("store without a manifest: err %v, want os.ErrNotExist", err)
-	}
-}
-
-// TestAtomicWriteNeverReplacesValidCheckpoint interrupts a manifest write
-// mid-stream and checks the prior file survives intact and no .tmp
-// residue is left — the crash-mid-write contract of writeFileAtomic.
-func TestAtomicWriteNeverReplacesValidCheckpoint(t *testing.T) {
-	path := filepath.Join(t.TempDir(), ManifestName)
-	mf := &manifest{size: 9, kernel: ra.KernelScalar, shards: 1, group: 9, waves: 2,
-		blocks: []manifestBlock{{gen: 1, stats: ra.WorkerStats{Positions: 9}, queue: []uint64{4}}}}
-	if err := writeManifest(path, mf); err != nil {
-		t.Fatal(err)
-	}
-	valid, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// A write that dies mid-stream: some bytes, then the plug is pulled.
-	boom := errors.New("simulated crash")
-	err = writeFileAtomic(path, true, func(out io.Writer) error {
-		if _, err := out.Write(valid[:len(valid)/2]); err != nil {
-			return err
-		}
-		return boom
-	})
-	if !errors.Is(err, boom) {
-		t.Fatalf("interrupted write returned %v, want the injected crash", err)
-	}
-	if _, err := os.Stat(path + ".tmp"); !os.IsNotExist(err) {
-		t.Errorf("interrupted write leaked %s.tmp (stat: %v)", path, err)
-	}
-	after, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(valid, after) {
-		t.Fatal("interrupted write clobbered the valid prior checkpoint")
-	}
-	if _, err := readManifest(path); err != nil {
-		t.Fatalf("prior checkpoint no longer readable: %v", err)
-	}
-
-	// A crash that leaves a partial .tmp behind must not disturb the next
-	// write.
-	if err := os.WriteFile(path+".tmp", valid[:8], 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := writeManifest(path, mf); err != nil {
-		t.Fatalf("write over stale .tmp residue failed: %v", err)
-	}
-	if after, _ = os.ReadFile(path); !bytes.Equal(valid, after) {
-		t.Fatal("write over stale .tmp residue produced a different checkpoint")
-	}
-	if _, err := os.Stat(path + ".tmp"); !os.IsNotExist(err) {
-		t.Errorf("write left %s.tmp behind (stat: %v)", path, err)
 	}
 }

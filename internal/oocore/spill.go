@@ -10,6 +10,7 @@ import (
 	"path/filepath"
 	"strings"
 
+	"retrograde/internal/db"
 	"retrograde/internal/game"
 	"retrograde/internal/ra"
 	"retrograde/internal/zdb"
@@ -63,8 +64,6 @@ func streamShape(kern ra.Kernel, count int) (bits, metaCount int) {
 	return scalarStreamBits, count
 }
 
-var crcTab = crc64.MakeTable(crc64.ECMA)
-
 // CorruptSpillError reports a spill block or manifest whose content is
 // truncated, garbled, or inconsistent with the solve that tries to load
 // it. It is a distinct type so callers can tell corruption (resume must
@@ -112,7 +111,7 @@ func encodeSpill(dst []byte, block int, kern ra.Kernel, vals, meta []game.Value)
 	h[16], h[17], h[18], h[19] = vCodec, vParam, mCodec, mParam
 	binary.LittleEndian.PutUint32(h[20:], uint32(valsLen))
 	binary.LittleEndian.PutUint32(h[24:], uint32(metaLen))
-	crc := crc64.Checksum(dst[head:], crcTab)
+	crc := crc64.Checksum(dst[head:], db.CRC64Table)
 	return binary.LittleEndian.AppendUint64(dst, crc), nil
 }
 
@@ -149,7 +148,7 @@ func decodeSpill(path string, data []byte, vals, meta []game.Value) (block int, 
 		return fail(corrupt(path, "payload framing (%d+%d) does not match file size %d", valsLen, metaLen, len(data)))
 	}
 	body := len(data) - 8
-	if got, want := crc64.Checksum(data[:body], crcTab), binary.LittleEndian.Uint64(data[body:]); got != want {
+	if got, want := crc64.Checksum(data[:body], db.CRC64Table), binary.LittleEndian.Uint64(data[body:]); got != want {
 		return fail(corrupt(path, "checksum mismatch: computed %016x, stored %016x", got, want))
 	}
 	bits, metaCount := streamShape(kern, count)
@@ -214,54 +213,10 @@ func (s *spillStore) write(block int, gen uint64, data []byte, durable bool) err
 	if s.failAfter > 0 && s.writes >= s.failAfter {
 		return errSimulatedCrash
 	}
-	return writeFileAtomic(s.path(block, gen), durable, func(w io.Writer) error {
+	return db.WriteFileAtomic(s.path(block, gen), durable, func(w io.Writer) error {
 		_, err := w.Write(data)
 		return err
 	})
-}
-
-// writeFileAtomic writes a file so that a crash at any point leaves
-// either the complete new contents or the prior file untouched: the data
-// goes to path+".tmp" and only then is renamed over path. A durable write
-// fsyncs the data before the rename — a rename alone does not flush the
-// page cache, so a crash after an unsynced rename can persist an empty or
-// truncated file over a valid one. The rename itself is durable only once
-// the directory is synced (syncDir). The temporary file is removed on
-// every error path.
-func writeFileAtomic(path string, durable bool, write func(io.Writer) error) error {
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return err
-	}
-	err = write(f)
-	if err == nil && durable {
-		err = f.Sync()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err == nil {
-		err = os.Rename(tmp, path)
-	}
-	if err != nil {
-		os.Remove(tmp)
-	}
-	return err
-}
-
-// syncDir fsyncs directory dir, making the renames and removals done in
-// it so far durable.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err == nil {
-		err = d.Sync()
-		d.Close()
-	}
-	if err != nil {
-		return fmt.Errorf("oocore: syncing directory: %w", err)
-	}
-	return nil
 }
 
 // sync makes an already-written generation durable — the manifest

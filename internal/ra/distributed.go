@@ -136,15 +136,6 @@ type Distributed struct {
 	Network NetworkKind
 	// Protocol selects the done-report topology (central or tree).
 	Protocol Protocol
-	// NetConfig overrides the interconnect parameters; zero value means
-	// network.DefaultEthernet().
-	NetConfig network.EthernetConfig
-	// Cost overrides the per-message host costs; zero value means
-	// cluster.DefaultCost adjusted to 1995 RPC software overheads.
-	Cost *cluster.CostModel
-	// Compute overrides the per-work-item virtual costs; zero value
-	// means DefaultComputeCosts.
-	Compute *ComputeCosts
 	// Async drops the per-wave barrier (see above). An async result's
 	// Waves are the Safra probe rounds.
 	Async bool
@@ -216,9 +207,6 @@ func (d Distributed) SolveDetailed(g game.Game) (*Result, *SimReport, error) {
 		return nil, nil, err
 	}
 	cfg := NodeConfig{Protocol: d.Protocol, Combine: d.combineSize(), Chunk: 1, Costs: DefaultComputeCosts(), Async: d.Async}
-	if d.Compute != nil {
-		cfg.Costs = *d.Compute
-	}
 	if d.Async {
 		cfg.Chunk = asyncChunk
 	}
@@ -316,18 +304,15 @@ func (simLink) Sentinels() int { return 0 }
 // checkpoints.
 func (simLink) BeginExpand(int) error { return nil }
 
-// newSimRun partitions g and builds the cluster; zero-valued overrides
-// pick the 1995 calibration (DefaultEthernet, DefaultMessageCost).
+// newSimRun partitions g and builds the cluster on the 1995 calibration
+// (DefaultEthernet, DefaultMessageCost).
 func (d Distributed) newSimRun(g game.Game) (*simRun, error) {
 	part, err := NewPartition(g.Size(), d.workers(), d.group())
 	if err != nil {
 		return nil, err
 	}
 	kernel := sim.New()
-	netCfg := d.NetConfig
-	if netCfg.BitsPerSec == 0 {
-		netCfg = network.DefaultEthernet()
-	}
+	netCfg := network.DefaultEthernet()
 	var net network.Network
 	switch d.Network {
 	case CrossbarNet:
@@ -338,11 +323,7 @@ func (d Distributed) newSimRun(g game.Game) (*simRun, error) {
 	if err != nil {
 		return nil, err
 	}
-	msgCost := DefaultMessageCost()
-	if d.Cost != nil {
-		msgCost = *d.Cost
-	}
-	clu, err := cluster.New(kernel, net, msgCost, d.workers())
+	clu, err := cluster.New(kernel, net, DefaultMessageCost(), d.workers())
 	if err != nil {
 		return nil, err
 	}

@@ -15,13 +15,13 @@ import (
 // stop arriving. Either way the solve unwinds with a NodeFailedError
 // within a bounded time instead of hanging.
 
-// Default failure-detection parameters (see Engine.Timeout/Heartbeat).
+// Failure-detection parameters (see Engine.Timeout).
 const (
 	// DefaultTimeout bounds how long a node waits for any traffic
 	// (heartbeats included) from a peer before declaring it dead, and
 	// how long a single write may take.
 	DefaultTimeout = 15 * time.Second
-	// heartbeatDiv sets the default heartbeat interval, Timeout/heartbeatDiv:
+	// heartbeatDiv sets the heartbeat interval, Timeout/heartbeatDiv:
 	// several beats fit in one timeout window, so a single delayed beat
 	// does not trip the detector.
 	heartbeatDiv = 4
@@ -56,16 +56,6 @@ func (e Engine) timeout() time.Duration {
 		return e.Timeout
 	}
 	return DefaultTimeout
-}
-
-func (e Engine) heartbeat() time.Duration {
-	if e.Heartbeat < 0 {
-		return 0 // disabled — measurement runs only, see Engine.Heartbeat
-	}
-	if e.Heartbeat > 0 {
-		return e.Heartbeat
-	}
-	return e.timeout() / heartbeatDiv
 }
 
 // heartbeats periodically enqueues a beat to every peer so that a

@@ -63,14 +63,10 @@ type Engine struct {
 	// even a heartbeat) for this long is declared dead, and a write that
 	// cannot complete within it fails. 0 means DefaultTimeout. A solve
 	// with a crashed or wedged node returns a NodeFailedError within
-	// roughly this bound instead of hanging.
+	// roughly this bound instead of hanging. Every node sends a
+	// heartbeat to each peer every Timeout/4, so a solve shorter than
+	// that sends none.
 	Timeout time.Duration
-	// Heartbeat is the keep-alive interval; 0 means Timeout/4. Negative
-	// disables heartbeats entirely — only for measuring their cost
-	// (experiments/E12): without beats a healthy-but-quiet peer trips
-	// the read deadline, so pair a disabled heartbeat with a Timeout
-	// longer than the whole solve.
-	Heartbeat time.Duration
 
 	// CheckpointDir enables crash-resumable solves: each node persists
 	// its shard there every CheckpointEvery waves, and a later Solve in
@@ -386,8 +382,8 @@ func (ep *endpoint) run() error {
 			go ep.reader(j, c)
 		}
 	}
-	if hb := ep.eng.heartbeat(); len(ep.conns) > 1 && hb > 0 {
-		go ep.heartbeats(hb)
+	if len(ep.conns) > 1 {
+		go ep.heartbeats(ep.eng.timeout() / heartbeatDiv)
 	}
 	defer func() {
 		close(ep.quit)

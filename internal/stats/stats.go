@@ -5,7 +5,6 @@
 package stats
 
 import (
-	"encoding/csv"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -222,22 +221,6 @@ func (t *Table) Render(w io.Writer) error {
 	return err
 }
 
-// RenderCSV writes the table as CSV (header row first, notes omitted),
-// for plotting the paper's figures from the regenerated data.
-func (t *Table) RenderCSV(w io.Writer) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write(t.Columns); err != nil {
-		return err
-	}
-	for _, row := range t.rows {
-		if err := cw.Write(row); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
-}
-
 // tableJSON is the serialised shape of one table in WriteJSON output.
 type tableJSON struct {
 	ID      string     `json:"id,omitempty"`
@@ -249,7 +232,7 @@ type tableJSON struct {
 }
 
 // NamedTable pairs a table with the short experiment id ("E1", "A3", ...)
-// used for CSV filenames and JSON records.
+// used for JSON records.
 type NamedTable struct {
 	ID    string
 	Table *Table

@@ -96,21 +96,6 @@ func TestTableRender(t *testing.T) {
 	}
 }
 
-func TestRenderCSV(t *testing.T) {
-	tb := NewTable("csv", "a", "b")
-	tb.Row(1, "x,y") // comma must be quoted
-	tb.Row(2.5, "z")
-	tb.Note("notes are omitted from CSV")
-	var sb strings.Builder
-	if err := tb.RenderCSV(&sb); err != nil {
-		t.Fatal(err)
-	}
-	want := "a,b\n1,\"x,y\"\n2.50,z\n"
-	if sb.String() != want {
-		t.Errorf("CSV = %q, want %q", sb.String(), want)
-	}
-}
-
 func TestHistogram(t *testing.T) {
 	var h Histogram
 	if h.Count() != 0 || h.Mean() != 0 || h.Quantile(0.5) != 0 {

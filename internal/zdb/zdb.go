@@ -281,22 +281,17 @@ func (t *Table) WriteTo(w io.Writer) (int64, error) {
 	return n + int64(wn), err
 }
 
-// Save writes the table to a file.
+// Save writes the table to a file through db.WriteFileAtomic, without an
+// fsync: a crash mid-save leaves the previous file intact, never a
+// truncated one.
 func (t *Table) Save(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	bw := bufio.NewWriter(f)
-	if _, err := t.WriteTo(bw); err != nil {
-		f.Close()
-		return err
-	}
-	if err := bw.Flush(); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
+	return db.WriteFileAtomic(path, false, func(w io.Writer) error {
+		bw := bufio.NewWriter(w)
+		if _, err := t.WriteTo(bw); err != nil {
+			return err
+		}
+		return bw.Flush()
+	})
 }
 
 // Read deserialises a table written by WriteTo, verifying the file

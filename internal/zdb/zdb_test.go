@@ -575,3 +575,52 @@ func TestHeaderClaimsBounded(t *testing.T) {
 		}
 	}
 }
+
+// TestSaveReplacesFile saves over an existing compressed database while a
+// reader holds it open: the reader keeps the complete old file, and the
+// path names a new one (see db.WriteFileAtomic).
+func TestSaveReplacesFile(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "t.radb")
+	small, err := Compress(pack(t, "old", 4, []game.Value{1, 2, 3, 4, 5}), 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	large, err := Compress(pack(t, "new", 4, make([]game.Value, 5000)), 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := small.Save(path); err != nil {
+		t.Fatal(err)
+	}
+	oldBytes, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer h.Close()
+	if err := large.Save(path); err != nil {
+		t.Fatal(err)
+	}
+	held := make([]byte, len(oldBytes)+1)
+	n, _ := h.ReadAt(held, 0)
+	if !bytes.Equal(held[:n], oldBytes) {
+		t.Errorf("open handle reads %d bytes, not the %d of the old file", n, len(oldBytes))
+	}
+	hi, err := h.Stat()
+	if err != nil {
+		t.Fatal(err)
+	}
+	pi, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if os.SameFile(hi, pi) {
+		t.Error("Save rewrote the old file in place instead of replacing it")
+	}
+	if got, err := Load(path); err != nil || got.Size() != 5000 {
+		t.Errorf("Load after Save: %v", err)
+	}
+}
