@@ -19,13 +19,14 @@
 // checkpoint when rerun with the same flags. -memlimit, -spilldir and
 // -syncspill are refused with any other -engine rather than ignored.
 //
-// For awari, all rungs 0..stones are built and each is saved as
-// awari-<n>.radb, in order. A capture takes at least two stones, so rung n
-// reads only rungs 0..n-2: with -engine sequential, concurrent or
-// distributed, rung n+1 is solved alongside rung n. The tcp and capped
-// engines solve one rung at a time (see perGameSpill). The chosen engine is
-// used for every rung; with -engine distributed the tool also prints the
-// virtual-time report of every rung.
+// For awari and kalah, all rungs 0..stones are built by the one ladder
+// builder and each is saved as awari-<n>.radb or kalah-<n>.radb, in order.
+// An awari capture takes at least two stones, so rung n reads only rungs
+// 0..n-2: with -engine sequential, concurrent or distributed, rung n+1 is
+// solved alongside rung n. A Kalah bank takes one, so its rungs are solved
+// one at a time, as are every rung under the tcp and capped engines (see
+// perGameSpill). The chosen engine is used for every rung; with -engine
+// distributed the tool also prints the virtual-time report of every rung.
 //
 // With -compress, databases are written in the block-compressed v2
 // format (see internal/zdb): same .radb extension, smaller files, still
@@ -69,7 +70,7 @@ func main() {
 
 func run() error {
 	gameName := flag.String("game", "awari", "game to solve: awari, kalah, nim, ttt, krk")
-	stones := flag.Int("stones", 8, "awari: build databases for 0..stones stones")
+	stones := flag.Int("stones", 8, "awari, kalah: build databases for 0..stones stones")
 	loopRule := flag.String("loop", "own-side", "awari loop rule: own-side, even-split, zero")
 	grandSlam := flag.String("grandslam", "allowed", "awari grand-slam rule: allowed, forfeit")
 	refine := flag.Bool("refine", false, "awari: refine cyclic values to a best-move fixpoint (refused with -loop zero, where it does not converge)")
@@ -132,7 +133,11 @@ func run() error {
 
 	switch *gameName {
 	case "awari":
-		return buildAwari(*stones, *loopRule, *grandSlam, *refine, engine, *out)
+		cfg, err := awariConfig(*loopRule, *grandSlam, *refine)
+		if err != nil {
+			return err
+		}
+		return buildLadder(false, cfg, *stones, engine, *out)
 	case "nim":
 		g, err := nim.New(*heaps, *maxHeap)
 		if err != nil {
@@ -142,7 +147,7 @@ func run() error {
 	case "ttt":
 		return buildOne(ttt.New(), engine, *out)
 	case "kalah":
-		return buildKalah(*stones, engine, *out)
+		return buildLadder(true, ladder.Config{}, *stones, engine, *out)
 	case "krk":
 		g, err := chess.New(*board)
 		if err != nil {
@@ -166,75 +171,62 @@ func (e perGameSpill) Solve(g game.Game) (*ra.Result, error) {
 	return e.Engine.Solve(g)
 }
 
-func buildAwari(stones int, loopName, slamName string, refine bool, engine ra.Engine, out string) error {
-	var loop awari.LoopRule
+// awariConfig reads the awari ladder flags.
+func awariConfig(loopName, slamName string, refine bool) (ladder.Config, error) {
+	cfg := ladder.Config{Rules: awari.Standard, Refine: refine}
 	switch loopName {
 	case "own-side":
-		loop = awari.LoopOwnSide
+		cfg.Loop = awari.LoopOwnSide
 	case "even-split":
-		loop = awari.LoopEvenSplit
+		cfg.Loop = awari.LoopEvenSplit
 	case "zero":
-		loop = awari.LoopZero
+		cfg.Loop = awari.LoopZero
 	default:
-		return fmt.Errorf("unknown loop rule %q", loopName)
+		return cfg, fmt.Errorf("unknown loop rule %q", loopName)
 	}
-	slam, err := awari.ParseGrandSlam(slamName)
-	if err != nil {
-		return err
+	var err error
+	cfg.Rules.GrandSlam, err = awari.ParseGrandSlam(slamName)
+	return cfg, err
+}
+
+// buildLadder builds rungs 0..stones of an awari ladder, or of a Kalah
+// one when kalahGame is set, and saves each rung as <game>-<n>.radb as
+// soon as it is finished, so a long build shows its progress and keeps
+// its finished rungs.
+func buildLadder(kalahGame bool, cfg ladder.Config, stones int, engine ra.Engine, out string) error {
+	// The saved rung needs only its game's name and value width, not its
+	// lookup.
+	noLookup := func(int, uint64) game.Value { return 0 }
+	slice := func(n int) game.Game { return awari.MustSlice(cfg.Rules, cfg.Loop, n, noLookup) }
+	if kalahGame {
+		slice = func(n int) game.Game { return kalah.MustSlice(n, noLookup) }
 	}
-	rules := awari.Standard
-	rules.GrandSlam = slam
-	cfg := ladder.Config{Rules: rules, Loop: loop, Refine: refine}
 	start := time.Now()
-	l, err := ladder.Build(cfg, stones, engine, func(n int, r *ra.Result) {
-		slice := awari.MustSlice(rules, loop, n, func(int, uint64) game.Value { return 0 })
-		path := filepath.Join(out, fmt.Sprintf("awari-%d.radb", n))
-		if err := save(slice, r, path); err != nil {
-			fmt.Fprintf(os.Stderr, "rabuild: saving rung %d: %v\n", n, err)
+	onRung := func(n int, r *ra.Result) {
+		g := slice(n)
+		path := filepath.Join(out, g.Name()+".radb")
+		if err := save(g, r, path); err != nil {
+			fmt.Fprintf(os.Stderr, "rabuild: saving %s: %v\n", g.Name(), err)
 			os.Exit(1)
 		}
-		fmt.Printf("awari-%-2d  %12s positions  %3d waves  %12s loopy  -> %s\n",
-			n, stats.Count(uint64(len(r.Values))), r.Waves, stats.Count(r.LoopPositions), path)
+		fmt.Printf("%-8s  %12s positions  %3d waves  %12s loopy  -> %s\n",
+			g.Name(), stats.Count(uint64(len(r.Values))), r.Waves, stats.Count(r.LoopPositions), path)
 		if r.Sim != nil {
 			fmt.Printf("          virtual time %v, %s wire messages, combining factor %.1f\n",
 				r.Sim.Duration, stats.Count(r.Sim.DataMessages), r.Sim.Combining.Factor())
 		}
-	})
+	}
+	var err error
+	if kalahGame {
+		_, err = kalah.BuildLadder(stones, engine, onRung)
+	} else {
+		_, err = ladder.Build(cfg, stones, engine, onRung)
+	}
 	if err != nil {
 		return err
 	}
-	fmt.Printf("built %d databases in %v (wall) with %s\n", l.MaxStones()+1, time.Since(start).Round(time.Millisecond), engine.Name())
+	fmt.Printf("built %d databases in %v (wall) with %s\n", stones+1, time.Since(start).Round(time.Millisecond), engine.Name())
 	return nil
-}
-
-func buildKalah(stones int, engine ra.Engine, out string) error {
-	start := time.Now()
-	l, err := kalah.BuildLadder(stones, engine, func(n int, r *ra.Result) {
-		path := filepath.Join(out, fmt.Sprintf("kalah-%d.radb", n))
-		t, err := db.Pack(fmt.Sprintf("kalah-%d", n), valueBitsFor(n), r.Values)
-		if err == nil {
-			err = saveTable(t, path)
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "rabuild: saving kalah rung %d: %v\n", n, err)
-			os.Exit(1)
-		}
-		fmt.Printf("kalah-%-2d  %12s positions  %3d waves  -> %s\n",
-			n, stats.Count(uint64(len(r.Values))), r.Waves, path)
-	})
-	if err != nil {
-		return err
-	}
-	fmt.Printf("built %d kalah databases in %v (wall) with %s\n", l.MaxStones()+1, time.Since(start).Round(time.Millisecond), engine.Name())
-	return nil
-}
-
-func valueBitsFor(stones int) int {
-	bits := 1
-	for 1<<bits <= stones {
-		bits++
-	}
-	return bits
 }
 
 func buildOne(g game.Game, engine ra.Engine, out string) error {

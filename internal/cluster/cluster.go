@@ -28,18 +28,6 @@ type CostModel struct {
 	PerByteRecv sim.Time
 }
 
-// DefaultCost is calibrated to mid-90s workstation messaging: several
-// hundred microseconds of software overhead per message and roughly
-// 10 ns/byte of copy cost.
-func DefaultCost() CostModel {
-	return CostModel{
-		SendOverhead: 300 * sim.Microsecond,
-		RecvOverhead: 300 * sim.Microsecond,
-		PerByteSend:  10,
-		PerByteRecv:  10,
-	}
-}
-
 // Cluster is a set of nodes sharing a kernel and an interconnect.
 type Cluster struct {
 	Kernel *sim.Kernel

@@ -79,10 +79,9 @@ func E12Faults(env *Env) (*stats.Table, error) {
 
 	// A wedged node: the 1<->2 conn goes silent after one frame while
 	// staying open. Unhardened code hangs forever; the deadline detector
-	// must produce a typed NodeFailedError within a few timeouts. The
-	// error returned is the first node's to unwind, and that may name an
-	// end of the wedged pair or a node that saw the detector close its
-	// sockets: the scheduler's choice, so the row names no node.
+	// must produce a typed NodeFailedError within a few timeouts, and it
+	// must name an end of the wedged pair. Either end may detect first,
+	// so the row prints the check, not the id.
 	const wedgeTimeout = 2 * time.Second
 	wedged := base
 	wedged.Timeout = wedgeTimeout
@@ -96,10 +95,12 @@ func E12Faults(env *Env) (*stats.Table, error) {
 		t.Row("wedged node (timeout 2s)", "SOLVE SURVIVED A WEDGE", "unexpected")
 	case !errors.As(wedgeErr, &nf):
 		t.Row("wedged node (timeout 2s)", "UNTYPED ERROR: "+wedgeErr.Error(), "unexpected")
+	case nf.Node != 1 && nf.Node != 2:
+		t.Row("wedged node (timeout 2s)", "NodeFailedError blames a healthy node", "unexpected")
 	case wedgeWall > 5*wedgeTimeout:
 		t.Row("wedged node (timeout 2s)", "typed NodeFailedError", "SLOW: over 5x timeout")
 	default:
-		t.Row("wedged node (timeout 2s)", "typed NodeFailedError", "detected within bound")
+		t.Row("wedged node (timeout 2s)", "typed NodeFailedError", "names 1 or 2, in bound")
 	}
 
 	// Kill and resume: cut the 1<->2 conn roughly halfway through its own

@@ -1,9 +1,12 @@
 package kalah
 
 import (
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"retrograde/internal/game"
+	"retrograde/internal/ladder"
 	"retrograde/internal/ra"
 )
 
@@ -343,5 +346,70 @@ func TestBuildLadderValidation(t *testing.T) {
 	}
 	if _, err := BuildLadder(MaxStones+1, ra.Sequential{}, nil); err == nil {
 		t.Error("BuildLadder(49) succeeded")
+	}
+}
+
+// TestLadderOneRungInFlight: Kalah's reach is one stone, so even under a
+// reentrant engine, which takes two awari rungs at once, the ladder never
+// has two rungs in flight. A rung counts as in flight from its
+// construction, just before its Solve, until it is reported; the
+// constructor sleeps to widen the window in which a second rung would be
+// seen.
+func TestLadderOneRungInFlight(t *testing.T) {
+	l := new(Ladder)
+	f := l.family()
+	var inFlight, maxSeen atomic.Int32
+	rung := f.Rung
+	f.Rung = func(n int) (game.Game, error) {
+		m := inFlight.Add(1)
+		for {
+			if seen := maxSeen.Load(); m <= seen || maxSeen.CompareAndSwap(seen, m) {
+				break
+			}
+		}
+		time.Sleep(time.Millisecond)
+		return rung(n)
+	}
+	if err := ladder.BuildRungs(&l.Rungs, f, 8, ra.Sequential{}, func(int, *ra.Result) { inFlight.Add(-1) }); err != nil {
+		t.Fatal(err)
+	}
+	if m := maxSeen.Load(); m != 1 {
+		t.Errorf("%d Kalah rungs in flight at once under %s, want 1", m, ra.Sequential{}.Name())
+	}
+}
+
+// TestPlayBestRealisesValue: the move PlayBest plays is worth the
+// database value. Either it ends the game, and the mover's value is what
+// it banked, or the mover banks n minus what the opponent banks from the
+// position it leaves.
+func TestPlayBestRealisesValue(t *testing.T) {
+	l, err := BuildLadder(6, ra.Sequential{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for n := 0; n <= 6; n++ {
+		sl := l.Slice(n)
+		for idx := range sl.Size() {
+			board := sl.Board(idx)
+			next, banked, ok := l.PlayBest(board)
+			if board.OwnStones() == 0 {
+				if ok {
+					t.Fatalf("PlayBest moved from terminal %v", board)
+				}
+				continue
+			}
+			if !ok {
+				t.Fatalf("PlayBest reported terminal at %v", board)
+			}
+			want := game.Value(n) - l.Value(next)
+			if next == (Board{}) {
+				want = game.Value(banked)
+			} else if next.Stones()+banked != n {
+				t.Fatalf("%v: next %v holds %d stones after banking %d of %d", board, next, next.Stones(), banked, n)
+			}
+			if v := l.Value(board); v != want {
+				t.Fatalf("%v: PlayBest banks %d and leaves %v, worth %d; database %d", board, banked, next, want, v)
+			}
+		}
 	}
 }

@@ -177,7 +177,7 @@ func TestBuildErrorWaitsForInFlightRung(t *testing.T) {
 		// now: no goroutine is still inside the ladder's solve. (An engine's
 		// own goroutines may still be exiting.)
 		buf := make([]byte, 1<<20)
-		if stacks := string(buf[:runtime.Stack(buf, true)]); strings.Contains(stacks, "ladder.(*Ladder).solve") {
+		if stacks := string(buf[:runtime.Stack(buf, true)]); strings.Contains(stacks, "ladder.Family.solve") {
 			t.Errorf("%s: a rung is still being solved after Build returned:\n%s", c.name, stacks)
 		}
 	}

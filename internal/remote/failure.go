@@ -13,7 +13,11 @@ import (
 // EOF with no preceding bye frame); a peer that wedges — alive but
 // silent, the harder case — trips the read deadline once its heartbeats
 // stop arriving. Either way the solve unwinds with a NodeFailedError
-// within a bounded time instead of hanging.
+// within a bounded time instead of hanging. A node that unwinds sends
+// each peer a last fail frame naming the node it blames (itself, for its
+// own error), and a peer reading it blames that node too, so the
+// detector's suspect, not the node whose sockets closed first, is the one
+// every NodeFailedError names.
 
 // Failure-detection parameters (see Engine.Timeout).
 const (
@@ -41,7 +45,8 @@ type NodeFailedError struct {
 	// Wave is the wave the detecting node was working on.
 	Wave int
 	// Err is the underlying cause: a deadline timeout for a wedged
-	// peer, an unexpected EOF for a crashed one, or a write error.
+	// peer, an unexpected EOF for a crashed one, a write error, or the
+	// fail frame of the peer that blamed it.
 	Err error
 }
 

@@ -26,6 +26,7 @@ func FuzzMeshFrame(f *testing.F) {
 	f.Add(encodeBatch(7, []ra.Update{{Target: 42, Value: 3}, {Target: 1 << 40, Value: 65534}}))
 	f.Add(append(encodeCtl(frameEOW, 9, 0, 0), encodeCtl(frameDone, 3, 0, 123456789)...))
 	f.Add(encodeCtl(frameGo, 5, ra.PhaseLoops, 0))
+	f.Add(encodeCtl(frameFail, 6, 0, 2))
 	f.Add(overflowBatchFrame)
 	f.Add([]byte{5, 0, 0, 0, byte(ra.MsgToken), 1, 0, 0, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -46,7 +46,8 @@ const (
 	frameDone      = byte(ra.MsgDone)      // phase completion report to the coordinator
 	frameGo        = byte(ra.MsgGo)        // coordinator starts the next phase
 	frameHeartbeat = byte(ra.MsgToken) + 1 // keep-alive so idle healthy conns never trip the deadline
-	frameBye       = byte(ra.MsgToken) + 2 // orderly shutdown notice; EOF without it means a crash
+	frameBye       = byte(ra.MsgToken) + 2 // orderly shutdown notice; EOF without it or a fail means a crash
+	frameFail      = byte(ra.MsgToken) + 3 // last frame of a node unwinding on an error: names the node it blames
 )
 
 // Engine solves games over TCP. It implements ra.Engine.
@@ -166,11 +167,13 @@ func (e Engine) SolveDetailed(g game.Game) (*ra.Result, *Report, error) {
 	}
 	wg.Wait()
 	close(errs)
-	// A node that fails on its own (an Init error, a protocol violation)
-	// closes its sockets, and the other nodes report that cascade as a
-	// NodeFailedError naming it: prefer the node's own error, the cause.
-	// When every error names a failed peer — a crash or a wedge — return
-	// one of those.
+	// Every node that unwinds names the node it blames in its last frame,
+	// and a node reading that frame blames the same node, so each
+	// NodeFailedError names the detector's suspect. A node that fails on
+	// its own (an Init error, a protocol violation) names itself: prefer
+	// its own error, the cause, over the NodeFailedErrors naming it. When
+	// every error names a failed peer — a crash or a wedge — return one
+	// of those.
 	var firstErr error
 	for err := range errs {
 		var nf *NodeFailedError
@@ -305,7 +308,7 @@ type event struct {
 	kind    byte
 	wave    int
 	phase   ra.Phase
-	work    uint64
+	work    uint64 // done: the work count; fail: the blamed node's id
 	updates []ra.Update
 	err     error
 }
@@ -385,15 +388,31 @@ func (ep *endpoint) run() error {
 	if len(ep.conns) > 1 {
 		go ep.heartbeats(ep.eng.timeout() / heartbeatDiv)
 	}
-	defer func() {
-		close(ep.quit)
-		for _, w := range ep.writers {
-			if w != nil {
-				w.close()
-			}
+	err := ep.serve()
+	// Tell every peer how this node ends before its sockets close, so
+	// none reads the EOF as a crash: a bye, or a fail frame naming the
+	// node it blames, itself for its own error.
+	if err == nil {
+		ep.broadcastFrame(encodeCtl(frameBye, ep.node.Wave(), 0, 0))
+	} else {
+		suspect := ep.id
+		var nf *NodeFailedError
+		if errors.As(err, &nf) {
+			suspect = nf.Node
 		}
-	}()
+		ep.broadcastFrame(encodeCtl(frameFail, ep.node.Wave(), 0, uint64(suspect)))
+	}
+	close(ep.quit)
+	for _, w := range ep.writers {
+		if w != nil {
+			w.close()
+		}
+	}
+	return err
+}
 
+// serve runs the node on the peers' frames until it finishes or fails.
+func (ep *endpoint) serve() error {
 	if err := ep.node.Start(); err != nil {
 		return err
 	}
@@ -406,9 +425,6 @@ func (ep *endpoint) run() error {
 			return err
 		}
 	}
-	// Announce the orderly shutdown before sockets start closing, so
-	// peers can tell this EOF from a crash.
-	ep.broadcastFrame(encodeCtl(frameBye, ep.node.Wave(), 0, 0))
 	return nil
 }
 
@@ -468,7 +484,8 @@ func (ep *endpoint) broadcastFrame(frame []byte) {
 // Every read is armed with the failure-detection deadline: heartbeats
 // keep a healthy idle connection alive, so tripping it means the peer is
 // wedged. An EOF counts as orderly only after the peer's bye frame;
-// without one, the peer crashed.
+// without one, the peer crashed. A fail frame reports the node the peer
+// blames, not the peer.
 func (ep *endpoint) reader(from int, c net.Conn) {
 	br := bufio.NewReader(c)
 	sawBye := false
@@ -491,6 +508,13 @@ func (ep *endpoint) reader(from int, c net.Conn) {
 		case frameBye:
 			sawBye = true
 			continue
+		case frameFail:
+			if ev.work >= uint64(len(ep.conns)) {
+				ep.peerFailed(from)(fmt.Errorf("remote: fail frame names node %d of %d", ev.work, len(ep.conns)))
+			} else {
+				ep.peerFailed(int(ev.work))(fmt.Errorf("reported failed by node %d", from))
+			}
+			return
 		}
 		ev.from = from
 		select {
@@ -503,7 +527,8 @@ func (ep *endpoint) reader(from int, c net.Conn) {
 
 // Wire format: length(4, LE, excluding itself) | type(1) | wave(4) |
 // then per type: batch: count(4) + count*(target 8, value 2);
-// done: work(8); go: phase(1); eow: nothing.
+// done: work(8); fail: the blamed node's id(8); go: phase(1); eow,
+// heartbeat, bye: nothing.
 
 func encodeBatch(wave int, updates []ra.Update) []byte {
 	buf := make([]byte, 4+1+4+4+len(updates)*10)
@@ -523,7 +548,7 @@ func encodeBatch(wave int, updates []ra.Update) []byte {
 func encodeCtl(kind byte, wave int, phase ra.Phase, work uint64) []byte {
 	var body int
 	switch kind {
-	case frameDone:
+	case frameDone, frameFail:
 		body = 8
 	case frameGo:
 		body = 1
@@ -533,7 +558,7 @@ func encodeCtl(kind byte, wave int, phase ra.Phase, work uint64) []byte {
 	buf[4] = kind
 	binary.LittleEndian.PutUint32(buf[5:], uint32(wave))
 	switch kind {
-	case frameDone:
+	case frameDone, frameFail:
 		binary.LittleEndian.PutUint64(buf[9:], work)
 	case frameGo:
 		buf[9] = byte(phase)
@@ -569,9 +594,9 @@ func readFrame(r *bufio.Reader) (event, error) {
 			ev.updates[i].Value = game.Value(binary.LittleEndian.Uint16(body[off+8:]))
 			off += 10
 		}
-	case frameDone:
+	case frameDone, frameFail:
 		if len(body) != 13 {
-			return event{}, fmt.Errorf("remote: done frame size mismatch")
+			return event{}, fmt.Errorf("remote: done or fail frame size mismatch")
 		}
 		ev.work = binary.LittleEndian.Uint64(body[5:])
 	case frameGo:
