@@ -37,6 +37,7 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzSpaceCodec -fuzztime=10s ./internal/index/
 	$(GO) test -fuzz=FuzzFrameDecode -fuzztime=10s ./internal/server/
 	$(GO) test -fuzz=FuzzSpillRoundtrip -fuzztime=10s ./internal/oocore/
+	$(GO) test -fuzz=FuzzDeltaDecode -fuzztime=10s ./internal/oocore/
 	$(GO) test -fuzz=FuzzManifestDecode -fuzztime=10s ./internal/oocore/
 	$(GO) test -fuzz=FuzzMeshFrame -fuzztime=10s ./internal/remote/
 	$(GO) test -fuzz=FuzzHostEnginesOnGraph -fuzztime=10s ./internal/graphgame/

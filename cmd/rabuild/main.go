@@ -17,7 +17,9 @@
 // defaults to <out>/spill. The database written is bit-identical to the
 // in-core engines'. A killed build resumes from the last spill-store
 // checkpoint when rerun with the same flags. -memlimit, -spilldir and
-// -syncspill are refused with any other -engine rather than ignored.
+// -syncspill are refused with any other -engine rather than ignored, and
+// a game's own flags (-stones, -loop, -grandslam, -refine, -heaps, -max,
+// -board) with any other -game.
 //
 // For awari and kalah, all rungs 0..stones are built by the one ladder
 // builder and each is saved as awari-<n>.radb or kalah-<n>.radb, in order.
@@ -34,10 +36,13 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
+	"strings"
 	"time"
 
 	"retrograde/internal/awari"
@@ -62,32 +67,64 @@ var (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:]); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			os.Exit(0)
+		}
 		fmt.Fprintf(os.Stderr, "rabuild: %v\n", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
-	gameName := flag.String("game", "awari", "game to solve: awari, kalah, nim, ttt, krk")
-	stones := flag.Int("stones", 8, "awari, kalah: build databases for 0..stones stones")
-	loopRule := flag.String("loop", "own-side", "awari loop rule: own-side, even-split, zero")
-	grandSlam := flag.String("grandslam", "allowed", "awari grand-slam rule: allowed, forfeit")
-	refine := flag.Bool("refine", false, "awari: refine cyclic values to a best-move fixpoint (refused with -loop zero, where it does not converge)")
-	heaps := flag.Int("heaps", 3, "nim: number of heaps")
-	maxHeap := flag.Int("max", 7, "nim: heap capacity")
-	board := flag.Int("board", 8, "krk: board size (4..8)")
-	engineName := flag.String("engine", "concurrent", "engine: sequential, concurrent, distributed, tcp, outofcore")
-	procs := flag.Int("procs", 0, "concurrent: shards, 0 = one per CPU (GOMAXPROCS); distributed/tcp: simulated or mesh nodes, 0 = 8")
-	combineSize := flag.Int("combine", 100, "distributed: updates per combined message (1 = off)")
-	memLimit := flag.Uint64("memlimit", 0, "resident state cap in bytes; >0 selects the out-of-core engine, which solves one rung at a time, so the cap bounds the whole build")
-	spillDir := flag.String("spilldir", "", "out-of-core spill directory (default <out>/spill)")
-	syncSpill := flag.Bool("syncspill", false, "out-of-core: disable write-behind spilling and frontier prefetch (synchronous A/B control; bit-identical output)")
-	out := flag.String("out", ".", "output directory for .radb files")
-	compress := flag.Bool("compress", false, "write block-compressed v2 .radb files")
-	block := flag.Int("block", 0, "v2 block length in entries (0 = default)")
-	flag.Parse()
+// gameFlags names the flags only some games read, with those games.
+var gameFlags = map[string][]string{
+	"stones":    {"awari", "kalah"},
+	"loop":      {"awari"},
+	"grandslam": {"awari"},
+	"refine":    {"awari"},
+	"heaps":     {"nim"},
+	"max":       {"nim"},
+	"board":     {"krk"},
+}
+
+// checkGameFlags refuses a game flag set on the command line for a game
+// that would ignore it.
+func checkGameFlags(flags *flag.FlagSet, gameName string) error {
+	var err error
+	flags.Visit(func(f *flag.Flag) {
+		if games, ok := gameFlags[f.Name]; ok && err == nil && !slices.Contains(games, gameName) {
+			err = fmt.Errorf("-%s applies only to -game %s; -game %s would ignore it", f.Name, strings.Join(games, " or "), gameName)
+		}
+	})
+	return err
+}
+
+func run(args []string) error {
+	fs := flag.NewFlagSet("rabuild", flag.ContinueOnError)
+	gameName := fs.String("game", "awari", "game to solve: awari, kalah, nim, ttt, krk")
+	stones := fs.Int("stones", 8, "awari, kalah: build databases for 0..stones stones")
+	loopRule := fs.String("loop", "own-side", "awari loop rule: own-side, even-split, zero")
+	grandSlam := fs.String("grandslam", "allowed", "awari grand-slam rule: allowed, forfeit")
+	refine := fs.Bool("refine", false, "awari: refine cyclic values to a best-move fixpoint (refused with -loop zero, where it does not converge)")
+	heaps := fs.Int("heaps", 3, "nim: number of heaps")
+	maxHeap := fs.Int("max", 7, "nim: heap capacity")
+	board := fs.Int("board", 8, "krk: board size (4..8)")
+	engineName := fs.String("engine", "concurrent", "engine: sequential, concurrent, distributed, tcp, outofcore")
+	procs := fs.Int("procs", 0, "concurrent: shards, 0 = one per CPU (GOMAXPROCS); distributed/tcp: simulated or mesh nodes, 0 = 8")
+	combineSize := fs.Int("combine", 100, "distributed: updates per combined message (1 = off)")
+	memLimit := fs.Uint64("memlimit", 0, "resident state cap in bytes; >0 selects the out-of-core engine, which solves one rung at a time, so the cap bounds the whole build")
+	spillDir := fs.String("spilldir", "", "out-of-core spill directory (default <out>/spill)")
+	syncSpill := fs.Bool("syncspill", false, "out-of-core: disable write-behind spilling and frontier prefetch (synchronous A/B control; bit-identical output)")
+	out := fs.String("out", ".", "output directory for .radb files")
+	compress := fs.Bool("compress", false, "write block-compressed v2 .radb files")
+	block := fs.Int("block", 0, "v2 block length in entries (0 = default)")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 	compressOut, blockLen = *compress, *block
+	if err := checkGameFlags(fs, *gameName); err != nil {
+		return err
+	}
 
 	if *memLimit > 0 && *engineName == "concurrent" {
 		*engineName = "outofcore" // -memlimit alone selects the capped engine

@@ -123,7 +123,8 @@ func spillReport(dir string) error {
 		return err
 	}
 	fmt.Printf("spill store %s\n", info.Dir)
-	fmt.Printf("  block files   %d (%s)\n", info.BlockFiles, stats.Bytes(info.SpillBytes))
+	fmt.Printf("  block files   %d (%s): %d bases (%s), %d deltas (%s)\n", info.BlockFiles, stats.Bytes(info.SpillBytes),
+		info.BlockFiles-info.DeltaFiles, stats.Bytes(info.SpillBytes-info.DeltaBytes), info.DeltaFiles, stats.Bytes(info.DeltaBytes))
 	if !info.HasManifest {
 		fmt.Printf("  manifest      none (no interrupted solve to resume)\n")
 		return nil
@@ -137,9 +138,10 @@ func spillReport(dir string) error {
 	fmt.Printf("  manifest      checkpoint after wave %d (%d checkpoints so far)\n", info.Waves, info.Checkpoints)
 	fmt.Printf("  solve         %s positions, %s kernel, %d blocks of %s\n",
 		stats.Count(info.Size), info.Kernel, info.Blocks, stats.Count(info.Group))
+	fmt.Printf("  pinned        %d bases, %d of them with a delta\n", info.Blocks, info.PinnedDeltas)
 	fmt.Printf("  parked runs   %s cross-block update runs awaiting delivery\n", stats.Count(info.Pending))
-	fmt.Printf("  spill I/O     %s spills (%s written), %s reloads (%s read)\n",
-		stats.Count(info.Spilled), stats.Bytes(info.SpillBytesWritten),
+	fmt.Printf("  spill I/O     %s spills (%s deltas, %s compactions; %s written), %s reloads (%s read)\n",
+		stats.Count(info.Spilled), stats.Count(info.Deltas), stats.Count(info.Compactions), stats.Bytes(info.SpillBytesWritten),
 		stats.Count(info.Reloaded), stats.Bytes(info.SpillBytesRead))
 	fmt.Printf("  scheduler     %d/%d prefetch hits, %d write stalls\n",
 		info.PrefetchHits, info.PrefetchIssued, info.WriteStalls)

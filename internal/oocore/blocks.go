@@ -3,6 +3,7 @@ package oocore
 import (
 	"container/list"
 	"fmt"
+	"math/bits"
 	"path/filepath"
 	"time"
 
@@ -38,8 +39,10 @@ type SpillStats struct {
 	// Spill clocks: where this run's spill I/O time went (a resumed run
 	// starts them at zero; manifests do not carry them). Encode and write
 	// run on the writer goroutine, or inline on the engine thread when
-	// spilling is synchronous; read and decode on the prefetcher or in a
-	// demand load. StallTime is the engine thread blocked on the
+	// spilling is synchronous: a base image's encode is the whole block's
+	// Huffman pass, a delta's only its changed symbols'. Read and decode
+	// run on the prefetcher or in a demand load, and cover a base and its
+	// delta, patch included. StallTime is the engine thread blocked on the
 	// pipeline: waiting for a write-behind slot, for a prefetch to land,
 	// or for an in-flight write of a block it must read.
 	EncodeTime time.Duration
@@ -52,12 +55,19 @@ type SpillStats struct {
 // SpillCounters are the cumulative spill-I/O counters a solve carries
 // across a resume: every manifest records them.
 type SpillCounters struct {
-	// Spilled counts block spills (pack + encode + atomic write).
-	Spilled uint64
+	// Spilled counts block spills (pack + encode + atomic write). A
+	// block's first spill writes a full image, its base; each later one
+	// writes either a delta — every position changed since the base —
+	// or, once that delta would pass 1/compactDivisor of the base's
+	// bytes, a new base. Deltas and Compactions count those two kinds,
+	// so Spilled − Deltas − Compactions blocks were spilled a first time.
+	Spilled     uint64
+	Deltas      uint64
+	Compactions uint64
 	// Reloaded counts block reloads (read + decode + restore).
 	Reloaded uint64
 	// SpillBytesWritten and SpillBytesRead are the compressed traffic to
-	// and from the spill store.
+	// and from the spill store: bases and deltas both.
 	SpillBytesWritten uint64
 	SpillBytesRead    uint64
 	// Checkpoints counts durable manifests written.
@@ -90,19 +100,41 @@ func spillNow() time.Time {
 	return time.Now() //ravet:ignore detrand spill clocks are reported in SpillStats and never reach block state, spill files or manifests
 }
 
+// files names the spill files that hold one state of a block: a base
+// image and the delta that patches it, by generation; 0 = none.
+type files struct{ base, delta uint64 }
+
+// compactDivisor is when a re-spill writes a new base instead of a delta:
+// once the delta — its index plus its changed symbols before
+// compression — would pass 1/compactDivisor of the base image's bytes.
+// Measured on awari rung 13 at a 25 % cap (DESIGN.md, the delta-format
+// decision): divisors 1, 2, 4 and 8 solved within this host's noise of
+// each other, and 4 wrote the fewest bytes.
+const compactDivisor = 4
+
 // block is one contiguous slice of the rung: a worker that is always
 // alive (queues, stats, and partition wiring stay in RAM) whose
 // per-position state array is the unit of spill and reload.
 type block struct {
 	idx   int
 	w     *ra.Worker
-	dirty bool // resident state differs from generation gen on disk
+	dirty bool // resident state differs from what files describe
 	pins  int  // >0 while the engine is touching the state; never evicted
 	elem  *list.Element
 
-	gen         uint64 // newest spill generation written or in flight; 0 = none
-	manifestGen uint64 // generation the last durable manifest pins; 0 = none
-	syncedGen   uint64 // newest generation known fsynced; 0 = none
+	gen    uint64 // newest spill generation written or in flight; 0 = none
+	files  files  // the newest base and delta, written or in flight
+	pinned files  // what the last durable manifest pins
+	synced files  // the files known fsynced
+
+	// changed is the change record: one bit per position written since
+	// files.base, so a superset of the positions whose symbol differs
+	// from it. Held only while the state is resident and a base exists;
+	// a reload restores it from the delta's index.
+	changed []uint64
+	// baseBytes is the size of the base image, learned when it was last
+	// read back; 0 until then, and no spill compacts before it is known.
+	baseBytes int
 
 	// touchEpoch marks the last residency pass (a wave, or the final
 	// assembly) whose touch set included this block; makeRoom prefers
@@ -307,13 +339,17 @@ func (m *blockManager) drop(b *block) {
 	m.lru.Remove(b.elem)
 	b.elem = nil
 	b.w.DropState()
+	b.changed = nil
 	b.dirty = false
 }
 
 // spill moves b's state to the next on-disk generation: it packs the
-// state into a pooled job and submits it to the write step. The block
-// stays resident and is clean afterwards; the superseded generation is
-// deleted unless the last durable manifest still pins it.
+// state into a pooled job and submits it to the write step. A block with
+// no base yet gets one, a full image; otherwise the job is a delta — the
+// change record's runs — unless that delta has outgrown the base, when it
+// compacts into a new base. The block stays resident and is clean
+// afterwards; the superseded files are deleted unless the last durable
+// manifest still pins them.
 //
 // With the write-behind pipeline up, the writer goroutine commits the
 // job after spill returns, and a failure surfaces at the next wave
@@ -330,9 +366,32 @@ func (m *blockManager) spill(b *block) error {
 	}
 	j.vals, j.meta = b.w.PackState(j.vals, j.meta)
 	j.block, j.kern, j.gen = b.idx, m.kern, b.gen+1
-	j.removeGen = 0
-	if b.gen != 0 && b.gen != b.manifestGen {
-		j.removeGen = b.gen
+	old := b.files
+	j.kind, j.base = kindBase, 0
+	if b.files.base != 0 {
+		j.kind = kindCompaction
+		j.runs = appendChangedRuns(j.runs[:0], b.changed)
+		if !m.compactDue(b, j.runs) {
+			j.kind, j.base = kindDelta, b.files.base
+		}
+	}
+	if j.kind == kindDelta {
+		b.files.delta = j.gen
+	} else {
+		b.files = files{base: j.gen}
+		b.baseBytes = 0
+		if b.changed == nil {
+			b.changed = make([]uint64, (b.w.ShardSize()+63)/64)
+		} else {
+			clear(b.changed)
+		}
+	}
+	j.remove = files{}
+	if old.base != b.files.base && old.base != b.pinned.base {
+		j.remove.base = old.base
+	}
+	if old.delta != b.files.delta && old.delta != b.pinned.delta {
+		j.remove.delta = old.delta
 	}
 	if err := m.wb.submit(j); err != nil {
 		return err
@@ -340,10 +399,85 @@ func (m *blockManager) spill(b *block) error {
 	b.gen++
 	b.dirty = false
 	if m.wb.inline {
-		b.syncedGen = b.gen
+		b.synced = b.files
 	}
 	m.stats.Spilled++
+	switch j.kind {
+	case kindDelta:
+		m.stats.Deltas++
+	case kindCompaction:
+		m.stats.Compactions++
+	}
 	return nil
+}
+
+// compactDue reports whether b's next spill, whose delta would index
+// runs, writes a new base instead: once the delta's bytes before
+// compression pass 1/compactDivisor of the base image's, known from the
+// base's last read. The decision uses only the engine thread's state, so
+// the files a solve writes do not depend on the writer's timing.
+func (m *blockManager) compactDue(b *block, runs []deltaRun) bool {
+	if b.baseBytes == 0 {
+		return false
+	}
+	changed := 0
+	for _, r := range runs {
+		changed += int(r.n)
+	}
+	symbolBytes := 1 // a SWAR lane byte
+	if m.kern != ra.KernelSWAR {
+		symbolBytes = 4 // two 16-bit scalar symbols
+	}
+	size := deltaHeaderLen + 8 + indexBytes(runs) + changed*symbolBytes
+	return size*compactDivisor > b.baseBytes
+}
+
+// appendChangedRuns appends the runs of set bits in the change record
+// to dst, in increasing order.
+func appendChangedRuns(dst []deltaRun, changed []uint64) []deltaRun {
+	var start uint64
+	open := false
+	for wi, w := range changed {
+		base := uint64(wi) * 64
+		for bit := uint64(0); bit < 64; {
+			if open {
+				z := ^w >> bit // the run ends at the first clear bit
+				if z == 0 {
+					break // and continues into the next word
+				}
+				bit += uint64(bits.TrailingZeros64(z))
+				dst = append(dst, deltaRun{uint32(start), uint32(base + bit - start)})
+				open = false
+				continue
+			}
+			o := w >> bit
+			if o == 0 {
+				break
+			}
+			bit += uint64(bits.TrailingZeros64(o))
+			start, open = base+bit, true
+		}
+	}
+	if open {
+		dst = append(dst, deltaRun{uint32(start), uint32(uint64(len(changed))*64 - start)})
+	}
+	return dst
+}
+
+// markChanged records n positions from local in a change record.
+func markChanged(changed []uint64, local, n uint64) {
+	for ; n > 0 && local%64 != 0; n-- {
+		changed[local/64] |= 1 << (local % 64)
+		local++
+	}
+	for ; n >= 64; n -= 64 {
+		changed[local/64] = ^uint64(0)
+		local += 64
+	}
+	for ; n > 0; n-- {
+		changed[local/64] |= 1 << (local % 64)
+		local++
+	}
 }
 
 // spillAllDirty makes the on-disk image of every block current — the
@@ -360,36 +494,46 @@ func (m *blockManager) spillAllDirty() error {
 	return nil
 }
 
-// syncPinned fsyncs every block's current generation that is not yet
-// known durable, then the store directory, so the renames that named
-// those generations are durable too — the group fsync a manifest write
-// stands behind.
+// syncPinned fsyncs every block's current files that are not yet known
+// durable, then the store directory, so the renames that named those
+// files are durable too — the group fsync a manifest write stands
+// behind: at most two per block, its base and its delta, and a base that
+// earlier checkpoints pinned is already synced.
 // Write-behind spills skip the per-file fsync (the eviction path's
 // dominant cost), so durability is established here instead, once per
-// checkpoint instead of once per spill, and only for the generations the
+// checkpoint instead of once per spill, and only for the files the
 // manifest is about to pin. Must run after quiesce: the files have to be
 // fully written before they can be synced.
 func (m *blockManager) syncPinned() error {
 	for _, b := range m.blocks {
-		if b.gen != 0 && b.syncedGen != b.gen {
-			if err := m.store.sync(b.idx, b.gen); err != nil {
+		if b.files.base != 0 && b.synced.base != b.files.base {
+			if err := m.store.sync(b.idx, b.files.base, false); err != nil {
 				return err
 			}
-			b.syncedGen = b.gen
+			b.synced.base = b.files.base
+		}
+		if b.files.delta != 0 && b.synced.delta != b.files.delta {
+			if err := m.store.sync(b.idx, b.files.delta, true); err != nil {
+				return err
+			}
+			b.synced.delta = b.files.delta
 		}
 	}
 	return db.SyncDir(m.store.dir)
 }
 
 // retireManifestPins moves the manifest pin of every block to its current
-// generation and deletes generations only the previous manifest kept
-// alive. Called after a manifest write lands.
+// files and deletes the files only the previous manifest kept alive.
+// Called after a manifest write lands.
 func (m *blockManager) retireManifestPins() {
 	for _, b := range m.blocks {
-		if b.manifestGen != 0 && b.manifestGen != b.gen {
-			m.store.remove(b.idx, b.manifestGen)
+		if p := b.pinned.base; p != 0 && p != b.files.base {
+			m.store.remove(b.idx, p, false)
 		}
-		b.manifestGen = b.gen
+		if p := b.pinned.delta; p != 0 && p != b.files.delta {
+			m.store.remove(b.idx, p, true)
+		}
+		b.pinned = b.files
 	}
 }
 
@@ -422,7 +566,7 @@ func (m *blockManager) load(b *block) error {
 		}
 	}
 	j := &m.demand
-	j.block, j.gen = b.idx, b.gen
+	j.block, j.gen, j.files = b.idx, b.gen, b.files
 	m.wb.fetch(j)
 	m.stats.StallTime += j.fence
 	m.stats.ReadTime += j.read
@@ -431,11 +575,17 @@ func (m *blockManager) load(b *block) error {
 }
 
 // reload is the restore step of every load, prefetched or demand:
-// restore the fetched image into b and count the reload.
+// restore the fetched image into b, restore its change record from the
+// delta's index, and count the reload.
 func (m *blockManager) reload(b *block, j *readJob) error {
 	if err := restoreState(b.w, j); err != nil {
 		return err
 	}
+	b.changed = make([]uint64, (b.w.ShardSize()+63)/64)
+	for _, r := range j.delta.runs {
+		markChanged(b.changed, uint64(r.start), uint64(r.n))
+	}
+	b.baseBytes = j.baseBytes
 	m.stats.Reloaded++
 	m.stats.SpillBytesRead += uint64(j.n)
 	return nil
@@ -456,7 +606,7 @@ func (m *blockManager) prefetch(b *block) bool {
 	if j == nil {
 		return false
 	}
-	j.block, j.gen = b.idx, b.gen
+	j.block, j.gen, j.files = b.idx, b.gen, b.files
 	m.pf.submit(j)
 	m.pfJobs[b.idx] = j
 	m.stats.PrefetchIssued++
@@ -514,14 +664,19 @@ func (m *blockManager) prefetchNextWave(reverse bool) {
 func (m *blockManager) Parked(i int) int { return len(m.blocks[i].pending) }
 
 // Land implements ra.Residency: runs for a resident block are applied at
-// once, the others parked until the block's next visit. Order within a
-// wave is irrelevant to the result (updates commute), so parking keeps
-// the database bit-identical to an in-core solve.
+// once, and their positions entered in the change record, the others
+// parked until the block's next visit. Order within a wave is irrelevant
+// to the result (updates commute), so parking keeps the database
+// bit-identical to an in-core solve. HostSolve lands a block's
+// self-owned updates here too, so the record sees every write.
 func (m *blockManager) Land(i int, runs []ra.UpdateRun) {
 	b := m.blocks[i]
 	if b.w.StateResident() {
 		for _, run := range runs {
 			b.w.ApplyRun(run)
+			if b.changed != nil {
+				markChanged(b.changed, m.part.Local(run.Base), uint64(run.Count))
+			}
 		}
 		b.dirty = true
 		return
@@ -590,6 +745,9 @@ func (m *blockManager) checkpoint(waves int) error {
 	if err != nil {
 		return err
 	}
+	if err := m.store.failpoint(false); err != nil {
+		return err
+	}
 	if err := writeManifest(filepath.Join(m.store.dir, ManifestName), mf); err != nil {
 		return err
 	}
@@ -610,9 +768,10 @@ func (m *blockManager) restore(mf *manifest, path string) error {
 			return err
 		}
 		b.w = w
-		b.gen = mb.gen
-		b.manifestGen = mb.gen
-		b.syncedGen = mb.gen // pinned generations were synced before the manifest landed
+		b.files = files{mb.base, mb.delta}
+		b.gen = max(mb.base, mb.delta)
+		b.pinned = b.files
+		b.synced = b.files // pinned files were synced before the manifest landed
 		b.dirty = false
 		b.pending = mb.pending
 		m.notePending(uint64(len(mb.pending)))
@@ -640,10 +799,10 @@ func (m *blockManager) manifestSnapshot(waves uint64) (*manifest, error) {
 		if b.dirty {
 			return nil, fmt.Errorf("oocore: manifest snapshot of dirty block %d", i)
 		}
-		if b.gen == 0 {
+		if b.files.base == 0 {
 			return nil, fmt.Errorf("oocore: manifest snapshot of block %d with no spill generation", i)
 		}
-		mf.blocks[i] = entryOf(b.w, b.gen, b.pending)
+		mf.blocks[i] = entryOf(b.w, b.files, b.pending)
 	}
 	return mf, nil
 }

@@ -12,8 +12,9 @@ import (
 	"retrograde/internal/ra"
 )
 
-// The manifest is the durable root of a store: which spill generation of
-// each shard it holds is current, plus everything about the solve that is
+// The manifest is the durable root of a store: which spill files of
+// each shard it holds are current — a base image and the delta, if any,
+// that patches it — plus everything about the solve that is
 // not per-position state (wave counts, per-shard frontiers, work counters,
 // parked cross-block runs). An out-of-core solve's store holds every
 // shard of its partition, one per block, and its manifest is written
@@ -29,9 +30,9 @@ import (
 //	magic "RAOM", version u32
 //	size u64, kernel u8, shards u32, group u64  (the partition)
 //	entries u32, waves u64, wave u64
-//	spill counters (8 × u64, SpillCounters field order)
+//	spill counters (10 × u64, SpillCounters field order)
 //	per entry, in increasing shard order:
-//	  shard u32, gen u64
+//	  shard u32, base u64, delta u64 (0 = none)
 //	  worker stats (9 × u64, WorkerStats field order)
 //	  queue, next: count u64, then count × u64 local indices
 //	  pending: count u64, then count × (base u64, count u32, value u16)
@@ -39,26 +40,34 @@ import (
 // waves counts productive waves; wave is the mesh wave about to run (0
 // out of core). v2 added the spill counters, v3 dropped the loop-set list
 // for the loop flag in the spilled state, v4 replaced (blockLen, blocks)
-// with the partition and per-entry shard ids. v2 and v3 are refused: a v2
-// store's stale counters on cutoff-final positions would read as loop
-// flags, and a v3 header has no partition to read.
+// with the partition and per-entry shard ids, v5 pins a delta beside
+// each base and counts deltas and compactions. v4 is still read — its
+// 8 counters lack the last two, its entries pin one gen, a base — so a
+// store paused by a build before deltas resumes. v2 and v3 are refused:
+// a v2 store's stale counters on cutoff-final positions would read as
+// loop flags, and a v3 header has no partition to read.
 const (
 	// ManifestName is the manifest's file name in a store directory; a
 	// directory without one holds no committed store.
 	ManifestName    = "oocore.manifest"
 	manifestMagic   = "RAOM"
-	manifestVersion = 4
+	manifestVersion = 5
+	// manifestV4 is the oldest version read.
+	manifestV4 = 4
 )
 
 type manifestBlock struct {
 	shard       int
-	gen         uint64
+	base, delta uint64
 	stats       ra.WorkerStats
 	queue, next []uint64
 	pending     []ra.UpdateRun
 }
 
 type manifest struct {
+	// version is the layout the manifest was read in, and is written in;
+	// 0 writes manifestVersion.
+	version  uint32
 	size     uint64
 	kernel   ra.Kernel
 	shards   uint32
@@ -69,19 +78,23 @@ type manifest struct {
 	blocks   []manifestBlock
 }
 
-func counterWords(c *SpillCounters) [8]uint64 {
-	return [8]uint64{
-		c.Spilled, c.Reloaded, c.SpillBytesWritten, c.SpillBytesRead,
+func counterWords(c *SpillCounters) [10]uint64 {
+	return [10]uint64{
+		c.Spilled, c.Deltas, c.Compactions, c.Reloaded, c.SpillBytesWritten, c.SpillBytesRead,
 		c.Checkpoints, c.PrefetchIssued, c.PrefetchHits, c.WriteStalls,
 	}
 }
 
-func countersFromWords(w [8]uint64) SpillCounters {
+func countersFromWords(w [10]uint64) SpillCounters {
 	return SpillCounters{
-		Spilled: w[0], Reloaded: w[1], SpillBytesWritten: w[2], SpillBytesRead: w[3],
-		Checkpoints: w[4], PrefetchIssued: w[5], PrefetchHits: w[6], WriteStalls: w[7],
+		Spilled: w[0], Deltas: w[1], Compactions: w[2], Reloaded: w[3], SpillBytesWritten: w[4], SpillBytesRead: w[5],
+		Checkpoints: w[6], PrefetchIssued: w[7], PrefetchHits: w[8], WriteStalls: w[9],
 	}
 }
+
+// v4Counters are the counter words of a version 4 manifest, which had no
+// Deltas and Compactions.
+var v4Counters = []int{0, 3, 4, 5, 6, 7, 8, 9}
 
 // writeManifest commits a store: it writes the manifest atomically and
 // durably, then syncs the directory, so a crash at any instant leaves
@@ -101,7 +114,11 @@ func writeManifest(path string, mf *manifest) error {
 // encodeManifest lays out the manifest image, checksum included.
 func encodeManifest(mf *manifest) []byte {
 	le := binary.LittleEndian
-	buf := le.AppendUint32(append(make([]byte, 0, 256), manifestMagic...), manifestVersion)
+	version := mf.version
+	if version == 0 {
+		version = manifestVersion
+	}
+	buf := le.AppendUint32(append(make([]byte, 0, 256), manifestMagic...), version)
 	buf = le.AppendUint64(buf, mf.size)
 	buf = append(buf, byte(mf.kernel))
 	buf = le.AppendUint32(buf, mf.shards)
@@ -109,13 +126,23 @@ func encodeManifest(mf *manifest) []byte {
 	buf = le.AppendUint32(buf, uint32(len(mf.blocks)))
 	buf = le.AppendUint64(buf, mf.waves)
 	buf = le.AppendUint64(buf, mf.wave)
-	for _, w := range counterWords(&mf.counters) {
-		buf = le.AppendUint64(buf, w)
+	words := counterWords(&mf.counters)
+	if version == manifestV4 {
+		for _, k := range v4Counters {
+			buf = le.AppendUint64(buf, words[k])
+		}
+	} else {
+		for _, w := range words {
+			buf = le.AppendUint64(buf, w)
+		}
 	}
 	for i := range mf.blocks {
 		mb := &mf.blocks[i]
 		buf = le.AppendUint32(buf, uint32(mb.shard))
-		buf = le.AppendUint64(buf, mb.gen)
+		buf = le.AppendUint64(buf, mb.base)
+		if version != manifestV4 {
+			buf = le.AppendUint64(buf, mb.delta)
+		}
 		for _, w := range mb.stats.Words() {
 			buf = le.AppendUint64(buf, w)
 		}
@@ -159,10 +186,11 @@ func decodeManifest(path string, data []byte) (*manifest, error) {
 	if string(r.bytes(4)) != manifestMagic {
 		return nil, corrupt(path, "bad magic")
 	}
-	if v := r.u32(); r.err == nil && v != manifestVersion {
-		return nil, corrupt(path, "unsupported version %d (this build reads version %d)", v, manifestVersion)
+	mf := &manifest{version: r.u32()}
+	if r.err == nil && mf.version != manifestVersion && mf.version != manifestV4 {
+		return nil, corrupt(path, "unsupported version %d (this build reads versions %d and %d)", mf.version, manifestV4, manifestVersion)
 	}
-	mf := &manifest{}
+	v4 := mf.version == manifestV4
 	mf.size = r.u64()
 	mf.kernel = ra.Kernel(r.u8())
 	mf.shards = r.u32()
@@ -170,9 +198,15 @@ func decodeManifest(path string, data []byte) (*manifest, error) {
 	entries := r.u32()
 	mf.waves = r.u64()
 	mf.wave = r.u64()
-	var cw [8]uint64
-	for i := range cw {
-		cw[i] = r.u64()
+	var cw [10]uint64
+	if v4 {
+		for _, k := range v4Counters {
+			cw[k] = r.u64()
+		}
+	} else {
+		for i := range cw {
+			cw[i] = r.u64()
+		}
 	}
 	mf.counters = countersFromWords(cw)
 	if r.err != nil {
@@ -187,7 +221,7 @@ func decodeManifest(path string, data []byte) (*manifest, error) {
 	if entries == 0 || entries > mf.shards {
 		return nil, corrupt(path, "implausible entry count %d for %d shards", entries, mf.shards)
 	}
-	const minEntryBytes = 4 + 8*(1+9+3) // shard, gen, stats, three empty lists
+	const minEntryBytes = 4 + 8*(1+9+3) // shard, base, stats, three empty lists
 	if uint64(entries) > uint64(len(r.data)-r.off)/minEntryBytes {
 		return nil, corrupt(path, "%d entries exceed the remaining %d bytes", entries, len(r.data)-r.off)
 	}
@@ -199,7 +233,10 @@ func decodeManifest(path string, data []byte) (*manifest, error) {
 			return nil, corrupt(path, "entry %d names shard %d (of %d) out of order", i, shard, mf.shards)
 		}
 		mb.shard = int(shard)
-		mb.gen = r.u64()
+		mb.base = r.u64()
+		if !v4 {
+			mb.delta = r.u64()
+		}
 		var words [9]uint64
 		for j := range words {
 			words[j] = r.u64()

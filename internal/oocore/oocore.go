@@ -79,8 +79,10 @@ type Engine struct {
 	NoPrefetch bool
 
 	// failSpillAfter > 0 injects errSimulatedCrash on the N-th spill
-	// write — the crash-recovery tests' failpoint.
+	// write — the crash-recovery tests' failpoint — or, with
+	// failSpillKind set, on the first write after the N-th of that kind.
 	failSpillAfter int
+	failSpillKind  spillKind
 }
 
 // Name implements ra.Engine.
@@ -152,7 +154,7 @@ func (e Engine) solve(g game.Game) (*ra.Result, *blockManager, error) {
 	if err := os.MkdirAll(e.Dir, 0o755); err != nil {
 		return nil, nil, fmt.Errorf("oocore: creating spill directory: %w", err)
 	}
-	store := &spillStore{dir: e.Dir, failAfter: e.failSpillAfter}
+	store := &spillStore{dir: e.Dir, failAfter: e.failSpillAfter, failAfterKind: e.failSpillKind}
 	m := newBlockManager(g, kern, part, e.MemLimit, store)
 	inCore, err := ra.InCoreStateBytes(g, kern)
 	if err != nil {
@@ -220,9 +222,14 @@ func (e Engine) solve(g game.Game) (*ra.Result, *blockManager, error) {
 // An out-of-core spill directory holds every shard of its partition, one
 // per block; a TCP-mesh checkpoint directory holds one node's shard.
 type StoreInfo struct {
-	Dir         string
-	BlockFiles  int    // spill block files present (all generations)
-	SpillBytes  uint64 // their total size
+	Dir string
+	// BlockFiles counts the block files present, all generations: base
+	// images and deltas. SpillBytes is their total size, DeltaFiles and
+	// DeltaBytes the deltas' share of both.
+	BlockFiles  int
+	SpillBytes  uint64
+	DeltaFiles  int
+	DeltaBytes  uint64
 	HasManifest bool
 	// Manifest header fields, valid when HasManifest:
 	Size   uint64
@@ -235,6 +242,9 @@ type StoreInfo struct {
 	Wave   uint64 // the mesh wave about to run: 0 out of core, so MeshNode
 	// Pending counts parked cross-block runs recorded in the manifest.
 	Pending uint64
+	// PinnedDeltas counts the blocks whose manifest entry pins a delta
+	// beside its base.
+	PinnedDeltas int
 	// The cumulative I/O counters the checkpointed solve had accumulated.
 	SpillCounters
 }
@@ -257,7 +267,7 @@ func InspectDir(dir string) (StoreInfo, error) {
 			continue
 		}
 		name := ent.Name()
-		if !strings.HasPrefix(name, "block-") || !strings.HasSuffix(name, spillSuffix) {
+		if !isStoreFile(name) {
 			continue
 		}
 		fi, err := ent.Info()
@@ -268,6 +278,10 @@ func InspectDir(dir string) (StoreInfo, error) {
 		}
 		info.BlockFiles++
 		info.SpillBytes += uint64(fi.Size())
+		if strings.HasSuffix(name, deltaSuffix) {
+			info.DeltaFiles++
+			info.DeltaBytes += uint64(fi.Size())
+		}
 	}
 	mf, err := readManifest(filepath.Join(dir, ManifestName))
 	if err != nil {
@@ -288,6 +302,9 @@ func InspectDir(dir string) (StoreInfo, error) {
 	info.SpillCounters = mf.counters
 	for i := range mf.blocks {
 		info.Pending += uint64(len(mf.blocks[i].pending))
+		if mf.blocks[i].delta != 0 {
+			info.PinnedDeltas++
+		}
 	}
 	return info, nil
 }

@@ -23,8 +23,8 @@ import (
 // restoreWorker rebuilds the worker of manifest entry mb under part with
 // its state left on disk, after the checks every resume runs before it
 // trusts an entry: the position count against the shard size, a pinned
-// generation, queue entries and parked runs inside the shard. path names
-// the manifest in errors.
+// base and a delta newer than it, queue entries and parked runs inside
+// the shard. path names the manifest in errors.
 func restoreWorker(g game.Game, part *ra.Partition, kern ra.Kernel, mb *manifestBlock, path string) (*ra.Worker, error) {
 	i := mb.shard
 	w, err := ra.NewWorkerKernel(g, part, i, kern)
@@ -36,8 +36,11 @@ func restoreWorker(g game.Game, part *ra.Partition, kern ra.Kernel, mb *manifest
 	if mb.stats.Positions != n {
 		return nil, corrupt(path, "block %d records %d positions, want %d", i, mb.stats.Positions, n)
 	}
-	if mb.gen == 0 {
+	if mb.base == 0 {
 		return nil, corrupt(path, "block %d has no pinned spill generation", i)
+	}
+	if mb.delta != 0 && mb.delta <= mb.base {
+		return nil, corrupt(path, "block %d pins delta generation %d against the newer base %d", i, mb.delta, mb.base)
 	}
 	for _, q := range [][]uint64{mb.queue, mb.next} {
 		for _, l := range q {
@@ -60,11 +63,11 @@ func restoreWorker(g game.Game, part *ra.Partition, kern ra.Kernel, mb *manifest
 	return w, nil
 }
 
-// entryOf is the manifest entry pinning generation gen of w's state,
-// with the runs parked for it.
-func entryOf(w *ra.Worker, gen uint64, pending []ra.UpdateRun) manifestBlock {
+// entryOf is the manifest entry pinning the files f of w's state, with
+// the runs parked for it.
+func entryOf(w *ra.Worker, f files, pending []ra.UpdateRun) manifestBlock {
 	queue, next := w.Frontier()
-	return manifestBlock{shard: w.ID(), gen: gen, stats: w.Stats, queue: queue, next: next, pending: pending}
+	return manifestBlock{shard: w.ID(), base: f.base, delta: f.delta, stats: w.Stats, queue: queue, next: next, pending: pending}
 }
 
 // restoreState checks a fetched spill image — the read's error, then
@@ -91,7 +94,7 @@ func restoreState(w *ra.Worker, j *readJob) error {
 // store of one shard: w's own, under w's partition. wave is the wave
 // about to run, at least 1 (wave 0 initialises; a nonzero wave is what
 // marks a store as a mesh node's), and waves the productive waves so
-// far. The spill file is
+// far. The spill file, a full image, is
 // written and synced first and the manifest, the store's commit point,
 // last; saving over a store writes the next generation and deletes the
 // previous one only once the new manifest is durable, so a crash at any
@@ -112,12 +115,12 @@ func SaveShard(dir string, w *ra.Worker, wave, waves uint64) error {
 	me, part := w.ID(), w.Partition()
 	var old uint64
 	if prev, err := readManifest(mpath); err == nil && prev.blocks[0].shard == me {
-		old = prev.blocks[0].gen
+		old = prev.blocks[0].base
 	}
 	wb := newWriteback(store, 0)
 	j, _ := wb.acquire()
 	j.vals, j.meta = w.PackState(nil, nil)
-	j.block, j.kern, j.gen = me, w.Kernel(), old+1
+	j.block, j.kern, j.gen, j.kind = me, w.Kernel(), old+1, kindBase
 	if err := wb.submit(j); err != nil {
 		return err
 	}
@@ -126,13 +129,13 @@ func SaveShard(dir string, w *ra.Worker, wave, waves uint64) error {
 	}
 	mf := &manifest{
 		size: part.Size(), kernel: w.Kernel(), shards: uint32(part.Workers()), group: part.Group(),
-		waves: waves, wave: wave, blocks: []manifestBlock{entryOf(w, old+1, nil)},
+		waves: waves, wave: wave, blocks: []manifestBlock{entryOf(w, files{base: old + 1}, nil)},
 	}
 	if err := writeManifest(mpath, mf); err != nil {
 		return err
 	}
 	if old != 0 {
-		store.remove(me, old)
+		store.remove(me, old, false)
 	}
 	return nil
 }
@@ -163,7 +166,7 @@ func RestoreShard(dir string, g game.Game) (w *ra.Worker, wave, waves uint64, er
 	if w, err = restoreWorker(g, part, mf.kernel, mb, mpath); err != nil {
 		return nil, 0, 0, err
 	}
-	j := &readJob{block: mb.shard, gen: mb.gen}
+	j := &readJob{block: mb.shard, files: files{mb.base, mb.delta}}
 	newWriteback(&spillStore{dir: dir}, 0).fetch(j)
 	if err := restoreState(w, j); err != nil {
 		return nil, 0, 0, err

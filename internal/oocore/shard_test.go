@@ -25,12 +25,17 @@ func initWorker(t *testing.T, g game.Game, p, me int, k ra.Kernel) *ra.Worker {
 	return w
 }
 
-// spillFiles returns the spill files in a shard store.
+// spillFiles returns the block files in a store: base images, then
+// deltas.
 func spillFiles(t *testing.T, dir string) []string {
 	t.Helper()
-	files, err := filepath.Glob(filepath.Join(dir, "block-*"+spillSuffix))
-	if err != nil {
-		t.Fatal(err)
+	var files []string
+	for _, suffix := range []string{spillSuffix, deltaSuffix} {
+		matched, err := filepath.Glob(filepath.Join(dir, "block-*"+suffix))
+		if err != nil {
+			t.Fatal(err)
+		}
+		files = append(files, matched...)
 	}
 	return files
 }

@@ -42,22 +42,29 @@ func spillDigest(t *testing.T, dir string) string {
 // leaves behind, completed (KeepStore) and paused after three waves, for
 // an awari rung under each kernel and for tic-tac-toe, and of a one-shard
 // store written by SaveShard. Pipelined and synchronous spilling
-// (Writeback < 0, NoPrefetch) must leave the same bytes. Spill format version 2 is a durable
-// format: a change to how a position's state becomes a stored symbol, to
-// the codec choice or to the framing changes these digests, and a store
-// written by one build must resume under the next.
+// (Writeback < 0, NoPrefetch) must leave the same bytes. Spill format
+// version 2 and delta format version 1 are durable formats: a change to
+// how a position's state becomes a stored symbol, to the codec choice,
+// to the framing, or to when a re-spill writes a delta or compacts
+// changes these digests, and a store written by one build must resume
+// under the next.
+//
+// The first sixteen spills of each capped solve are its blocks' first
+// generations, full images evicted during initialisation; a solve cut
+// by the failpoint at the seventeenth leaves exactly those, and their
+// digest is the one pinned before deltas existed.
 func TestSpillImagePinned(t *testing.T) {
 	awari8 := awariSlice(t, 8)
 	type pin struct {
-		name              string
-		g                 game.Game
-		kern              ra.Kernel
-		completed, paused string
+		name                         string
+		g                            game.Game
+		kern                         ra.Kernel
+		completed, paused, firstGens string
 	}
 	for _, want := range []pin{
-		{"awari-8 swar", awari8, ra.KernelSWAR, "269c68a6622bea357f587c19f58715f3", "73687ce1864c5dbf4c11b6bc802a79ce"},
-		{"awari-8 scalar", awari8, ra.KernelScalar, "9228a81d69f284a4401b1bcb83590e1b", "5d094913bf6fa301eadfb5c9903ebee9"},
-		{"ttt", ttt.New(), ra.KernelAuto, "3fe56b083f38ab9f257ba5579e5f76d6", "8e523b3926d4fb7b8a2208463bd26b0a"},
+		{"awari-8 swar", awari8, ra.KernelSWAR, "3f2de699649af315355d936164fa1eb8", "9fd9484f042604edcb65653c5c66ed7b", "5de2c4e948f94cfdc1081abda600943b"},
+		{"awari-8 scalar", awari8, ra.KernelScalar, "9f8a27d7e119e5032988b2a681aab518", "f3351bf83ebaa0e686ae58e503df2ef2", "10d4d305a03ac179ee5a0ddd8093b6dc"},
+		{"ttt", ttt.New(), ra.KernelAuto, "7635c1947c64096eb7bf4a91bb8235da", "a04082920b53d71090d16092f01da6d7", "cdd77f0b8e9f81f3a9095afe01ce66ed"},
 	} {
 		ic, err := ra.InCoreStateBytes(want.g, want.kern)
 		if err != nil {
@@ -78,10 +85,15 @@ func TestSpillImagePinned(t *testing.T) {
 			if _, err := paused.Solve(want.g); !errors.Is(err, ra.ErrPaused) {
 				t.Fatalf("%s %s: paused solve returned %v, want ra.ErrPaused", want.name, mode.name, err)
 			}
-			gotCompleted, gotPaused := spillDigest(t, completed.Dir), spillDigest(t, paused.Dir)
-			if gotCompleted != want.completed || gotPaused != want.paused {
-				t.Errorf("%s %s: spill digests completed %s, paused %s; pinned %s, %s",
-					want.name, mode.name, gotCompleted, gotPaused, want.completed, want.paused)
+			cut := Engine{MemLimit: ic / 4, Dir: t.TempDir(), Kernel: want.kern, failSpillAfter: 17,
+				Writeback: mode.writeback, NoPrefetch: mode.noPrefetch}
+			if _, err := cut.Solve(want.g); !errors.Is(err, errSimulatedCrash) {
+				t.Fatalf("%s %s: cut solve returned %v, want the simulated crash", want.name, mode.name, err)
+			}
+			gotCompleted, gotPaused, gotFirst := spillDigest(t, completed.Dir), spillDigest(t, paused.Dir), spillDigest(t, cut.Dir)
+			if gotCompleted != want.completed || gotPaused != want.paused || gotFirst != want.firstGens {
+				t.Errorf("%s %s: spill digests completed %s, paused %s, first generations %s; pinned %s, %s, %s",
+					want.name, mode.name, gotCompleted, gotPaused, gotFirst, want.completed, want.paused, want.firstGens)
 			}
 		}
 	}

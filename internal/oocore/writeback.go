@@ -2,10 +2,11 @@ package oocore
 
 // The spill store's two I/O steps. Every spill-file write — an evicted
 // block, a checkpoint's dirty block, a mesh node's shard — runs commit:
-// encode with the zdb codecs, write the file atomically, and only then
-// delete the generation it supersedes. Every spill-file read — a
-// prefetch, a demand load, a shard restore — runs fetch: wait out any
-// in-flight write of the block, read, decode.
+// encode a base image or a delta with the zdb codecs, write the file
+// atomically, and only then delete the files it supersedes. Every
+// spill-file read — a prefetch, a demand load, a shard restore — runs
+// fetch: wait out any in-flight write of the block, read and decode the
+// base, then read its delta, if any, and patch the decoded streams.
 //
 // Write-behind: the eviction path packs a block's state into a pooled
 // job and returns immediately; a dedicated writer goroutine commits it.
@@ -35,6 +36,7 @@ package oocore
 //     queued write has committed; barrier() is that fence.
 
 import (
+	"encoding/binary"
 	"sync"
 	"time"
 
@@ -52,12 +54,18 @@ const DefaultWritebackDepth = 4
 // write-behind pipeline. Jobs are pooled: at most depth exist, so the
 // pipeline's memory is bounded regardless of block count.
 type spillJob struct {
-	block     int
-	kern      ra.Kernel
-	gen       uint64 // generation this write creates
-	removeGen uint64 // superseded generation to delete after commit; 0 = none
+	block int
+	kern  ra.Kernel
+	gen   uint64 // generation this write creates
+	kind  spillKind
+	// base is the generation a delta patches; runs index the positions
+	// that may differ from it.
+	base uint64
+	runs []deltaRun
+	// remove names the superseded files to delete after commit; 0 = none.
+	remove files
 
-	vals, meta []game.Value
+	vals, meta []game.Value // the block's full streams, as PackState returns them
 
 	rec *inflightWrite // this submission's completion record
 }
@@ -92,14 +100,20 @@ type writeback struct {
 	// Committer state. bytesWritten and the clocks are read by the
 	// engine only after pending.Wait(), which orders the access.
 	enc                   []byte
+	delta                 deltaImage // a delta's gathered symbols
+	sums                  map[int]baseSum
 	bytesWritten          uint64
 	encodeTime, writeTime time.Duration
 }
 
+// baseSum is the CRC-64 tail of the newest base image committed for a
+// block, which every delta against it records.
+type baseSum struct{ gen, crc uint64 }
+
 // newWriteback starts a write-behind queue of depth jobs; depth ≤ 0
 // makes the writeback inline: one job, committed by submit itself.
 func newWriteback(store *spillStore, depth int) *writeback {
-	wb := &writeback{store: store, inline: depth <= 0, depth: max(depth, 1)}
+	wb := &writeback{store: store, inline: depth <= 0, depth: max(depth, 1), sums: map[int]baseSum{}}
 	wb.free = make(chan *spillJob, wb.depth)
 	wb.inflight = make(map[int]*inflightWrite, wb.depth)
 	if !wb.inline {
@@ -166,22 +180,22 @@ func (wb *writeback) run() {
 	}
 }
 
-// commit is the write step: encode j's streams, write generation j.gen,
-// delete the generation it supersedes. After the first failure it
-// writes nothing and returns that failure. Only an inline writeback
-// fsyncs: write-behind generations need to be durable only by the next
-// manifest fence, where blockManager.syncPinned syncs the generations
-// the manifest pins.
+// commit is the write step: encode j's streams as a base image or as a
+// delta against j.base, write generation j.gen, delete the files it
+// supersedes. After the first failure it writes nothing and returns that
+// failure. Only an inline writeback fsyncs: write-behind generations need
+// to be durable only by the next manifest fence, where
+// blockManager.syncPinned syncs the files the manifest pins.
 func (wb *writeback) commit(j *spillJob) error {
 	if err := wb.firstError(); err != nil {
 		return err
 	}
 	c := startSpillClock()
-	enc, err := encodeSpill(wb.enc[:0], j.block, j.kern, j.vals, j.meta)
+	enc, err := wb.encode(j)
 	c.lap(&wb.encodeTime)
 	if err == nil {
 		wb.enc = enc
-		err = wb.store.write(j.block, j.gen, enc, wb.inline)
+		err = wb.store.write(j.block, j.gen, j.kind, enc, wb.inline)
 		c.lap(&wb.writeTime)
 	}
 	if err != nil {
@@ -189,24 +203,58 @@ func (wb *writeback) commit(j *spillJob) error {
 		return err
 	}
 	wb.bytesWritten += uint64(len(enc))
-	if j.removeGen != 0 {
-		wb.store.remove(j.block, j.removeGen)
+	if j.kind != kindDelta {
+		wb.sums[j.block] = baseSum{j.gen, binary.LittleEndian.Uint64(enc[len(enc)-8:])}
+	}
+	if j.remove.base != 0 {
+		wb.store.remove(j.block, j.remove.base, false)
+	}
+	if j.remove.delta != 0 {
+		wb.store.remove(j.block, j.remove.delta, true)
 	}
 	return nil
+}
+
+// encode lays out j's file image in the committer's buffer. A delta
+// records the checksum of its base: the one this writer committed last
+// for the block, or, for a base an earlier run left, the file's own tail.
+func (wb *writeback) encode(j *spillJob) ([]byte, error) {
+	if j.kind != kindDelta {
+		return encodeSpill(wb.enc[:0], j.block, j.kern, j.vals, j.meta)
+	}
+	sum, ok := wb.sums[j.block]
+	if !ok || sum.gen != j.base {
+		crc, err := wb.store.baseCRC(j.block, j.base)
+		if err != nil {
+			return nil, err
+		}
+		sum = baseSum{j.base, crc}
+		wb.sums[j.block] = sum
+	}
+	d := &wb.delta
+	*d = deltaImage{block: j.block, kern: j.kern, count: len(j.vals), baseGen: sum.gen, baseCRC: sum.crc,
+		runs: j.runs, vals: gatherRuns(d.vals[:0], j.vals, j.runs), meta: d.meta[:0]}
+	if len(j.meta) > 0 {
+		d.meta = gatherRuns(d.meta, j.meta, j.runs)
+	}
+	return encodeDelta(wb.enc[:0], d)
 }
 
 // readJob carries one block read through the read step: the request,
 // then the decoded streams and what the read cost.
 type readJob struct {
 	block int
-	gen   uint64 // generation to read
+	gen   uint64 // newest generation of the block: its delta's, or its base's
+	files files  // the base image to read and the delta that patches it
 
 	// Set by fetch.
 	path                string
 	vals, meta          []game.Value
-	blk                 int       // block index the file claims
-	kern                ra.Kernel // kernel the file claims
-	n                   int       // compressed bytes read
+	delta               deltaImage // the delta read, its runs the block's change record
+	blk                 int        // block index the file claims
+	kern                ra.Kernel  // kernel the file claims
+	n                   int        // compressed bytes read
+	baseBytes           int        // of them, the base image's
 	err                 error
 	fence, read, decode time.Duration
 
@@ -214,10 +262,12 @@ type readJob struct {
 }
 
 // fetch is the read step: wait out any in-flight write of j's block,
-// then read generation j.gen and decode it into j's buffers, timing
-// each stage. Safe from any goroutine.
+// then read its base image and decode it into j's buffers, then read the
+// delta, if any, and patch them, timing each stage. Safe from any
+// goroutine.
 func (wb *writeback) fetch(j *readJob) {
 	j.fence, j.read, j.decode = 0, 0, 0
+	j.delta.runs = j.delta.runs[:0]
 	c := startSpillClock()
 	j.err = wb.waitBlock(j.block)
 	c.lap(&j.fence)
@@ -225,13 +275,27 @@ func (wb *writeback) fetch(j *readJob) {
 		return
 	}
 	var data []byte
-	data, j.path, j.err = wb.store.read(j.block, j.gen)
+	data, j.path, j.err = wb.store.read(j.block, j.files.base, false)
 	c.lap(&j.read)
 	if j.err != nil {
 		return
 	}
-	j.n = len(data)
+	j.n, j.baseBytes = len(data), len(data)
 	j.blk, j.kern, j.vals, j.meta, j.err = decodeSpill(j.path, data, j.vals, j.meta)
+	c.lap(&j.decode)
+	if j.err != nil || j.files.delta == 0 {
+		return
+	}
+	baseCRC := binary.LittleEndian.Uint64(data[len(data)-8:])
+	data, j.path, j.err = wb.store.read(j.block, j.files.delta, true)
+	c.lap(&j.read)
+	if j.err != nil {
+		return
+	}
+	j.n += len(data)
+	if j.err = decodeDelta(j.path, data, &j.delta); j.err == nil {
+		j.err = applyDelta(j.path, &j.delta, j.blk, j.kern, j.files.base, baseCRC, j.vals, j.meta)
+	}
 	c.lap(&j.decode)
 }
 

@@ -55,8 +55,10 @@ type Residency interface {
 // HostSolve runs the host driver on one goroutine over every shard of
 // part, their state kept by res, resuming after waves waves. On one
 // goroutine Visit and WaveEnd may fail: no peer waits at a barrier.
+// Every update of the solve reaches res through Land, a shard's
+// self-owned ones included, so res sees each write to a shard's state.
 func HostSolve(part *Partition, res Residency, waves int) (*Result, error) {
-	return solveHost(part, 1, hostBatch, res, waves)
+	return solveHost(part, 1, hostBatch, res, waves, true)
 }
 
 // inCore is the residency of the in-core engines: every shard stays in
@@ -71,7 +73,7 @@ type inCore struct {
 // solveInCore solves g over part with one goroutine per shard.
 func solveInCore(g game.Game, part *Partition, k Kernel, batch int) (*Result, error) {
 	res := &inCore{g: g, part: part, kern: k, ws: make([]*Worker, part.Workers())}
-	return solveHost(part, part.Workers(), batch, res, 0)
+	return solveHost(part, part.Workers(), batch, res, 0, false)
 }
 
 func (c *inCore) Init(i int) (*Worker, error) {
@@ -125,8 +127,9 @@ type waveMsg struct {
 }
 
 // solveHost runs the driver with p goroutines combining batch runs per
-// delivery.
-func solveHost(part *Partition, p, batch int, res Residency, waves int) (*Result, error) {
+// delivery. landSelf routes self-owned updates through emit and so
+// through Land, where the in-core engines apply them inline.
+func solveHost(part *Partition, p, batch int, res Residency, waves int, landSelf bool) (*Result, error) {
 	n := part.Workers()
 	shards := make([]hostShard, n)
 	// Inboxes are buffered so that senders rarely block; post drains its
@@ -154,7 +157,7 @@ func solveHost(part *Partition, p, batch int, res Residency, waves int) (*Result
 	ds := make([]*hostWorker, p)
 	for me := range ds {
 		d := &hostWorker{me: me, p: p, res: res, shards: shards, inbox: inbox, free: free, bar: bar,
-			holds: make([]bool, n), open: make([]UpdateRun, n), waves: waves, ph: &phases[me]}
+			holds: make([]bool, n), open: make([]UpdateRun, n), waves: waves, landSelf: landSelf, ph: &phases[me]}
 		for i := me; i < n; i += p {
 			d.own = append(d.own, i)
 			d.holds[i] = true
@@ -196,10 +199,11 @@ type hostWorker struct {
 	free   chan []UpdateRun // shared pool of recycled batch arrays
 	bar    *waveBarrier
 
-	own   []int  // shards held, ascending
-	holds []bool // by shard: whether it is held here
-	order []int  // this pass's visit order
-	buf   *combine.Buffer[UpdateRun]
+	own      []int  // shards held, ascending
+	holds    []bool // by shard: whether it is held here
+	landSelf bool   // self-owned updates go through emit and Land
+	order    []int  // this pass's visit order
+	buf      *combine.Buffer[UpdateRun]
 	// open holds the run still being extended per destination shard
 	// (Count == 0 when empty), so consecutive runs coalesce before they
 	// reach the combining buffer.
@@ -325,8 +329,8 @@ func (d *hostWorker) wave() error {
 
 // visit is one shard's turn in a pass: land the previous wave's parked
 // runs and begin a deferred wave, land this wave's parked runs, and
-// expand the queue — self-owned updates applied inline, the others
-// through emit — draining the inbox between chunks.
+// expand the queue — self-owned updates applied inline unless landSelf,
+// the others through emit — draining the inbox between chunks.
 func (d *hostWorker) visit(i int, parked []UpdateRun) {
 	sh := &d.shards[i]
 	if sh.mark > 0 {
@@ -337,7 +341,7 @@ func (d *hostWorker) visit(i int, parked []UpdateRun) {
 	if sh.queued == 0 {
 		return
 	}
-	for sh.w.ExpandRuns(expandChunk, d.emitFn) > 0 {
+	for sh.w.expandRuns(expandChunk, d.landSelf, d.emitFn) > 0 {
 		d.drain()
 	}
 	d.expanded += sh.queued

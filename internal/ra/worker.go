@@ -371,8 +371,9 @@ func (w *Worker) ExpandRuns(limit int, emit func(owner int, r UpdateRun)) int {
 // consecutive too and the run generator decodes incrementally. A self-
 // owned edge is applied inline, or emitted as a run of one when
 // emitSelf is set (a wire node routes it through its combining buffer,
-// which charges it as an applied update). Remote edges are gathered and
-// flushed owner-grouped once per grouping chunk of queue positions.
+// which charges it as an applied update; HostSolve through its
+// residency's Land, which records the write). Remote edges are gathered
+// and flushed owner-grouped once per grouping chunk of queue positions.
 //
 // The emitted sequence — queue order, and within a position the order
 // the generator lists its predecessors, with each chunk's remote edges
