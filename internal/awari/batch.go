@@ -15,10 +15,15 @@ import (
 // (Unrank), rank every child — including internal children whose index the
 // init phase never needs — and verify every predecessor candidate with a
 // full forward Apply. The batched path amortises all of that over a run of
-// sibling positions (same stone count, adjacent ranks):
+// sibling positions (same stone count, ranks a fixed stride apart):
 //
-//   - boards are decoded once per run and advanced with the O(1) colex
-//     successor rule instead of Unrank per position;
+//   - a run is an arithmetic progression of ranks (base, stride, n): a
+//     worker's consecutive positions, stride 1 inside a block and P
+//     across a P-way cyclic partition. Its first board is decoded once
+//     (Unrank) and each step after that reads the mover's next row from
+//     a shared table of rows in colex order (ownRows), carrying into the
+//     opponent's row when it leaves the block of positions that share
+//     one — at stride 1, once per block;
 //   - a board is two row words (rows: one byte per pit, the mover's row
 //     in one uint64 and the opponent's in the other). No pit reaches 128
 //     stones, so byte-wise arithmetic cannot carry between pits: a sow is
@@ -148,29 +153,99 @@ func rankBoard(w rows, stones int) uint64 {
 	return r
 }
 
-// nextBoard advances w to the colex successor in its stone-count space:
-// rank(nextBoard(w)) == rank(w) + 1. Pit 0's stones move one pit up, one at
-// a time; once pit 0 is empty, the lowest nonempty pit j passes one stone
-// to pit j+1 and the rest back to pit 0. Callers never step past the last
-// composition (all stones in pit 11).
-func nextBoard(w *rows) {
-	if w[0]&0xFF != 0 {
-		w[0] += 0x100 - 1
-		return
+// ownRows[s] lists the row words holding s stones in colex order:
+// ownRows[s].list[k] is the row of colex rank k among the C(s+5, 5) ways
+// to hold s stones in RowSize pits. The positions of a slice sharing one
+// opponent row are a block of consecutive ranks, the mover's row running
+// through that list in order, so a walk that stays in its block reads
+// each new mover's row from it. Rung n uses the lists for 0..n stones,
+// C(n+6, 6) words in all (145 KiB at rung 12, 2.9 MiB at rung 22); each
+// is built on first use and shared by every slice.
+var ownRows [MaxStones + 1]struct {
+	once sync.Once
+	list []uint64
+}
+
+// rowList returns ownRows[stones].list, building it on first use.
+func rowList(stones int) []uint64 {
+	t := &ownRows[stones]
+	t.once.Do(func() {
+		t.list = appendRows(make([]uint64, 0, binoms[stones+RowSize-1][RowSize-1]), stones, RowSize-1, 0)
+	})
+	return t.list
+}
+
+// appendRows appends to list, in colex order, every row word that holds
+// stones stones in pits 0..top on top of the pits above top, which high
+// holds: the highest pit varies slowest.
+func appendRows(list []uint64, stones, top int, high uint64) []uint64 {
+	if top == 0 {
+		return append(list, high|uint64(stones))
 	}
-	k := 0 // word holding the lowest nonempty pit
-	if w[0] == 0 {
-		k = 1
+	for c := 0; c <= stones; c++ {
+		list = appendRows(list, stones-c, top-1, high|uint64(c)<<(8*top))
 	}
-	sh := bits.TrailingZeros64(w[k]) &^ 7
-	c := w[k] >> sh & 0xFF
-	w[k] &^= 0xFF << sh
-	if sh += 8; sh < 8*RowSize {
-		w[k] += 1 << sh
-	} else {
-		w[1]++ // pit 5 passes its stone across the row boundary to pit 6
+	return list
+}
+
+// ownRank returns the colex rank of a row word holding stones stones
+// among all such rows: rankBoard's formula over RowSize pits.
+func ownRank(w uint64, stones int) uint64 {
+	p := w * rowLo // byte j: P_j
+	r := binoms[stones+RowSize-1][RowSize-1] - 1
+	for j := 0; j < RowSize-1; j++ {
+		r -= binoms[int(p>>(8*j)&0xFF)+j][j+1]
 	}
-	w[0] |= c - 1
+	return r
+}
+
+// walk steps a board along a run: the positions base + i·stride, i = 0,
+// 1, …. A step keeps the opponent's row and moves the mover's row stride
+// ranks forward through its ownRows list; a step past the end of the list
+// carries into the opponent row, one block at a time. At stride 1 that is
+// the colex successor: pit 0's stones move up one pit at a time, and once
+// the mover's row is all in pit 5 the next block starts with one stone
+// moved to pit 6 and the rest back in pit 0.
+type walk struct {
+	w      rows
+	stride uint64
+	own    uint64   // colex rank of w[0] in list
+	list   []uint64 // ownRows of the mover's stone count; nil until the first step
+	stones int      // stones in w[0]
+}
+
+// walkFrom decodes the first position of the run (base, stride).
+func (s *Slice) walkFrom(base, stride uint64) walk {
+	b := s.Board(base)
+	return walk{w: toRows(&b), stride: stride}
+}
+
+// next advances the walk to the next position of its run. Callers never
+// step past the last position of the space.
+func (k *walk) next() {
+	if k.list == nil {
+		k.stones = rowSum(k.w[0])
+		k.list = rowList(k.stones)
+		k.own = ownRank(k.w[0], k.stones)
+	}
+	k.own += k.stride
+	for k.own >= uint64(len(k.list)) {
+		// Leave the block: the opponent row steps to its colex successor
+		// among rows (with the mover's stone count as the lowest pit),
+		// and the rank restarts at the next block's first row.
+		k.own -= uint64(len(k.list))
+		if k.stones > 0 {
+			k.stones--
+			k.w[1]++
+		} else {
+			sh := bits.TrailingZeros64(k.w[1]) &^ 7
+			c := k.w[1] >> sh & 0xFF
+			k.w[1] = k.w[1]&^(0xFF<<sh) + 1<<(sh+8)
+			k.stones = int(c) - 1
+		}
+		k.list = rowList(k.stones)
+	}
+	k.w[0] = k.list[k.own]
 }
 
 // Lanes implements game.LaneGame: awari's value algebra is a total numeric
@@ -186,18 +261,20 @@ func (s *Slice) Lanes() (game.LaneSpec, bool) {
 	}, true
 }
 
-// InitRun implements game.BatchIniter. Unlike the scalar Moves path it
-// never ranks internal children — the init phase only needs their count —
-// so the only rank per move is for captures resolving into a smaller
-// database.
-func (s *Slice) InitRun(base uint64, n int, out []game.InitStat) {
-	b := s.Board(base)
-	w := toRows(&b)
+// InitRun is InitStrided at stride 1.
+func (s *Slice) InitRun(base uint64, n int, out []game.InitStat) { s.InitStrided(base, 1, n, out) }
+
+// InitStrided implements game.BatchIniter. Unlike the scalar Moves path
+// it never ranks internal children — the init phase only needs their
+// count — so the only rank per move is for captures resolving into a
+// smaller database.
+func (s *Slice) InitStrided(base, stride uint64, n int, out []game.InitStat) {
+	k := s.walkFrom(base, stride)
 	for i := 0; i < n; i++ {
 		if i > 0 {
-			nextBoard(&w)
+			k.next()
 		}
-		out[i] = s.initStat(w)
+		out[i] = s.initStat(k.w)
 	}
 }
 
@@ -246,22 +323,27 @@ func (s *Slice) initStat(w rows) game.InitStat {
 	return stat
 }
 
-// PredecessorsRun implements game.BatchExpander. It works on the swapped
+// PredecessorsRun is PredecessorsStrided at stride 1.
+func (s *Slice) PredecessorsRun(base uint64, n int, visit func(i int, preds []uint64)) {
+	s.PredecessorsStrided(base, 1, n, visit)
+}
+
+// PredecessorsStrided implements game.BatchExpander. It works on the swapped
 // view r of p (the post-move board from the previous mover's
 // perspective), which on row words is free, and verifies each un-sow
 // candidate arithmetically: the sow is exact by construction, so validity
 // reduces to "no capture fires at the landing pit" plus feeding legality
 // — no forward Apply per candidate.
-func (s *Slice) PredecessorsRun(base uint64, n int, visit func(i int, preds []uint64)) {
-	b := s.Board(base)
-	p := toRows(&b)
+func (s *Slice) PredecessorsStrided(base, stride uint64, n int, visit func(i int, preds []uint64)) {
+	k := s.walkFrom(base, stride)
 	forfeit := s.rules.GrandSlam == GrandSlamForfeit
 	scratch := predScratch.Get().(*[]uint64)
 	preds := *scratch
 	for i := 0; i < n; i++ {
 		if i > 0 {
-			nextBoard(&p)
+			k.next()
 		}
+		p := k.w
 		// Feeding legality: a non-capturing move from a predecessor q
 		// leaves q's opponent row holding exactly p's own row (r's
 		// opponent row). So when p's own row is empty, q's opponent row
@@ -307,13 +389,18 @@ func (s *Slice) PredecessorsRun(base uint64, n int, visit func(i int, preds []ui
 	predScratch.Put(scratch)
 }
 
-// predScratch recycles PredecessorsRun's candidate lists: visit may use a
+// predScratch recycles PredecessorsStrided's candidate lists: visit may use a
 // list only for the duration of its call, so a list is free again when
 // the run is done.
 var predScratch = sync.Pool{New: func() any { return new([]uint64) }}
 
-// LoopValuesRun implements game.BatchLooper.
+// LoopValuesRun is LoopValuesStrided at stride 1.
 func (s *Slice) LoopValuesRun(base uint64, n int, out []game.Value) {
+	s.LoopValuesStrided(base, 1, n, out)
+}
+
+// LoopValuesStrided implements game.BatchLooper.
+func (s *Slice) LoopValuesStrided(base, stride uint64, n int, out []game.Value) {
 	switch s.loop {
 	case LoopEvenSplit:
 		for i := range out[:n] {
@@ -324,13 +411,12 @@ func (s *Slice) LoopValuesRun(base uint64, n int, out []game.Value) {
 			out[i] = 0
 		}
 	default: // LoopOwnSide
-		b := s.Board(base)
-		w := toRows(&b)
+		k := s.walkFrom(base, stride)
 		for i := 0; i < n; i++ {
 			if i > 0 {
-				nextBoard(&w)
+				k.next()
 			}
-			out[i] = game.Value(rowSum(w[0]))
+			out[i] = game.Value(rowSum(k.w[0]))
 		}
 	}
 }

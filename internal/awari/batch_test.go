@@ -1,6 +1,7 @@
 package awari
 
 import (
+	"fmt"
 	"slices"
 	"sync"
 	"testing"
@@ -33,31 +34,63 @@ func testRuns(sl *Slice) [][2]uint64 {
 	return runs
 }
 
-// TestNextBoardMatchesUnrank steps runs of the colex successor rule on row
-// words and compares every board against Unrank: whole small spaces, and
-// worker-sized runs in rungs 13, 24 and 48 that must cross the pit-5/pit-6
-// row-word boundary both ways.
+// TestNextBoardMatchesUnrank steps runs of the walk at stride 1, the
+// colex successor on row words, and compares every board against Unrank:
+// whole small spaces, and worker-sized runs in rungs 13, 24 and 48 that
+// must cross the pit-5/pit-6 row-word boundary both ways.
 func TestNextBoardMatchesUnrank(t *testing.T) {
 	for _, n := range []int{0, 1, 2, 3, 4, 5, 6, 13, 24, MaxStones} {
 		sl := MustSlice(Standard, LoopOwnSide, n, zeroLookup)
 		crossings := 0
 		for _, run := range testRuns(sl) {
-			b := sl.Board(run[0])
-			w := toRows(&b)
+			k := sl.walkFrom(run[0], 1)
 			for idx := run[0]; idx < run[0]+run[1]; idx++ {
 				if idx > run[0] {
-					if w[0]&(rowMask>>8) == 0 {
+					if k.w[0]&(rowMask>>8) == 0 {
 						crossings++
 					}
-					nextBoard(&w)
+					k.next()
 				}
-				if want := sl.Board(idx); w != toRows(&want) {
-					t.Fatalf("stones %d: colex successor at rank %d = %#x, Unrank gives %v", n, idx, w, want)
+				if want := sl.Board(idx); k.w != toRows(&want) {
+					t.Fatalf("stones %d: colex successor at rank %d = %#x, Unrank gives %v", n, idx, k.w, want)
 				}
 			}
 		}
 		if n > 0 && crossings == 0 {
 			t.Errorf("stones %d: no step crossed the row-word boundary", n)
+		}
+	}
+}
+
+// TestStridedWalkMatchesUnrank walks runs at strides 2, 3, 64 and one
+// longer than the largest own-row block, C(n+5, 5)+1, so that every step
+// of the last carries into the opponent row, and compares every board
+// against Unrank. The runs start where testRuns' do and cover up to 1,024
+// positions each.
+func TestStridedWalkMatchesUnrank(t *testing.T) {
+	for _, n := range []int{0, 1, 2, 3, 4, 5, 6, 13, 24, MaxStones} {
+		sl := MustSlice(Standard, LoopOwnSide, n, zeroLookup)
+		block := binoms[n+RowSize-1][RowSize-1]
+		carries := 0
+		for _, stride := range []uint64{2, 3, 64, block + 1} {
+			for _, run := range testRuns(sl) {
+				k := sl.walkFrom(run[0], stride)
+				for idx := run[0]; idx < sl.Size() && idx < run[0]+1024*stride; idx += stride {
+					if idx > run[0] {
+						w1 := k.w[1]
+						k.next()
+						if k.w[1] != w1 {
+							carries++
+						}
+					}
+					if want := sl.Board(idx); k.w != toRows(&want) {
+						t.Fatalf("stones %d stride %d: walk at rank %d = %#x, Unrank gives %v", n, stride, idx, k.w, want)
+					}
+				}
+			}
+		}
+		if n > 0 && carries == 0 {
+			t.Errorf("stones %d: no strided step left its own-row block", n)
 		}
 	}
 }
@@ -125,6 +158,24 @@ func TestBatchGeneratorsWithRealLookup(t *testing.T) {
 	}
 }
 
+// TestValidateStridedRuns holds the batch generators to the per-position
+// methods on strided runs, under every rule variant and loop rule, at
+// strides 1, 2, 3 and 64 and at strides longer than the largest own-row
+// block of the slice, where every step leaves its block.
+func TestValidateStridedRuns(t *testing.T) {
+	for _, rules := range ruleSets {
+		for _, loop := range []LoopRule{LoopOwnSide, LoopEvenSplit, LoopZero} {
+			for n := 0; n <= 5; n++ {
+				sl := MustSlice(rules, loop, n, rankEcho)
+				block := binoms[n+RowSize-1][RowSize-1]
+				if err := game.ValidateRuns(sl, 1, 2, 3, 64, block+1, 2*block+3); err != nil {
+					t.Errorf("rules %+v loop %v: %v", rules, loop, err)
+				}
+			}
+		}
+	}
+}
+
 // TestPredecessorsRunOrder pins the order, not just the multiset, of the
 // batch expander's predecessors: the wire engines expand each position as
 // a run of one, and the simulated engines' message counts and virtual time
@@ -161,21 +212,28 @@ type scalarOnly struct{ game.Game }
 // per-position reference on arbitrary boards of 0..48 stones — including
 // single pits of 12..48 stones, whose sows lap the board and skip the
 // origin — under every rule variant and loop rule, with rankEcho as the
-// lookup. Predecessors must come out in exactly the reference order.
+// lookup. The board starts a run of up to 64 positions at a stride of 1
+// to 65,536 (cut at the end of the space), and every position of the run
+// is checked; predecessors must come out in exactly the reference order.
 func FuzzBatchGenerators(f *testing.F) {
 	for _, seed := range []struct {
 		variant uint8
 		pits    []byte
+		stride  uint16
+		n       uint8
 	}{
-		{0, []byte{0, 0, 0, 0, 0, 6, 1, 1, 1, 1, 1, 1}}, // pit 5 takes the whole opponent row
-		{1, []byte{0, 0, 0, 0, 0, 6, 1, 2, 1, 2, 1, 2}}, // the same grand slam, forfeited
-		{0, []byte{1, 2, 0, 0, 0, 3, 0, 0, 0, 0, 0, 0}}, // starved opponent
-		{0, []byte{0, 0, 0, 48}},                        // four laps from one pit
-		{2, []byte{0, 0, 13, 0, 0, 0, 1, 0, 2, 0, 0, 1}},
+		{0, []byte{0, 0, 0, 0, 0, 6, 1, 1, 1, 1, 1, 1}, 0, 1}, // pit 5 takes the whole opponent row
+		{1, []byte{0, 0, 0, 0, 0, 6, 1, 2, 1, 2, 1, 2}, 0, 1}, // the same grand slam, forfeited
+		{0, []byte{1, 2, 0, 0, 0, 3, 0, 0, 0, 0, 0, 0}, 0, 1}, // starved opponent
+		{0, []byte{0, 0, 0, 48}, 0, 1},                        // four laps from one pit
+		{2, []byte{0, 0, 13, 0, 0, 0, 1, 0, 2, 0, 0, 1}, 0, 1},
+		{0, []byte{0, 3, 0, 1, 0, 2, 1, 0, 2, 0, 0, 3}, 63, 64}, // the cyclic stride of 64 nodes
+		{5, []byte{0, 0, 0, 0, 0, 0, 2, 0, 1, 0, 0, 9}, 2, 40},  // an empty mover's row
+		{3, []byte{12}, 6188, 30},                               // past every own-row block of rung 12
 	} {
-		f.Add(seed.variant, seed.pits)
+		f.Add(seed.variant, seed.pits, seed.stride, seed.n)
 	}
-	f.Fuzz(func(t *testing.T, variant uint8, pits []byte) {
+	f.Fuzz(func(t *testing.T, variant uint8, pits []byte, strideIn uint16, nIn uint8) {
 		var b Board
 		total := 0
 		for i, c := range pits[:min(len(pits), Pits)] {
@@ -186,25 +244,30 @@ func FuzzBatchGenerators(f *testing.F) {
 		rules := ruleSets[variant%4]
 		loop := LoopRule(variant / 4 % 3)
 		sl := MustSlice(rules, loop, total, rankEcho)
-		idx := sl.Index(b)
+		base := sl.Index(b)
+		stride := uint64(strideIn) + 1
+		n := int(min(uint64(nIn%64)+1, (sl.Size()-1-base)/stride+1))
 		ref := game.RunsOf(scalarOnly{sl})
 
-		var got, want [1]game.InitStat
-		sl.InitRun(idx, 1, got[:])
-		ref.InitRun(idx, 1, want[:])
-		if got != want {
-			t.Fatalf("rules %+v board %v: InitRun = %+v, Moves gives %+v", rules, b, got[0], want[0])
-		}
-		var gotPreds, wantPreds []uint64
-		sl.PredecessorsRun(idx, 1, func(_ int, p []uint64) { gotPreds = append(gotPreds, p...) })
-		wantPreds = sl.Predecessors(idx, nil)
-		if !slices.Equal(gotPreds, wantPreds) {
-			t.Fatalf("rules %+v board %v: PredecessorsRun lists %v, Predecessors %v", rules, b, gotPreds, wantPreds)
-		}
-		var loopGot [1]game.Value
-		sl.LoopValuesRun(idx, 1, loopGot[:])
-		if want := sl.LoopValue(idx); loopGot[0] != want {
-			t.Fatalf("loop %v board %v: LoopValuesRun = %d, LoopValue %d", loop, b, loopGot[0], want)
+		got := make([]game.InitStat, n)
+		want := make([]game.InitStat, n)
+		sl.InitStrided(base, stride, n, got)
+		ref.InitStrided(base, stride, n, want)
+		gotPreds := make([][]uint64, n)
+		sl.PredecessorsStrided(base, stride, n, func(i int, p []uint64) { gotPreds[i] = append(gotPreds[i], p...) })
+		loopGot := make([]game.Value, n)
+		sl.LoopValuesStrided(base, stride, n, loopGot)
+		for i := range n {
+			idx := base + uint64(i)*stride
+			if got[i] != want[i] {
+				t.Fatalf("rules %+v position %d (stride %d): InitStrided = %+v, Moves gives %+v", rules, idx, stride, got[i], want[i])
+			}
+			if wantPreds := sl.Predecessors(idx, nil); !slices.Equal(gotPreds[i], wantPreds) {
+				t.Fatalf("rules %+v position %d (stride %d): PredecessorsStrided lists %v, Predecessors %v", rules, idx, stride, gotPreds[i], wantPreds)
+			}
+			if want := sl.LoopValue(idx); loopGot[i] != want {
+				t.Fatalf("loop %v position %d (stride %d): LoopValuesStrided = %d, LoopValue %d", loop, idx, stride, loopGot[i], want)
+			}
 		}
 	})
 }
@@ -227,8 +290,9 @@ var benchLower = sync.OnceValue(func() []*ra.Result {
 })
 
 // benchRuns times one run generator over the whole benchmark rung in
-// worker-sized runs of 1,024 positions and reports ns per position.
-func benchRuns(b *testing.B, walk func(sl *Slice, base uint64, n int)) {
+// worker-sized runs of 1,024 positions at the given stride, as the shards
+// of a stride-node cyclic partition walk it, and reports ns per position.
+func benchRuns(b *testing.B, stride uint64, walk func(sl *Slice, base, stride uint64, n int)) {
 	lower := benchLower()
 	sl := MustSlice(Standard, LoopOwnSide, benchRung, func(stones int, idx uint64) game.Value {
 		return lower[stones].Values[idx]
@@ -237,26 +301,44 @@ func benchRuns(b *testing.B, walk func(sl *Slice, base uint64, n int)) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for range b.N {
-		for base := uint64(0); base < sl.Size(); base += run {
-			walk(sl, base, int(min(run, sl.Size()-base)))
+		for r := range stride {
+			for base := r; base < sl.Size(); base += run * stride {
+				walk(sl, base, stride, int(min(run, (sl.Size()-1-base)/stride+1)))
+			}
 		}
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(uint64(b.N)*sl.Size()), "ns/pos")
 }
 
+// benchStrides are the run strides the generator benchmarks time: a
+// block's runs and a 64-node cyclic shard's.
+var benchStrides = []uint64{1, 64}
+
 func BenchmarkInitRun(b *testing.B) {
 	out := make([]game.InitStat, 1024)
-	benchRuns(b, func(sl *Slice, base uint64, n int) { sl.InitRun(base, n, out[:n]) })
+	for _, k := range benchStrides {
+		b.Run(fmt.Sprintf("stride=%d", k), func(b *testing.B) {
+			benchRuns(b, k, func(sl *Slice, base, k uint64, n int) { sl.InitStrided(base, k, n, out[:n]) })
+		})
+	}
 }
 
 func BenchmarkPredecessorsRun(b *testing.B) {
 	sum := 0
-	benchRuns(b, func(sl *Slice, base uint64, n int) {
-		sl.PredecessorsRun(base, n, func(_ int, preds []uint64) { sum += len(preds) })
-	})
+	for _, k := range benchStrides {
+		b.Run(fmt.Sprintf("stride=%d", k), func(b *testing.B) {
+			benchRuns(b, k, func(sl *Slice, base, k uint64, n int) {
+				sl.PredecessorsStrided(base, k, n, func(_ int, preds []uint64) { sum += len(preds) })
+			})
+		})
+	}
 }
 
 func BenchmarkLoopValuesRun(b *testing.B) {
 	out := make([]game.Value, 1024)
-	benchRuns(b, func(sl *Slice, base uint64, n int) { sl.LoopValuesRun(base, n, out[:n]) })
+	for _, k := range benchStrides {
+		b.Run(fmt.Sprintf("stride=%d", k), func(b *testing.B) {
+			benchRuns(b, k, func(sl *Slice, base, k uint64, n int) { sl.LoopValuesStrided(base, k, n, out[:n]) })
+		})
+	}
 }

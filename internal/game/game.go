@@ -178,7 +178,8 @@ func ValidateSample(g Game, targets []uint64) error {
 //   - a declared LaneSpec matches MoverValue/Better/Finalizes exactly and
 //     bounds the internal branching as promised;
 //   - the optional batch generators (BatchIniter, BatchExpander,
-//     BatchLooper) agree position-by-position with the scalar methods.
+//     BatchLooper) agree position-by-position with the scalar methods,
+//     on runs of strides 1, 2, 3, 64 and Size/2+1 (see ValidateRuns).
 func Validate(g Game) error {
 	if vb := g.ValueBits(); vb < 1 || vb > PackedValueBits {
 		return fmt.Errorf("game %s: ValueBits %d outside [1, %d] (value packing contract)", g.Name(), vb, PackedValueBits)
@@ -222,7 +223,7 @@ func Validate(g Game) error {
 			return fmt.Errorf("game %s: position %d has %d internal successors, LaneSpec.MaxInternal is %d", g.Name(), q, internal, spec.MaxInternal)
 		}
 	}
-	if err := validateBatch(g); err != nil {
+	if err := ValidateRuns(g, 1, 2, 3, 64, n/2+1); err != nil {
 		return err
 	}
 	var preds []uint64

@@ -68,36 +68,43 @@ type InitStat struct {
 	Best Value
 }
 
+// The Batch interfaces generate runs. A run is an arithmetic progression
+// of positions: (base, stride, n) covers base + i·stride for i in [0, n).
+// A worker's run is consecutive local positions, so its stride is the
+// global distance between two of them: 1 inside a contiguous block, the
+// worker count across a cyclic partition. Callers keep every position of
+// a run inside [0, Size).
+
 // BatchIniter is an optional Game interface: games that can amortise
-// position decoding over a run of consecutive indices implement it, and
-// workers of either kernel initialise a whole shard run in one call.
-// The semantics per position must be identical to Moves/TerminalValue.
+// position decoding over a run implement it, and workers of either kernel
+// initialise a whole shard run in one call. The semantics per position
+// must be identical to Moves/TerminalValue.
 type BatchIniter interface {
-	// InitRun fills out[i] with the initialisation summary of position
-	// base+i for i in [0, n); out has length n.
-	InitRun(base uint64, n int, out []InitStat)
+	// InitStrided fills out[i] with the initialisation summary of
+	// position base+i·stride for i in [0, n); out has length n.
+	InitStrided(base, stride uint64, n int, out []InitStat)
 }
 
 // BatchExpander is an optional Game interface: bulk predecessor
-// generation over a run of consecutive indices. The multiset of indices
-// passed to visit for each position must equal Predecessors(base+i).
-// The wire engines expand each position through it as a run of one and
+// generation over a run. The multiset of indices passed to visit for
+// each position must equal Predecessors(base+i·stride). The wire engines
 // emit one message per index in the order listed, so the simulated
 // engines' message counts and virtual time follow that order; listing
 // them in Predecessors' order keeps those equal to a per-position walk.
 type BatchExpander interface {
-	// PredecessorsRun calls visit(i, preds) once for every i in [0, n)
-	// whose position base+i has at least one predecessor; preds is valid
-	// only for the duration of the call.
-	PredecessorsRun(base uint64, n int, visit func(i int, preds []uint64))
+	// PredecessorsStrided calls visit(i, preds) once for every i in
+	// [0, n) whose position base+i·stride has at least one predecessor;
+	// preds is valid only for the duration of the call.
+	PredecessorsStrided(base, stride uint64, n int, visit func(i int, preds []uint64))
 }
 
-// BatchLooper is an optional Game interface: bulk loop values over a run
-// of consecutive indices, used by the loop-resolution pass. Must agree
-// with LoopValue per position.
+// BatchLooper is an optional Game interface: bulk loop values over a run,
+// used by the loop-resolution pass. Must agree with LoopValue per
+// position.
 type BatchLooper interface {
-	// LoopValuesRun fills out[i] with LoopValue(base+i) for i in [0, n).
-	LoopValuesRun(base uint64, n int, out []Value)
+	// LoopValuesStrided fills out[i] with LoopValue(base+i·stride) for i
+	// in [0, n).
+	LoopValuesStrided(base, stride uint64, n int, out []Value)
 }
 
 // Runs is the set of run generators a worker walks: the game's own batch
@@ -134,9 +141,9 @@ type perPosition struct {
 	preds []uint64
 }
 
-func (p *perPosition) InitRun(base uint64, n int, out []InitStat) {
+func (p *perPosition) InitStrided(base, stride uint64, n int, out []InitStat) {
 	for i := range out[:n] {
-		idx := base + uint64(i)
+		idx := base + uint64(i)*stride
 		p.moves = p.g.Moves(idx, p.moves[:0])
 		s := InitStat{Moves: int32(len(p.moves)), Best: NoValue}
 		for _, m := range p.moves {
@@ -153,18 +160,18 @@ func (p *perPosition) InitRun(base uint64, n int, out []InitStat) {
 	}
 }
 
-func (p *perPosition) PredecessorsRun(base uint64, n int, visit func(i int, preds []uint64)) {
+func (p *perPosition) PredecessorsStrided(base, stride uint64, n int, visit func(i int, preds []uint64)) {
 	for i := 0; i < n; i++ {
-		p.preds = p.g.Predecessors(base+uint64(i), p.preds[:0])
+		p.preds = p.g.Predecessors(base+uint64(i)*stride, p.preds[:0])
 		if len(p.preds) > 0 {
 			visit(i, p.preds)
 		}
 	}
 }
 
-func (p *perPosition) LoopValuesRun(base uint64, n int, out []Value) {
+func (p *perPosition) LoopValuesStrided(base, stride uint64, n int, out []Value) {
 	for i := range out[:n] {
-		out[i] = p.g.LoopValue(base + uint64(i))
+		out[i] = p.g.LoopValue(base + uint64(i)*stride)
 	}
 }
 
@@ -188,10 +195,13 @@ func (e *CounterOverflowError) Error() string {
 		e.Game, e.Position, e.Internal, e.Max)
 }
 
-// validateBatch checks the optional batch generators against the scalar
-// methods, position by position over the whole space (in runs of mixed
-// lengths so run boundaries are exercised).
-func validateBatch(g Game) error {
+// ValidateRuns checks the optional batch generators against the scalar
+// methods, position by position over the whole space, on runs of every
+// given stride: for each stride k, the progressions r, r+k, r+2k, … for
+// every residue r < k are walked in runs of mixed lengths so run
+// boundaries are exercised. Predecessors are compared as multisets.
+// Validate calls it with strides 1, 2, 3, 64 and Size/2+1.
+func ValidateRuns(g Game, strides ...uint64) error {
 	n := g.Size()
 	bi, hasInit := g.(BatchIniter)
 	be, hasExp := g.(BatchExpander)
@@ -199,56 +209,69 @@ func validateBatch(g Game) error {
 	if !hasInit && !hasExp && !hasLoop {
 		return nil
 	}
+	// The reference, one position at a time.
 	ref := &perPosition{g: g}
-	var want [1]InitStat
-	var preds []uint64
+	wantInit := make([]InitStat, n)
+	wantLoop := make([]Value, n)
+	wantPreds := make([][]uint64, n)
+	for idx := range n {
+		if hasInit {
+			ref.InitStrided(idx, 1, 1, wantInit[idx:idx+1])
+		}
+		if hasLoop {
+			wantLoop[idx] = g.LoopValue(idx)
+		}
+		if hasExp {
+			wantPreds[idx] = g.Predecessors(idx, nil)
+		}
+	}
 	stats := make([]InitStat, 0, 64)
 	loops := make([]Value, 0, 64)
 	got := make(map[uint64]int)
-	for base, runLen := uint64(0), 1; base < n; base += uint64(runLen) {
-		if runLen = runLen*2 + 1; uint64(runLen) > n-base {
-			runLen = int(n - base)
+	for _, stride := range strides {
+		if stride == 0 {
+			return fmt.Errorf("game %s: ValidateRuns needs positive strides", g.Name())
 		}
-		if hasInit {
-			stats = append(stats[:0], make([]InitStat, runLen)...)
-			bi.InitRun(base, runLen, stats)
-		}
-		if hasLoop {
-			loops = append(loops[:0], make([]Value, runLen)...)
-			bl.LoopValuesRun(base, runLen, loops)
-		}
-		expanded := make([][]uint64, runLen)
-		if hasExp {
-			be.PredecessorsRun(base, runLen, func(i int, p []uint64) {
-				expanded[i] = append([]uint64(nil), p...)
-			})
-		}
-		for i := 0; i < runLen; i++ {
-			idx := base + uint64(i)
-			if hasInit {
-				ref.InitRun(idx, 1, want[:])
-				if stats[i] != want[0] {
-					return fmt.Errorf("game %s: InitRun(%d) = %+v, scalar init gives %+v", g.Name(), idx, stats[i], want[0])
+		for r := uint64(0); r < min(stride, n); r++ {
+			for base, runLen := r, 1; base < n; base += uint64(runLen) * stride {
+				runLen = int(min(uint64(runLen*2+1), (n-1-base)/stride+1))
+				if hasInit {
+					stats = append(stats[:0], make([]InitStat, runLen)...)
+					bi.InitStrided(base, stride, runLen, stats)
 				}
-			}
-			if hasLoop {
-				if want := g.LoopValue(idx); loops[i] != want {
-					return fmt.Errorf("game %s: LoopValuesRun(%d) = %d, LoopValue gives %d", g.Name(), idx, loops[i], want)
+				if hasLoop {
+					loops = append(loops[:0], make([]Value, runLen)...)
+					bl.LoopValuesStrided(base, stride, runLen, loops)
 				}
-			}
-			if hasExp {
-				preds = g.Predecessors(idx, preds[:0])
-				clear(got)
-				for _, q := range preds {
-					got[q]++
+				expanded := make([][]uint64, runLen)
+				if hasExp {
+					be.PredecessorsStrided(base, stride, runLen, func(i int, p []uint64) {
+						expanded[i] = append([]uint64(nil), p...)
+					})
 				}
-				for _, q := range expanded[i] {
-					got[q]--
-				}
-				//ravet:ignore detrand diagnostic-only check; any iteration order reports a genuine violation
-				for q, k := range got {
-					if k != 0 {
-						return fmt.Errorf("game %s: PredecessorsRun(%d) disagrees with Predecessors about %d (multiplicity off by %d)", g.Name(), idx, q, -k)
+				for i := range runLen {
+					idx := base + uint64(i)*stride
+					if hasInit && stats[i] != wantInit[idx] {
+						return fmt.Errorf("game %s: InitStrided(%d, stride %d) = %+v, scalar init gives %+v", g.Name(), idx, stride, stats[i], wantInit[idx])
+					}
+					if hasLoop && loops[i] != wantLoop[idx] {
+						return fmt.Errorf("game %s: LoopValuesStrided(%d, stride %d) = %d, LoopValue gives %d", g.Name(), idx, stride, loops[i], wantLoop[idx])
+					}
+					if !hasExp {
+						continue
+					}
+					clear(got)
+					for _, q := range wantPreds[idx] {
+						got[q]++
+					}
+					for _, q := range expanded[i] {
+						got[q]--
+					}
+					//ravet:ignore detrand diagnostic-only check; any iteration order reports a genuine violation
+					for q, k := range got {
+						if k != 0 {
+							return fmt.Errorf("game %s: PredecessorsStrided(%d, stride %d) disagrees with Predecessors about %d (multiplicity off by %d)", g.Name(), idx, stride, q, -k)
+						}
 					}
 				}
 			}

@@ -2,6 +2,7 @@ package graphgame_test
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 
 	"retrograde/internal/game"
@@ -73,29 +74,32 @@ func TestScalarCounterCeiling(t *testing.T) {
 	}
 }
 
-// overCeiling is a three-position game whose position 1 has one internal
-// move more than a packed scalar counter holds, every one to position 2;
-// positions 0 and 2 are terminal. Under a three-way cyclic partition the
-// overflow is node 1's, not the coordinator's.
-type overCeiling struct{}
+// overCeiling is a game of size positions whose position wide has one
+// internal move more than a packed scalar counter holds, every one to
+// position wide+1; every other position is terminal. overCeiling{3, 1}
+// puts the overflow on node 1 of a three-way cyclic partition, not the
+// coordinator; overCeiling{6, 4} puts it on the second position of that
+// node's shard, so the error must name the position a strided run
+// reached, not the run's base plus the step count.
+type overCeiling struct{ size, wide uint64 }
 
 const overCeilingMoves = game.MaxPackedSuccessors + 1
 
-func (overCeiling) Name() string { return "over-ceiling" }
-func (overCeiling) Size() uint64 { return 3 }
-func (overCeiling) Moves(idx uint64, buf []game.Move) []game.Move {
-	if idx == 1 {
+func (g overCeiling) Name() string { return fmt.Sprintf("over-ceiling-%d", g.size) }
+func (g overCeiling) Size() uint64 { return g.size }
+func (g overCeiling) Moves(idx uint64, buf []game.Move) []game.Move {
+	if idx == g.wide {
 		for range overCeilingMoves {
-			buf = append(buf, game.Move{Internal: true, Child: 2})
+			buf = append(buf, game.Move{Internal: true, Child: g.wide + 1})
 		}
 	}
 	return buf
 }
 func (overCeiling) TerminalValue(uint64) game.Value { return 0 }
-func (overCeiling) Predecessors(idx uint64, buf []uint64) []uint64 {
-	if idx == 2 {
+func (g overCeiling) Predecessors(idx uint64, buf []uint64) []uint64 {
+	if idx == g.wide+1 {
 		for range overCeilingMoves {
-			buf = append(buf, 1)
+			buf = append(buf, g.wide)
 		}
 	}
 	return buf
@@ -108,12 +112,13 @@ func (overCeiling) ValueBits() int                     { return 1 }
 
 // TestInitErrorTyped: a position with more internal moves than the
 // scalar counter holds fails every engine's initialisation with an error
-// that errors.As resolves to *game.CounterOverflowError — the host
-// engines, the out-of-core engine, the simulated cluster in both modes
-// and the TCP mesh, where the failing node's own error must win over the
-// dead-peer errors its exit causes on the other nodes.
+// that errors.As resolves to *game.CounterOverflowError naming that
+// position — the host engines, the out-of-core engine, the simulated
+// cluster in both modes and the TCP mesh, where the failing node's own
+// error must win over the dead-peer errors its exit causes on the other
+// nodes.
 func TestInitErrorTyped(t *testing.T) {
-	g := overCeiling{}
+	g := overCeiling{3, 1}
 	for _, e := range []ra.Engine{
 		ra.Sequential{},
 		ra.Concurrent{Workers: 3},
@@ -125,14 +130,30 @@ func TestInitErrorTyped(t *testing.T) {
 		remote.Engine{Workers: 1},
 		remote.Engine{Workers: 3},
 	} {
-		_, err := e.Solve(g)
-		var ce *game.CounterOverflowError
-		if !errors.As(err, &ce) {
-			t.Errorf("%s: Solve = %v, want a *game.CounterOverflowError", e.Name(), err)
-			continue
-		}
-		if ce.Position != 1 || ce.Internal != overCeilingMoves {
-			t.Errorf("%s: %+v, want position 1 with %d internal moves", e.Name(), ce, overCeilingMoves)
-		}
+		checkOverflow(t, e, g)
+	}
+	// Position 4 of 6 is the second of node 1's cyclic shard {1, 4}: the
+	// run starts at 1 with stride 3.
+	for _, e := range []ra.Engine{
+		ra.Sequential{},
+		ra.Distributed{Workers: 3},
+		remote.Engine{Workers: 3},
+	} {
+		checkOverflow(t, e, overCeiling{6, 4})
+	}
+}
+
+// checkOverflow solves g under e and requires the overflow error to name
+// g's wide position.
+func checkOverflow(t *testing.T, e ra.Engine, g overCeiling) {
+	t.Helper()
+	_, err := e.Solve(g)
+	var ce *game.CounterOverflowError
+	if !errors.As(err, &ce) {
+		t.Errorf("%s %s: Solve = %v, want a *game.CounterOverflowError", g.Name(), e.Name(), err)
+		return
+	}
+	if ce.Position != g.wide || ce.Internal != overCeilingMoves {
+		t.Errorf("%s %s: %+v, want position %d with %d internal moves", g.Name(), e.Name(), ce, g.wide, overCeilingMoves)
 	}
 }

@@ -495,8 +495,8 @@ func (m *blockManager) spillAllDirty() error {
 }
 
 // syncPinned fsyncs every block's current files that are not yet known
-// durable, then the store directory, so the renames that named those
-// files are durable too — the group fsync a manifest write stands
+// durable, then the store directory, so the directory entries that name
+// those files are durable too — the group fsync a manifest write stands
 // behind: at most two per block, its base and its delta, and a base that
 // earlier checkpoints pinned is already synced.
 // Write-behind spills skip the per-file fsync (the eviction path's

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc64"
-	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -427,8 +426,8 @@ var errSimulatedCrash = errors.New("oocore: simulated crash (test failpoint)")
 // spillStore owns the on-disk block files under the engine directory.
 // Block files are generation-numbered, one number sequence per block
 // shared by its base images (spillSuffix) and deltas (deltaSuffix):
-// rewriting block b writes generation gen+1 atomically and only then
-// deletes what it supersedes — and never a file the last durable
+// rewriting block b writes generation gen+1 under its fresh name and only
+// then deletes what it supersedes — and never a file the last durable
 // manifest pins — so a crash at any instant leaves every
 // manifest-referenced file intact.
 type spillStore struct {
@@ -485,25 +484,39 @@ func isStoreFile(name string) bool {
 	return strings.HasPrefix(name, "block-") && (strings.HasSuffix(name, spillSuffix) || strings.HasSuffix(name, deltaSuffix))
 }
 
-// write lands one generation of one block. A durable write fsyncs before
-// the rename (the synchronous engine's per-spill behavior); a non-durable
-// write skips the fsync, because write-behind generations only need to be
-// on disk by the next manifest fence, where syncPinned makes whichever
-// files the manifest pins durable in one pass. A crash before that
-// fence can leave a renamed-but-garbage file — harmless, since no
-// manifest names it and resume reads only pinned generations.
+// write lands one generation of one block, in place under its own name.
+// Generations only grow and no manifest names one before the fence that
+// syncs it, so there is nothing to replace atomically: a crash mid-write
+// leaves garbage at a name resume never reads (it reads only pinned
+// generations), and a later write of that name truncates it. A durable
+// write fsyncs the file (the synchronous engine's per-spill behavior); a
+// non-durable write skips the fsync, because write-behind generations
+// only need to be on disk by the next manifest fence, where syncPinned
+// makes whichever files the manifest pins durable in one pass.
 func (s *spillStore) write(block int, gen uint64, kind spillKind, data []byte, durable bool) error {
 	if err := s.failpoint(true); err != nil {
 		return err
 	}
-	err := db.WriteFileAtomic(s.path(block, gen, kind == kindDelta), durable, func(w io.Writer) error {
-		_, err := w.Write(data)
+	path := s.path(block, gen, kind == kindDelta)
+	f, err := os.Create(path)
+	if err != nil {
 		return err
-	})
-	if err == nil && kind == s.failAfterKind {
+	}
+	_, err = f.Write(data)
+	if err == nil && durable {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		os.Remove(path)
+		return err
+	}
+	if kind == s.failAfterKind {
 		s.kindWrites++
 	}
-	return err
+	return nil
 }
 
 // sync makes an already-written file durable — the manifest fence's

@@ -10,11 +10,11 @@ package oocore
 //
 // Write-behind: the eviction path packs a block's state into a pooled
 // job and returns immediately; a dedicated writer goroutine commits it.
-// This takes the whole encode+write+rename cost off the wave's critical
+// This takes the whole encode+write cost off the wave's critical
 // path — the paper's pipelined send/receive discipline, applied to the
 // memory hierarchy instead of the network. With Writeback < 0 (and for a
 // shard store) the same commit runs inline on the caller's goroutine
-// and fsyncs each file before its rename.
+// and fsyncs each file it writes.
 //
 // Correctness rules the pipeline preserves:
 //

@@ -143,9 +143,15 @@ type Worker struct {
 
 	// span is the length of the runs of consecutive locals that are also
 	// consecutive globals: the partition group, or the whole shard when
-	// this worker owns the entire space. The run generators amortise
-	// decoding over such runs and Fill copies them whole.
+	// this worker owns the entire space. Fill copies such runs whole.
 	span uint64
+
+	// The run generators walk arithmetic progressions: consecutive locals
+	// within one stretch of walk locals are globals stride apart. Inside
+	// a block-cyclic group that is span at stride 1; across a cyclic
+	// partition (group 1, P > 1) the whole shard is one progression of
+	// stride P.
+	stride, walk uint64
 
 	// gen holds the run generators Init, ExpandRuns and ResolveLoops walk
 	// under either kernel: the game's batch implementations, or per-
@@ -196,6 +202,10 @@ func NewWorkerKernel(g game.Game, part *Partition, me int, k Kernel) (*Worker, e
 	} else {
 		w.span = max(n, 1)
 	}
+	w.stride, w.walk = 1, w.span
+	if w.span == 1 && part.Workers() > 1 {
+		w.stride, w.walk = uint64(part.Workers()), max(n, 1)
+	}
 	if k == KernelSWAR {
 		w.spec, _ = LaneEligible(g)
 		w.negv = byte(w.spec.Neg)
@@ -223,13 +233,13 @@ func (w *Worker) Partition() *Partition { return w.part }
 func (w *Worker) ShardSize() uint64 { return w.Stats.Positions }
 
 // runLen returns the length of the generator run starting at local l0:
-// to the end of its contiguity span or of the shard, at most laneChunk.
+// to the end of its progression or of the shard, at most laneChunk.
 func (w *Worker) runLen(l0 uint64) uint64 {
-	return min(w.span-l0%w.span, w.ShardSize()-l0, laneChunk)
+	return min(w.walk-l0%w.walk, w.ShardSize()-l0, laneChunk)
 }
 
 // Init runs the initialisation phase over the shard: it walks the shard in
-// runs, pulls every position's move summary from the run generator,
+// strided runs, pulls every position's move summary from the run generator,
 // records the outstanding-successor counters, resolves positions that are
 // terminal or whose resolved moves already finalize them, and queues those
 // for expansion. It returns the number of positions finalized, and a
@@ -246,11 +256,11 @@ func (w *Worker) Init() (uint64, error) {
 	for l0 := uint64(0); l0 < n; {
 		base := w.part.Global(w.me, l0)
 		st := buf[:w.runLen(l0)]
-		w.gen.InitRun(base, len(st), st)
+		w.gen.InitStrided(base, w.stride, len(st), st)
 		for i, s := range st {
 			w.Stats.MovesGenerated += uint64(s.Moves)
 			if s.Internal > maxCnt {
-				return finals, &game.CounterOverflowError{Game: w.g.Name(), Position: base + uint64(i), Internal: int64(s.Internal), Max: int64(maxCnt)}
+				return finals, &game.CounterOverflowError{Game: w.g.Name(), Position: base + uint64(i)*w.stride, Internal: int64(s.Internal), Max: int64(maxCnt)}
 			}
 			if w.initState(l0+uint64(i), s) {
 				finals++
@@ -367,8 +377,8 @@ func (w *Worker) ExpandRuns(limit int, emit func(owner int, r UpdateRun)) int {
 
 // expandRuns is the one expansion loop of every engine. It pops up to
 // limit positions off the sorted queue and cuts them into maximal runs of
-// consecutive locals within one contiguity span, so the globals are
-// consecutive too and the run generator decodes incrementally. A self-
+// consecutive locals within one progression, so the globals are one
+// strided run and the run generator decodes incrementally. A self-
 // owned edge is applied inline, or emitted as a run of one when
 // emitSelf is set (a wire node routes it through its combining buffer,
 // which charges it as an applied update; HostSolve through its
@@ -413,11 +423,11 @@ func (w *Worker) expandRuns(limit int, emitSelf bool, emit func(owner int, r Upd
 		for len(chunk) > 0 {
 			l0 = chunk[0]
 			k := 1
-			for k < len(chunk) && chunk[k] == l0+uint64(k) && (l0+uint64(k))%w.span != 0 {
+			for k < len(chunk) && chunk[k] == l0+uint64(k) && (l0+uint64(k))%w.walk != 0 {
 				k++
 			}
 			chunk = chunk[k:]
-			w.gen.PredecessorsRun(w.part.Global(w.me, l0), k, visit)
+			w.gen.PredecessorsStrided(w.part.Global(w.me, l0), w.stride, k, visit)
 		}
 		w.flushRemote(emit)
 	}
@@ -533,7 +543,7 @@ func (w *Worker) ResolveLoops() uint64 {
 	for l0 := uint64(0); l0 < n; {
 		lv := buf[:w.runLen(l0)]
 		if w.anyOpen(l0, l0+uint64(len(lv))) {
-			w.gen.LoopValuesRun(w.part.Global(w.me, l0), len(lv), lv)
+			w.gen.LoopValuesStrided(w.part.Global(w.me, l0), w.stride, len(lv), lv)
 			for i, v := range lv {
 				if w.resolveLoop(l0+uint64(i), v) {
 					resolved++

@@ -250,13 +250,13 @@ func (hugeBranch) LoopValue(uint64) game.Value        { return 0 }
 func (hugeBranch) ValueBits() int                     { return 16 }
 
 // hugeBranchBatch is hugeBranch with its own batch init generator, so
-// the overflowing count reaches Init through InitRun.
+// the overflowing count reaches Init through InitStrided.
 type hugeBranchBatch struct{ hugeBranch }
 
-func (h hugeBranchBatch) InitRun(base uint64, n int, out []game.InitStat) {
+func (h hugeBranchBatch) InitStrided(base, stride uint64, n int, out []game.InitStat) {
 	for i := range out[:n] {
 		out[i] = game.InitStat{Best: game.NoValue}
-		if base+uint64(i) != 0 {
+		if base+uint64(i)*stride != 0 {
 			out[i] = game.InitStat{Moves: int32(h.n), Internal: int32(h.n), Best: game.NoValue}
 		}
 	}

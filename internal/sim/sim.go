@@ -8,10 +8,7 @@
 // deterministic: events at equal times run in scheduling order.
 package sim
 
-import (
-	"container/heap"
-	"fmt"
-)
+import "fmt"
 
 // Time is a point in virtual time, in nanoseconds.
 type Time int64
@@ -47,23 +44,62 @@ type event struct {
 	fn  func()
 }
 
+// eventHeap is a binary min-heap of events ordered by (at, seq). seq is
+// unique, so the order is strict and total: the pop order is fixed by the
+// schedule alone, whatever the heap's internal layout. It is typed rather
+// than a container/heap so no event is boxed into an interface.
 type eventHeap []event
 
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
+// before reports whether a pops ahead of b.
+func before(a, b *event) bool {
+	return a.at < b.at || a.at == b.at && a.seq < b.seq
 }
-func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x any)   { *h = append(*h, x.(event)) }
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	*h = old[:n-1]
-	return e
+
+// push adds e, sifting it up from the last slot.
+func (h *eventHeap) push(e event) {
+	*h = append(*h, e)
+	q := *h
+	i := len(q) - 1
+	for i > 0 {
+		p := (i - 1) / 2
+		if !before(&e, &q[p]) {
+			break
+		}
+		q[i] = q[p]
+		i = p
+	}
+	q[i] = e
+}
+
+// pop removes and returns the earliest event: the last event takes the
+// root's place and sifts down.
+func (h *eventHeap) pop() event {
+	q := *h
+	top := q[0]
+	n := len(q) - 1
+	e := q[n]
+	q[n] = event{} // drop the closure reference
+	q = q[:n]
+	*h = q
+	i := 0
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if r := c + 1; r < n && before(&q[r], &q[c]) {
+			c = r
+		}
+		if !before(&q[c], &e) {
+			break
+		}
+		q[i] = q[c]
+		i = c
+	}
+	if n > 0 {
+		q[i] = e
+	}
+	return top
 }
 
 // Kernel is the event scheduler. The zero value is not usable; call New.
@@ -90,7 +126,7 @@ func (k *Kernel) At(t Time, fn func()) {
 		panic(fmt.Sprintf("sim: scheduling at %v before now %v", t, k.now))
 	}
 	k.seq++
-	heap.Push(&k.events, event{at: t, seq: k.seq, fn: fn})
+	k.events.push(event{at: t, seq: k.seq, fn: fn})
 }
 
 // After schedules fn to run d nanoseconds of virtual time from now.
@@ -107,7 +143,7 @@ func (k *Kernel) Step() bool {
 	if len(k.events) == 0 {
 		return false
 	}
-	e := heap.Pop(&k.events).(event)
+	e := k.events.pop()
 	k.now = e.at
 	k.stepped++
 	e.fn()

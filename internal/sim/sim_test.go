@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -164,6 +166,54 @@ func TestDeterminism(t *testing.T) {
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatalf("traces diverge at %d: %v vs %v", i, a[i], b[i])
+		}
+	}
+}
+
+// TestHeapPopsInTimeSeqOrder drives the event heap with a seeded random
+// schedule, events scheduling further events included, and requires the
+// pops in (at, seq) order: by time, and at equal times in the order the
+// events were scheduled. Times are drawn from a narrow range so ties are
+// common.
+func TestHeapPopsInTimeSeqOrder(t *testing.T) {
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		k := New()
+		type stamp struct {
+			at  Time
+			seq int
+		}
+		var scheduled, popped []stamp
+		var schedule func(depth int)
+		schedule = func(depth int) {
+			s := stamp{at: k.Now() + Time(rng.Intn(8)), seq: len(scheduled)}
+			scheduled = append(scheduled, s)
+			k.At(s.at, func() {
+				popped = append(popped, s)
+				for range rng.Intn(3) {
+					if depth < 8 {
+						schedule(depth + 1)
+					}
+				}
+			})
+		}
+		for range 200 {
+			schedule(0)
+		}
+		k.Run()
+		if len(popped) != len(scheduled) {
+			t.Fatalf("seed %d: %d events popped, %d scheduled", seed, len(popped), len(scheduled))
+		}
+		if !slices.IsSortedFunc(popped, func(a, b stamp) int {
+			if a.at != b.at {
+				return int(a.at - b.at)
+			}
+			return a.seq - b.seq
+		}) {
+			t.Fatalf("seed %d: events popped out of (at, seq) order: %v", seed, popped)
+		}
+		if int(k.Events()) != len(scheduled) {
+			t.Fatalf("seed %d: Events() = %d, want %d", seed, k.Events(), len(scheduled))
 		}
 	}
 }
